@@ -9,15 +9,9 @@ seeds and then guards the repo's performance trajectory:
       measure and (re)write ``BENCH_wallclock.json`` at the repo root —
       the committed baseline future PRs regress against;
 * ``python benchmarks/bench_wallclock.py --check BENCH_wallclock.json``
-      measure and exit non-zero if any gated key — the p = 8 run, the
-      spatial/replicated pair, or an exec A/B leg present in the
-      baseline — is more than ``--factor`` (default 1.25x) slower than
-      the committed baseline (the CI gate).
-
-Every measurement also runs the ``--exec-workers`` / ``--kernel`` A/B
-on the p = 8 point (``exec_ab`` key): pool sizes 2 and 4 and the numba
-backend when installed, each asserted bit-identical to the default
-serial-numpy leg before its wall time is recorded.
+      measure and exit non-zero if any gated key — the p = 8 run or
+      the spatial/replicated pair — is more than ``--factor`` (default
+      1.25x) slower than the committed baseline (the CI gate).
 
 Every measurement also records the p = 8 decomposition-strategy pair on
 the classic myoglobin workload — replicated vs spatial on identical
@@ -137,75 +131,6 @@ def measure_breakdown() -> dict[str, dict]:
             "virtual_total": classic.total + pme.total,
         }
     return breakdown
-
-
-def exec_ab(repeats: int) -> tuple[dict, int]:
-    """``--exec-workers`` / ``--kernel`` A/B on the p = 8 point.
-
-    The within-point execution knobs are wall-clock-only: every leg must
-    produce bit-identical energies, virtual timelines and final
-    positions to the default serial-numpy leg.  Legs the interpreter
-    cannot run (numba not installed) are skipped, mirroring the
-    install-or-skip CI guard.  Returns the per-leg seconds and a
-    non-zero status if any leg's results diverge.
-    """
-    from repro import MDRunConfig, RunOptions, build_workload, run_parallel_md
-    from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
-    from repro.parallel.exec.kernels import numba_available
-
-    system, positions = build_workload(WORKLOAD)
-    config = MDRunConfig(n_steps=N_STEPS)
-    spec = ClusterSpec(n_ranks=8, network=tcp_gigabit_ethernet())
-
-    legs: list[tuple[str, dict]] = [
-        ("serial-numpy", {}),
-        ("pool2-numpy", {"exec_workers": 2}),
-        ("pool4-numpy", {"exec_workers": 4}),
-    ]
-    skipped: list[str] = []
-    if numba_available():
-        legs.append(("serial-numba", {"kernel": "numba"}))
-        legs.append(("pool4-numba", {"exec_workers": 4, "kernel": "numba"}))
-    else:
-        skipped = ["serial-numba", "pool4-numba"]
-
-    seconds: dict[str, float] = {}
-    results: dict[str, object] = {}
-    for name, knobs in legs:
-        options = RunOptions(config=config, **knobs)
-        run_parallel_md(system, positions, spec, options)  # warm-up
-        best, result = float("inf"), None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            result = run_parallel_md(system, positions, spec, options)
-            best = min(best, time.perf_counter() - t0)
-        seconds[name] = round(best, 4)
-        results[name] = result
-
-    problems: list[str] = []
-    base = results["serial-numpy"]
-    base_energy = [e.total for e in base.energies]
-    for name, _ in legs[1:]:
-        other = results[name]
-        if [e.total for e in other.energies] != base_energy:
-            problems.append(f"{name}: energies differ from serial-numpy")
-        if other.timelines != base.timelines:
-            problems.append(f"{name}: virtual timelines differ from serial-numpy")
-        if other.final_positions.tobytes() != base.final_positions.tobytes():
-            problems.append(f"{name}: final positions differ from serial-numpy")
-
-    print(f"  exec A/B (p=8, best of {repeats}):")
-    for name, value in seconds.items():
-        print(f"    {name}: {value:.3f} s wall")
-    for name in skipped:
-        print(f"    {name}: skipped (numba not installed)")
-    for p in problems:
-        print(f"    PROBLEM: {p}")
-    if not problems:
-        print("    all legs bit-identical to serial-numpy: ok")
-
-    doc = {"seconds": seconds, "skipped": skipped, "problems": problems}
-    return doc, 0 if not problems else 1
 
 
 def trace_ab(repeats: int, overhead_factor: float) -> tuple[dict, int]:
@@ -331,7 +256,6 @@ def main(argv: list[str] | None = None) -> int:
         return ab_status
 
     seconds = measure(args.repeats)
-    ab_doc, ab_status = exec_ab(args.repeats)
     doc = {
         "schema": SCHEMA,
         "workload": WORKLOAD,
@@ -347,7 +271,6 @@ def main(argv: list[str] | None = None) -> int:
         doc["seconds_shared_off"] = measure(args.repeats, shared_compute=False)
     if args.breakdown:
         doc["breakdown"] = measure_breakdown()
-    doc["exec_ab"] = {"seconds": ab_doc["seconds"], "skipped": ab_doc["skipped"]}
     doc["spatial"] = {
         "workload": SPATIAL_WORKLOAD,
         "seconds": measure_spatial(args.repeats),
@@ -388,15 +311,12 @@ def main(argv: list[str] | None = None) -> int:
                     doc["spatial"]["seconds"][key],
                     float(spatial_base[key]),
                 )
-        for leg, base_s in baseline.get("exec_ab", {}).get("seconds", {}).items():
-            if leg in ab_doc["seconds"]:
-                gate(f"exec_ab.{leg}", ab_doc["seconds"][leg], float(base_s))
-        return 0 if not regressions and ab_status == 0 else 1
+        return 0 if not regressions else 1
 
     output = args.output if args.output is not None else DEFAULT_OUTPUT
     output.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {output}")
-    return ab_status
+    return 0
 
 
 if __name__ == "__main__":

@@ -24,13 +24,6 @@ rather than the harness).  This module walks source files with
   ``os.urandom``, ``uuid.uuid1``/``uuid4``, ``platform.node``,
   ``socket.gethostname``, ``id()``, ``hash()``) inside the virtual-time
   packages.
-* **REP506** — completion-order reductions inside the execution engine
-  (``repro/parallel/exec``): ``as_completed``, ``imap_unordered``,
-  ``wait(..., return_when=FIRST_COMPLETED)``.  Consuming futures in the
-  order they *finish* lets thread scheduling pick the reduction order,
-  which is exactly how a pool would leak nondeterminism into energies.
-  The fanout collects ``f.result()`` over the submitted list in rank
-  order; any completion-order construct in that package is an error.
 
 REP502/REP505 are scoped to the packages that run under virtual time
 (:data:`VIRTUAL_TIME_PACKAGES`); the tooling layers (cli, report,
@@ -55,7 +48,6 @@ from .rules import ERROR, Diagnostic
 __all__ = [
     "VIRTUAL_TIME_PACKAGES",
     "is_virtual_time_path",
-    "is_exec_path",
     "lint_determinism_source",
     "lint_determinism_paths",
 ]
@@ -97,32 +89,11 @@ _HOST_DEPENDENT = {
 _ACCUMULATORS = {"sum", "fsum"}  # bare / math.fsum / np.sum
 _REDUCE_NAMES = {"reduce"}  # functools.reduce
 
-#: completion-order constructs (REP506, execution engine only)
-_COMPLETION_ORDER_CALLS = {
-    "as_completed",  # concurrent.futures.as_completed / asyncio.as_completed
-    "imap_unordered",  # multiprocessing pool iterators
-}
-
-
 def is_virtual_time_path(path: str | Path) -> bool:
     """Does this file live in a package that runs under the virtual clock?"""
     parts = Path(path).parts
     for i, part in enumerate(parts[:-1]):
         if part == "repro" and parts[i + 1] in VIRTUAL_TIME_PACKAGES:
-            return True
-    return False
-
-
-def is_exec_path(path: str | Path) -> bool:
-    """Does this file live in the within-point execution engine?
-
-    ``repro/parallel/exec`` is where futures are actually fanned out, so
-    it is the package where a completion-order construct (REP506) would
-    directly reorder the force reduction.
-    """
-    parts = Path(path).parts
-    for i, part in enumerate(parts[:-2]):
-        if part == "repro" and parts[i + 1] == "parallel" and parts[i + 2] == "exec":
             return True
     return False
 
@@ -172,10 +143,9 @@ def _ordered_wrapper(node: ast.expr) -> bool:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, path: str, virtual_time: bool, exec_engine: bool = False) -> None:
+    def __init__(self, path: str, virtual_time: bool) -> None:
         self.path = path
         self.virtual_time = virtual_time
-        self.exec_engine = exec_engine
         self.diags: list[Diagnostic] = []
         # iter expressions already judged by the accumulation rule
         # (REP504), so the set-iteration rule does not double-report
@@ -235,46 +205,8 @@ class _Visitor(ast.NodeVisitor):
         if self.virtual_time:
             self._check_wallclock(node)
             self._check_host_dependent(node)
-        if self.exec_engine:
-            self._check_completion_order(node)
         self._check_accumulation(node)
         self.generic_visit(node)
-
-    # -- REP506: completion-order reductions in the exec engine ----------
-    def _check_completion_order(self, node: ast.Call) -> None:
-        leaf = None
-        name = _dotted(node.func)
-        if name is not None:
-            leaf = name.rsplit(".", 1)[-1]
-        elif isinstance(node.func, ast.Attribute):
-            leaf = node.func.attr  # method on a non-Name chain (pool().wait)
-        if leaf in _COMPLETION_ORDER_CALLS:
-            self._emit(
-                "REP506",
-                node,
-                f"{leaf}() yields results in completion order, letting "
-                "thread scheduling pick the reduction order; collect "
-                "f.result() over the submitted future list in rank order",
-            )
-            return
-        if leaf == "wait":
-            for kw in node.keywords:
-                if kw.arg != "return_when":
-                    continue
-                value = kw.value
-                tail = (
-                    value.value
-                    if isinstance(value, ast.Constant)
-                    else (_dotted(value) or "").rsplit(".", 1)[-1]
-                )
-                if tail in ("FIRST_COMPLETED", "FIRST_EXCEPTION"):
-                    self._emit(
-                        "REP506",
-                        node,
-                        f"wait(return_when={tail}) resumes on whichever "
-                        "future finishes first; the exec engine must "
-                        "consume futures in rank order",
-                    )
 
     def _check_randomness(self, node: ast.Call) -> None:
         name = _dotted(node.func)
@@ -416,11 +348,7 @@ def lint_determinism_source(
                 severity=ERROR,
             )
         ]
-    visitor = _Visitor(
-        path,
-        virtual_time=is_virtual_time_path(path),
-        exec_engine=is_exec_path(path),
-    )
+    visitor = _Visitor(path, virtual_time=is_virtual_time_path(path))
     visitor.visit(tree)
 
     lines = source.splitlines()

@@ -6,8 +6,8 @@ A *source* is anything that carries named timings:
   design identity, carrying the virtual wall / classic / PME times plus
   the six per-phase splits;
 * a **BENCH_wallclock.json** document — the committed host-seconds
-  baseline (``seconds``, ``exec_ab``, ``spatial`` keys, and the
-  ``breakdown`` virtual splits when recorded with ``--breakdown``);
+  baseline (``seconds`` and ``spatial`` keys, and the ``breakdown``
+  virtual splits when recorded with ``--breakdown``);
 * a **campaign manifest** — per-point harness wall seconds of the
   points that actually executed.
 
@@ -72,8 +72,6 @@ def _bench_source(doc: dict, name: str) -> dict:
                 if field in breakdown[key]
             }
         series[f"bench/{key}"] = entry
-    for leg, value in doc.get("exec_ab", {}).get("seconds", {}).items():
-        series[f"bench/exec_ab.{leg}"] = {"metrics": {"seconds": float(value)}}
     for key, value in doc.get("spatial", {}).get("seconds", {}).items():
         series[f"bench/spatial.{key}"] = {"metrics": {"seconds": float(value)}}
     return {"kind": "bench", "name": name, "series": series}

@@ -62,7 +62,6 @@ def execute_point(
     cost: MachineCostModel,
     base_seed: int,
     sanitize: bool = False,
-    shared_compute: bool = True,
     span_trace_path=None,
 ) -> ResponseRecord:
     """Run one design point from scratch, in whatever process this is.
@@ -70,20 +69,16 @@ def execute_point(
     This is the single execution path shared by the inline engine, the
     worker processes and ``verify`` — and it performs exactly the calls
     :meth:`CharacterizationRunner.run_point` makes, so records agree
-    bit-for-bit however a point was produced.  ``shared_compute``
-    constructs one :class:`~repro.parallel.shared.SharedComputeCache` per
-    point inside :func:`run_parallel_md`; it changes wall-clock only, so
-    it participates in neither the cache key nor the record.
-    ``span_trace_path``, when given, attaches a fresh
-    :class:`~repro.instrument.tracing.SpanTracer` to the run and writes
-    its Chrome trace-event JSON there — equally wall-clock-only.
+    bit-for-bit however a point was produced.  ``span_trace_path``, when
+    given, attaches a fresh :class:`~repro.instrument.tracing.SpanTracer`
+    to the run and writes its Chrome trace-event JSON there — wall-clock
+    only, so it participates in neither the cache key nor the record.
     """
     system, positions = build_workload(workload)
     spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(base_seed, point))
     tracer = SpanTracer() if span_trace_path is not None else None
     options = RunOptions.for_point(
-        point, config=config, cost=cost, sanitize=sanitize,
-        span_tracer=tracer, shared_compute=shared_compute,
+        point, config=config, cost=cost, sanitize=sanitize, span_tracer=tracer
     )
     if tracer is not None:
         with tracer.span("execute_point", track="engine", label=point.label()):
@@ -114,7 +109,6 @@ def _worker_main(task: dict, out_queue) -> None:
             task["cost"],
             task["base_seed"],
             sanitize=task["sanitize"],
-            shared_compute=task.get("shared_compute", True),
             span_trace_path=task.get("trace_path"),
         )
         out_queue.put(
@@ -263,11 +257,6 @@ class CampaignEngine:
         Extra attempts after the first, for failed or timed-out points.
     backoff:
         Base of the exponential retry delay (seconds).
-    shared_compute:
-        Deduplicate replicated-data work across simulated ranks inside
-        each point (one :class:`~repro.parallel.shared.SharedComputeCache`
-        per point).  Wall-clock only — records are bit-identical either
-        way, so this is not part of the cache key.
     trace_dir:
         When set, every executed point writes a Chrome span trace
         (``point-<key>.trace.json``) there, and the engine writes its own
@@ -285,7 +274,6 @@ class CampaignEngine:
     retries: int = 1
     backoff: float = 0.25
     sanitize: bool = False
-    shared_compute: bool = True
     trace_dir: str | None = None
 
     _fingerprint: str | None = field(default=None, init=False, repr=False)
@@ -455,7 +443,6 @@ class CampaignEngine:
                     record = execute_point(
                         self.workload, task.point, self.config, self.cost,
                         self.base_seed, sanitize=self.sanitize,
-                        shared_compute=self.shared_compute,
                         span_trace_path=self._point_trace(task.key),
                     )
                 except Exception as exc:
@@ -495,7 +482,6 @@ class CampaignEngine:
                 "cost": self.cost,
                 "base_seed": self.base_seed,
                 "sanitize": self.sanitize,
-                "shared_compute": self.shared_compute,
                 "trace_path": self._point_trace(task.key),
             }
             proc = ctx.Process(target=_worker_main, args=(payload, out_queue), daemon=True)
@@ -660,8 +646,7 @@ class CampaignEngine:
             fresh = {}
             for entry, point in pairs:
                 fresh[entry.key] = execute_point(
-                    self.workload, point, self.config, self.cost, self.base_seed,
-                    shared_compute=self.shared_compute,
+                    self.workload, point, self.config, self.cost, self.base_seed
                 )
             return fresh, {}
 
@@ -674,7 +659,6 @@ class CampaignEngine:
                 "cost": self.cost,
                 "base_seed": self.base_seed,
                 "sanitize": False,
-                "shared_compute": self.shared_compute,
             }
             for entry, point in pairs
         ]

@@ -208,7 +208,6 @@ def work_campaign(
             record = execute_point(
                 engine.workload, point, engine.config, engine.cost,
                 engine.base_seed, sanitize=engine.sanitize,
-                shared_compute=engine.shared_compute,
                 span_trace_path=engine._point_trace(lease.key),
             )
         except Exception as exc:

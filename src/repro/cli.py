@@ -65,20 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cpus-per-node", type=int, default=1, choices=(1, 2))
         p.add_argument("--steps", type=int, default=10)
         p.add_argument("--seed", type=int, default=2002)
-        p.add_argument(
-            "--kernel", default="numpy", choices=("numpy", "numba"),
-            help=(
-                "force-kernel backend (numba is opt-in and bit-identical to "
-                "the numpy reference; requires numba installed)"
-            ),
-        )
-        p.add_argument(
-            "--exec-workers", type=int, default=0,
-            help=(
-                "thread-pool size for the within-point rank fanout "
-                "(0 = serial; wall-clock only, results are bit-identical)"
-            ),
-        )
 
     run = sub.add_parser("run", help="run one platform point")
     _point_flags(run)
@@ -209,14 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument(
         "--sanitize-run", action="store_true",
         help="execute every point under the runtime sanitizer (timings unchanged)",
-    )
-    crun.add_argument(
-        "--no-shared-compute", action="store_true",
-        help=(
-            "disable the per-point shared-compute cache (replicated-data work "
-            "deduplication across simulated ranks); results are bit-identical, "
-            "only slower — useful for A/B-ing the optimization"
-        ),
     )
     crun.add_argument(
         "--trace-dir", default=None,
@@ -419,19 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_kernel_flag(kernel: str) -> str | None:
-    """Error string when the requested kernel backend cannot run here."""
-    if kernel == "numba":
-        from .parallel.exec.kernels import numba_available
-
-        if not numba_available():
-            return (
-                "kernel backend 'numba' requested but numba is not installed; "
-                "install numba or use --kernel numpy (the reference backend)"
-            )
-    return None
-
-
 def _cmd_figures(args: argparse.Namespace) -> int:
     from .experiments import ALL_FIGURES, default_runner
 
@@ -478,10 +443,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kernel_error = _check_kernel_flag(args.kernel)
-    if kernel_error is not None:
-        print(f"error: {kernel_error}", file=sys.stderr)
-        return 2
 
     strategy = getattr(args, "strategy", "replicated")
     print(f"Simulating {spec.describe()}, {args.steps} MD steps...")
@@ -494,12 +455,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         myoglobin_system(electrostatics),
         mg.positions,
         spec,
-        RunOptions.for_point(
-            point,
-            config=MDRunConfig(n_steps=args.steps),
-            exec_workers=args.exec_workers,
-            kernel=args.kernel,
-        ),
+        RunOptions.for_point(point, config=MDRunConfig(n_steps=args.steps)),
     )
     record = ResponseRecord.from_run(point, result)
     print(time_series_table([record]))
@@ -540,10 +496,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kernel_error = _check_kernel_flag(args.kernel)
-    if kernel_error is not None:
-        print(f"error: {kernel_error}", file=sys.stderr)
-        return 2
 
     print(f"Tracing {spec.describe()}, {args.steps} MD steps...")
     mg = myoglobin_workload()
@@ -554,11 +506,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         mg.positions,
         spec,
         RunOptions.for_point(
-            point,
-            config=MDRunConfig(n_steps=args.steps),
-            span_tracer=tracer,
-            exec_workers=args.exec_workers,
-            kernel=args.kernel,
+            point, config=MDRunConfig(n_steps=args.steps), span_tracer=tracer
         ),
     )
     path = tracer.write(args.output)
@@ -978,7 +926,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 timeout=args.timeout,
                 retries=args.retries,
                 sanitize=args.sanitize_run,
-                shared_compute=not args.no_shared_compute,
                 trace_dir=args.trace_dir,
             )
             result = engine.run(points, progress=print)

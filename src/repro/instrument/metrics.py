@@ -45,8 +45,9 @@ def _label_key(labels: dict) -> str:
     return ",".join(f"{k}={labels[k]}" for k in sorted(labels))
 
 
-#: The exec-layer rank fanout increments counters from pool threads; a
-#: single shared lock keeps ``count += n`` from losing updates.  One
+#: Counters are incremented from more than one thread (the embedded
+#: coordinator serves requests beside the driving thread); a single
+#: shared lock keeps ``count += n`` from losing updates.  One
 #: uncontended acquire per increment is noise next to the work counted.
 _COUNTER_LOCK = threading.Lock()
 

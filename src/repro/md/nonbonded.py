@@ -11,12 +11,11 @@ characterizes:
 The Lennard-Jones term uses the CHARMM switching function over
 ``[r_on, r_cut]`` in both modes.
 
-The per-pair arithmetic itself lives in
-:mod:`repro.parallel.exec.kernels`: this class performs the cutoff
-filter and the force scatter, then hands the surviving rows to the
-selected backend (``"numpy"`` reference or the opt-in compiled
-``"numba"`` mirror).  Backend choice never changes a single bit of the
-results — only how fast they arrive.
+:class:`NonbondedKernel` performs the cutoff filter and the force
+scatter; the per-pair arithmetic on the surviving rows is
+:func:`pair_physics_numpy`, a pure elementwise function of one pair row
+and the single source of truth every path (serial, replicated, spatial)
+reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -26,14 +25,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import erfc
 
 from ..instrument.counters import FORCE_EVALUATIONS
 from .box import PeriodicBox
-from .cutoff import CutoffScheme
+from .cutoff import CutoffScheme, shift_function, switch_function
 from .forcefield import ForceField
 from .units import COULOMB_CONSTANT
 
-__all__ = ["NonbondedKernel", "PairEnergies"]
+__all__ = ["NonbondedKernel", "PairEnergies", "pair_physics_numpy"]
+
+_TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,68 @@ def _scatter_forces(
         forces[:, dim] -= np.bincount(j, weights=c[dim], minlength=n)
 
 
+def pair_physics_numpy(
+    r2: np.ndarray,
+    dr: np.ndarray,
+    eps_ij: np.ndarray,
+    rmin_ij: np.ndarray,
+    qq: np.ndarray,
+    scheme: CutoffScheme,
+    elec_mode: str,
+    ewald_alpha: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference pair physics on cutoff-filtered rows.
+
+    Parameters are per-pair arrays: squared separation ``r2``, the
+    minimum-image displacement ``dr`` (force direction), the combined LJ
+    parameters ``eps_ij``/``rmin_ij`` and the charge product ``qq``
+    (Coulomb constant included).  Returns ``(e_lj, e_el, fvec)``.
+    """
+    r = np.sqrt(r2)
+    inv_r = 1.0 / r
+
+    # --- Lennard-Jones with switching ------------------------------
+    u = rmin_ij * inv_r
+    u2 = u * u
+    x6 = u2 * u2 * u2
+    x12 = x6 * x6
+    e_lj_raw = eps_ij * (x12 - 2.0 * x6)
+    de_lj_raw = -12.0 * eps_ij * inv_r * (x12 - x6)
+    # Below the switch-on radius S = 1 and dS/dr = 0, so the raw values
+    # pass through untouched; evaluate the switching polynomial only on
+    # the rows inside the [r_on, r_cut] window (elementwise, so the
+    # windowed rows carry the exact bits switch_function would give on
+    # the full array).  The raw arrays are fresh temporaries, so the
+    # windowed rows are patched in place after their raw values are
+    # captured — no copies of the full arrays.
+    e_lj_pair = e_lj_raw
+    de_lj = de_lj_raw
+    window = np.flatnonzero(r >= scheme.switch_on)
+    if len(window):
+        s, ds = switch_function(r.take(window), scheme.switch_on, scheme.r_cut)
+        e_w = e_lj_raw.take(window)
+        d_w = de_lj_raw.take(window)
+        e_lj_pair[window] = e_w * s
+        de_lj[window] = d_w * s + e_w * ds
+
+    # --- electrostatics ---------------------------------------------
+    if elec_mode == "shift":
+        sh, dsh = shift_function(r, scheme.r_cut)
+        e_el_pair = qq * inv_r * sh
+        de_el = qq * (-inv_r * inv_r * sh + inv_r * dsh)
+    else:
+        alpha = float(ewald_alpha)  # validated by the kernel constructor
+        erfc_ar = erfc(alpha * r)
+        e_el_pair = qq * inv_r * erfc_ar
+        de_el = -qq * inv_r * (
+            erfc_ar * inv_r + _TWO_OVER_SQRT_PI * alpha * np.exp(-(alpha * r) ** 2)
+        )
+
+    de_total = de_lj + de_el
+    fvec = (-de_total * inv_r)[:, None] * dr  # force on atom i
+    return e_lj_pair, e_el_pair, fvec
+
+
 class NonbondedKernel:
     """Evaluates LJ + electrostatics over an explicit pair list.
 
@@ -84,9 +148,6 @@ class NonbondedKernel:
         Optional precomputed ``(eps, rmin_half)`` per-atom tables — the
         tables are identical on every replicated-data rank, so the shared
         compute layer builds them once and hands them to each kernel.
-    backend:
-        Force-kernel backend name (``"numpy"`` or ``"numba"``); see
-        :mod:`repro.parallel.exec.kernels`.  Bit-identical by contract.
     """
 
     def __init__(
@@ -99,7 +160,6 @@ class NonbondedKernel:
         elec_mode: str = "shift",
         ewald_alpha: float | None = None,
         lj_tables: tuple[np.ndarray, np.ndarray] | None = None,
-        backend: str = "numpy",
         shared_statics: Callable | None = None,
     ) -> None:
         if elec_mode not in ("shift", "ewald"):
@@ -116,12 +176,6 @@ class NonbondedKernel:
         self.eps, self.rmin_half = lj_tables
         if len(self.charges) != len(self.eps):
             raise ValueError("charges and type_names disagree on atom count")
-        # local import: md must not depend on the parallel package at
-        # module-import time (parallel imports md)
-        from ..parallel.exec.kernels import get_backend
-
-        self.backend = backend
-        self._physics = get_backend(backend)
         # per-pair statics (eps_ij, rmin_ij, qq) cached for the lifetime
         # of one pair-list base array; see _statics_rows.  shared_statics,
         # when given, deduplicates that computation across rank kernels
@@ -275,7 +329,7 @@ class NonbondedKernel:
             rmin_ij = self.rmin_half[i] + self.rmin_half[j]
             qq = COULOMB_CONSTANT * self.charges[i] * self.charges[j]
 
-        e_lj_pair, e_el_pair, fvec = self._physics(
+        e_lj_pair, e_el_pair, fvec = pair_physics_numpy(
             r2, dr, eps_ij, rmin_ij, qq, self.scheme, self.elec_mode, self.ewald_alpha
         )
         return i, j, e_lj_pair, e_el_pair, fvec

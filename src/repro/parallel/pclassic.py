@@ -52,7 +52,6 @@ class ParallelClassic:
         rank: int,
         cost: MachineCostModel,
         shared: SharedComputeCache | None = None,
-        kernel_backend: str = "numpy",
     ) -> None:
         self.system = system
         self.decomp = decomp
@@ -76,7 +75,6 @@ class ParallelClassic:
             elec_mode=system.nonbonded.elec_mode,
             ewald_alpha=system.nonbonded.ewald_alpha,
             lj_tables=lj_tables,
-            backend=kernel_backend,
             shared_statics=shared.pair_statics if shared is not None else None,
         )
         # this rank's pair blocks are row slices of its neighbour list's
@@ -84,12 +82,7 @@ class ParallelClassic:
         self.kernel.attach_prefilter(system.neighbor_list.step_prefilter)
 
     def compute(self, positions: np.ndarray, pairs: np.ndarray) -> ClassicResult:
-        """Evaluate this rank's block; pure computation, no yields.
-
-        Touches only this rank's private state (kernel counters, bonded
-        slice), so the exec layer's rank fanout may evaluate different
-        ranks' ``compute`` calls concurrently.
-        """
+        """Evaluate this rank's block; pure computation, no yields."""
         my_pairs = self.decomp.pair_block(pairs, self.rank)
         bonded_e, forces = bonded_energy_forces(positions, self.system.box, self.tables)
         nb_e, nb_f = self.kernel.compute(positions, my_pairs)

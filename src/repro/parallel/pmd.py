@@ -109,10 +109,6 @@ def rank_program(
     positions0: np.ndarray,
     velocities0: np.ndarray,
     shared: SharedComputeCache | None = None,
-    fanout=None,
-    kernel: str = "numpy",
-    classic: ParallelClassic | None = None,
-    ppme: ParallelPME | None = None,
 ):
     """Generator driven by the simulator; returns a :class:`RankOutcome`.
 
@@ -123,16 +119,6 @@ def rank_program(
     :class:`SharedComputeCache` deduplicating replicated-data work across
     ranks; physics, trajectories and virtual timelines are bit-identical
     with or without it.
-
-    ``fanout`` is the run-wide :class:`repro.parallel.exec.RankFanout`
-    (or None).  When it carries a ``"classic"`` family, the first rank
-    to reach a step evaluates every rank's classic block in one pooled
-    round and this rank consumes its slot; the driver registers that
-    family from the same pre-built ``classic``/``ppme`` engines it
-    passes in here, so the pooled and inline paths run the identical
-    per-rank objects.  ``kernel`` selects the force-kernel backend for
-    an internally-constructed ``classic`` engine (ignored when one is
-    passed in).  None of these knobs may change any result bit.
     """
     tl = ep.timeline
     lo, hi = decomp.atom_range(ep.rank)
@@ -140,11 +126,9 @@ def rank_program(
     velocities = velocities0[lo:hi].copy()
     masses = system.masses[lo:hi, None]
 
-    if classic is None:
-        classic = ParallelClassic(
-            system, decomp, ep.rank, cost, shared=shared, kernel_backend=kernel
-        )
-    if ppme is None and system.uses_pme:
+    classic = ParallelClassic(system, decomp, ep.rank, cost, shared=shared)
+    ppme: ParallelPME | None = None
+    if system.uses_pme:
         ppme = ParallelPME(
             pme=system.pme,
             box=system.box,
@@ -155,7 +139,6 @@ def rank_program(
             rank=ep.rank,
             cost=cost,
             shared=shared,
-            fanout=fanout,
         )
 
     nl: NeighborList = system.neighbor_list
@@ -174,10 +157,7 @@ def rank_program(
                 pairs = nl.ensure(positions)
             if nl.last_ensure_rebuilt:
                 yield from ep.compute(cost.neighbor_build(nl.last_candidates))
-            if fanout is not None and fanout.has_family("classic"):
-                res = fanout.round("classic", _step, ep.rank, positions, pairs)
-            else:
-                res = classic.compute(positions, pairs)
+            res = classic.compute(positions, pairs)
             yield from ep.compute(classic.compute_seconds(res))
             forces = res.forces
             energies = res.energies

@@ -83,14 +83,6 @@ class ParallelPME:
         Optional run-wide :class:`SharedComputeCache`; when given, the
         B-spline stencil and the once-per-run setup (total self energy)
         are computed by the first rank and reused by every other.
-    fanout:
-        Optional :class:`repro.parallel.exec.RankFanout` with a
-        ``"pme-spread"`` family registered (one :meth:`_spread_slab` per
-        rank); when given, the charge spread of every rank's slab for a
-        step is evaluated in one pooled round triggered by the first
-        rank to reach it.  Force interpolation is deliberately *not*
-        fanned out: it consumes the rank-specific inverse-FFT slab, so
-        no other rank's arrival can supply its inputs.
     """
 
     def __init__(
@@ -104,7 +96,6 @@ class ParallelPME:
         rank: int,
         cost: MachineCostModel,
         shared: SharedComputeCache | None = None,
-        fanout=None,
     ) -> None:
         self.pme = pme
         self.box = box
@@ -113,7 +104,6 @@ class ParallelPME:
         self.cost = cost
         self.charges = charges
         self.shared = shared
-        self.fanout = fanout
         # private work-array cache (never shared across ranks/threads)
         self.plans = PlanCache()
         self.fft = DistributedFFT(pme.grid_shape, n_ranks, rank, cost)
@@ -139,20 +129,6 @@ class ParallelPME:
             return self.shared.pme_stencil(self.mesh, positions, generation)
         return self.mesh.stencil(positions)
 
-    def _spread_slab(self, positions: np.ndarray, stencil) -> np.ndarray:
-        """Spread all charges onto this rank's x-planes.
-
-        This is the per-rank task registered under the fanout's
-        ``"pme-spread"`` family: it touches only this rank's private
-        mesh (whose ``last_workload`` feeds this rank's virtual cost),
-        so concurrent evaluation across ranks is race-free.  The shared
-        stencil is computed *before* the round and passed in, keeping
-        ``SharedComputeCache`` access single-threaded.
-        """
-        return self.mesh.spread(
-            positions, self.charges, x_range=self.fft.my_x_range, stencil=stencil
-        )
-
     def reciprocal(
         self,
         ep: RankEndpoint,
@@ -170,14 +146,10 @@ class ParallelPME:
         x_range = self.fft.my_x_range
         stencil = self._stencil_for(positions, generation)
 
-        # 1. spread all charges onto owned planes (pooled across ranks
-        # when a fanout with the "pme-spread" family is attached)
-        if self.fanout is not None and generation is not None:
-            q_slab = self.fanout.round(
-                "pme-spread", generation, self.rank, positions, stencil
-            )
-        else:
-            q_slab = self._spread_slab(positions, stencil)
+        # 1. spread all charges onto owned planes
+        q_slab = self.mesh.spread(
+            positions, self.charges, x_range=x_range, stencil=stencil
+        )
         assert self.mesh.last_workload is not None
         yield from ep.compute(self.cost.spread(self.mesh.last_workload.scattered_points))
 

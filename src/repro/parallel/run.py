@@ -105,21 +105,6 @@ class RunOptions:
         Optional forced rank grid ``(gx, gy, gz)`` for the spatial
         strategy (product must equal the rank count); ``None`` picks the
         greedy near-cubic grid.  Ignored for ``strategy="replicated"``.
-    exec_workers:
-        Thread-pool size for the within-point rank fanout
-        (:class:`repro.parallel.exec.RankFanout`): ``0`` (default) keeps
-        the serial inline path, ``N > 0`` evaluates the non-shared
-        per-rank arithmetic (classic force blocks, PME spread slabs) of
-        one step concurrently.  A wall-clock knob only — results,
-        virtual timelines and store cache keys are bit-identical for
-        every value.
-    kernel:
-        Force-kernel backend, ``"numpy"`` (reference, default) or
-        ``"numba"`` (opt-in compiled mirror; raises at engine
-        construction if numba is not installed).  Bit-identical by
-        contract and — like ``exec_workers`` — deliberately not part of
-        :class:`~repro.core.design.DesignPoint`, so it can never leak
-        into campaign content addresses.
     """
 
     middleware: str | Middleware = "mpi"
@@ -131,19 +116,11 @@ class RunOptions:
     shared_compute: bool = True
     strategy: str = "replicated"
     spatial_grid: tuple[int, int, int] | None = None
-    exec_workers: int = 0
-    kernel: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.strategy not in ("replicated", "spatial"):
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; expected 'replicated' or 'spatial'"
-            )
-        if self.exec_workers < 0:
-            raise ValueError("exec_workers must be >= 0")
-        if self.kernel not in ("numpy", "numba"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected 'numpy' or 'numba'"
             )
 
     @classmethod
@@ -157,8 +134,6 @@ class RunOptions:
         trace: "CommTrace | None" = None,
         span_tracer: "SpanTracer | None" = None,
         shared_compute: bool = True,
-        exec_workers: int = 0,
-        kernel: str = "numpy",
     ) -> "RunOptions":
         """THE :class:`DesignPoint` → :class:`RunOptions` conversion.
 
@@ -179,8 +154,6 @@ class RunOptions:
             span_tracer=span_tracer,
             shared_compute=shared_compute,
             strategy=getattr(point, "strategy", "replicated"),
-            exec_workers=exec_workers,
-            kernel=kernel,
         )
 
     def replace(self, **changes) -> "RunOptions":
@@ -234,7 +207,6 @@ def run_parallel_md(
     rng = np.random.default_rng(config.velocity_seed)
     velocities = maxwell_boltzmann_velocities(system.masses, config.temperature, rng)
 
-    decomp = AtomDecomposition(system.n_atoms, cluster.n_ranks)
     sim = Simulator()
     world = MPIWorld(
         sim, cluster,
@@ -248,96 +220,26 @@ def run_parallel_md(
 
         mw = SanitizedMiddleware(mw, world.sanitizer)
 
-    if opts.strategy == "spatial":
-        return _run_spatial(
-            system, positions, velocities, cluster, opts, config, mw, sim, world
-        )
-
-    shared = SharedComputeCache() if opts.shared_compute else None
-
-    # The rank fanout needs its per-rank engines to exist before any rank
-    # program runs (a family is registered once, on the driver), so with
-    # exec_workers > 0 the engines are pre-built here and handed into the
-    # programs; with exec_workers == 0 each program builds its own, as
-    # before.  Either way the engines are the same objects the programs
-    # use inline, so pooled and serial execution share every code path.
-    n_ranks = cluster.n_ranks
-    fanout = None
-    classics: list = [None] * n_ranks
-    ppmes: list = [None] * n_ranks
-    if opts.exec_workers > 0:
-        from .exec import RankFanout
-        from .pclassic import ParallelClassic
-        from .ppme import ParallelPME
-
-        fanout = RankFanout(n_ranks, opts.exec_workers, span_tracer=opts.span_tracer)
-        systems = [rank_system_clone(system) for _ in range(n_ranks)]
-        classics = [
-            ParallelClassic(
-                systems[r], decomp, r, opts.cost,
-                shared=shared, kernel_backend=opts.kernel,
-            )
-            for r in range(n_ranks)
-        ]
-        fanout.register("classic", [c.compute for c in classics])
-        if system.uses_pme:
-            ppmes = [
-                ParallelPME(
-                    pme=system.pme,
-                    box=system.box,
-                    decomp=decomp,
-                    exclusions=system.exclusions,
-                    charges=system.charges,
-                    n_ranks=n_ranks,
-                    rank=r,
-                    cost=opts.cost,
-                    shared=shared,
-                    fanout=fanout,
-                )
-                for r in range(n_ranks)
-            ]
-            fanout.register("pme-spread", [p._spread_slab for p in ppmes])
-    else:
-        systems = None
-
-    try:
-        procs = []
-        for rank in range(n_ranks):
-            gen = rank_program(
-                ep=world.endpoints[rank],
-                mw=mw,
-                system=systems[rank] if systems is not None else rank_system_clone(system),
-                decomp=decomp,
-                cost=opts.cost,
-                config=config,
-                positions0=positions,
-                velocities0=velocities,
-                shared=shared,
-                fanout=fanout,
-                kernel=opts.kernel,
-                classic=classics[rank],
-                ppme=ppmes[rank],
-            )
-            procs.append(sim.spawn(gen, name=f"rank{rank}"))
-
-        sim.run()
-    finally:
-        if fanout is not None:
-            fanout.close()
+    # the strategy chooses the per-rank generators and how their outcomes
+    # become energies + final positions; everything else exists once
+    strategy = _spatial_programs if opts.strategy == "spatial" else _replicated_programs
+    programs, assemble = strategy(
+        system, positions, velocities, cluster, opts, config, mw, world
+    )
+    procs = [sim.spawn(gen, name=f"rank{rank}") for rank, gen in enumerate(programs)]
+    sim.run()
     world.assert_drained()
-    if fanout is not None:
-        fanout.assert_drained()
     if world.sanitizer is not None:
         world.sanitizer.check_final(world)
 
-    outcomes: list[RankOutcome] = [p.result for p in procs]
+    energies, final_positions = assemble([p.result for p in procs])
     result = ParallelRunResult(
         spec=cluster,
         config=config,
-        energies=outcomes[0].energies,
+        energies=energies,
         timelines=[ep.timeline for ep in world.endpoints],
         transfers=world.state.transfers,
-        final_positions=outcomes[0].final_positions,
+        final_positions=final_positions,
         middleware=mw.name,
     )
     if opts.trace is not None:
@@ -345,7 +247,7 @@ def run_parallel_md(
     return result
 
 
-def _run_spatial(
+def _replicated_programs(
     system: MDSystem,
     positions: np.ndarray,
     velocities: np.ndarray,
@@ -353,16 +255,50 @@ def _run_spatial(
     opts: RunOptions,
     config: MDRunConfig,
     mw: Middleware,
-    sim: Simulator,
     world: MPIWorld,
-) -> ParallelRunResult:
-    """The spatial-decomposition leg of :func:`run_parallel_md`.
+):
+    """Replicated data: atom blocks, allreduce + allgather per step.
 
-    Same simulator/world/sanitizer plumbing as the replicated leg; what
-    differs is the decomposition (cells of the box instead of atom
-    blocks), the rank program (halo exchange + migration instead of
-    allreduce + allgather) and the energy path (driver-side ledger
-    assembly instead of an in-band collective).
+    Every rank ends with the full energy log and coordinates, so rank 0's
+    outcome is the run's.
+    """
+    decomp = AtomDecomposition(system.n_atoms, cluster.n_ranks)
+    shared = SharedComputeCache() if opts.shared_compute else None
+    programs = [
+        rank_program(
+            ep=world.endpoints[rank],
+            mw=mw,
+            system=rank_system_clone(system),
+            decomp=decomp,
+            cost=opts.cost,
+            config=config,
+            positions0=positions,
+            velocities0=velocities,
+            shared=shared,
+        )
+        for rank in range(cluster.n_ranks)
+    ]
+
+    def assemble(outcomes: list[RankOutcome]):
+        return outcomes[0].energies, outcomes[0].final_positions
+
+    return programs, assemble
+
+
+def _spatial_programs(
+    system: MDSystem,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    cluster: ClusterSpec,
+    opts: RunOptions,
+    config: MDRunConfig,
+    mw: Middleware,
+    world: MPIWorld,
+):
+    """Spatial decomposition: cells of the box, halo exchange + migration.
+
+    Energies never travel in-band: the driver-side ledger assembles them,
+    and final positions are stitched from each rank's owned atoms.
     """
     from .spatial import SpatialDecomposition, SpatialEngine, SpatialLedger
     from .spatial import spatial_rank_program
@@ -378,51 +314,33 @@ def _run_spatial(
     )
     vdecomp = AtomDecomposition(system.n_atoms, cluster.n_ranks)
     ledger = SpatialLedger(system, vdecomp)
-
-    procs = []
-    for rank in range(cluster.n_ranks):
-        engine = SpatialEngine(
-            system=system,
-            decomp=decomp,
-            vdecomp=vdecomp,
-            rank=rank,
-            cost=opts.cost,
-            middleware=mw.name,
-            ledger=ledger,
-            positions0=positions,
-            velocities0=velocities,
-            kernel_backend=opts.kernel,
-        )
-        gen = spatial_rank_program(
+    programs = [
+        spatial_rank_program(
             ep=world.endpoints[rank],
             mw=mw,
             decomp=decomp,
-            engine=engine,
+            engine=SpatialEngine(
+                system=system,
+                decomp=decomp,
+                vdecomp=vdecomp,
+                rank=rank,
+                cost=opts.cost,
+                middleware=mw.name,
+                ledger=ledger,
+                positions0=positions,
+                velocities0=velocities,
+            ),
             config=config,
         )
-        procs.append(sim.spawn(gen, name=f"rank{rank}"))
+        for rank in range(cluster.n_ranks)
+    ]
 
-    sim.run()
-    world.assert_drained()
-    if world.sanitizer is not None:
-        world.sanitizer.check_final(world)
+    def assemble(outcomes: list[SpatialOutcome]):
+        final_positions = np.full((system.n_atoms, 3), np.nan)
+        for out in outcomes:
+            final_positions[out.owned] = out.positions
+        if not np.isfinite(final_positions).all():
+            raise RuntimeError("spatial run lost atoms: final ownership is not a partition")
+        return ledger.assemble(mw.name), final_positions
 
-    outcomes: list[SpatialOutcome] = [p.result for p in procs]
-    final_positions = np.full((system.n_atoms, 3), np.nan)
-    for out in outcomes:
-        final_positions[out.owned] = out.positions
-    if not np.isfinite(final_positions).all():
-        raise RuntimeError("spatial run lost atoms: final ownership is not a partition")
-
-    result = ParallelRunResult(
-        spec=cluster,
-        config=config,
-        energies=ledger.assemble(mw.name),
-        timelines=[ep.timeline for ep in world.endpoints],
-        transfers=world.state.transfers,
-        final_positions=final_positions,
-        middleware=mw.name,
-    )
-    if opts.trace is not None:
-        result.extra["comm_trace"] = opts.trace
-    return result
+    return programs, assemble

@@ -88,9 +88,9 @@ class SharedComputeCache:
     _once: dict[Any, Any] = field(default_factory=dict, repr=False)
     _statics_ref: weakref.ref | None = field(default=None, repr=False)
     _statics: tuple | None = field(default=None, repr=False)
-    # pair_statics is reached from inside ParallelClassic.compute, which
-    # the exec layer's rank fanout may run in pool threads concurrently —
-    # unlike the yield-point-serialized methods above, it needs a lock
+    # pair_statics is reached from inside the force kernel rather than at
+    # a rank-program yield point, so unlike the methods above nothing else
+    # serializes its check-then-fill
     _statics_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # ------------------------------------------------------------------

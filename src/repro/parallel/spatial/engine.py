@@ -217,7 +217,6 @@ class SpatialEngine:
         ledger: SpatialLedger,
         positions0: np.ndarray,
         velocities0: np.ndarray,
-        kernel_backend: str = "numpy",
     ) -> None:
         if middleware not in ("mpi", "cmpi"):
             raise ValueError(f"unknown middleware {middleware!r} for spatial replay")
@@ -249,7 +248,6 @@ class SpatialEngine:
             system.scheme,
             elec_mode=system.nonbonded.elec_mode,
             ewald_alpha=system.nonbonded.ewald_alpha,
-            backend=kernel_backend,
         )
         excl = system.exclusions
         if excl.size:

@@ -16,8 +16,7 @@ Rules that keep reuse bitwise-invisible:
 * A cache instance is **never shared across simulated ranks or
   threads**: each :class:`~repro.pme.grid.ChargeMesh` /
   :class:`~repro.pme.pme.PME` / ``ParallelPME`` owns a private cache, so
-  a fanned-out rank task can never scribble over another rank's
-  in-flight arrays.
+  one rank can never scribble over another rank's in-flight arrays.
 * A buffer's contents are assumed stale on every
   :meth:`PlanCache.buffer` call; callers must fully overwrite it.
 

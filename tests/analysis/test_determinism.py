@@ -118,57 +118,6 @@ class TestRep505HostDependence:
         assert _rules("h = socket.gethostname()\n", TOOLING) == []
 
 
-class TestRep506CompletionOrder:
-    """Completion-order reductions are banned inside repro/parallel/exec."""
-
-    EXEC = "src/repro/parallel/exec/pool.py"
-
-    def test_scoping(self):
-        from repro.analysis.determinism import is_exec_path
-
-        assert is_exec_path(self.EXEC)
-        assert is_exec_path("src/repro/parallel/exec/kernels.py")
-        assert not is_exec_path("src/repro/parallel/pmd.py")
-        assert not is_exec_path("src/repro/cli.py")
-
-    def test_as_completed_flagged(self):
-        src = "for f in as_completed(futures):\n    out.append(f.result())\n"
-        assert _rules(src, self.EXEC) == ["REP506"]
-
-    def test_dotted_as_completed_flagged(self):
-        src = "for f in concurrent.futures.as_completed(futures):\n    pass\n"
-        assert _rules(src, self.EXEC) == ["REP506"]
-
-    def test_imap_unordered_flagged(self):
-        src = "for r in pool.imap_unordered(fn, items):\n    out.append(r)\n"
-        assert _rules(src, self.EXEC) == ["REP506"]
-
-    def test_first_completed_wait_flagged(self):
-        src = "done, _ = wait(futures, return_when=FIRST_COMPLETED)\n"
-        assert _rules(src, self.EXEC) == ["REP506"]
-
-    def test_rank_order_collection_is_fine(self):
-        src = "results = [f.result() for f in futures]\n"
-        assert _rules(src, self.EXEC) == []
-
-    def test_all_completed_wait_is_fine(self):
-        src = "done, _ = wait(futures, return_when=ALL_COMPLETED)\n"
-        assert _rules(src, self.EXEC) == []
-
-    def test_outside_the_exec_engine_not_flagged(self):
-        # the rule is scoped: completion order elsewhere is someone
-        # else's judgement call (e.g. campaign workers feed a store,
-        # not a float reduction)
-        src = "for f in as_completed(futures):\n    pass\n"
-        assert _rules(src, VIRTUAL) == []
-        assert _rules(src, TOOLING) == []
-
-    def test_exec_package_is_rep506_clean(self):
-        diags = lint_determinism_paths([REPO / "src" / "repro" / "parallel" / "exec"])
-        findings = [d for d in diags if d.rule == "REP506"]
-        assert findings == [], [d.format() for d in findings]
-
-
 class TestSuppression:
     def test_repro_noqa_spelling(self):
         src = "for k in set(xs):  # repro: noqa[REP503]\n    f(k)\n"

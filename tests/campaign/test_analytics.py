@@ -244,7 +244,6 @@ def _bench_doc(p8=1.0, pme_comp=0.35):
     return {
         "schema": 1,
         "seconds": {"p1": 0.8, "p8": p8},
-        "exec_ab": {"seconds": {"serial-numpy": 1.0}},
         "spatial": {"seconds": {"replicated_p8": 0.6, "spatial_p8": 1.5}},
         "breakdown": {
             "p8": {

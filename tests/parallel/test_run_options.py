@@ -1,5 +1,7 @@
 """The RunOptions surface: one options object, no keyword back door."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,18 @@ class TestRemovedKeywordForm:
 
 
 class TestRunOptions:
+    def test_field_set_is_pinned(self):
+        """The whole knob surface: adding or removing one is a deliberate act."""
+        assert [f.name for f in dataclasses.fields(RunOptions)] == [
+            "middleware", "config", "cost", "sanitize", "trace", "span_tracer",
+            "shared_compute", "strategy", "spatial_grid",
+        ]
+
+    @pytest.mark.parametrize("name, value", [("exec_workers", 2), ("kernel", "numba")])
+    def test_removed_execution_knobs_rejected(self, name, value):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            RunOptions(**{name: value})
+
     def test_frozen(self):
         with pytest.raises(Exception):
             RunOptions().middleware = "cmpi"  # type: ignore[misc]

@@ -60,3 +60,21 @@ def test_import_repro_stays_lazy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "CLEAN"
+
+
+def test_md_nonbonded_does_not_load_the_parallel_package():
+    """``md`` sits below ``parallel``: importing the nonbonded kernel and
+    constructing one must not pull any ``repro.parallel*`` module in."""
+    code = (
+        "import sys; "
+        "from repro.md.nonbonded import NonbondedKernel; "
+        "from repro.md import CutoffScheme, PeriodicBox, default_forcefield; "
+        "NonbondedKernel(default_forcefield(), ['NH1', 'H'], [0.3, -0.3], "
+        "PeriodicBox(20.0, 20.0, 20.0), CutoffScheme(r_cut=8.0, skin=1.5)); "
+        "loaded = [m for m in sys.modules if m.startswith('repro.parallel')]; "
+        "print(','.join(loaded) or 'CLEAN')"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "CLEAN"
