@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from .metrics import REGISTRY, Counter
 
-__all__ = ["EventCounter", "FORCE_EVALUATIONS", "NEIGHBOR_BUILDS"]
+__all__ = [
+    "EventCounter",
+    "FORCE_EVALUATIONS",
+    "NEIGHBOR_BUILDS",
+    "PAIRLIST_BUILDS",
+    "FRESH_ATOMS",
+]
 
 #: Back-compat alias: the old ad-hoc counter class is now the registry's.
 EventCounter = Counter
@@ -32,3 +38,14 @@ FORCE_EVALUATIONS = REGISTRY.counter("md.force_evaluations")
 #: layer (:mod:`repro.parallel.shared`) promises one real build per rebuild
 #: event regardless of the simulated rank count; tests assert the delta.
 NEIGHBOR_BUILDS = REGISTRY.counter("md.neighbor_builds")
+
+#: Incremented once per rank-local pair-list build of the spatial engine
+#: (see :meth:`repro.parallel.spatial.engine.SpatialEngine._step_pairs`):
+#: one per rank per rebuild, not one per rank per step — tests assert the
+#: exact count, so a return to per-step searching fails without a stopwatch.
+PAIRLIST_BUILDS = REGISTRY.counter("spatial.pairlist_builds")
+
+#: Atoms the spatial engine's fresh-atom rule paired by a dense test, summed
+#: over ranks and steps: atoms that entered a rank's halo, or migrated in,
+#: after the rank's list was built.
+FRESH_ATOMS = REGISTRY.counter("spatial.fresh_atoms")

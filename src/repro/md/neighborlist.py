@@ -162,6 +162,91 @@ def _encode(pairs: np.ndarray, n_atoms: int) -> np.ndarray:
     return pairs[:, 0] * np.int64(n_atoms) + pairs[:, 1]
 
 
+# ----------------------------------------------------------------------
+# Pair-list building blocks.  :meth:`NeighborList.build` composes them over
+# all atoms; the spatial engine (:mod:`repro.parallel.spatial.engine`)
+# composes the same functions over one rank's known atoms, so both lists
+# are decided by one exact test and certified by one bound.
+
+
+def exclusion_codes(exclusions: np.ndarray, n_atoms: int) -> np.ndarray:
+    """Sorted pair codes of the ``i < j`` exclusion rows."""
+    if exclusions.size:
+        return np.sort(_encode(exclusions, n_atoms))
+    return np.empty(0, dtype=np.int64)
+
+
+def tree_candidates(
+    wrapped: np.ndarray, box: PeriodicBox, cutoff: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row pairs ``lo < hi`` of ``wrapped`` proposed by a periodic k-d tree.
+
+    The query radius is padded by a relative ``1e-9``, so the proposal is
+    a superset of what :func:`within_cutoff` accepts.  ``None`` when the
+    box is too small for a toroidal query at this radius (the caller
+    enumerates instead).
+    """
+    padded = cutoff * (1.0 + 1e-9)
+    if not len(wrapped) or padded >= 0.5 * float(np.min(box.lengths)):
+        return None
+    # ``wrap`` guarantees coordinates in [0, L)
+    cand = cKDTree(wrapped, boxsize=box.lengths).query_pairs(
+        padded, output_type="ndarray"
+    )
+    return cand[:, 0].astype(np.int64, copy=False), cand[:, 1].astype(np.int64, copy=False)
+
+
+def within_cutoff(
+    positions: np.ndarray,
+    box: PeriodicBox,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    cutoff: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact accept test: ``(rows, d2)`` of the pairs within ``cutoff``.
+
+    Minimum-image displacement and a squared-distance compare — identical
+    arithmetic whatever proposed the candidates, so the accepted set is too.
+    """
+    plo = positions.take(lo, axis=0)
+    dr = box.min_image(np.subtract(plo, positions.take(hi, axis=0), out=plo))
+    d2 = np.einsum("ij,ij->i", dr, dr)
+    rows = np.flatnonzero(d2 <= cutoff * cutoff)
+    return rows, d2.take(rows)
+
+
+def absent_from(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ``codes`` not in ``sorted_codes`` (a
+    sorted-membership test; same booleans as ``~np.isin``) — how the
+    exclusions leave a pair list."""
+    if not len(sorted_codes) or not len(codes):
+        return np.ones(len(codes), dtype=bool)
+    at = np.searchsorted(sorted_codes, codes)
+    at[at == len(sorted_codes)] = 0
+    return sorted_codes[at] != codes
+
+
+def max_displacement2(
+    box: PeriodicBox, positions: np.ndarray, ref_positions: np.ndarray
+) -> float:
+    """Largest squared minimum-image displacement between two coordinate sets."""
+    dr = box.min_image(positions - ref_positions)
+    return float(np.max(np.einsum("ij,ij->i", dr, dr))) if len(dr) else 0.0
+
+
+def certified_bound(r_cut: float, max_disp: float) -> float:
+    """Largest build-time distance of a pair that can reach ``r_cut`` now.
+
+    The minimum-image distance is a metric on the torus, so a pair's
+    separation changes by at most the sum of its two atoms' displacements
+    since the build: a pair whose build-time distance exceeds
+    ``r_cut + 2 * max_disp`` cannot pass the exact ``r2 <= r_cut**2``
+    test.  The ``1e-6`` A margin swallows the rounding of the stored
+    ``sqrt`` and of the displacement measurement.
+    """
+    return r_cut + 2.0 * max_disp + 1e-6
+
+
 @dataclass
 class NeighborList:
     """A rebuildable Verlet pair list with exclusions applied at build time.
@@ -214,10 +299,7 @@ class NeighborList:
         positions = np.asarray(positions, dtype=np.float64)
         n = len(positions)
         if self._excl_codes is None:
-            if self.exclusions.size:
-                self._excl_codes = np.sort(_encode(self.exclusions, n))
-            else:
-                self._excl_codes = np.empty(0, dtype=np.int64)
+            self._excl_codes = exclusion_codes(self.exclusions, n)
 
         cutoff = self.scheme.list_cutoff
         wrapped = self.box.wrap(positions)
@@ -246,15 +328,9 @@ class NeighborList:
             + (sa[~self_pair] * sb[~self_pair]).sum()
         )
 
-        padded = cutoff * (1.0 + 1e-9)
-        if n and padded < 0.5 * float(np.min(self.box.lengths)):
-            # tree proposes a padded superset; the exact filter below
-            # decides (``wrap`` guarantees coordinates in [0, L))
-            cand = cKDTree(wrapped, boxsize=self.box.lengths).query_pairs(
-                padded, output_type="ndarray"
-            )
-            lo = cand[:, 0].astype(np.int64, copy=False)
-            hi = cand[:, 1].astype(np.int64, copy=False)
+        proposed = tree_candidates(wrapped, self.box, cutoff)
+        if proposed is not None:
+            lo, hi = proposed
         else:
             order = np.argsort(cell_of_atom, kind="stable")
             sorted_cells = cell_of_atom[order]
@@ -270,26 +346,15 @@ class NeighborList:
                 lo = np.empty(0, dtype=np.int64)
                 hi = np.empty(0, dtype=np.int64)
 
-        if len(lo):
-            # the exact accept test — identical arithmetic for both
-            # candidate sources, so the final pair set is too
-            plo = positions.take(lo, axis=0)
-            dr = self.box.min_image(np.subtract(plo, positions.take(hi, axis=0), out=plo))
-            d2 = np.einsum("ij,ij->i", dr, dr)
-            sel = np.flatnonzero(d2 <= cutoff * cutoff)
-            lo, hi, d2 = lo.take(sel), hi.take(sel), d2.take(sel)
-        else:
-            d2 = np.empty(0, dtype=np.float64)
-        if self._excl_codes.size and len(lo):
-            codes = lo * np.int64(n) + hi
-            # sorted-membership test; same booleans as np.isin
-            at = np.searchsorted(self._excl_codes, codes)
-            at[at == len(self._excl_codes)] = 0
-            keep2 = self._excl_codes[at] != codes
-            lo, hi, d2 = lo[keep2], hi[keep2], d2[keep2]
+        # the tree proposes a padded superset; the exact filter decides
+        sel, d2 = within_cutoff(positions, self.box, lo, hi, cutoff)
+        lo, hi = lo.take(sel), hi.take(sel)
+        codes = lo * np.int64(n) + hi
+        keep = absent_from(self._excl_codes, codes)
+        lo, hi, d2 = lo[keep], hi[keep], d2[keep]
         # single-key argsort of the (unique) packed codes gives exactly
         # the lexsort((hi, lo)) permutation, in about half the time
-        pair_order = np.argsort(lo * np.int64(n) + hi)
+        pair_order = np.argsort(codes[keep])
         self.pairs = np.stack([lo[pair_order], hi[pair_order]], axis=1)
         self.pair_ref_d = np.sqrt(d2.take(pair_order))
 
@@ -306,8 +371,7 @@ class NeighborList:
             self.last_max_disp = float("inf")
             self._checked_positions = None
             return True
-        dr = self.box.min_image(np.asarray(positions) - self._ref_positions)
-        max_disp2 = float(np.max(np.einsum("ij,ij->i", dr, dr))) if len(dr) else 0.0
+        max_disp2 = max_displacement2(self.box, np.asarray(positions), self._ref_positions)
         if max_disp2 > (0.5 * self.scheme.skin) ** 2:
             self.last_max_disp = float("inf")
             self._checked_positions = None
@@ -362,16 +426,12 @@ class NeighborList:
 
         Returns ``(ref_d, bound)`` — the build-time pair distances aligned
         with ``base`` rows, and the largest build-time distance a pair can
-        have while still reaching ``r_cut`` at the checked coordinates —
-        or ``None`` when no bound can be certified.  The minimum-image
-        distance is a metric on the torus, so a pair's separation changes
-        by at most the sum of its two atoms' displacements since the
-        build: rows with ``ref_d > r_cut + 2 * max_disp`` cannot pass the
-        exact ``r2 <= r_cut**2`` test, and dropping them before the
+        have while still reaching ``r_cut`` at the checked coordinates
+        (:func:`certified_bound`) — or ``None`` when no bound can be
+        certified.  Rows beyond the bound cannot pass the exact
+        ``r2 <= r_cut**2`` test, so dropping them before the
         minimum-image chain leaves every surviving row — and therefore
-        the accepted pair set, bit for bit — unchanged.  The ``1e-6`` A
-        margin swallows the rounding of the stored ``sqrt`` and of the
-        displacement measurement.
+        the accepted pair set, bit for bit — unchanged.
 
         Certification is by object identity: ``positions`` must be the
         exact array the last rebuild decision was taken for.  (Mutating
@@ -386,7 +446,7 @@ class NeighborList:
             or not np.isfinite(self.last_max_disp)
         ):
             return None
-        return self.pair_ref_d, self.scheme.r_cut + 2.0 * self.last_max_disp + 1e-6
+        return self.pair_ref_d, certified_bound(self.scheme.r_cut, self.last_max_disp)
 
     @property
     def n_pairs(self) -> int:

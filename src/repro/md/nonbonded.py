@@ -180,7 +180,9 @@ class NonbondedKernel:
         # of one pair-list base array; see _statics_rows.  shared_statics,
         # when given, deduplicates that computation across rank kernels
         # (every replicated rank sees the same base array and identical
-        # parameter tables, so one evaluation serves all)
+        # parameter tables, so one evaluation serves all); a caller that
+        # derives each step's rows from a longer-lived list seeds the
+        # cache itself (adopt_statics)
         self._shared_statics = shared_statics
         self._statics_base: weakref.ref | None = None
         self._statics: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -251,15 +253,15 @@ class NonbondedKernel:
         cached = self._statics_base() if self._statics_base is not None else None
         if cached is not base:
             if self._shared_statics is not None:
-                self._statics = self._shared_statics(base, self._compute_statics)
+                statics = self._shared_statics(base, self.pair_statics)
             else:
-                self._statics = self._compute_statics(base)
-            self._statics_base = weakref.ref(base)
+                statics = self.pair_statics(base)
+            self.adopt_statics(base, statics)
         eps_ij, rmin_ij, qq = self._statics
         stop = off + len(pairs)
         return eps_ij[off:stop], rmin_ij[off:stop], qq[off:stop]
 
-    def _compute_statics(
+    def pair_statics(
         self, base: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-pair (eps_ij, rmin_ij, qq) for every row of ``base``."""
@@ -270,6 +272,20 @@ class NonbondedKernel:
             self.rmin_half.take(bi) + self.rmin_half.take(bj),
             COULOMB_CONSTANT * self.charges.take(bi) * self.charges.take(bj),
         )
+
+    def adopt_statics(
+        self, base: np.ndarray, statics: tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> None:
+        """Seed the base-identity cache: ``statics`` are :meth:`pair_statics`
+        of ``base``, row for row, obtained without recomputing them.
+
+        The spatial engine selects each step's rows from a list it built
+        steps ago; the parameters are elementwise per row, so gathering the
+        list's statics by the selected rows yields the bits
+        ``pair_statics(base)`` would.
+        """
+        self._statics = statics
+        self._statics_base = weakref.ref(base)
 
     # ------------------------------------------------------------------
     def pair_terms(

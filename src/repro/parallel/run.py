@@ -20,7 +20,7 @@ import numpy as np
 from ..cluster.machine import ClusterSpec
 from ..cmpi.middleware import CMPIMiddleware
 from ..md.integrator import maxwell_boltzmann_velocities
-from ..md.neighborlist import NeighborList
+from ..md.neighborlist import NeighborList, exclusion_codes
 from ..md.system import MDSystem
 from ..mpi.middleware import Middleware, MPIMiddleware
 from ..mpi.world import MPIWorld
@@ -313,7 +313,10 @@ def _spatial_programs(
         system.box, cluster.n_ranks, system.scheme.r_cut, grid=opts.spatial_grid
     )
     vdecomp = AtomDecomposition(system.n_atoms, cluster.n_ranks)
-    ledger = SpatialLedger(system, vdecomp)
+    ledger = SpatialLedger(system, vdecomp, mw.name)
+    # identical on every rank: built once per run, not once per engine
+    lj_tables = system.forcefield.lj_tables(system.topology.type_names)
+    excl_codes = exclusion_codes(system.exclusions, system.n_atoms)
     programs = [
         spatial_rank_program(
             ep=world.endpoints[rank],
@@ -329,6 +332,8 @@ def _spatial_programs(
                 ledger=ledger,
                 positions0=positions,
                 velocities0=velocities,
+                lj_tables=lj_tables,
+                excl_codes=excl_codes,
             ),
             config=config,
         )
@@ -341,6 +346,6 @@ def _spatial_programs(
             final_positions[out.owned] = out.positions
         if not np.isfinite(final_positions).all():
             raise RuntimeError("spatial run lost atoms: final ownership is not a partition")
-        return ledger.assemble(mw.name), final_positions
+        return ledger.assemble(), final_positions
 
     return programs, assemble

@@ -22,13 +22,23 @@ accumulation orders the replicated path uses:
 
 Energies need full per-block contiguous arrays under ``np.sum`` (pairwise
 summation), which no single spatial rank holds — so ranks post per-row
-energies to a driver-side :class:`SpatialLedger` and the driver assembles
-the per-virtual-rank sums and folds *after* the simulation, with zero
-simulated communication.
+energies to a driver-side :class:`SpatialLedger`, which reduces each step
+to its per-virtual-rank sums and fold as soon as the step's last rank has
+posted, with zero simulated communication.
 
-Unknown coordinates are NaN-poisoned each step: if the halo ever fails to
-cover an interaction, forces go NaN and the fold assertion fails loudly
-instead of silently drifting.
+Pair search is buffered the way the replicated path's Verlet list is: a
+rank searches its known atoms once per *rebuild*, out to
+``r_cut + skin``, and between rebuilds selects rows of that list
+(:meth:`SpatialEngine._step_pairs`).
+
+Unknown coordinates are NaN-poisoned each step.  That guards what is
+evaluated by *index*: a bonded row or a fold that reaches past the halo
+goes NaN and the finite-forces assertion (or the ledger's never-posted
+check) fails loudly.  It does not guard pairs — a pair whose partner is
+unknown is simply absent from every candidate set — so pair coverage
+rests on the halo shipping everything within ``r_cut`` and on the
+selection argument in :meth:`SpatialEngine._step_pairs`, and is what the
+bit-identity tests against the replicated path check.
 """
 
 from __future__ import annotations
@@ -36,9 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from ...instrument.counters import FORCE_EVALUATIONS
+from ...instrument.counters import FORCE_EVALUATIONS, FRESH_ATOMS, PAIRLIST_BUILDS
 from ...md.bonded import (
     angle_row_terms,
     bond_row_terms,
@@ -46,6 +55,13 @@ from ...md.bonded import (
     improper_row_terms,
 )
 from ...md.energy import EnergyBreakdown
+from ...md.neighborlist import (
+    absent_from,
+    certified_bound,
+    max_displacement2,
+    tree_candidates,
+    within_cutoff,
+)
 from ...md.nonbonded import NonbondedKernel
 from ...md.system import MDSystem
 from ...md.units import ACCEL_CONVERT
@@ -91,15 +107,23 @@ class SpatialLedger:
 
     Ranks post raw per-row energies for the rows they spatially own
     (bonded terms by their column-0 atom, pairs by the smaller index), so
-    coverage is exactly-once by construction.  After the simulation the
-    driver assembles the full per-term arrays, slices them by the
-    *replicated* block bounds, sums each slice with ``np.sum`` — the
-    identical contiguous array the replicated rank summed — and folds the
-    per-virtual-rank energy vectors with the middleware's fold order.
-    No simulated communication is involved: ranks pipeline freely.
+    coverage is exactly-once by construction.  A rank posts its bonded
+    rows first and its pairs last; when the last rank's pairs of a step
+    arrive the ledger assembles the full per-term arrays, slices them by
+    the *replicated* block bounds, sums each slice with ``np.sum`` — the
+    identical contiguous array the replicated rank summed — folds the
+    per-virtual-rank energy vectors with the middleware's fold order and
+    drops the rows, so it holds one :class:`EnergyBreakdown` per finished
+    step plus the rows of the steps still in flight (ranks pipeline
+    freely, so several can be).  No simulated communication is involved.
     """
 
-    def __init__(self, system: MDSystem, vdecomp: AtomDecomposition) -> None:
+    def __init__(
+        self, system: MDSystem, vdecomp: AtomDecomposition, middleware: str
+    ) -> None:
+        if middleware not in ("mpi", "cmpi"):
+            raise ValueError(f"unknown middleware {middleware!r} for spatial fold")
+        self.middleware = middleware
         self.n_atoms = system.n_atoms
         self.vbounds = vdecomp.bounds
         self.n_ranks = vdecomp.n_ranks
@@ -110,17 +134,24 @@ class SpatialLedger:
             "dihedral": len(t.dihedral_idx),
             "improper": len(t.improper_idx),
         }
-        self._bonded: dict[tuple[str, int], list] = {}
-        self._pairs: dict[int, list] = {}
-        self.n_steps = 0
+        #: rows of the steps not yet folded: step -> (bonded posts, pair posts)
+        self._open: dict[int, tuple[list, list]] = {}
+        self._folded: dict[int, EnergyBreakdown] = {}
 
     # ------------------------------------------------------------------
+    def _posts(self, step: int) -> tuple[list, list]:
+        if step in self._folded:
+            raise RuntimeError(
+                f"step {step}: rows posted twice — every rank had already "
+                "posted this step"
+            )
+        return self._open.setdefault(step, ([], []))
+
     def post_bonded(
         self, term: str, step: int, rows: np.ndarray, e_rows: np.ndarray
     ) -> None:
         """One rank's per-row energies for the term rows it owns."""
-        self.n_steps = max(self.n_steps, step + 1)
-        self._bonded.setdefault((term, step), []).append((rows, e_rows))
+        self._posts(step)[0].append((term, rows, e_rows))
 
     def post_pairs(
         self,
@@ -130,77 +161,108 @@ class SpatialLedger:
         e_lj: np.ndarray,
         e_el: np.ndarray,
     ) -> None:
-        """One rank's per-pair energies for the pairs it owns (by ``i``)."""
-        self.n_steps = max(self.n_steps, step + 1)
-        self._pairs.setdefault(step, []).append((i, j, e_lj, e_el))
+        """One rank's per-pair energies for the pairs it owns (by ``i``).
+
+        This is the rank's last post of the step; the ``n_ranks``-th one
+        folds the step.
+        """
+        bonded, pairs = self._posts(step)
+        pairs.append((i, j, e_lj, e_el))
+        if len(pairs) == self.n_ranks:
+            del self._open[step]
+            self._folded[step] = self._fold(step, bonded, pairs)
+
+    def assemble(self) -> list[EnergyBreakdown]:
+        """Per-step total energies, bitwise equal to the replicated log."""
+        if self._open:
+            step = min(self._open)
+            raise RuntimeError(
+                f"step {step}: pairs of {self.n_ranks - len(self._open[step][1])} "
+                f"of {self.n_ranks} ranks were never posted"
+            )
+        n_steps = len(self._folded)
+        if any(step not in self._folded for step in range(n_steps)):
+            raise RuntimeError(
+                f"folded steps {sorted(self._folded)} are not 0..{n_steps - 1}: "
+                "a step was never posted"
+            )
+        return [self._folded[step] for step in range(n_steps)]
 
     # ------------------------------------------------------------------
-    def assemble(self, middleware: str) -> list[EnergyBreakdown]:
-        """Per-step total energies, bitwise equal to the replicated log."""
-        out: list[EnergyBreakdown] = []
+    def _fold(self, step: int, bonded: list, posts: list) -> EnergyBreakdown:
+        """Reduce one complete step's rows to its folded energies."""
         p = self.n_ranks
-        for step in range(self.n_steps):
-            term_sums: dict[str, list[float]] = {}
-            for term, n_rows in self._term_rows.items():
-                full = np.full(n_rows, np.nan)
-                for rows, e_rows in self._bonded.get((term, step), []):
+        term_sums: dict[str, list[float]] = {}
+        for term, n_rows in self._term_rows.items():
+            full = np.full(n_rows, np.nan)
+            for posted_term, rows, e_rows in bonded:
+                if posted_term == term:
                     full[rows] = e_rows
-                if n_rows and not np.isfinite(full).all():
-                    missing = int(np.count_nonzero(~np.isfinite(full)))
-                    raise RuntimeError(
-                        f"step {step}: {missing} {term} rows were never posted "
-                        "(or went NaN on an uncovered halo import)"
-                    )
-                b = _block_bounds(n_rows, p)
-                term_sums[term] = [
-                    float(np.sum(full[b[v] : b[v + 1]])) for v in range(p)
-                ]
+            if n_rows and not np.isfinite(full).all():
+                missing = int(np.count_nonzero(~np.isfinite(full)))
+                raise RuntimeError(
+                    f"step {step}: {missing} {term} rows were never posted "
+                    "(or went NaN on an uncovered halo import)"
+                )
+            b = _block_bounds(n_rows, p)
+            term_sums[term] = [
+                float(np.sum(full[b[v] : b[v + 1]])) for v in range(p)
+            ]
 
-            posts = self._pairs.get(step, [])
-            if posts:
-                i = np.concatenate([x[0] for x in posts])
-                j = np.concatenate([x[1] for x in posts])
-                e_lj = np.concatenate([x[2] for x in posts])
-                e_el = np.concatenate([x[3] for x in posts])
-            else:
-                i = j = np.empty(0, dtype=np.int64)
-                e_lj = e_el = np.empty(0, dtype=np.float64)
-            codes = i * np.int64(self.n_atoms) + j
-            order = np.argsort(codes, kind="stable")
-            codes_s = codes[order]
-            if len(codes_s) and np.any(codes_s[1:] == codes_s[:-1]):
-                raise RuntimeError(f"step {step}: a pair was posted twice")
-            i_s = i[order]
-            e_lj_s = e_lj[order]
-            e_el_s = e_el[order]
+        i = np.concatenate([x[0] for x in posts])
+        j = np.concatenate([x[1] for x in posts])
+        e_lj = np.concatenate([x[2] for x in posts])
+        e_el = np.concatenate([x[3] for x in posts])
+        codes = i * np.int64(self.n_atoms) + j
+        order = np.argsort(codes, kind="stable")
+        codes_s = codes[order]
+        if len(codes_s) and np.any(codes_s[1:] == codes_s[:-1]):
+            raise RuntimeError(f"step {step}: a pair was posted twice")
+        i_s = i[order]
+        e_lj_s = e_lj[order]
+        e_el_s = e_el[order]
 
-            evecs = []
-            for v in range(p):
-                start = int(np.searchsorted(i_s, self.vbounds[v], side="left"))
-                stop = int(np.searchsorted(i_s, self.vbounds[v + 1], side="left"))
-                evecs.append(
-                    energy_to_vector(
-                        EnergyBreakdown(
-                            bond=term_sums["bond"][v],
-                            angle=term_sums["angle"][v],
-                            dihedral=term_sums["dihedral"][v],
-                            improper=term_sums["improper"][v],
-                            lj=float(np.sum(e_lj_s[start:stop])),
-                            elec_direct=float(np.sum(e_el_s[start:stop])),
-                        )
+        evecs = []
+        for v in range(p):
+            start = int(np.searchsorted(i_s, self.vbounds[v], side="left"))
+            stop = int(np.searchsorted(i_s, self.vbounds[v + 1], side="left"))
+            evecs.append(
+                energy_to_vector(
+                    EnergyBreakdown(
+                        bond=term_sums["bond"][v],
+                        angle=term_sums["angle"][v],
+                        dihedral=term_sums["dihedral"][v],
+                        improper=term_sums["improper"][v],
+                        lj=float(np.sum(e_lj_s[start:stop])),
+                        elec_direct=float(np.sum(e_el_s[start:stop])),
                     )
                 )
-            if middleware == "mpi":
-                folded = binomial_fold(evecs)
-            elif middleware == "cmpi":
-                # rank 0's chain over raw peer blocks, in arrival order
-                folded = evecs[0]
-                for k in range(1, p):
-                    folded = folded + evecs[p - k]
-            else:
-                raise ValueError(f"unknown middleware {middleware!r} for spatial fold")
-            out.append(vector_to_energy(folded))
-        return out
+            )
+        if self.middleware == "mpi":
+            folded = binomial_fold(evecs)
+        else:
+            # rank 0's chain over raw peer blocks, in arrival order
+            folded = evecs[0]
+            for k in range(1, p):
+                folded = folded + evecs[p - k]
+        return vector_to_energy(folded)
+
+
+@dataclass
+class _PairList:
+    """One rank's buffered pair list; see :meth:`SpatialEngine._step_pairs`."""
+
+    #: ``(m, 2)`` rows ``i < j`` within ``r_cut + skin`` at the build that
+    #: touched an atom owned then; exclusions removed, sorted by ``codes``
+    pairs: np.ndarray
+    codes: np.ndarray
+    #: build-time pair distances and per-pair kernel statics, row for row
+    ref_d: np.ndarray
+    statics: tuple[np.ndarray, np.ndarray, np.ndarray]
+    #: coordinates and masks as they were at the build
+    ref_positions: np.ndarray
+    known: np.ndarray
+    owned: np.ndarray
 
 
 class SpatialEngine:
@@ -217,7 +279,12 @@ class SpatialEngine:
         ledger: SpatialLedger,
         positions0: np.ndarray,
         velocities0: np.ndarray,
+        lj_tables: tuple[np.ndarray, np.ndarray],
+        excl_codes: np.ndarray,
     ) -> None:
+        """``lj_tables`` (``forcefield.lj_tables``) and ``excl_codes``
+        (:func:`repro.md.neighborlist.exclusion_codes`) are the same on
+        every rank of a run, so the driver builds them once."""
         if middleware not in ("mpi", "cmpi"):
             raise ValueError(f"unknown middleware {middleware!r} for spatial replay")
         self.decomp = decomp
@@ -248,14 +315,10 @@ class SpatialEngine:
             system.scheme,
             elec_mode=system.nonbonded.elec_mode,
             ewald_alpha=system.nonbonded.ewald_alpha,
+            lj_tables=lj_tables,
         )
-        excl = system.exclusions
-        if excl.size:
-            self._excl_codes = np.sort(
-                excl[:, 0] * np.int64(self.n_atoms) + excl[:, 1]
-            )
-        else:
-            self._excl_codes = np.empty(0, dtype=np.int64)
+        self._excl_codes = excl_codes
+        self._list: _PairList | None = None
 
         t = system.bonded_tables
         p = vdecomp.n_ranks
@@ -382,53 +445,149 @@ class SpatialEngine:
             self.velocities[idxs] = data[:, 4:7]
 
     # -- force replay ----------------------------------------------------
-    def _candidate_pairs(self, owned: np.ndarray, known: np.ndarray) -> np.ndarray:
-        """All ``i < j`` pairs within ``r_cut`` touching an owned atom.
+    def _build_list(self, known: np.ndarray) -> _PairList:
+        """Search this rank's known atoms once, out to ``r_cut + skin``.
 
-        Two phases, and only the first changed when this went from a dense
-        ``owned x known`` distance matrix to a periodic k-d tree: the tree
-        merely *proposes* a candidate superset (its radius is padded so an
-        ulp-level disagreement between its internal metric and ours can
-        never drop a pair the exact test would accept); the accept test is
-        still the replicated path's exact arithmetic — ``min_image``
-        displacement, squared-distance compare against ``r_cut**2`` — so
-        the surviving set is bitwise the same restriction of the
-        replicated filtered pair list to pairs touching this rank:
-        sorted, deduplicated, exclusions removed.  Since ``owned`` is a
-        subset of ``known``, every such pair appears in the known-known
-        tree enumeration; ghost-ghost proposals are discarded by the
-        owned-mask filter.  Only non-NaN (known) coordinates enter the
-        tree, preserving the NaN-poisoning guarantee.
+        The periodic k-d tree merely *proposes* (its radius is padded, so
+        an ulp-level disagreement between its metric and ours never drops
+        a pair); :func:`~repro.md.neighborlist.within_cutoff` decides, with
+        the arithmetic the replicated list build uses.  Ghost-ghost
+        proposals are discarded; ``known`` is ascending and the tree
+        enumerates each unordered pair once as ``lo < hi``, so the rows
+        are ``i < j`` and unique.
         """
-        n = self.n_atoms
-        cut2 = self.scheme.r_cut**2
-        if len(owned) and len(known):
-            tree = cKDTree(
-                self.box.wrap(self.positions[known]), boxsize=self.box.lengths
+        PAIRLIST_BUILDS.increment()
+        cutoff = self.scheme.list_cutoff
+        proposed = tree_candidates(
+            self.box.wrap(self.positions[known]), self.box, cutoff
+        )
+        if proposed is None:  # box too small for a toroidal query
+            proposed = np.triu_indices(len(known), k=1)
+        gi, gj = known[proposed[0]], known[proposed[1]]
+        touch = self.owned_mask[gi] | self.owned_mask[gj]
+        gi, gj = gi[touch], gj[touch]
+        rows, d2 = within_cutoff(self.positions, self.box, gi, gj, cutoff)
+        gi, gj = gi.take(rows), gj.take(rows)
+        codes = gi * np.int64(self.n_atoms) + gj
+        keep = np.flatnonzero(absent_from(self._excl_codes, codes))
+        keep = keep[np.argsort(codes.take(keep))]
+        pairs = np.stack([gi.take(keep), gj.take(keep)], axis=1)
+        return _PairList(
+            pairs=pairs,
+            codes=codes.take(keep),
+            ref_d=np.sqrt(d2.take(keep)),
+            statics=self.kernel.pair_statics(pairs),
+            ref_positions=self.positions.copy(),
+            known=self.known_mask.copy(),
+            owned=self.owned_mask.copy(),
+        )
+
+    def _fresh_codes(self, lst: _PairList, known: np.ndarray) -> np.ndarray:
+        """Sorted codes of the fresh atoms' candidate pairs ``lst`` lacks.
+
+        Fresh atoms are known now but were not at the build, or owned now
+        but were not at the build.  A dense minimum-image test of those
+        few atoms against every known atom, at the tree's padded radius:
+        pairs touching an owned atom, exclusions removed, each once.
+        """
+        fresh = np.flatnonzero(
+            (self.known_mask & ~lst.known) | (self.owned_mask & ~lst.owned)
+        )
+        if not len(fresh):
+            return np.empty(0, dtype=np.int64)
+        FRESH_ATOMS.increment(len(fresh))
+        cut2 = (self.r_cut * (1.0 + 1e-9)) ** 2
+        pos_known = self.positions[known]
+        found: list[np.ndarray] = []
+        block = max(1, 2_000_000 // len(known))  # bounds the dense matrix
+        for start in range(0, len(fresh), block):
+            part = fresh[start : start + block]
+            dr = self.box.min_image(
+                self.positions[part][:, None, :] - pos_known[None, :, :]
             )
-            cand = tree.query_pairs(
-                self.r_cut * (1.0 + 1e-9), output_type="ndarray"
+            a, b = np.nonzero(np.einsum("ijk,ijk->ij", dr, dr) <= cut2)
+            lo = np.minimum(part[a], known[b])
+            hi = np.maximum(part[a], known[b])
+            keep = (lo != hi) & (self.owned_mask[lo] | self.owned_mask[hi])
+            found.append(lo[keep] * np.int64(self.n_atoms) + hi[keep])
+        codes = np.unique(np.concatenate(found))
+        codes = codes[absent_from(self._excl_codes, codes)]
+        return codes[absent_from(lst.codes, codes)]
+
+    def _step_pairs(self, known: np.ndarray) -> np.ndarray:
+        """A sorted superset of this step's ``i < j`` pairs within ``r_cut``
+        that touch an owned atom — which :meth:`NonbondedKernel.pair_terms`
+        then cuts, by its exact ``r2 <= r_cut**2`` test, to bitwise the
+        restriction of the replicated filtered pair list to this rank.
+
+        Three clauses make the superset complete.  Take a pair the exact
+        test accepts now, both atoms known, one owned:
+
+        * *the tree proposes, the exact test decides* — if at the last
+          build both atoms were known and one was owned, the pair was
+          within ``r_cut + 2 * max_disp <= r_cut + skin`` then (a
+          separation changes by at most its two atoms' displacements, and
+          the list is rebuilt before any displacement exceeds
+          ``skin / 2``), so :meth:`_build_list` holds it;
+        * *the displacement certificate* — its build-time distance is then
+          at most :func:`~repro.md.neighborlist.certified_bound`, so the
+          row selection below keeps it; rows with an atom that has left
+          the halo, or with no atom still owned, are dropped — they are
+          not this rank's pairs this step;
+        * *the fresh-atom rule* — otherwise one of its atoms is *fresh*:
+          known now but not at the build (a ghost that drifted into the
+          halo) or owned now but not at the build (it migrated in), and
+          :meth:`_fresh_codes` tests every fresh atom against every known
+          one.  A fresh candidate the list already holds is the list's to
+          decide (both its atoms have reference coordinates), so only the
+          others are merged in, at their sorted positions.
+
+        ``skin == 0`` certifies nothing and rebuilds every step through
+        the same code.  Displacements are measured on the atoms known at
+        the build *and* now — exactly the atoms of the rows selected.
+        """
+        lst = self._list
+        max_disp = None  # no certificate: a build is due
+        if lst is not None and self.scheme.skin > 0.0:
+            common = np.flatnonzero(lst.known & self.known_mask)
+            disp2 = max_displacement2(
+                self.box, self.positions[common], lst.ref_positions[common]
             )
-            gi = known[cand[:, 0]]
-            gj = known[cand[:, 1]]
-            touch = self.owned_mask[gi] | self.owned_mask[gj]
-            gi, gj = gi[touch], gj[touch]
-            dr = self.box.min_image(self.positions[gi] - self.positions[gj])
-            d2 = np.einsum("ij,ij->i", dr, dr)
-            keep = d2 <= cut2
-            gi, gj = gi[keep], gj[keep]
-            lo = np.minimum(gi, gj)
-            hi = np.maximum(gi, gj)
-            # each unordered pair is enumerated once by the tree, so the
-            # codes are already unique — a plain sort replaces np.unique
-            codes = np.sort(lo * np.int64(n) + hi)
-        else:
-            codes = np.empty(0, dtype=np.int64)
-        if self._excl_codes.size and codes.size:
-            at = np.searchsorted(self._excl_codes, codes)
-            at[at == len(self._excl_codes)] = 0
-            codes = codes[self._excl_codes[at] != codes]
-        return np.stack([codes // n, codes % n], axis=1)
+            if disp2 <= (0.5 * self.scheme.skin) ** 2:
+                max_disp = float(np.sqrt(disp2))
+        if max_disp is None:
+            lst = self._list = self._build_list(known)
+            max_disp = 0.0
+
+        ok = lst.ref_d <= certified_bound(self.r_cut, max_disp)
+        i, j = lst.pairs[:, 0], lst.pairs[:, 1]
+        if np.any(lst.known & ~self.known_mask):  # an atom left the halo
+            ok &= self.known_mask[i] & self.known_mask[j]
+        if np.any(lst.owned & ~self.owned_mask):  # an atom migrated out
+            ok &= self.owned_mask[i] | self.owned_mask[j]
+        rows = np.flatnonzero(ok)
+
+        codes = self._fresh_codes(lst, known)
+        if len(codes) and len(rows):
+            # open one slot per new row at its sorted position — the count
+            # of selected rows before it — by gathering list row 0 there:
+            # one insert on the index instead of one per array
+            where = np.searchsorted(rows, np.searchsorted(lst.codes, codes))
+            slots = where + np.arange(len(where))
+            rows = np.insert(rows, where, 0)
+        pairs = lst.pairs.take(rows, axis=0)
+        statics = tuple(s.take(rows) for s in lst.statics)
+        if len(codes):
+            extra = np.stack([codes // self.n_atoms, codes % self.n_atoms], axis=1)
+            extra_statics = self.kernel.pair_statics(extra)
+            if len(pairs):
+                pairs[slots] = extra
+                for s, e in zip(statics, extra_statics):
+                    s[slots] = e
+            else:  # nothing selected: the new rows are the step's pairs
+                pairs, statics = extra, extra_statics
+        self.kernel.adopt_statics(pairs, statics)
+        return pairs
 
     def compute_forces(self) -> float:
         """Replay the replicated force path for the owned atoms; return cost.
@@ -449,12 +608,8 @@ class SpatialEngine:
         local_of = np.full(n, k_own, dtype=np.int64)
         local_of[owned] = np.arange(k_own, dtype=np.int64)
 
-        pairs = self._candidate_pairs(owned, known)
+        pairs = self._step_pairs(known)
         i, j, e_lj, e_el, fvec = self.kernel.pair_terms(self.positions, pairs)
-        sel_own = self.owned_mask[i]
-        self.ledger.post_pairs(
-            self._step, i[sel_own], j[sel_own], e_lj[sel_own], e_el[sel_own]
-        )
 
         acc_nb = np.zeros((nbins, 3), dtype=np.float64)
         if len(i):
@@ -486,6 +641,11 @@ class SpatialEngine:
                     )
                     total_rows += len(touch)
             acc_terms.append(acc)
+        # last: the ledger folds a step when its last rank's pairs arrive
+        sel_own = self.owned_mask[i]
+        self.ledger.post_pairs(
+            self._step, i[sel_own], j[sel_own], e_lj[sel_own], e_el[sel_own]
+        )
 
         # replicated combine order: (((bond + angle) + dih) + imp) + nonbonded
         contrib = acc_terms[0]

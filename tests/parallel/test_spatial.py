@@ -13,7 +13,11 @@ import pytest
 from repro.campaign.workloads import build_workload
 from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
 from repro.instrument.commstats import CommTrace
+from repro.instrument.counters import FRESH_ATOMS, PAIRLIST_BUILDS
+from repro.md import CutoffScheme, MDSystem
 from repro.md.box import PeriodicBox
+from repro.md.integrator import maxwell_boltzmann_velocities
+from repro.md.neighborlist import NeighborList, exclusion_codes
 from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
 from repro.parallel.decomposition import AtomDecomposition
 from repro.parallel.spatial import (
@@ -25,6 +29,11 @@ from repro.parallel.spatial import (
 )
 
 CFG = MDRunConfig(n_steps=3, dt=0.0004)
+#: long enough, at this timestep, for atoms to outrun half the skin: every
+#: rank's buffered pair list is rebuilt at least once inside the run
+#: (water gets there in six steps, the protein needs eight)
+LONG = MDRunConfig(n_steps=8, dt=0.003)
+LONG_WATER = MDRunConfig(n_steps=6, dt=0.003)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +87,262 @@ class TestBitIdenticalToReplicated:
         _assert_bit_identical(
             _run(system, pos, p, "spatial", middleware="cmpi"),
             _run(system, pos, p, "replicated", middleware="cmpi"),
+        )
+
+
+def _with_skin(system, skin):
+    """The same classic-cutoff physics under another Verlet skin."""
+    return MDSystem(
+        system.topology, system.forcefield, system.box,
+        CutoffScheme(r_cut=system.scheme.r_cut, skin=skin),
+        electrostatics="shift",
+    )
+
+
+def _slab_engine(system, pos):
+    """Rank 0 of the forced four-slab grid, outside any simulated run."""
+    decomp = SpatialDecomposition.for_cluster(
+        system.box, 4, system.scheme.r_cut, grid=(4, 1, 1)
+    )
+    vdecomp = AtomDecomposition(system.n_atoms, 4)
+    return SpatialEngine(
+        system=system,
+        decomp=decomp,
+        vdecomp=vdecomp,
+        rank=0,
+        cost=RunOptions().cost,
+        middleware="mpi",
+        ledger=SpatialLedger(system, vdecomp, "mpi"),
+        positions0=pos,
+        velocities0=np.zeros_like(pos),
+        lj_tables=system.forcefield.lj_tables(system.topology.type_names),
+        excl_codes=exclusion_codes(system.exclusions, system.n_atoms),
+    )
+
+
+def _spatial_counting(system, pos, p, config, **kw):
+    """A spatial run plus its (pair-list builds, fresh atoms) counts."""
+    builds, fresh = PAIRLIST_BUILDS.snapshot(), FRESH_ATOMS.snapshot()
+    res = _run(system, pos, p, "spatial", config=config, **kw)
+    return res, PAIRLIST_BUILDS.delta(builds), FRESH_ATOMS.delta(fresh)
+
+
+class TestBufferedPairList:
+    """The rank-local Verlet list: searched once per rebuild, selected
+    from in between — and the same bits as replicated across rebuilds."""
+
+    @pytest.mark.parametrize("middleware", ["mpi", "cmpi"])
+    @pytest.mark.parametrize("p", [2, 8])
+    def test_water_box_across_a_rebuild(self, water, p, middleware):
+        system, pos = water
+        cfg = LONG_WATER
+        res, builds, _ = _spatial_counting(system, pos, p, cfg, middleware=middleware)
+        assert p < builds < p * cfg.n_steps  # rebuilt, but not every step
+        _assert_bit_identical(
+            res, _run(system, pos, p, "replicated", config=cfg, middleware=middleware)
+        )
+
+    @pytest.mark.parametrize("p,middleware", [(8, "mpi"), (2, "cmpi")])
+    def test_myoglobin_shift_across_a_rebuild(self, myoglobin, p, middleware):
+        """The protein moves atoms across cell faces and halo edges
+        between rebuilds, so the fresh-atom rule runs as well."""
+        system, pos = myoglobin
+        res, builds, fresh = _spatial_counting(system, pos, p, LONG, middleware=middleware)
+        assert p < builds < p * LONG.n_steps
+        assert fresh > 0
+        _assert_bit_identical(
+            res, _run(system, pos, p, "replicated", config=LONG, middleware=middleware)
+        )
+
+    def test_forced_slab_grid_across_a_rebuild(self, water):
+        """Multi-pulse halo: ghosts two regions away feed the list too."""
+        system, pos = water
+        cfg = LONG_WATER
+        res, builds, _ = _spatial_counting(system, pos, 4, cfg, spatial_grid=(4, 1, 1))
+        assert 4 < builds < 4 * cfg.n_steps
+        _assert_bit_identical(res, _run(system, pos, 4, "replicated", config=cfg))
+
+    def test_one_search_per_rank_per_rebuild(self, myoglobin):
+        """The paper's ten steps: a count, not a stopwatch — a return to
+        per-step searching makes this 80."""
+        system, pos = myoglobin
+        _, builds, _ = _spatial_counting(system, pos, 8, MDRunConfig(n_steps=10))
+        assert builds == 8
+
+    def test_zero_skin_searches_every_step(self, myoglobin):
+        """No skin certifies nothing: every rank searches every step."""
+        system, pos = myoglobin
+        _, builds, fresh = _spatial_counting(
+            _with_skin(system, 0.0), pos, 8, MDRunConfig(n_steps=10)
+        )
+        assert builds == 80
+        assert fresh == 0  # a list built this step knows every atom
+
+    def test_zero_skin_bit_identical(self, water):
+        """... through the same code, with the same bits out."""
+        system, pos = water
+        bare = _with_skin(system, 0.0)
+        _assert_bit_identical(
+            _run(bare, pos, 2, "spatial"), _run(bare, pos, 2, "replicated")
+        )
+
+    def test_tiny_skin_rebuilds_every_few_steps(self, water):
+        system, pos = water
+        thin = _with_skin(system, 0.6)
+        cfg = LONG_WATER
+        res, builds, _ = _spatial_counting(thin, pos, 2, cfg)
+        assert 2 * 2 <= builds < 2 * cfg.n_steps
+        _assert_bit_identical(res, _run(thin, pos, 2, "replicated", config=cfg))
+
+    def test_skin_too_wide_for_the_tree(self, water):
+        """r_cut + skin beyond half the box: no toroidal tree query, the
+        build enumerates all known pairs — the exact test still decides."""
+        system, pos = water
+        wide = _with_skin(system, 5.0)
+        assert wide.scheme.list_cutoff > 0.5 * wide.box.lengths.min()
+        _assert_bit_identical(
+            _run(wide, pos, 2, "spatial"), _run(wide, pos, 2, "replicated")
+        )
+
+    @pytest.mark.parametrize(
+        "plane,event", [(34.0, "enters the halo"), (24.0, "migrates in")]
+    )
+    def test_atom_crossing_after_the_build(self, myoglobin, plane, event):
+        """Myoglobin at p=8 is a (4, 1, 2) grid of 24 A slabs in x under a
+        10 A cutoff: the ranks at x-cell 0 own [0, 24) and know ghosts up
+        to 34.  The fastest atom moving down in x is put just above
+        ``plane``, so one step after the lists are built it crosses the
+        halo edge (a new ghost) or the cell face (a new owned atom): both
+        are the fresh-atom rule's to pair."""
+        system, pos = myoglobin
+        vel = maxwell_boltzmann_velocities(
+            system.masses, CFG.temperature, np.random.default_rng(CFG.velocity_seed)
+        )
+        atom = int(np.argmin(vel[:, 0]))
+        shifted = pos.copy()
+        shifted[:, 0] += plane + 0.4 * abs(vel[atom, 0]) * CFG.dt - pos[atom, 0]
+        res, builds, fresh = _spatial_counting(system, shifted, 8, CFG)
+        x_before = system.box.wrap(shifted)[atom, 0]
+        x_after = system.box.wrap(res.final_positions)[atom, 0]
+        assert x_after < plane < x_before, f"the atom never {event}"
+        assert builds == 8  # no rebuild covered for the crossing
+        assert fresh > 0
+        _assert_bit_identical(res, _run(system, shifted, 8, "replicated"))
+
+
+class TestFreshAtomRule:
+    """White box, one rank: after the build, a hand-placed ghost and a
+    hand-made migration must leave exactly the rows the replicated kernel
+    accepts from the replicated list — restricted to this rank."""
+
+    @staticmethod
+    def _refill(engine, world):
+        """What a step's halo exchange leaves behind: owned atoms at their
+        world coordinates, every other atom within ``r_cut`` of the slab a
+        ghost, the rest NaN."""
+        owned = engine.owned_mask
+        engine.positions[owned] = world[owned]
+        engine.begin_step()
+        lo, hi = engine.decomp.region(engine.rank, 0)
+        length = engine.box.lengths[0]
+        x = engine.box.wrap(world)[:, 0]
+        outside = np.where(
+            (x >= lo) & (x < hi), 0.0, np.minimum((x - hi) % length, (lo - x) % length)
+        )
+        ghosts = ~owned & (outside <= engine.r_cut)
+        engine.positions[ghosts] = world[ghosts]
+        engine.known_mask[ghosts] = True
+
+    @staticmethod
+    def _rows(engine):
+        pairs = engine._step_pairs(np.nonzero(engine.known_mask)[0])
+        return engine.kernel.pair_terms(engine.positions, pairs)
+
+    @staticmethod
+    def _replicated_rows(system, world, owned_mask):
+        pairs = NeighborList(system.box, system.scheme, system.exclusions).build(world)
+        i, j, e_lj, e_el, fvec = system.nonbonded.pair_terms(world, pairs)
+        mine = owned_mask[i] | owned_mask[j]
+        return i[mine], j[mine], e_lj[mine], e_el[mine], fvec[mine]
+
+    @staticmethod
+    def _assert_rows_equal(got, want):
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.fixture()
+    def built(self, water):
+        """Rank 0 with its list built on the initial coordinates, and a
+        world that has since drifted by less than half the skin."""
+        system, pos = water
+        engine = _slab_engine(system, pos)
+        self._refill(engine, pos)
+        self._assert_rows_equal(
+            self._rows(engine), self._replicated_rows(system, pos, engine.owned_mask)
+        )
+        rng = np.random.default_rng(7)
+        world = pos + rng.uniform(-0.15, 0.15, size=pos.shape)
+        return system, engine, world
+
+    def test_ghost_entering_the_halo_is_paired(self, built):
+        system, engine, world = built
+        x = system.box.wrap(world)[:, 0]
+        unknown = np.nonzero((x > 14.5) & (x < 16.3))[0]  # beyond every pulse
+        anchor = np.nonzero(engine.owned_mask)[0][0]
+        ghost = unknown[0]
+        assert not engine._list.known[ghost]
+        world[ghost] = world[anchor] + [7.99, 0.0, 0.0]  # inside r_cut of the anchor
+        builds, fresh = PAIRLIST_BUILDS.snapshot(), FRESH_ATOMS.snapshot()
+        self._refill(engine, world)
+        got = self._rows(engine)
+        assert PAIRLIST_BUILDS.delta(builds) == 0
+        assert FRESH_ATOMS.delta(fresh) >= 1
+        lo, hi = sorted((int(anchor), int(ghost)))
+        assert np.any((got[0] == lo) & (got[1] == hi))  # the list never held it
+        self._assert_rows_equal(
+            got, self._replicated_rows(system, world, engine.owned_mask)
+        )
+
+    def test_migration_in_and_out_is_paired(self, built):
+        system, engine, world = built
+        x = system.box.wrap(world)[:, 0]
+        ghosts = np.nonzero(engine.known_mask & ~engine.owned_mask & (x < 7.0))[0]
+        arriving = ghosts[np.argmin(x[ghosts])]
+        owned = np.nonzero(engine.owned_mask)[0]
+        leaving = owned[np.argmax(x[owned])]
+        world[arriving, 0], world[leaving, 0] = 6.19, 6.21
+        engine.owned_mask[arriving], engine.owned_mask[leaving] = True, False
+        builds, fresh = PAIRLIST_BUILDS.snapshot(), FRESH_ATOMS.snapshot()
+        self._refill(engine, world)
+        got = self._rows(engine)
+        assert PAIRLIST_BUILDS.delta(builds) == 0
+        assert FRESH_ATOMS.delta(fresh) >= 1
+        self._assert_rows_equal(
+            got, self._replicated_rows(system, world, engine.owned_mask)
+        )
+
+
+    def test_first_atom_arriving_at_an_empty_rank(self, water):
+        """A rank that owned nothing built an empty list: the arriving
+        atom's pairs are all the step has.  (Disowning a full slab is
+        unphysical, but the engine only sees masks: owned, known, NaN.)"""
+        system, pos = water
+        engine = _slab_engine(system, pos)
+        engine.owned_mask[:] = False
+        self._refill(engine, pos)
+        assert len(self._rows(engine)[0]) == 0
+        x = system.box.wrap(pos)[:, 0]
+        arriving = int(np.argmin(np.where(x >= 6.2, x, np.inf)))
+        world = pos.copy()
+        world[arriving, 0] = 6.19
+        engine.owned_mask[arriving] = True
+        builds = PAIRLIST_BUILDS.snapshot()
+        self._refill(engine, world)
+        got = self._rows(engine)
+        assert PAIRLIST_BUILDS.delta(builds) == 0
+        assert len(got[0]) > 0
+        self._assert_rows_equal(
+            got, self._replicated_rows(system, world, engine.owned_mask)
         )
 
 
@@ -233,22 +498,7 @@ class TestHardFailures:
         """An atom teleporting two cells in one step is a hard error,
         matching the single-hop schedule the contract declares."""
         system, pos = water
-        decomp = SpatialDecomposition.for_cluster(
-            system.box, 4, system.scheme.r_cut, grid=(4, 1, 1)
-        )
-        vdecomp = AtomDecomposition(system.n_atoms, 4)
-        ledger = SpatialLedger(system, vdecomp)
-        engine = SpatialEngine(
-            system=system,
-            decomp=decomp,
-            vdecomp=vdecomp,
-            rank=0,
-            cost=RunOptions().cost,
-            middleware="mpi",
-            ledger=ledger,
-            positions0=pos,
-            velocities0=np.zeros_like(pos),
-        )
+        engine = _slab_engine(system, pos)
         engine.begin_step()
         moved = np.nonzero(engine.owned_mask)[0][0]
         engine.positions[moved, 0] = 15.5  # cell 2 of 4: two hops from cell 0
@@ -257,8 +507,10 @@ class TestHardFailures:
 
 
 class TestLedger:
+    """The eager fold: a step is reduced when its last rank has posted."""
+
     @staticmethod
-    def _post_full_bonded(ledger, system, step=0):
+    def _post_full_bonded(ledger, system, step=0, skip_last_bond=False):
         t = system.bonded_tables
         for term, idx in (
             ("bond", t.bond_idx),
@@ -266,32 +518,67 @@ class TestLedger:
             ("dihedral", t.dihedral_idx),
             ("improper", t.improper_idx),
         ):
-            rows = np.arange(len(idx))
-            ledger.post_bonded(term, step, rows, np.zeros(len(idx)))
+            rows = np.arange(len(idx) - (skip_last_bond and term == "bond"))
+            ledger.post_bonded(term, step, rows, np.zeros(len(rows)))
+
+    @staticmethod
+    def _pair(i, j, e_lj):
+        return np.array([i]), np.array([j]), np.array([e_lj]), np.zeros(1)
 
     def test_duplicate_pair_is_rejected(self, water):
+        """Two ranks claiming one pair: caught when the step folds."""
         system, _ = water
-        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 1))
+        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 2), "mpi")
         self._post_full_bonded(ledger, system)
-        pair = (np.array([0]), np.array([1]), np.zeros(1), np.zeros(1))
-        ledger.post_pairs(0, *pair)
-        ledger.post_pairs(0, *pair)
+        ledger.post_pairs(0, *self._pair(0, 1, 1.0))
         with pytest.raises(RuntimeError, match="posted twice"):
-            ledger.assemble("mpi")
+            ledger.post_pairs(0, *self._pair(0, 1, 1.0))
+
+    def test_post_after_the_fold_is_rejected(self, water):
+        """A rank posting a step twice lands on a step already folded."""
+        system, _ = water
+        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 1), "mpi")
+        self._post_full_bonded(ledger, system)
+        ledger.post_pairs(0, *self._pair(0, 1, 1.0))
+        with pytest.raises(RuntimeError, match="posted twice"):
+            ledger.post_pairs(0, *self._pair(2, 3, 1.0))
+        with pytest.raises(RuntimeError, match="posted twice"):
+            ledger.post_bonded("bond", 0, np.arange(1), np.zeros(1))
 
     def test_missing_bonded_row_is_rejected(self, water):
-        """Exactly-once coverage: a row nobody claimed fails assembly
+        """Exactly-once coverage: a row nobody claimed fails the fold
         instead of silently summing as zero."""
         system, _ = water
-        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 1))
-        t = system.bonded_tables
-        rows = np.arange(len(t.bond_idx) - 1)  # drop one bond row
-        ledger.post_bonded("bond", 0, rows, np.zeros(len(rows)))
-        for term, idx in (
-            ("angle", t.angle_idx),
-            ("dihedral", t.dihedral_idx),
-            ("improper", t.improper_idx),
-        ):
-            ledger.post_bonded(term, 0, np.arange(len(idx)), np.zeros(len(idx)))
+        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 1), "mpi")
+        self._post_full_bonded(ledger, system, skip_last_bond=True)
         with pytest.raises(RuntimeError, match="never posted"):
-            ledger.assemble("mpi")
+            ledger.post_pairs(0, *self._pair(0, 1, 1.0))
+
+    def test_missing_rank_is_rejected(self, water):
+        """A step one rank never closed cannot be assembled."""
+        system, _ = water
+        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 2), "mpi")
+        self._post_full_bonded(ledger, system)
+        ledger.post_pairs(0, *self._pair(0, 1, 1.0))
+        with pytest.raises(RuntimeError, match="1 of 2 ranks were never posted"):
+            ledger.assemble()
+
+    def test_steps_completing_out_of_order(self, water):
+        """Ranks pipeline freely: step 1 may fold before step 0 does.
+        Each fold keeps one EnergyBreakdown and drops the rows."""
+        system, _ = water
+        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 2), "cmpi")
+        for step in (0, 1):  # the fast rank runs ahead
+            self._post_full_bonded(ledger, system, step)
+            ledger.post_pairs(step, *self._pair(0, 1, 10.0 + step))
+        assert sorted(ledger._open) == [0, 1]
+        ledger.post_pairs(1, *self._pair(2, 3, 0.5))  # the slow rank, out of order
+        assert sorted(ledger._open) == [0]
+        ledger.post_pairs(0, *self._pair(2, 3, 0.25))
+        assert not ledger._open
+        assert [e.lj for e in ledger.assemble()] == [10.25, 11.5]
+
+    def test_unknown_middleware_is_rejected(self, water):
+        system, _ = water
+        with pytest.raises(ValueError, match="middleware"):
+            SpatialLedger(system, AtomDecomposition(system.n_atoms, 1), "pvm")
