@@ -13,8 +13,7 @@ from repro.experiments import run_full_factorial
 def test_full_factorial(benchmark, figure_engine, report_dir):
     result = benchmark.pedantic(
         run_full_factorial,
-        args=(None,),
-        kwargs={"engine": figure_engine},
+        args=(figure_engine,),
         rounds=1,
         iterations=1,
     )

@@ -20,8 +20,8 @@ Subpackages
 ``repro.cmpi``        CHARMM's portable middleware layer
 ``repro.parallel``    SPMD rank programs, distributed FFT/PME, cost model
 ``repro.instrument``  timelines, comm stats, metrics registry, span tracing, run logs
-``repro.core``        the characterization method (factors, designs, runner)
-``repro.campaign``    content-addressed store, campaign engine, federation
+``repro.core``        the characterization method (factors, designs, responses)
+``repro.campaign``    content-addressed store, campaign engine, runner, federation
 ``repro.experiments`` drivers reproducing every figure of the paper
 """
 
@@ -38,7 +38,7 @@ _PUBLIC_API = {
     "MDRunConfig": "repro.parallel.pmd",
     "ParallelRunResult": "repro.parallel.result",
     # the characterization method
-    "CharacterizationRunner": "repro.core.runner",
+    "CharacterizationRunner": "repro.campaign.runner",
     "DesignPoint": "repro.core.design",
     "PlatformConfig": "repro.core.factors",
     "ResponseRecord": "repro.core.responses",

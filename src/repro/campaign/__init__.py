@@ -10,10 +10,12 @@ owns the execution of such sweeps end to end:
 * :mod:`repro.campaign.store` — the persistent JSON-lines result store
   under ``.repro-cache/`` with atomic writes and corruption-tolerant
   loading;
-* :mod:`repro.campaign.engine` — cache partitioning plus a
-  ``multiprocessing`` fan-out with per-point timeout, bounded retry and
-  deterministic seeding; completed records stream back into the store,
-  so a killed campaign resumes where it stopped;
+* :mod:`repro.campaign.engine` — the one executor (``execute_point``)
+  and the one dispatch loop (inline, or a ``multiprocessing`` fan-out
+  with per-point timeout and bounded retry); completed records stream
+  back into the store, so a killed campaign resumes where it stopped;
+* :mod:`repro.campaign.runner` — :class:`CharacterizationRunner`, the
+  same executor and store over an in-memory workload (figure drivers);
 * :mod:`repro.campaign.manifest` — campaign provenance and per-point
   status, as a machine-readable JSON manifest and a live progress line;
 * :mod:`repro.campaign.workloads` — named, rebuild-anywhere workload
@@ -61,6 +63,7 @@ from .keys import (
 )
 from .leases import Lease, LeaseBoard, LeaseBoardError
 from .manifest import CampaignManifest, PointStatus, progress_line
+from .runner import CharacterizationRunner
 from .store import (
     ResultStore,
     StoreConflictError,
@@ -79,6 +82,7 @@ __all__ = [
     "CampaignEngine",
     "CampaignManifest",
     "CampaignResult",
+    "CharacterizationRunner",
     "config_fingerprint",
     "CoordinatorServer",
     "CoordinatorThread",

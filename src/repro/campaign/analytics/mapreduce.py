@@ -18,8 +18,8 @@ worker count or shard arrival order:
 * reducers never read the wall clock, worker count, or host identity
   into the report document.
 
-The fan-out itself reuses the campaign engine's generic worker pool
-(:func:`repro.campaign.engine.pool_map`), the same plumbing ``campaign
+The fan-out itself is the campaign engine's one dispatch loop
+(:func:`repro.campaign.engine.dispatch`), the same plumbing ``campaign
 run`` and ``verify --workers`` execute points with.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import warnings
 from pathlib import Path
 
-from ..engine import pool_map
+from ..engine import dispatch
 from ..store import ResultStore, record_to_dict
 
 __all__ = [
@@ -91,27 +91,21 @@ def map_shard(path: str | Path) -> dict:
     }
 
 
-def _map_worker(payload: dict, out_queue) -> None:
-    """Worker-process entry for the map stage (pool_map protocol)."""
-    try:
-        out_queue.put((payload["key"], "ok", map_shard(payload["path"]), None, None))
-    except BaseException as exc:
-        out_queue.put((payload["key"], "error", None, f"{type(exc).__name__}: {exc}", None))
-
-
 def map_shards(store_root: str | Path, n_workers: int = 0) -> list[dict]:
     """Map every shard of a store; partials return in sorted-shard order.
 
-    ``n_workers`` fans the map stage out over the engine's worker pool;
-    ``0`` maps inline.  The returned list is identical either way.
+    ``n_workers`` fans the map stage out over worker processes; ``0``
+    maps inline.  The returned list is identical either way.
     """
     shards = discover_shards(store_root)
-    payloads = [{"key": str(p), "path": str(p)} for p in shards]
-    docs, errors, _ = pool_map(_map_worker, payloads, n_workers)
-    if errors:
-        key, error = sorted(errors.items())[0]
-        raise AnalysisError(f"map stage failed on {Path(key).name}: {error}")
-    return [docs[str(p)] for p in shards]
+    mapped = dispatch(map_shard, {str(p): str(p) for p in shards}, n_workers)
+    partials = []
+    for p in shards:
+        attempt = mapped[str(p)]
+        if attempt.status != "ok":
+            raise AnalysisError(f"map stage failed on {p.name}: {attempt.error}")
+        partials.append(attempt.doc)
+    return partials
 
 
 def merge_rows(partials: list[dict]) -> list[dict]:

@@ -1,16 +1,24 @@
-"""The campaign runner: parallel, resumable design-point execution.
+"""The campaign engine: parallel, resumable design-point execution.
 
 A *campaign* is any iterable of :class:`DesignPoint` over one named
 workload.  The engine partitions points into cache hits and misses
-against the :class:`ResultStore`, fans the misses out over a
-``multiprocessing`` worker pool (design points are independent — the
-classic embarrassingly-parallel sweep shape), and streams every
-completed record straight back into the store, so a killed campaign
-resumes exactly where it stopped.  Each point gets a per-point timeout
-(the worker is killed, not abandoned), bounded retries with exponential
-backoff, and the same deterministic crc32-derived platform seed the
-:class:`CharacterizationRunner` uses — an engine-run record is
-bit-identical to a runner-run one.
+against the :class:`ResultStore`, hands the misses to :func:`dispatch`
+(design points are independent — the classic embarrassingly-parallel
+sweep shape), and streams every completed record straight back into the
+store, so a killed campaign resumes exactly where it stopped.
+
+Two functions carry the execution policy for the whole package:
+
+* :func:`execute_point` is where a :class:`DesignPoint` becomes a
+  :class:`ResponseRecord`.  The engine (inline and pooled), ``verify``,
+  the federated worker and :class:`CharacterizationRunner` all end in
+  it, with the same deterministic crc32-derived platform seed, so
+  records agree bit-for-bit however a point was produced.
+* :func:`dispatch` is the loop that fans independent payloads out, in
+  this process or one process per attempt, with a per-attempt timeout
+  (the worker is killed, not abandoned) and bounded retries with
+  exponential backoff.  :meth:`CampaignEngine.run`,
+  :meth:`CampaignEngine.verify` and the analytics map stage consume it.
 
 Wall-clock reads in this module time the *harness itself* (scheduling,
 per-point elapsed time for the manifest), never the simulation — hence
@@ -26,6 +34,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable
 
 from ..core.design import DesignPoint
 from ..core.responses import ResponseRecord
@@ -38,15 +47,18 @@ from ..parallel.pmd import MDRunConfig
 from ..parallel.run import RunOptions, run_parallel_md
 from . import manifest as mf
 from .keys import SCHEMA_VERSION, cache_key, point_seed, workload_fingerprint
-from .store import ResultStore, record_from_dict, record_to_dict
+from .store import ResultStore, record_to_dict
 from .workloads import build_workload
 
 __all__ = [
+    "Attempt",
     "CampaignEngine",
     "CampaignResult",
+    "campaign_id_for",
+    "dispatch",
+    "execute_built",
     "execute_point",
     "point_trace_path",
-    "pool_map",
 ]
 
 
@@ -55,8 +67,17 @@ def point_trace_path(trace_dir, key: str) -> Path:
     return Path(trace_dir) / f"point-{key[:16]}.trace.json"
 
 
-def execute_point(
-    workload: str,
+def campaign_id_for(keys: Iterable[str]) -> str:
+    """The id of the campaign over this set of point keys, in any order."""
+    h = hashlib.sha256()
+    for k in sorted(keys):
+        h.update(k.encode())
+    return h.hexdigest()[:12]
+
+
+def execute_built(
+    system,
+    positions,
     point: DesignPoint,
     config: MDRunConfig,
     cost: MachineCostModel,
@@ -64,17 +85,13 @@ def execute_point(
     sanitize: bool = False,
     span_trace_path=None,
 ) -> ResponseRecord:
-    """Run one design point from scratch, in whatever process this is.
+    """Run one design point from scratch on an already-built workload.
 
-    This is the single execution path shared by the inline engine, the
-    worker processes and ``verify`` — and it performs exactly the calls
-    :meth:`CharacterizationRunner.run_point` makes, so records agree
-    bit-for-bit however a point was produced.  ``span_trace_path``, when
-    given, attaches a fresh :class:`~repro.instrument.tracing.SpanTracer`
-    to the run and writes its Chrome trace-event JSON there — wall-clock
-    only, so it participates in neither the cache key nor the record.
+    ``span_trace_path``, when given, attaches a fresh
+    :class:`~repro.instrument.tracing.SpanTracer` to the run and writes
+    its Chrome trace-event JSON there — wall-clock only, so it
+    participates in neither the cache key nor the record.
     """
-    system, positions = build_workload(workload)
     spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(base_seed, point))
     tracer = SpanTracer() if span_trace_path is not None else None
     options = RunOptions.for_point(
@@ -93,124 +110,184 @@ def execute_point(
     return ResponseRecord.from_run(point, result)
 
 
-def _worker_main(task: dict, out_queue) -> None:
-    """Worker-process entry: run one point, post the record (or the error).
+def execute_point(
+    workload: str,
+    point: DesignPoint,
+    config: MDRunConfig,
+    cost: MachineCostModel,
+    base_seed: int,
+    sanitize: bool = False,
+    span_trace_path=None,
+) -> ResponseRecord:
+    """:func:`execute_built` over a named workload, in whatever process this is."""
+    system, positions = build_workload(workload)
+    return execute_built(
+        system, positions, point, config, cost, base_seed, sanitize, span_trace_path
+    )
 
-    The posted tuple carries the worker's own metrics delta (work
+
+def _execute_args(args: tuple) -> ResponseRecord:
+    """The :func:`dispatch` target for design points."""
+    return execute_point(*args)
+
+
+# ---------------------------------------------------------------------------
+@dataclass
+class Attempt:
+    """One execution attempt of one payload, as :func:`dispatch` reports it."""
+
+    key: str
+    #: 1 for the first try
+    number: int
+    #: the child process running it; None in-process
+    pid: int | None = None
+    #: "ok" | "failed" (the target raised) | "timeout" | "crashed"
+    status: str = "ok"
+    #: what the target returned, when it did
+    doc: object = None
+    error: str | None = None
+    elapsed: float = 0.0
+    #: the child's metrics-registry delta, for the parent to fold back in
+    metrics: dict | None = None
+    #: False when dispatch is going to launch this key again
+    final: bool = True
+
+
+def _child_main(target, key: str, payload, out_queue) -> None:
+    """Worker-process entry: run one attempt, post its outcome.
+
+    The posted tuple carries the child's own metrics delta (work
     counters, comm-speed observations) so the parent can fold
     per-process observability back into one campaign-wide snapshot.
     """
     before = REGISTRY.snapshot()  # fork copies the parent's live counters
     try:
-        record = execute_point(
-            task["workload"],
-            task["point"],
-            task["config"],
-            task["cost"],
-            task["base_seed"],
-            sanitize=task["sanitize"],
-            span_trace_path=task.get("trace_path"),
-        )
-        out_queue.put(
-            (task["key"], "ok", record_to_dict(record), None, REGISTRY.delta(before))
-        )
-    except BaseException as exc:  # the parent decides whether to retry
-        out_queue.put(
-            (task["key"], "error", None, f"{type(exc).__name__}: {exc}",
-             REGISTRY.delta(before))
-        )
+        doc = target(payload)
+    except Exception as exc:  # the parent decides whether to retry
+        error = f"{type(exc).__name__}: {exc}"
+        out_queue.put((key, "failed", None, error, REGISTRY.delta(before)))
+    else:
+        out_queue.put((key, "ok", doc, None, REGISTRY.delta(before)))
 
 
-class _InlineQueue:
-    """A list pretending to be a queue, for the ``n_workers <= 0`` path."""
-
-    def __init__(self) -> None:
-        self.items: list[tuple] = []
-
-    def put(self, item) -> None:
-        self.items.append(item)
+def _ignore(attempt: Attempt) -> None:
+    pass
 
 
-def pool_map(target, payloads, n_workers: int, mp_context=None):
-    """Fan independent payloads out over single-task worker processes.
+def dispatch(
+    target: Callable,
+    payloads: dict,
+    n_workers: int = 0,
+    timeout: float | None = None,
+    retries: int = 0,
+    backoff: float = 0.25,
+    on_launch: Callable[[Attempt], None] = _ignore,
+    on_settle: Callable[[Attempt], None] = _ignore,
+) -> dict[str, Attempt]:
+    """Fan independent payloads out; returns each key's final attempt.
 
-    The generic pool shape every fan-out in this package shares (the
-    engine's verify re-runs, the analytics map stage): ``target(payload,
-    out_queue)`` runs in its own process and must post exactly one
-    ``(key, status, doc, error, metrics_delta)`` tuple, where ``key`` is
-    ``payload["key"]`` and ``status`` is ``"ok"`` for a result.  No
-    timeout, no retries — callers that need those use
-    :class:`CampaignEngine` itself.
+    ``payloads`` maps a key to the argument of ``target(payload) -> doc``,
+    a module-level callable that raises on failure.  A key is tried up to
+    ``1 + retries`` times.  ``on_launch`` sees every attempt as it starts
+    and ``on_settle`` every attempt as it ends, so a caller can persist
+    results while the rest are still running.
 
-    Returns ``(docs, errors, deltas)``: per-key result documents, per-key
-    error strings (including workers that died without posting), and the
-    workers' metrics deltas for the parent to fold back into its own
-    registry view.
-
-    ``n_workers <= 0`` runs every payload inline, in order, through the
-    same posting protocol (no subprocesses) — the reference path that
-    parallel output is asserted byte-identical against.
+    ``n_workers <= 0`` runs the payloads in this process, in order — the
+    reference that pooled output is asserted byte-identical against.
+    Only ``Exception`` is caught, so an interrupt propagates; ``timeout``
+    cannot be enforced and retries do not wait.  Otherwise every attempt
+    runs in its own process, ``n_workers`` at a time: one that overruns
+    ``timeout`` seconds is terminated, one that dies without posting is
+    ``crashed``, and retry ``n`` waits ``backoff * 2**(n - 1)`` seconds.
     """
-    docs: dict[str, object] = {}
-    errors: dict[str, str] = {}
-    deltas: list[dict] = []
+    final: dict[str, Attempt] = {}
 
-    def fold(item) -> None:
-        key, status, doc, error, delta = item
-        if delta:
-            deltas.append(delta)
-        if status == "ok":
-            docs[key] = doc
-        else:
-            errors[key] = error
+    def settle(attempt, elapsed, status, doc=None, error=None, metrics=None) -> None:
+        attempt.elapsed, attempt.status, attempt.doc = elapsed, status, doc
+        attempt.error, attempt.metrics = error, metrics
+        attempt.final = status == "ok" or attempt.number > retries
+        if attempt.final:
+            final[attempt.key] = attempt
+        on_settle(attempt)
 
     if n_workers <= 0:
-        out = _InlineQueue()
-        for payload in payloads:
-            target(payload, out)
-        for item in out.items:
-            fold(item)
-        return docs, errors, deltas
+        for key, payload in payloads.items():
+            number = 0
+            while key not in final:
+                number += 1
+                attempt = Attempt(key, number)
+                on_launch(attempt)
+                started = time.monotonic()  # noqa: REP104 — harness wall time
+                try:
+                    outcome = ("ok", target(payload))
+                except Exception as exc:
+                    outcome = ("failed", None, f"{type(exc).__name__}: {exc}")
+                settle(attempt, time.monotonic() - started, *outcome)  # noqa: REP104
+        return final
 
-    ctx = mp_context if mp_context is not None else CampaignEngine._mp_context()
+    methods = multiprocessing.get_all_start_methods()
+    # fork where available: children share the built workload's pages
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     out_queue = ctx.Queue()
-    todo = deque(payloads)
-    live: dict[str, object] = {}  # key -> process
+    pending = deque((Attempt(key, 1), 0.0) for key in payloads)  # (attempt, not before)
+    live: dict[str, tuple] = {}  # key -> (process, started, attempt)
 
-    def settle(item) -> None:
-        proc = live.pop(item[0], None)
-        if proc is not None:
-            proc.join(timeout=5)
-        fold(item)
+    def retire(key, status, doc=None, error=None, metrics=None) -> None:
+        proc, started, attempt = live.pop(key)
+        elapsed = time.monotonic() - started  # noqa: REP104
+        proc.join(timeout=5)
+        settle(attempt, elapsed, status, doc, error, metrics)
+        if not attempt.final:
+            delay = backoff * (2 ** (attempt.number - 1))
+            pending.append(
+                (Attempt(key, attempt.number + 1), time.monotonic() + delay)  # noqa: REP104
+            )
 
-    while todo or live:
-        while todo and len(live) < n_workers:
-            payload = todo.popleft()
-            proc = ctx.Process(target=target, args=(payload, out_queue), daemon=True)
+    while pending or live:
+        now = time.monotonic()  # noqa: REP104 — harness wall time
+        while pending and len(live) < n_workers and pending[0][1] <= now:
+            attempt = pending.popleft()[0]
+            proc = ctx.Process(
+                target=_child_main,
+                args=(target, attempt.key, payloads[attempt.key], out_queue),
+                daemon=True,
+            )
             proc.start()
-            live[payload["key"]] = proc
+            attempt.pid = proc.pid
+            live[attempt.key] = (proc, time.monotonic(), attempt)  # noqa: REP104
+            on_launch(attempt)
+
         try:
-            item = out_queue.get(timeout=0.05)
+            posted = out_queue.get(timeout=0.05)
         except queue_mod.Empty:
-            for key in list(live):
-                proc = live.get(key)
-                if proc is None or proc.is_alive():
-                    continue
+            pass
+        else:
+            if posted[0] in live:
+                retire(*posted)
+            continue
+
+        now = time.monotonic()  # noqa: REP104
+        for key, (proc, started, _) in list(live.items()):
+            if key not in live:
+                continue
+            if timeout is not None and now - started > timeout:
+                proc.terminate()
+                retire(key, "timeout", error=f"timed out after {timeout} s")
+            elif not proc.is_alive():
                 # died without posting; give its message a moment to land
                 try:
-                    item2 = out_queue.get(timeout=0.5)
+                    posted = out_queue.get(timeout=0.5)
                 except queue_mod.Empty:
-                    settle(
-                        (key, "error", None,
-                         f"worker exited with code {proc.exitcode}", None)
-                    )
+                    retire(key, "crashed", error=f"worker exited with code {proc.exitcode}")
                 else:
-                    settle(item2)
-        else:
-            settle(item)
-    return docs, errors, deltas
+                    if posted[0] in live:
+                        retire(*posted)
+        if not live and pending and pending[0][1] > now:
+            time.sleep(min(0.05, pending[0][1] - now))
+    return final
 
 
+# ---------------------------------------------------------------------------
 @dataclass
 class CampaignResult:
     """What one :meth:`CampaignEngine.run` call produced."""
@@ -223,16 +300,6 @@ class CampaignResult:
     def ok(self) -> bool:
         c = self.manifest.counts
         return c["failed"] == 0 and c["timeout"] == 0 and c["pending"] == 0
-
-
-@dataclass
-class _Task:
-    key: str
-    index: int
-    point: DesignPoint
-    attempts: int = 0
-    not_before: float = 0.0
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -289,13 +356,8 @@ class CampaignEngine:
     def key_for(self, point: DesignPoint) -> str:
         return cache_key(self.fingerprint, point, self.config, self.cost, self.base_seed)
 
-    def _campaign_id(self, keys: list[str]) -> str:
-        h = hashlib.sha256()
-        for k in sorted(keys):
-            h.update(k.encode())
-        return h.hexdigest()[:12]
-
-    def _meta(self, point: DesignPoint, elapsed: float, attempts: int) -> dict:
+    def meta(self, point: DesignPoint, elapsed: float, attempts: int) -> dict:
+        """The store metadata of one point this engine's campaign executed."""
         return {
             "workload": self.workload,
             "label": point.label(),
@@ -304,6 +366,12 @@ class CampaignEngine:
             "git_rev": mf.git_revision(),
             "host": mf.host_info()["node"],
         }
+
+    def point_trace(self, key: str):
+        """This point's span-trace output path, or None when untraced."""
+        if self.trace_dir is None:
+            return None
+        return point_trace_path(self.trace_dir, key)
 
     # ------------------------------------------------------------------
     def run(self, points, progress=None) -> CampaignResult:
@@ -315,7 +383,7 @@ class CampaignEngine:
         points = list(points)
         keys = [self.key_for(p) for p in points]
         man = mf.CampaignManifest(
-            campaign_id=self._campaign_id(keys),
+            campaign_id=campaign_id_for(keys),
             workload=self.workload,
             created_at=mf.timestamp(),
             git_rev=mf.git_revision(),
@@ -325,7 +393,6 @@ class CampaignEngine:
                 mf.PointStatus(label=p.label(), key=k) for p, k in zip(points, keys)
             ],
         )
-        by_key = {k: i for i, k in enumerate(keys)}
         records: list[ResponseRecord | None] = [None] * len(points)
 
         t_start = time.monotonic()  # noqa: REP104 — harness wall time
@@ -334,7 +401,7 @@ class CampaignEngine:
         runlog.log("campaign_start", n_points=len(points), n_workers=self.n_workers)
         tracer = SpanTracer() if self.trace_dir is not None else None
 
-        misses: list[_Task] = []
+        first: dict[str, int] = {}  # key of a miss -> index of its first copy
         for i, (point, key) in enumerate(zip(points, keys)):
             cached = self.store.get(key)
             if cached is not None:
@@ -343,17 +410,14 @@ class CampaignEngine:
                 REGISTRY.counter("campaign.points").increment(status="hit")
                 REGISTRY.counter("campaign.cache_hits").increment()
                 runlog.log("point_hit", key=key, label=point.label())
-            elif key in by_key and by_key[key] != i:
-                # duplicate point in the input: resolved by the first copy
-                continue
-            else:
+            elif key not in first:
                 REGISTRY.counter("campaign.cache_misses").increment()
-                misses.append(_Task(key=key, index=i, point=point))
+                first[key] = i
 
         def note() -> None:
             man.total_wall = time.monotonic() - t_start  # noqa: REP104
             if self.store.root is not None:
-                man.write(self._manifest_path(man.campaign_id))
+                man.write(self.store.root / "manifests" / f"{man.campaign_id}.json")
             if progress is not None:
                 c = man.counts
                 progress(
@@ -362,19 +426,70 @@ class CampaignEngine:
                     )
                 )
 
-        note()
         worker_deltas: list[dict] = []
-        if self.n_workers <= 0:
-            self._run_inline(misses, man, records, note, runlog, tracer)
-        else:
-            self._run_pool(misses, man, records, note, runlog, tracer, worker_deltas)
+        spans: dict[str, object] = {}  # key -> open wall span (traced runs)
+        track = "engine" if self.n_workers <= 0 else "pool"
 
-        # duplicate inputs share the first copy's outcome
+        def log(event: str, attempt: Attempt, **fields) -> None:
+            label = man.points[first[attempt.key]].label
+            runlog.log(event, key=attempt.key, label=label, attempt=attempt.number, **fields)
+
+        def launched(attempt: Attempt) -> None:
+            log("point_launch", attempt, pid=attempt.pid)
+            if tracer is not None:
+                spans[attempt.key] = tracer.begin(
+                    "point", track=track, key=attempt.key[:16], attempt=attempt.number
+                )
+
+        def settled(attempt: Attempt) -> None:
+            if attempt.metrics:
+                worker_deltas.append(attempt.metrics)
+            if tracer is not None:
+                spans.pop(attempt.key).end(status=attempt.status)
+            if not attempt.final:
+                log("point_retry", attempt, status=attempt.status, error=attempt.error)
+                return
+            i = first[attempt.key]
+            ps = man.points[i]
+            ps.status = {"ok": "ran", "timeout": "timeout"}.get(attempt.status, "failed")
+            ps.attempts = attempt.number
+            ps.wall_time = attempt.elapsed
+            ps.error = attempt.error
+            REGISTRY.counter("campaign.points").increment(status=ps.status)
+            REGISTRY.counter("campaign.attempts").increment(attempt.number)
+            if attempt.number > 1:
+                REGISTRY.counter("campaign.retries").increment(attempt.number - 1)
+            REGISTRY.histogram("campaign.point_wall_seconds").observe(attempt.elapsed)
+            if attempt.status == "ok":
+                records[i] = attempt.doc
+                self.store.put(
+                    attempt.key, attempt.doc,
+                    self.meta(points[i], attempt.elapsed, attempt.number),
+                )
+            log("point_retire", attempt, status=ps.status, elapsed=attempt.elapsed,
+                error=attempt.error)
+            note()
+
+        note()
+        dispatch(
+            _execute_args,
+            {
+                key: (self.workload, points[i], self.config, self.cost, self.base_seed,
+                      self.sanitize, self.point_trace(key))
+                for key, i in first.items()
+            },
+            self.n_workers, self.timeout, self.retries, self.backoff,
+            on_launch=launched, on_settle=settled,
+        )
+
+        # every later copy of a repeated point takes the first copy's outcome
         for i, key in enumerate(keys):
-            if records[i] is None and self.store.get(key) is not None:
-                records[i] = self.store.get(key)
-                if man.points[i].status == "pending":
-                    man.points[i].status = "hit"
+            j = first.get(key, i)
+            if j != i:
+                records[i] = records[j]
+                ran = man.points[j]
+                man.points[i].status = "hit" if ran.status == "ran" else ran.status
+                man.points[i].error = ran.error
 
         man.total_wall = time.monotonic() - t_start  # noqa: REP104
         man.metrics = merge_metrics(REGISTRY.delta(metrics_before), *worker_deltas)
@@ -386,190 +501,23 @@ class CampaignEngine:
         note()
         return CampaignResult(manifest=man, records=records)
 
+    def measure(self, points) -> list[ResponseRecord]:
+        """Run a whole design; one response row per point, or raise."""
+        result = self.run(points)
+        if not result.ok:
+            failed = [
+                p.label for p in result.manifest.points
+                if p.status in ("failed", "timeout")
+            ]
+            raise RuntimeError(f"campaign left unresolved points: {failed}")
+        return result.records
+
     def _runlog(self, campaign_id: str) -> RunLog:
         """The engine's structured event log (in-memory for memory stores)."""
         path = None
         if self.store.root is not None:
             path = self.store.root / "logs" / f"campaign-{campaign_id}.jsonl"
         return RunLog(path, campaign=campaign_id, workload=self.workload)
-
-    def _point_trace(self, key: str):
-        """This point's span-trace output path, or None when untraced."""
-        if self.trace_dir is None:
-            return None
-        return point_trace_path(self.trace_dir, key)
-
-    # ------------------------------------------------------------------
-    def _resolve(
-        self,
-        man: mf.CampaignManifest,
-        records: list,
-        task: _Task,
-        status: str,
-        record: ResponseRecord | None,
-        error: str | None,
-    ) -> None:
-        ps = man.points[task.index]
-        ps.status = status
-        ps.attempts = task.attempts
-        ps.wall_time = task.elapsed
-        ps.error = error
-        REGISTRY.counter("campaign.points").increment(status=status)
-        REGISTRY.counter("campaign.attempts").increment(task.attempts)
-        if task.attempts > 1:
-            REGISTRY.counter("campaign.retries").increment(task.attempts - 1)
-        REGISTRY.histogram("campaign.point_wall_seconds").observe(task.elapsed)
-        if record is not None:
-            records[task.index] = record
-            self.store.put(
-                task.key, record, self._meta(task.point, task.elapsed, task.attempts)
-            )
-
-    def _run_inline(self, misses, man, records, note, runlog, tracer) -> None:
-        for task in misses:
-            last_error = None
-            plog = runlog.bind(key=task.key, label=task.point.label())
-            while task.attempts <= self.retries:
-                task.attempts += 1
-                plog.log("point_launch", attempt=task.attempts)
-                span = None
-                if tracer is not None:
-                    span = tracer.begin(
-                        "point", track="engine",
-                        key=task.key[:16], attempt=task.attempts,
-                    )
-                t0 = time.monotonic()  # noqa: REP104 — harness wall time
-                try:
-                    record = execute_point(
-                        self.workload, task.point, self.config, self.cost,
-                        self.base_seed, sanitize=self.sanitize,
-                        span_trace_path=self._point_trace(task.key),
-                    )
-                except Exception as exc:
-                    task.elapsed = time.monotonic() - t0  # noqa: REP104
-                    last_error = f"{type(exc).__name__}: {exc}"
-                    if span is not None:
-                        span.end(status="error")
-                    plog.log("point_retry", attempt=task.attempts, error=last_error)
-                    continue
-                task.elapsed = time.monotonic() - t0  # noqa: REP104
-                if span is not None:
-                    span.end(status="ran")
-                self._resolve(man, records, task, "ran", record, None)
-                plog.log("point_retire", attempt=task.attempts, status="ran",
-                         elapsed=task.elapsed)
-                break
-            else:
-                self._resolve(man, records, task, "failed", None, last_error)
-                plog.log("point_retire", attempt=task.attempts, status="failed",
-                         error=last_error)
-            note()
-
-    def _run_pool(self, misses, man, records, note, runlog, tracer, worker_deltas) -> None:
-        ctx = self._mp_context()
-        out_queue = ctx.Queue()
-        pending: deque[_Task] = deque(misses)
-        live: dict[str, tuple] = {}  # key -> (process, started, task)
-        spans: dict[str, object] = {}  # key -> open wall span (traced runs)
-
-        def launch(task: _Task) -> None:
-            task.attempts += 1
-            payload = {
-                "key": task.key,
-                "workload": self.workload,
-                "point": task.point,
-                "config": self.config,
-                "cost": self.cost,
-                "base_seed": self.base_seed,
-                "sanitize": self.sanitize,
-                "trace_path": self._point_trace(task.key),
-            }
-            proc = ctx.Process(target=_worker_main, args=(payload, out_queue), daemon=True)
-            proc.start()
-            live[task.key] = (proc, time.monotonic(), task)  # noqa: REP104
-            runlog.log("point_launch", key=task.key, label=task.point.label(),
-                       attempt=task.attempts, pid=proc.pid)
-            if tracer is not None:
-                spans[task.key] = tracer.begin(
-                    "point", track="pool", key=task.key[:16], attempt=task.attempts
-                )
-
-        def retire(key: str, status: str, record_doc, error, metrics=None) -> None:
-            proc, started, task = live.pop(key)
-            task.elapsed = time.monotonic() - started  # noqa: REP104
-            proc.join(timeout=5)
-            if metrics:
-                worker_deltas.append(metrics)
-            span = spans.pop(key, None)
-            if span is not None:
-                span.end(status=status)
-            if status == "ok":
-                self._resolve(man, records, task, "ran", record_from_dict(record_doc), None)
-                runlog.log("point_retire", key=key, attempt=task.attempts,
-                           status="ran", elapsed=task.elapsed)
-            elif task.attempts <= self.retries:
-                delay = self.backoff * (2 ** (task.attempts - 1))
-                task.not_before = time.monotonic() + delay  # noqa: REP104
-                runlog.log("point_retry", key=key, attempt=task.attempts,
-                           status=status, error=error)
-                pending.append(task)
-                return
-            else:
-                final = "timeout" if status == "timeout" else "failed"
-                self._resolve(man, records, task, final, None, error)
-                runlog.log("point_retire", key=key, attempt=task.attempts,
-                           status=final, error=error)
-            note()
-
-        while pending or live:
-            now = time.monotonic()  # noqa: REP104 — harness wall time
-            while pending and len(live) < self.n_workers:
-                if pending[0].not_before > now:
-                    break
-                launch(pending.popleft())
-
-            try:
-                key, status, record_doc, error, wdelta = out_queue.get(timeout=0.05)
-            except queue_mod.Empty:
-                pass
-            else:
-                if key in live:
-                    retire(key, "ok" if status == "ok" else "failed",
-                           record_doc, error, wdelta)
-                continue
-
-            now = time.monotonic()  # noqa: REP104
-            for key in list(live):
-                if key not in live:
-                    continue
-                proc, started, task = live[key]
-                if self.timeout is not None and now - started > self.timeout:
-                    proc.terminate()
-                    retire(key, "timeout", None, f"timed out after {self.timeout} s")
-                elif not proc.is_alive():
-                    # died without posting; give its message a moment to land
-                    try:
-                        k2, s2, doc2, err2, wd2 = out_queue.get(timeout=0.5)
-                    except queue_mod.Empty:
-                        retire(
-                            key, "crashed", None,
-                            f"worker exited with code {proc.exitcode}",
-                        )
-                    else:
-                        if k2 in live:
-                            retire(k2, "ok" if s2 == "ok" else "failed", doc2, err2, wd2)
-            if not live and pending and pending[0].not_before > now:
-                time.sleep(min(0.05, pending[0].not_before - now))
-
-    @staticmethod
-    def _mp_context():
-        """Fork where available (shares the built workload pages); else spawn."""
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-    def _manifest_path(self, campaign_id: str):
-        assert self.store.root is not None
-        return self.store.root / "manifests" / f"{campaign_id}.json"
 
     # ------------------------------------------------------------------
     def verify(self, sample: int = 4, seed: int = 0, n_workers: int = 0) -> list[dict]:
@@ -580,10 +528,10 @@ class CampaignEngine:
         mismatching field; an empty list means every sampled record
         reproduced exactly.
 
-        ``n_workers`` fans the re-runs out over worker processes exactly
-        like :meth:`run` does for misses (verification is embarrassingly
-        parallel over sampled points); ``0`` re-runs inline.  A worker
-        that dies or errors surfaces as a ``__rerun__`` mismatch.
+        ``n_workers`` fans the re-runs out through :func:`dispatch` like
+        :meth:`run` does for misses; ``0`` re-runs inline.  No timeout or
+        retries — these points already executed successfully once — and
+        a re-run that errors or dies surfaces as a ``__rerun__`` mismatch.
         """
         import numpy as np
 
@@ -598,72 +546,39 @@ class CampaignEngine:
             idx = rng.choice(len(eligible), size=sample, replace=False)
             eligible = [eligible[i] for i in sorted(idx)]
 
-        fresh_by_key, rerun_errors = self._rerun_points(eligible, n_workers)
+        reruns = dispatch(
+            _execute_args,
+            {
+                entry.key: (self.workload, point, self.config, self.cost, self.base_seed)
+                for entry, point in eligible
+            },
+            n_workers,
+        )
 
         mismatches = []
         for entry, point in eligible:
-            if entry.key in rerun_errors:
-                mismatches.append(
-                    {
-                        "key": entry.key,
-                        "label": point.label(),
-                        "field": "__rerun__",
-                        "stored": None,
-                        "rerun": rerun_errors[entry.key],
-                    }
-                )
-                continue
-            fresh = fresh_by_key[entry.key]
-            stored, rerun = record_to_dict(entry.record), record_to_dict(fresh)
-            for name in stored:
-                if stored[name] != rerun[name] and not (
-                    isinstance(stored[name], float)
-                    and isinstance(rerun[name], float)
-                    and np.isnan(stored[name])
-                    and np.isnan(rerun[name])
-                ):
-                    mismatches.append(
-                        {
-                            "key": entry.key,
-                            "label": point.label(),
-                            "field": name,
-                            "stored": stored[name],
-                            "rerun": rerun[name],
-                        }
+            rerun = reruns[entry.key]
+            if rerun.status != "ok":
+                found = [("__rerun__", None, rerun.error)]
+            else:
+                stored, fresh = record_to_dict(entry.record), record_to_dict(rerun.doc)
+                found = [
+                    (name, stored[name], fresh[name])
+                    for name in stored
+                    if stored[name] != fresh[name]
+                    and not (
+                        isinstance(stored[name], float)
+                        and isinstance(fresh[name], float)
+                        and np.isnan(stored[name])
+                        and np.isnan(fresh[name])
                     )
+                ]
+            mismatches += [
+                {"key": entry.key, "label": point.label(), "field": name,
+                 "stored": was, "rerun": now}
+                for name, was, now in found
+            ]
         return mismatches
-
-    def _rerun_points(
-        self, pairs: list[tuple], n_workers: int
-    ) -> tuple[dict[str, ResponseRecord], dict[str, str]]:
-        """Re-execute (entry, point) pairs; return records and errors by key.
-
-        Reuses the package's generic worker pool (:func:`pool_map` over
-        :func:`_worker_main`); no timeout or retries — verification
-        re-runs points that already executed successfully once.
-        """
-        if n_workers <= 0:
-            fresh = {}
-            for entry, point in pairs:
-                fresh[entry.key] = execute_point(
-                    self.workload, point, self.config, self.cost, self.base_seed
-                )
-            return fresh, {}
-
-        payloads = [
-            {
-                "key": entry.key,
-                "workload": self.workload,
-                "point": point,
-                "config": self.config,
-                "cost": self.cost,
-                "base_seed": self.base_seed,
-                "sanitize": False,
-            }
-            for entry, point in pairs
-        ]
-        docs, errors, _ = pool_map(_worker_main, payloads, n_workers)
-        return {key: record_from_dict(doc) for key, doc in docs.items()}, errors
 
     @staticmethod
     def _point_from_record(record: ResponseRecord) -> DesignPoint:

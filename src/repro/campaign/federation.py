@@ -21,7 +21,6 @@ and what :func:`verify_stores_match` audits after a merge.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from pathlib import Path
 from typing import Callable, Iterable
@@ -35,7 +34,7 @@ from ..parallel.costmodel import PIII_1GHZ, MachineCostModel
 from ..parallel.pmd import MDRunConfig
 from . import manifest as mf
 from .board import Board, board_from_url
-from .engine import CampaignEngine, execute_point
+from .engine import CampaignEngine, campaign_id_for, execute_point
 from .keys import SCHEMA_VERSION, cost_fingerprint
 from .leases import Lease
 from .store import ResultStore, record_digest
@@ -100,14 +99,6 @@ def publish_campaign(
     }
 
 
-def campaign_id_for(keys: Iterable[str]) -> str:
-    """The same id :class:`CampaignEngine` derives for this point set."""
-    h = hashlib.sha256()
-    for k in sorted(keys):
-        h.update(k.encode())
-    return h.hexdigest()[:12]
-
-
 def engine_for_board(
     board: Board,
     store: ResultStore,
@@ -161,9 +152,12 @@ def work_campaign(
 
     Each claimed point runs through :func:`execute_point` — the same
     code path as every single-host mode — and lands in this worker's
-    ``store`` with host/worker provenance in the entry metadata.  The
-    lease's deadline is re-extended (heartbeat) after execution, then
-    marked done; a point that raises is released back to the board.
+    ``store`` with host/worker provenance in the entry metadata, then
+    the lease is marked done; a point that raises is released back to
+    the board.  The lease is not extended while the point executes, so
+    ``ttl`` must exceed the slowest point: a lease that expires mid-run
+    is reclaimed by another worker, and this worker's (identical) record
+    merges as a duplicate.
 
     Defence in depth: the lease key must equal the key this worker
     derives for the point.  A mismatch means the board and the build
@@ -208,7 +202,7 @@ def work_campaign(
             record = execute_point(
                 engine.workload, point, engine.config, engine.cost,
                 engine.base_seed, sanitize=engine.sanitize,
-                span_trace_path=engine._point_trace(lease.key),
+                span_trace_path=engine.point_trace(lease.key),
             )
         except Exception as exc:
             stats["failed"] += 1
@@ -218,7 +212,7 @@ def work_campaign(
                 progress(f"{worker}: {lease.label} FAILED ({type(exc).__name__}: {exc})")
             continue
         elapsed = time.monotonic() - t0  # noqa: REP104
-        meta = engine._meta(point, elapsed, attempts=lease.attempts + 1)
+        meta = engine.meta(point, elapsed, attempts=lease.attempts + 1)
         meta["worker"] = worker
         store.put(lease.key, record, meta)
         stats["executed"] += 1

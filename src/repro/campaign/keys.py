@@ -131,9 +131,9 @@ def point_seed(base_seed: int, point: DesignPoint) -> int:
 
     Uses a stable digest, not ``hash()``: string hashing is randomized
     per process (PYTHONHASHSEED), which would give every run of the same
-    experiment different platform noise.  This is the historical
-    :class:`CharacterizationRunner` formula, shared so engine-run points
-    are bit-identical to runner-run ones.
+    experiment different platform noise.  Its one caller is the
+    executor (:func:`repro.campaign.engine.execute_built`), so a point
+    gets the same platform however it is run.
     """
     key = (
         point.config.network,

@@ -1,15 +1,16 @@
 """The characterization runner: execute design points, collect responses.
 
-This is the paper's measurement harness: for each design point it runs
-the 10-step MD energy calculation on the simulated platform and records
-the response variables.  Results are memoized through the campaign
-layer's content-addressed store (:mod:`repro.campaign.store`): response
-records are keyed by (workload fingerprint, design point, run config,
-cost model, schema version), so any two runners over the same workload —
-in the same process or via a shared persistent store, across processes —
-resolve to the same entries and never duplicate work.  Full
-:class:`ParallelRunResult` objects are additionally memoized per process
-for callers that need timelines and transfers, not just responses.
+This is the paper's measurement harness over one in-memory workload: for
+each design point it runs the 10-step MD energy calculation on the
+simulated platform and records the response variables.  It is a view
+over the campaign layer, not a second executor: a response record is
+looked up in the content-addressed store (:mod:`repro.campaign.store`)
+under the same key a :class:`~repro.campaign.engine.CampaignEngine`
+would use, and a miss runs through the engine's executor
+(:func:`~repro.campaign.engine.execute_built`).  So any two runners or
+engines over the same workload — in the same process or via a shared
+persistent store, across processes — resolve to the same entries and
+never duplicate work.
 """
 
 from __future__ import annotations
@@ -18,23 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..campaign.keys import cache_key, point_seed, workload_fingerprint
-from ..campaign.store import ResultStore, shared_memory_store
+from ..core.design import DesignPoint
+from ..core.factors import PlatformConfig
+from ..core.responses import ResponseRecord
 from ..md.system import MDSystem
 from ..parallel.costmodel import PIII_1GHZ, MachineCostModel
 from ..parallel.pmd import MDRunConfig
-from ..parallel.result import ParallelRunResult
-from ..parallel.run import RunOptions, run_parallel_md
-from .design import DesignPoint
-from .factors import PlatformConfig
-from .responses import ResponseRecord
+from .engine import execute_built
+from .keys import cache_key, workload_fingerprint
+from .store import ResultStore, shared_memory_store
 
 __all__ = ["CharacterizationRunner"]
-
-#: Process-wide memo of full run results, keyed by the campaign cache key.
-#: Shared across runner instances so two runners over the same workload
-#: never re-simulate a design point within one process.
-_RUN_MEMO: dict[str, ParallelRunResult] = {}
 
 
 @dataclass
@@ -86,19 +81,6 @@ class CharacterizationRunner:
         """The content address of one design point's response record."""
         return cache_key(self.fingerprint, point, self.config, self.cost, self.base_seed)
 
-    def _point_seed(self, point: DesignPoint) -> int:
-        """Deterministic, distinct seed per design point and replicate."""
-        return point_seed(self.base_seed, point)
-
-    def run_point(self, point: DesignPoint) -> ParallelRunResult:
-        """Execute (or recall) one design point's full run result."""
-        key = self.point_key(point)
-        if key not in _RUN_MEMO:
-            spec = point.config.cluster_spec(point.n_ranks, seed=self._point_seed(point))
-            options = RunOptions.for_point(point, config=self.config, cost=self.cost)
-            _RUN_MEMO[key] = run_parallel_md(self.system, self.positions, spec, options)
-        return _RUN_MEMO[key]
-
     # ------------------------------------------------------------------
     def run_record(self, point: DesignPoint) -> ResponseRecord:
         """One response row, through the store: hits perform no MD work."""
@@ -106,7 +88,9 @@ class CharacterizationRunner:
         cached = self.store.get(key)
         if cached is not None:
             return cached
-        record = ResponseRecord.from_run(point, self.run_point(point))
+        record = execute_built(
+            self.system, self.positions, point, self.config, self.cost, self.base_seed
+        )
         self.store.put(key, record, {"label": point.label(), "source": "runner"})
         return record
 

@@ -318,8 +318,9 @@ _PROCESS_STORE: ResultStore | None = None
 def shared_memory_store() -> ResultStore:
     """The process-wide in-memory store runners share by default.
 
-    Two :class:`CharacterizationRunner` instances over the same workload
-    resolve to the same keys here, so neither repeats the other's work.
+    Two :class:`~repro.campaign.runner.CharacterizationRunner` instances
+    over the same workload resolve to the same keys here, so neither
+    repeats the other's work.
     """
     global _PROCESS_STORE
     if _PROCESS_STORE is None:

@@ -20,8 +20,8 @@ Usage::
     python -m repro campaign analyze drift                   # energy/conservation audit
     python -m repro campaign analyze trend --against BENCH_wallclock.json --candidate new.json
     python -m repro campaign analyze coverage                # factorial holes, shard health
-    python -m repro campaign serve --design full --leases leases.json  # publish leases
-    python -m repro campaign work --store host-a --leases leases.json  # pull + execute
+    python -m repro campaign serve --design full --board file:leases.json  # publish leases
+    python -m repro campaign work --store host-a --board file:leases.json  # pull + execute
     python -m repro campaign merge --store merged host-a host-b        # fold back
     python -m repro campaign coordinator --port 8765             # HTTP lease coordinator
     python -m repro campaign serve --design full --board http://localhost:8765
@@ -212,14 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print each manifest's merged metrics snapshot",
     )
     cstatus.add_argument(
-        "--leases", default=None,
-        help="lease-board file for the live view (default: <store>/leases.json if present)",
-    )
-    cstatus.add_argument(
         "--board", default=None,
         help=(
-            "board URL for the live view — file:PATH or http://HOST:PORT "
-            "(a running coordinator); overrides --leases"
+            "board for the live view — file:PATH or http://HOST:PORT (a running "
+            "coordinator); default: file:<store>/leases.json if present"
         ),
     )
     cstatus.add_argument(
@@ -315,14 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     _common(cserve)
     _design(cserve)
     cserve.add_argument(
-        "--leases", default=None,
-        help="lease-board file to publish (default: <store>/leases.json)",
-    )
-    cserve.add_argument(
         "--board", default=None,
         help=(
-            "board to publish to — file:PATH or http://HOST:PORT "
-            "(a running coordinator); overrides --leases"
+            "board to publish to — file:PATH or http://HOST:PORT (a running "
+            "coordinator); default: file:<store>/leases.json"
         ),
     )
 
@@ -332,12 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     cwork.add_argument(
         "--store", default=".repro-cache", help="this worker's result-store directory"
     )
-    cwork.add_argument("--leases", default=None, help="published lease-board file")
     cwork.add_argument(
         "--board", default=None,
         help=(
             "board to pull leases from — file:PATH or http://HOST:PORT "
-            "(a running coordinator); overrides --leases"
+            "(a running coordinator)"
         ),
     )
     cwork.add_argument(
@@ -867,11 +858,10 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
 
     if args.watch:
-        if args.board:
-            board = board_from_url(args.board)
-        else:
-            leases = args.leases or str(Path(args.store) / "leases.json")
-            board = board_from_url(leases) if Path(leases).exists() else None
+        default = Path(args.store) / "leases.json"
+        board = None
+        if args.board or default.exists():
+            board = board_from_url(args.board or str(default))
         i = 0
         try:
             while args.iterations is None or i < args.iterations:
@@ -894,8 +884,8 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         f"{stats['shards']} shard(s), {stats['bytes']} bytes, "
         f"schema v{stats['schema']}"
     )
-    if args.board or args.leases:
-        board = board_from_url(args.board or args.leases)
+    if args.board:
+        board = board_from_url(args.board)
         try:
             print(dashboard(store, board, runlog=args.runlog))
         except LeaseBoardError as exc:
@@ -991,7 +981,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         from .campaign import publish_campaign
         from .campaign.leases import LeaseBoardError
 
-        board = args.board or args.leases or str(Path(args.store) / "leases.json")
+        board = args.board or str(Path(args.store) / "leases.json")
         try:
             points = _design_points(args)
             summary = publish_campaign(_campaign_engine(args), points, board)
@@ -1012,9 +1002,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         from . import ResultStore, work_campaign
         from .campaign.leases import LeaseBoardError
 
-        board = args.board or args.leases
+        board = args.board
         if board is None:
-            print("error: campaign work needs --board URL (or --leases PATH)",
+            print("error: campaign work needs --board file:PATH|http://HOST:PORT",
                   file=sys.stderr)
             return 2
         worker = args.worker or f"{platform.node()}-{os.getpid()}"

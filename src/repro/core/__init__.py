@@ -1,7 +1,9 @@
 """The paper's primary contribution: the workload-characterization method.
 
 Factors and levels (Fig. 1), experimental designs (full and fractional
-factorial), the measurement runner and the response-variable records.
+factorial) and the response-variable records.  The measurement runner
+that executes a design lives in :mod:`repro.campaign`, which sits above
+this package.
 """
 
 from .design import PROCESSOR_LEVELS, DesignPoint, full_factorial, one_factor_at_a_time
@@ -9,11 +11,9 @@ from .factors import FOCAL_POINT, PAPER_FACTOR_SPACE, Factor, FactorSpace, Platf
 from .metrics import ScalingMetrics, karp_flatt, recommended_processors, scaling_metrics
 from .report import breakdown_table, format_table, speed_table, text_bar, time_series_table
 from .responses import ResponseRecord
-from .runner import CharacterizationRunner
 
 __all__ = [
     "breakdown_table",
-    "CharacterizationRunner",
     "DesignPoint",
     "Factor",
     "FactorSpace",

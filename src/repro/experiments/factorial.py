@@ -15,7 +15,6 @@ from ..core.design import DesignPoint, full_factorial
 from ..core.factors import PAPER_FACTOR_SPACE
 from ..core.report import format_table, time_series_table
 from ..core.responses import ResponseRecord
-from ..core.runner import CharacterizationRunner
 
 __all__ = ["FactorialResult", "run_full_factorial", "main_effects"]
 
@@ -59,34 +58,20 @@ def main_effects(records: list[ResponseRecord], n_ranks: int = 8) -> dict[str, f
 
 
 def run_full_factorial(
-    runner: CharacterizationRunner | None,
+    executor,
     processor_levels: tuple[int, ...] = (1, 2, 4, 8),
-    engine=None,
 ) -> FactorialResult:
     """Execute all 12 platform cases at every processor count.
 
-    Execution goes through ``runner`` (in-process, store-memoized) or,
-    when ``engine`` is given, through the campaign engine
-    (:class:`~repro.campaign.engine.CampaignEngine`): cache hits are
-    recalled from the shared store and misses fan out over the engine's
-    worker pool.  Exactly one of the two must be provided.
+    ``executor`` is anything with ``measure(points) -> records``: a
+    :class:`~repro.campaign.runner.CharacterizationRunner` (in-process,
+    store-memoized) or a :class:`~repro.campaign.engine.CampaignEngine`
+    (hits recalled from its store, misses fanned out over its workers).
     """
     points: list[DesignPoint] = full_factorial(
         PAPER_FACTOR_SPACE, processor_levels=processor_levels
     )
-    if engine is not None:
-        result = engine.run(points)
-        if not result.ok:
-            failed = [
-                p.label for p in result.manifest.points
-                if p.status in ("failed", "timeout")
-            ]
-            raise RuntimeError(f"campaign left unresolved points: {failed}")
-        records = [r for r in result.records if r is not None]
-    elif runner is not None:
-        records = runner.measure(points)
-    else:
-        raise ValueError("provide a runner or a campaign engine")
+    records = executor.measure(points)
     effects = main_effects(records, n_ranks=max(processor_levels))
 
     effect_rows = [[name, ratio] for name, ratio in effects.items()]

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..campaign.runner import CharacterizationRunner
 from ..core.design import DesignPoint
 from ..core.factors import FOCAL_POINT
 from ..core.report import breakdown_table, speed_table, time_series_table
 from ..core.responses import ResponseRecord
-from ..core.runner import CharacterizationRunner
 from ..parallel.pmd import MDRunConfig
 from ..workloads.cache import myoglobin_system, myoglobin_workload
 

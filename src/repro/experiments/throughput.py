@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..campaign.runner import CharacterizationRunner
 from ..core.design import DesignPoint
 from ..core.factors import FOCAL_POINT
 from ..core.report import format_table
 from ..core.responses import ResponseRecord
-from ..core.runner import CharacterizationRunner
 
 __all__ = ["ThroughputPlan", "ThroughputStudy", "throughput_study"]
 

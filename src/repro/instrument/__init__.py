@@ -19,7 +19,7 @@ virtual seconds.
 """
 
 from .commstats import MIN_DATA_BYTES, CommEvent, CommSpeedStats, CommTrace, communication_speeds
-from .counters import FORCE_EVALUATIONS, NEIGHBOR_BUILDS, EventCounter
+from .counters import FORCE_EVALUATIONS, NEIGHBOR_BUILDS
 from .metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry, merge_metrics
 from .runlog import RunLog, read_runlog, reconstruct_history
 from .timeline import KNOWN_PHASES, Category, PhaseTotals, Timeline, register_phase
@@ -32,7 +32,6 @@ __all__ = [
     "CommTrace",
     "communication_speeds",
     "Counter",
-    "EventCounter",
     "FORCE_EVALUATIONS",
     "Gauge",
     "Histogram",

@@ -7,27 +7,22 @@ kernel evaluation (the irreducible unit of MD force work — every serial
 or parallel energy step performs at least one).  Tests snapshot the
 counter, run a driver, and assert the delta.
 
-These are now views into the default :data:`~repro.instrument.metrics.REGISTRY`
-(``md.force_evaluations`` / ``md.neighbor_builds``), so campaign
-manifests pick them up automatically; the historical ``EventCounter``
-name is an alias of :class:`~repro.instrument.metrics.Counter` and keeps
-the same ``increment``/``snapshot``/``delta``/``reset`` surface.
+These are named :class:`~repro.instrument.metrics.Counter` views into
+the default :data:`~repro.instrument.metrics.REGISTRY`
+(``md.force_evaluations``, ``md.neighbor_builds``, ...), so campaign
+manifests pick them up automatically.
 """
 
 from __future__ import annotations
 
-from .metrics import REGISTRY, Counter
+from .metrics import REGISTRY
 
 __all__ = [
-    "EventCounter",
     "FORCE_EVALUATIONS",
     "NEIGHBOR_BUILDS",
     "PAIRLIST_BUILDS",
     "FRESH_ATOMS",
 ]
-
-#: Back-compat alias: the old ad-hoc counter class is now the registry's.
-EventCounter = Counter
 
 #: Incremented once per non-bonded kernel evaluation (see
 #: :meth:`repro.md.nonbonded.NonbondedKernel.compute`).

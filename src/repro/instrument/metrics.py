@@ -12,9 +12,8 @@ to uninstrumented ones.
 Three instrument kinds:
 
 * :class:`Counter` — monotonic event count, optionally split by labels
-  (``counter.increment(tag="send")``).  Back-compatible with the old
-  ``EventCounter`` surface (``increment``/``snapshot``/``delta``/
-  ``reset``/``count``).
+  (``counter.increment(tag="send")``), with ``snapshot``/``delta`` for
+  before/after assertions.
 * :class:`Gauge` — a last-written value (queue depths, board sizes).
 * :class:`Histogram` — streaming count/sum/min/max of observations
   (per-point wall seconds, per-run communication speeds).
@@ -84,7 +83,7 @@ class Counter:
     def delta(self, since: int) -> int:
         return self.count - since
 
-    def __repr__(self) -> str:  # matches the old EventCounter dataclass repr
+    def __repr__(self) -> str:
         return f"Counter(name={self.name!r}, count={self.count!r})"
 
 

@@ -140,10 +140,12 @@ class RunOptions:
         A design point fixes *what* is measured (the platform levels —
         including the middleware factor and the decomposition strategy);
         everything else about *how* the run executes is supplied here.
-        The campaign engine, the CLI ``run`` verb,
-        :class:`~repro.core.runner.CharacterizationRunner` and the
-        benchmarks all build their options through this one classmethod,
-        so a design point means the same run everywhere.
+        The campaign layer's one executor
+        (:func:`~repro.campaign.engine.execute_built`, behind the engine,
+        the federated worker and ``CharacterizationRunner``), the CLI
+        ``run`` verb and the benchmarks all build their options through
+        this one classmethod, so a design point means the same run
+        everywhere.
         """
         return cls(
             middleware=point.config.middleware,

@@ -24,6 +24,7 @@ from repro.campaign.analytics import (
     render,
     to_json_bytes,
 )
+from repro.campaign.analytics import mapreduce
 from repro.campaign.analytics.coverage import rep203_verdict
 from repro.campaign.analytics.trend import load_trend_source, trend_report
 from repro.core.design import DesignPoint
@@ -117,6 +118,27 @@ def test_empty_store_is_an_analysis_error(tmp_path):
     empty.mkdir()
     with pytest.raises(AnalysisError, match="no shards"):
         run_analysis("report", empty)
+
+
+def _mapper_raising(exc):
+    def mapper(path):
+        raise exc
+
+    return mapper
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_failing_mapper_is_an_analysis_error(warm_store, monkeypatch, workers):
+    monkeypatch.setattr(mapreduce, "map_shard", _mapper_raising(OSError("disk gone")))
+    with pytest.raises(AnalysisError, match="map stage failed on .*OSError: disk gone"):
+        map_shards(warm_store, workers)
+
+
+def test_interrupt_during_an_inline_map_propagates(warm_store, monkeypatch):
+    """Ctrl-C is not a failed map stage."""
+    monkeypatch.setattr(mapreduce, "map_shard", _mapper_raising(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        map_shards(warm_store, 0)
 
 
 # -- breakdown report (the paper's tables) ----------------------------

@@ -1,12 +1,14 @@
 """Campaign engine: caching, parallel execution, passivity, verify."""
 
+import os
+
 import pytest
 
-from repro.campaign import CampaignManifest, ResultStore
+from repro.campaign import CampaignManifest, CharacterizationRunner, ResultStore
+from repro.campaign import engine as engine_mod
 from repro.campaign.keys import SCHEMA_VERSION
 from repro.campaign.store import record_to_dict
 from repro.campaign.workloads import build_workload
-from repro.core import CharacterizationRunner
 from repro.core.design import DesignPoint
 from repro.core.factors import FOCAL_POINT
 from repro.instrument import FORCE_EVALUATIONS
@@ -43,8 +45,7 @@ class TestColdAndWarm:
         result = tiny_engine(store_root).run([point, point])
         assert result.ok
         assert record_to_dict(result.records[0]) == record_to_dict(result.records[1])
-        statuses = sorted(p.status for p in result.manifest.points)
-        assert statuses == ["hit", "ran"]
+        assert [p.status for p in result.manifest.points] == ["ran", "hit"]
 
 
 class TestPassivity:
@@ -87,6 +88,16 @@ class TestFailureHandling:
         assert "nodes" in failed.error
         assert result.records[1] is None
 
+    def test_repeated_points_all_take_the_first_copys_outcome(self, store_root):
+        bad = DesignPoint(config=FOCAL_POINT, n_ranks=32)
+        (good,) = tiny_points(ranks=(1,))
+        result = tiny_engine(store_root, retries=0).run([bad, good, bad, good])
+        points = result.manifest.points
+        assert [p.status for p in points] == ["failed", "ran", "failed", "hit"]
+        assert result.manifest.counts["pending"] == 0
+        assert points[2].error == points[0].error
+        assert result.records[3] is result.records[1]
+
     def test_timeout_kills_and_marks_the_point(self, store_root):
         slow = tiny_engine(
             store_root,
@@ -105,6 +116,22 @@ class TestFailureHandling:
         engine = tiny_engine(store_root, workload="no-such-system")
         with pytest.raises(ValueError, match="unknown workload"):
             engine.run(tiny_points())
+
+
+class TestDispatch:
+    def test_child_dying_without_posting_is_crashed_and_retried(self):
+        launched, settled = [], []
+        final = engine_mod.dispatch(
+            os._exit, {"k": 3}, n_workers=1, retries=1, backoff=0.01,
+            on_launch=launched.append, on_settle=settled.append,
+        )
+        assert [a.number for a in launched] == [1, 2]
+        assert all(a.pid is not None for a in launched)
+        assert [(a.status, a.final) for a in settled] == [
+            ("crashed", False), ("crashed", True),
+        ]
+        assert final["k"] is settled[1]
+        assert final["k"].error == "worker exited with code 3"
 
 
 class TestManifest:
@@ -155,6 +182,20 @@ class TestVerify:
         mismatches = engine.verify(sample=2, n_workers=2)
         assert {m["field"] for m in mismatches} == {"wall_time"}
 
+    @pytest.mark.parametrize("n_workers", [0, 1])
+    def test_failing_rerun_is_a_rerun_mismatch(self, store_root, monkeypatch, n_workers):
+        """Inline and pooled verification report a re-run error alike."""
+        engine = tiny_engine(store_root)
+        engine.run(tiny_points(ranks=(2,)))
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("rerun broke")
+
+        monkeypatch.setattr(engine_mod, "execute_point", broken)
+        (mismatch,) = engine.verify(sample=1, n_workers=n_workers)
+        assert mismatch["field"] == "__rerun__"
+        assert mismatch["rerun"] == "RuntimeError: rerun broke"
+
     def test_tampered_record_detected(self, store_root):
         engine = tiny_engine(store_root)
         result = engine.run(tiny_points(ranks=(2,)))
@@ -172,10 +213,8 @@ class TestVerify:
 
 class TestRunnerSharing:
     def test_two_runners_share_work_in_process(self):
-        """Satellite: the store replaced the runner's private memo — a
-        second runner over the same workload performs zero MD work."""
-        from repro.core import runner as runner_mod
-
+        """A second runner over the same workload and store performs
+        zero MD work."""
         store = ResultStore(None)
         system, positions = build_workload("peptide-tiny")
         first = CharacterizationRunner(
@@ -183,7 +222,6 @@ class TestRunnerSharing:
         )
         first.measure(tiny_points())
 
-        runner_mod._RUN_MEMO.clear()  # leave only the store to answer
         second = CharacterizationRunner(
             system=system, positions=positions, config=TINY_CONFIG, store=store
         )

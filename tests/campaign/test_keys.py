@@ -89,12 +89,3 @@ class TestKeySensitivity:
         moved = positions.copy()
         moved[0, 0] += 1e-9
         assert workload_fingerprint(system, moved) != a
-
-    def test_point_seed_matches_runner_seed(self, peptide_system):
-        """The engine and the runner must derive identical platform seeds
-        (bit-identical records depend on it)."""
-        from repro.core import CharacterizationRunner
-
-        system, pos = peptide_system
-        runner = CharacterizationRunner(system=system, positions=pos, config=CONFIG)
-        assert runner._point_seed(POINT) == point_seed(2002, POINT)

@@ -91,7 +91,8 @@ class TestRecommendation:
 class TestOnRealRuns:
     def test_good_network_recommends_more_processors(self, peptide_system):
         """End-to-end: the paper's conclusion, computed from simulation."""
-        from repro.core import CharacterizationRunner, FOCAL_POINT
+        from repro.campaign import CharacterizationRunner
+        from repro.core import FOCAL_POINT
         from repro.parallel import MDRunConfig
 
         system, pos = peptide_system

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    FOCAL_POINT,
-    CharacterizationRunner,
-    DesignPoint,
-    ResponseRecord,
-)
+from repro.campaign import CharacterizationRunner
+from repro.core import FOCAL_POINT, DesignPoint, ResponseRecord
 from repro.parallel import MDRunConfig
 
 
@@ -29,21 +25,10 @@ class TestRunner:
             assert r.total_time > 0
             assert r.network == "tcp-gige"
 
-    def test_results_cached(self, runner):
-        point = DesignPoint(config=FOCAL_POINT, n_ranks=2)
-        a = runner.run_point(point)
-        b = runner.run_point(point)
-        assert a is b
-
-    def test_distinct_points_distinct_runs(self, runner):
-        a = runner.run_point(DesignPoint(config=FOCAL_POINT, n_ranks=2))
-        b = runner.run_point(DesignPoint(config=FOCAL_POINT, n_ranks=4))
-        assert a is not b
-
     def test_replicates_get_fresh_seeds(self, runner):
-        a = runner.run_point(DesignPoint(config=FOCAL_POINT, n_ranks=2, replicate=0))
-        b = runner.run_point(DesignPoint(config=FOCAL_POINT, n_ranks=2, replicate=1))
-        assert a.wall_time() != b.wall_time()
+        a = runner.run_record(DesignPoint(config=FOCAL_POINT, n_ranks=2, replicate=0))
+        b = runner.run_record(DesignPoint(config=FOCAL_POINT, n_ranks=2, replicate=1))
+        assert a.total_time != b.total_time
 
     def test_measure_full_design(self, runner):
         points = [

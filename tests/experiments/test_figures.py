@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CharacterizationRunner
+from repro.campaign import CharacterizationRunner
 from repro.experiments import ALL_FIGURES, extrapolation, figure3, figure7, figure9
 from repro.parallel import MDRunConfig
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CharacterizationRunner
+from repro.campaign import CharacterizationRunner
 from repro.experiments import grid_outlook
 from repro.parallel import MDRunConfig
 

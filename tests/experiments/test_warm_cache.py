@@ -2,15 +2,12 @@
 
 The figure drivers accept any :class:`CharacterizationRunner`; backing
 one with a persistent store and regenerating the same figure from a
-fresh runner (fresh process simulated by clearing the in-process memo)
-must recall every design point from disk without a single non-bonded
-force evaluation.
+fresh runner over the reopened store must recall every design point from
+disk without a single non-bonded force evaluation.
 """
 
-from repro.campaign import ResultStore
+from repro.campaign import CharacterizationRunner, ResultStore
 from repro.campaign.workloads import build_workload
-from repro.core import CharacterizationRunner
-from repro.core import runner as runner_mod
 from repro.experiments import figure3, figure4
 from repro.instrument import FORCE_EVALUATIONS
 from repro.parallel import MDRunConfig
@@ -33,9 +30,7 @@ class TestWarmFigureRegeneration:
         assert first.records
         cold.store.close()
 
-        # fresh runner + reopened store; drop the in-process result memo
-        # so only the on-disk cache can answer
-        runner_mod._RUN_MEMO.clear()
+        # fresh runner + reopened store: only the on-disk cache can answer
         warm = _store_backed_runner(tmp_path / "cache")
         before = FORCE_EVALUATIONS.snapshot()
         second = figure3(warm)
@@ -47,7 +42,6 @@ class TestWarmFigureRegeneration:
         with a shared store the second figure is free."""
         runner = _store_backed_runner(tmp_path / "cache")
         figure3(runner)
-        runner_mod._RUN_MEMO.clear()
         before = FORCE_EVALUATIONS.snapshot()
         figure4(runner)
         assert FORCE_EVALUATIONS.delta(before) == 0

@@ -125,8 +125,8 @@ class TestBoardCommands:
         assert "--board" in capsys.readouterr().err
 
     def test_serve_and_work_through_a_board_url(self, tmp_path, capsys):
-        """The one-URL backend selection: ``--board file:PATH`` drives the
-        same serve/work/merge cycle the old ``--leases PATH`` form did."""
+        """The one-URL backend selection: ``--board file:PATH`` drives a
+        whole serve/work/merge cycle over the shared-filesystem board."""
         board = f"file:{tmp_path / 'leases.json'}"
         common = ["--workload", "peptide-tiny", "--steps", "2"]
         code = main([

@@ -78,3 +78,17 @@ def test_md_nonbonded_does_not_load_the_parallel_package():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "CLEAN"
+
+
+def test_core_does_not_load_the_campaign_package():
+    """``core`` sits below ``campaign``: importing the characterization
+    method must not pull any ``repro.campaign*`` module in."""
+    code = (
+        "import sys, repro.core; "
+        "loaded = [m for m in sys.modules if m.startswith('repro.campaign')]; "
+        "print(','.join(loaded) or 'CLEAN')"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "CLEAN"
