@@ -31,6 +31,7 @@ from scipy.spatial import cKDTree
 from ..instrument.counters import NEIGHBOR_BUILDS
 from .box import PeriodicBox
 from .cutoff import CutoffScheme
+from .nonbonded import accept_within, row_tiles
 
 __all__ = ["NeighborList", "brute_force_pairs"]
 
@@ -207,12 +208,25 @@ def within_cutoff(
 
     Minimum-image displacement and a squared-distance compare — identical
     arithmetic whatever proposed the candidates, so the accepted set is too.
+    The proposals are walked in the pair kernel's row tiles
+    (:func:`repro.md.nonbonded.row_tiles`); the verdict is per row, so the
+    tiling is invisible in the result.
     """
-    plo = positions.take(lo, axis=0)
-    dr = box.min_image(np.subtract(plo, positions.take(hi, axis=0), out=plo))
-    d2 = np.einsum("ij,ij->i", dr, dr)
-    rows = np.flatnonzero(d2 <= cutoff * cutoff)
-    return rows, d2.take(rows)
+    cut2 = cutoff * cutoff
+    tiles = row_tiles(len(lo))
+    if len(tiles) == 1:
+        rows, _, d2 = accept_within(positions, box, lo, hi, cut2)
+        return rows, d2.take(rows)
+    rows_out = np.empty(len(lo), dtype=np.intp)
+    d2_out = np.empty(len(lo), dtype=np.float64)
+    filled = 0
+    for tile in tiles:
+        rows, _, d2 = accept_within(positions, box, lo[tile], hi[tile], cut2)
+        stop = filled + len(rows)
+        np.add(rows, tile.start, out=rows_out[filled:stop])
+        d2.take(rows, out=d2_out[filled:stop])
+        filled = stop
+    return rows_out[:filled], d2_out[:filled]
 
 
 def absent_from(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ the cache on or off.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -88,10 +87,6 @@ class SharedComputeCache:
     _once: dict[Any, Any] = field(default_factory=dict, repr=False)
     _statics_ref: weakref.ref | None = field(default=None, repr=False)
     _statics: tuple | None = field(default=None, repr=False)
-    # pair_statics is reached from inside the force kernel rather than at
-    # a rank-program yield point, so unlike the methods above nothing else
-    # serializes its check-then-fill
-    _statics_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # ------------------------------------------------------------------
     def neighbor_pairs(
@@ -165,12 +160,11 @@ class SharedComputeCache:
         Identity of ``base`` is the key (held by weakref): a rebuild
         allocates a new array and naturally invalidates.
         """
-        with self._statics_lock:
-            cached = self._statics_ref() if self._statics_ref is not None else None
-            if cached is not base:
-                self._statics = factory(base)
-                self._statics_ref = weakref.ref(base)
-            return self._statics
+        cached = self._statics_ref() if self._statics_ref is not None else None
+        if cached is not base:
+            self._statics = factory(base)
+            self._statics_ref = weakref.ref(base)
+        return self._statics
 
     # ------------------------------------------------------------------
     def once(self, key: Any, factory: Callable[[], Any]) -> Any:

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from ...instrument.timeline import register_phase
 from .decomposition import SpatialDecomposition, grid_for, halo_pulses
-from .engine import SpatialEngine, SpatialLedger, SpatialOutcome, binomial_fold
+from .engine import (
+    SpatialEngine,
+    SpatialLedger,
+    SpatialMigrationError,
+    SpatialOutcome,
+    binomial_fold,
+)
 from .program import spatial_rank_program
 
 # the spatial step introduces two new timeline phases
@@ -24,6 +30,7 @@ __all__ = [
     "SpatialDecomposition",
     "SpatialEngine",
     "SpatialLedger",
+    "SpatialMigrationError",
     "SpatialOutcome",
     "binomial_fold",
     "grid_for",

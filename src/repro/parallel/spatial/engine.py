@@ -70,7 +70,44 @@ from ..decomposition import AtomDecomposition, _block_bounds
 from ..pmd import energy_to_vector, vector_to_energy
 from .decomposition import SpatialDecomposition
 
-__all__ = ["SpatialEngine", "SpatialLedger", "SpatialOutcome", "binomial_fold"]
+__all__ = [
+    "SpatialEngine",
+    "SpatialLedger",
+    "SpatialMigrationError",
+    "SpatialOutcome",
+    "binomial_fold",
+]
+
+
+class SpatialMigrationError(RuntimeError):
+    """Owned atoms crossed more than one cell of the rank grid in one step.
+
+    The migration schedule is single-hop: per dimension, an atom is handed
+    to the neighbouring cell or stays.  ``atoms`` are the offenders' global
+    indices on ``rank`` at ``step``; ``dim`` is the grid axis when the
+    check that fired knows it, else ``None``.
+    """
+
+    def __init__(
+        self, rank: int, step: int, atoms: np.ndarray, dim: int | None = None
+    ) -> None:
+        self.rank = rank
+        self.step = step
+        self.atoms = tuple(int(a) for a in atoms)
+        self.dim = dim
+        # the fields are the args, so the error survives pickling
+        super().__init__(rank, step, self.atoms, dim)
+
+    def __str__(self) -> str:
+        shown = ", ".join(map(str, self.atoms[:8]))
+        more = f" (+{len(self.atoms) - 8} more)" if len(self.atoms) > 8 else ""
+        axis = "" if self.dim is None else f" along dim {self.dim}"
+        return (
+            f"rank {self.rank} step {self.step}: atoms [{shown}]{more} moved "
+            f"more than one cell{axis} in one step, but migration is "
+            "single-hop — use a shorter timestep, or fewer ranks along that "
+            "axis so the cells are wider"
+        )
 
 
 def binomial_fold(blocks: list[np.ndarray]) -> np.ndarray:
@@ -352,10 +389,7 @@ class SpatialEngine:
         owners = self.decomp.owners(self.positions[owned])
         wrong = owners != self.rank
         if np.any(wrong):
-            raise RuntimeError(
-                f"rank {self.rank}: atoms {owned[wrong][:8].tolist()} ended the "
-                "step outside their owner's cell (moved more than one cell?)"
-            )
+            raise SpatialMigrationError(self.rank, self._step, owned[wrong])
 
     def outcome(self) -> SpatialOutcome:
         owned = np.nonzero(self.owned_mask)[0]
@@ -419,10 +453,7 @@ class SpatialEngine:
         if direction == 0:
             bad = (delta != 0) & (delta != 1) & (delta != g - 1)
             if np.any(bad):
-                raise RuntimeError(
-                    f"rank {self.rank}: atoms {owned[bad][:8].tolist()} moved "
-                    f"more than one cell along dim {dim} in one step"
-                )
+                raise SpatialMigrationError(self.rank, self._step, owned[bad], dim)
             sel = delta == g - 1
         else:
             sel = (delta == 1) & (delta != g - 1)

@@ -92,9 +92,6 @@ class ChargeMesh:
             dw.append(dwd)
         return idx, w, dw
 
-    # backwards-compatible private alias
-    _stencil = stencil
-
     # ------------------------------------------------------------------
     def spread(
         self,

@@ -48,6 +48,18 @@ def peptide_system_shift(forcefield):
 
 
 @pytest.fixture()
+def small_pair_tiles(monkeypatch):
+    """Shrink the pair kernel's row tile to a small prime.
+
+    The default tile (65,536 rows) is longer than any list of the small
+    test systems, so without this only the myoglobin tests would cross a
+    tile seam.  At 97 rows every list and every rank's block spans many
+    tiles, with seams that line up with no block or cell boundary.
+    """
+    monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", 97)
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20020415)
 

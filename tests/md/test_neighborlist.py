@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.md import CutoffScheme, NeighborList, PeriodicBox, brute_force_pairs
+from repro.md.neighborlist import within_cutoff
 
 
 def _random_positions(rng, n, box):
@@ -224,3 +225,49 @@ class TestStepPrefilter:
             assert np.all(ref_d[within] <= bound)
             pos = moved
 
+
+
+class TestRowTiles:
+    """The exact accept test walks its proposals in the pair kernel's row
+    tiles; where the seams fall is invisible in what it returns."""
+
+    T = 97
+
+    @pytest.fixture(scope="class")
+    def proposals(self):
+        rng = np.random.default_rng(5)
+        box = PeriodicBox(15, 15, 15)
+        pos = _random_positions(rng, 60, box)
+        lo, hi = np.triu_indices(len(pos), k=1)  # 1770 proposals, ~7 % accepted
+        return pos, box, lo, hi
+
+    @pytest.mark.parametrize("n_rows", [0, T - 1, T, T + 1, 2 * T, 2 * T + 1, 1770])
+    def test_within_cutoff_identical(self, proposals, monkeypatch, n_rows):
+        pos, box, lo, hi = proposals
+        lo, hi = lo[:n_rows], hi[:n_rows]
+        rows, d2 = within_cutoff(pos, box, lo, hi, 4.0)
+        monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", self.T)
+        t_rows, t_d2 = within_cutoff(pos, box, lo, hi, 4.0)
+        assert t_rows.dtype == rows.dtype and t_d2.dtype == d2.dtype
+        assert np.array_equal(t_rows, rows) and np.array_equal(t_d2, d2)
+        assert n_rows < 2 * self.T or len(rows) > 0
+
+    def test_no_proposal_accepted(self, proposals, monkeypatch):
+        pos, box, lo, hi = proposals
+        monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", self.T)
+        rows, d2 = within_cutoff(pos, box, lo, hi, 1e-3)
+        assert rows.shape == d2.shape == (0,)
+
+    def test_build_identical(self, proposals, monkeypatch):
+        """Pairs, and the build-time distances the prefilter certifies by."""
+        pos, box, _, _ = proposals
+        scheme = CutoffScheme(r_cut=4.0, skin=1.0)
+        whole = NeighborList(box, scheme)
+        whole.build(pos)
+        monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", self.T)
+        tiled = NeighborList(box, scheme)
+        tiled.build(pos)
+        assert len(whole.pairs) > self.T
+        assert np.array_equal(tiled.pairs, whole.pairs)
+        assert np.array_equal(tiled.pair_ref_d, whole.pair_ref_d)
+        assert tiled.last_candidates == whole.last_candidates

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from repro.md import CutoffScheme, NonbondedKernel, PeriodicBox, default_forcefield
+from repro.md import (
+    CutoffScheme,
+    NeighborList,
+    NonbondedKernel,
+    PeriodicBox,
+    default_forcefield,
+)
 from repro.md.units import COULOMB_CONSTANT
 
 BOX = PeriodicBox(40.0, 40.0, 40.0)
@@ -124,6 +130,11 @@ class TestEwaldDirect:
                 fd = -(ep.total - em.total) / (2 * h)
                 assert forces[i, d] == pytest.approx(fd, abs=1e-5)
 
+    def test_forces_match_gradient_across_tiles(self, monkeypatch):
+        """One pair per tile: the three-pair list spans three tiles."""
+        monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", 1)
+        self.test_forces_match_gradient()
+
 
 class TestShiftGradients:
     def test_forces_match_gradient(self):
@@ -140,6 +151,11 @@ class TestShiftGradients:
                 em, _ = kern.compute(pm, pairs)
                 fd = -(ep.total - em.total) / (2 * h)
                 assert forces[i, d] == pytest.approx(fd, abs=1e-5)
+
+    def test_forces_match_gradient_across_tiles(self, monkeypatch):
+        """One pair per tile: the three-pair list spans three tiles."""
+        monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", 1)
+        self.test_forces_match_gradient()
 
 
 class TestBookkeeping:
@@ -165,3 +181,109 @@ class TestBookkeeping:
         pairs = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
         _, forces = kern.compute(pos, pairs)
         assert np.allclose(forces.sum(axis=0), 0.0, atol=1e-10)
+
+
+class TestRowTiles:
+    """A list walked in row tiles returns the arrays of the one-tile
+    evaluation — equal, not close — wherever the seams fall."""
+
+    T = 97
+    LENGTHS = [0, T - 1, T, T + 1, 2 * T, 2 * T + 1]
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        """120 charged atoms, their Verlet list (1078 rows, about half
+        of them skin) and coordinates the list has checked since its build."""
+        rng = np.random.default_rng(11)
+        box = PeriodicBox(15.0, 15.0, 15.0)
+        scheme = CutoffScheme(r_cut=4.0, skin=1.0)
+        n = 120
+        built_at = rng.uniform(0.0, 15.0, (n, 3))
+        nl = NeighborList(box, scheme)
+        nl.build(built_at)
+        pos = built_at + rng.normal(scale=0.05, size=built_at.shape)
+        assert not nl.needs_rebuild(pos)
+        ref_d, bound = nl.step_prefilter(pos, nl.pairs)
+        assert 0 < np.count_nonzero(ref_d > bound) < len(ref_d)  # it drops rows
+        types = [("OT", "HT", "CT2")[k % 3] for k in range(n)]
+        charges = rng.uniform(-0.8, 0.8, n)
+        return box, scheme, nl, pos, types, charges
+
+    @staticmethod
+    def _kernel(scene, elec_mode, prefilter=False):
+        box, scheme, nl, _, types, charges = scene
+        kern = NonbondedKernel(
+            default_forcefield(), types, charges, box, scheme,
+            elec_mode=elec_mode, ewald_alpha=0.35 if elec_mode == "ewald" else None,
+        )
+        if prefilter:
+            kern.attach_prefilter(nl.step_prefilter)
+        return kern
+
+    @staticmethod
+    def _evaluate(kern, pos, pairs):
+        terms = kern.pair_terms(pos, pairs)
+        count = kern.last_pair_count
+        energies, forces = kern.compute(pos, pairs)
+        return terms, count, energies, forces
+
+    def _assert_tiling_invisible(self, monkeypatch, kern, pos, pairs):
+        """Evaluate in one tile, then in tiles of ``T`` rows; compare."""
+        terms, count, energies, forces = self._evaluate(kern, pos, pairs)
+        monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", self.T)
+        t_terms, t_count, t_energies, t_forces = self._evaluate(kern, pos, pairs)
+        monkeypatch.undo()
+        for tiled, whole in zip(t_terms, terms):
+            assert tiled.dtype == whole.dtype and tiled.shape == whole.shape
+            assert np.array_equal(tiled, whole)
+        assert t_count == count == len(terms[0])
+        assert t_energies == energies
+        assert np.array_equal(t_forces, forces)
+        return count
+
+    @pytest.mark.parametrize("n_rows", LENGTHS)
+    @pytest.mark.parametrize("prefilter", [False, True], ids=["plain", "prefilter"])
+    @pytest.mark.parametrize("elec_mode", ["shift", "ewald"])
+    def test_list_lengths_around_the_seams(
+        self, scene, monkeypatch, elec_mode, prefilter, n_rows
+    ):
+        nl, pos = scene[2], scene[3]
+        assert len(nl.pairs) > 2 * self.T + 1
+        kern = self._kernel(scene, elec_mode, prefilter)
+        count = self._assert_tiling_invisible(monkeypatch, kern, pos, nl.pairs[:n_rows])
+        assert 0 < count < n_rows or n_rows == 0  # the skin rows were cut
+
+    @pytest.mark.parametrize("prefilter", [False, True], ids=["plain", "prefilter"])
+    def test_row_slice_at_an_offset(self, scene, monkeypatch, prefilter):
+        """A rank's block: statics and prefilter distances are served from
+        the base list's arrays at ``offset + tile``."""
+        nl, pos = scene[2], scene[3]
+        block = nl.pairs[53 : 53 + 3 * self.T + 5]
+        kern = self._kernel(scene, "ewald", prefilter)
+        assert kern._row_slice(block) == (nl.pairs, 53)
+        self._assert_tiling_invisible(monkeypatch, kern, pos, block)
+
+    def test_view_that_is_no_row_slice(self, scene, monkeypatch):
+        """Every other row: no cached statics, parameters are gathered
+        from the accepted rows of each tile."""
+        nl, pos = scene[2], scene[3]
+        strided = nl.pairs[::2]
+        kern = self._kernel(scene, "shift", prefilter=True)
+        assert kern._row_slice(strided) is None
+        assert len(strided) > 3 * self.T
+        self._assert_tiling_invisible(monkeypatch, kern, pos, strided)
+
+    def test_tiles_that_accept_nothing(self, scene, monkeypatch):
+        box, scheme, nl, pos = scene[:4]
+        lo, hi = np.triu_indices(len(pos), k=1)
+        dr = box.min_image(pos[lo] - pos[hi])
+        d = np.sqrt(np.einsum("ij,ij->i", dr, dr))
+        every = np.stack([lo, hi], axis=1)
+        near, far = every[d < scheme.r_cut - 0.1], every[d > scheme.r_cut + 0.1]
+        kern = self._kernel(scene, "ewald")
+        hollow = np.concatenate([near[: self.T], far[: self.T], near[self.T : 150]])
+        assert self._assert_tiling_invisible(monkeypatch, kern, pos, hollow) == 150
+        nothing = far[: 2 * self.T + 9]
+        assert self._assert_tiling_invisible(monkeypatch, kern, pos, nothing) == 0
+        energies, forces = kern.compute(pos, nothing)
+        assert energies.total == 0.0 and not forces.any()

@@ -128,6 +128,12 @@ class TestParallelEqualsSerial:
         assert np.allclose(res.final_positions, ref_pos, atol=1e-9)
 
 
+@pytest.mark.usefixtures("small_pair_tiles")
+class TestParallelEqualsSerialAcrossTileSeams(TestParallelEqualsSerial):
+    """The same cases with every rank's block spanning several row tiles
+    (the serial ``reference`` was evaluated in one)."""
+
+
 class TestTimelines:
     def test_phases_present(self, peptide_system):
         system, pos = peptide_system

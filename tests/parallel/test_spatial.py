@@ -7,6 +7,8 @@ independent of p), and hard failures on anything the single-hop halo
 schedule cannot represent.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.parallel.spatial import (
     SpatialDecomposition,
     SpatialEngine,
     SpatialLedger,
+    SpatialMigrationError,
     grid_for,
     halo_pulses,
 )
@@ -88,6 +91,26 @@ class TestBitIdenticalToReplicated:
             _run(system, pos, p, "spatial", middleware="cmpi"),
             _run(system, pos, p, "replicated", middleware="cmpi"),
         )
+
+
+@pytest.mark.usefixtures("small_pair_tiles")
+class TestBitIdenticalAcrossTileSeams(TestBitIdenticalToReplicated):
+    """The same cases with every list spanning many row tiles: a spatial
+    rank's local list and a replicated rank's block of the shared list
+    put their seams at different pairs."""
+
+    @pytest.mark.parametrize("middleware", ["mpi", "cmpi"])
+    @pytest.mark.parametrize("strategy", ["replicated", "spatial"])
+    def test_tile_length_is_invisible(self, water, monkeypatch, strategy, middleware):
+        """Against the one-tile run: energies, trajectory and — through
+        ``last_pair_count``, the cost model's input — virtual time."""
+        system, pos = water
+        tiled = _run(system, pos, 4, strategy, middleware=middleware)
+        monkeypatch.undo()
+        whole = _run(system, pos, 4, strategy, middleware=middleware)
+        _assert_bit_identical(tiled, whole)
+        for t_tiled, t_whole in zip(tiled.timelines, whole.timelines):
+            assert t_tiled.total_seconds() == t_whole.total_seconds()
 
 
 def _with_skin(system, skin):
@@ -504,6 +527,26 @@ class TestHardFailures:
         engine.positions[moved, 0] = 15.5  # cell 2 of 4: two hops from cell 0
         with pytest.raises(RuntimeError, match="more than one cell"):
             engine.migrate_payload(0, 0)
+
+    def test_multi_cell_hop_error_is_typed_and_actionable(self, water):
+        """Both checks name the rank, step, atoms (and axis when known),
+        and say what to change; the error survives a process boundary."""
+        system, pos = water
+        engine = _slab_engine(system, pos)
+        engine.begin_step()
+        moved = int(np.nonzero(engine.owned_mask)[0][0])
+        engine.positions[moved, 0] = 15.5  # cell 2 of 4: two hops from cell 0
+        with pytest.raises(SpatialMigrationError) as hop:
+            engine.migrate_payload(0, 0)
+        err = hop.value
+        assert (err.rank, err.step, err.dim, err.atoms) == (0, 0, 0, (moved,))
+        assert "shorter timestep" in str(err) and "fewer ranks" in str(err)
+        with pytest.raises(SpatialMigrationError) as stray:
+            engine.end_step()
+        assert (stray.value.rank, stray.value.step, stray.value.dim) == (0, 0, None)
+        assert stray.value.atoms == (moved,)
+        copy = pickle.loads(pickle.dumps(err))
+        assert isinstance(copy, SpatialMigrationError) and str(copy) == str(err)
 
 
 class TestLedger:
