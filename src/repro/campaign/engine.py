@@ -45,6 +45,7 @@ from ..instrument.tracing import SpanTracer
 from ..parallel.costmodel import PIII_1GHZ, MachineCostModel
 from ..parallel.pmd import MDRunConfig
 from ..parallel.run import RunOptions, run_parallel_md
+from ..parallel.shared import TrajectorySession
 from . import manifest as mf
 from .keys import SCHEMA_VERSION, cache_key, point_seed, workload_fingerprint
 from .store import ResultStore, record_to_dict
@@ -84,6 +85,7 @@ def execute_built(
     base_seed: int,
     sanitize: bool = False,
     span_trace_path=None,
+    session: TrajectorySession | None = None,
 ) -> ResponseRecord:
     """Run one design point from scratch on an already-built workload.
 
@@ -91,11 +93,18 @@ def execute_built(
     :class:`~repro.instrument.tracing.SpanTracer` to the run and writes
     its Chrome trace-event JSON there — wall-clock only, so it
     participates in neither the cache key nor the record.
+
+    ``session``, when given, is the caller's
+    :class:`~repro.parallel.shared.TrajectorySession`: the run shares
+    the step results of its ``(p, middleware)`` trajectory with the
+    session's other platform variants.  Wall-clock only as well; audits
+    (``verify``) and pooled attempts pass none.
     """
     spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(base_seed, point))
     tracer = SpanTracer() if span_trace_path is not None else None
     options = RunOptions.for_point(
-        point, config=config, cost=cost, sanitize=sanitize, span_tracer=tracer
+        point, config=config, cost=cost, sanitize=sanitize, span_tracer=tracer,
+        shared_compute=True if session is None else session.cache_for(point, config, system),
     )
     if tracer is not None:
         with tracer.span("execute_point", track="engine", label=point.label()):
@@ -118,11 +127,13 @@ def execute_point(
     base_seed: int,
     sanitize: bool = False,
     span_trace_path=None,
+    session: TrajectorySession | None = None,
 ) -> ResponseRecord:
     """:func:`execute_built` over a named workload, in whatever process this is."""
     system, positions = build_workload(workload)
     return execute_built(
-        system, positions, point, config, cost, base_seed, sanitize, span_trace_path
+        system, positions, point, config, cost, base_seed, sanitize, span_trace_path,
+        session,
     )
 
 
@@ -471,11 +482,15 @@ class CampaignEngine:
             note()
 
         note()
+        # inline points run one after another in this process, so the
+        # platform variants of a trajectory can share its step results; a
+        # pooled attempt is its own forked process and gets no session
+        session = TrajectorySession(self.fingerprint) if self.n_workers <= 0 else None
         dispatch(
             _execute_args,
             {
                 key: (self.workload, points[i], self.config, self.cost, self.base_seed,
-                      self.sanitize, self.point_trace(key))
+                      self.sanitize, self.point_trace(key), session)
                 for key, i in first.items()
             },
             self.n_workers, self.timeout, self.retries, self.backoff,
@@ -532,6 +547,8 @@ class CampaignEngine:
         :meth:`run` does for misses; ``0`` re-runs inline.  No timeout or
         retries — these points already executed successfully once — and
         a re-run that errors or dies surfaces as a ``__rerun__`` mismatch.
+        Re-runs never get a trajectory session: an audit that replayed
+        the run it is checking would prove nothing.
         """
         import numpy as np
 

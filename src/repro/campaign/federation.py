@@ -32,6 +32,7 @@ from ..instrument.metrics import REGISTRY, merge_metrics
 from ..instrument.runlog import RunLog
 from ..parallel.costmodel import PIII_1GHZ, MachineCostModel
 from ..parallel.pmd import MDRunConfig
+from ..parallel.shared import TrajectorySession
 from . import manifest as mf
 from .board import Board, board_from_url
 from .engine import CampaignEngine, campaign_id_for, execute_point
@@ -172,6 +173,9 @@ def work_campaign(
         log_path = store.root / "logs" / f"worker-{worker}.jsonl"
     runlog = RunLog(log_path, campaign=campaign_id, worker=worker)
     metrics_before = REGISTRY.snapshot()
+    # this call's points run one after another in this process: platform
+    # variants of one (p, middleware) trajectory share its step results
+    session = TrajectorySession(engine.fingerprint)
     stats = {"claimed": 0, "executed": 0, "hits": 0, "failed": 0, "lost": 0}
     while max_points is None or stats["claimed"] < max_points:
         lease = board.claim(worker, ttl=ttl)
@@ -202,7 +206,7 @@ def work_campaign(
             record = execute_point(
                 engine.workload, point, engine.config, engine.cost,
                 engine.base_seed, sanitize=engine.sanitize,
-                span_trace_path=engine.point_trace(lease.key),
+                span_trace_path=engine.point_trace(lease.key), session=session,
             )
         except Exception as exc:
             stats["failed"] += 1
@@ -232,7 +236,11 @@ def work_campaign(
     if store.root is not None:
         path = store.root / f"metrics-{worker}.json"
         path.write_text(json.dumps(delta, indent=2, sort_keys=True) + "\n")
-    runlog.log("worker_done", **stats)
+    replay = {
+        name.rpartition(".")[2]: delta["counters"].get(name, {}).get("total", 0)
+        for name in ("exec.trajectory_recorded", "exec.trajectory_replayed")
+    }
+    runlog.log("worker_done", **stats, **replay)
     return {**stats, "metrics": delta}
 
 

@@ -25,6 +25,7 @@ from ..core.responses import ResponseRecord
 from ..md.system import MDSystem
 from ..parallel.costmodel import PIII_1GHZ, MachineCostModel
 from ..parallel.pmd import MDRunConfig
+from ..parallel.shared import TrajectorySession
 from .engine import execute_built
 from .keys import cache_key, workload_fingerprint
 from .store import ResultStore, shared_memory_store
@@ -82,21 +83,29 @@ class CharacterizationRunner:
         return cache_key(self.fingerprint, point, self.config, self.cost, self.base_seed)
 
     # ------------------------------------------------------------------
-    def run_record(self, point: DesignPoint) -> ResponseRecord:
+    def run_record(
+        self, point: DesignPoint, session: TrajectorySession | None = None
+    ) -> ResponseRecord:
         """One response row, through the store: hits perform no MD work."""
         key = self.point_key(point)
         cached = self.store.get(key)
         if cached is not None:
             return cached
         record = execute_built(
-            self.system, self.positions, point, self.config, self.cost, self.base_seed
+            self.system, self.positions, point, self.config, self.cost, self.base_seed,
+            session=session,
         )
         self.store.put(key, record, {"label": point.label(), "source": "runner"})
         return record
 
     def measure(self, points: list[DesignPoint]) -> list[ResponseRecord]:
-        """Run a whole design; returns one response row per point."""
-        return [self.run_record(p) for p in points]
+        """Run a whole design; returns one response row per point.
+
+        The design's platform variants of one ``(p, middleware)``
+        trajectory share its step results through one session.
+        """
+        session = TrajectorySession(self.fingerprint)
+        return [self.run_record(p, session) for p in points]
 
     def sweep(
         self, config: PlatformConfig, processor_levels: tuple[int, ...] = (1, 2, 4, 8)

@@ -22,6 +22,8 @@ __all__ = [
     "NEIGHBOR_BUILDS",
     "PAIRLIST_BUILDS",
     "FRESH_ATOMS",
+    "TRAJECTORY_RECORDED",
+    "TRAJECTORY_REPLAYED",
 ]
 
 #: Incremented once per non-bonded kernel evaluation (see
@@ -44,3 +46,12 @@ PAIRLIST_BUILDS = REGISTRY.counter("spatial.pairlist_builds")
 #: over ranks and steps: atoms that entered a rank's halo, or migrated in,
 #: after the rank's list was built.
 FRESH_ATOMS = REGISTRY.counter("spatial.fresh_atoms")
+
+#: Step results a campaign session computed and recorded / adopted from an
+#: earlier run of the same trajectory (label ``site``: ``classic`` or
+#: ``pme``; see :meth:`repro.parallel.shared.SharedComputeCache.replay`).
+#: Both stay zero for a bare ``run_parallel_md``, ``verify`` and pooled
+#: dispatch.  The session's table size is the gauge
+#: ``exec.trajectory_table_bytes``.
+TRAJECTORY_RECORDED = REGISTRY.counter("exec.trajectory_recorded")
+TRAJECTORY_REPLAYED = REGISTRY.counter("exec.trajectory_replayed")

@@ -140,7 +140,8 @@ class ParallelPME:
 
         ``generation`` is the step driver's positions generation counter;
         it keys the shared stencil, which is computed once per step and
-        reused across the spread and interpolate directions of all ranks.
+        reused across the spread and interpolate directions of all ranks,
+        and the replay of the phase's terminal forces.
         """
         kx, ky, kz = self.pme.grid_shape
         x_range = self.fft.my_x_range
@@ -173,23 +174,32 @@ class ParallelPME:
         phi_slab = yield from self.fft.inverse(ep, mw, conv)
         phi = self.pme.total_points * phi_slab.real
 
-        # 5. partial force interpolation from owned planes
-        forces = self.mesh.interpolate_forces(
-            positions, self.charges, phi, x_range=x_range, stencil=stencil
-        )
-        assert self.mesh.last_workload is not None
-        yield from ep.compute(self.cost.spread(self.mesh.last_workload.scattered_points))
+        # 5. partial force interpolation from owned planes, plus the
+        # exclusion corrections of this rank's slice: the phase's terminal
+        # result, which a campaign session's cache replays across the
+        # platform variants of one trajectory
+        def evaluate() -> tuple[np.ndarray, tuple]:
+            f_mesh = self.mesh.interpolate_forces(
+                positions, self.charges, phi, x_range=x_range, stencil=stencil
+            )
+            assert self.mesh.last_workload is not None
+            e_excl, f_excl = exclusion_correction(
+                positions, self.charges, self.my_exclusions, self.box, self.pme.alpha
+            )
+            return f_mesh + f_excl, (self.mesh.last_workload.scattered_points, e_excl)
 
-        # exclusion corrections (this rank's slice) + self-energy share
-        e_excl, f_excl = exclusion_correction(
-            positions, self.charges, self.my_exclusions, self.box, self.pme.alpha
-        )
+        if self.shared is None:
+            forces, scalars = evaluate()
+        else:
+            forces, scalars = self.shared.replay(
+                "pme", self.rank, generation, positions, evaluate
+            )
+        yield from ep.compute(self.cost.spread(int(scalars[0])))
         yield from ep.compute(self.cost.exclusions(len(self.my_exclusions)))
-        forces += f_excl
 
         return ParallelPMEResult(
             reciprocal_energy=energy,
             self_energy=self.self_energy_share,
-            exclusion_energy=e_excl,
+            exclusion_energy=scalars[1],
             forces=forces,
         )

@@ -91,9 +91,16 @@ class RunOptions:
     shared_compute:
         Deduplicate replicated-data computations (neighbour-list builds,
         PME stencils, once-per-run setup) across the simulated ranks via
-        a run-wide :class:`SharedComputeCache`.  A wall-clock
-        optimization only: energies, trajectories and virtual timelines
-        are bit-identical with it on or off.  Default on.
+        a :class:`SharedComputeCache`.  ``True`` (the default) makes a
+        fresh cache for this run; ``False`` makes none (the oracle the
+        bit-identity tests compare against); a :class:`SharedComputeCache`
+        instance — what a campaign's
+        :class:`~repro.parallel.shared.TrajectorySession` passes, a fresh
+        one per run — is used as given, so the runs of one ``(workload,
+        p, middleware)`` trajectory also share its recorded step results
+        across platform variants.  A wall-clock optimization only:
+        energies, trajectories and virtual timelines are bit-identical
+        whichever is passed.  Ignored by ``strategy="spatial"``.
     strategy:
         ``"replicated"`` (CHARMM's replicated-data scheme, the default)
         or ``"spatial"`` (cell-grid domain decomposition with halo
@@ -113,7 +120,7 @@ class RunOptions:
     sanitize: bool = False
     trace: "CommTrace | None" = None
     span_tracer: "SpanTracer | None" = None
-    shared_compute: bool = True
+    shared_compute: bool | SharedComputeCache = True
     strategy: str = "replicated"
     spatial_grid: tuple[int, int, int] | None = None
 
@@ -133,7 +140,7 @@ class RunOptions:
         sanitize: bool = False,
         trace: "CommTrace | None" = None,
         span_tracer: "SpanTracer | None" = None,
-        shared_compute: bool = True,
+        shared_compute: bool | SharedComputeCache = True,
     ) -> "RunOptions":
         """THE :class:`DesignPoint` → :class:`RunOptions` conversion.
 
@@ -265,7 +272,12 @@ def _replicated_programs(
     outcome is the run's.
     """
     decomp = AtomDecomposition(system.n_atoms, cluster.n_ranks)
-    shared = SharedComputeCache() if opts.shared_compute else None
+    shared = opts.shared_compute
+    if not isinstance(shared, SharedComputeCache):
+        shared = SharedComputeCache() if shared else None
+    elif shared.n_real_builds:
+        # its generation-keyed entries are the previous run's
+        raise ValueError("a SharedComputeCache instance serves one run")
     programs = [
         rank_program(
             ep=world.endpoints[rank],

@@ -33,6 +33,22 @@ performs a numpy computation, not what any rank observes: adopted
 results are bit-identical to locally computed ones, so every charged
 counter — and therefore every virtual timeline — is bit-identical with
 the cache on or off.
+
+**Across the runs of one trajectory.**  Only *time* is simulated: the
+forces, energies and cost counters of a run depend on the workload, the
+rank count and the middleware's reduction order — never on the network,
+the node width or the platform noise seed.  A campaign's
+:class:`TrajectorySession` therefore binds the cache of every run of one
+``(workload, p, middleware, run config)`` trajectory to the *same* tables,
+and :meth:`SharedComputeCache.replay` records the two terminal results
+of a step (the classic phase's forces, energies and counters; the PME
+phase's interpolated + exclusion forces) the first time a trajectory is
+computed and hands them back to every later platform variant.  The
+argument above is the whole soundness proof, applied across platform
+variants: messages, spreads, FFTs and ``ep.compute`` charges all still
+run from the same counters.  A hit is additionally checked against the
+recorded coordinates of its generation, so a wrong key degrades into a
+miss, never into a wrong record.
 """
 
 from __future__ import annotations
@@ -43,9 +59,53 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..instrument.counters import TRAJECTORY_RECORDED, TRAJECTORY_REPLAYED
+from ..instrument.metrics import REGISTRY
 from ..md.neighborlist import NeighborList
 
-__all__ = ["SharedComputeCache"]
+__all__ = ["SharedComputeCache", "TrajectorySession", "TRAJECTORY_TABLE_BYTES"]
+
+#: Most replay-table bytes one :class:`TrajectorySession` admits; later
+#: trajectories run without tables (no eviction, no option).  Sized to
+#: hold the paper's own factorial whole — myoglobin-PME, 8 trajectories x
+#: 10 steps x 3552 atoms = 58.0 MB of tables, which take the 48 inline
+#: points from 41.3 s to 18.4 s for 187.5 -> 226.8 MB of peak RSS; the
+#: peptide-tiny factorial of the benchmark needs 1.2 MB.
+TRAJECTORY_TABLE_BYTES = 64 * 2**20
+
+#: replay sites -> row of the tables' leading axis
+_SITES = {"classic": 0, "pme": 1}
+#: scalar columns per record: six energies + n_pairs + n_terms (classic)
+_N_SCALARS = 8
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` (or a view of it) that raises on in-place writes."""
+    array.flags.writeable = False
+    return array
+
+
+class _TrajectoryTables:
+    """The records of one trajectory, preallocated before its first step.
+
+    A few large blocks handing out views, not one small object per
+    record: ~900 long-lived tuples and (70, 3) arrays pinned the heap's
+    high-water mark at +5.5 MB on the 48-point peptide campaign for
+    1.6 MB of payload; these tables cost +1.2 MB (+1.1 %).
+    """
+
+    def __init__(self, n_sites: int, n_steps: int, n_ranks: int, n_atoms: int) -> None:
+        self.forces = np.empty((n_sites, n_steps, n_ranks, n_atoms, 3))
+        self.scalars = np.empty((n_sites, n_steps, n_ranks, _N_SCALARS))
+        self.have = np.zeros((n_sites, n_steps, n_ranks), dtype=bool)
+        #: the coordinates each generation's records were computed from
+        self.snapshots = np.empty((n_steps, n_atoms, 3))
+        self.have_snapshot = np.zeros(n_steps, dtype=bool)
+
+    @staticmethod
+    def nbytes(n_sites: int, n_steps: int, n_ranks: int, n_atoms: int) -> int:
+        """Bytes of the float tables of that shape (the masks are noise)."""
+        return 8 * n_steps * (n_sites * n_ranks * (3 * n_atoms + _N_SCALARS) + 3 * n_atoms)
 
 
 @dataclass
@@ -64,12 +124,17 @@ class _NeighborOutcome:
 
 @dataclass
 class SharedComputeCache:
-    """Per-run deduplication of replicated-data computations.
+    """Deduplication of replicated-data computations.
 
-    One instance is created per :func:`repro.parallel.run.run_parallel_md`
-    call (and per campaign design point) and handed to every rank
-    program.  All methods are synchronous — ranks interleave only at the
-    simulator's yield points, so no locking is needed.
+    One instance serves the ranks of one run: a bare
+    :func:`repro.parallel.run.run_parallel_md` call creates its own, and
+    a campaign's :class:`TrajectorySession` hands each run (as
+    ``RunOptions.shared_compute``) a fresh one bound to the replay tables
+    of the run's trajectory — the rank-to-rank state below dies with the
+    run, only the tables behind :meth:`replay` outlive it.  All methods
+    are synchronous — ranks interleave only at the simulator's yield
+    points, so no locking is needed.  Every array handed to more than
+    one consumer is read-only.
     """
 
     #: real neighbour-list builds performed through this cache
@@ -87,6 +152,52 @@ class SharedComputeCache:
     _once: dict[Any, Any] = field(default_factory=dict, repr=False)
     _statics_ref: weakref.ref | None = field(default=None, repr=False)
     _statics: tuple | None = field(default=None, repr=False)
+    #: the records of this run's trajectory, shared with its other runs;
+    #: None outside a campaign session
+    _tables: _TrajectoryTables | None = field(default=None, repr=False)
+
+    # ------------------------------------------------------------------
+    def replay(
+        self,
+        site: str,
+        rank: int,
+        generation: int | None,
+        positions: np.ndarray,
+        compute: Callable[[], tuple[np.ndarray, tuple]],
+    ) -> tuple[np.ndarray, tuple | list]:
+        """``compute()``'s ``(forces, scalars)`` for one rank at one
+        generation — computed, or adopted from an earlier run of the same
+        trajectory.
+
+        A record is adopted only when ``positions`` equals, bit for bit,
+        the coordinates it was computed from; otherwise the generation's
+        records are dropped and this call computes and re-records.  A
+        cache without tables (any run outside a session), or a caller
+        without a generation counter, just computes.
+        """
+        tables = self._tables
+        if tables is None or generation is None:
+            return compute()
+        s = _SITES[site]
+        current = tables.have_snapshot[generation] and np.array_equal(
+            positions, tables.snapshots[generation]
+        )
+        if current and tables.have[s, generation, rank]:
+            TRAJECTORY_REPLAYED.increment(site=site)
+            return (
+                _read_only(tables.forces[s, generation, rank]),
+                tables.scalars[s, generation, rank].tolist(),
+            )
+        forces, scalars = compute()
+        if not current:
+            tables.snapshots[generation] = positions
+            tables.have_snapshot[generation] = True
+            tables.have[:, generation] = False
+        tables.forces[s, generation, rank] = forces
+        tables.scalars[s, generation, rank, : len(scalars)] = scalars
+        tables.have[s, generation, rank] = True
+        TRAJECTORY_RECORDED.increment(site=site)
+        return forces, scalars
 
     # ------------------------------------------------------------------
     def neighbor_pairs(
@@ -126,7 +237,7 @@ class SharedComputeCache:
         self._neighbors = _NeighborOutcome(
             generation=generation,
             rebuilt=rebuilt,
-            pairs=nl.pairs,
+            pairs=_read_only(nl.pairs),
             ref_positions=nl._ref_positions,
             candidates=nl.last_candidates,
             ref_d=nl.pair_ref_d,
@@ -143,6 +254,9 @@ class SharedComputeCache:
             self.n_stencil_hits += 1
             return self._stencil
         self._stencil = mesh.stencil(positions)
+        for per_axis in self._stencil:
+            for array in per_axis:
+                _read_only(array)
         self._stencil_key = key
         self.n_stencils += 1
         return self._stencil
@@ -162,7 +276,7 @@ class SharedComputeCache:
         """
         cached = self._statics_ref() if self._statics_ref is not None else None
         if cached is not base:
-            self._statics = factory(base)
+            self._statics = tuple(_read_only(a) for a in factory(base))
             self._statics_ref = weakref.ref(base)
         return self._statics
 
@@ -174,3 +288,43 @@ class SharedComputeCache:
         if key not in self._once:
             self._once[key] = factory()
         return self._once[key]
+
+
+class TrajectorySession:
+    """One campaign pass's trajectory tables, keyed on stable fields only.
+
+    Owned by whoever loops over design points in one process — the inline
+    dispatch of ``CampaignEngine.run``, ``work_campaign`` and
+    ``CharacterizationRunner.measure`` — and dropped with it.
+    :meth:`cache_for` answers what a point's ``RunOptions.shared_compute``
+    should be: a cache bound to the tables of the point's trajectory
+    while the session's tables fit :data:`TRAJECTORY_TABLE_BYTES`, else
+    plain ``True`` (a cache without tables).
+    """
+
+    def __init__(self, workload_fingerprint: str) -> None:
+        self.workload_fingerprint = workload_fingerprint
+        #: trajectory key -> its tables
+        self.tables: dict[tuple, _TrajectoryTables] = {}
+        #: bytes of the tables admitted so far
+        self.table_bytes = 0
+
+    def cache_for(self, point, config, system) -> "SharedComputeCache | bool":
+        """The ``shared_compute`` value for one run of ``point`` under ``config``."""
+        strategy = getattr(point, "strategy", "replicated")
+        if strategy != "replicated":
+            return True
+        key = (
+            self.workload_fingerprint, point.n_ranks, point.config.middleware, strategy,
+            config.dt, config.temperature, config.velocity_seed, config.n_steps,
+        )
+        tables = self.tables.get(key)
+        if tables is None:
+            shape = (1 + system.uses_pme, config.n_steps, point.n_ranks, system.n_atoms)
+            nbytes = _TrajectoryTables.nbytes(*shape)
+            if self.table_bytes + nbytes > TRAJECTORY_TABLE_BYTES:
+                return True
+            self.table_bytes += nbytes
+            REGISTRY.gauge("exec.trajectory_table_bytes").set(self.table_bytes)
+            tables = self.tables[key] = _TrajectoryTables(*shape)
+        return SharedComputeCache(_tables=tables)

@@ -27,3 +27,32 @@ def tiny_points(ranks=(1, 2)) -> list[DesignPoint]:
 @pytest.fixture()
 def store_root(tmp_path):
     return tmp_path / "cache"
+
+
+def run_point(system, positions, point, config, base_seed=2002, **options):
+    """One design point on the executor's platform (same derived seed),
+    with the caller's :class:`RunOptions` fields — for tests that need the
+    whole :class:`ParallelRunResult`, not just the record."""
+    from repro.campaign.keys import point_seed
+    from repro.parallel import RunOptions, run_parallel_md
+
+    spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(base_seed, point))
+    opts = RunOptions.for_point(point, config=config, **options)
+    return run_parallel_md(system, positions, spec, opts)
+
+
+def oracle_store(engine: CampaignEngine, points, sanitize: bool = False) -> ResultStore:
+    """``engine``'s campaign with no cache of any kind (``shared_compute=False``):
+    what every session-backed store is compared against."""
+    from repro.campaign.workloads import build_workload
+    from repro.core.responses import ResponseRecord
+
+    system, positions = build_workload(engine.workload)
+    store = ResultStore(None)
+    for point in points:
+        result = run_point(
+            system, positions, point, engine.config, engine.base_seed,
+            sanitize=sanitize, shared_compute=False,
+        )
+        store.put(engine.key_for(point), ResponseRecord.from_run(point, result), {})
+    return store

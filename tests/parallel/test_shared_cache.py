@@ -12,6 +12,13 @@ Three guarantees, each load-bearing for the replicated-data dedup layer
    event regardless of the simulated rank count, proven by the
    process-wide :data:`~repro.instrument.counters.NEIGHBOR_BUILDS`
    counter.
+
+A cache with replay tables (what a campaign's ``TrajectorySession``
+hands the runs of one trajectory) extends the same three guarantees
+across runs; its one extra duty is to stay right under a *wrong* key:
+a record is adopted only after a bit-for-bit comparison of coordinates
+(``TestReplay``).  The campaign-level half is in
+``tests/campaign/test_trajectory_session.py``.
 """
 
 from dataclasses import asdict
@@ -19,18 +26,25 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
-from repro.instrument.counters import NEIGHBOR_BUILDS
+from repro.cluster import ClusterSpec, myrinet_gm, tcp_gigabit_ethernet
+from repro.core.design import DesignPoint
+from repro.core.factors import FOCAL_POINT
+from repro.instrument.counters import (
+    NEIGHBOR_BUILDS,
+    TRAJECTORY_RECORDED,
+    TRAJECTORY_REPLAYED,
+)
 from repro.md import CutoffScheme, MDSystem
 from repro.parallel import MDRunConfig, RunOptions, SharedComputeCache, run_parallel_md
+from repro.parallel.shared import TrajectorySession
 
 CFG = MDRunConfig(n_steps=4, dt=0.0004)
 
 
-def _run(system, pos, p, shared_compute):
-    spec = ClusterSpec(n_ranks=p, network=tcp_gigabit_ethernet())
+def _run(system, pos, p, shared_compute, config=CFG, network=tcp_gigabit_ethernet, seed=2002):
+    spec = ClusterSpec(n_ranks=p, network=network(), seed=seed)
     return run_parallel_md(
-        system, pos, spec, RunOptions(config=CFG, shared_compute=shared_compute)
+        system, pos, spec, RunOptions(config=config, shared_compute=shared_compute)
     )
 
 
@@ -89,20 +103,147 @@ class TestDeduplication:
 
     def test_cache_counters(self, peptide_system):
         system, pos = peptide_system
-        spec = ClusterSpec(n_ranks=4, network=tcp_gigabit_ethernet())
         shared = SharedComputeCache()
-        # run through the public entry point but keep a handle on the cache
-        from repro.parallel import run as run_mod
-
-        original = run_mod.SharedComputeCache
-        run_mod.SharedComputeCache = lambda: shared
-        try:
-            _run(system, pos, 4, True)
-        finally:
-            run_mod.SharedComputeCache = original
+        _run(system, pos, 4, shared)
         assert shared.n_real_builds >= 1
         # one rank maintains the list per step; the other 3 mirror it
         assert shared.n_mirrored == 3 * CFG.n_steps
         # one stencil evaluation per step, hit by the other 3 ranks
         assert shared.n_stencils == CFG.n_steps
         assert shared.n_stencil_hits == 3 * CFG.n_steps
+
+
+# ---------------------------------------------------------------------------
+def _trajectory(system, p, config=CFG):
+    """What a session hands the runs of one ``(config, p, system)``
+    trajectory: each call is a fresh cache bound to the same tables."""
+    session = TrajectorySession("any-fingerprint")
+    point = DesignPoint(config=FOCAL_POINT, n_ranks=p)
+
+    def fresh_cache() -> SharedComputeCache:
+        cache = session.cache_for(point, config, system)
+        assert isinstance(cache, SharedComputeCache)
+        return cache
+
+    return fresh_cache
+
+
+def _assert_same_run(got, want):
+    assert np.array_equal(got.final_positions, want.final_positions)
+    assert [asdict(e) for e in got.energies] == [asdict(e) for e in want.energies]
+    for t_got, t_want in zip(got.timelines, want.timelines):
+        assert t_got.phases == t_want.phases
+
+
+class TestReplay:
+    P = 4
+    #: lookups per run and per site: one per rank per step
+    LOOKUPS = P * CFG.n_steps
+
+    def test_second_platform_replays_the_first(self, peptide_system):
+        system, pos = peptide_system
+        fresh_cache = _trajectory(system, self.P)
+        recorded, replayed = TRAJECTORY_RECORDED.snapshot(), TRAJECTORY_REPLAYED.snapshot()
+        first = _run(system, pos, self.P, fresh_cache())
+        assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.LOOKUPS
+        assert TRAJECTORY_REPLAYED.delta(replayed) == 0
+        # another network, another noise seed: same forces, other timings
+        second = _run(system, pos, self.P, fresh_cache(), network=myrinet_gm, seed=7)
+        assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.LOOKUPS
+        assert TRAJECTORY_REPLAYED.delta(replayed) == 2 * self.LOOKUPS
+        _assert_same_run(first, _run(system, pos, self.P, False))
+        _assert_same_run(
+            second, _run(system, pos, self.P, False, network=myrinet_gm, seed=7)
+        )
+
+    def test_poisoned_key_degrades_into_misses(self, peptide_system):
+        """Two different trajectories forced onto one table set stay bit-exact.
+
+        Generation 0 is the shared initial coordinates, where both
+        trajectories have the same forces, so it alone may be adopted;
+        from generation 1 on the coordinate check refuses every record.
+        """
+        system, pos = peptide_system
+        fresh_cache = _trajectory(system, self.P)
+        configs = [MDRunConfig(n_steps=4, dt=0.0004, velocity_seed=s) for s in (11, 12)]
+        oracles = [_run(system, pos, self.P, False, config=c) for c in configs]
+        assert not np.array_equal(oracles[0].final_positions, oracles[1].final_positions)
+        for n_run, turn in enumerate((0, 1, 0, 1)):
+            recorded, replayed = TRAJECTORY_RECORDED.snapshot(), TRAJECTORY_REPLAYED.snapshot()
+            got = _run(system, pos, self.P, fresh_cache(), config=configs[turn])
+            _assert_same_run(got, oracles[turn])
+            adopted = 2 * self.P if n_run else 0  # generation 0, both sites
+            assert TRAJECTORY_REPLAYED.delta(replayed) == adopted
+            assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.LOOKUPS - adopted
+
+    def test_snapshot_off_by_one_ulp_is_a_miss(self, peptide_system):
+        system, pos = peptide_system
+        fresh_cache = _trajectory(system, self.P)
+        want = _run(system, pos, self.P, fresh_cache())
+        snapshot = fresh_cache()._tables.snapshots
+        snapshot[2, 5, 1] = np.nextafter(snapshot[2, 5, 1], np.inf)
+        recorded, replayed = TRAJECTORY_RECORDED.snapshot(), TRAJECTORY_REPLAYED.snapshot()
+        got = _run(system, pos, self.P, fresh_cache())
+        _assert_same_run(got, want)
+        # generation 2 was recomputed and re-recorded by every rank at both sites
+        assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.P
+        assert TRAJECTORY_REPLAYED.delta(replayed) == 2 * (self.LOOKUPS - self.P)
+        two_steps = MDRunConfig(n_steps=2, dt=CFG.dt)
+        assert np.array_equal(
+            snapshot[2], _run(system, pos, self.P, False, config=two_steps).final_positions
+        )
+
+    def test_a_cache_instance_serves_one_run(self, peptide_system):
+        """Its generation-keyed entries would be the previous run's."""
+        system, pos = peptide_system
+        cache = SharedComputeCache()
+        _run(system, pos, 2, cache)
+        with pytest.raises(ValueError, match="serves one run"):
+            _run(system, pos, 2, cache)
+
+
+class TestReadOnlyHandOuts:
+    """What one rank adopts from another must not be writable in place."""
+
+    def test_replayed_forces(self, peptide_system):
+        system, pos = peptide_system
+        cache = _trajectory(system, 1)()
+        tables = cache._tables
+        # the admission arithmetic is the size of what gets allocated
+        assert tables.nbytes(2, CFG.n_steps, 1, system.n_atoms) == (
+            tables.forces.nbytes + tables.scalars.nbytes + tables.snapshots.nbytes
+        )
+        computed = (np.ones((system.n_atoms, 3)), (1.0, 2.0))
+        forces, _ = cache.replay("pme", 0, 0, pos, lambda: computed)
+        assert forces is computed[0]  # the recording run keeps its own array
+
+        def never():
+            raise AssertionError("a recorded generation must not recompute")
+
+        forces, scalars = cache.replay("pme", 0, 0, pos.copy(), never)
+        assert np.array_equal(forces, computed[0]) and scalars[:2] == [1.0, 2.0]
+        assert not forces.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            forces += 1.0
+
+    def test_pairs_stencil_and_statics(self, peptide_system):
+        system, pos = peptide_system
+        seen = []
+
+        class Spy(SharedComputeCache):
+            def neighbor_pairs(self, nl, positions, generation):
+                seen.append(super().neighbor_pairs(nl, positions, generation))
+                return seen[-1]
+
+            def pme_stencil(self, mesh, positions, generation):
+                stencil = super().pme_stencil(mesh, positions, generation)
+                seen.extend(a for per_axis in stencil for a in per_axis)
+                return stencil
+
+            def pair_statics(self, base, factory):
+                seen.extend(super().pair_statics(base, factory))
+                return super().pair_statics(base, factory)
+
+        _run(system, pos, 2, Spy())
+        assert len(seen) > 3 * CFG.n_steps
+        assert not any(a.flags.writeable for a in seen)
