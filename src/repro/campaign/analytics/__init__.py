@@ -131,7 +131,7 @@ def run_analysis(
 
     if kind == "trend":
         if against is None:
-            raise AnalysisError("trend needs --against <baseline store|bench|manifest>")
+            raise AnalysisError("trend needs --against <baseline store|manifest>")
         baseline = load_trend_source(against, workers)
         cand = load_trend_source(candidate if candidate is not None else store_root, workers)
         shard_names = [baseline["name"], cand["name"]]

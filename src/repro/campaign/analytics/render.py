@@ -150,11 +150,10 @@ def _trend_sections(doc: dict) -> list[dict]:
             continue
         rows = []
         for entry in entries:
-            attribution = entry.get("attribution") or {}
-            note = attribution.get("dominant_phase") or attribution.get("note", "")
+            phase = entry.get("attribution", {}).get("dominant_phase", "")
             rows.append(
                 [entry["name"], entry["metric"], _fmt(entry["baseline"]),
-                 _fmt(entry["candidate"]), _fmt(entry["ratio"]), note]
+                 _fmt(entry["candidate"]), _fmt(entry["ratio"]), phase]
             )
         sections.append(
             {

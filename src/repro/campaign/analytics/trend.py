@@ -5,19 +5,16 @@ A *source* is anything that carries named timings:
 * a **store directory** — every record becomes one series named by its
   design identity, carrying the virtual wall / classic / PME times plus
   the six per-phase splits;
-* a **BENCH_wallclock.json** document — the committed host-seconds
-  baseline (``seconds`` and ``spatial`` keys, and the ``breakdown``
-  virtual splits when recorded with ``--breakdown``);
 * a **campaign manifest** — per-point harness wall seconds of the
   points that actually executed.
 
-The tolerance policy mirrors the bench gate: candidate/baseline ratios
-above ``factor`` are regressions (non-zero exit in the CLI, a failed
-job in CI), below ``1/factor`` improvements.  When both sides carry
-per-phase splits, each regression is *attributed*: virtual splits are
-deterministic, so a changed split names the phase that grew, while
-unchanged splits prove the slowdown is host-side (interpreter, cache,
-machine) rather than a schedule or physics change.
+Candidate/baseline ratios above ``factor`` are regressions (non-zero
+exit in the CLI, a failed job in CI), below ``1/factor`` improvements.
+When both sides carry per-phase splits, each regression is
+*attributed*: virtual splits are deterministic, so the split that grew
+names the phase responsible.  Host seconds of the simulator itself are
+not a trend source — ``benchmarks/ledger/compare.py`` diffs those, per
+layer and with spread.
 """
 
 from __future__ import annotations
@@ -60,23 +57,6 @@ def _store_source(root: Path, n_workers: int) -> dict:
     return {"kind": "store", "name": root.name, "series": series}
 
 
-def _bench_source(doc: dict, name: str) -> dict:
-    series: dict[str, dict] = {}
-    breakdown = doc.get("breakdown", {})
-    for key, value in doc.get("seconds", {}).items():
-        entry: dict = {"metrics": {"seconds": float(value)}}
-        if key in breakdown:
-            entry["splits"] = {
-                field: breakdown[key][field]
-                for field in _SPLIT_FIELDS
-                if field in breakdown[key]
-            }
-        series[f"bench/{key}"] = entry
-    for key, value in doc.get("spatial", {}).get("seconds", {}).items():
-        series[f"bench/spatial.{key}"] = {"metrics": {"seconds": float(value)}}
-    return {"kind": "bench", "name": name, "series": series}
-
-
 def _manifest_source(doc: dict, name: str) -> dict:
     series = {
         point["label"]: {"metrics": {"wall_time": float(point["wall_time"])}}
@@ -97,14 +77,11 @@ def load_trend_source(path: str | Path, n_workers: int = 0) -> dict:
         doc = json.loads(p.read_text())
     except ValueError as exc:
         raise AnalysisError(f"trend source {p} is not valid JSON: {exc}") from None
-    if "seconds" in doc:
-        return _bench_source(doc, p.name)
-    if "points" in doc:
-        return _manifest_source(doc, p.name)
-    raise AnalysisError(
-        f"trend source {p} is neither a bench document (no 'seconds' key) "
-        "nor a campaign manifest (no 'points' key)"
-    )
+    if not isinstance(doc, dict) or "points" not in doc:
+        raise AnalysisError(
+            f"trend source {p} is not a campaign manifest (a JSON object with a 'points' key)"
+        )
+    return _manifest_source(doc, p.name)
 
 
 _ABS_DELTA = 1e-9
@@ -112,10 +89,7 @@ _ABS_DELTA = 1e-9
 
 def _attribute(base_splits: dict | None, cand_splits: dict | None) -> dict | None:
     """Name the phase a regression grew in, from the virtual splits."""
-    if not base_splits or not cand_splits:
-        return None
-    common = set(base_splits) & set(cand_splits)
-    if not common.issuperset(_SPLIT_FIELDS):
+    if not base_splits or not cand_splits:  # manifests carry none
         return None
     deltas = {
         "classic": cand_splits["classic_comp"] - base_splits["classic_comp"],
@@ -129,14 +103,7 @@ def _attribute(base_splits: dict | None, cand_splits: dict | None) -> dict | Non
     deltas = {k: round(v, 9) for k, v in deltas.items()}
     dominant = max(sorted(deltas), key=lambda k: deltas[k])
     if deltas[dominant] <= _ABS_DELTA:
-        return {
-            "deltas": deltas,
-            "dominant_phase": None,
-            "note": (
-                "virtual splits unchanged — the slowdown is host-side, "
-                "not a schedule or physics change"
-            ),
-        }
+        return None  # no split grew: nothing to name
     return {"deltas": deltas, "dominant_phase": dominant}
 
 

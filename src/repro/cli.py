@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro figures                      # list available figures
+    python -m repro figures                      # list the measured tables
     python -m repro figures figure3 figure7      # regenerate specific ones
-    python -m repro figures --all --steps 4      # everything, shorter runs
+    python -m repro figures --all                # all of EXPERIMENTS.tables.txt
     python -m repro run --network myrinet --middleware mpi --ranks 8
     python -m repro trace --ranks 4 -o trace.json  # same run + Chrome span trace
     python -m repro workload                     # describe the benchmark system
@@ -18,7 +18,7 @@ Usage::
     python -m repro campaign gc                  # compact the result store
     python -m repro campaign analyze report --format md      # comp/comm/sync breakdown
     python -m repro campaign analyze drift                   # energy/conservation audit
-    python -m repro campaign analyze trend --against BENCH_wallclock.json --candidate new.json
+    python -m repro campaign analyze trend --against last-week/   # virtual-time diff of two stores
     python -m repro campaign analyze coverage                # factorial holes, shard health
     python -m repro campaign serve --design full --board file:leases.json  # publish leases
     python -m repro campaign work --store host-a --board file:leases.json  # pull + execute
@@ -47,9 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    figs = sub.add_parser("figures", help="regenerate paper figures")
+    figs = sub.add_parser(
+        "figures", help="regenerate the paper's figures, the extensions and the ablations"
+    )
     figs.add_argument("names", nargs="*", help="figure ids (default: list them)")
-    figs.add_argument("--all", action="store_true", help="run every figure")
+    figs.add_argument(
+        "--all", action="store_true",
+        help="run every figure; at the default --steps the output is EXPERIMENTS.tables.txt",
+    )
     figs.add_argument(
         "--steps", type=int, default=10, help="MD steps per run (paper: 10)"
     )
@@ -253,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "report: comp/comm/sync breakdown tables (the paper's tables); "
             "drift: energy consensus + phase bookkeeping; trend: diff against "
-            "a baseline store/bench/manifest; coverage: factorial "
+            "a baseline store/manifest; coverage: factorial "
             "completeness + shard health + REP203 verdict"
         ),
     )
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     canalyze.add_argument(
         "--against", default=None,
-        help="trend: baseline source — a store directory, BENCH_wallclock.json, or manifest",
+        help="trend: baseline source — a store directory or a campaign manifest",
     )
     canalyze.add_argument(
         "--candidate", default=None,
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     canalyze.add_argument(
         "--factor", type=float, default=1.25,
-        help="trend: regression gate, candidate/baseline ratio (matches the bench gate)",
+        help="trend: regression gate, candidate/baseline ratio",
     )
     canalyze.add_argument(
         "--rtol", type=float, default=1e-9,
@@ -393,8 +398,9 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
     if not args.names and not args.all:
         print("Available figures:")
+        width = max(map(len, ALL_FIGURES))
         for name, driver in ALL_FIGURES.items():
-            print(f"  {name:15s} {driver.__doc__.strip().splitlines()[0]}")
+            print(f"  {name:{width}s} {driver.__doc__.strip().splitlines()[0]}")
         return 0
 
     names = list(ALL_FIGURES) if args.all else args.names

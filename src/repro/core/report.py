@@ -1,7 +1,7 @@
 """Plain-text rendering of response tables and breakdown charts.
 
-The benchmark harness prints the same rows/series the paper's figures
-plot; these helpers keep the formatting in one place.
+``python -m repro figures`` prints the same rows/series the paper's
+figures plot; these helpers keep the formatting in one place.
 """
 
 from __future__ import annotations

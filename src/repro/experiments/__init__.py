@@ -5,6 +5,10 @@ from .throughput import ThroughputPlan, ThroughputStudy, throughput_study
 from .figures import (
     ALL_FIGURES,
     FigureResult,
+    ablation_eager,
+    ablation_interrupts,
+    ablation_middleware_sync,
+    ablation_pme_grid,
     default_runner,
     extrapolation,
     fast_ethernet_comparison,
@@ -20,6 +24,10 @@ from .figures import (
 
 __all__ = [
     "ALL_FIGURES",
+    "ablation_eager",
+    "ablation_interrupts",
+    "ablation_middleware_sync",
+    "ablation_pme_grid",
     "default_runner",
     "extrapolation",
     "fast_ethernet_comparison",

@@ -61,7 +61,7 @@ def run_full_factorial(
     executor,
     processor_levels: tuple[int, ...] = (1, 2, 4, 8),
 ) -> FactorialResult:
-    """Execute all 12 platform cases at every processor count.
+    """Sec. 3.1: all 12 platform cases at every processor count, with main effects.
 
     ``executor`` is anything with ``measure(points) -> records``: a
     :class:`~repro.campaign.runner.CharacterizationRunner` (in-process,

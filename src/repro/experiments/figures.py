@@ -1,23 +1,42 @@
-"""One driver per figure of the paper's evaluation section.
+"""One driver per measured table: the paper's figures, extensions, ablations.
 
-Each ``figureN`` function runs (or recalls) the design points that figure
-plots, and returns a :class:`FigureResult` with the structured series and
-a printable report matching the paper's rows.  The benchmark harness under
-``benchmarks/`` times these drivers and prints their reports; the
-integration tests assert the paper's qualitative claims on the series.
+Each driver runs (or recalls) the design points its table needs and
+returns a result — a :class:`FigureResult`, or the throughput and
+factorial studies' own types — with the structured series and a
+printable ``.report`` matching the paper's rows.  ``python -m repro
+figures`` prints the reports of :data:`ALL_FIGURES`
+(``EXPERIMENTS.tables.txt`` is that output, pinned by
+``tests/experiments/test_pinned_tables.py``); the integration tests
+assert the paper's qualitative claims on the series.
+
+The ablations at the end vary what sits *under* a factor level — a
+protocol threshold, the SMP interrupt penalties, the synchronization
+primitive, the PME mesh — to show which mechanism carries which of the
+paper's shapes.  No design point can express such a platform, so their
+runs bypass the record store and go to
+:func:`~repro.parallel.run.run_parallel_md` directly, over the runner's
+workload, run configuration and cost model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..campaign.runner import CharacterizationRunner
+from ..cluster import ClusterSpec, NodeSpec, myrinet_gm, tcp_gigabit_ethernet
+from ..cmpi import CMPIMiddleware
 from ..core.design import DesignPoint
 from ..core.factors import FOCAL_POINT
-from ..core.report import breakdown_table, speed_table, time_series_table
+from ..core.report import breakdown_table, format_table, speed_table, time_series_table
 from ..core.responses import ResponseRecord
+from ..md.system import MDSystem
+from ..mpi import MPIWorld, collectives
 from ..parallel.pmd import MDRunConfig
+from ..parallel.run import RunOptions, run_parallel_md
+from ..sim import Simulator
 from ..workloads.cache import myoglobin_system, myoglobin_workload
+from .factorial import run_full_factorial
+from .throughput import throughput_study
 
 __all__ = [
     "FigureResult",
@@ -32,6 +51,10 @@ __all__ = [
     "fast_ethernet_comparison",
     "extrapolation",
     "grid_outlook",
+    "ablation_eager",
+    "ablation_interrupts",
+    "ablation_middleware_sync",
+    "ablation_pme_grid",
     "ALL_FIGURES",
 ]
 
@@ -316,7 +339,177 @@ def grid_outlook(runner: CharacterizationRunner) -> FigureResult:
     )
 
 
-#: Registry used by the benchmark harness.
+# ----------------------------------------------------------------- ablations
+EAGER_THRESHOLDS = (4 * 1024, 64 * 1024, 1024 * 1024)
+PME_GRIDS = ((48, 24, 32), (64, 32, 40), (80, 36, 48), (96, 48, 64))
+#: The two sweeps that run one platform many times settle within four
+#: steps; the interrupt ablation keeps the paper's full window.
+SWEEP_STEPS = 4
+
+
+def _run(runner: CharacterizationRunner, spec: ClusterSpec, max_steps=None, system=None):
+    """One bare run of the runner's workload (or ``system``) on ``spec``."""
+    config = runner.config
+    if max_steps is not None and config.n_steps > max_steps:
+        config = replace(config, n_steps=max_steps)
+    if system is None:
+        system = runner.system
+    options = RunOptions(config=config, cost=runner.cost)
+    return run_parallel_md(system, runner.positions, spec, options)
+
+
+def _result(figure: str, title: str, headers, rows) -> FigureResult:
+    """An ablation's table; ``series`` holds its columns under the headers."""
+    return FigureResult(
+        figure=figure,
+        description=f"Ablation: {title}",
+        records=[],
+        report=f"== Ablation: {title} ==\n" + format_table(headers, rows),
+        series={h: [row[i] for row in rows] for i, h in enumerate(headers)},
+    )
+
+
+def ablation_eager(runner: CharacterizationRunner) -> FigureResult:
+    """Eager/rendezvous threshold on TCP/IP at p = 8.
+
+    The 3N force-combine vector (~85 KB) straddles typical thresholds:
+    the protocol switch moves time between the sender's sync (rendezvous
+    hand-shake wait) and the receiver's sync (unexpected-message wait).
+    """
+    rows = []
+    for threshold in EAGER_THRESHOLDS:
+        net = replace(tcp_gigabit_ethernet(), eager_threshold=threshold)
+        spec = ClusterSpec(n_ranks=8, network=net, seed=23)
+        total = _run(runner, spec, SWEEP_STEPS).total_breakdown()
+        rows.append([threshold // 1024, total.total, total.comm, total.sync])
+    return _result(
+        "ablation_eager",
+        "eager/rendezvous threshold (TCP, p=8)",
+        ["eager KB", "total (s)", "comm (s)", "sync (s)"],
+        rows,
+    )
+
+
+def ablation_interrupts(runner: CharacterizationRunner) -> FigureResult:
+    """Dual-CPU TCP/IP with and without the interrupt bottleneck (Sec. 4.3).
+
+    The paper *hypothesizes* that dual-processor TCP collapses because
+    one CPU services all NIC interrupts.  The simulator makes that
+    testable: switch the SMP interrupt penalties off and see whether the
+    collapse disappears.
+    """
+    tcp = tcp_gigabit_ethernet()
+    no_irq_penalty = replace(
+        tcp,
+        smp_efficiency_penalty=1.0,
+        smp_irq_multiplier=1.0,
+        smp_overhead_multiplier=1.0,
+    )
+    dual = NodeSpec(cpus_per_node=2)
+    rows = []
+    for p in (2, 4, 8):
+        runs = [
+            _run(runner, ClusterSpec(n_ranks=p, network=net, node=dual, seed=31))
+            for net in (tcp, no_irq_penalty)
+        ]
+        rows.append([p, *(run.total_breakdown().total for run in runs)])
+    return _result(
+        "ablation_interrupts",
+        "dual-CPU TCP with/without the interrupt bottleneck",
+        ["p (dual nodes)", "with IRQ bottleneck (s)", "without (s)"],
+        rows,
+    )
+
+
+def _sync_cost(network, p: int, middleware: str, rounds: int = 20, seed: int = 11) -> float:
+    """Virtual seconds of one global synchronization, averaged over ``rounds``."""
+    sim = Simulator()
+    world = MPIWorld(sim, ClusterSpec(n_ranks=p, network=network, seed=seed))
+
+    def prog(ep):
+        for _ in range(rounds):
+            if middleware == "cmpi":
+                yield from CMPIMiddleware().sync(ep)
+            else:
+                yield from collectives.barrier(ep)
+
+    for r in range(p):
+        sim.spawn(prog(world.endpoints[r]), name=f"r{r}")
+    sim.run()
+    return max(ep.timeline.total_seconds() for ep in world.endpoints) / rounds
+
+
+def ablation_middleware_sync(runner: CharacterizationRunner) -> FigureResult:
+    """CMPI's neighbour-ring sync vs the MPI barrier, in isolation.
+
+    The CMPI sync pattern (p-1 one-byte rounds per global operation) is
+    the pathology behind Figure 8.  Measured with no MD around it — the
+    runner's workload is not used — on TCP/IP and Myrinet, separating
+    the protocol cost from the data-volume cost.
+    """
+    rows = [
+        [p]
+        + [
+            1e3 * _sync_cost(network(), p, middleware)
+            for network in (tcp_gigabit_ethernet, myrinet_gm)
+            for middleware in ("mpi", "cmpi")
+        ]
+        for p in (2, 4, 8, 16)
+    ]
+    return _result(
+        "ablation_middleware_sync",
+        "synchronization primitives",
+        [
+            "p", "MPI barrier tcp (ms)", "CMPI sync tcp (ms)",
+            "MPI barrier myri (ms)", "CMPI sync myri (ms)",
+        ],
+        rows,
+    )
+
+
+def ablation_pme_grid(runner: CharacterizationRunner) -> FigureResult:
+    """PME mesh sweep: serial PME cost vs p = 8 PME wall time on TCP/IP.
+
+    The FFT mesh size sets both the reciprocal-space accuracy and the
+    volume of the all-to-all transposes.
+    """
+    base = runner.system
+    rows = []
+    for grid in PME_GRIDS:
+        system = MDSystem(
+            base.topology, base.forcefield, base.box, base.scheme,
+            electrostatics="pme", pme_grid=grid,
+        )
+        serial, par8 = (
+            _run(
+                runner,
+                ClusterSpec(n_ranks=p, network=tcp_gigabit_ethernet(), seed=17),
+                SWEEP_STEPS,
+                system,
+            )
+            for p in (1, 8)
+        )
+        pme8 = par8.component("pme")
+        rows.append(
+            [
+                "x".join(map(str, grid)),
+                serial.component_time("pme"),
+                pme8.total,
+                100 * (pme8.comm + pme8.sync) / pme8.total,
+            ]
+        )
+    return _result(
+        "ablation_pme_grid",
+        "PME mesh sweep",
+        ["mesh", "serial pme (s)", "p=8 pme (s)", "p=8 overhead %"],
+        rows,
+    )
+
+
+#: Every measured table of EXPERIMENTS.md, by id: ``driver(runner)``
+#: returns a result whose ``.report`` is the table.  ``python -m repro
+#: figures --all`` prints them in this order, and that output is
+#: ``EXPERIMENTS.tables.txt``.
 ALL_FIGURES = {
     "figure3": figure3,
     "figure4": figure4,
@@ -328,4 +521,10 @@ ALL_FIGURES = {
     "fast_ethernet": fast_ethernet_comparison,
     "extrapolation": extrapolation,
     "grid_outlook": grid_outlook,
+    "throughput": throughput_study,
+    "full_factorial": run_full_factorial,
+    "ablation_eager": ablation_eager,
+    "ablation_interrupts": ablation_interrupts,
+    "ablation_middleware_sync": ablation_middleware_sync,
+    "ablation_pme_grid": ablation_pme_grid,
 }

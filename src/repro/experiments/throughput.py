@@ -92,7 +92,10 @@ def throughput_study(
     networks: tuple[str, ...] = ("tcp-gige", "score-gige", "myrinet"),
     processor_levels: tuple[int, ...] = (1, 2, 4, 8),
 ) -> ThroughputStudy:
-    """Measure t(p) per network and derive batch plans for ``n_jobs``."""
+    """Conclusion trade-off: task vs data parallelism for a queued batch.
+
+    Measures t(p) per network and derives the batch plans for ``n_jobs``.
+    """
     if n_jobs < 1:
         raise ValueError("n_jobs must be >= 1")
     plans: list[ThroughputPlan] = []

@@ -262,44 +262,52 @@ def test_drift_flags_non_finite_energy_and_broken_bookkeeping(warm_store, tmp_pa
 # -- trend ------------------------------------------------------------
 
 
-def _bench_doc(p8=1.0, pme_comp=0.35):
-    return {
-        "schema": 1,
-        "seconds": {"p1": 0.8, "p8": p8},
-        "spatial": {"seconds": {"replicated_p8": 0.6, "spatial_p8": 1.5}},
-        "breakdown": {
-            "p8": {
-                "classic_comp": 0.56, "classic_comm": 0.32, "classic_sync": 0.44,
-                "pme_comp": pme_comp, "pme_comm": 0.36, "pme_sync": 0.21,
-                "virtual_total": 2.2,
-            }
-        },
-    }
+def _slower_pme(record):
+    """Double one record's PME computation, bookkeeping kept consistent."""
+    grown = record["pme_comp"]
+    for field in ("pme_comp", "pme_time", "wall_time"):
+        record[field] += grown
 
 
-def test_trend_gates_a_bench_regression_and_attributes_it(tmp_path):
-    base = tmp_path / "base.json"
-    cand = tmp_path / "cand.json"
-    base.write_text(json.dumps(_bench_doc()))
-    # p8 wall doubles AND its PME computation split doubles: the trend
-    # report must fail the gate and name pme the dominant phase
-    cand.write_text(json.dumps(_bench_doc(p8=2.0, pme_comp=0.70)))
-    doc = trend_report(load_trend_source(base), load_trend_source(cand), factor=1.25)
-    assert not doc["ok"]
-    (reg,) = doc["regressions"]
-    assert reg["name"] == "bench/p8" and reg["ratio"] == 2.0
-    assert reg["attribution"]["dominant_phase"] == "pme"
+def test_trend_gates_a_store_regression(warm_store, tmp_path):
+    slow = tmp_path / "slow"
+    # the mutant sorts after every real key, so it is the record its
+    # design identity's series carries; the other three are untouched
+    _copy_with_mutation(warm_store, slow, _slower_pme)
+    doc = run_analysis("trend", slow, against=warm_store, save=False)
+    assert not doc["ok"] and doc["compared"] == 3 * 4
+    # its wall and PME series breach the 1.25x gate, its classic series does not
+    assert len({r["name"] for r in doc["regressions"]}) == 1
+    assert sorted(r["metric"] for r in doc["regressions"]) == ["pme_time", "wall_time"]
+    assert all(r["ratio"] > 1.25 for r in doc["regressions"])
+    # read the other way round the same edit is an improvement, and passes
+    back = run_analysis("trend", warm_store, against=slow, save=False)
+    assert back["ok"] and len(back["improvements"]) == 2
 
 
-def test_trend_marks_host_side_slowdowns(tmp_path):
-    base = tmp_path / "base.json"
-    cand = tmp_path / "cand.json"
-    base.write_text(json.dumps(_bench_doc()))
-    cand.write_text(json.dumps(_bench_doc(p8=2.0)))  # wall up, splits unchanged
-    doc = trend_report(load_trend_source(base), load_trend_source(cand))
-    (reg,) = doc["regressions"]
-    assert reg["attribution"]["dominant_phase"] is None
-    assert "host-side" in reg["attribution"]["note"]
+def test_trend_attributes_a_regression_to_the_phase_that_grew(warm_store, tmp_path):
+    slow = tmp_path / "slow"
+    _copy_with_mutation(warm_store, slow, _slower_pme)
+    doc = trend_report(load_trend_source(warm_store), load_trend_source(slow))
+    assert doc["regressions"]
+    for reg in doc["regressions"]:
+        attribution = reg["attribution"]
+        assert attribution["dominant_phase"] == "pme"
+        assert attribution["deltas"]["classic"] == attribution["deltas"]["comm"] == 0.0
+    assert "| pme |" in render(doc, "md")
+
+
+@pytest.mark.parametrize("text", ["3", "[]", '"x"'])
+def test_trend_rejects_a_json_source_that_is_not_an_object(tmp_path, capsys, text):
+    from repro.cli import main
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(AnalysisError, match=r"bad\.json is not a campaign manifest"):
+        load_trend_source(bad)
+    assert main(["campaign", "analyze", "trend", "--against", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
 
 
 def test_trend_store_against_itself_is_clean(warm_store):

@@ -83,6 +83,10 @@ class TestFigure3:
         speedup = fig3.series["total"][0] / fig3.series["total"][3]
         assert speedup < 4.0
 
+    def test_some_speedup_remains_at_eight(self, fig3):
+        total = fig3.series["total"]
+        assert total[3] < total[0]  # some overall speedup remains
+
 
 class TestFigure4:
     """Reference-case breakdowns."""
