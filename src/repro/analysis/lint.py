@@ -58,7 +58,7 @@ _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 # protocol tables (the repo's coroutine-collective conventions)
 
 _ENDPOINT_RECEIVERS = {"ep", "endpoint"}
-_ENDPOINT_METHODS = {"compute", "send", "recv", "sendrecv", "isend", "irecv"}
+_ENDPOINT_METHODS = {"compute", "send", "recv", "sendrecv", "isend", "irecv", "batch"}
 
 _MIDDLEWARE_RECEIVERS = {"mw", "middleware"}
 _MIDDLEWARE_METHODS = {"barrier", "allreduce", "allgatherv", "alltoallv", "sync"}

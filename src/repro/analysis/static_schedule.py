@@ -274,6 +274,8 @@ class Registry:
         self.tag_base = ep.globals.get("COLLECTIVE_TAG_BASE", _FALLBACK_TAG_BASE)
         if not isinstance(self.tag_base, int):
             self.tag_base = _FALLBACK_TAG_BASE
+        #: the op codes of an op batch, as the analyzed source defines them
+        self.op_codes = {name: ep.globals[name] for name in ("CHARGE", "RECV", "SEND", "WAIT")}
 
     def _load(self, dotted: str, path: Path) -> None:
         source = path.read_text()
@@ -579,9 +581,37 @@ class _Endpoint:
         self.emit("wait_send", ref=sreq.sid)
         return incoming
 
+    def batch(self, ops):
+        """An op batch (:class:`repro.mpi.endpoint.OpBatch`), op by op;
+        returns the received blocks in wait order."""
+        codes = self.interp.registry.op_codes
+        if not isinstance(ops, (list, tuple)):
+            raise StaticExtractionError(f"op batch is not statically known ({ops!r})", self.interp.loc)
+        reqs: list = []
+        received = []
+        for op in ops:
+            code = op[0] if isinstance(op, tuple) and op else UNKNOWN
+            if code == codes["CHARGE"]:
+                continue
+            if code == codes["RECV"]:
+                rreq = self.irecv(*op[1:])
+                reqs.append(rreq)
+            elif code == codes["SEND"]:
+                sreq = self.isend(op[1], op[3], op[2])
+                reqs.append(sreq)
+            elif code == codes["WAIT"] and isinstance(op[1], int) and 0 <= op[1] < len(reqs):
+                req = reqs[op[1]]
+                if isinstance(req, _RecvReq):
+                    received.append(self.wait_recv(req.rid))
+                else:
+                    self.emit("wait_send", ref=req.sid)
+            else:
+                raise StaticExtractionError(f"op is not statically known ({op!r})", self.interp.loc)
+        return received
+
     _METHODS = (
         "next_collective_tag", "compute", "isend", "irecv",
-        "send", "recv", "sendrecv",
+        "send", "recv", "sendrecv", "batch",
     )
 
     def getattr(self, name: str):
@@ -655,7 +685,7 @@ class _Return(Exception):
 #: be skipped when its condition is not statically decidable.
 _COMM_NAMES = frozenset(
     {
-        "isend", "irecv", "send", "recv", "sendrecv", "next_collective_tag",
+        "isend", "irecv", "send", "recv", "sendrecv", "batch", "next_collective_tag",
         "barrier", "allreduce", "allgatherv", "alltoallv", "bcast", "reduce",
         "sync", "wait", "reciprocal", "forward", "inverse", "exchange",
     }

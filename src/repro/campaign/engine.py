@@ -95,16 +95,16 @@ def execute_built(
     participates in neither the cache key nor the record.
 
     ``session``, when given, is the caller's
-    :class:`~repro.parallel.shared.TrajectorySession`: the run shares
-    the step results of its ``(p, middleware)`` trajectory with the
-    session's other platform variants.  Wall-clock only as well; audits
-    (``verify``) and pooled attempts pass none.
+    :class:`~repro.parallel.shared.TrajectorySession`: the first run of a
+    ``(p, middleware)`` trajectory records its op streams and the
+    session's other platform variants of it replay them.  Wall-clock
+    only as well; audits (``verify``) and pooled attempts pass none.
     """
     spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(base_seed, point))
     tracer = SpanTracer() if span_trace_path is not None else None
     options = RunOptions.for_point(
         point, config=config, cost=cost, sanitize=sanitize, span_tracer=tracer,
-        shared_compute=True if session is None else session.cache_for(point, config, system),
+        shared_compute=True if session is None else session.cache_for(point, config, system, cost),
     )
     if tracer is not None:
         with tracer.span("execute_point", track="engine", label=point.label()):
@@ -483,7 +483,7 @@ class CampaignEngine:
 
         note()
         # inline points run one after another in this process, so the
-        # platform variants of a trajectory can share its step results; a
+        # platform variants of a trajectory can replay its first run; a
         # pooled attempt is its own forked process and gets no session
         session = TrajectorySession(self.fingerprint) if self.n_workers <= 0 else None
         dispatch(

@@ -65,6 +65,7 @@ class CharacterizationRunner:
     store: ResultStore | None = None
 
     _fingerprint: str | None = field(default=None, init=False, repr=False)
+    _session: TrajectorySession | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.store is None:
@@ -82,10 +83,17 @@ class CharacterizationRunner:
         """The content address of one design point's response record."""
         return cache_key(self.fingerprint, point, self.config, self.cost, self.base_seed)
 
+    @property
+    def session(self) -> TrajectorySession:
+        """The runner's trajectory session: every platform variant of a
+        ``(p, middleware)`` trajectory this runner executes after the first
+        replays that first run's op streams."""
+        if self._session is None:
+            self._session = TrajectorySession(self.fingerprint)
+        return self._session
+
     # ------------------------------------------------------------------
-    def run_record(
-        self, point: DesignPoint, session: TrajectorySession | None = None
-    ) -> ResponseRecord:
+    def run_record(self, point: DesignPoint) -> ResponseRecord:
         """One response row, through the store: hits perform no MD work."""
         key = self.point_key(point)
         cached = self.store.get(key)
@@ -93,19 +101,14 @@ class CharacterizationRunner:
             return cached
         record = execute_built(
             self.system, self.positions, point, self.config, self.cost, self.base_seed,
-            session=session,
+            session=self.session,
         )
         self.store.put(key, record, {"label": point.label(), "source": "runner"})
         return record
 
     def measure(self, points: list[DesignPoint]) -> list[ResponseRecord]:
-        """Run a whole design; returns one response row per point.
-
-        The design's platform variants of one ``(p, middleware)``
-        trajectory share its step results through one session.
-        """
-        session = TrajectorySession(self.fingerprint)
-        return [self.run_record(p, session) for p in points]
+        """Run a whole design; returns one response row per point."""
+        return [self.run_record(p) for p in points]
 
     def sweep(
         self, config: PlatformConfig, processor_levels: tuple[int, ...] = (1, 2, 4, 8)

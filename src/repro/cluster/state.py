@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,9 +33,12 @@ __all__ = ["TransferPlan", "TransferRecord", "ClusterState"]
 _EFFICIENCY_FLOOR = 0.06
 
 
-@dataclass(frozen=True)
-class TransferPlan:
-    """Resolved timing of one message transfer."""
+class TransferPlan(NamedTuple):
+    """Resolved timing of one message transfer.
+
+    Named tuples, not frozen dataclasses: two of these are built per
+    message, and a frozen dataclass costs a microsecond to construct.
+    """
 
     start: float  # instant the data begins to move
     end: float  # instant the payload is fully delivered
@@ -53,8 +56,7 @@ class TransferPlan:
         return self.nbytes / self.duration if self.duration > 0 else float("inf")
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     """One logged transfer (feeds the Figure 7 statistics)."""
 
     start: float
@@ -113,8 +115,11 @@ class ClusterState:
         self.spec = spec
         self._plan_validator = plan_validator
         self.net: NetworkParams = spec.network
-        self.nic_free = np.zeros(spec.n_nodes, dtype=np.float64)
-        self.irq_free = np.zeros(spec.n_nodes, dtype=np.float64)
+        # per-node instants the NIC / the interrupt CPU is next free; plain
+        # float lists (one element read or written per transfer — numpy
+        # scalar indexing would cost more than the arithmetic)
+        self.nic_free = [0.0] * spec.n_nodes
+        self.irq_free = [0.0] * spec.n_nodes
         self.rng = np.random.default_rng(spec.seed)
         self._active = _ActiveTransfers()
         self.transfers: list[TransferRecord] = []
@@ -157,19 +162,20 @@ class ClusterState:
                 self._plan_validator(plan, ready_time)
             return plan
 
-        start = float(max(ready_time, self.nic_free[src_node], self.nic_free[dst_node]))
+        nic_free = self.nic_free
+        start = max(float(ready_time), nic_free[src_node], nic_free[dst_node])
         eff = self.sample_efficiency(ready_time)
         if self._smp:
             eff *= net.smp_efficiency_penalty
         occupancy = nbytes / (net.bandwidth * eff)
-        wire = net.latency + occupancy + net.packets(nbytes) * net.packet_overhead
-        self.nic_free[src_node] = start + occupancy
-        self.nic_free[dst_node] = start + occupancy
+        packets = net.packets(nbytes)
+        wire = net.latency + occupancy + packets * net.packet_overhead
+        nic_free[src_node] = nic_free[dst_node] = start + occupancy
         end = start + wire
 
         if net.uses_interrupts:
-            irq_time = net.packets(nbytes) * self._irq_cost
-            irq_start = float(max(end - irq_time, self.irq_free[dst_node]))
+            irq_time = packets * self._irq_cost
+            irq_start = max(end - irq_time, self.irq_free[dst_node])
             end = irq_start + irq_time
             self.irq_free[dst_node] = end
 
@@ -195,7 +201,7 @@ class ClusterState:
             # loopback still raises softirqs; serialize on the node's
             # interrupt CPU like a real receive
             irq_time = self.net.packets(nbytes) * self._irq_cost
-            irq_start = float(max(end - irq_time, self.irq_free[node]))
+            irq_start = max(end - irq_time, self.irq_free[node])
             end = irq_start + irq_time
             self.irq_free[node] = end
         return TransferPlan(start=start, end=end, nbytes=nbytes, efficiency=1.0, intranode=True)

@@ -13,6 +13,10 @@ contribution to every peer and combines locally, bracketed by the
 neighbour-ring synchronization.  On per-packet-overhead networks (TCP/IP
 on Ethernet) the p-1 tiny-message rounds and the O(p^2) full-size
 messages destroy scalability — the Figure 8 pathology.
+
+Each operation is one op batch (:class:`~repro.mpi.endpoint.OpBatch`):
+its rounds — the per-call marshalling charge, the irecv, the isend —
+followed by its waits.
 """
 
 from __future__ import annotations
@@ -22,9 +26,8 @@ from typing import Callable
 import numpy as np
 
 from ..instrument.timeline import Category
-from ..mpi.endpoint import EMPTY_PAYLOAD, RankEndpoint
+from ..mpi.endpoint import CHARGE, EMPTY_PAYLOAD, RECV, SEND, WAIT, RankEndpoint
 from ..mpi.middleware import Middleware
-from ..sim.engine import Sleep
 
 __all__ = ["CMPIMiddleware"]
 
@@ -35,20 +38,33 @@ class CMPIMiddleware(Middleware):
     name = "cmpi"
 
     #: extra host time per split-phase call (argument marshalling in the
-    #: portability layer); small but it multiplies the message count
+    #: portability layer); small but it multiplies the message count.
+    #: A ``CHARGE`` op both books and sleeps it: booking without sleeping
+    #: would attribute seconds that never existed on the clock, which the
+    #: runtime sanitizer's timeline-accounting invariant (REP304) rejects.
     call_overhead: float = 4.0e-6
 
     # ------------------------------------------------------------------
-    def _charge_call(self, ep: RankEndpoint):
-        """Generator: book and *spend* the per-call marshalling time.
+    def _split_phase(self, ep: RankEndpoint, tag, payloads: list, expect_nbytes=None,
+                     expect_dtype=None) -> list:
+        """The ops of one split-phase exchange with every peer.
 
-        The cost must advance the virtual clock as well as the timeline —
-        booking without sleeping would attribute seconds that never
-        existed on the clock, which the runtime sanitizer's
-        timeline-accounting invariant (REP304) rejects.
+        Round k posts the receive from ``rank - k`` and the send of
+        ``payloads[rank + k]`` to ``rank + k``; the receive waits follow in
+        round order, then the send waits.
         """
-        ep.timeline.add(Category.COMM, self.call_overhead)
-        yield Sleep(self.call_overhead)
+        p = ep.size
+        ops = []
+        for k in range(1, p):
+            peer = (ep.rank + k) % p
+            ops += [
+                (CHARGE, self.call_overhead),
+                (RECV, (ep.rank - k) % p, tag, expect_nbytes, expect_dtype),
+                (SEND, peer, tag, payloads[peer]),
+            ]
+        ops += [(WAIT, 2 * i) for i in range(p - 1)]
+        ops += [(WAIT, 2 * i + 1) for i in range(p - 1)]
+        return ops
 
     def sync(self, ep: RankEndpoint):
         """Neighbour-ring synchronization: p-1 one-byte exchange rounds."""
@@ -56,15 +72,17 @@ class CMPIMiddleware(Middleware):
         if p == 1:
             return
         tag = ep.next_collective_tag("cmpi-sync")
+        ops = []
+        for k in range(1, p):
+            ops += [
+                (CHARGE, self.call_overhead),
+                (RECV, (ep.rank - k) % p, tag + k, len(EMPTY_PAYLOAD), "bytes"),
+                (SEND, (ep.rank + k) % p, tag + k, EMPTY_PAYLOAD),
+                (WAIT, 2 * k - 2),
+                (WAIT, 2 * k - 1),
+            ]
         with ep.timeline.as_category(Category.SYNC):
-            for k in range(1, p):
-                dest = (ep.rank + k) % p
-                src = (ep.rank - k) % p
-                yield from self._charge_call(ep)
-                yield from ep.sendrecv(
-                    dest, EMPTY_PAYLOAD, src, tag + k,
-                    expect_nbytes=len(EMPTY_PAYLOAD), expect_dtype="bytes",
-                )
+            yield from ep.batch(ops)
 
     # ------------------------------------------------------------------
     def barrier(self, ep: RankEndpoint):
@@ -77,26 +95,12 @@ class CMPIMiddleware(Middleware):
         if p == 1:
             return data
         tag = ep.next_collective_tag("allreduce")
-        send_reqs = []
-        recv_reqs = []
-        for k in range(1, p):
-            peer = (ep.rank + k) % p
-            yield from self._charge_call(ep)
-            # every peer contributes a block shaped like ours (SPMD)
-            recv_reqs.append(
-                (
-                    yield from ep.irecv(
-                        (ep.rank - k) % p, tag,
-                        expect_nbytes=int(data.nbytes), expect_dtype=str(data.dtype),
-                    )
-                )
-            )
-            send_reqs.append((yield from ep.isend(peer, data, tag)))
-        for rreq in recv_reqs:
-            other = yield from rreq.wait()
+        # every peer contributes a block shaped like ours (SPMD)
+        received = yield from ep.batch(self._split_phase(
+            ep, tag, [data] * p, expect_nbytes=int(data.nbytes), expect_dtype=str(data.dtype),
+        ))
+        for other in received:
             data = op(data, other)
-        for sreq in send_reqs:
-            yield from sreq.wait()
         yield from self.sync(ep)
         return data
 
@@ -108,18 +112,9 @@ class CMPIMiddleware(Middleware):
         if p == 1:
             return blocks
         tag = ep.next_collective_tag("allgatherv")
-        send_reqs = []
-        recv_reqs = []
+        received = yield from ep.batch(self._split_phase(ep, tag, [blocks[ep.rank]] * p))
         for k in range(1, p):
-            peer = (ep.rank + k) % p
-            src = (ep.rank - k) % p
-            yield from self._charge_call(ep)
-            recv_reqs.append((src, (yield from ep.irecv(src, tag))))
-            send_reqs.append((yield from ep.isend(peer, blocks[ep.rank], tag)))
-        for src, rreq in recv_reqs:
-            blocks[src] = yield from rreq.wait()
-        for sreq in send_reqs:
-            yield from sreq.wait()
+            blocks[(ep.rank - k) % p] = received[k - 1]
         yield from self.sync(ep)
         return blocks
 
@@ -130,9 +125,14 @@ class CMPIMiddleware(Middleware):
         sit behind the same argument-packing shim as every other entry
         point — then the receive-first paired exchange.
         """
-        yield from self._charge_call(ep)
-        result = yield from ep.sendrecv(dest, payload, source, tag=tag)
-        return result
+        received = yield from ep.batch([
+            (CHARGE, self.call_overhead),
+            (RECV, source, tag, None, None),
+            (SEND, dest, tag, payload),
+            (WAIT, 0),
+            (WAIT, 1),
+        ])
+        return received[0]
 
     def alltoallv(self, ep: RankEndpoint, send_blocks: list):
         """Direct split sends/receives of the personalized blocks."""
@@ -144,17 +144,8 @@ class CMPIMiddleware(Middleware):
         if p == 1:
             return recv_blocks
         tag = ep.next_collective_tag("alltoallv")
-        send_reqs = []
-        recv_reqs = []
+        received = yield from ep.batch(self._split_phase(ep, tag, send_blocks))
         for k in range(1, p):
-            peer = (ep.rank + k) % p
-            src = (ep.rank - k) % p
-            yield from self._charge_call(ep)
-            recv_reqs.append((src, (yield from ep.irecv(src, tag))))
-            send_reqs.append((yield from ep.isend(peer, send_blocks[peer], tag)))
-        for src, rreq in recv_reqs:
-            recv_blocks[src] = yield from rreq.wait()
-        for sreq in send_reqs:
-            yield from sreq.wait()
+            recv_blocks[(ep.rank - k) % p] = received[k - 1]
         yield from self.sync(ep)
         return recv_blocks

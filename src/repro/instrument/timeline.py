@@ -103,6 +103,15 @@ class Timeline:
     def current_phase(self) -> str:
         return self._current
 
+    @property
+    def attribution(self) -> tuple[str, str | None]:
+        """``(phase, forced category)`` that the next :meth:`add` lands in."""
+        return self._current, self._forced
+
+    def attribute_to(self, attribution: tuple[str, str | None]) -> None:
+        """Re-enter a recorded :attr:`attribution` (op-stream replay)."""
+        self._current, self._forced = attribution
+
     def attach_sink(self, sink: Callable[[str, str, float], None] | None) -> None:
         """Install (or clear) the per-attribution observer hook."""
         self._sink = sink

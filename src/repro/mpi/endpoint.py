@@ -1,9 +1,28 @@
-"""The per-rank MPI interface handed to rank programs.
+"""The per-rank MPI interface handed to rank programs, and its op executor.
 
-All operations are generators; rank programs invoke them with
-``yield from``.  Real payloads (numpy arrays) move between ranks, so the
-parallel physics is bit-for-bit checkable against the serial engine —
-only *time* is simulated.
+Real payloads (numpy arrays) move between ranks, so the parallel physics
+is bit-for-bit checkable against the serial engine — only *time* is
+simulated.
+
+Every point-to-point primitive is one **op batch** (:class:`OpBatch`): a
+sequence of ops a rank hands over with a single ``yield``.  ``sendrecv``
+is ``RECV, SEND, WAIT 0, WAIT 1``; a CMPI collective is its
+charge/recv/send rounds followed by its waits.  The batch's executor
+(:meth:`OpBatch._advance`, a bound method — never a per-event closure)
+walks the ops, schedules exactly the events they imply — the
+per-message host overheads, one wake-up per wait, the receive-side copy
+— and resumes the rank generator once, with the received payloads, when
+the last op completes.  Rank programs compose as before:
+``yield from ep.sendrecv(...)`` / ``ep.send`` / ``ep.recv``, the
+split-phase ``req = yield from ep.isend(...)`` / ``yield from
+req.wait()``, and ``yield from ep.batch(ops)`` each yield one batch.
+
+The same executor runs a *recorded* op stream (:func:`replay_program`):
+the compute charges, collective-tag draws and batches one rank issued,
+with payloads reduced to :class:`~repro.mpi.message.PayloadSize`
+(:class:`OpStreamRecorder`; :mod:`repro.parallel.shared` decides when a
+run records or replays).  Live and replayed runs therefore schedule the
+same events in the same order and draw the same random numbers.
 
 Time attribution (the paper's definitions, Sec. 3.2):
 
@@ -14,13 +33,20 @@ Time attribution (the paper's definitions, Sec. 3.2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from typing import Any, Callable, NamedTuple
 
 from ..instrument.timeline import Category, Timeline
-from ..sim.engine import Await, Future, Sleep
-from .message import Message, RecvPost, copy_payload, payload_dtype, payload_nbytes
+from ..sim.engine import Future, Sleep
+from .message import (
+    Message, PayloadSize, RecvPost, copy_payload, payload_dtype, payload_nbytes,
+)
 
-__all__ = ["RankEndpoint", "SendRequest", "RecvRequest", "EMPTY_PAYLOAD"]
+__all__ = [
+    "RankEndpoint", "SendRequest", "RecvRequest", "OpBatch", "OpStream",
+    "OpStreamRecorder", "replay_program", "EMPTY_PAYLOAD",
+    "CHARGE", "RECV", "SEND", "WAIT",
+]
 
 #: The one-byte 'empty message' the paper's CMPI middleware exchanges.
 EMPTY_PAYLOAD = b"\x00"
@@ -29,51 +55,258 @@ EMPTY_PAYLOAD = b"\x00"
 #: from a per-operation sequence above it.
 COLLECTIVE_TAG_BASE = 1 << 20
 
+#: Op codes.  An op is a tuple whose first item is its code:
+#:
+#: * ``(CHARGE, seconds)`` — book ``seconds`` of host time as comm and
+#:   sleep it (CMPI's per-call marshalling);
+#: * ``(RECV, source, tag, expect_nbytes, expect_dtype)`` — an irecv: the
+#:   per-message overhead, then the receive is posted;
+#: * ``(SEND, dest, tag, payload)`` — an isend: the per-message overhead,
+#:   then the message is posted;
+#: * ``(WAIT, ref)`` — block on the ``ref``-th request this batch posted
+#:   (counting RECV and SEND ops from 0), or on a request object.
+CHARGE = 0
+RECV = 1
+SEND = 2
+WAIT = 3
+#: ``(POST, request)`` — post a request initiated outside any batch (the
+#: split-phase spelling ``req = yield from ep.isend(...)``).
+POST = 4
 
-@dataclass
+_WAIT_FIRST = (WAIT, 0)
+_WAIT_SECOND = (WAIT, 1)
+
+#: Op-stream entry kinds (see :class:`OpStreamRecorder`).
+_COMPUTE = 0
+_DRAW = 1
+_BATCH = 2
+
+
 class SendRequest:
-    """Handle for a split-phase send."""
+    """Handle for a split-phase send.
 
-    endpoint: "RankEndpoint"
-    message: Message
-    issued_at: float
+    :meth:`RankEndpoint.isend` books the per-message host cost and returns
+    the handle; ``yield from`` it spends that time and posts the message;
+    ``yield from req.wait()`` blocks until the send completes.
+    """
+
+    __slots__ = ("endpoint", "dest", "tag", "payload", "nbytes", "overhead", "message", "issued_at")
+
+    def __init__(self, endpoint: "RankEndpoint", dest: int, tag: int, payload, nbytes: int,
+                 overhead: float) -> None:
+        self.endpoint = endpoint
+        self.dest = dest
+        self.tag = tag
+        self.payload = payload
+        self.nbytes = nbytes
+        self.overhead = overhead
+        self.message: Message | None = None
+        self.issued_at: float | None = None
+
+    def __iter__(self):
+        yield OpBatch(self.endpoint, ((POST, self),))
+        return self
 
     def wait(self):
         """Block until the send completes (no-op for eager messages)."""
-        if self.message.fut_sender is None:
-            return
-        t0 = self.endpoint.now
-        plan = yield Await(self.message.fut_sender)
-        t1 = self.endpoint.now
-        sync_wait = max(0.0, min(plan.start, t1) - t0)
-        self.endpoint.timeline.add(Category.SYNC, sync_wait)
-        self.endpoint.timeline.add(Category.COMM, max(0.0, (t1 - t0) - sync_wait))
+        yield OpBatch(self.endpoint, ((WAIT, self),))
+
+    def _post(self) -> None:
+        ep = self.endpoint
+        now = ep._sim.now
+        rendezvous = self.nbytes > ep._net.eager_threshold
+        msg = Message(
+            src=ep.rank,
+            dst=self.dest,
+            tag=self.tag,
+            payload=copy_payload(self.payload),
+            nbytes=self.nbytes,
+            sender_ready=now,
+            rendezvous=rendezvous,
+            fut_sender=Future() if rendezvous else None,
+        )
+        trace = ep.world.trace
+        if trace is not None:
+            trace.record_send(
+                ep.rank, self.dest, self.tag, self.nbytes, payload_dtype(self.payload), now,
+                rendezvous, overhead=self.overhead,
+            )
+        ep.world.post_message(msg)
+        self.message = msg
+        self.issued_at = now
+        self.payload = None  # the message holds the snapshot
 
 
-@dataclass
 class RecvRequest:
-    """Handle for a split-phase receive."""
+    """Handle for a split-phase receive (see :class:`SendRequest`)."""
 
-    endpoint: "RankEndpoint"
-    post: RecvPost
+    __slots__ = ("endpoint", "source", "tag", "expect_nbytes", "expect_dtype", "overhead", "post")
+
+    def __init__(self, endpoint: "RankEndpoint", source: int, tag: int,
+                 expect_nbytes: int | None, expect_dtype: str | None, overhead: float) -> None:
+        self.endpoint = endpoint
+        self.source = source
+        self.tag = tag
+        self.expect_nbytes = expect_nbytes
+        self.expect_dtype = expect_dtype
+        self.overhead = overhead
+        self.post: RecvPost | None = None
+
+    def __iter__(self):
+        yield OpBatch(self.endpoint, ((POST, self),))
+        return self
 
     def wait(self):
         """Block until the payload is delivered; returns it."""
+        received = yield OpBatch(self.endpoint, ((WAIT, self),))
+        return received[0]
+
+    def _post(self) -> None:
         ep = self.endpoint
-        t0 = ep.now
-        msg: Message = yield Await(self.post.fut)
-        t1 = ep.now
-        plan = msg.plan
-        assert plan is not None, "delivered message must carry a transfer plan"
-        sync_wait = max(0.0, min(plan.start, t1) - t0)
-        ep.timeline.add(Category.SYNC, sync_wait)
-        ep.timeline.add(Category.COMM, max(0.0, (t1 - t0) - sync_wait))
-        # receive-side host processing of the payload (copies, checksums)
-        copy_cost = ep.net.host_cost(msg.nbytes) * ep._overhead_scale
-        if copy_cost > 0:
-            ep.timeline.add(Category.COMM, copy_cost)
-            yield Sleep(copy_cost)
-        return msg.payload
+        now = ep._sim.now
+        post = RecvPost(
+            src=self.source,
+            dst=ep.rank,
+            tag=self.tag,
+            post_time=now,
+            expect_nbytes=self.expect_nbytes,
+            expect_dtype=self.expect_dtype,
+        )
+        trace = ep.world.trace
+        if trace is not None:
+            trace.record_recv(
+                ep.rank,
+                self.source,
+                self.tag,
+                now,
+                -1 if self.expect_nbytes is None else self.expect_nbytes,
+                self.expect_dtype or "",
+                overhead=self.overhead,
+            )
+        ep.world.post_recv(post)
+        self.post = post
+
+
+class OpBatch:
+    """One batch of point-to-point ops, and the executor that runs it.
+
+    A rank yields the batch (``yield from ep.batch(ops)``); the simulator
+    hands the rank over to :meth:`start`, and the rank resumes with the
+    list of payloads its receive waits delivered, in wait order.  Tags
+    are ``tag_base + tag``: 0 for live batches, the rank's current
+    collective tag for recorded ones (whose tags are offsets).
+    """
+
+    __slots__ = ("ep", "ops", "tag_base", "_proc", "_i", "_stage", "_reqs", "_req",
+                 "_received", "_t0", "_msg")
+
+    def __init__(self, ep: "RankEndpoint", ops, tag_base: int = 0) -> None:
+        self.ep = ep
+        self.ops = ops
+        self.tag_base = tag_base
+
+    def __iter__(self):
+        received = yield self
+        return received
+
+    def start(self, proc) -> None:
+        ep = self.ep
+        if ep.recorder is not None:
+            ep.recorder.batch(ep.timeline.attribution, self.ops, ep._tag_seq)
+        self._proc = proc
+        self._i = 0
+        self._stage = 0
+        self._reqs = []
+        self._received = []
+        self._advance(None)
+
+    # -- the executor ---------------------------------------------------
+    def _advance(self, value) -> None:
+        """Run ops until one has to wait for an event — scheduled with this
+        method as its callback — and resume the rank after the last op.
+
+        ``value`` is what the awakening event delivered: the message or
+        transfer plan a wait was blocked on, None after a sleep.
+        """
+        ops = self.ops
+        i = self._i
+        while i < len(ops):
+            op = ops[i]
+            code = op[0]
+            if code == WAIT:
+                if self._wait(op[1], value):
+                    self._i = i
+                    return
+            elif self._stage == 0:
+                # CHARGE, SEND, RECV, POST: book the host time, sleep it
+                self._stage = 1
+                self._i = i
+                self.ep._sim.schedule(self._issue(op, code), self._advance, None)
+                return
+            elif code != CHARGE:
+                self._req._post()
+            i += 1
+            self._stage = 0
+            value = None
+        self._proc._step(self._received)
+
+    def _issue(self, op, code) -> float:
+        """Book the host time of a CHARGE, SEND, RECV or POST op; returns it."""
+        if code == CHARGE:
+            self.ep.timeline.add(Category.COMM, op[1])
+            return op[1]
+        if code == SEND:
+            req = self.ep.isend(op[1], op[3], self.tag_base + op[2])
+        elif code == RECV:
+            req = self.ep.irecv(op[1], self.tag_base + op[2], op[3], op[4])
+        else:
+            req = op[1]
+        self._req = req
+        self._reqs.append(req)
+        return req.overhead
+
+    def _wait(self, ref, value) -> bool:
+        """One WAIT op at the current stage; True when it scheduled an event."""
+        req = self._reqs[ref] if type(ref) is int else ref
+        stage = self._stage
+        if type(req) is SendRequest:
+            fut = req.message.fut_sender
+            if fut is None:
+                return False  # eager: complete once posted
+            if stage == 0:
+                return self._block(fut)
+            self._book_wait(value.start)
+            return False
+        if stage == 0:
+            return self._block(req.post.fut)
+        if stage == 1:
+            ep = self.ep
+            self._msg = value
+            self._book_wait(value.plan.start)
+            # receive-side host processing of the payload (copies, checksums)
+            copy_cost = ep._net.host_cost(value.nbytes) * ep._overhead_scale
+            if copy_cost > 0:
+                ep.timeline.add(Category.COMM, copy_cost)
+                self._stage = 2
+                ep._sim.schedule(copy_cost, self._advance, None)
+                return True
+        self._received.append(self._msg.payload)
+        return False
+
+    def _block(self, fut: Future) -> bool:
+        self._t0 = self.ep._sim.now
+        self._stage = 1
+        fut.wake_on_resolve(self.ep._sim, self._advance)
+        return True
+
+    def _book_wait(self, transfer_start: float) -> None:
+        """Split a finished wait into sync (before the data moved) and comm."""
+        t0 = self._t0
+        t1 = self.ep._sim.now
+        sync_wait = max(0.0, min(transfer_start, t1) - t0)
+        tl = self.ep.timeline
+        tl.add(Category.SYNC, sync_wait)
+        tl.add(Category.COMM, max(0.0, (t1 - t0) - sync_wait))
 
 
 class RankEndpoint:
@@ -84,10 +317,18 @@ class RankEndpoint:
         self.rank = rank
         self.timeline = Timeline()
         self._tag_seq = COLLECTIVE_TAG_BASE
-        # sim and network are fixed for the world's lifetime; direct
-        # references keep the hot-path properties to one attribute hop
+        #: an :class:`OpStreamRecorder` while the run records its op stream
+        self.recorder: OpStreamRecorder | None = None
+        # sim, network and node layout are fixed for the world's lifetime
         self._sim = world.sim
         self._net = world.spec.network
+        self._compute_scale = world.spec.compute_scale
+        #: per-message host-overhead multiplier (SMP stack contention)
+        self._overhead_scale = (
+            self._net.smp_overhead_multiplier
+            if world.spec.node.cpus_per_node == 2 and self._net.uses_interrupts
+            else 1.0
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -116,6 +357,8 @@ class RankEndpoint:
         collective-order divergence.
         """
         self._tag_seq += 16
+        if self.recorder is not None:
+            self.recorder.draw(self.timeline.attribution, op)
         if self.world.trace is not None:
             self.world.trace.record_collective(self.rank, op, self._tag_seq, self.now)
         return self._tag_seq
@@ -125,52 +368,30 @@ class RankEndpoint:
         """Charge ``seconds`` of computation to the current phase."""
         if seconds < 0:
             raise ValueError("compute time must be non-negative")
-        scaled = seconds * self.world.spec.compute_scale
+        if self.recorder is not None:
+            self.recorder.compute(self.timeline.attribution, seconds)
+        scaled = seconds * self._compute_scale
         self.timeline.add(Category.COMP, scaled)
         yield Sleep(scaled)
 
-    @property
-    def _overhead_scale(self) -> float:
-        """Per-message host-overhead multiplier (SMP stack contention)."""
-        spec = self.world.spec
-        if spec.node.cpus_per_node == 2 and self.net.uses_interrupts:
-            return self.net.smp_overhead_multiplier
-        return 1.0
-
     # ------------------------------------------------------------------
-    def isend(self, dest: int, payload, tag: int = 0):
-        """Split-phase send; returns a :class:`SendRequest`.
+    def isend(self, dest: int, payload, tag: int = 0) -> SendRequest:
+        """Initiate a split-phase send; returns its :class:`SendRequest`.
 
-        The per-message host cost is charged here (initiating the send is
-        CPU work), matching MPI_Isend semantics.
+        The per-message host cost is booked here (initiating the send is
+        CPU work, MPI_Isend semantics); ``yield from`` the handle spends
+        it and posts the message.  Inside a batch the executor does both,
+        so every message — live or replayed — is initiated by exactly one
+        call of this method.
         """
         if not 0 <= dest < self.size:
             raise ValueError(f"bad destination rank {dest}")
         if dest == self.rank:
             raise ValueError("self-sends are not supported")
         nbytes = payload_nbytes(payload)
-        overhead = (self.net.send_overhead + self.net.host_cost(nbytes)) * self._overhead_scale
+        overhead = (self._net.send_overhead + self._net.host_cost(nbytes)) * self._overhead_scale
         self.timeline.add(Category.COMM, overhead)
-        yield Sleep(overhead)
-
-        rendezvous = nbytes > self.net.eager_threshold
-        msg = Message(
-            src=self.rank,
-            dst=dest,
-            tag=tag,
-            payload=copy_payload(payload),
-            nbytes=nbytes,
-            sender_ready=self.now,
-            rendezvous=rendezvous,
-            fut_sender=Future() if rendezvous else None,
-        )
-        if self.world.trace is not None:
-            self.world.trace.record_send(
-                self.rank, dest, tag, nbytes, payload_dtype(payload), self.now,
-                rendezvous, overhead=overhead,
-            )
-        self.world.post_message(msg)
-        return SendRequest(endpoint=self, message=msg, issued_at=self.now)
+        return SendRequest(self, dest, tag, payload, nbytes, overhead)
 
     def irecv(
         self,
@@ -178,8 +399,8 @@ class RankEndpoint:
         tag: int = 0,
         expect_nbytes: int | None = None,
         expect_dtype: str | None = None,
-    ):
-        """Split-phase receive; returns a :class:`RecvRequest`.
+    ) -> RecvRequest:
+        """Initiate a split-phase receive; returns its :class:`RecvRequest`.
 
         ``expect_nbytes``/``expect_dtype`` optionally declare the payload
         the receiver is prepared for; the runtime sanitizer asserts
@@ -189,34 +410,18 @@ class RankEndpoint:
             raise ValueError(f"bad source rank {source}")
         if source == self.rank:
             raise ValueError("self-receives are not supported")
-        overhead = self.net.recv_overhead * self._overhead_scale
+        overhead = self._net.recv_overhead * self._overhead_scale
         self.timeline.add(Category.COMM, overhead)
-        yield Sleep(overhead)
-        post = RecvPost(
-            src=source,
-            dst=self.rank,
-            tag=tag,
-            post_time=self.now,
-            expect_nbytes=expect_nbytes,
-            expect_dtype=expect_dtype,
-        )
-        if self.world.trace is not None:
-            self.world.trace.record_recv(
-                self.rank,
-                source,
-                tag,
-                self.now,
-                -1 if expect_nbytes is None else expect_nbytes,
-                expect_dtype or "",
-                overhead=overhead,
-            )
-        self.world.post_recv(post)
-        return RecvRequest(endpoint=self, post=post)
+        return RecvRequest(self, source, tag, expect_nbytes, expect_dtype, overhead)
+
+    def batch(self, ops) -> OpBatch:
+        """``yield from ep.batch(ops)`` runs ``ops`` as one batch and
+        returns the payloads its receive waits delivered, in wait order."""
+        return OpBatch(self, ops)
 
     def send(self, dest: int, payload, tag: int = 0):
         """Blocking send (point-to-point blocking routine of raw MPI)."""
-        req = yield from self.isend(dest, payload, tag)
-        yield from req.wait()
+        yield OpBatch(self, ((SEND, dest, tag, payload), _WAIT_FIRST))
 
     def recv(
         self,
@@ -226,9 +431,10 @@ class RankEndpoint:
         expect_dtype: str | None = None,
     ):
         """Blocking receive; returns the payload."""
-        req = yield from self.irecv(source, tag, expect_nbytes, expect_dtype)
-        payload = yield from req.wait()
-        return payload
+        received = yield OpBatch(
+            self, ((RECV, source, tag, expect_nbytes, expect_dtype), _WAIT_FIRST)
+        )
+        return received[0]
 
     def sendrecv(
         self,
@@ -239,9 +445,98 @@ class RankEndpoint:
         expect_nbytes: int | None = None,
         expect_dtype: str | None = None,
     ):
-        """Simultaneous exchange (deadlock-free via split phases)."""
-        rreq = yield from self.irecv(source, tag, expect_nbytes, expect_dtype)
-        sreq = yield from self.isend(dest, payload, tag)
-        incoming = yield from rreq.wait()
-        yield from sreq.wait()
-        return incoming
+        """Simultaneous exchange (deadlock-free: the receive is posted first)."""
+        received = yield OpBatch(self, (
+            (RECV, source, tag, expect_nbytes, expect_dtype),
+            (SEND, dest, tag, payload),
+            _WAIT_FIRST,
+            _WAIT_SECOND,
+        ))
+        return received[0]
+
+
+# ---------------------------------------------------------------------------
+# op streams: one rank's run as data
+
+
+class OpStream(NamedTuple):
+    """One rank's recorded run: what :func:`replay_program` feeds back.
+
+    ``entries`` are ``(kind, attribution, body)`` triples — a compute
+    charge (its seconds are the next item of ``seconds``), a collective
+    tag draw (body: the op name) or a batch (body: its ops, payloads
+    reduced to :class:`~repro.mpi.message.PayloadSize` and tags to
+    offsets from the rank's last draw) — each with the timeline's
+    ``(phase, forced category)`` when it was issued.
+    """
+
+    entries: tuple
+    seconds: array
+
+
+class OpStreamRecorder:
+    """Records one rank's op stream as the rank runs live.
+
+    ``intern`` maps a value to its canonical equal object: a session
+    shares one across its recordings, so a batch's ops (per collective
+    and rank, tags as offsets) and the entries themselves exist once
+    however many steps and trajectories issue them.  A batch that waits
+    on or posts a request from outside itself cannot be replayed; the
+    recording is then marked not :attr:`replayable`.
+    """
+
+    def __init__(self, intern: Callable[[Any], Any]) -> None:
+        self._intern = intern
+        self._entries: list[tuple] = []
+        self._seconds = array("d")
+        self.replayable = True
+
+    def compute(self, attribution: tuple, seconds: float) -> None:
+        self._entries.append(self._intern((_COMPUTE, attribution, None)))
+        self._seconds.append(seconds)
+
+    def draw(self, attribution: tuple, op: str) -> None:
+        self._entries.append(self._intern((_DRAW, attribution, op)))
+
+    def batch(self, attribution: tuple, ops, tag_base: int) -> None:
+        intern = self._intern
+        recorded = []
+        for op in ops:
+            code = op[0]
+            if code == SEND:
+                payload = op[3]
+                size = intern(PayloadSize(payload_nbytes(payload), payload_dtype(payload)))
+                op = (SEND, op[1], op[2] - tag_base, size)
+            elif code == RECV:
+                op = (RECV, op[1], op[2] - tag_base, op[3], op[4])
+            elif code == POST or (code == WAIT and type(op[1]) is not int):
+                self.replayable = False
+                return
+            recorded.append(intern(op))
+        self._entries.append(intern((_BATCH, attribution, intern(tuple(recorded)))))
+
+    def stream(self) -> OpStream:
+        return OpStream(tuple(self._entries), self._seconds)
+
+
+def replay_program(ep: RankEndpoint, stream: OpStream):
+    """Generator: one rank's recorded op stream, run by the executor.
+
+    No rank program, physics or payload: every entry re-enters its
+    recorded timeline attribution and issues what the live rank issued —
+    ``ep.compute`` of the recorded (unscaled) seconds, the tag draw, the
+    batch — so the run schedules the events, plans the transfers and
+    books the timelines its platform implies for that schedule.
+    """
+    tl = ep.timeline
+    outside = tl.attribution
+    seconds = iter(stream.seconds)
+    for kind, attribution, body in stream.entries:
+        tl.attribute_to(attribution)
+        if kind == _BATCH:
+            yield OpBatch(ep, body, ep._tag_seq)
+        elif kind == _COMPUTE:
+            yield from ep.compute(next(seconds))
+        else:
+            ep.next_collective_tag(body)
+    tl.attribute_to(outside)

@@ -3,23 +3,40 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..cluster.state import TransferPlan
 from ..sim.engine import Future
 
-__all__ = ["Message", "RecvPost", "payload_nbytes", "payload_dtype", "copy_payload"]
+__all__ = [
+    "Message", "RecvPost", "PayloadSize", "payload_nbytes", "payload_dtype", "copy_payload",
+]
 
-Payload = "np.ndarray | bytes"
+Payload = "np.ndarray | bytes | PayloadSize"
+
+
+class PayloadSize(NamedTuple):
+    """A payload reduced to what the transport sees: its size and dtype label.
+
+    What a recorded op stream carries instead of data; a replayed send of
+    one moves the same bytes on the simulated wire as the array it stands
+    for.
+    """
+
+    nbytes: int
+    dtype: str
 
 
 def payload_nbytes(payload) -> int:
-    """Size in bytes of an ndarray or bytes payload."""
+    """Size in bytes of an ndarray, bytes or :class:`PayloadSize` payload."""
     if isinstance(payload, np.ndarray):
         return int(payload.nbytes)
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
+    if isinstance(payload, PayloadSize):
+        return payload.nbytes
     raise TypeError(f"unsupported payload type {type(payload).__name__}")
 
 
@@ -27,6 +44,8 @@ def payload_dtype(payload) -> str:
     """Dtype label of a payload: the numpy dtype name, or ``"bytes"``."""
     if isinstance(payload, np.ndarray):
         return str(payload.dtype)
+    if isinstance(payload, PayloadSize):
+        return payload.dtype
     return "bytes"
 
 
@@ -34,6 +53,8 @@ def copy_payload(payload):
     """Snapshot the payload at send time (MPI buffer semantics)."""
     if isinstance(payload, np.ndarray):
         return payload.copy()
+    if isinstance(payload, PayloadSize):
+        return payload  # immutable
     return bytes(payload)
 
 

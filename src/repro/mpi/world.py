@@ -25,7 +25,7 @@ from collections import deque
 
 from ..cluster.machine import ClusterSpec
 from ..cluster.state import ClusterState
-from ..sim.engine import Future, Simulator
+from ..sim.engine import Simulator
 from .message import Message, RecvPost
 
 __all__ = ["MPIWorld"]
@@ -110,10 +110,9 @@ class MPIWorld:
         msg.plan = plan
 
         delay = max(0.0, plan.end - self.sim.now)
-        self.sim.schedule(delay, lambda: post.fut.resolve(self.sim, msg))
+        self.sim.schedule(delay, post.fut.resolve, self.sim, msg)
         if msg.fut_sender is not None:
-            fut: Future = msg.fut_sender
-            self.sim.schedule(delay, lambda: fut.resolve(self.sim, plan))
+            self.sim.schedule(delay, msg.fut_sender.resolve, self.sim, plan)
 
     # ------------------------------------------------------------------
     def assert_drained(self) -> None:

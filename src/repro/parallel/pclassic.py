@@ -88,8 +88,8 @@ class ParallelClassic:
         """Evaluate this rank's block; pure computation, no yields.
 
         ``generation`` is the step driver's positions generation counter;
-        with it, a campaign session's cache replays the result a previous
-        platform variant of this trajectory recorded.
+        with it, a campaign session's force tables replay the result an
+        earlier live run of this trajectory recorded.
         """
 
         def evaluate() -> tuple[np.ndarray, tuple]:

@@ -176,8 +176,8 @@ class ParallelPME:
 
         # 5. partial force interpolation from owned planes, plus the
         # exclusion corrections of this rank's slice: the phase's terminal
-        # result, which a campaign session's cache replays across the
-        # platform variants of one trajectory
+        # result, which a campaign session's force tables replay to the
+        # trajectory's later live (sanitized or traced) runs
         def evaluate() -> tuple[np.ndarray, tuple]:
             f_mesh = self.mesh.interpolate_forces(
                 positions, self.charges, phi, x_range=x_range, stencil=stencil

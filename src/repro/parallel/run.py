@@ -22,6 +22,7 @@ from ..cmpi.middleware import CMPIMiddleware
 from ..md.integrator import maxwell_boltzmann_velocities
 from ..md.neighborlist import NeighborList, exclusion_codes
 from ..md.system import MDSystem
+from ..mpi.endpoint import replay_program
 from ..mpi.middleware import Middleware, MPIMiddleware
 from ..mpi.world import MPIWorld
 from ..sim.engine import Simulator
@@ -29,7 +30,7 @@ from .costmodel import PIII_1GHZ, MachineCostModel
 from .decomposition import AtomDecomposition
 from .pmd import MDRunConfig, RankOutcome, rank_program
 from .result import ParallelRunResult
-from .shared import SharedComputeCache
+from .shared import SharedComputeCache, middleware_identity
 
 if TYPE_CHECKING:  # avoid the core -> parallel -> core import cycle
     from ..core.design import DesignPoint
@@ -96,11 +97,13 @@ class RunOptions:
         bit-identity tests compare against); a :class:`SharedComputeCache`
         instance — what a campaign's
         :class:`~repro.parallel.shared.TrajectorySession` passes, a fresh
-        one per run — is used as given, so the runs of one ``(workload,
-        p, middleware)`` trajectory also share its recorded step results
-        across platform variants.  A wall-clock optimization only:
-        energies, trajectories and virtual timelines are bit-identical
-        whichever is passed.  Ignored by ``strategy="spatial"``.
+        one per run — is used as given: the first run of a trajectory
+        records its op streams and later platform variants replay them
+        instead of running the rank programs (runs with ``sanitize`` or
+        ``trace`` always run live).  A wall-clock optimization only:
+        energies, trajectories, virtual timelines and transfers are
+        bit-identical whichever is passed.  Ignored by
+        ``strategy="spatial"``.
     strategy:
         ``"replicated"`` (CHARMM's replicated-data scheme, the default)
         or ``"spatial"`` (cell-grid domain decomposition with halo
@@ -269,15 +272,33 @@ def _replicated_programs(
     """Replicated data: atom blocks, allreduce + allgather per step.
 
     Every rank ends with the full energy log and coordinates, so rank 0's
-    outcome is the run's.
+    outcome is the run's.  Under a campaign session
+    (:mod:`repro.parallel.shared`) a trajectory's first run records its
+    op streams and every later run replays them instead; runs that
+    sanitize or trace always run the rank programs.
     """
-    decomp = AtomDecomposition(system.n_atoms, cluster.n_ranks)
     shared = opts.shared_compute
     if not isinstance(shared, SharedComputeCache):
         shared = SharedComputeCache() if shared else None
     elif shared.n_real_builds:
         # its generation-keyed entries are the previous run's
         raise ValueError("a SharedComputeCache instance serves one run")
+
+    recorders = None
+    if shared is not None and not opts.sanitize and opts.trace is None:
+        identity = (cluster.n_ranks, config, opts.cost, middleware_identity(mw))
+        recorded = shared.recorded_run(identity, positions)
+        if recorded is not None:
+            streams = zip(world.endpoints, recorded.streams)
+            return [replay_program(ep, stream) for ep, stream in streams], recorded.outcome
+        recorders = shared.recorders(identity, cluster.n_ranks)
+    if recorders is not None:
+        for ep, recorder in zip(world.endpoints, recorders):
+            ep.recorder = recorder
+    elif shared is not None:
+        shared.bind_force_tables()
+
+    decomp = AtomDecomposition(system.n_atoms, cluster.n_ranks)
     programs = [
         rank_program(
             ep=world.endpoints[rank],
@@ -294,7 +315,10 @@ def _replicated_programs(
     ]
 
     def assemble(outcomes: list[RankOutcome]):
-        return outcomes[0].energies, outcomes[0].final_positions
+        energies, final_positions = outcomes[0].energies, outcomes[0].final_positions
+        if recorders is not None:
+            shared.commit(positions, recorders, energies, final_positions)
+        return energies, final_positions
 
     return programs, assemble
 

@@ -34,43 +34,65 @@ results are bit-identical to locally computed ones, so every charged
 counter — and therefore every virtual timeline — is bit-identical with
 the cache on or off.
 
-**Across the runs of one trajectory.**  Only *time* is simulated: the
-forces, energies and cost counters of a run depend on the workload, the
-rank count and the middleware's reduction order — never on the network,
-the node width or the platform noise seed.  A campaign's
-:class:`TrajectorySession` therefore binds the cache of every run of one
-``(workload, p, middleware, run config)`` trajectory to the *same* tables,
-and :meth:`SharedComputeCache.replay` records the two terminal results
+**Across the runs of one trajectory.**  Only *time* is simulated: what
+a rank issues — compute charges from counters, message sizes, tags and
+their order — depends on the workload, the rank count, the middleware
+and its parameters, the run configuration and the cost model; never on
+the network, the node width or the platform noise seed, which act only
+*below* the op (eager/rendezvous, node mapping, ``compute_scale``, NIC
+and interrupt state, the noise draws).  A campaign's
+:class:`TrajectorySession` keys each run on exactly those inputs.  The
+first live run of a trajectory records every rank's op stream
+(:class:`~repro.mpi.endpoint.OpStreamRecorder`) with the run's energies
+and final positions; every later run of it replays the streams through
+the same executor (:func:`~repro.mpi.endpoint.replay_program`) on its
+own platform — no rank program, no physics, no payload — and reports the
+recorded energies and positions.  The argument above is the soundness
+proof: the replayed run issues the live run's ops, so its events,
+transfers and timelines are the ones its platform implies for them.  A
+replay is additionally checked against the recorded run's identity and
+initial coordinates, so a wrong key degrades into a live run, never into
+a wrong record.
+
+Runs that sanitize or record a :class:`~repro.instrument.commstats.CommTrace`
+audit real payloads and the live program, so they always run live; for
+them :meth:`SharedComputeCache.replay` records the two terminal results
 of a step (the classic phase's forces, energies and counters; the PME
-phase's interpolated + exclusion forces) the first time a trajectory is
-computed and hands them back to every later platform variant.  The
-argument above is the whole soundness proof, applied across platform
-variants: messages, spreads, FFTs and ``ep.compute`` charges all still
-run from the same counters.  A hit is additionally checked against the
-recorded coordinates of its generation, so a wrong key degrades into a
-miss, never into a wrong record.
+phase's interpolated + exclusion forces) in force tables the first time
+and hands them back to the trajectory's later live runs, each hit checked
+against the recorded coordinates of its generation.
 """
 
 from __future__ import annotations
 
+import sys
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
-from ..instrument.counters import TRAJECTORY_RECORDED, TRAJECTORY_REPLAYED
+from ..instrument.counters import (
+    OPSTREAM_RECORDED,
+    OPSTREAM_REPLAYED,
+    TRAJECTORY_RECORDED,
+    TRAJECTORY_REPLAYED,
+)
 from ..instrument.metrics import REGISTRY
 from ..md.neighborlist import NeighborList
+from ..mpi.endpoint import OpStream, OpStreamRecorder
 
-__all__ = ["SharedComputeCache", "TrajectorySession", "TRAJECTORY_TABLE_BYTES"]
+__all__ = [
+    "SharedComputeCache", "TrajectorySession", "TRAJECTORY_TABLE_BYTES", "middleware_identity",
+]
 
-#: Most replay-table bytes one :class:`TrajectorySession` admits; later
-#: trajectories run without tables (no eviction, no option).  Sized to
-#: hold the paper's own factorial whole — myoglobin-PME, 8 trajectories x
-#: 10 steps x 3552 atoms = 58.0 MB of tables, which take the 48 inline
-#: points from 41.3 s to 18.4 s for 187.5 -> 226.8 MB of peak RSS; the
-#: peptide-tiny factorial of the benchmark needs 1.2 MB.
+#: Most bytes one :class:`TrajectorySession` holds — recorded runs, their
+#: interned entries and the force tables of runs that cannot replay them;
+#: past it, later trajectories record nothing (no eviction, no option).
+#: Sized for force tables: the paper's myoglobin-PME factorial (8
+#: trajectories x 10 steps x 3552 atoms) needs 58.0 MB of them when every
+#: run is sanitized.  Its recorded runs take 1.5 MB (mostly initial and
+#: final coordinates), the peptide-tiny factorial's 0.2 MB.
 TRAJECTORY_TABLE_BYTES = 64 * 2**20
 
 #: replay sites -> row of the tables' leading axis
@@ -108,6 +130,66 @@ class _TrajectoryTables:
         return 8 * n_steps * (n_sites * n_ranks * (3 * n_atoms + _N_SCALARS) + 3 * n_atoms)
 
 
+def middleware_identity(mw) -> tuple:
+    """What a middleware contributes to a run's op stream: its class and
+    its public data attributes (``CMPIMiddleware.call_overhead``, ...)."""
+    cls = type(mw)
+    attrs: dict[str, Any] = {}
+    for klass in reversed(cls.__mro__):
+        attrs.update(vars(klass))
+    attrs.update(vars(mw))
+    params = sorted(
+        (name, value) for name, value in attrs.items()
+        if not name.startswith("_") and not callable(value)
+    )
+    return cls.__module__, cls.__qualname__, tuple(params)
+
+
+@dataclass(frozen=True)
+class _RecordedRun:
+    """A trajectory's first live run, in the form its later runs replay."""
+
+    positions0: np.ndarray
+    streams: tuple[OpStream, ...]
+    energies: tuple
+    final_positions: np.ndarray
+
+    def outcome(self, _outcomes) -> tuple[list, np.ndarray]:
+        """The run's ``(energies, final positions)``, a fresh copy per replay."""
+        return list(self.energies), self.final_positions.copy()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held beyond the session's interned entries."""
+        streams = sum(
+            sys.getsizeof(s.entries) + s.seconds.itemsize * len(s.seconds) for s in self.streams
+        )
+        return streams + self.positions0.nbytes + self.final_positions.nbytes
+
+
+class _Trajectory:
+    """A session's record of one trajectory: its recorded run once there
+    is one, and the force tables of its runs that cannot replay it."""
+
+    def __init__(self, session: "TrajectorySession", identity: tuple, shape: tuple) -> None:
+        self.session = session
+        #: ``(n_ranks, run config, cost model, middleware identity)``
+        self.identity = identity
+        #: force-table shape ``(sites, n_steps, n_ranks, n_atoms)``
+        self.shape = shape
+        self.recorded: _RecordedRun | None = None
+        #: False once a recording could not be kept
+        self.recordable = True
+        self.tables: _TrajectoryTables | None = None
+
+    def force_tables(self) -> _TrajectoryTables | None:
+        """The force tables, allocated on first use while the session
+        budget admits them."""
+        if self.tables is None and self.session.admit(_TrajectoryTables.nbytes(*self.shape)):
+            self.tables = _TrajectoryTables(*self.shape)
+        return self.tables
+
+
 @dataclass
 class _NeighborOutcome:
     """The shared outcome of one generation's neighbour-list maintenance."""
@@ -129,12 +211,12 @@ class SharedComputeCache:
     One instance serves the ranks of one run: a bare
     :func:`repro.parallel.run.run_parallel_md` call creates its own, and
     a campaign's :class:`TrajectorySession` hands each run (as
-    ``RunOptions.shared_compute``) a fresh one bound to the replay tables
-    of the run's trajectory — the rank-to-rank state below dies with the
-    run, only the tables behind :meth:`replay` outlive it.  All methods
-    are synchronous — ranks interleave only at the simulator's yield
-    points, so no locking is needed.  Every array handed to more than
-    one consumer is read-only.
+    ``RunOptions.shared_compute``) a fresh one bound to the session's
+    record of the run's trajectory — the rank-to-rank state below dies
+    with the run, only the recorded run and the force tables outlive it.
+    All methods are synchronous — ranks interleave only at the
+    simulator's yield points, so no locking is needed.  Every array
+    handed to more than one consumer is read-only.
     """
 
     #: real neighbour-list builds performed through this cache
@@ -152,9 +234,65 @@ class SharedComputeCache:
     _once: dict[Any, Any] = field(default_factory=dict, repr=False)
     _statics_ref: weakref.ref | None = field(default=None, repr=False)
     _statics: tuple | None = field(default=None, repr=False)
-    #: the records of this run's trajectory, shared with its other runs;
-    #: None outside a campaign session
+    #: the session's record of this run's trajectory; None outside a
+    #: campaign session
+    _trajectory: _Trajectory | None = field(default=None, repr=False)
+    #: the trajectory's force tables, once this run uses them
     _tables: _TrajectoryTables | None = field(default=None, repr=False)
+
+    # ------------------------------------------------------------------
+    def _trajectory_of(self, identity: tuple) -> _Trajectory | None:
+        """The session's record of this run's trajectory, if the run (of
+        this ``identity``) is that trajectory."""
+        trajectory = self._trajectory
+        if trajectory is None or trajectory.identity != identity:
+            return None
+        return trajectory
+
+    def recorded_run(self, identity: tuple, positions0: np.ndarray) -> _RecordedRun | None:
+        """The recorded first run of this run's trajectory, if there is one
+        and it started from the same coordinates."""
+        trajectory = self._trajectory_of(identity)
+        recorded = trajectory.recorded if trajectory is not None else None
+        if recorded is None or not np.array_equal(positions0, recorded.positions0):
+            return None
+        OPSTREAM_REPLAYED.increment()
+        return recorded
+
+    def recorders(self, identity: tuple, n_ranks: int) -> list[OpStreamRecorder] | None:
+        """One op-stream recorder per rank when this run is to record its
+        trajectory (the session has no recording of it yet), else None."""
+        trajectory = self._trajectory_of(identity)
+        if trajectory is None or trajectory.recorded is not None or not trajectory.recordable:
+            return None
+        return [OpStreamRecorder(trajectory.session.intern) for _ in range(n_ranks)]
+
+    def commit(
+        self,
+        positions0: np.ndarray,
+        recorders: list[OpStreamRecorder],
+        energies: list,
+        final_positions: np.ndarray,
+    ) -> None:
+        """Keep a finished run's recording for its trajectory's later runs."""
+        trajectory = self._trajectory
+        recorded = _RecordedRun(
+            positions0=_read_only(positions0.copy()),
+            streams=tuple(r.stream() for r in recorders),
+            energies=tuple(energies),
+            final_positions=_read_only(final_positions.copy()),
+        )
+        if all(r.replayable for r in recorders) and trajectory.session.admit(recorded.nbytes):
+            trajectory.recorded = recorded
+            OPSTREAM_RECORDED.increment()
+        else:
+            trajectory.recordable = False
+
+    def bind_force_tables(self) -> None:
+        """Let :meth:`replay` use the trajectory's force tables (a live run
+        that neither replays nor records an op stream)."""
+        if self._trajectory is not None:
+            self._tables = self._trajectory.force_tables()
 
     # ------------------------------------------------------------------
     def replay(
@@ -291,40 +429,64 @@ class SharedComputeCache:
 
 
 class TrajectorySession:
-    """One campaign pass's trajectory tables, keyed on stable fields only.
+    """One pass's record of its trajectories, keyed on stable fields only.
 
     Owned by whoever loops over design points in one process — the inline
-    dispatch of ``CampaignEngine.run``, ``work_campaign`` and
-    ``CharacterizationRunner.measure`` — and dropped with it.
-    :meth:`cache_for` answers what a point's ``RunOptions.shared_compute``
-    should be: a cache bound to the tables of the point's trajectory
-    while the session's tables fit :data:`TRAJECTORY_TABLE_BYTES`, else
-    plain ``True`` (a cache without tables).
+    dispatch of ``CampaignEngine.run``, ``work_campaign`` and a
+    ``CharacterizationRunner`` — and dropped with it.  :meth:`cache_for`
+    answers what a point's ``RunOptions.shared_compute`` should be: a
+    cache bound to the session's record of the point's trajectory while
+    the session holds less than :data:`TRAJECTORY_TABLE_BYTES`, else
+    plain ``True`` (a cache bound to nothing).
     """
 
     def __init__(self, workload_fingerprint: str) -> None:
         self.workload_fingerprint = workload_fingerprint
-        #: trajectory key -> its tables
-        self.tables: dict[tuple, _TrajectoryTables] = {}
-        #: bytes of the tables admitted so far
+        #: trajectory key -> the session's record of it
+        self.trajectories: dict[tuple, _Trajectory] = {}
+        #: bytes of recordings, interned entries and force tables held
         self.table_bytes = 0
+        self._interned: dict = {}
 
-    def cache_for(self, point, config, system) -> "SharedComputeCache | bool":
-        """The ``shared_compute`` value for one run of ``point`` under ``config``."""
+    def cache_for(self, point, config, system, cost) -> "SharedComputeCache | bool":
+        """The ``shared_compute`` value for one run of ``point`` under
+        ``config`` and the cost model ``cost``.
+
+        The key is everything a rank's op stream depends on: the
+        workload, the strategy, the rank count, the middleware's class and
+        parameters, the whole run configuration and the cost model.
+        """
         strategy = getattr(point, "strategy", "replicated")
         if strategy != "replicated":
             return True
-        key = (
-            self.workload_fingerprint, point.n_ranks, point.config.middleware, strategy,
-            config.dt, config.temperature, config.velocity_seed, config.n_steps,
+        from .run import make_middleware  # run.py imports this module
+
+        identity = (
+            point.n_ranks, config, cost,
+            middleware_identity(make_middleware(point.config.middleware)),
         )
-        tables = self.tables.get(key)
-        if tables is None:
-            shape = (1 + system.uses_pme, config.n_steps, point.n_ranks, system.n_atoms)
-            nbytes = _TrajectoryTables.nbytes(*shape)
-            if self.table_bytes + nbytes > TRAJECTORY_TABLE_BYTES:
+        key = (self.workload_fingerprint, strategy, identity)
+        trajectory = self.trajectories.get(key)
+        if trajectory is None:
+            if self.table_bytes >= TRAJECTORY_TABLE_BYTES:
                 return True
-            self.table_bytes += nbytes
-            REGISTRY.gauge("exec.trajectory_table_bytes").set(self.table_bytes)
-            tables = self.tables[key] = _TrajectoryTables(*shape)
-        return SharedComputeCache(_tables=tables)
+            shape = (1 + system.uses_pme, config.n_steps, point.n_ranks, system.n_atoms)
+            trajectory = self.trajectories[key] = _Trajectory(self, identity, shape)
+        return SharedComputeCache(_trajectory=trajectory)
+
+    def intern(self, value):
+        """The session's canonical object equal to ``value`` (see
+        :class:`~repro.mpi.endpoint.OpStreamRecorder`)."""
+        found = self._interned.get(value)
+        if found is None:
+            found = self._interned[value] = value
+            self.table_bytes += sys.getsizeof(value)
+        return found
+
+    def admit(self, nbytes: int) -> bool:
+        """Count ``nbytes`` more against the budget, if they fit."""
+        if self.table_bytes + nbytes > TRAJECTORY_TABLE_BYTES:
+            return False
+        self.table_bytes += nbytes
+        REGISTRY.gauge("exec.trajectory_table_bytes").set(self.table_bytes)
+        return True

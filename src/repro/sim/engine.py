@@ -2,12 +2,17 @@
 
 Rank programs are plain Python generators: real (numpy) computation runs
 inline, and *virtual time* advances only at explicit yield points.  A
-process yields :class:`Sleep` to advance its clock and :class:`Await` to
-block on a :class:`Future`; nested protocol code composes with
-``yield from``.
+process yields an *effect*: :class:`Sleep` to advance its clock,
+:class:`Await` to block on a :class:`Future`, or any object with a
+``start(process)`` method that takes the process over and resumes it
+with ``process._step(value)`` when done (the MPI layer's op batches,
+:class:`repro.mpi.endpoint.OpBatch`).  Nested protocol code composes
+with ``yield from``.
 
 The kernel is deterministic: events at equal timestamps fire in scheduling
-order (a monotonically increasing sequence number breaks ties).
+order (a monotonically increasing sequence number breaks ties).  An event
+is a callable plus its arguments — a bound method, not a fresh closure
+per event.
 """
 
 from __future__ import annotations
@@ -33,12 +38,16 @@ class Sleep:
         if self.duration < 0:
             raise ValueError(f"negative sleep duration {self.duration}")
 
+    def start(self, proc: "Process") -> None:
+        proc.sim.schedule(self.duration, proc._step, None)
+
 
 class Future:
     """A one-shot value that processes can await.
 
     ``resolve`` may be called at most once; awaiting an already-resolved
-    future resumes the process without advancing time.
+    future resumes the process without advancing time.  Waiters are
+    callbacks taking the value; each is woken by its own zero-delay event.
     """
 
     __slots__ = ("resolved", "value", "_waiters")
@@ -46,7 +55,7 @@ class Future:
     def __init__(self) -> None:
         self.resolved = False
         self.value: Any = None
-        self._waiters: list[Process] = []
+        self._waiters: list[Callable[[Any], None]] = []
 
     def resolve(self, sim: "Simulator", value: Any = None) -> None:
         if self.resolved:
@@ -54,11 +63,16 @@ class Future:
         self.resolved = True
         self.value = value
         waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            sim.schedule(0.0, lambda p=proc: p._step(self.value))
+        for wake in waiters:
+            sim.schedule(0.0, wake, value)
 
-    def add_waiter(self, proc: "Process") -> None:
-        self._waiters.append(proc)
+    def wake_on_resolve(self, sim: "Simulator", wake: Callable[[Any], None]) -> None:
+        """Call ``wake(value)`` from a zero-delay event once resolved — now,
+        if it already is."""
+        if self.resolved:
+            sim.schedule(0.0, wake, self.value)
+        else:
+            self._waiters.append(wake)
 
 
 @dataclass
@@ -67,8 +81,11 @@ class Await:
 
     future: Future
 
+    def start(self, proc: "Process") -> None:
+        self.future.wake_on_resolve(proc.sim, proc._step)
 
-ProcessGen = Generator["Sleep | Await", Any, Any]
+
+ProcessGen = Generator[Any, Any, Any]
 
 
 class Process:
@@ -93,24 +110,19 @@ class Process:
             self.result = stop.value
             self.sim._process_finished(self)
             return
-        if isinstance(effect, Sleep):
-            self.sim.schedule(effect.duration, lambda: self._step(None))
-        elif isinstance(effect, Await):
-            fut = effect.future
-            if fut.resolved:
-                self.sim.schedule(0.0, lambda: self._step(fut.value))
-            else:
-                fut.add_waiter(self)
-        else:
+        start = getattr(effect, "start", None)
+        if start is None:
             raise SimulationError(
-                f"process {self.name} yielded {effect!r}; expected Sleep or Await"
+                f"process {self.name} yielded {effect!r}; expected an effect "
+                "(Sleep, Await or an object with start(process))"
             )
+        start(self)
 
 
-# heap entries are plain (time, seq, fn) tuples: the unique seq breaks
-# time ties before fn is ever compared, and tuple comparison runs in C —
-# the event loop's hottest operation
-_Event = tuple[float, int, Callable[[], None]]
+# heap entries are plain (time, seq, fn, args) tuples: the unique seq
+# breaks time ties before fn is ever compared, and tuple comparison runs
+# in C — the event loop's hottest operation
+_Event = tuple[float, int, Callable[..., None], tuple]
 
 
 class Simulator:
@@ -132,11 +144,11 @@ class Simulator:
         self._live = 0
 
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn`` after ``delay`` sim-seconds."""
+    def schedule(self, delay: float, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` after ``delay`` sim-seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay {delay})")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
         self._seq += 1
 
     def spawn(self, gen: ProcessGen, name: str = "proc") -> Process:
@@ -144,7 +156,7 @@ class Simulator:
         proc = Process(self, gen, name)
         self._processes.append(proc)
         self._live += 1
-        self.schedule(0.0, lambda: proc._step(None))
+        self.schedule(0.0, proc._step, None)
         return proc
 
     def _process_finished(self, proc: Process) -> None:
@@ -168,7 +180,7 @@ class Simulator:
             if ev_time < self.now - 1e-15:
                 raise SimulationError("event queue went backwards")
             self.now = ev_time
-            ev[2]()
+            ev[2](*ev[3])
         if self._live > 0:
             stuck = [p.name for p in self._processes if not p.done]
             raise SimulationError(f"deadlock: processes never finished: {stuck}")

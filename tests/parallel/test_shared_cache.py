@@ -13,12 +13,13 @@ Three guarantees, each load-bearing for the replicated-data dedup layer
    process-wide :data:`~repro.instrument.counters.NEIGHBOR_BUILDS`
    counter.
 
-A cache with replay tables (what a campaign's ``TrajectorySession``
-hands the runs of one trajectory) extends the same three guarantees
+A cache bound to a trajectory's force tables (what a campaign's
+``TrajectorySession`` hands the runs of one trajectory that cannot replay
+its op streams — here, sanitized runs) extends the same three guarantees
 across runs; its one extra duty is to stay right under a *wrong* key:
 a record is adopted only after a bit-for-bit comparison of coordinates
-(``TestReplay``).  The campaign-level half is in
-``tests/campaign/test_trajectory_session.py``.
+(``TestReplay``).  The campaign-level half, op-stream replay included,
+is in ``tests/campaign/test_trajectory_session.py``.
 """
 
 from dataclasses import asdict
@@ -35,17 +36,17 @@ from repro.instrument.counters import (
     TRAJECTORY_REPLAYED,
 )
 from repro.md import CutoffScheme, MDSystem
-from repro.parallel import MDRunConfig, RunOptions, SharedComputeCache, run_parallel_md
+from repro.parallel import PIII_1GHZ, MDRunConfig, RunOptions, SharedComputeCache, run_parallel_md
 from repro.parallel.shared import TrajectorySession
 
 CFG = MDRunConfig(n_steps=4, dt=0.0004)
 
 
-def _run(system, pos, p, shared_compute, config=CFG, network=tcp_gigabit_ethernet, seed=2002):
+def _run(system, pos, p, shared_compute, config=CFG, network=tcp_gigabit_ethernet, seed=2002,
+         sanitize=False):
     spec = ClusterSpec(n_ranks=p, network=network(), seed=seed)
-    return run_parallel_md(
-        system, pos, spec, RunOptions(config=config, shared_compute=shared_compute)
-    )
+    options = RunOptions(config=config, shared_compute=shared_compute, sanitize=sanitize)
+    return run_parallel_md(system, pos, spec, options)
 
 
 class TestBitIdentity:
@@ -116,12 +117,12 @@ class TestDeduplication:
 # ---------------------------------------------------------------------------
 def _trajectory(system, p, config=CFG):
     """What a session hands the runs of one ``(config, p, system)``
-    trajectory: each call is a fresh cache bound to the same tables."""
+    trajectory: each call is a fresh cache bound to the same record."""
     session = TrajectorySession("any-fingerprint")
     point = DesignPoint(config=FOCAL_POINT, n_ranks=p)
 
     def fresh_cache() -> SharedComputeCache:
-        cache = session.cache_for(point, config, system)
+        cache = session.cache_for(point, config, system, PIII_1GHZ)
         assert isinstance(cache, SharedComputeCache)
         return cache
 
@@ -136,6 +137,8 @@ def _assert_same_run(got, want):
 
 
 class TestReplay:
+    """Force tables serve the runs that replay no op stream: sanitized ones."""
+
     P = 4
     #: lookups per run and per site: one per rank per step
     LOOKUPS = P * CFG.n_steps
@@ -144,11 +147,13 @@ class TestReplay:
         system, pos = peptide_system
         fresh_cache = _trajectory(system, self.P)
         recorded, replayed = TRAJECTORY_RECORDED.snapshot(), TRAJECTORY_REPLAYED.snapshot()
-        first = _run(system, pos, self.P, fresh_cache())
+        first = _run(system, pos, self.P, fresh_cache(), sanitize=True)
         assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.LOOKUPS
         assert TRAJECTORY_REPLAYED.delta(replayed) == 0
         # another network, another noise seed: same forces, other timings
-        second = _run(system, pos, self.P, fresh_cache(), network=myrinet_gm, seed=7)
+        second = _run(
+            system, pos, self.P, fresh_cache(), network=myrinet_gm, seed=7, sanitize=True
+        )
         assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.LOOKUPS
         assert TRAJECTORY_REPLAYED.delta(replayed) == 2 * self.LOOKUPS
         _assert_same_run(first, _run(system, pos, self.P, False))
@@ -170,7 +175,7 @@ class TestReplay:
         assert not np.array_equal(oracles[0].final_positions, oracles[1].final_positions)
         for n_run, turn in enumerate((0, 1, 0, 1)):
             recorded, replayed = TRAJECTORY_RECORDED.snapshot(), TRAJECTORY_REPLAYED.snapshot()
-            got = _run(system, pos, self.P, fresh_cache(), config=configs[turn])
+            got = _run(system, pos, self.P, fresh_cache(), config=configs[turn], sanitize=True)
             _assert_same_run(got, oracles[turn])
             adopted = 2 * self.P if n_run else 0  # generation 0, both sites
             assert TRAJECTORY_REPLAYED.delta(replayed) == adopted
@@ -179,11 +184,11 @@ class TestReplay:
     def test_snapshot_off_by_one_ulp_is_a_miss(self, peptide_system):
         system, pos = peptide_system
         fresh_cache = _trajectory(system, self.P)
-        want = _run(system, pos, self.P, fresh_cache())
-        snapshot = fresh_cache()._tables.snapshots
+        want = _run(system, pos, self.P, fresh_cache(), sanitize=True)
+        snapshot = fresh_cache()._trajectory.tables.snapshots
         snapshot[2, 5, 1] = np.nextafter(snapshot[2, 5, 1], np.inf)
         recorded, replayed = TRAJECTORY_RECORDED.snapshot(), TRAJECTORY_REPLAYED.snapshot()
-        got = _run(system, pos, self.P, fresh_cache())
+        got = _run(system, pos, self.P, fresh_cache(), sanitize=True)
         _assert_same_run(got, want)
         # generation 2 was recomputed and re-recorded by every rank at both sites
         assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.P
@@ -208,6 +213,7 @@ class TestReadOnlyHandOuts:
     def test_replayed_forces(self, peptide_system):
         system, pos = peptide_system
         cache = _trajectory(system, 1)()
+        cache.bind_force_tables()
         tables = cache._tables
         # the admission arithmetic is the size of what gets allocated
         assert tables.nbytes(2, CFG.n_steps, 1, system.n_atoms) == (
