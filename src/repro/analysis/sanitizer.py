@@ -79,13 +79,13 @@ class Sanitizer:
 
     # ------------------------------------------------------------------
     def check_match(self, msg, post) -> None:
-        """Size/dtype agreement for one matched (message, receive) pair."""
-        ranks = (msg.src, msg.dst)
+        """Size/dtype agreement for one matched send and receive request."""
+        ranks = (msg.src, msg.dest)
         actual = _nbytes(msg.payload)
         if actual != msg.nbytes:
             self._report(
                 "REP301",
-                f"message {msg.src}->{msg.dst} tag {msg.tag} declares "
+                f"message {msg.src}->{msg.dest} tag {msg.tag} declares "
                 f"{msg.nbytes} B but carries {actual} B (payload mutated "
                 "after send?)",
                 ranks=ranks,
@@ -94,7 +94,7 @@ class Sanitizer:
         if post.expect_nbytes is not None and post.expect_nbytes != msg.nbytes:
             self._report(
                 "REP301",
-                f"message {msg.src}->{msg.dst} tag {msg.tag} carries "
+                f"message {msg.src}->{msg.dest} tag {msg.tag} carries "
                 f"{msg.nbytes} B but the receiver expected "
                 f"{post.expect_nbytes} B",
                 ranks=ranks,
@@ -105,7 +105,7 @@ class Sanitizer:
             if got != post.expect_dtype:
                 self._report(
                     "REP302",
-                    f"message {msg.src}->{msg.dst} tag {msg.tag} carries dtype "
+                    f"message {msg.src}->{msg.dest} tag {msg.tag} carries dtype "
                     f"{got} but the receiver expected {post.expect_dtype}",
                     ranks=ranks,
                     tag=msg.tag,

@@ -21,6 +21,7 @@ import os
 import platform
 import subprocess
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from pathlib import Path
 
 __all__ = [
@@ -124,8 +125,13 @@ class CampaignManifest:
 
 
 # ---------------------------------------------------------------------------
+@cache
 def git_revision() -> str:
-    """The working tree's commit, or ``unknown`` outside a checkout."""
+    """The working tree's commit, or ``unknown`` outside a checkout.
+
+    Asked once per process: the running code cannot change under it, and
+    every executed point stamps it into its store metadata.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

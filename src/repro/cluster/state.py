@@ -122,6 +122,9 @@ class ClusterState:
         self.irq_free = [0.0] * spec.n_nodes
         self.rng = np.random.default_rng(spec.seed)
         self._active = _ActiveTransfers()
+        #: the efficiency law's (mean, log-mean, sigma) per pending-transfer
+        #: count
+        self._laws: dict[int, tuple[float, float, float]] = {}
         self.transfers: list[TransferRecord] = []
         # dual-CPU nodes on interrupt-driven stacks hit the SMP pathologies
         self._smp = spec.node.cpus_per_node == 2 and spec.network.uses_interrupts
@@ -132,15 +135,19 @@ class ClusterState:
     # ------------------------------------------------------------------
     def sample_efficiency(self, at_time: float) -> float:
         """Fraction of peak bandwidth for a transfer requested at ``at_time``."""
-        net = self.net
         k = self._active.count_pending(at_time)  # queued + in-flight transfers
-        mean = net.base_efficiency * float(np.exp(-net.congestion_sensitivity * k))
-        sigma = min(net.variability + net.congestion_variability * k, 1.0)
+        law = self._laws.get(k)
+        if law is None:
+            net = self.net
+            mean = net.base_efficiency * float(np.exp(-net.congestion_sensitivity * k))
+            sigma = min(net.variability + net.congestion_variability * k, 1.0)
+            law = self._laws[k] = (mean, -0.5 * sigma * sigma, sigma)
+        mean, mu, sigma = law
         if sigma <= 0:
             # scalar clamp; min/max give the same value as np.clip without
             # the array round-trip (this runs once per transfer)
             return min(max(mean, _EFFICIENCY_FLOOR), 1.0)
-        draw = mean * float(self.rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
+        draw = mean * float(self.rng.lognormal(mu, sigma))
         return min(max(draw, _EFFICIENCY_FLOOR), 1.0)
 
     # ------------------------------------------------------------------
@@ -180,12 +187,9 @@ class ClusterState:
             self.irq_free[dst_node] = end
 
         self._active.add(start, end)
-        self.transfers.append(
-            TransferRecord(
-                start=start, end=end, src_node=src_node, dst_node=dst_node, nbytes=nbytes
-            )
-        )
-        plan = TransferPlan(start=start, end=end, nbytes=nbytes, efficiency=eff, intranode=False)
+        # positional: keyword construction of a named tuple costs more
+        self.transfers.append(TransferRecord(start, end, src_node, dst_node, nbytes))
+        plan = TransferPlan(start, end, nbytes, eff, False)
         if self._plan_validator is not None:
             self._plan_validator(plan, ready_time)
         return plan
@@ -204,4 +208,4 @@ class ClusterState:
             irq_start = max(end - irq_time, self.irq_free[node])
             end = irq_start + irq_time
             self.irq_free[node] = end
-        return TransferPlan(start=start, end=end, nbytes=nbytes, efficiency=1.0, intranode=True)
+        return TransferPlan(start, end, nbytes, 1.0, True)

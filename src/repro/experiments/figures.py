@@ -348,13 +348,21 @@ SWEEP_STEPS = 4
 
 
 def _run(runner: CharacterizationRunner, spec: ClusterSpec, max_steps=None, system=None):
-    """One bare run of the runner's workload (or ``system``) on ``spec``."""
+    """One MPI run of the runner's workload (or ``system``) on ``spec``.
+
+    Runs of the runner's own workload go through its trajectory session:
+    only the platform differs between an ablation's rows, so all but the
+    first run of each trajectory replay its op stream.
+    """
     config = runner.config
     if max_steps is not None and config.n_steps > max_steps:
         config = replace(config, n_steps=max_steps)
+    shared = True
     if system is None:
         system = runner.system
-    options = RunOptions(config=config, cost=runner.cost)
+        point = DesignPoint(config=FOCAL_POINT, n_ranks=spec.n_ranks)  # MPI, replicated
+        shared = runner.session.cache_for(point, config, system, runner.cost)
+    options = RunOptions(config=config, cost=runner.cost, shared_compute=shared)
     return run_parallel_md(system, runner.positions, spec, options)
 
 

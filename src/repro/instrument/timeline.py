@@ -148,15 +148,17 @@ class Timeline:
             self._forced = previous
 
     def add(self, category: str, dt: float) -> None:
-        if self._current not in KNOWN_PHASES:
-            raise ValueError(
-                f"unknown phase {self._current!r}; known: {sorted(KNOWN_PHASES)} "
-                "(register_phase() to extend)"
-            )
-        effective = self._forced if self._forced is not None else category
         totals = self.phases.get(self._current)
-        if totals is None:  # avoid a fresh PhaseTotals per call (hot path)
+        if totals is None:
+            # a phase is validated when its bucket is created: KNOWN_PHASES
+            # only grows, so an existing bucket's phase stays valid
+            if self._current not in KNOWN_PHASES:
+                raise ValueError(
+                    f"unknown phase {self._current!r}; known: {sorted(KNOWN_PHASES)} "
+                    "(register_phase() to extend)"
+                )
             totals = self.phases[self._current] = PhaseTotals()
+        effective = self._forced if self._forced is not None else category
         totals.add(effective, dt)
         if self._sink is not None:
             self._sink(self._current, effective, dt)

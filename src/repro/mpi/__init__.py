@@ -2,7 +2,7 @@
 
 from . import collectives
 from .endpoint import EMPTY_PAYLOAD, RankEndpoint, RecvRequest, SendRequest
-from .message import Message, RecvPost, copy_payload, payload_nbytes
+from .message import copy_payload, payload_nbytes
 from .middleware import Middleware, MPIMiddleware
 from .world import MPIWorld
 
@@ -10,13 +10,11 @@ __all__ = [
     "collectives",
     "copy_payload",
     "EMPTY_PAYLOAD",
-    "Message",
     "Middleware",
     "MPIMiddleware",
     "MPIWorld",
     "payload_nbytes",
     "RankEndpoint",
-    "RecvPost",
     "RecvRequest",
     "SendRequest",
 ]

@@ -12,7 +12,10 @@ charge/recv/send rounds followed by its waits.  The batch's executor
 walks the ops, schedules exactly the events they imply — the
 per-message host overheads, one wake-up per wait, the receive-side copy
 — and resumes the rank generator once, with the received payloads, when
-the last op completes.  Rank programs compose as before:
+the last op completes.  A message has one object per end: the
+sender's :class:`SendRequest` is the message in flight, the receiver's
+:class:`RecvRequest` is the posted receive, and each is its own
+completion.  Rank programs compose as before:
 ``yield from ep.sendrecv(...)`` / ``ep.send`` / ``ep.recv``, the
 split-phase ``req = yield from ep.isend(...)`` / ``yield from
 req.wait()``, and ``yield from ep.batch(ops)`` each yield one batch.
@@ -37,10 +40,8 @@ from array import array
 from typing import Any, Callable, NamedTuple
 
 from ..instrument.timeline import Category, Timeline
-from ..sim.engine import Future, Sleep
-from .message import (
-    Message, PayloadSize, RecvPost, copy_payload, payload_dtype, payload_nbytes,
-)
+from ..sim.engine import SimulationError, Sleep
+from .message import PayloadSize, copy_payload, payload_dtype, payload_nbytes
 
 __all__ = [
     "RankEndpoint", "SendRequest", "RecvRequest", "OpBatch", "OpStream",
@@ -82,30 +83,61 @@ _DRAW = 1
 _BATCH = 2
 
 
-class SendRequest:
-    """Handle for a split-phase send.
+class _Request:
+    """One end of a message: the completion a ``WAIT`` op blocks on.
+
+    ``yield from`` a request initiated outside a batch spends its host
+    overhead and posts it.  The matching engine schedules
+    :meth:`_complete` for the instant the transfer ends (a receive, a
+    rendezvous send; an eager send is complete once posted and never
+    blocks).  A wait already blocked on the request resumes through one
+    zero-delay event; a wait that finds it complete, through one
+    zero-delay event of its own.
+    """
+
+    __slots__ = ("endpoint", "tag", "overhead", "done", "_waiter")
+
+    def __iter__(self):
+        yield OpBatch(self.endpoint, ((POST, self),))
+        return self
+
+    def _complete(self) -> None:
+        if self.done:
+            raise SimulationError(f"{type(self).__name__} completed twice")
+        self.done = True
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            self.endpoint._sim.schedule(0.0, waiter)
+
+
+class SendRequest(_Request):
+    """A split-phase send, and once posted the message in flight.
 
     :meth:`RankEndpoint.isend` books the per-message host cost and returns
     the handle; ``yield from`` it spends that time and posts the message;
-    ``yield from req.wait()`` blocks until the send completes.
+    ``yield from req.wait()`` blocks until the send completes: at once
+    for an eager message, when its transfer ends for a rendezvous one.
     """
 
-    __slots__ = ("endpoint", "dest", "tag", "payload", "nbytes", "overhead", "message", "issued_at")
+    __slots__ = ("src", "dest", "payload", "nbytes", "rendezvous", "issued_at", "plan")
 
     def __init__(self, endpoint: "RankEndpoint", dest: int, tag: int, payload, nbytes: int,
-                 overhead: float) -> None:
+                 overhead: float, rendezvous: bool) -> None:
         self.endpoint = endpoint
+        self.src = endpoint.rank
         self.dest = dest
         self.tag = tag
         self.payload = payload
         self.nbytes = nbytes
         self.overhead = overhead
-        self.message: Message | None = None
+        self.rendezvous = rendezvous
+        self.done = False
+        self._waiter = None
+        #: sim time the payload left the sender's hands
         self.issued_at: float | None = None
-
-    def __iter__(self):
-        yield OpBatch(self.endpoint, ((POST, self),))
-        return self
+        #: the transfer's timing, once the matching engine planned it
+        self.plan = None
 
     def wait(self):
         """Block until the send completes (no-op for eager messages)."""
@@ -114,33 +146,23 @@ class SendRequest:
     def _post(self) -> None:
         ep = self.endpoint
         now = ep._sim.now
-        rendezvous = self.nbytes > ep._net.eager_threshold
-        msg = Message(
-            src=ep.rank,
-            dst=self.dest,
-            tag=self.tag,
-            payload=copy_payload(self.payload),
-            nbytes=self.nbytes,
-            sender_ready=now,
-            rendezvous=rendezvous,
-            fut_sender=Future() if rendezvous else None,
-        )
+        self.issued_at = now
+        self.payload = copy_payload(self.payload)
+        self.done = not self.rendezvous
         trace = ep.world.trace
         if trace is not None:
             trace.record_send(
                 ep.rank, self.dest, self.tag, self.nbytes, payload_dtype(self.payload), now,
-                rendezvous, overhead=self.overhead,
+                self.rendezvous, overhead=self.overhead,
             )
-        ep.world.post_message(msg)
-        self.message = msg
-        self.issued_at = now
-        self.payload = None  # the message holds the snapshot
+        ep.world.post_message(self)
 
 
-class RecvRequest:
-    """Handle for a split-phase receive (see :class:`SendRequest`)."""
+class RecvRequest(_Request):
+    """A split-phase receive (see :class:`SendRequest`), and once posted
+    the receive the matching engine pairs with a message."""
 
-    __slots__ = ("endpoint", "source", "tag", "expect_nbytes", "expect_dtype", "overhead", "post")
+    __slots__ = ("source", "expect_nbytes", "expect_dtype", "posted_at", "message")
 
     def __init__(self, endpoint: "RankEndpoint", source: int, tag: int,
                  expect_nbytes: int | None, expect_dtype: str | None, overhead: float) -> None:
@@ -150,11 +172,11 @@ class RecvRequest:
         self.expect_nbytes = expect_nbytes
         self.expect_dtype = expect_dtype
         self.overhead = overhead
-        self.post: RecvPost | None = None
-
-    def __iter__(self):
-        yield OpBatch(self.endpoint, ((POST, self),))
-        return self
+        self.done = False
+        self._waiter = None
+        self.posted_at: float | None = None
+        #: the matched :class:`SendRequest`
+        self.message: SendRequest | None = None
 
     def wait(self):
         """Block until the payload is delivered; returns it."""
@@ -164,14 +186,7 @@ class RecvRequest:
     def _post(self) -> None:
         ep = self.endpoint
         now = ep._sim.now
-        post = RecvPost(
-            src=self.source,
-            dst=ep.rank,
-            tag=self.tag,
-            post_time=now,
-            expect_nbytes=self.expect_nbytes,
-            expect_dtype=self.expect_dtype,
-        )
+        self.posted_at = now
         trace = ep.world.trace
         if trace is not None:
             trace.record_recv(
@@ -183,8 +198,7 @@ class RecvRequest:
                 self.expect_dtype or "",
                 overhead=self.overhead,
             )
-        ep.world.post_recv(post)
-        self.post = post
+        ep.world.post_recv(self)
 
 
 class OpBatch:
@@ -198,7 +212,7 @@ class OpBatch:
     """
 
     __slots__ = ("ep", "ops", "tag_base", "_proc", "_i", "_stage", "_reqs", "_req",
-                 "_received", "_t0", "_msg")
+                 "_received", "_t0")
 
     def __init__(self, ep: "RankEndpoint", ops, tag_base: int = 0) -> None:
         self.ep = ep
@@ -218,86 +232,78 @@ class OpBatch:
         self._stage = 0
         self._reqs = []
         self._received = []
-        self._advance(None)
+        self._advance()
 
     # -- the executor ---------------------------------------------------
-    def _advance(self, value) -> None:
+    def _advance(self) -> None:
         """Run ops until one has to wait for an event — scheduled with this
-        method as its callback — and resume the rank after the last op.
-
-        ``value`` is what the awakening event delivered: the message or
-        transfer plan a wait was blocked on, None after a sleep.
-        """
+        method as its callback — and resume the rank after the last op."""
         ops = self.ops
         i = self._i
-        while i < len(ops):
+        n = len(ops)
+        while i < n:
             op = ops[i]
             code = op[0]
             if code == WAIT:
-                if self._wait(op[1], value):
+                if self._wait(op[1]):
                     self._i = i
                     return
             elif self._stage == 0:
                 # CHARGE, SEND, RECV, POST: book the host time, sleep it
                 self._stage = 1
                 self._i = i
-                self.ep._sim.schedule(self._issue(op, code), self._advance, None)
+                ep = self.ep
+                if code == CHARGE:
+                    ep.timeline.add(Category.COMM, op[1])
+                    ep._sim.schedule(op[1], self._advance)
+                    return
+                if code == SEND:
+                    req = ep.isend(op[1], op[3], self.tag_base + op[2])
+                elif code == RECV:
+                    req = ep.irecv(op[1], self.tag_base + op[2], op[3], op[4])
+                else:
+                    req = op[1]
+                self._req = req
+                self._reqs.append(req)
+                ep._sim.schedule(req.overhead, self._advance)
                 return
             elif code != CHARGE:
                 self._req._post()
             i += 1
             self._stage = 0
-            value = None
         self._proc._step(self._received)
 
-    def _issue(self, op, code) -> float:
-        """Book the host time of a CHARGE, SEND, RECV or POST op; returns it."""
-        if code == CHARGE:
-            self.ep.timeline.add(Category.COMM, op[1])
-            return op[1]
-        if code == SEND:
-            req = self.ep.isend(op[1], op[3], self.tag_base + op[2])
-        elif code == RECV:
-            req = self.ep.irecv(op[1], self.tag_base + op[2], op[3], op[4])
-        else:
-            req = op[1]
-        self._req = req
-        self._reqs.append(req)
-        return req.overhead
-
-    def _wait(self, ref, value) -> bool:
+    def _wait(self, ref) -> bool:
         """One WAIT op at the current stage; True when it scheduled an event."""
         req = self._reqs[ref] if type(ref) is int else ref
         stage = self._stage
-        if type(req) is SendRequest:
-            fut = req.message.fut_sender
-            if fut is None:
-                return False  # eager: complete once posted
-            if stage == 0:
-                return self._block(fut)
-            self._book_wait(value.start)
-            return False
         if stage == 0:
-            return self._block(req.post.fut)
+            if type(req) is SendRequest and not req.rendezvous:
+                return False  # eager: complete once posted
+            ep = self.ep
+            self._t0 = ep._sim.now
+            self._stage = 1
+            if req.done:
+                ep._sim.schedule(0.0, self._advance)
+            else:
+                req._waiter = self._advance
+            return True
+        if type(req) is SendRequest:
+            self._book_wait(req.plan.start)
+            return False
+        send = req.message
         if stage == 1:
             ep = self.ep
-            self._msg = value
-            self._book_wait(value.plan.start)
+            self._book_wait(send.plan.start)
             # receive-side host processing of the payload (copies, checksums)
-            copy_cost = ep._net.host_cost(value.nbytes) * ep._overhead_scale
+            copy_cost = ep._byte_cost * send.nbytes * ep._overhead_scale
             if copy_cost > 0:
                 ep.timeline.add(Category.COMM, copy_cost)
                 self._stage = 2
-                ep._sim.schedule(copy_cost, self._advance, None)
+                ep._sim.schedule(copy_cost, self._advance)
                 return True
-        self._received.append(self._msg.payload)
+        self._received.append(send.payload)
         return False
-
-    def _block(self, fut: Future) -> bool:
-        self._t0 = self.ep._sim.now
-        self._stage = 1
-        fut.wake_on_resolve(self.ep._sim, self._advance)
-        return True
 
     def _book_wait(self, transfer_start: float) -> None:
         """Split a finished wait into sync (before the data moved) and comm."""
@@ -319,22 +325,26 @@ class RankEndpoint:
         self._tag_seq = COLLECTIVE_TAG_BASE
         #: an :class:`OpStreamRecorder` while the run records its op stream
         self.recorder: OpStreamRecorder | None = None
-        # sim, network and node layout are fixed for the world's lifetime
+        # sim, network and node layout are fixed for the world's lifetime:
+        # the executor reads them once, here
+        spec = world.spec
+        net = spec.network
+        self.size: int = spec.n_ranks
         self._sim = world.sim
-        self._net = world.spec.network
-        self._compute_scale = world.spec.compute_scale
+        self._net = net
+        self._compute_scale = spec.compute_scale
         #: per-message host-overhead multiplier (SMP stack contention)
         self._overhead_scale = (
-            self._net.smp_overhead_multiplier
-            if world.spec.node.cpus_per_node == 2 and self._net.uses_interrupts
+            net.smp_overhead_multiplier
+            if spec.node.cpus_per_node == 2 and net.uses_interrupts
             else 1.0
         )
+        self._send_overhead = net.send_overhead
+        self._byte_cost = net.cpu_byte_cost  # NetworkParams.host_cost per byte
+        self._recv_overhead = net.recv_overhead * self._overhead_scale
+        self._eager_threshold = net.eager_threshold
 
     # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        return self.world.size
-
     @property
     def now(self) -> float:
         return self._sim.now
@@ -389,9 +399,11 @@ class RankEndpoint:
         if dest == self.rank:
             raise ValueError("self-sends are not supported")
         nbytes = payload_nbytes(payload)
-        overhead = (self._net.send_overhead + self._net.host_cost(nbytes)) * self._overhead_scale
+        overhead = (self._send_overhead + self._byte_cost * nbytes) * self._overhead_scale
         self.timeline.add(Category.COMM, overhead)
-        return SendRequest(self, dest, tag, payload, nbytes, overhead)
+        return SendRequest(
+            self, dest, tag, payload, nbytes, overhead, nbytes > self._eager_threshold
+        )
 
     def irecv(
         self,
@@ -410,9 +422,8 @@ class RankEndpoint:
             raise ValueError(f"bad source rank {source}")
         if source == self.rank:
             raise ValueError("self-receives are not supported")
-        overhead = self._net.recv_overhead * self._overhead_scale
-        self.timeline.add(Category.COMM, overhead)
-        return RecvRequest(self, source, tag, expect_nbytes, expect_dtype, overhead)
+        self.timeline.add(Category.COMM, self._recv_overhead)
+        return RecvRequest(self, source, tag, expect_nbytes, expect_dtype, self._recv_overhead)
 
     def batch(self, ops) -> OpBatch:
         """``yield from ep.batch(ops)`` runs ``ops`` as one batch and

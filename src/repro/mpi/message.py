@@ -1,18 +1,18 @@
-"""Message and receive-post records for the simulated MPI layer."""
+"""Payload helpers for the simulated MPI layer.
+
+The message itself is the sender's request
+(:class:`~repro.mpi.endpoint.SendRequest`); these functions size, label
+and snapshot what it carries.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from ..cluster.state import TransferPlan
-from ..sim.engine import Future
-
-__all__ = [
-    "Message", "RecvPost", "PayloadSize", "payload_nbytes", "payload_dtype", "copy_payload",
-]
+__all__ = ["PayloadSize", "payload_nbytes", "payload_dtype", "copy_payload"]
 
 Payload = "np.ndarray | bytes | PayloadSize"
 
@@ -40,10 +40,16 @@ def payload_nbytes(payload) -> int:
     raise TypeError(f"unsupported payload type {type(payload).__name__}")
 
 
+@cache
+def _dtype_name(dtype: np.dtype) -> str:
+    # str(dtype) costs more than the lookup, and a run sends few dtypes
+    return str(dtype)
+
+
 def payload_dtype(payload) -> str:
     """Dtype label of a payload: the numpy dtype name, or ``"bytes"``."""
     if isinstance(payload, np.ndarray):
-        return str(payload.dtype)
+        return _dtype_name(payload.dtype)
     if isinstance(payload, PayloadSize):
         return payload.dtype
     return "bytes"
@@ -56,45 +62,3 @@ def copy_payload(payload):
     if isinstance(payload, PayloadSize):
         return payload  # immutable
     return bytes(payload)
-
-
-@dataclass(slots=True)
-class Message:
-    """An in-flight message."""
-
-    src: int
-    dst: int
-    tag: int
-    payload: object
-    nbytes: int
-    sender_ready: float  # sim time the payload left the sender's hands
-    rendezvous: bool
-    plan: TransferPlan | None = None
-    #: resolved at transfer completion for rendezvous sends
-    fut_sender: Future | None = None
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.src, self.dst, self.tag)
-
-
-@dataclass(slots=True)
-class RecvPost:
-    """A posted receive waiting for its matching message.
-
-    ``expect_nbytes``/``expect_dtype`` are the receiver's optional
-    declaration of the payload it is prepared for; the runtime sanitizer
-    (:mod:`repro.analysis.sanitizer`) asserts agreement at match time.
-    """
-
-    src: int
-    dst: int
-    tag: int
-    post_time: float
-    expect_nbytes: int | None = None
-    expect_dtype: str | None = None
-    fut: Future = field(default_factory=Future)  # resolves with the Message
-
-    @property
-    def key(self) -> tuple[int, int, int]:
-        return (self.src, self.dst, self.tag)

@@ -11,7 +11,7 @@ Timing protocol (decided lazily at match time):
   moving as soon as the sender finishes its per-message host work; the
   sender never blocks.
 * **rendezvous** message: the payload starts moving only when both sides
-  have arrived (``max(sender_ready, recv post time)``); the sender blocks
+  have arrived (``max(send issued, receive posted)``); the sender blocks
   until the transfer completes (CHARMM's standard blocking sends).
 
 The wire timing itself — NIC serialization, congestion-dependent
@@ -21,12 +21,9 @@ efficiency, interrupt queueing — is delegated to
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..cluster.machine import ClusterSpec
 from ..cluster.state import ClusterState
 from ..sim.engine import Simulator
-from .message import Message, RecvPost
 
 __all__ = ["MPIWorld"]
 
@@ -67,8 +64,12 @@ class MPIWorld:
             self.sanitizer = Sanitizer()
             plan_validator = self.sanitizer.check_plan
         self.state = ClusterState(spec, plan_validator=plan_validator)
-        self._msgs: dict[tuple[int, int, int], deque[Message]] = {}
-        self._recvs: dict[tuple[int, int, int], deque[RecvPost]] = {}
+        #: each rank's node, read once per message end
+        self._nodes = [spec.node_of(r) for r in range(spec.n_ranks)]
+        # FIFO queues per (source, dest, tag) of unmatched sends / posted
+        # receives; a key leaves its dict when its queue empties
+        self._msgs: dict[tuple[int, int, int], list] = {}
+        self._recvs: dict[tuple[int, int, int], list] = {}
         self.endpoints = [RankEndpoint(self, r) for r in range(spec.n_ranks)]
         if span_tracer is not None:
             for ep in self.endpoints:
@@ -79,40 +80,61 @@ class MPIWorld:
         return self.spec.n_ranks
 
     # ------------------------------------------------------------------
-    def post_message(self, msg: Message) -> None:
-        """Called by a sender once its per-message host work is done."""
-        queue = self._recvs.get(msg.key)
-        if queue:
-            self._match(msg, queue.popleft())
-        else:
-            self._msgs.setdefault(msg.key, deque()).append(msg)
+    def post_message(self, send) -> None:
+        """Called with a :class:`~repro.mpi.endpoint.SendRequest` once its
+        sender's per-message host work is done."""
+        key = (send.src, send.dest, send.tag)
+        recvs = self._recvs.get(key)
+        if recvs is None:
+            msgs = self._msgs.get(key)
+            if msgs is None:
+                self._msgs[key] = [send]
+            else:
+                msgs.append(send)
+            return
+        recv = recvs.pop(0)
+        if not recvs:
+            del self._recvs[key]
+        self._match(send, recv)
 
-    def post_recv(self, post: RecvPost) -> None:
-        """Called by a receiver after its per-message host work."""
-        queue = self._msgs.get(post.key)
-        if queue:
-            self._match(queue.popleft(), post)
-        else:
-            self._recvs.setdefault(post.key, deque()).append(post)
+    def post_recv(self, recv) -> None:
+        """Called with a :class:`~repro.mpi.endpoint.RecvRequest` after its
+        receiver's per-message host work."""
+        key = (recv.source, recv.endpoint.rank, recv.tag)
+        msgs = self._msgs.get(key)
+        if msgs is None:
+            recvs = self._recvs.get(key)
+            if recvs is None:
+                self._recvs[key] = [recv]
+            else:
+                recvs.append(recv)
+            return
+        send = msgs.pop(0)
+        if not msgs:
+            del self._msgs[key]
+        self._match(send, recv)
 
     # ------------------------------------------------------------------
-    def _match(self, msg: Message, post: RecvPost) -> None:
+    def _match(self, send, recv) -> None:
+        """Plan the transfer; schedule the receive's completion, and the
+        send's when it is a rendezvous, for the instant it ends."""
         if self.sanitizer is not None:
-            self.sanitizer.check_match(msg, post)
+            self.sanitizer.check_match(send, recv)
+        recv.message = send
         ready = (
-            msg.sender_ready
-            if not msg.rendezvous
-            else max(msg.sender_ready, post.post_time)
+            send.issued_at
+            if not send.rendezvous
+            else max(send.issued_at, recv.posted_at)
         )
-        src_node = self.spec.node_of(msg.src)
-        dst_node = self.spec.node_of(msg.dst)
-        plan = self.state.plan_transfer(src_node, dst_node, msg.nbytes, ready)
-        msg.plan = plan
+        nodes = self._nodes
+        plan = self.state.plan_transfer(nodes[send.src], nodes[send.dest], send.nbytes, ready)
+        send.plan = plan
 
-        delay = max(0.0, plan.end - self.sim.now)
-        self.sim.schedule(delay, post.fut.resolve, self.sim, msg)
-        if msg.fut_sender is not None:
-            self.sim.schedule(delay, msg.fut_sender.resolve, self.sim, plan)
+        sim = self.sim
+        delay = max(0.0, plan.end - sim.now)
+        sim.schedule(delay, recv._complete)
+        if send.rendezvous:
+            sim.schedule(delay, send._complete)
 
     # ------------------------------------------------------------------
     def assert_drained(self) -> None:

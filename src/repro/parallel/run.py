@@ -224,25 +224,32 @@ def run_parallel_md(
         sim, cluster,
         sanitize=opts.sanitize, trace=opts.trace, span_tracer=opts.span_tracer,
     )
-    if world.sanitizer is not None:
-        # hook every collective, not just the point-to-point matches: CMPI
-        # books its per-call overhead inside the middleware, where only a
-        # per-operation window check can see it (rule REP304)
-        from ..analysis.sanitizer import SanitizedMiddleware
+    try:
+        if world.sanitizer is not None:
+            # hook every collective, not just the point-to-point matches:
+            # CMPI books its per-call overhead inside the middleware, where
+            # only a per-operation window check can see it (rule REP304)
+            from ..analysis.sanitizer import SanitizedMiddleware
 
-        mw = SanitizedMiddleware(mw, world.sanitizer)
+            mw = SanitizedMiddleware(mw, world.sanitizer)
 
-    # the strategy chooses the per-rank generators and how their outcomes
-    # become energies + final positions; everything else exists once
-    strategy = _spatial_programs if opts.strategy == "spatial" else _replicated_programs
-    programs, assemble = strategy(
-        system, positions, velocities, cluster, opts, config, mw, world
-    )
-    procs = [sim.spawn(gen, name=f"rank{rank}") for rank, gen in enumerate(programs)]
-    sim.run()
-    world.assert_drained()
-    if world.sanitizer is not None:
-        world.sanitizer.check_final(world)
+        # the strategy chooses the per-rank generators and how their
+        # outcomes become energies + final positions; everything else
+        # exists once
+        strategy = _spatial_programs if opts.strategy == "spatial" else _replicated_programs
+        programs, assemble = strategy(
+            system, positions, velocities, cluster, opts, config, mw, world
+        )
+        procs = [sim.spawn(gen, name=f"rank{rank}") for rank, gen in enumerate(programs)]
+        sim.run()
+        world.assert_drained()
+        if world.sanitizer is not None:
+            world.sanitizer.check_final(world)
+    finally:
+        # a finished run is acyclic, so reference counting frees its world,
+        # queues and requests at once instead of the cyclic collector
+        for ep in world.endpoints:
+            ep.world = None
 
     energies, final_positions = assemble([p.result for p in procs])
     result = ParallelRunResult(

@@ -1,5 +1,5 @@
 """Discrete-event simulation kernel (virtual time, generator processes)."""
 
-from .engine import Await, Future, Process, SimulationError, Simulator, Sleep
+from .engine import Process, SimulationError, Simulator, Sleep
 
-__all__ = ["Await", "Future", "Process", "SimulationError", "Simulator", "Sleep"]
+__all__ = ["Process", "SimulationError", "Simulator", "Sleep"]

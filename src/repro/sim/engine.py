@@ -2,12 +2,11 @@
 
 Rank programs are plain Python generators: real (numpy) computation runs
 inline, and *virtual time* advances only at explicit yield points.  A
-process yields an *effect*: :class:`Sleep` to advance its clock,
-:class:`Await` to block on a :class:`Future`, or any object with a
-``start(process)`` method that takes the process over and resumes it
-with ``process._step(value)`` when done (the MPI layer's op batches,
-:class:`repro.mpi.endpoint.OpBatch`).  Nested protocol code composes
-with ``yield from``.
+process yields an *effect*: :class:`Sleep` to advance its clock, or any
+object with a ``start(process)`` method that takes the process over and
+resumes it with ``process._step(value)`` when done (the MPI layer's op
+batches, :class:`repro.mpi.endpoint.OpBatch`, which block on message
+requests).  Nested protocol code composes with ``yield from``.
 
 The kernel is deterministic: events at equal timestamps fire in scheduling
 order (a monotonically increasing sequence number breaks ties).  An event
@@ -18,10 +17,10 @@ per event.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-__all__ = ["Simulator", "Future", "Sleep", "Await", "Process", "SimulationError"]
+__all__ = ["Simulator", "Sleep", "Process", "SimulationError"]
 
 
 class SimulationError(RuntimeError):
@@ -40,49 +39,6 @@ class Sleep:
 
     def start(self, proc: "Process") -> None:
         proc.sim.schedule(self.duration, proc._step, None)
-
-
-class Future:
-    """A one-shot value that processes can await.
-
-    ``resolve`` may be called at most once; awaiting an already-resolved
-    future resumes the process without advancing time.  Waiters are
-    callbacks taking the value; each is woken by its own zero-delay event.
-    """
-
-    __slots__ = ("resolved", "value", "_waiters")
-
-    def __init__(self) -> None:
-        self.resolved = False
-        self.value: Any = None
-        self._waiters: list[Callable[[Any], None]] = []
-
-    def resolve(self, sim: "Simulator", value: Any = None) -> None:
-        if self.resolved:
-            raise SimulationError("future resolved twice")
-        self.resolved = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        for wake in waiters:
-            sim.schedule(0.0, wake, value)
-
-    def wake_on_resolve(self, sim: "Simulator", wake: Callable[[Any], None]) -> None:
-        """Call ``wake(value)`` from a zero-delay event once resolved — now,
-        if it already is."""
-        if self.resolved:
-            sim.schedule(0.0, wake, self.value)
-        else:
-            self._waiters.append(wake)
-
-
-@dataclass
-class Await:
-    """Effect: block until ``future`` resolves; yields its value back."""
-
-    future: Future
-
-    def start(self, proc: "Process") -> None:
-        self.future.wake_on_resolve(proc.sim, proc._step)
 
 
 ProcessGen = Generator[Any, Any, Any]
@@ -114,7 +70,7 @@ class Process:
         if start is None:
             raise SimulationError(
                 f"process {self.name} yielded {effect!r}; expected an effect "
-                "(Sleep, Await or an object with start(process))"
+                "(Sleep or an object with start(process))"
             )
         start(self)
 
@@ -170,11 +126,13 @@ class Simulator:
         the queue empties (deadlock), which is how lost messages and
         mismatched collectives surface in tests.
         """
-        while self._heap:
-            ev = heapq.heappop(self._heap)
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            ev = pop(heap)
             ev_time = ev[0]
             if until is not None and ev_time > until:
-                heapq.heappush(self._heap, ev)
+                heapq.heappush(heap, ev)
                 self.now = until
                 return self.now
             if ev_time < self.now - 1e-15:

@@ -1,15 +1,18 @@
 """Campaign engine: caching, parallel execution, passivity, verify."""
 
 import os
+import subprocess
 
 import pytest
 
 from repro.campaign import CampaignManifest, CharacterizationRunner, ResultStore
 from repro.campaign import engine as engine_mod
+from repro.campaign import manifest as manifest_mod
+from repro.campaign import publish_campaign, work_campaign
 from repro.campaign.keys import SCHEMA_VERSION
 from repro.campaign.store import record_to_dict
 from repro.campaign.workloads import build_workload
-from repro.core.design import DesignPoint
+from repro.core.design import DesignPoint, full_factorial
 from repro.core.factors import FOCAL_POINT
 from repro.instrument import FORCE_EVALUATIONS
 
@@ -152,6 +155,55 @@ class TestManifest:
         a = tiny_engine(store_root).run(tiny_points())
         b = tiny_engine(store_root).run(tiny_points())
         assert a.manifest.campaign_id == b.manifest.campaign_id
+
+
+class TestGitRevision:
+    """Every executed point stamps ``git_rev`` into its store metadata;
+    ``git`` is asked once per process, not once per point."""
+
+    #: six platform variants of one trajectory
+    POINTS = [p for p in full_factorial() if p.n_ranks == 2 and p.config.middleware == "mpi"]
+
+    @pytest.fixture()
+    def git_forks(self, monkeypatch):
+        """The ``git`` commands run from now on; the process has not asked yet."""
+        forks = []
+        real_run = subprocess.run
+
+        def counted(args, *rest, **kwargs):
+            if args[0] == "git":
+                forks.append(args)
+            return real_run(args, *rest, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counted)
+        manifest_mod.git_revision.cache_clear()
+        return forks
+
+    @staticmethod
+    def _stamped(store) -> set[str]:
+        return {entry.meta["git_rev"] for entry in store.entries()}
+
+    def test_inline_run(self, git_forks, store_root):
+        expected = manifest_mod.git_revision.__wrapped__()
+        git_forks.clear()
+        engine = tiny_engine(store_root)
+        result = engine.run(self.POINTS)
+        assert result.ok and result.manifest.git_rev == expected
+        assert len(git_forks) <= 1
+        assert self._stamped(engine.store) == {expected}
+        engine.store.close()
+
+    def test_work_campaign(self, git_forks, tmp_path):
+        expected = manifest_mod.git_revision.__wrapped__()
+        git_forks.clear()
+        board = tmp_path / "board.json"
+        publish_campaign(tiny_engine(), self.POINTS, board)
+        store = ResultStore(tmp_path / "worker")
+        stats = work_campaign(board, store, "w0")
+        assert stats["executed"] == len(self.POINTS)
+        assert len(git_forks) <= 1
+        assert self._stamped(store) == {expected}
+        store.close()
 
 
 class TestVerify:

@@ -234,3 +234,111 @@ class TestTiming:
             return sim.now
 
         assert run_on(myrinet_gm()) < run_on(tcp_gigabit_ethernet())
+
+
+class TestRequestCompletion:
+    """A request is its own completion: a wait blocks until the matching
+    engine completes it, and resumes through one zero-delay event."""
+
+    @staticmethod
+    def _delays(sim):
+        """Every event delay scheduled on ``sim`` from now on."""
+        delays = []
+        schedule = sim.schedule
+
+        def recording(delay, fn, *args):
+            delays.append(delay)
+            schedule(delay, fn, *args)
+
+        sim.schedule = recording
+        return delays
+
+    def _wait_after_completion(self, payload, waiting_rank):
+        """``waiting_rank`` waits on its request one second after posting it,
+        long after the message has arrived; returns the event delays and the
+        virtual seconds that wait took."""
+        sim, world = _world()
+        delays = self._delays(sim)
+        seen = {}
+
+        def prog(ep):
+            if ep.rank == 0:
+                req = yield from ep.isend(1, payload, tag=4)
+            else:
+                req = yield from ep.irecv(0, tag=4)
+            if ep.rank != waiting_rank:
+                yield from req.wait()
+                return
+            yield from ep.compute(1.0)
+            assert req.done
+            mark, t0 = len(delays), ep.now
+            yield from req.wait()
+            seen["delays"], seen["took"] = delays[mark:], ep.now - t0
+
+        _run(sim, world, [prog, prog])
+        return seen["delays"], seen["took"]
+
+    def test_waiting_on_a_completed_eager_send_schedules_no_event(self):
+        # an eager send completes when it is posted: its wait never blocks
+        delays, took = self._wait_after_completion(np.zeros(10), waiting_rank=0)
+        assert delays == [] and took == 0.0
+
+    def test_waiting_on_a_completed_rendezvous_send_is_one_zero_delay_event(self):
+        delays, took = self._wait_after_completion(np.zeros(100_000), waiting_rank=0)
+        assert delays == [0.0] and took == 0.0
+
+    def test_waiting_on_a_completed_receive_is_one_zero_delay_event(self):
+        payload = np.zeros(10)
+        delays, took = self._wait_after_completion(payload, waiting_rank=1)
+        # ... then the receive-side copy, the one event that advances time
+        net = tcp_gigabit_ethernet()
+        assert delays == [0.0, net.host_cost(payload.nbytes)]
+        assert took == pytest.approx(net.host_cost(payload.nbytes))
+
+    def test_wait_blocks_until_the_message_arrives(self):
+        sim, world = _world()
+
+        def sender(ep):
+            yield from ep.compute(3.0)
+            yield from ep.send(1, b"hello", tag=2)
+
+        def receiver(ep):
+            req = yield from ep.irecv(0, tag=2)
+            got = yield from req.wait()
+            return ep.now, got
+
+        _, (resumed_at, got) = _run(sim, world, [sender, receiver])
+        assert resumed_at > 3.0 and got == b"hello"
+
+    def test_every_blocked_receiver_resumes(self):
+        sim, world = _world(3)
+
+        def prog(ep):
+            if ep.rank == 0:
+                yield from ep.compute(1.0)
+                for dest in (1, 2):
+                    yield from ep.send(dest, np.array([float(dest)]), tag=1)
+                return None
+            got = yield from ep.recv(0, tag=1)
+            return ep.now, got[0]
+
+        results = _run(sim, world, [prog] * 3)
+        assert [got for _, got in results[1:]] == [1.0, 2.0]
+        assert all(resumed_at > 1.0 for resumed_at, _ in results[1:])
+
+    def test_a_receive_completed_twice_raises(self):
+        sim, world = _world()
+        posted = []
+
+        def sender(ep):
+            yield from ep.send(1, b"x", tag=0)
+
+        def receiver(ep):
+            req = yield from ep.irecv(0, tag=0)
+            posted.append(req)
+            yield from req.wait()
+
+        _run(sim, world, [sender, receiver])
+        assert posted[0].done
+        with pytest.raises(SimulationError, match="completed twice"):
+            posted[0]._complete()

@@ -1,8 +1,12 @@
-"""Discrete-event kernel: ordering, sleeping, futures, deadlock detection."""
+"""Discrete-event kernel: ordering, sleeping, deadlock detection.
+
+Blocking on another process is the MPI layer's requests
+(``tests/mpi/test_endpoint.py::TestRequestCompletion``).
+"""
 
 import pytest
 
-from repro.sim import Await, Future, SimulationError, Simulator, Sleep
+from repro.sim import SimulationError, Simulator, Sleep
 
 
 class TestScheduling:
@@ -89,69 +93,18 @@ class TestProcesses:
             sim.run()
 
 
-class TestFutures:
-    def test_await_blocks_until_resolve(self):
-        sim = Simulator()
-        fut = Future()
-        times = {}
-
-        def waiter():
-            value = yield Await(fut)
-            times["resumed"] = (sim.now, value)
-
-        def resolver():
-            yield Sleep(3.0)
-            fut.resolve(sim, "hello")
-
-        sim.spawn(waiter())
-        sim.spawn(resolver())
-        sim.run()
-        assert times["resumed"] == (3.0, "hello")
-
-    def test_await_resolved_future_is_instant(self):
-        sim = Simulator()
-        fut = Future()
-
-        def proc():
-            yield Sleep(1.0)
-            fut.resolve(sim, 7)
-            value = yield Await(fut)
-            return sim.now, value
-
-        p = sim.spawn(proc())
-        sim.run()
-        assert p.result == (1.0, 7)
-
-    def test_double_resolve_raises(self):
-        sim = Simulator()
-        fut = Future()
-        fut.resolve(sim, 1)
-        with pytest.raises(SimulationError):
-            fut.resolve(sim, 2)
-
-    def test_multiple_waiters_all_resume(self):
-        sim = Simulator()
-        fut = Future()
-        resumed = []
-
-        def waiter(i):
-            yield Await(fut)
-            resumed.append(i)
-
-        for i in range(3):
-            sim.spawn(waiter(i))
-        sim.schedule(1.0, lambda: fut.resolve(sim, None))
-        sim.run()
-        assert sorted(resumed) == [0, 1, 2]
-
-
 class TestDeadlock:
     def test_blocked_process_raises(self):
         sim = Simulator()
-        fut = Future()  # never resolved
+
+        class Never:
+            """An effect that takes the process over and never resumes it."""
+
+            def start(self, proc):
+                pass
 
         def proc():
-            yield Await(fut)
+            yield Never()
 
         sim.spawn(proc(), name="stuck")
         with pytest.raises(SimulationError, match="stuck"):
