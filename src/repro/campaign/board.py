@@ -25,11 +25,19 @@ The contract every backend must honour (the file board's semantics,
 verbatim):
 
 * :meth:`Board.claim` returns each runnable lease to exactly one caller
-  — concurrent claims never double-assign a key;
+  — concurrent claims never double-assign a key; with ``group=n`` it
+  hands over up to ``n`` runnable leases of the first runnable lease's
+  trajectory group in one mutation;
+* a claim is *not* idempotent: a second claim by the same worker gets
+  the next lease (or group), so a claim whose answer was lost strands
+  what it took until the deadline passes;
 * a ``leased`` entry whose deadline passed is runnable again, with
   ``attempts`` incremented (expiry *is* the liveness story);
+* :meth:`Board.heartbeat` extends every lease of the key's group the
+  caller holds;
 * :meth:`Board.complete` returns ``False`` when the lease was reclaimed
-  from the caller meanwhile (late completion after a reclaim);
+  from the caller meanwhile (late completion after a reclaim); given a
+  list of keys it settles them in one mutation, one answer per key;
 * :meth:`Board.release` silently no-ops unless the caller still holds
   the lease.
 """
@@ -62,16 +70,19 @@ class Board(ABC):
         """Replace the board's contents with a fresh campaign."""
 
     @abstractmethod
-    def claim(self, worker: str, ttl: float = 300.0) -> "Lease | None":
-        """Claim the next runnable lease for ``worker``, or ``None``."""
+    def claim(self, worker: str, ttl: float = 300.0, group: int = 0):
+        """Claim the next runnable lease for ``worker``, or ``None``;
+        ``group > 0``: a list of up to ``group`` leases of one group."""
 
     @abstractmethod
     def heartbeat(self, key: str, worker: str, ttl: float = 300.0) -> bool:
-        """Extend a held lease's deadline; False if no longer ours."""
+        """Extend the held leases of ``key``'s group; False if ``key``
+        is no longer ours."""
 
     @abstractmethod
-    def complete(self, key: str, worker: str) -> bool:
-        """Mark a lease done; False if it was reclaimed from us meanwhile."""
+    def complete(self, key, worker: str):
+        """Mark a lease done; False if it was reclaimed from us meanwhile
+        (a list of keys: one such answer per key)."""
 
     @abstractmethod
     def release(self, key: str, worker: str) -> None:

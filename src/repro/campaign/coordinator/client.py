@@ -15,9 +15,9 @@ Failure mapping keeps worker code backend-agnostic:
 * transport failures (unreachable coordinator, torn response) raise
   :class:`HttpBoardError`, a ``LeaseBoardError`` subclass, so existing
   ``except LeaseBoardError`` call sites (the CLI, tests) already handle
-  them.  Idempotent requests retry once over a fresh connection before
-  giving up — a coordinator restart mid-campaign costs workers one
-  reconnect, not the campaign.
+  them.  Requests retry once over a fresh connection before giving up —
+  a coordinator restart mid-campaign costs workers one reconnect, not
+  the campaign.
 
 Each client stamps every request with a correlation id
 (``<worker-guess>-<seq>`` under a random session prefix) that the
@@ -112,9 +112,12 @@ class HttpBoardClient(Board):
         """One round trip; returns the parsed response document.
 
         Transport errors retry ``self.retries`` times over a fresh
-        connection (every protocol verb is idempotent or safely
-        re-runnable: ``claim`` re-finds the same lease for the same
-        worker, ``complete``/``release``/``heartbeat`` are absorbing).
+        connection.  ``complete``/``release``/``heartbeat`` are
+        absorbing, so a retry is harmless.  ``claim`` is not idempotent:
+        when the coordinator applied a claim whose answer was lost, the
+        retry hands this worker the *next* group, and the first stays
+        held in its name until the deadline passes — then it is
+        reclaimable like any crashed worker's, ``attempts`` + 1.
         """
         body = wire.dumps(doc) if doc is not None else None
         corr = f"{self._corr_prefix}-{next(self._corr_seq)}"
@@ -162,9 +165,13 @@ class HttpBoardClient(Board):
             {"campaign": campaign, "leases": [lease.to_doc() for lease in leases]},
         )
 
-    def claim(self, worker: str, ttl: float = 300.0) -> Lease | None:
-        answer = self._request("POST", "/v1/claim", {"worker": worker, "ttl": ttl})
-        doc = answer.get("lease")
+    def claim(self, worker: str, ttl: float = 300.0, group: int = 0):
+        request = {"worker": worker, "ttl": ttl}
+        if group > 0:
+            request["group"] = group
+            answer = self._request("POST", "/v1/claim", request)
+            return [Lease.from_doc(doc) for doc in answer.get("leases", [])]
+        doc = self._request("POST", "/v1/claim", request).get("lease")
         return None if doc is None else Lease.from_doc(doc)
 
     def heartbeat(self, key: str, worker: str, ttl: float = 300.0) -> bool:
@@ -173,9 +180,12 @@ class HttpBoardClient(Board):
         )
         return bool(answer.get("ok"))
 
-    def complete(self, key: str, worker: str) -> bool:
-        answer = self._request("POST", "/v1/complete", {"key": key, "worker": worker})
-        return bool(answer.get("ok"))
+    def complete(self, key, worker: str):
+        if isinstance(key, str):
+            answer = self._request("POST", "/v1/complete", {"key": key, "worker": worker})
+            return bool(answer.get("ok"))
+        answer = self._request("POST", "/v1/complete", {"keys": list(key), "worker": worker})
+        return [bool(ok) for ok in answer.get("ok", [])]
 
     def release(self, key: str, worker: str) -> None:
         self._request("POST", "/v1/release", {"key": key, "worker": worker})

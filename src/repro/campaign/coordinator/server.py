@@ -312,13 +312,16 @@ class CoordinatorServer:
     def _do_claim(self, doc, query, corr):
         worker = wire.str_field(doc, "worker")
         ttl = wire.num_field(doc, "ttl", 300.0)
-        lease = self.board.claim(worker, ttl=ttl)
-        if lease is not None:
+        group = int(wire.num_field(doc, "group", 0))
+        claimed = self.board.claim(worker, ttl=ttl, group=max(group, 1))
+        for lease in claimed:
             self.runlog.log(
                 "claim", key=lease.key, worker=worker,
                 attempt=lease.attempts, correlation=corr,
             )
-        return {"lease": None if lease is None else lease.to_doc()}
+        if group > 0:
+            return {"leases": [lease.to_doc() for lease in claimed]}
+        return {"lease": claimed[0].to_doc() if claimed else None}
 
     def _do_heartbeat(self, doc, query, corr):
         key = wire.str_field(doc, "key")
@@ -329,11 +332,13 @@ class CoordinatorServer:
         return {"ok": ok}
 
     def _do_complete(self, doc, query, corr):
-        key = wire.str_field(doc, "key")
         worker = wire.str_field(doc, "worker")
-        ok = self.board.complete(key, worker)
-        self.runlog.log("complete", key=key, worker=worker, ok=ok, correlation=corr)
-        return {"ok": ok}
+        group = "keys" in doc
+        keys = wire.str_list_field(doc, "keys") if group else [wire.str_field(doc, "key")]
+        settled = self.board.complete(keys, worker)
+        for key, ok in zip(keys, settled):
+            self.runlog.log("complete", key=key, worker=worker, ok=ok, correlation=corr)
+        return {"ok": settled if group else settled[0]}
 
     def _do_release(self, doc, query, corr):
         key = wire.str_field(doc, "key")

@@ -12,8 +12,10 @@ are ``POST``; views are ``GET``::
 
     POST /v1/publish    {"campaign": {...}, "leases": [<lease doc>, ...]}
     POST /v1/claim      {"worker": str, "ttl": float}  -> {"lease": doc|null}
+                        {..., "group": n} -> {"leases": [<lease doc>, ...]}
     POST /v1/heartbeat  {"key": str, "worker": str, "ttl": float} -> {"ok": bool}
     POST /v1/complete   {"key": str, "worker": str} -> {"ok": bool}
+                        {"keys": [str, ...], "worker": str} -> {"ok": [bool, ...]}
     POST /v1/release    {"key": str, "worker": str} -> {"ok": true}
     GET  /v1/health     liveness + wire schema version
     GET  /v1/campaign   the published campaign description
@@ -25,6 +27,12 @@ are ``POST``; views are ``GET``::
     GET  /v1/report?kind=K  latest published analysis report (404 until
                             ``campaign analyze`` saved one; kind defaults
                             to ``report``)
+
+A ``group`` claim hands over up to ``n`` runnable leases of one
+trajectory group, a ``heartbeat`` extends every lease of the key's group
+the worker holds, and a ``keys`` completion settles a group in one
+request — so a worker pays one claim and one complete per trajectory,
+not per point.
 
 Lease documents are :meth:`repro.campaign.leases.Lease.to_doc` output,
 verbatim — the board file and the wire share one schema, which is what
@@ -54,13 +62,15 @@ __all__ = [
     "error_doc",
     "str_field",
     "num_field",
+    "str_list_field",
     "list_field",
     "dict_field",
 ]
 
 #: Version of this wire contract; served by ``GET /v1/health`` so a
-#: client can refuse to talk across an incompatible upgrade.
-WIRE_SCHEMA = 1
+#: client can refuse to talk across an incompatible upgrade.  2: group
+#: claims and completions, lease documents carry their trajectory.
+WIRE_SCHEMA = 2
 
 #: Hard cap on request bodies.  The largest legitimate request is a
 #: ``publish`` of a full factorial campaign — a few hundred KiB — so
@@ -143,6 +153,13 @@ def num_field(doc: dict, name: str, default: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise WireError(400, f"field {name!r} must be a number")
     return float(value)
+
+
+def str_list_field(doc: dict, name: str) -> list[str]:
+    value = doc.get(name)
+    if not isinstance(value, list) or not all(isinstance(v, str) and v for v in value):
+        raise WireError(400, f"field {name!r} must be a list of non-empty strings")
+    return value
 
 
 def list_field(doc: dict, name: str) -> list:

@@ -15,9 +15,10 @@ Two functions carry the execution policy for the whole package:
   it, with the same deterministic crc32-derived platform seed, so
   records agree bit-for-bit however a point was produced.
 * :func:`dispatch` is the loop that fans independent payloads out, in
-  this process or one process per attempt, with a per-attempt timeout
-  (the worker is killed, not abandoned) and bounded retries with
-  exponential backoff.  :meth:`CampaignEngine.run`,
+  this process or one process per task (a group of payloads run in
+  order), with a per-attempt timeout (the worker is killed, not
+  abandoned) and bounded retries with exponential backoff.
+  :meth:`CampaignEngine.run` (one task per trajectory group),
   :meth:`CampaignEngine.verify` and the analytics map stage consume it.
 
 Wall-clock reads in this module time the *harness itself* (scheduling,
@@ -45,7 +46,7 @@ from ..instrument.tracing import SpanTracer
 from ..parallel.costmodel import PIII_1GHZ, MachineCostModel
 from ..parallel.pmd import MDRunConfig
 from ..parallel.run import RunOptions, run_parallel_md
-from ..parallel.shared import TrajectorySession
+from ..parallel.shared import TrajectorySession, trajectory_groups
 from . import manifest as mf
 from .keys import SCHEMA_VERSION, cache_key, point_seed, workload_fingerprint
 from .store import ResultStore, record_to_dict
@@ -98,7 +99,7 @@ def execute_built(
     :class:`~repro.parallel.shared.TrajectorySession`: the first run of a
     ``(p, middleware)`` trajectory records its op streams and the
     session's other platform variants of it replay them.  Wall-clock
-    only as well; audits (``verify``) and pooled attempts pass none.
+    only as well; audits (``verify``) pass none.
     """
     spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(base_seed, point))
     tracer = SpanTracer() if span_trace_path is not None else None
@@ -164,21 +165,23 @@ class Attempt:
     final: bool = True
 
 
-def _child_main(target, key: str, payload, out_queue) -> None:
-    """Worker-process entry: run one attempt, post its outcome.
+def _child_main(target, task: list, out_queue) -> None:
+    """Worker-process entry: run one task's ``(key, payload)`` attempts in
+    order, posting each outcome as it lands.
 
-    The posted tuple carries the child's own metrics delta (work
-    counters, comm-speed observations) so the parent can fold
-    per-process observability back into one campaign-wide snapshot.
+    Each posted tuple carries the child's own metrics delta over that
+    attempt (work counters, comm-speed observations) so the parent can
+    fold per-process observability back into one campaign-wide snapshot.
     """
-    before = REGISTRY.snapshot()  # fork copies the parent's live counters
-    try:
-        doc = target(payload)
-    except Exception as exc:  # the parent decides whether to retry
-        error = f"{type(exc).__name__}: {exc}"
-        out_queue.put((key, "failed", None, error, REGISTRY.delta(before)))
-    else:
-        out_queue.put((key, "ok", doc, None, REGISTRY.delta(before)))
+    for key, payload in task:
+        before = REGISTRY.snapshot()  # fork copies the parent's live counters
+        try:
+            doc = target(payload)
+        except Exception as exc:  # the parent decides whether to retry
+            error = f"{type(exc).__name__}: {exc}"
+            out_queue.put((key, "failed", None, error, REGISTRY.delta(before)))
+        else:
+            out_queue.put((key, "ok", doc, None, REGISTRY.delta(before)))
 
 
 def _ignore(attempt: Attempt) -> None:
@@ -194,6 +197,7 @@ def dispatch(
     backoff: float = 0.25,
     on_launch: Callable[[Attempt], None] = _ignore,
     on_settle: Callable[[Attempt], None] = _ignore,
+    groups: Iterable[Iterable] | None = None,
 ) -> dict[str, Attempt]:
     """Fan independent payloads out; returns each key's final attempt.
 
@@ -206,10 +210,16 @@ def dispatch(
     ``n_workers <= 0`` runs the payloads in this process, in order — the
     reference that pooled output is asserted byte-identical against.
     Only ``Exception`` is caught, so an interrupt propagates; ``timeout``
-    cannot be enforced and retries do not wait.  Otherwise every attempt
-    runs in its own process, ``n_workers`` at a time: one that overruns
-    ``timeout`` seconds is terminated, one that dies without posting is
-    ``crashed``, and retry ``n`` waits ``backoff * 2**(n - 1)`` seconds.
+    cannot be enforced and retries do not wait.  Otherwise ``groups``
+    partitions the keys into tasks, launched in the order given (default:
+    one task per key), and every task runs its keys one after another in
+    its own process, ``n_workers`` at a time; each key still
+    settles on its own as its outcome is posted: an attempt that
+    overruns ``timeout`` seconds is terminated with its process, one
+    whose process dies without posting is ``crashed``, and either way the
+    task's unstarted keys go back to the front of the queue as a new
+    task.  A retry runs as a task of its own; retry ``n`` waits
+    ``backoff * 2**(n - 1)`` seconds.
     """
     final: dict[str, Attempt] = {}
 
@@ -222,7 +232,7 @@ def dispatch(
         on_settle(attempt)
 
     if n_workers <= 0:
-        for key, payload in payloads.items():
+        for key in payloads:
             number = 0
             while key not in final:
                 number += 1
@@ -230,7 +240,7 @@ def dispatch(
                 on_launch(attempt)
                 started = time.monotonic()  # noqa: REP104 — harness wall time
                 try:
-                    outcome = ("ok", target(payload))
+                    outcome = ("ok", target(payloads[key]))
                 except Exception as exc:
                     outcome = ("failed", None, f"{type(exc).__name__}: {exc}")
                 settle(attempt, time.monotonic() - started, *outcome)  # noqa: REP104
@@ -240,33 +250,48 @@ def dispatch(
     # fork where available: children share the built workload's pages
     ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     out_queue = ctx.Queue()
-    pending = deque((Attempt(key, 1), 0.0) for key in payloads)  # (attempt, not before)
-    live: dict[str, tuple] = {}  # key -> (process, started, attempt)
+    if groups is None:
+        groups = [[key] for key in payloads]
+    # (a task's attempts, in run order; not before)
+    pending = deque((deque(Attempt(key, 1) for key in group), 0.0) for group in groups)
+    live: dict[str, tuple] = {}  # key running -> (process, started, its task's attempts)
+
+    def start(proc, attempts, started) -> None:
+        attempt = attempts[0]
+        attempt.pid = proc.pid
+        live[attempt.key] = (proc, started, attempts)
+        on_launch(attempt)
 
     def retire(key, status, doc=None, error=None, metrics=None) -> None:
-        proc, started, attempt = live.pop(key)
-        elapsed = time.monotonic() - started  # noqa: REP104
-        proc.join(timeout=5)
-        settle(attempt, elapsed, status, doc, error, metrics)
+        proc, started, attempts = live.pop(key)
+        attempt = attempts.popleft()
+        now = time.monotonic()  # noqa: REP104
+        goes_on = status in ("ok", "failed")  # the child runs the task's next key
+        if not (goes_on and attempts):
+            proc.join(timeout=5)
+        settle(attempt, now - started, status, doc, error, metrics)
+        if attempts:
+            if goes_on:
+                start(proc, attempts, now)
+            else:
+                pending.appendleft((attempts, 0.0))
         if not attempt.final:
             delay = backoff * (2 ** (attempt.number - 1))
             pending.append(
-                (Attempt(key, attempt.number + 1), time.monotonic() + delay)  # noqa: REP104
+                (deque([Attempt(key, attempt.number + 1)]), now + delay)
             )
 
     while pending or live:
         now = time.monotonic()  # noqa: REP104 — harness wall time
         while pending and len(live) < n_workers and pending[0][1] <= now:
-            attempt = pending.popleft()[0]
+            attempts = pending.popleft()[0]
             proc = ctx.Process(
                 target=_child_main,
-                args=(target, attempt.key, payloads[attempt.key], out_queue),
+                args=(target, [(a.key, payloads[a.key]) for a in attempts], out_queue),
                 daemon=True,
             )
             proc.start()
-            attempt.pid = proc.pid
-            live[attempt.key] = (proc, time.monotonic(), attempt)  # noqa: REP104
-            on_launch(attempt)
+            start(proc, attempts, time.monotonic())  # noqa: REP104
 
         try:
             posted = out_queue.get(timeout=0.05)
@@ -326,11 +351,13 @@ class CampaignEngine:
         engine and runner the same persistent store and they share work.
     n_workers:
         ``0`` executes inline (no subprocesses, no timeout enforcement);
-        ``n >= 1`` fans out over ``n`` single-point worker processes.
+        ``n >= 1`` fans out over ``n`` worker processes, one per
+        trajectory group.
     timeout:
         Per-point wall-time budget in seconds (workers only).  An
-        overrunning worker is terminated, and the point retried until
-        ``retries`` is exhausted, then marked ``timeout``.
+        overrunning worker is terminated, the point retried until
+        ``retries`` is exhausted, then marked ``timeout``, and its
+        group's unstarted points requeued.
     retries:
         Extra attempts after the first, for failed or timed-out points.
     backoff:
@@ -482,10 +509,11 @@ class CampaignEngine:
             note()
 
         note()
-        # inline points run one after another in this process, so the
-        # platform variants of a trajectory can replay its first run; a
-        # pooled attempt is its own forked process and gets no session
-        session = TrajectorySession(self.fingerprint) if self.n_workers <= 0 else None
+        # a trajectory's points run one after another in one process —
+        # inline, or the pooled child of its group, working on its copy of
+        # the still empty session — so its platform variants replay its
+        # first run
+        session = TrajectorySession(self.fingerprint)
         dispatch(
             _execute_args,
             {
@@ -495,6 +523,7 @@ class CampaignEngine:
             },
             self.n_workers, self.timeout, self.retries, self.backoff,
             on_launch=launched, on_settle=settled,
+            groups=trajectory_groups(first, point=lambda key: points[first[key]]).values(),
         )
 
         # every later copy of a repeated point takes the first copy's outcome

@@ -4,10 +4,10 @@ The three verbs of a federated campaign:
 
 * :func:`publish_campaign` — one host enumerates the design points and
   writes the lease board (:mod:`repro.campaign.leases`);
-* :func:`work_campaign` — any number of hosts pull leases, execute the
-  points through the exact single-host path
-  (:func:`repro.campaign.engine.execute_point`) into their *own* result
-  stores, and mark leases done;
+* :func:`work_campaign` — any number of hosts pull leases a trajectory
+  group at a time, execute the points through the exact single-host
+  path (:func:`repro.campaign.engine.execute_point`) into their *own*
+  result stores, and mark each group done;
 * :func:`merge_into_store` — the worker stores fold back into one, with
   per-host provenance recorded in a merge manifest.
 
@@ -32,7 +32,7 @@ from ..instrument.metrics import REGISTRY, merge_metrics
 from ..instrument.runlog import RunLog
 from ..parallel.costmodel import PIII_1GHZ, MachineCostModel
 from ..parallel.pmd import MDRunConfig
-from ..parallel.shared import TrajectorySession
+from ..parallel.shared import TrajectorySession, trajectory_groups
 from . import manifest as mf
 from .board import Board, board_from_url
 from .engine import CampaignEngine, campaign_id_for, execute_point
@@ -68,6 +68,11 @@ def publish_campaign(
     build carries a different calibration refuses to run rather than
     poison the store.  Points already satisfied by the serving store are
     published as ``done`` (workers skip them).
+
+    Every lease carries its point's trajectory id, and the board lists
+    the points trajectory by trajectory, largest ``p`` first: a worker's
+    group claim takes the first runnable trajectory, so the longest
+    groups start first.
     """
     points = list(points)
     board = board_from_url(board, now=now)
@@ -84,13 +89,13 @@ def publish_campaign(
     }
     leases = []
     n_done = 0
-    for point in points:
-        key = engine.key_for(point)
-        state = "done" if key in engine.store else "pending"
-        n_done += state == "done"
-        leases.append(
-            Lease(key=key, label=point.label(), point=point.to_doc(), state=state)
-        )
+    for trajectory, group in trajectory_groups(points).items():
+        for point in group:
+            key = engine.key_for(point)
+            state = "done" if key in engine.store else "pending"
+            n_done += state == "done"
+            leases.append(Lease(key=key, label=point.label(), point=point.to_doc(),
+                                state=state, trajectory=trajectory))
     board.publish(campaign, leases)
     return {
         "leases": len(leases),
@@ -151,23 +156,35 @@ def work_campaign(
     bare path, the historical call form) for the shared-filesystem
     board, ``http://HOST:PORT`` for a running coordinator.
 
-    Each claimed point runs through :func:`execute_point` — the same
-    code path as every single-host mode — and lands in this worker's
-    ``store`` with host/worker provenance in the entry metadata, then
-    the lease is marked done; a point that raises is released back to
-    the board.  The lease is not extended while the point executes, so
-    ``ttl`` must exceed the slowest point: a lease that expires mid-run
-    is reclaimed by another worker, and this worker's (identical) record
-    merges as a duplicate.
+    The unit of work is a trajectory group: one claim takes every
+    runnable point of the board's first runnable trajectory (at most
+    what ``max_points`` leaves), and one complete settles the group.
+    Its points run one after another through this call's trajectory
+    session, each through :func:`execute_point` — the same code path as
+    every single-host mode — and land in this worker's ``store`` with
+    host/worker provenance in the entry metadata, one ``progress`` line
+    per point as its record is stored.  A point that raises is released
+    back to the board; the rest of its group goes on.
 
-    Defence in depth: the lease key must equal the key this worker
-    derives for the point.  A mismatch means the board and the build
+    The group's deadline is renewed with one heartbeat at a point
+    boundary once half of ``ttl`` has passed since the claim or the last
+    renewal, so ``ttl`` must exceed twice the slowest point, not the
+    group.  A renewal that finds the group reclaimed (this worker
+    stalled past the deadline) leaves its unstarted points to their new
+    holder; records already stored stay valid (deterministic) and merge
+    as duplicates.  ``now`` is the clock of those renewals and of a file
+    board's deadlines.
+
+    Defence in depth: every lease key must equal the key this worker
+    derives for its point.  A mismatch means the board and the build
     disagree about what a point *is*, and executing would store a record
     under an address other hosts cannot reproduce.
     """
     board = board_from_url(board, now=now)
+    clock = now if now is not None else time.monotonic  # noqa: REP104 — lease renewal
     engine = engine_for_board(board, store, cost=cost)
-    campaign_id = campaign_id_for(lease.key for lease in board.leases())
+    published = board.leases()
+    campaign_id = campaign_id_for(lease.key for lease in published)
     log_path = None
     if store.root is not None:
         log_path = store.root / "logs" / f"worker-{worker}.jsonl"
@@ -178,60 +195,73 @@ def work_campaign(
     session = TrajectorySession(engine.fingerprint)
     stats = {"claimed": 0, "executed": 0, "hits": 0, "failed": 0, "lost": 0}
     while max_points is None or stats["claimed"] < max_points:
-        lease = board.claim(worker, ttl=ttl)
-        if lease is None:
+        budget = len(published) if max_points is None else max_points - stats["claimed"]
+        group = board.claim(worker, ttl=ttl, group=budget)
+        if not group:
             break
-        stats["claimed"] += 1
-        attempt = lease.attempts
-        plog = runlog.bind(key=lease.key, label=lease.label, attempt=attempt)
-        plog.log("lease_claim")
-        point = DesignPoint.from_doc(lease.point)
-        derived = engine.key_for(point)
-        if derived != lease.key:
-            board.release(lease.key, worker)
-            plog.log("lease_release", reason="key mismatch")
-            raise ValueError(
-                f"lease {lease.key[:12]}… does not match this build's key "
-                f"{derived[:12]}… for {lease.label!r} — board and worker "
-                "disagree about the campaign"
-            )
-        if lease.key in store:
-            # already satisfied locally (a resumed worker); just settle it
-            stats["hits"] += 1
-            board.complete(lease.key, worker)
-            plog.log("point_hit")
-            continue
-        t0 = time.monotonic()  # noqa: REP104 — harness wall time
-        try:
-            record = execute_point(
-                engine.workload, point, engine.config, engine.cost,
-                engine.base_seed, sanitize=engine.sanitize,
-                span_trace_path=engine.point_trace(lease.key), session=session,
-            )
-        except Exception as exc:
-            stats["failed"] += 1
-            board.release(lease.key, worker)
-            plog.log("lease_release", error=f"{type(exc).__name__}: {exc}")
-            if progress is not None:
-                progress(f"{worker}: {lease.label} FAILED ({type(exc).__name__}: {exc})")
-            continue
-        elapsed = time.monotonic() - t0  # noqa: REP104
-        meta = engine.meta(point, elapsed, attempts=lease.attempts + 1)
-        meta["worker"] = worker
-        store.put(lease.key, record, meta)
-        stats["executed"] += 1
-        plog.log("point_executed", elapsed=elapsed)
-        if board.complete(lease.key, worker):
-            plog.log("lease_complete", elapsed=elapsed)
+        renewed = clock()
+        stats["claimed"] += len(group)
+        logs = [runlog.bind(key=lease.key, label=lease.label, attempt=lease.attempts)
+                for lease in group]
+        points = [DesignPoint.from_doc(lease.point) for lease in group]
+        for lease, plog, point in zip(group, logs, points):
+            plog.log("lease_claim")
+            derived = engine.key_for(point)
+            if derived != lease.key:
+                for held in group:
+                    board.release(held.key, worker)
+                plog.log("lease_release", reason="key mismatch")
+                raise ValueError(
+                    f"lease {lease.key[:12]}… does not match this build's key "
+                    f"{derived[:12]}… for {lease.label!r} — board and worker "
+                    "disagree about the campaign"
+                )
+        settled = []  # (lease, its log, elapsed) to complete with the group
+        for i, (lease, plog, point) in enumerate(zip(group, logs, points)):
+            if i and clock() - renewed >= ttl / 2:
+                if not board.heartbeat(lease.key, worker, ttl=ttl):
+                    break  # reclaimed while we stalled: the rest is its holder's
+                renewed = clock()
+            if lease.key in store:
+                # already satisfied locally (a resumed worker); just settle it
+                stats["hits"] += 1
+                plog.log("point_hit")
+                settled.append((lease, plog, 0.0))
+                continue
+            t0 = time.monotonic()  # noqa: REP104 — harness wall time
+            try:
+                record = execute_point(
+                    engine.workload, point, engine.config, engine.cost,
+                    engine.base_seed, sanitize=engine.sanitize,
+                    span_trace_path=engine.point_trace(lease.key), session=session,
+                )
+            except Exception as exc:
+                stats["failed"] += 1
+                board.release(lease.key, worker)
+                plog.log("lease_release", error=f"{type(exc).__name__}: {exc}")
+                if progress is not None:
+                    progress(f"{worker}: {lease.label} FAILED ({type(exc).__name__}: {exc})")
+                continue
+            elapsed = time.monotonic() - t0  # noqa: REP104
+            meta = engine.meta(point, elapsed, attempts=lease.attempts + 1)
+            meta["worker"] = worker
+            store.put(lease.key, record, meta)
+            stats["executed"] += 1
+            plog.log("point_executed", elapsed=elapsed)
             if progress is not None:
                 progress(f"{worker}: {lease.label} done ({elapsed:.2f} s)")
-        else:
-            # our lease expired mid-run and someone reclaimed it; the
-            # record is still valid (deterministic) and merges as a dup
-            stats["lost"] += 1
-            plog.log("lease_lost", elapsed=elapsed)
-            if progress is not None:
-                progress(f"{worker}: {lease.label} done but lease was reclaimed")
+            settled.append((lease, plog, elapsed))
+        if not settled:
+            continue
+        answers = board.complete([lease.key for lease, _, _ in settled], worker)
+        for (lease, plog, elapsed), ok in zip(settled, answers):
+            if ok:
+                plog.log("lease_complete", elapsed=elapsed)
+            else:
+                # our lease expired and someone reclaimed it; the record is
+                # still valid (deterministic) and merges as a duplicate
+                stats["lost"] += 1
+                plog.log("lease_lost", elapsed=elapsed)
     delta = REGISTRY.delta(metrics_before)
     if store.root is not None:
         path = store.root / f"metrics-{worker}.json"

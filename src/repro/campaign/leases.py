@@ -3,14 +3,19 @@
 One JSON file — typically on a shared filesystem — is the whole
 coordinator.  ``repro campaign serve`` publishes it; any number of
 ``repro campaign work`` processes pull from it.  A lease is one design
-point::
+point; the points of one trajectory
+(:func:`~repro.parallel.shared.trajectory_id`) are claimed, renewed and
+completed together::
 
-    {"schema": 1,
+    {"schema": 2,
      "campaign": {"workload": ..., "config": {...}, "base_seed": ...,
                   "cost": "<fingerprint>", "sanitize": false},
      "leases": [{"key": "<sha256>", "label": "...", "point": {...},
+                 "trajectory": "replicated/p8/cmpi",
                  "state": "pending" | "leased" | "done",
                  "worker": null, "expires": 0.0, "attempts": 0}]}
+
+A lease without a ``trajectory`` is a group of its own.
 
 Concurrency model (deliberately boring):
 
@@ -23,8 +28,8 @@ Concurrency model (deliberately boring):
 * liveness is lease *expiry*, not worker heartbeat infrastructure: a
   claim carries an ``expires`` deadline, :meth:`LeaseBoard.heartbeat`
   extends it, and a lease whose deadline passed is claimable again
-  (``attempts`` incremented) — a crashed worker costs one TTL, nothing
-  more.
+  (``attempts`` incremented) — a crashed worker costs one TTL plus its
+  group's unfinished points, nothing more.
 
 Duplicate execution after a reclaim is *safe* (records are
 content-addressed and deterministic, so a resurrected worker's late
@@ -47,8 +52,8 @@ from .board import STATES, Board
 
 __all__ = ["Lease", "LeaseBoard", "LeaseBoardError", "STATES"]
 
-#: Lease-board wire-format version.
-BOARD_SCHEMA = 1
+#: Lease-board wire-format version (2: leases carry their trajectory).
+BOARD_SCHEMA = 2
 
 
 class LeaseBoardError(Exception):
@@ -66,12 +71,15 @@ class Lease:
     worker: str | None = None
     expires: float = 0.0
     attempts: int = 0
+    #: the point's trajectory id; None makes the lease a group of its own
+    trajectory: str | None = None
 
     def to_doc(self) -> dict:
         return {
             "key": self.key,
             "label": self.label,
             "point": self.point,
+            "trajectory": self.trajectory,
             "state": self.state,
             "worker": self.worker,
             "expires": self.expires,
@@ -84,7 +92,13 @@ class Lease:
                    state=doc.get("state", "pending"),
                    worker=doc.get("worker"),
                    expires=doc.get("expires", 0.0),
-                   attempts=doc.get("attempts", 0))
+                   attempts=doc.get("attempts", 0),
+                   trajectory=doc.get("trajectory"))
+
+
+def _group(entry: dict) -> str:
+    """The group a board entry is claimed, renewed and completed with."""
+    return entry.get("trajectory") or entry["key"]
 
 
 class LeaseBoard(Board):
@@ -145,9 +159,13 @@ class LeaseBoard(Board):
             raise LeaseBoardError(f"unreadable lease board {self.path}: {exc}") from None
 
     def _write(self, doc: dict) -> None:
+        # the coordinator package imports this module, so its wire
+        # encoding (canonical and compact: C-encoded) is imported late
+        from .coordinator.wire import dumps
+
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        tmp.write_bytes(dumps(doc) + b"\n")
         os.replace(tmp, self.path)
 
     def _mutate(self, fn):
@@ -176,64 +194,98 @@ class LeaseBoard(Board):
         """The published campaign description (what workers reconstruct)."""
         return self._read()["campaign"]
 
-    def claim(self, worker: str, ttl: float = 300.0) -> Lease | None:
+    def claim(self, worker: str, ttl: float = 300.0, group: int = 0):
         """Claim the next runnable lease for ``worker``, or ``None``.
 
         Runnable means ``pending``, or ``leased`` with an expired
         deadline (the previous worker is presumed dead; ``attempts`` is
         incremented so the reclaim is visible in the audit trail).
-        """
 
-        def fn(doc: dict):
+        ``group > 0`` claims the first runnable lease's whole group
+        instead — every runnable lease of its trajectory, in board
+        order, at most ``group`` of them — and returns them as a list
+        (empty when nothing is runnable).  The single-lease call is the
+        same pass with a group of one.
+        """
+        limit = max(group, 1)
+
+        def fn(doc: dict) -> list[Lease]:
             # One clock read per mutation pass, taken *after* the lock is
             # held: every candidate's TTL-expiry decision in this claim
             # uses the same instant, and a long lock wait cannot make a
             # stale reading resurrect (or miss) an expiring lease.
             now = self._now()
+            claimed: list[Lease] = []
+            chosen = None
             for entry in doc["leases"]:
                 expired = entry["state"] == "leased" and entry["expires"] <= now
-                if entry["state"] == "pending" or expired:
-                    if expired:
-                        entry["attempts"] += 1
-                        REGISTRY.counter("leases.reclaimed").increment()
-                    entry["state"] = "leased"
-                    entry["worker"] = worker
-                    entry["expires"] = now + ttl
-                    REGISTRY.counter("leases.claimed").increment(worker=worker)
-                    return Lease.from_doc(entry)
-            return None
+                if not (entry["state"] == "pending" or expired):
+                    continue
+                if chosen is None:
+                    chosen = _group(entry)
+                elif _group(entry) != chosen:
+                    continue
+                if expired:
+                    entry["attempts"] += 1
+                    REGISTRY.counter("leases.reclaimed").increment()
+                entry["state"] = "leased"
+                entry["worker"] = worker
+                entry["expires"] = now + ttl
+                REGISTRY.counter("leases.claimed").increment(worker=worker)
+                claimed.append(Lease.from_doc(entry))
+                if len(claimed) == limit:
+                    break
+            return claimed
 
-        return self._mutate(fn)
+        claimed = self._mutate(fn)
+        if group > 0:
+            return claimed
+        return claimed[0] if claimed else None
 
     def heartbeat(self, key: str, worker: str, ttl: float = 300.0) -> bool:
-        """Extend a held lease's deadline; False if no longer ours."""
+        """Extend the deadline of every lease of ``key``'s group that
+        ``worker`` holds; False if ``key`` is no longer ours."""
 
         def fn(doc: dict) -> bool:
             now = self._now()  # one read per mutation, under the lock
+            held = next((entry for entry in doc["leases"] if entry["key"] == key), None)
+            if held is None or held["state"] != "leased" or held["worker"] != worker:
+                return False
+            group = _group(held)
             for entry in doc["leases"]:
-                if entry["key"] == key:
-                    if entry["state"] != "leased" or entry["worker"] != worker:
-                        return False
+                if (
+                    entry["state"] == "leased"
+                    and entry["worker"] == worker
+                    and _group(entry) == group
+                ):
                     entry["expires"] = now + ttl
-                    return True
-            return False
+            return True
 
         return self._mutate(fn)
 
-    def complete(self, key: str, worker: str) -> bool:
-        """Mark a lease done; False if it was reclaimed from us meanwhile."""
+    def complete(self, key, worker: str):
+        """Mark a lease done; False if it was reclaimed from us meanwhile.
 
-        def fn(doc: dict) -> bool:
-            for entry in doc["leases"]:
-                if entry["key"] == key:
-                    if entry["state"] == "leased" and entry["worker"] != worker:
-                        return False  # expired under us and reclaimed
-                    entry["state"] = "done"
-                    entry["worker"] = worker
-                    return True
-            return False
+        ``key`` may be a list of keys (a group's), settled in one
+        mutation; the answer is then one such bool per key.
+        """
+        keys = [key] if isinstance(key, str) else list(key)
 
-        return self._mutate(fn)
+        def fn(doc: dict) -> list[bool]:
+            entries = {entry["key"]: entry for entry in doc["leases"]}
+            settled = []
+            for k in keys:
+                entry = entries.get(k)
+                if entry is None or (entry["state"] == "leased" and entry["worker"] != worker):
+                    settled.append(False)  # unknown, or expired under us and reclaimed
+                    continue
+                entry["state"] = "done"
+                entry["worker"] = worker
+                settled.append(True)
+            return settled
+
+        settled = self._mutate(fn)
+        return settled[0] if isinstance(key, str) else settled
 
     def release(self, key: str, worker: str) -> None:
         """Give a claimed lease back (worker failed but lived to say so)."""

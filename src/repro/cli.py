@@ -192,7 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     crun = csub.add_parser("run", help="execute a design-point campaign")
     _common(crun)
     _design(crun)
-    crun.add_argument("--workers", type=int, default=0, help="0 = run inline")
+    crun.add_argument(
+        "--workers", type=int, default=0,
+        help="0 = run inline; N = N processes, one per trajectory group",
+    )
     crun.add_argument(
         "--timeout", type=float, default=None, help="per-point wall-time limit (s)"
     )
@@ -341,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cwork.add_argument(
         "--ttl", type=float, default=300.0,
-        help="lease time-to-live in seconds; an expired lease is reclaimable",
+        help=(
+            "lease time-to-live in seconds, renewed per trajectory group at half "
+            "of it; an expired lease is reclaimable"
+        ),
     )
     cwork.add_argument(
         "--max-points", type=int, default=None, help="stop after claiming N leases"

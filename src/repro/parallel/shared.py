@@ -84,6 +84,7 @@ from ..mpi.endpoint import OpStream, OpStreamRecorder
 
 __all__ = [
     "SharedComputeCache", "TrajectorySession", "TRAJECTORY_TABLE_BYTES", "middleware_identity",
+    "trajectory_groups", "trajectory_id",
 ]
 
 #: Most bytes one :class:`TrajectorySession` holds — recorded runs, their
@@ -428,12 +429,38 @@ class SharedComputeCache:
         return self._once[key]
 
 
+def trajectory_id(point) -> str:
+    """The trajectory a design point runs, as campaigns schedule it.
+
+    Within one campaign the workload, run configuration and cost model
+    are fixed, so the points one :class:`TrajectorySession` records once
+    and replays on every other platform variant (network, CPUs per node,
+    replicate) are those sharing ``(strategy, p, middleware)``.  A
+    campaign leases and pools a trajectory's points as one unit of work.
+    """
+    strategy = getattr(point, "strategy", "replicated")
+    return f"{strategy}/p{point.n_ranks}/{point.config.middleware}"
+
+
+def trajectory_groups(items, point=lambda item: item) -> dict[str, list]:
+    """``items`` grouped by the :func:`trajectory_id` of ``point(item)``.
+
+    Largest ``p`` first (the longest units of work start first), then in
+    order of first appearance; items keep their order within a group.
+    """
+    groups: dict[str, list] = {}
+    for item in items:
+        groups.setdefault(trajectory_id(point(item)), []).append(item)
+    return dict(sorted(groups.items(), key=lambda group: -point(group[1][0]).n_ranks))
+
+
 class TrajectorySession:
     """One pass's record of its trajectories, keyed on stable fields only.
 
     Owned by whoever loops over design points in one process — the inline
-    dispatch of ``CampaignEngine.run``, ``work_campaign`` and a
-    ``CharacterizationRunner`` — and dropped with it.  :meth:`cache_for`
+    dispatch of ``CampaignEngine.run`` (or, pooled, the child running one
+    trajectory group), ``work_campaign`` and a ``CharacterizationRunner``
+    — and dropped with it.  :meth:`cache_for`
     answers what a point's ``RunOptions.shared_compute`` should be: a
     cache bound to the session's record of the point's trajectory while
     the session holds less than :data:`TRAJECTORY_TABLE_BYTES`, else

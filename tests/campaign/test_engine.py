@@ -2,6 +2,7 @@
 
 import os
 import subprocess
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.campaign.workloads import build_workload
 from repro.core.design import DesignPoint, full_factorial
 from repro.core.factors import FOCAL_POINT
 from repro.instrument import FORCE_EVALUATIONS
+from repro.instrument.runlog import read_runlog
 
 from .conftest import TINY_CONFIG, tiny_engine, tiny_points
 
@@ -114,6 +116,47 @@ class TestFailureHandling:
         (status,) = result.manifest.points
         assert status.status == "timeout"
         assert "timed out" in status.error
+
+    def test_timeout_inside_a_pooled_group_is_retried_per_point(
+        self, store_root, tmp_path, monkeypatch
+    ):
+        """A pooled task is a trajectory group, but timeouts, retries and
+        statuses stay per point: the third of six variants hangs once, is
+        killed with its child and retried alone, and the group's three
+        unstarted points run on in a new child."""
+        variants = [
+            p for p in full_factorial() if p.n_ranks == 2 and p.config.middleware == "mpi"
+        ]
+        stuck = variants[2]
+        marker = tmp_path / "stuck-once"
+        real = engine_mod.execute_point
+
+        def hang_once(workload, point, *rest):
+            if point == stuck and not marker.exists():
+                marker.touch()
+                time.sleep(60)
+            return real(workload, point, *rest)
+
+        monkeypatch.setattr(engine_mod, "execute_point", hang_once)
+        engine = tiny_engine(store_root, n_workers=1, timeout=2.0, retries=1, backoff=0.01)
+        result = engine.run(variants)
+        assert result.ok
+        assert all(record is not None for record in result.records)
+        assert [(p.status, p.attempts) for p in result.manifest.points] == [
+            ("ran", 2 if p == stuck else 1) for p in variants
+        ]
+
+        log = store_root / "logs" / f"campaign-{result.manifest.campaign_id}.jsonl"
+        events = list(read_runlog(log))
+        retries = [(e["label"], e["status"]) for e in events if e["event"] == "point_retry"]
+        assert retries == [(stuck.label(), "timeout")]
+        launches = [e for e in events if e["event"] == "point_launch"]
+        assert [e["label"] for e in launches] == [
+            p.label() for p in [*variants, stuck]
+        ]
+        first, requeued, retry = launches[0]["pid"], launches[3]["pid"], launches[6]["pid"]
+        assert [e["pid"] for e in launches] == [first] * 3 + [requeued] * 3 + [retry]
+        assert len({first, requeued, retry}) == 3
 
     def test_unknown_workload_raises(self, store_root):
         engine = tiny_engine(store_root, workload="no-such-system")

@@ -8,8 +8,9 @@ run records its op streams and the other five replay them.  These tests
 hold every run to the oracle (``shared_compute=False``: no cache of any
 kind) record for record, timeline for timeline and transfer for
 transfer, check the refusal cases (sanitized and traced runs run live,
-on the force tables), and check that audits and pooled attempts never
-see a session.
+on the force tables), check that a pooled campaign's child runs its
+trajectory group through a session of its own, and check that audits
+never see a session.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from functools import lru_cache
 import pytest
 
 from repro.campaign import ResultStore, publish_campaign, verify_stores_match, work_campaign
+from repro.campaign import engine as engine_mod
 from repro.campaign.engine import execute_built
 from repro.campaign.keys import workload_fingerprint
 from repro.campaign.runner import CharacterizationRunner
+from repro.campaign.store import record_digest
 from repro.campaign.workloads import build_workload
 from repro.cmpi import CMPIMiddleware
 from repro.core.design import full_factorial
@@ -133,6 +136,31 @@ class TestSessionEqualsOracle:
         done = list(read_runlog(store.root / "logs" / "worker-w0.jsonl"))[-1]
         assert done["event"] == "worker_done"
         assert {name: done[name] for name in COUNTERS} == counts
+
+    @both_sanitize_settings
+    def test_pooled_engine(self, sanitize):
+        """Pooled dispatch runs one task per trajectory group, in a child
+        holding a session: the same 8 recordings and 40 replays as inline
+        (sanitized: the same force-table replays), the same store."""
+        expected = _oracle(sanitize)
+        engine = tiny_engine(sanitize=sanitize, n_workers=2)
+        result = engine.run(POINTS)
+        assert result.ok
+        assert {p.status for p in result.manifest.points} == {"ran"}
+        assert verify_stores_match(engine.store, expected) == []
+        counters = result.manifest.metrics["counters"]
+        counts = {name: counters.get(f"exec.{name}", {}).get("total", 0) for name in COUNTERS}
+        if sanitize:
+            assert counts["opstream_recorded"] == counts["opstream_replayed"] == 0
+            assert counters["exec.trajectory_replayed"]["labels"] == dict.fromkeys(
+                SITES, 5 * TRAJECTORY_RANK_STEPS
+            )
+        else:
+            assert counts == OPS_1_TO_5
+            inline = tiny_engine()
+            assert inline.run(POINTS).ok
+            digests = {e.key: record_digest(e.record) for e in inline.store.entries()}
+            assert {e.key: record_digest(e.record) for e in engine.store.entries()} == digests
 
     def test_runner_measure(self, peptide_tiny):
         expected = _oracle(False)
@@ -325,13 +353,19 @@ class TestAuditsStayIndependent:
         assert engine.verify(sample=len(self.VARIANTS)) == []
         assert _counts(before) == NOTHING
 
-    def test_pooled_dispatch_never_replays(self):
-        engine = tiny_engine(n_workers=2)
-        before = REGISTRY.snapshot()
-        result = engine.run(self.VARIANTS)
-        assert result.ok
-        assert _counts(before) == NOTHING
-        merged = result.manifest.metrics["counters"]
-        assert merged["run.points_executed"]["total"] == len(self.VARIANTS)
-        assert not [name for name in merged if name.startswith("exec.trajectory")]
-        assert not [name for name in merged if name.startswith("exec.opstream")]
+    @pytest.mark.parametrize("n_workers", [0, 2], ids=["inline", "pooled"])
+    def test_verify_reruns_carry_no_session(self, store_root, monkeypatch, n_workers):
+        engine = tiny_engine(store_root)
+        assert engine.run(self.VARIANTS).ok
+        seen = []
+        real_dispatch = engine_mod.dispatch
+
+        def spy(target, payloads, *args, **kwargs):
+            seen.extend(payloads.values())
+            return real_dispatch(target, payloads, *args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "dispatch", spy)
+        assert engine.verify(sample=len(self.VARIANTS), n_workers=n_workers) == []
+        assert len(seen) == len(self.VARIANTS)
+        assert not [arg for payload in seen for arg in payload
+                    if isinstance(arg, TrajectorySession)]
