@@ -105,7 +105,7 @@ def execute_built(
     tracer = SpanTracer() if span_trace_path is not None else None
     options = RunOptions.for_point(
         point, config=config, cost=cost, sanitize=sanitize, span_tracer=tracer,
-        shared_compute=True if session is None else session.cache_for(point, config, system, cost),
+        shared_compute=True if session is None else session.cache(),
     )
     if tracer is not None:
         with tracer.span("execute_point", track="engine", label=point.label()):
@@ -513,7 +513,7 @@ class CampaignEngine:
         # inline, or the pooled child of its group, working on its copy of
         # the still empty session — so its platform variants replay its
         # first run
-        session = TrajectorySession(self.fingerprint)
+        session = TrajectorySession()
         dispatch(
             _execute_args,
             {

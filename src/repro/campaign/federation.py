@@ -192,7 +192,7 @@ def work_campaign(
     metrics_before = REGISTRY.snapshot()
     # this call's points run one after another in this process: platform
     # variants of one (p, middleware) trajectory replay its first run
-    session = TrajectorySession(engine.fingerprint)
+    session = TrajectorySession()
     stats = {"claimed": 0, "executed": 0, "hits": 0, "failed": 0, "lost": 0}
     while max_points is None or stats["claimed"] < max_points:
         budget = len(published) if max_points is None else max_points - stats["claimed"]
@@ -268,10 +268,7 @@ def work_campaign(
         path.write_text(json.dumps(delta, indent=2, sort_keys=True) + "\n")
     replay = {
         name.rpartition(".")[2]: delta["counters"].get(name, {}).get("total", 0)
-        for name in (
-            "exec.opstream_recorded", "exec.opstream_replayed",
-            "exec.trajectory_recorded", "exec.trajectory_replayed",
-        )
+        for name in ("exec.opstream_recorded", "exec.opstream_replayed")
     }
     runlog.log("worker_done", **stats, **replay)
     return {**stats, "metrics": delta}

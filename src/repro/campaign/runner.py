@@ -89,7 +89,7 @@ class CharacterizationRunner:
         ``(p, middleware)`` trajectory this runner executes after the first
         replays that first run's op streams."""
         if self._session is None:
-            self._session = TrajectorySession(self.fingerprint)
+            self._session = TrajectorySession()
         return self._session
 
     # ------------------------------------------------------------------

@@ -360,8 +360,7 @@ def _run(runner: CharacterizationRunner, spec: ClusterSpec, max_steps=None, syst
     shared = True
     if system is None:
         system = runner.system
-        point = DesignPoint(config=FOCAL_POINT, n_ranks=spec.n_ranks)  # MPI, replicated
-        shared = runner.session.cache_for(point, config, system, runner.cost)
+        shared = runner.session.cache()
     options = RunOptions(config=config, cost=runner.cost, shared_compute=shared)
     return run_parallel_md(system, runner.positions, spec, options)
 

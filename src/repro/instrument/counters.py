@@ -24,8 +24,6 @@ __all__ = [
     "FRESH_ATOMS",
     "OPSTREAM_RECORDED",
     "OPSTREAM_REPLAYED",
-    "TRAJECTORY_RECORDED",
-    "TRAJECTORY_REPLAYED",
 ]
 
 #: Incremented once per non-bonded kernel evaluation (see
@@ -51,17 +49,9 @@ FRESH_ATOMS = REGISTRY.counter("spatial.fresh_atoms")
 
 #: Trajectories whose op streams a campaign session recorded, and runs it
 #: replayed from one (see :mod:`repro.parallel.shared`): 8 and 40 over the
-#: paper's 48-point factorial.  Both stay zero for a bare
-#: ``run_parallel_md``, ``verify``, pooled dispatch and runs that sanitize
-#: or record a ``CommTrace``.  The session's size is the gauge
-#: ``exec.trajectory_table_bytes``.
+#: paper's 48-point factorial, under either strategy.  Both stay zero for a
+#: bare ``run_parallel_md``, ``verify`` and runs that sanitize or record a
+#: ``CommTrace``.  The bytes of the session's recordings are the gauge
+#: ``exec.opstream_bytes``.
 OPSTREAM_RECORDED = REGISTRY.counter("exec.opstream_recorded")
 OPSTREAM_REPLAYED = REGISTRY.counter("exec.opstream_replayed")
-
-#: Step results a session's live runs computed and recorded in force
-#: tables / adopted from an earlier live run of the same trajectory (label
-#: ``site``: ``classic`` or ``pme``; see
-#: :meth:`repro.parallel.shared.SharedComputeCache.replay`) — the runs
-#: that cannot replay an op stream, e.g. a sanitized campaign's.
-TRAJECTORY_RECORDED = REGISTRY.counter("exec.trajectory_recorded")
-TRAJECTORY_REPLAYED = REGISTRY.counter("exec.trajectory_replayed")

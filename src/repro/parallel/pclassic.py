@@ -57,7 +57,6 @@ class ParallelClassic:
         self.decomp = decomp
         self.rank = rank
         self.cost = cost
-        self.shared = shared
         self.tables = slice_bonded_tables(system.bonded_tables, decomp, rank)
         # the per-atom LJ tables are identical on every rank: build once
         lj_tables = None
@@ -82,46 +81,24 @@ class ParallelClassic:
         # base array, so the list can certify a candidate pre-drop
         self.kernel.attach_prefilter(system.neighbor_list.step_prefilter)
 
-    def compute(
-        self, positions: np.ndarray, pairs: np.ndarray, generation: int | None = None
-    ) -> ClassicResult:
-        """Evaluate this rank's block; pure computation, no yields.
-
-        ``generation`` is the step driver's positions generation counter;
-        with it, a campaign session's force tables replay the result an
-        earlier live run of this trajectory recorded.
-        """
-
-        def evaluate() -> tuple[np.ndarray, tuple]:
-            my_pairs = self.decomp.pair_block(pairs, self.rank)
-            bonded_e, forces = bonded_energy_forces(positions, self.system.box, self.tables)
-            nb_e, nb_f = self.kernel.compute(positions, my_pairs)
-            forces += nb_f
-            return forces, (
-                bonded_e["bond"], bonded_e["angle"], bonded_e["dihedral"],
-                bonded_e["improper"], nb_e.lj, nb_e.elec,
-                self.kernel.last_pair_count, self.tables.n_terms,
-            )
-
-        if self.shared is None:
-            forces, scalars = evaluate()
-        else:
-            forces, scalars = self.shared.replay(
-                "classic", self.rank, generation, positions, evaluate
-            )
-        bond, angle, dihedral, improper, lj, elec, n_pairs, n_terms = scalars
+    def compute(self, positions: np.ndarray, pairs: np.ndarray) -> ClassicResult:
+        """Evaluate this rank's block; pure computation, no yields."""
+        my_pairs = self.decomp.pair_block(pairs, self.rank)
+        bonded_e, forces = bonded_energy_forces(positions, self.system.box, self.tables)
+        nb_e, nb_f = self.kernel.compute(positions, my_pairs)
+        forces += nb_f
         return ClassicResult(
             energies=EnergyBreakdown(
-                bond=bond,
-                angle=angle,
-                dihedral=dihedral,
-                improper=improper,
-                lj=lj,
-                elec_direct=elec,
+                bond=bonded_e["bond"],
+                angle=bonded_e["angle"],
+                dihedral=bonded_e["dihedral"],
+                improper=bonded_e["improper"],
+                lj=nb_e.lj,
+                elec_direct=nb_e.elec,
             ),
             forces=forces,
-            n_pairs=int(n_pairs),
-            n_terms=int(n_terms),
+            n_pairs=self.kernel.last_pair_count,
+            n_terms=self.tables.n_terms,
         )
 
     def compute_seconds(self, result: ClassicResult) -> float:

@@ -157,7 +157,7 @@ def rank_program(
                 pairs = nl.ensure(positions)
             if nl.last_ensure_rebuilt:
                 yield from ep.compute(cost.neighbor_build(nl.last_candidates))
-            res = classic.compute(positions, pairs, generation=_step)
+            res = classic.compute(positions, pairs)
             yield from ep.compute(classic.compute_seconds(res))
             forces = res.forces
             energies = res.energies

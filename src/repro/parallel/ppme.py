@@ -140,8 +140,7 @@ class ParallelPME:
 
         ``generation`` is the step driver's positions generation counter;
         it keys the shared stencil, which is computed once per step and
-        reused across the spread and interpolate directions of all ranks,
-        and the replay of the phase's terminal forces.
+        reused across the spread and interpolate directions of all ranks.
         """
         kx, ky, kz = self.pme.grid_shape
         x_range = self.fft.my_x_range
@@ -175,31 +174,20 @@ class ParallelPME:
         phi = self.pme.total_points * phi_slab.real
 
         # 5. partial force interpolation from owned planes, plus the
-        # exclusion corrections of this rank's slice: the phase's terminal
-        # result, which a campaign session's force tables replay to the
-        # trajectory's later live (sanitized or traced) runs
-        def evaluate() -> tuple[np.ndarray, tuple]:
-            f_mesh = self.mesh.interpolate_forces(
-                positions, self.charges, phi, x_range=x_range, stencil=stencil
-            )
-            assert self.mesh.last_workload is not None
-            e_excl, f_excl = exclusion_correction(
-                positions, self.charges, self.my_exclusions, self.box, self.pme.alpha
-            )
-            return f_mesh + f_excl, (self.mesh.last_workload.scattered_points, e_excl)
-
-        if self.shared is None:
-            forces, scalars = evaluate()
-        else:
-            forces, scalars = self.shared.replay(
-                "pme", self.rank, generation, positions, evaluate
-            )
-        yield from ep.compute(self.cost.spread(int(scalars[0])))
+        # exclusion corrections of this rank's slice
+        f_mesh = self.mesh.interpolate_forces(
+            positions, self.charges, phi, x_range=x_range, stencil=stencil
+        )
+        assert self.mesh.last_workload is not None
+        e_excl, f_excl = exclusion_correction(
+            positions, self.charges, self.my_exclusions, self.box, self.pme.alpha
+        )
+        yield from ep.compute(self.cost.spread(self.mesh.last_workload.scattered_points))
         yield from ep.compute(self.cost.exclusions(len(self.my_exclusions)))
 
         return ParallelPMEResult(
             reciprocal_energy=energy,
             self_energy=self.self_energy_share,
-            exclusion_energy=scalars[1],
-            forces=forces,
+            exclusion_energy=e_excl,
+            forces=f_mesh + f_excl,
         )

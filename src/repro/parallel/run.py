@@ -97,13 +97,12 @@ class RunOptions:
         bit-identity tests compare against); a :class:`SharedComputeCache`
         instance — what a campaign's
         :class:`~repro.parallel.shared.TrajectorySession` passes, a fresh
-        one per run — is used as given: the first run of a trajectory
-        records its op streams and later platform variants replay them
-        instead of running the rank programs (runs with ``sanitize`` or
-        ``trace`` always run live).  A wall-clock optimization only:
-        energies, trajectories, virtual timelines and transfers are
-        bit-identical whichever is passed.  Ignored by
-        ``strategy="spatial"``.
+        one per run — is used as given: under either strategy, the first
+        run of a trajectory records its op streams and later platform
+        variants replay them instead of running the rank programs (runs
+        with ``sanitize`` or ``trace`` always run live).  A wall-clock
+        optimization only: energies, trajectories, virtual timelines and
+        transfers are bit-identical whichever is passed.
     strategy:
         ``"replicated"`` (CHARMM's replicated-data scheme, the default)
         or ``"spatial"`` (cell-grid domain decomposition with halo
@@ -215,6 +214,12 @@ def run_parallel_md(
         if isinstance(opts.middleware, Middleware)
         else make_middleware(opts.middleware)
     )
+    # a campaign session's trajectory is recorded by its first run and
+    # replayed by the rest; audits (sanitizer, CommTrace) run the program
+    session = None
+    shared = opts.shared_compute
+    if isinstance(shared, SharedComputeCache) and not opts.sanitize and opts.trace is None:
+        session = shared.session
 
     rng = np.random.default_rng(config.velocity_seed)
     velocities = maxwell_boltzmann_velocities(system.masses, config.temperature, rng)
@@ -224,6 +229,7 @@ def run_parallel_md(
         sim, cluster,
         sanitize=opts.sanitize, trace=opts.trace, span_tracer=opts.span_tracer,
     )
+    recorders = None
     try:
         if world.sanitizer is not None:
             # hook every collective, not just the point-to-point matches:
@@ -233,13 +239,29 @@ def run_parallel_md(
 
             mw = SanitizedMiddleware(mw, world.sanitizer)
 
-        # the strategy chooses the per-rank generators and how their
-        # outcomes become energies + final positions; everything else
-        # exists once
-        strategy = _spatial_programs if opts.strategy == "spatial" else _replicated_programs
-        programs, assemble = strategy(
-            system, positions, velocities, cluster, opts, config, mw, world
-        )
+        recorded = None
+        if session is not None:
+            key = (
+                system, opts.strategy, opts.spatial_grid, cluster.n_ranks, config, opts.cost,
+                middleware_identity(mw),
+            )
+            recorded = session.recorded_run(key, positions)
+            if recorded is None:
+                recorders = session.recorders(key, cluster.n_ranks)
+        if recorded is not None:
+            streams = zip(world.endpoints, recorded.streams)
+            programs = [replay_program(ep, stream) for ep, stream in streams]
+            assemble = recorded.outcome
+        else:
+            for ep, recorder in zip(world.endpoints, recorders or ()):
+                ep.recorder = recorder
+            # the strategy chooses the per-rank generators and how their
+            # outcomes become energies + final positions; everything else
+            # exists once
+            strategy = _spatial_programs if opts.strategy == "spatial" else _replicated_programs
+            programs, assemble = strategy(
+                system, positions, velocities, cluster, opts, config, mw, world
+            )
         procs = [sim.spawn(gen, name=f"rank{rank}") for rank, gen in enumerate(programs)]
         sim.run()
         world.assert_drained()
@@ -252,6 +274,8 @@ def run_parallel_md(
             ep.world = None
 
     energies, final_positions = assemble([p.result for p in procs])
+    if recorders is not None:
+        session.commit(key, positions, recorders, energies, final_positions)
     result = ParallelRunResult(
         spec=cluster,
         config=config,
@@ -279,10 +303,7 @@ def _replicated_programs(
     """Replicated data: atom blocks, allreduce + allgather per step.
 
     Every rank ends with the full energy log and coordinates, so rank 0's
-    outcome is the run's.  Under a campaign session
-    (:mod:`repro.parallel.shared`) a trajectory's first run records its
-    op streams and every later run replays them instead; runs that
-    sanitize or trace always run the rank programs.
+    outcome is the run's.
     """
     shared = opts.shared_compute
     if not isinstance(shared, SharedComputeCache):
@@ -290,20 +311,6 @@ def _replicated_programs(
     elif shared.n_real_builds:
         # its generation-keyed entries are the previous run's
         raise ValueError("a SharedComputeCache instance serves one run")
-
-    recorders = None
-    if shared is not None and not opts.sanitize and opts.trace is None:
-        identity = (cluster.n_ranks, config, opts.cost, middleware_identity(mw))
-        recorded = shared.recorded_run(identity, positions)
-        if recorded is not None:
-            streams = zip(world.endpoints, recorded.streams)
-            return [replay_program(ep, stream) for ep, stream in streams], recorded.outcome
-        recorders = shared.recorders(identity, cluster.n_ranks)
-    if recorders is not None:
-        for ep, recorder in zip(world.endpoints, recorders):
-            ep.recorder = recorder
-    elif shared is not None:
-        shared.bind_force_tables()
 
     decomp = AtomDecomposition(system.n_atoms, cluster.n_ranks)
     programs = [
@@ -322,10 +329,7 @@ def _replicated_programs(
     ]
 
     def assemble(outcomes: list[RankOutcome]):
-        energies, final_positions = outcomes[0].energies, outcomes[0].final_positions
-        if recorders is not None:
-            shared.commit(positions, recorders, energies, final_positions)
-        return energies, final_positions
+        return outcomes[0].energies, outcomes[0].final_positions
 
     return programs, assemble
 

@@ -1,4 +1,4 @@
-"""Shared computation across simulated replicated-data ranks.
+"""Shared computation across simulated ranks and across the runs of a trajectory.
 
 The paper's decomposition replicates coordinates: every rank holds the
 *same* positions and rebuilds the *same* neighbour list, the *same*
@@ -36,31 +36,30 @@ the cache on or off.
 
 **Across the runs of one trajectory.**  Only *time* is simulated: what
 a rank issues — compute charges from counters, message sizes, tags and
-their order — depends on the workload, the rank count, the middleware
-and its parameters, the run configuration and the cost model; never on
-the network, the node width or the platform noise seed, which act only
+their order — depends on the workload, the decomposition (strategy, rank
+count and, for the spatial strategy, its rank grid), the middleware and
+its parameters, the run configuration and the cost model; never on the
+network, the node width or the platform noise seed, which act only
 *below* the op (eager/rendezvous, node mapping, ``compute_scale``, NIC
 and interrupt state, the noise draws).  A campaign's
-:class:`TrajectorySession` keys each run on exactly those inputs.  The
-first live run of a trajectory records every rank's op stream
-(:class:`~repro.mpi.endpoint.OpStreamRecorder`) with the run's energies
-and final positions; every later run of it replays the streams through
-the same executor (:func:`~repro.mpi.endpoint.replay_program`) on its
-own platform — no rank program, no physics, no payload — and reports the
-recorded energies and positions.  The argument above is the soundness
-proof: the replayed run issues the live run's ops, so its events,
-transfers and timelines are the ones its platform implies for them.  A
-replay is additionally checked against the recorded run's identity and
-initial coordinates, so a wrong key degrades into a live run, never into
-a wrong record.
+:class:`TrajectorySession` keys each trajectory on exactly those inputs,
+for both strategies.  The first live run of a trajectory records every
+rank's op stream (:class:`~repro.mpi.endpoint.OpStreamRecorder`) with
+the run's energies and final positions; every later run of it replays
+the streams through the same executor
+(:func:`~repro.mpi.endpoint.replay_program`) on its own platform — no
+rank program, no physics, no payload — and reports the recorded
+energies and positions.  The argument above is the soundness proof: the
+replayed run issues the live run's ops, so its events, transfers and
+timelines are the ones its platform implies for them.  The driver
+(:func:`~repro.parallel.run.run_parallel_md`) computes the key from the
+run itself, so no caller can hand a run another trajectory's recording;
+a replay is additionally checked against the recorded initial
+coordinates.
 
 Runs that sanitize or record a :class:`~repro.instrument.commstats.CommTrace`
-audit real payloads and the live program, so they always run live; for
-them :meth:`SharedComputeCache.replay` records the two terminal results
-of a step (the classic phase's forces, energies and counters; the PME
-phase's interpolated + exclusion forces) in force tables the first time
-and hands them back to the trajectory's later live runs, each hit checked
-against the recorded coordinates of its generation.
+audit real payloads and the live program, so they neither record nor
+replay: they run the rank programs whole.
 """
 
 from __future__ import annotations
@@ -72,63 +71,29 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..instrument.counters import (
-    OPSTREAM_RECORDED,
-    OPSTREAM_REPLAYED,
-    TRAJECTORY_RECORDED,
-    TRAJECTORY_REPLAYED,
-)
+from ..instrument.counters import OPSTREAM_RECORDED, OPSTREAM_REPLAYED
 from ..instrument.metrics import REGISTRY
 from ..md.neighborlist import NeighborList
 from ..mpi.endpoint import OpStream, OpStreamRecorder
 
 __all__ = [
-    "SharedComputeCache", "TrajectorySession", "TRAJECTORY_TABLE_BYTES", "middleware_identity",
+    "OPSTREAM_BYTES_BUDGET", "SharedComputeCache", "TrajectorySession", "middleware_identity",
     "trajectory_groups", "trajectory_id",
 ]
 
-#: Most bytes one :class:`TrajectorySession` holds — recorded runs, their
-#: interned entries and the force tables of runs that cannot replay them;
-#: past it, later trajectories record nothing (no eviction, no option).
-#: Sized for force tables: the paper's myoglobin-PME factorial (8
-#: trajectories x 10 steps x 3552 atoms) needs 58.0 MB of them when every
-#: run is sanitized.  Its recorded runs take 1.5 MB (mostly initial and
-#: final coordinates), the peptide-tiny factorial's 0.2 MB.
-TRAJECTORY_TABLE_BYTES = 64 * 2**20
-
-#: replay sites -> row of the tables' leading axis
-_SITES = {"classic": 0, "pme": 1}
-#: scalar columns per record: six energies + n_pairs + n_terms (classic)
-_N_SCALARS = 8
+#: Most bytes of recorded op streams one :class:`TrajectorySession` holds —
+#: the streams, their interned entries and each recording's initial and
+#: final coordinates; past it, later trajectories record nothing (no
+#: eviction, no option).  A 10-step factorial's recordings take 0.2 MB on
+#: peptide-tiny, 1.5 MB on myoglobin-PME (mostly the coordinates) and
+#: 0.7 MB on the spatial water box.
+OPSTREAM_BYTES_BUDGET = 16 * 2**20
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array`` (or a view of it) that raises on in-place writes."""
     array.flags.writeable = False
     return array
-
-
-class _TrajectoryTables:
-    """The records of one trajectory, preallocated before its first step.
-
-    A few large blocks handing out views, not one small object per
-    record: ~900 long-lived tuples and (70, 3) arrays pinned the heap's
-    high-water mark at +5.5 MB on the 48-point peptide campaign for
-    1.6 MB of payload; these tables cost +1.2 MB (+1.1 %).
-    """
-
-    def __init__(self, n_sites: int, n_steps: int, n_ranks: int, n_atoms: int) -> None:
-        self.forces = np.empty((n_sites, n_steps, n_ranks, n_atoms, 3))
-        self.scalars = np.empty((n_sites, n_steps, n_ranks, _N_SCALARS))
-        self.have = np.zeros((n_sites, n_steps, n_ranks), dtype=bool)
-        #: the coordinates each generation's records were computed from
-        self.snapshots = np.empty((n_steps, n_atoms, 3))
-        self.have_snapshot = np.zeros(n_steps, dtype=bool)
-
-    @staticmethod
-    def nbytes(n_sites: int, n_steps: int, n_ranks: int, n_atoms: int) -> int:
-        """Bytes of the float tables of that shape (the masks are noise)."""
-        return 8 * n_steps * (n_sites * n_ranks * (3 * n_atoms + _N_SCALARS) + 3 * n_atoms)
 
 
 def middleware_identity(mw) -> tuple:
@@ -168,29 +133,6 @@ class _RecordedRun:
         return streams + self.positions0.nbytes + self.final_positions.nbytes
 
 
-class _Trajectory:
-    """A session's record of one trajectory: its recorded run once there
-    is one, and the force tables of its runs that cannot replay it."""
-
-    def __init__(self, session: "TrajectorySession", identity: tuple, shape: tuple) -> None:
-        self.session = session
-        #: ``(n_ranks, run config, cost model, middleware identity)``
-        self.identity = identity
-        #: force-table shape ``(sites, n_steps, n_ranks, n_atoms)``
-        self.shape = shape
-        self.recorded: _RecordedRun | None = None
-        #: False once a recording could not be kept
-        self.recordable = True
-        self.tables: _TrajectoryTables | None = None
-
-    def force_tables(self) -> _TrajectoryTables | None:
-        """The force tables, allocated on first use while the session
-        budget admits them."""
-        if self.tables is None and self.session.admit(_TrajectoryTables.nbytes(*self.shape)):
-            self.tables = _TrajectoryTables(*self.shape)
-        return self.tables
-
-
 @dataclass
 class _NeighborOutcome:
     """The shared outcome of one generation's neighbour-list maintenance."""
@@ -212,12 +154,11 @@ class SharedComputeCache:
     One instance serves the ranks of one run: a bare
     :func:`repro.parallel.run.run_parallel_md` call creates its own, and
     a campaign's :class:`TrajectorySession` hands each run (as
-    ``RunOptions.shared_compute``) a fresh one bound to the session's
-    record of the run's trajectory — the rank-to-rank state below dies
-    with the run, only the recorded run and the force tables outlive it.
-    All methods are synchronous — ranks interleave only at the
-    simulator's yield points, so no locking is needed.  Every array
-    handed to more than one consumer is read-only.
+    ``RunOptions.shared_compute``) a fresh one bound to the session —
+    the rank-to-rank state below dies with the run, only the session's
+    recordings outlive it.  All methods are synchronous — ranks
+    interleave only at the simulator's yield points, so no locking is
+    needed.  Every array handed to more than one consumer is read-only.
     """
 
     #: real neighbour-list builds performed through this cache
@@ -228,6 +169,9 @@ class SharedComputeCache:
     n_stencils: int = 0
     #: stencil requests answered from the cache
     n_stencil_hits: int = 0
+    #: the campaign session whose trajectories this run records or
+    #: replays; None outside a session
+    session: "TrajectorySession | None" = field(default=None, repr=False)
 
     _neighbors: _NeighborOutcome | None = field(default=None, repr=False)
     _stencil_key: tuple | None = field(default=None, repr=False)
@@ -235,108 +179,6 @@ class SharedComputeCache:
     _once: dict[Any, Any] = field(default_factory=dict, repr=False)
     _statics_ref: weakref.ref | None = field(default=None, repr=False)
     _statics: tuple | None = field(default=None, repr=False)
-    #: the session's record of this run's trajectory; None outside a
-    #: campaign session
-    _trajectory: _Trajectory | None = field(default=None, repr=False)
-    #: the trajectory's force tables, once this run uses them
-    _tables: _TrajectoryTables | None = field(default=None, repr=False)
-
-    # ------------------------------------------------------------------
-    def _trajectory_of(self, identity: tuple) -> _Trajectory | None:
-        """The session's record of this run's trajectory, if the run (of
-        this ``identity``) is that trajectory."""
-        trajectory = self._trajectory
-        if trajectory is None or trajectory.identity != identity:
-            return None
-        return trajectory
-
-    def recorded_run(self, identity: tuple, positions0: np.ndarray) -> _RecordedRun | None:
-        """The recorded first run of this run's trajectory, if there is one
-        and it started from the same coordinates."""
-        trajectory = self._trajectory_of(identity)
-        recorded = trajectory.recorded if trajectory is not None else None
-        if recorded is None or not np.array_equal(positions0, recorded.positions0):
-            return None
-        OPSTREAM_REPLAYED.increment()
-        return recorded
-
-    def recorders(self, identity: tuple, n_ranks: int) -> list[OpStreamRecorder] | None:
-        """One op-stream recorder per rank when this run is to record its
-        trajectory (the session has no recording of it yet), else None."""
-        trajectory = self._trajectory_of(identity)
-        if trajectory is None or trajectory.recorded is not None or not trajectory.recordable:
-            return None
-        return [OpStreamRecorder(trajectory.session.intern) for _ in range(n_ranks)]
-
-    def commit(
-        self,
-        positions0: np.ndarray,
-        recorders: list[OpStreamRecorder],
-        energies: list,
-        final_positions: np.ndarray,
-    ) -> None:
-        """Keep a finished run's recording for its trajectory's later runs."""
-        trajectory = self._trajectory
-        recorded = _RecordedRun(
-            positions0=_read_only(positions0.copy()),
-            streams=tuple(r.stream() for r in recorders),
-            energies=tuple(energies),
-            final_positions=_read_only(final_positions.copy()),
-        )
-        if all(r.replayable for r in recorders) and trajectory.session.admit(recorded.nbytes):
-            trajectory.recorded = recorded
-            OPSTREAM_RECORDED.increment()
-        else:
-            trajectory.recordable = False
-
-    def bind_force_tables(self) -> None:
-        """Let :meth:`replay` use the trajectory's force tables (a live run
-        that neither replays nor records an op stream)."""
-        if self._trajectory is not None:
-            self._tables = self._trajectory.force_tables()
-
-    # ------------------------------------------------------------------
-    def replay(
-        self,
-        site: str,
-        rank: int,
-        generation: int | None,
-        positions: np.ndarray,
-        compute: Callable[[], tuple[np.ndarray, tuple]],
-    ) -> tuple[np.ndarray, tuple | list]:
-        """``compute()``'s ``(forces, scalars)`` for one rank at one
-        generation — computed, or adopted from an earlier run of the same
-        trajectory.
-
-        A record is adopted only when ``positions`` equals, bit for bit,
-        the coordinates it was computed from; otherwise the generation's
-        records are dropped and this call computes and re-records.  A
-        cache without tables (any run outside a session), or a caller
-        without a generation counter, just computes.
-        """
-        tables = self._tables
-        if tables is None or generation is None:
-            return compute()
-        s = _SITES[site]
-        current = tables.have_snapshot[generation] and np.array_equal(
-            positions, tables.snapshots[generation]
-        )
-        if current and tables.have[s, generation, rank]:
-            TRAJECTORY_REPLAYED.increment(site=site)
-            return (
-                _read_only(tables.forces[s, generation, rank]),
-                tables.scalars[s, generation, rank].tolist(),
-            )
-        forces, scalars = compute()
-        if not current:
-            tables.snapshots[generation] = positions
-            tables.have_snapshot[generation] = True
-            tables.have[:, generation] = False
-        tables.forces[s, generation, rank] = forces
-        tables.scalars[s, generation, rank, : len(scalars)] = scalars
-        tables.have[s, generation, rank] = True
-        TRAJECTORY_RECORDED.increment(site=site)
-        return forces, scalars
 
     # ------------------------------------------------------------------
     def neighbor_pairs(
@@ -455,51 +297,75 @@ def trajectory_groups(items, point=lambda item: item) -> dict[str, list]:
 
 
 class TrajectorySession:
-    """One pass's record of its trajectories, keyed on stable fields only.
+    """One pass's recordings of its trajectories, keyed on stable fields only.
 
-    Owned by whoever loops over design points in one process — the inline
-    dispatch of ``CampaignEngine.run`` (or, pooled, the child running one
-    trajectory group), ``work_campaign`` and a ``CharacterizationRunner``
-    — and dropped with it.  :meth:`cache_for`
-    answers what a point's ``RunOptions.shared_compute`` should be: a
-    cache bound to the session's record of the point's trajectory while
-    the session holds less than :data:`TRAJECTORY_TABLE_BYTES`, else
-    plain ``True`` (a cache bound to nothing).
+    Owned by whoever loops over design points of one workload in one
+    process — the inline dispatch of ``CampaignEngine.run`` (or, pooled,
+    the child running one trajectory group), ``work_campaign`` and a
+    ``CharacterizationRunner`` — and dropped with it.  :meth:`cache` is
+    what a run's ``RunOptions.shared_compute`` should be; the run driver
+    then asks the session for a recording of the run's trajectory, and
+    the first live run of a trajectory records one while the session
+    holds less than :data:`OPSTREAM_BYTES_BUDGET`.
+
+    A trajectory's key is everything a rank's op stream depends on: the
+    workload's system (the object itself, which the session keeps
+    alive), the strategy and its rank grid, the rank count, the
+    middleware's class and parameters (:func:`middleware_identity`), the
+    whole run configuration and the cost model.  Within one campaign the
+    workload, configuration and cost model are fixed, so the keys
+    partition the points exactly as :func:`trajectory_id` groups them.
     """
 
-    def __init__(self, workload_fingerprint: str) -> None:
-        self.workload_fingerprint = workload_fingerprint
-        #: trajectory key -> the session's record of it
-        self.trajectories: dict[tuple, _Trajectory] = {}
-        #: bytes of recordings, interned entries and force tables held
-        self.table_bytes = 0
+    def __init__(self) -> None:
+        #: trajectory key -> its recorded first run; None once a
+        #: recording of it could not be kept
+        self.trajectories: dict[tuple, _RecordedRun | None] = {}
+        #: bytes of recordings and interned entries held
+        self.opstream_bytes = 0
         self._interned: dict = {}
 
-    def cache_for(self, point, config, system, cost) -> "SharedComputeCache | bool":
-        """The ``shared_compute`` value for one run of ``point`` under
-        ``config`` and the cost model ``cost``.
+    def cache(self) -> SharedComputeCache:
+        """The ``shared_compute`` value for one run: a fresh cache bound
+        to this session."""
+        return SharedComputeCache(session=self)
 
-        The key is everything a rank's op stream depends on: the
-        workload, the strategy, the rank count, the middleware's class and
-        parameters, the whole run configuration and the cost model.
-        """
-        strategy = getattr(point, "strategy", "replicated")
-        if strategy != "replicated":
-            return True
-        from .run import make_middleware  # run.py imports this module
+    def recorded_run(self, key: tuple, positions0: np.ndarray) -> _RecordedRun | None:
+        """The recorded first run of trajectory ``key``, if there is one and
+        it started from the same coordinates."""
+        recorded = self.trajectories.get(key)
+        if recorded is None or not np.array_equal(positions0, recorded.positions0):
+            return None
+        OPSTREAM_REPLAYED.increment()
+        return recorded
 
-        identity = (
-            point.n_ranks, config, cost,
-            middleware_identity(make_middleware(point.config.middleware)),
+    def recorders(self, key: tuple, n_ranks: int) -> list[OpStreamRecorder] | None:
+        """One op-stream recorder per rank when a run of trajectory ``key``
+        is to record it (the session has not tried yet and has room), else
+        None."""
+        if key in self.trajectories or self.opstream_bytes >= OPSTREAM_BYTES_BUDGET:
+            return None
+        return [OpStreamRecorder(self.intern) for _ in range(n_ranks)]
+
+    def commit(
+        self,
+        key: tuple,
+        positions0: np.ndarray,
+        recorders: list[OpStreamRecorder],
+        energies: list,
+        final_positions: np.ndarray,
+    ) -> None:
+        """Keep a finished run's recording for its trajectory's later runs."""
+        recorded = _RecordedRun(
+            positions0=_read_only(positions0.copy()),
+            streams=tuple(r.stream() for r in recorders),
+            energies=tuple(energies),
+            final_positions=_read_only(final_positions.copy()),
         )
-        key = (self.workload_fingerprint, strategy, identity)
-        trajectory = self.trajectories.get(key)
-        if trajectory is None:
-            if self.table_bytes >= TRAJECTORY_TABLE_BYTES:
-                return True
-            shape = (1 + system.uses_pme, config.n_steps, point.n_ranks, system.n_atoms)
-            trajectory = self.trajectories[key] = _Trajectory(self, identity, shape)
-        return SharedComputeCache(_trajectory=trajectory)
+        keep = all(r.replayable for r in recorders) and self.admit(recorded.nbytes)
+        self.trajectories[key] = recorded if keep else None
+        if keep:
+            OPSTREAM_RECORDED.increment()
 
     def intern(self, value):
         """The session's canonical object equal to ``value`` (see
@@ -507,13 +373,13 @@ class TrajectorySession:
         found = self._interned.get(value)
         if found is None:
             found = self._interned[value] = value
-            self.table_bytes += sys.getsizeof(value)
+            self.opstream_bytes += sys.getsizeof(value)
         return found
 
     def admit(self, nbytes: int) -> bool:
         """Count ``nbytes`` more against the budget, if they fit."""
-        if self.table_bytes + nbytes > TRAJECTORY_TABLE_BYTES:
+        if self.opstream_bytes + nbytes > OPSTREAM_BYTES_BUDGET:
             return False
-        self.table_bytes += nbytes
-        REGISTRY.gauge("exec.trajectory_table_bytes").set(self.table_bytes)
+        self.opstream_bytes += nbytes
+        REGISTRY.gauge("exec.opstream_bytes").set(self.opstream_bytes)
         return True

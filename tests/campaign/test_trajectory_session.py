@@ -7,10 +7,10 @@ trajectories, each visited by six platform variants.  The inline engine,
 run records its op streams and the other five replay them.  These tests
 hold every run to the oracle (``shared_compute=False``: no cache of any
 kind) record for record, timeline for timeline and transfer for
-transfer, check the refusal cases (sanitized and traced runs run live,
-on the force tables), check that a pooled campaign's child runs its
-trajectory group through a session of its own, and check that audits
-never see a session.
+transfer, under both strategies; check the refusal cases (sanitized
+and traced runs run the live program whole), check that a pooled
+campaign's child runs its trajectory group through a session of its own,
+and check that audits never see a session.
 """
 
 from __future__ import annotations
@@ -24,18 +24,20 @@ import pytest
 from repro.campaign import ResultStore, publish_campaign, verify_stores_match, work_campaign
 from repro.campaign import engine as engine_mod
 from repro.campaign.engine import execute_built
-from repro.campaign.keys import workload_fingerprint
+from repro.campaign.keys import point_seed
 from repro.campaign.runner import CharacterizationRunner
 from repro.campaign.store import record_digest
 from repro.campaign.workloads import build_workload
 from repro.cmpi import CMPIMiddleware
 from repro.core.design import full_factorial
+from repro.core.responses import ResponseRecord
 from repro.instrument.commstats import CommTrace
 from repro.instrument.counters import FORCE_EVALUATIONS
 from repro.instrument.metrics import REGISTRY
 from repro.instrument.runlog import read_runlog
 from repro.instrument.tracing import SpanTracer
-from repro.parallel import PIII_1GHZ, MDRunConfig
+from repro.md import MDSystem
+from repro.parallel import PIII_1GHZ, MDRunConfig, RunOptions, run_parallel_md
 from repro.parallel import shared as shared_mod
 from repro.parallel.shared import TrajectorySession
 
@@ -45,23 +47,18 @@ POINTS = full_factorial()
 N_STEPS = TINY_CONFIG.n_steps
 #: rank-steps of the 8 trajectories: p in {1, 2, 4, 8} under both middlewares
 TRAJECTORY_RANK_STEPS = 2 * (1 + 2 + 4 + 8) * N_STEPS
-SITES = ("site=classic", "site=pme")
-COUNTERS = ("opstream_recorded", "opstream_replayed", "trajectory_recorded", "trajectory_replayed")
+COUNTERS = ("opstream_recorded", "opstream_replayed")
+
+
+def _force_evaluations(metrics: dict) -> int:
+    """``md.force_evaluations`` in a metrics delta or a manifest's metrics."""
+    return metrics["counters"].get("md.force_evaluations", {}).get("total", 0)
 
 
 def _counts(since: dict) -> dict[str, int]:
     """Totals of the session counters (``exec.<name>``) since a snapshot."""
     counters = REGISTRY.delta(since)["counters"]
     return {name: counters.get(f"exec.{name}", {}).get("total", 0) for name in COUNTERS}
-
-
-def _force_labels(since: dict) -> dict[str, dict]:
-    """Per-site force-table counts since a snapshot."""
-    counters = REGISTRY.delta(since)["counters"]
-    return {
-        name: counters.get(f"exec.trajectory_{name}", {}).get("labels", {})
-        for name in ("recorded", "replayed")
-    }
 
 
 NOTHING = dict.fromkeys(COUNTERS, 0)
@@ -121,12 +118,9 @@ class TestSessionEqualsOracle:
             assert store.get(entry.key) == entry.record
         counts = _counts(before)
         if sanitize:
-            # a sanitized run never replays an op stream: it runs live and
-            # five of every six step lookups come from the force tables
-            assert counts["opstream_recorded"] == counts["opstream_replayed"] == 0
-            assert _force_labels(before)["replayed"] == dict.fromkeys(
-                SITES, 5 * TRAJECTORY_RANK_STEPS
-            )
+            # a sanitized run is an audit of the live program: it runs whole
+            assert counts == NOTHING
+            assert _force_evaluations(REGISTRY.delta(before)) == 6 * TRAJECTORY_RANK_STEPS
         else:
             assert counts == OPS_1_TO_5
         # ... and says so wherever a worker's metrics already go
@@ -141,7 +135,7 @@ class TestSessionEqualsOracle:
     def test_pooled_engine(self, sanitize):
         """Pooled dispatch runs one task per trajectory group, in a child
         holding a session: the same 8 recordings and 40 replays as inline
-        (sanitized: the same force-table replays), the same store."""
+        (sanitized: none, every point live), the same store."""
         expected = _oracle(sanitize)
         engine = tiny_engine(sanitize=sanitize, n_workers=2)
         result = engine.run(POINTS)
@@ -151,10 +145,8 @@ class TestSessionEqualsOracle:
         counters = result.manifest.metrics["counters"]
         counts = {name: counters.get(f"exec.{name}", {}).get("total", 0) for name in COUNTERS}
         if sanitize:
-            assert counts["opstream_recorded"] == counts["opstream_replayed"] == 0
-            assert counters["exec.trajectory_replayed"]["labels"] == dict.fromkeys(
-                SITES, 5 * TRAJECTORY_RANK_STEPS
-            )
+            assert counts == NOTHING
+            assert _force_evaluations(result.manifest.metrics) == 6 * TRAJECTORY_RANK_STEPS
         else:
             assert counts == OPS_1_TO_5
             inline = tiny_engine()
@@ -177,16 +169,18 @@ class TestSessionEqualsOracle:
     @both_sanitize_settings
     def test_timelines_and_comm_trace(self, sanitize, peptide_tiny):
         """Per-rank virtual timelines and the full event stream, per point:
-        runs that record a CommTrace run live, on the force tables."""
+        runs that record a CommTrace run the live program whole."""
         system, positions = peptide_tiny
-        session = TrajectorySession(workload_fingerprint(system, positions))
+        session = TrajectorySession()
         before = REGISTRY.snapshot()
         for point in POINTS:
             got_trace, want_trace = CommTrace(), CommTrace()
+            mark = FORCE_EVALUATIONS.snapshot()
             got = run_point(
                 system, positions, point, TINY_CONFIG, sanitize=sanitize, trace=got_trace,
-                shared_compute=session.cache_for(point, TINY_CONFIG, system, PIII_1GHZ),
+                shared_compute=session.cache(),
             )
+            assert FORCE_EVALUATIONS.delta(mark) == point.n_ranks * N_STEPS, point.label()
             want = run_point(
                 system, positions, point, TINY_CONFIG, sanitize=sanitize, trace=want_trace,
                 shared_compute=False,
@@ -194,9 +188,8 @@ class TestSessionEqualsOracle:
             assert got_trace.events == want_trace.events, point.label()
             assert len(got.timelines) == point.n_ranks
             _assert_same_run(got, want, point.label())
-        counts = _counts(before)
-        assert counts["opstream_recorded"] == counts["opstream_replayed"] == 0
-        assert counts["trajectory_replayed"] == 2 * 5 * TRAJECTORY_RANK_STEPS
+        assert _counts(before) == NOTHING
+        assert session.trajectories == {}
 
 
 class TestReplayEqualsOracle:
@@ -204,12 +197,12 @@ class TestReplayEqualsOracle:
     and on the rendezvous path."""
 
     def _check_factorial(self, system, positions, points, config):
-        session = TrajectorySession(workload_fingerprint(system, positions))
+        session = TrajectorySession()
         before = REGISTRY.snapshot()
         for point in points:
             got = run_point(
                 system, positions, point, config,
-                shared_compute=session.cache_for(point, config, system, PIII_1GHZ),
+                shared_compute=session.cache(),
             )
             want = run_point(system, positions, point, config, shared_compute=False)
             _assert_same_run(got, want, point.label())
@@ -242,18 +235,83 @@ class TestReplayEqualsOracle:
     def test_span_tracer_sees_the_live_spans(self, peptide_tiny):
         system, positions = peptide_tiny
         variants = [p for p in POINTS if p.n_ranks == 4 and p.config.middleware == "cmpi"]
-        session = TrajectorySession(workload_fingerprint(system, positions))
+        session = TrajectorySession()
         before = REGISTRY.snapshot()
         for point in variants:
             got, want = SpanTracer(), SpanTracer()
             run_point(
                 system, positions, point, TINY_CONFIG, span_tracer=got,
-                shared_compute=session.cache_for(point, TINY_CONFIG, system, PIII_1GHZ),
+                shared_compute=session.cache(),
             )
             run_point(system, positions, point, TINY_CONFIG, span_tracer=want,
                       shared_compute=False)
             assert got.spans and got.spans == want.spans, point.label()
         assert _counts(before)["opstream_replayed"] == len(variants) - 1
+
+
+#: the factorial under the spatial strategy (the water box: classic path only)
+SPATIAL_POINTS = [dataclasses.replace(p, strategy="spatial") for p in POINTS]
+
+
+@lru_cache(maxsize=None)
+def _spatial_oracle() -> dict:
+    """Every spatial factorial point of the water box, run with no cache
+    of any kind (computed once)."""
+    system, positions = build_workload("water-box")
+    return {
+        point: run_point(system, positions, point, TINY_CONFIG, shared_compute=False)
+        for point in SPATIAL_POINTS
+    }
+
+
+class TestSpatialReplayEqualsOracle:
+    """Halo pulses, migrations and their sizes depend on the positions,
+    never on the platform: a spatial trajectory records and replays like
+    a replicated one."""
+
+    def test_platform_variants_at_p4(self):
+        system, positions = build_workload("water-box")
+        variants = [p for p in SPATIAL_POINTS if p.n_ranks == 4]  # 6 platforms x 2 middlewares
+        session = TrajectorySession()
+        before = REGISTRY.snapshot()
+        for point in variants:
+            got = run_point(system, positions, point, TINY_CONFIG, shared_compute=session.cache())
+            _assert_same_run(got, _spatial_oracle()[point], point.label())
+        assert _counts(before) == {"opstream_recorded": 2, "opstream_replayed": 10}
+
+    def test_inline_engine(self):
+        engine = tiny_engine(workload="water-box")
+        before = REGISTRY.snapshot()
+        result = engine.run(SPATIAL_POINTS)
+        assert result.ok
+        assert _counts(before) == OPS_1_TO_5
+        expected = ResultStore(None)
+        for point, run in _spatial_oracle().items():
+            expected.put(engine.key_for(point), ResponseRecord.from_run(point, run), {})
+        assert verify_stores_match(engine.store, expected) == []
+
+    def test_each_rank_grid_records_its_own(self):
+        """Runs differing only in ``spatial_grid`` issue different halo
+        schedules: each grid records its own stream and replays only it."""
+        system, positions = build_workload("water-box")
+        point = next(p for p in SPATIAL_POINTS if p.n_ranks == 4)
+        spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(2002, point))
+        session = TrajectorySession()
+        before = REGISTRY.snapshot()
+        for grid in (None, (4, 1, 1), None, (4, 1, 1)):
+            options = RunOptions.for_point(point, config=TINY_CONFIG).replace(spatial_grid=grid)
+            got = run_parallel_md(
+                system, positions, spec, options.replace(shared_compute=session.cache())
+            )
+            if grid is None:
+                want = _spatial_oracle()[point]
+            else:
+                want = run_parallel_md(
+                    system, positions, spec, options.replace(shared_compute=False)
+                )
+            _assert_same_run(got, want, str(grid))
+        assert _counts(before) == {"opstream_recorded": 2, "opstream_replayed": 2}
+        assert len(session.trajectories) == 2
 
 
 class TestTrajectoryKey:
@@ -264,7 +322,7 @@ class TestTrajectoryKey:
 
     def test_config_cost_and_middleware_parameters(self, peptide_tiny, monkeypatch):
         system, positions = peptide_tiny
-        session = TrajectorySession(workload_fingerprint(system, positions))
+        session = TrajectorySession()
         slow_pairs = dataclasses.replace(PIII_1GHZ, pair_cost=2 * PIII_1GHZ.pair_cost)
         no_barrier = dataclasses.replace(TINY_CONFIG, barrier_per_step=False)
         before = REGISTRY.snapshot()
@@ -272,7 +330,7 @@ class TestTrajectoryKey:
         def check(config, cost):
             got = run_point(
                 system, positions, self.POINT, config, cost=cost,
-                shared_compute=session.cache_for(self.POINT, config, system, cost),
+                shared_compute=session.cache(),
             )
             want = run_point(system, positions, self.POINT, config, cost=cost,
                              shared_compute=False)
@@ -286,11 +344,26 @@ class TestTrajectoryKey:
         assert _counts(before) == {**NOTHING, "opstream_recorded": 4}
         assert len(session.trajectories) == 4
 
+    def test_workload(self, peptide_tiny):
+        """Same coordinates, other force field setup (as myoglobin-pme and
+        myoglobin-shift share theirs): each system records its own."""
+        system, positions = peptide_tiny
+        shift = MDSystem(system.topology, system.forcefield, system.box, system.scheme)
+        session = TrajectorySession()
+        before = REGISTRY.snapshot()
+        for workload in (system, shift, system, shift):
+            got = run_point(workload, positions, self.POINT, TINY_CONFIG,
+                            shared_compute=session.cache())
+            want = run_point(workload, positions, self.POINT, TINY_CONFIG,
+                             shared_compute=False)
+            _assert_same_run(got, want)
+        assert _counts(before) == {"opstream_recorded": 2, "opstream_replayed": 2}
+
 
 class TestEachTrajectoryComputedOnce:
     def test_eight_trajectories_one_to_five(self, peptide_tiny):
         system, positions = peptide_tiny
-        session = TrajectorySession(workload_fingerprint(system, positions))
+        session = TrajectorySession()
         before = REGISTRY.snapshot()
         seen = set()
         for point in POINTS:
@@ -308,7 +381,7 @@ class TestEachTrajectoryComputedOnce:
             seen.add(trajectory)
         assert len(session.trajectories) == 8
         assert _counts(before) == OPS_1_TO_5
-        assert REGISTRY.gauge("exec.trajectory_table_bytes").value == session.table_bytes > 0
+        assert REGISTRY.gauge("exec.opstream_bytes").value == session.opstream_bytes > 0
 
     def test_a_bare_run_has_no_session(self, peptide_tiny):
         system, positions = peptide_tiny
@@ -323,23 +396,16 @@ class TestEachTrajectoryComputedOnce:
         """Past the cap a trajectory runs live, recording nothing."""
         system, positions = peptide_tiny
         first = POINTS[0]
-        probe = TrajectorySession(workload_fingerprint(system, positions))
+        probe = TrajectorySession()
         execute_built(system, positions, first, TINY_CONFIG, PIII_1GHZ, 2002, session=probe)
-        one = probe.table_bytes
-        monkeypatch.setattr(shared_mod, "TRAJECTORY_TABLE_BYTES", one)
+        one = probe.opstream_bytes
+        monkeypatch.setattr(shared_mod, "OPSTREAM_BYTES_BUDGET", one)
         engine = tiny_engine()
         before = REGISTRY.snapshot()
         assert engine.run(POINTS).ok
         assert _counts(before) == {**NOTHING, "opstream_recorded": 1, "opstream_replayed": 5}
-        assert REGISTRY.gauge("exec.trajectory_table_bytes").value == one
+        assert REGISTRY.gauge("exec.opstream_bytes").value == one
         assert verify_stores_match(engine.store, _oracle(False)) == []
-
-    def test_spatial_points_get_no_cache(self, peptide_tiny):
-        system, _ = peptide_tiny
-        session = TrajectorySession("fp")
-        spatial = dataclasses.replace(POINTS[5], strategy="spatial")
-        assert session.cache_for(spatial, TINY_CONFIG, system, PIII_1GHZ) is True
-        assert session.trajectories == {} and session.table_bytes == 0
 
 
 class TestAuditsStayIndependent:

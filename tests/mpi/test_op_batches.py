@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.campaign.keys import point_seed, workload_fingerprint
+from repro.campaign.keys import point_seed
 from repro.campaign.workloads import build_workload
 from repro.cluster import ClusterSpec, myrinet_gm, tcp_gigabit_ethernet
 from repro.cmpi import CMPIMiddleware
@@ -24,7 +24,7 @@ from repro.mpi import MPIWorld
 from repro.mpi.endpoint import (
     CHARGE, RECV, SEND, WAIT, OpStreamRecorder, RankEndpoint, replay_program,
 )
-from repro.parallel import PIII_1GHZ, MDRunConfig, RunOptions, run_parallel_md
+from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
 from repro.parallel.shared import TrajectorySession
 from repro.sim import Simulator
 
@@ -78,20 +78,20 @@ class TestLedgerCounts:
 
     def test_replayed_run(self, peptide_tiny):
         system, positions = peptide_tiny
-        session = TrajectorySession(workload_fingerprint(system, positions))
+        session = TrajectorySession()
         # another platform variant of the trajectory records it ...
         recorder = next(
             p for p in full_factorial()
             if p.n_ranks == 8 and p.config.middleware == "cmpi" and p.config != PINNED.config
         )
         _run(system, positions, recorder,
-             shared_compute=session.cache_for(recorder, PINNED_CONFIG, system, PIII_1GHZ))
+             shared_compute=session.cache())
         # ... and the pinned point replays it with the live run's counts
         with pytest.MonkeyPatch.context() as monkeypatch:
             counting = _Counting(monkeypatch)
             replayed = _run(
                 system, positions, PINNED,
-                shared_compute=session.cache_for(PINNED, PINNED_CONFIG, system, PIII_1GHZ),
+                shared_compute=session.cache(),
             )
         assert counting.counts == {k: GOLDEN[k] for k in counting.counts}
         assert sum(t.nbytes for t in replayed.transfers) == GOLDEN["bytes"]

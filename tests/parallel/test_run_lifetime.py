@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.campaign.keys import point_seed, workload_fingerprint
+from repro.campaign.keys import point_seed
 from repro.campaign.workloads import build_workload
 from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
 from repro.core.design import full_factorial
@@ -22,7 +22,7 @@ from repro.instrument.commstats import CommTrace
 from repro.instrument.metrics import REGISTRY
 from repro.mpi import MPIWorld
 from repro.mpi.middleware import MPIMiddleware
-from repro.parallel import PIII_1GHZ, MDRunConfig, RunOptions, run_parallel_md
+from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
 from repro.parallel.shared import TrajectorySession
 from repro.sim import SimulationError
 
@@ -74,12 +74,12 @@ def test_a_bare_run(worlds, peptide_system):
 
 def test_a_recording_and_a_replaying_session_run(worlds):
     system, positions = build_workload("peptide-tiny")
-    session = TrajectorySession(workload_fingerprint(system, positions))
+    session = TrajectorySession()
     variants = [p for p in full_factorial() if p.n_ranks == 2 and p.config.middleware == "cmpi"]
     before = REGISTRY.snapshot()
     for point in variants[:2]:  # the first records, the second replays
         spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(2002, point))
-        shared = session.cache_for(point, CFG, system, PIII_1GHZ)
+        shared = session.cache()
         run_parallel_md(
             system, positions, spec, RunOptions.for_point(point, config=CFG, shared_compute=shared)
         )

@@ -13,13 +13,12 @@ Three guarantees, each load-bearing for the replicated-data dedup layer
    process-wide :data:`~repro.instrument.counters.NEIGHBOR_BUILDS`
    counter.
 
-A cache bound to a trajectory's force tables (what a campaign's
-``TrajectorySession`` hands the runs of one trajectory that cannot replay
-its op streams — here, sanitized runs) extends the same three guarantees
-across runs; its one extra duty is to stay right under a *wrong* key:
-a record is adopted only after a bit-for-bit comparison of coordinates
-(``TestReplay``).  The campaign-level half, op-stream replay included,
-is in ``tests/campaign/test_trajectory_session.py``.
+Across runs, a campaign's ``TrajectorySession`` replays a trajectory's
+recorded op streams instead of running it; runs that sanitize or trace
+are audits of the live program, so a session-bound cache gives them
+nothing but the three guarantees above (``TestAuditsRunWhole``).  The
+campaign-level half, op-stream replay included, is in
+``tests/campaign/test_trajectory_session.py``.
 """
 
 from dataclasses import asdict
@@ -30,13 +29,15 @@ import pytest
 from repro.cluster import ClusterSpec, myrinet_gm, tcp_gigabit_ethernet
 from repro.core.design import DesignPoint
 from repro.core.factors import FOCAL_POINT
+from repro.instrument.commstats import CommTrace
 from repro.instrument.counters import (
+    FORCE_EVALUATIONS,
     NEIGHBOR_BUILDS,
-    TRAJECTORY_RECORDED,
-    TRAJECTORY_REPLAYED,
+    OPSTREAM_RECORDED,
+    OPSTREAM_REPLAYED,
 )
 from repro.md import CutoffScheme, MDSystem
-from repro.parallel import PIII_1GHZ, MDRunConfig, RunOptions, SharedComputeCache, run_parallel_md
+from repro.parallel import MDRunConfig, RunOptions, SharedComputeCache, run_parallel_md
 from repro.parallel.shared import TrajectorySession
 
 CFG = MDRunConfig(n_steps=4, dt=0.0004)
@@ -113,91 +114,6 @@ class TestDeduplication:
         assert shared.n_stencils == CFG.n_steps
         assert shared.n_stencil_hits == 3 * CFG.n_steps
 
-
-# ---------------------------------------------------------------------------
-def _trajectory(system, p, config=CFG):
-    """What a session hands the runs of one ``(config, p, system)``
-    trajectory: each call is a fresh cache bound to the same record."""
-    session = TrajectorySession("any-fingerprint")
-    point = DesignPoint(config=FOCAL_POINT, n_ranks=p)
-
-    def fresh_cache() -> SharedComputeCache:
-        cache = session.cache_for(point, config, system, PIII_1GHZ)
-        assert isinstance(cache, SharedComputeCache)
-        return cache
-
-    return fresh_cache
-
-
-def _assert_same_run(got, want):
-    assert np.array_equal(got.final_positions, want.final_positions)
-    assert [asdict(e) for e in got.energies] == [asdict(e) for e in want.energies]
-    for t_got, t_want in zip(got.timelines, want.timelines):
-        assert t_got.phases == t_want.phases
-
-
-class TestReplay:
-    """Force tables serve the runs that replay no op stream: sanitized ones."""
-
-    P = 4
-    #: lookups per run and per site: one per rank per step
-    LOOKUPS = P * CFG.n_steps
-
-    def test_second_platform_replays_the_first(self, peptide_system):
-        system, pos = peptide_system
-        fresh_cache = _trajectory(system, self.P)
-        recorded, replayed = TRAJECTORY_RECORDED.snapshot(), TRAJECTORY_REPLAYED.snapshot()
-        first = _run(system, pos, self.P, fresh_cache(), sanitize=True)
-        assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.LOOKUPS
-        assert TRAJECTORY_REPLAYED.delta(replayed) == 0
-        # another network, another noise seed: same forces, other timings
-        second = _run(
-            system, pos, self.P, fresh_cache(), network=myrinet_gm, seed=7, sanitize=True
-        )
-        assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.LOOKUPS
-        assert TRAJECTORY_REPLAYED.delta(replayed) == 2 * self.LOOKUPS
-        _assert_same_run(first, _run(system, pos, self.P, False))
-        _assert_same_run(
-            second, _run(system, pos, self.P, False, network=myrinet_gm, seed=7)
-        )
-
-    def test_poisoned_key_degrades_into_misses(self, peptide_system):
-        """Two different trajectories forced onto one table set stay bit-exact.
-
-        Generation 0 is the shared initial coordinates, where both
-        trajectories have the same forces, so it alone may be adopted;
-        from generation 1 on the coordinate check refuses every record.
-        """
-        system, pos = peptide_system
-        fresh_cache = _trajectory(system, self.P)
-        configs = [MDRunConfig(n_steps=4, dt=0.0004, velocity_seed=s) for s in (11, 12)]
-        oracles = [_run(system, pos, self.P, False, config=c) for c in configs]
-        assert not np.array_equal(oracles[0].final_positions, oracles[1].final_positions)
-        for n_run, turn in enumerate((0, 1, 0, 1)):
-            recorded, replayed = TRAJECTORY_RECORDED.snapshot(), TRAJECTORY_REPLAYED.snapshot()
-            got = _run(system, pos, self.P, fresh_cache(), config=configs[turn], sanitize=True)
-            _assert_same_run(got, oracles[turn])
-            adopted = 2 * self.P if n_run else 0  # generation 0, both sites
-            assert TRAJECTORY_REPLAYED.delta(replayed) == adopted
-            assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.LOOKUPS - adopted
-
-    def test_snapshot_off_by_one_ulp_is_a_miss(self, peptide_system):
-        system, pos = peptide_system
-        fresh_cache = _trajectory(system, self.P)
-        want = _run(system, pos, self.P, fresh_cache(), sanitize=True)
-        snapshot = fresh_cache()._trajectory.tables.snapshots
-        snapshot[2, 5, 1] = np.nextafter(snapshot[2, 5, 1], np.inf)
-        recorded, replayed = TRAJECTORY_RECORDED.snapshot(), TRAJECTORY_REPLAYED.snapshot()
-        got = _run(system, pos, self.P, fresh_cache(), sanitize=True)
-        _assert_same_run(got, want)
-        # generation 2 was recomputed and re-recorded by every rank at both sites
-        assert TRAJECTORY_RECORDED.delta(recorded) == 2 * self.P
-        assert TRAJECTORY_REPLAYED.delta(replayed) == 2 * (self.LOOKUPS - self.P)
-        two_steps = MDRunConfig(n_steps=2, dt=CFG.dt)
-        assert np.array_equal(
-            snapshot[2], _run(system, pos, self.P, False, config=two_steps).final_positions
-        )
-
     def test_a_cache_instance_serves_one_run(self, peptide_system):
         """Its generation-keyed entries would be the previous run's."""
         system, pos = peptide_system
@@ -207,30 +123,42 @@ class TestReplay:
             _run(system, pos, 2, cache)
 
 
+# ---------------------------------------------------------------------------
+class TestAuditsRunWhole:
+    """Sanitized and traced runs inside a session run the live program:
+    nothing is recorded or replayed, and every rank evaluates its forces
+    at every step."""
+
+    P = 4
+
+    @pytest.mark.parametrize("audit", ["sanitize", "trace"])
+    def test_two_platforms_of_one_trajectory(self, peptide_system, audit):
+        system, pos = peptide_system
+        session = TrajectorySession()
+        point = DesignPoint(config=FOCAL_POINT, n_ranks=self.P)
+        for network, seed in ((tcp_gigabit_ethernet, 2002), (myrinet_gm, 7)):
+            spec = ClusterSpec(n_ranks=self.P, network=network(), seed=seed)
+            marks = OPSTREAM_RECORDED.snapshot(), OPSTREAM_REPLAYED.snapshot()
+            evaluations = FORCE_EVALUATIONS.snapshot()
+            runs = [
+                run_parallel_md(system, pos, spec, RunOptions.for_point(
+                    point, config=CFG, shared_compute=shared, sanitize=audit == "sanitize",
+                    trace=CommTrace() if audit == "trace" else None,
+                ))
+                for shared in (session.cache(), False)
+            ]
+            assert FORCE_EVALUATIONS.delta(evaluations) == 2 * self.P * CFG.n_steps
+            assert OPSTREAM_RECORDED.delta(marks[0]) == OPSTREAM_REPLAYED.delta(marks[1]) == 0
+            got, want = runs
+            assert np.array_equal(got.final_positions, want.final_positions)
+            assert [asdict(e) for e in got.energies] == [asdict(e) for e in want.energies]
+            assert [t.phases for t in got.timelines] == [t.phases for t in want.timelines]
+            assert got.transfers == want.transfers
+        assert session.trajectories == {} and session.opstream_bytes == 0
+
+
 class TestReadOnlyHandOuts:
     """What one rank adopts from another must not be writable in place."""
-
-    def test_replayed_forces(self, peptide_system):
-        system, pos = peptide_system
-        cache = _trajectory(system, 1)()
-        cache.bind_force_tables()
-        tables = cache._tables
-        # the admission arithmetic is the size of what gets allocated
-        assert tables.nbytes(2, CFG.n_steps, 1, system.n_atoms) == (
-            tables.forces.nbytes + tables.scalars.nbytes + tables.snapshots.nbytes
-        )
-        computed = (np.ones((system.n_atoms, 3)), (1.0, 2.0))
-        forces, _ = cache.replay("pme", 0, 0, pos, lambda: computed)
-        assert forces is computed[0]  # the recording run keeps its own array
-
-        def never():
-            raise AssertionError("a recorded generation must not recompute")
-
-        forces, scalars = cache.replay("pme", 0, 0, pos.copy(), never)
-        assert np.array_equal(forces, computed[0]) and scalars[:2] == [1.0, 2.0]
-        assert not forces.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            forces += 1.0
 
     def test_pairs_stencil_and_statics(self, peptide_system):
         system, pos = peptide_system
