@@ -53,12 +53,15 @@ def row_tiles(n_rows: int) -> list[slice]:
     """The row slices a list of ``n_rows`` pairs is walked in.
 
     A list that fits one tile (an empty one included) is one slice, so
-    short lists take exactly the untiled steps.
+    short lists take exactly the untiled steps.  Longer lists are cut into
+    the fewest tiles of at most :data:`PAIR_TILE_ROWS` rows, all of equal
+    length to within a row: a list just over one tile is two half tiles,
+    not a full tile and a sliver, so no tile's temporaries outgrow what
+    its share of the list needs.
     """
-    return [
-        slice(start, start + PAIR_TILE_ROWS)
-        for start in range(0, max(n_rows, 1), PAIR_TILE_ROWS)
-    ]
+    n_tiles = max(1, -(-n_rows // PAIR_TILE_ROWS))
+    cuts = [(k * n_rows) // n_tiles for k in range(n_tiles)] + [max(n_rows, 1)]
+    return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
 
 
 def accept_within(

@@ -10,7 +10,7 @@ entries of these tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,26 +139,34 @@ class Topology:
     # validation and merging
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Raise ``ValueError`` on out-of-range or degenerate terms."""
+        """Raise ``ValueError`` on out-of-range or degenerate terms.
+
+        Names the first offending term in table order (bonds, angles,
+        dihedrals, impropers) and, within it, the first offending column.
+        """
         n = len(self.atoms)
-
-        def check(indices: Iterable[int], what: str) -> None:
-            seen = set()
-            for idx in indices:
-                if not 0 <= idx < n:
-                    raise ValueError(f"{what}: atom index {idx} out of range [0, {n})")
-                if idx in seen:
-                    raise ValueError(f"{what}: repeated atom index {idx}")
-                seen.add(idx)
-
-        for b in self.bonds:
-            check((b.i, b.j), f"bond {b}")
-        for a in self.angles:
-            check((a.i, a.j, a.k), f"angle {a}")
-        for d in self.dihedrals:
-            check((d.i, d.j, d.k, d.l), f"dihedral {d}")
-        for im in self.impropers:
-            check((im.i, im.j, im.k, im.l), f"improper {im}")
+        for what, terms, idx in (
+            ("bond", self.bonds, self.bond_index_array()),
+            ("angle", self.angles, self.angle_index_array()),
+            ("dihedral", self.dihedrals, self.dihedral_index_array()),
+            ("improper", self.impropers, self.improper_index_array()),
+        ):
+            out_of_range = (idx < 0) | (idx >= n)
+            # a column repeats when it equals any column to its left
+            repeated = np.zeros_like(out_of_range)
+            for col in range(1, idx.shape[1]):
+                repeated[:, col] = np.any(idx[:, :col] == idx[:, col : col + 1], axis=1)
+            bad = out_of_range | repeated
+            if not bad.any():
+                continue
+            row = int(np.argmax(bad.any(axis=1)))
+            col = int(np.argmax(bad[row]))
+            index = int(idx[row, col])
+            if out_of_range[row, col]:
+                raise ValueError(
+                    f"{what} {terms[row]}: atom index {index} out of range [0, {n})"
+                )
+            raise ValueError(f"{what} {terms[row]}: repeated atom index {index}")
 
     def merge(self, other: "Topology") -> "Topology":
         """Concatenate two topologies, re-indexing the second one."""

@@ -146,13 +146,14 @@ class SpatialLedger:
     (bonded terms by their column-0 atom, pairs by the smaller index), so
     coverage is exactly-once by construction.  A rank posts its bonded
     rows first and its pairs last; when the last rank's pairs of a step
-    arrive the ledger assembles the full per-term arrays, slices them by
-    the *replicated* block bounds, sums each slice with ``np.sum`` — the
-    identical contiguous array the replicated rank summed — folds the
-    per-virtual-rank energy vectors with the middleware's fold order and
-    drops the rows, so it holds one :class:`EnergyBreakdown` per finished
-    step plus the rows of the steps still in flight (ranks pipeline
-    freely, so several can be).  No simulated communication is involved.
+    arrive the ledger assembles, per *replicated* block, each term's rows
+    (pairs merged from every rank's post in pair order), sums each block
+    with ``np.sum`` — the identical contiguous array the replicated rank
+    summed — folds the per-virtual-rank energy vectors with the
+    middleware's fold order and drops the rows, so it holds one
+    :class:`EnergyBreakdown` per finished step plus the rows of the steps
+    still in flight (ranks pipeline freely, so several can be).  No
+    simulated communication is involved.
     """
 
     def __init__(
@@ -198,11 +199,14 @@ class SpatialLedger:
         e_lj: np.ndarray,
         e_el: np.ndarray,
     ) -> None:
-        """One rank's per-pair energies for the pairs it owns (by ``i``).
+        """One rank's per-pair energies for the pairs it owns (by ``i``),
+        in ascending ``i`` order.
 
         This is the rank's last post of the step; the ``n_ranks``-th one
         folds the step.
         """
+        if np.any(i[1:] < i[:-1]):
+            raise ValueError(f"step {step}: pairs must be posted in ascending i order")
         bonded, pairs = self._posts(step)
         pairs.append((i, j, e_lj, e_el))
         if len(pairs) == self.n_ranks:
@@ -246,23 +250,23 @@ class SpatialLedger:
                 float(np.sum(full[b[v] : b[v + 1]])) for v in range(p)
             ]
 
-        i = np.concatenate([x[0] for x in posts])
-        j = np.concatenate([x[1] for x in posts])
-        e_lj = np.concatenate([x[2] for x in posts])
-        e_el = np.concatenate([x[3] for x in posts])
-        codes = i * np.int64(self.n_atoms) + j
-        order = np.argsort(codes, kind="stable")
-        codes_s = codes[order]
-        if len(codes_s) and np.any(codes_s[1:] == codes_s[:-1]):
-            raise RuntimeError(f"step {step}: a pair was posted twice")
-        i_s = i[order]
-        e_lj_s = e_lj[order]
-        e_el_s = e_el[order]
-
+        # a virtual rank's pairs are one contiguous slice of every post
+        # (posts are in ``i`` order), so each is merged, ordered and summed
+        # on its own: the same contiguous array the replicated rank summed
+        n = np.int64(self.n_atoms)
         evecs = []
         for v in range(p):
-            start = int(np.searchsorted(i_s, self.vbounds[v], side="left"))
-            stop = int(np.searchsorted(i_s, self.vbounds[v + 1], side="left"))
+            bounds = (self.vbounds[v], self.vbounds[v + 1])
+            block = []
+            for post in posts:
+                start, stop = np.searchsorted(post[0], bounds)
+                block.append([x[start:stop] for x in post])
+            i, j, e_lj, e_el = (np.concatenate(col) for col in zip(*block))
+            codes = i * n + j
+            order = np.argsort(codes, kind="stable")
+            codes = codes.take(order)
+            if len(codes) and np.any(codes[1:] == codes[:-1]):
+                raise RuntimeError(f"step {step}: a pair was posted twice")
             evecs.append(
                 energy_to_vector(
                     EnergyBreakdown(
@@ -270,8 +274,8 @@ class SpatialLedger:
                         angle=term_sums["angle"][v],
                         dihedral=term_sums["dihedral"][v],
                         improper=term_sums["improper"][v],
-                        lj=float(np.sum(e_lj_s[start:stop])),
-                        elec_direct=float(np.sum(e_el_s[start:stop])),
+                        lj=float(np.sum(e_lj.take(order))),
+                        elec_direct=float(np.sum(e_el.take(order))),
                     )
                 )
             )

@@ -32,12 +32,12 @@ def place_atom(
     bc = c - b
     bc = bc / np.linalg.norm(bc)
     ab = b - a
-    n = np.cross(ab, bc)
+    n = _cross(ab, bc)
     n_norm = np.linalg.norm(n)
     if n_norm < 1e-10:
         raise ValueError("reference atoms A, B, C are collinear")
     n = n / n_norm
-    m = np.cross(n, bc)
+    m = _cross(n, bc)
 
     d_local = np.array(
         [
@@ -47,6 +47,15 @@ def place_atom(
         ]
     )
     return c + d_local[0] * bc + d_local[1] * m + d_local[2] * n
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors by its own component expressions
+    (bit-identical, as :func:`repro.md.bonded._cross3` relies on), without
+    its general-shape machinery, which dominates at one vector per call."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 class ChainBuilder:

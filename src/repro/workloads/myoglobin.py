@@ -22,6 +22,14 @@ import numpy as np
 
 from ..md.box import PeriodicBox
 from ..md.forcefield import ForceField, default_forcefield
+from ..md.neighborlist import (
+    absent_from,
+    brute_force_nearest,
+    exclusion_codes,
+    nearest_distance,
+    tree_candidates,
+    within_cutoff,
+)
 from ..md.topology import Topology
 from .protein import SegmentSpec, build_helical_segment, residue_size
 from .solvent import (
@@ -34,7 +42,13 @@ from .solvent import (
     water_topology,
 )
 
-__all__ = ["MyoglobinSystem", "build_myoglobin", "PME_GRID", "TARGET_ATOMS"]
+__all__ = [
+    "MyoglobinSystem",
+    "WaterPlacementError",
+    "build_myoglobin",
+    "PME_GRID",
+    "TARGET_ATOMS",
+]
 
 #: The paper's FFT charge mesh.
 PME_GRID: tuple[int, int, int] = (80, 36, 48)
@@ -48,6 +62,29 @@ N_WATERS = 337
 N_SEGMENTS = 8
 N_LONG_SIDECHAINS = 23  # residues with k=3; the rest use k=2
 N_BASIC_RESIDUES = 8  # +0.25 each -> protein charge +2
+#: Deterministic orientations tried per water, and the contact each must
+#: keep from every placed atom.
+WATER_ORIENTATIONS = 16
+WATER_CONTACT = 1.5
+
+
+class WaterPlacementError(RuntimeError):
+    """Every orientation of a water came too close to a placed atom.
+
+    ``water`` is the water's index, ``best_distance`` its largest
+    closest-contact distance over all orientations tried.
+    """
+
+    def __init__(self, water: int, best_distance: float) -> None:
+        self.water = water
+        self.best_distance = best_distance
+        super().__init__(water, best_distance)
+
+    def __str__(self) -> str:
+        return (
+            f"water {self.water}: all {WATER_ORIENTATIONS} orientations come within "
+            f"{self.best_distance:.3f} A of a placed atom (need >= {WATER_CONTACT} A)"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,7 +158,7 @@ def build_myoglobin(
         for sz in (-9.5, 9.5)
     ]
 
-    topo: Topology | None = None
+    topo_parts: list[Topology] = []
     coords_parts: list[np.ndarray] = []
     res_cursor = 0
     for s, seg_len in enumerate(seg_lengths):
@@ -147,13 +184,9 @@ def build_myoglobin(
         seg_xyz = seg_xyz + center + slots[s]
 
         coords_parts.append(seg_xyz)
-        topo = seg_topo if topo is None else topo.merge(seg_topo)
+        topo_parts.append(seg_topo)
         res_cursor += seg_len
-    assert topo is not None
     protein_xyz = np.vstack(coords_parts)
-    # 1.4 A catches catastrophic overlaps while admitting the tight
-    # O...H-N helix hydrogen bonds the ideal-torsion build produces (~1.46 A)
-    _assert_no_clashes(topo, protein_xyz, box, min_dist=1.4)
 
     expected_protein = (
         sum(residue_size(k) for k in ks) + 2 * N_SEGMENTS + 1
@@ -165,13 +198,13 @@ def build_myoglobin(
 
     # ---- hetero groups: CO in the closest free pocket, sulfate next ---
     candidates = lattice_points(box.lengths, spacing=3.1, margin=1.8)
-    d_prot = _min_distance_to(candidates, protein_xyz, box)
+    d_prot = nearest_distance(candidates, protein_xyz, box)
     pocket_order = np.argsort(
         np.where(d_prot >= 3.2, d_prot, np.inf), kind="stable"
     )
     co_site = candidates[pocket_order[0]]
     co_xyz = co_coords(ff, co_site)
-    topo = topo.merge(co_topology())
+    topo_parts.append(co_topology())
 
     far_enough = np.linalg.norm(
         box.min_image(candidates - co_site[None, :]), axis=1
@@ -180,12 +213,12 @@ def build_myoglobin(
         int(i) for i in pocket_order if d_prot[i] >= 3.6 and far_enough[i]
     )
     sulfate_xyz = sulfate_coords(ff, candidates[sulfate_idx])
-    topo = topo.merge(sulfate_topology())
+    topo_parts.append(sulfate_topology())
     placed = np.vstack([protein_xyz, co_xyz, sulfate_xyz])
 
     # ---- waters: solvation shell on a lattice --------------------------
     # distance of every candidate to the nearest placed atom (min-image)
-    d_min = _min_distance_to(candidates, placed, box)
+    d_min = nearest_distance(candidates, placed, box)
     open_sites = candidates[d_min >= 2.6]
     d_open = d_min[d_min >= 2.6]
     if len(open_sites) < n_waters:
@@ -194,22 +227,28 @@ def build_myoglobin(
     chosen = open_sites[order[:n_waters]]
 
     water_parts = []
-    water_topos = []
     occupied = placed
     for w in range(n_waters):
-        water_topos.append(water_topology(residue_index=w))
+        topo_parts.append(water_topology(residue_index=w))
         # deterministic orientation retries: keep every intermolecular
         # contact above 1.5 A (two hydrogens of adjacent lattice waters can
         # otherwise end up nose-to-nose)
-        for attempt in range(16):
+        best = -np.inf
+        for attempt in range(WATER_ORIENTATIONS):
             xyz = water_coords(ff, chosen[w], orientation_seed=w + 1000 * attempt)
-            d = _min_distance_to(xyz, occupied, box)
-            if d.min() >= 1.5:
+            contact = float(brute_force_nearest(xyz, occupied, box).min())
+            best = max(best, contact)
+            if contact >= WATER_CONTACT:
                 break
+        else:
+            raise WaterPlacementError(w, best)
         water_parts.append(xyz)
         occupied = np.vstack([occupied, xyz])
-    topo = Topology.concat([topo] + water_topos)
+    topo = Topology.concat(topo_parts)
     positions = np.vstack([placed] + water_parts)
+    # 1.4 A catches catastrophic overlaps while admitting the tight
+    # O...H-N helix hydrogen bonds the ideal-torsion build produces (~1.46 A)
+    _assert_no_clashes(topo, positions, box, min_dist=1.4)
 
     if len(positions) != TARGET_ATOMS or topo.n_atoms != TARGET_ATOMS:
         if n_waters == N_WATERS:
@@ -233,28 +272,22 @@ def build_myoglobin(
 def _assert_no_clashes(
     topo: Topology, positions: np.ndarray, box: PeriodicBox, min_dist: float
 ) -> None:
-    """Fail loudly if any non-bonded pair sits closer than ``min_dist``."""
-    from ..md.neighborlist import brute_force_pairs
+    """Fail loudly if any non-bonded pair sits closer than ``min_dist``.
 
-    pairs = brute_force_pairs(positions, box, min_dist)
-    if len(pairs) == 0:
-        return
-    excl = {(int(i), int(j)) for i, j in topo.exclusion_pairs()}
-    for i, j in pairs:
-        if (int(i), int(j)) not in excl:
-            d = float(np.linalg.norm(box.min_image(positions[i] - positions[j])))
-            raise AssertionError(
-                f"steric clash: atoms {i} and {j} at {d:.2f} A (< {min_dist} A)"
-            )
-
-
-def _min_distance_to(
-    points: np.ndarray, targets: np.ndarray, box: PeriodicBox, chunk: int = 256
-) -> np.ndarray:
-    """Minimum-image distance from each point to the nearest target atom."""
-    out = np.empty(len(points), dtype=np.float64)
-    for start in range(0, len(points), chunk):
-        sl = slice(start, start + chunk)
-        dr = box.min_image(points[sl, None, :] - targets[None, :, :])
-        out[sl] = np.sqrt(np.einsum("ijk,ijk->ij", dr, dr).min(axis=1))
-    return out
+    The tree proposes, the exact test decides; the lowest offending
+    ``(i, j)`` is named.
+    """
+    n = len(positions)
+    proposed = tree_candidates(box.wrap(positions), box, min_dist)
+    if proposed is None:  # box too small for a toroidal query
+        proposed = np.triu_indices(n, k=1)
+    lo, hi = proposed
+    rows, _ = within_cutoff(positions, box, lo, hi, min_dist)
+    codes = np.sort(lo.take(rows) * np.int64(n) + hi.take(rows))
+    clashes = codes[absent_from(exclusion_codes(topo.exclusion_pairs(), n), codes)]
+    if len(clashes):
+        i, j = divmod(int(clashes[0]), n)
+        d = float(np.linalg.norm(box.min_image(positions[i] - positions[j])))
+        raise AssertionError(
+            f"steric clash: atoms {i} and {j} at {d:.2f} A (< {min_dist} A)"
+        )

@@ -1,12 +1,15 @@
 """Cell-list neighbour search vs brute force; skin/rebuild behaviour."""
 
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.md import CutoffScheme, NeighborList, PeriodicBox, brute_force_pairs
-from repro.md.neighborlist import within_cutoff
+from repro.md import neighborlist
+from repro.md.neighborlist import brute_force_nearest, nearest_distance, within_cutoff
 
 
 def _random_positions(rng, n, box):
@@ -30,6 +33,94 @@ class TestBruteForce:
         box = PeriodicBox(10, 10, 10)
         pos = np.array([[1.0, 1.0, 1.0], [6.0, 6.0, 6.0]])
         assert len(brute_force_pairs(pos, box, 2.0)) == 0
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestNearestDistance:
+    """The tree helper is the dense reference, bit for bit."""
+
+    BOX = PeriodicBox(31.0, 17.3, 22.9)
+
+    def test_random_points_and_targets(self):
+        rng = np.random.default_rng(3)
+        for n_points, n_targets in ((1, 9), (60, 40), (500, 700)):
+            points = _random_positions(rng, n_points, self.BOX)
+            targets = _random_positions(rng, n_targets, self.BOX)
+            assert _same_bits(
+                nearest_distance(points, targets, self.BOX),
+                brute_force_nearest(points, targets, self.BOX),
+            )
+
+    def test_unwrapped_coordinates(self):
+        rng = np.random.default_rng(4)
+        shifts = rng.integers(-3, 4, (300, 3)) * self.BOX.lengths
+        points = _random_positions(rng, 300, self.BOX) + shifts
+        targets = _random_positions(rng, 200, self.BOX) - 2.5 * self.BOX.lengths
+        assert _same_bits(
+            nearest_distance(points, targets, self.BOX),
+            brute_force_nearest(points, targets, self.BOX),
+        )
+
+    def test_half_box_image_boundary(self):
+        rng = np.random.default_rng(5)
+        targets = _random_positions(rng, 50, self.BOX)
+        half = 0.5 * self.BOX.lengths
+        # each point sits exactly half a box from a target along one or
+        # more axes, so min_image and the tree pick different images
+        offsets = np.array(
+            [[1, 0, 0], [0, -1, 0], [0, 0, 1], [1, 1, 0], [-1, 1, 1]], dtype=float
+        )
+        points = (targets[:25, None, :] + offsets[None] * half).reshape(-1, 3)
+        assert _same_bits(
+            nearest_distance(points, targets, self.BOX),
+            brute_force_nearest(points, targets, self.BOX),
+        )
+
+    def test_duplicate_targets_tie_exactly(self):
+        rng = np.random.default_rng(6)
+        base = _random_positions(rng, 30, self.BOX)
+        targets = np.vstack([base, base, base[::-1], base + self.BOX.lengths])
+        points = np.vstack([_random_positions(rng, 100, self.BOX), base])
+        got = nearest_distance(points, targets, self.BOX)
+        assert _same_bits(got, brute_force_nearest(points, targets, self.BOX))
+        assert np.all(got[100:] == 0.0)
+
+    def test_more_than_k_equidistant_falls_back(self, monkeypatch):
+        # 30 integer vectors of length exactly 5: (5,0,0) and (3,4,0) family
+        shells = {
+            tuple(s * v for s, v in zip(signs, perm))
+            for base in ((5, 0, 0), (3, 4, 0))
+            for perm in permutations(base)
+            for signs in product((1, -1), repeat=3)
+        }
+        assert len(shells) == 30
+        center = np.array([15.0, 8.0, 11.0])
+        targets = center + np.array(sorted(shells), dtype=float)
+        far = np.array([[1.0, 1.0, 1.0], [29.0, 2.0, 20.0]])
+        points = np.vstack([center, far])
+        dense_rows = []
+        real = neighborlist.brute_force_nearest
+
+        def spy(p, t, box, *args):
+            dense_rows.append(len(p))
+            return real(p, t, box, *args)
+
+        monkeypatch.setattr(neighborlist, "brute_force_nearest", spy)
+        got = nearest_distance(points, targets, self.BOX)
+        assert dense_rows == [1]  # only the tied point
+        assert got[0] == 5.0
+        assert _same_bits(got, real(points, targets, self.BOX))
+
+    def test_empty_target_set(self):
+        points = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        empty = np.empty((0, 3))
+        got = nearest_distance(points, empty, self.BOX)
+        assert _same_bits(got, brute_force_nearest(points, empty, self.BOX))
+        assert np.all(np.isinf(got))
+        assert nearest_distance(empty, points, self.BOX).shape == (0,)
 
 
 class TestCellList:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.md import Atom, Bond, Topology
+from repro.md import Angle, Atom, Bond, Dihedral, Improper, Topology
 from repro.md.topology import derive_angles, derive_dihedrals
 
 
@@ -30,6 +30,53 @@ class TestValidation:
     def test_accepts_valid(self):
         topo = _chain(3)
         assert topo.n_atoms == 3
+
+    @pytest.mark.parametrize(
+        "table, term, message",
+        [
+            ("bonds", Bond(0, 3), "atom index 3 out of range [0, 3)"),
+            ("bonds", Bond(-1, 2), "atom index -1 out of range [0, 3)"),
+            ("bonds", Bond(2, 2), "repeated atom index 2"),
+            ("angles", Angle(0, 1, 7), "atom index 7 out of range [0, 3)"),
+            ("angles", Angle(0, -2, 1), "atom index -2 out of range [0, 3)"),
+            ("angles", Angle(1, 0, 1), "repeated atom index 1"),
+            ("dihedrals", Dihedral(0, 1, 2, 3), "atom index 3 out of range [0, 3)"),
+            ("dihedrals", Dihedral(-5, 0, 1, 2), "atom index -5 out of range [0, 3)"),
+            ("dihedrals", Dihedral(0, 1, 2, 0), "repeated atom index 0"),
+            ("impropers", Improper(0, 1, 9, 2), "atom index 9 out of range [0, 3)"),
+            ("impropers", Improper(0, 1, 2, -1), "atom index -1 out of range [0, 3)"),
+            ("impropers", Improper(2, 1, 1, 0), "repeated atom index 1"),
+        ],
+    )
+    def test_error_names_term_and_index(self, table, term, message):
+        kind = table[:-1]
+        with pytest.raises(ValueError) as err:
+            Topology(atoms=[_atom() for _ in range(3)], **{table: [term]})
+        assert str(err.value) == f"{kind} {term}: {message}"
+
+    def test_first_offending_term_in_table_order(self):
+        atoms = [_atom() for _ in range(4)]
+        with pytest.raises(ValueError) as err:
+            Topology(
+                atoms=atoms,
+                bonds=[Bond(0, 1), Bond(1, 2)],
+                angles=[Angle(0, 1, 2), Angle(1, 1, 9), Angle(0, 8, 1)],
+                dihedrals=[Dihedral(0, 0, 0, 0)],
+                impropers=[Improper(7, 7, 7, 7)],
+            )
+        # the first bad row, and within it the first bad column
+        assert str(err.value) == "angle Angle(i=1, j=1, k=9): repeated atom index 1"
+        with pytest.raises(ValueError) as err:
+            Topology(atoms=atoms, dihedrals=[Dihedral(0, 1, 9, 1), Dihedral(-1, 0, 1, 2)])
+        assert str(err.value) == (
+            "dihedral Dihedral(i=0, j=1, k=9, l=1): atom index 9 out of range [0, 4)"
+        )
+
+    def test_validate_after_mutation(self):
+        topo = _chain(3)
+        topo.impropers.append(Improper(0, 1, 2, 3))
+        with pytest.raises(ValueError, match=r"improper Improper\(i=0, j=1, k=2, l=3\)"):
+            topo.validate()
 
 
 class TestArrays:
@@ -100,13 +147,32 @@ class TestMerge:
         assert len(merged.bonds) == 20
 
     def test_concat_matches_repeated_merge(self):
-        parts = [_chain(3), _chain(2), _chain(4)]
+        def molecule(n, residues):
+            atoms = [
+                Atom(f"A{i}", "CT2", 0.1 * i, 12.0, residue_index=i % residues)
+                for i in range(n)
+            ]
+            bonds = [Bond(i, i + 1) for i in range(n - 1)]
+            return Topology(
+                atoms=atoms,
+                bonds=bonds,
+                angles=derive_angles(bonds, n),
+                dihedrals=derive_dihedrals(bonds, n),
+                impropers=[Improper(1, 0, 2, 3)] if n >= 4 else [],
+            )
+
+        parts = [molecule(3, 1), molecule(2, 2), molecule(5, 3), Topology(), molecule(4, 2)]
         via_concat = Topology.concat(parts)
-        via_merge = parts[0].merge(parts[1]).merge(parts[2])
-        assert via_concat.n_atoms == via_merge.n_atoms
-        assert [(b.i, b.j) for b in via_concat.bonds] == [
-            (b.i, b.j) for b in via_merge.bonds
+        via_merge = parts[0]
+        for part in parts[1:]:
+            via_merge = via_merge.merge(part)
+        assert via_concat.atoms == via_merge.atoms
+        assert [a.residue_index for a in via_concat.atoms] == [
+            0, 0, 0, 1, 2, 3, 4, 5, 3, 4, 6, 7, 6, 7
         ]
+        for table in ("bonds", "angles", "dihedrals", "impropers"):
+            assert getattr(via_concat, table) == getattr(via_merge, table)
+        assert via_concat.impropers == [Improper(6, 5, 7, 8), Improper(11, 10, 12, 13)]
 
 
 class TestDerivation:

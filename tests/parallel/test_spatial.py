@@ -621,6 +621,33 @@ class TestLedger:
         assert not ledger._open
         assert [e.lj for e in ledger.assemble()] == [10.25, 11.5]
 
+    def test_pairs_fold_per_virtual_rank(self, water):
+        """Posts interleave within a virtual rank's block: each block is
+        merged in code order and summed as one contiguous array."""
+        system, _ = water
+        n = system.n_atoms
+        vdecomp = AtomDecomposition(n, 2)
+        split = vdecomp.bounds[1]
+        ledger = SpatialLedger(system, vdecomp, "mpi")
+        self._post_full_bonded(ledger, system)
+        e = [1e16, 1.0, -1e16]  # order-sensitive under np.sum
+        ledger.post_pairs(
+            0, np.array([0, 1, split]), np.array([5, 2, split + 1]),
+            np.array([e[0], e[2], 7.0]), np.zeros(3),
+        )
+        ledger.post_pairs(
+            0, np.array([0, split + 2]), np.array([9, split + 3]),
+            np.array([e[1], 0.5]), np.zeros(2),
+        )
+        # block 0 in code order: (0, 5), (0, 9), (1, 2)
+        assert ledger.assemble()[0].lj == float(np.sum(e)) + 7.5
+
+    def test_pairs_out_of_order_are_rejected(self, water):
+        system, _ = water
+        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 2), "mpi")
+        with pytest.raises(ValueError, match="ascending i order"):
+            ledger.post_pairs(0, np.array([3, 1]), np.array([4, 2]), np.zeros(2), np.zeros(2))
+
     def test_unknown_middleware_is_rejected(self, water):
         system, _ = water
         with pytest.raises(ValueError, match="middleware"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.workloads import ChainBuilder, place_atom
+from repro.workloads.builder import _cross
 
 
 def _angle(p, q, r):
@@ -51,6 +52,14 @@ class TestPlaceAtom:
     def test_bad_bond_rejected(self):
         with pytest.raises(ValueError):
             place_atom(self.A, self.B, self.C, 0.0, 1.0, 0.0)
+
+
+def test_cross_is_np_cross_bit_for_bit():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(2000, 3)) * rng.uniform(1e-3, 1e3, (2000, 1))
+    b = rng.normal(size=(2000, 3))
+    for x, y in zip(a, b):
+        assert np.array_equal(_cross(x, y).view(np.int64), np.cross(x, y).view(np.int64))
 
 
 class TestChainBuilder:

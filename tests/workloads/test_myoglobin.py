@@ -8,8 +8,12 @@ from repro.workloads.myoglobin import (
     N_RESIDUES,
     N_SEGMENTS,
     N_WATERS,
+    WaterPlacementError,
+    _assert_no_clashes,
     _sidechain_plan,
 )
+
+from .test_fingerprint import fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +82,43 @@ class TestGeometry:
         from repro.workloads import build_myoglobin
 
         again = build_myoglobin()
-        assert np.array_equal(again.positions, system.positions)
+        assert fingerprint(again.topology, again.positions) == fingerprint(
+            system.topology, system.positions
+        )
+
+    def test_clash_check_names_the_lowest_pair(self):
+        from repro.md import PeriodicBox
+        from repro.workloads import build_water_box
+
+        topo, pos, _ = build_water_box(n_side=2)
+        box = PeriodicBox(20.0, 20.0, 20.0)
+        _assert_no_clashes(topo, pos, box, min_dist=1.4)  # bonded O-H excluded
+        pos = pos.copy()
+        pos[10] = pos[3] + [0.0, 0.0, 1.0]
+        with pytest.raises(AssertionError, match=r"atoms 3 and 10 at 1\.00 A \(< 1\.4 A\)"):
+            _assert_no_clashes(topo, pos, box, min_dist=1.4)
 
     def test_box_from_grid(self, system):
         assert np.allclose(system.box.lengths, np.array(PME_GRID) * 1.2)
+
+
+class TestWaterPlacement:
+    def test_a_water_that_always_clashes_is_an_error(self, monkeypatch):
+        from repro.workloads import build_myoglobin, myoglobin
+
+        real = myoglobin.water_coords
+        first_site = []
+
+        def stacked(ff, site, orientation_seed=0):
+            # every water lands on the first one's site
+            first_site.append(site)
+            return real(ff, first_site[0], orientation_seed)
+
+        monkeypatch.setattr(myoglobin, "water_coords", stacked)
+        with pytest.raises(WaterPlacementError) as err:
+            build_myoglobin(n_waters=3)
+        assert (err.value.water, err.value.best_distance) == (1, 0.0)
+        assert str(err.value).startswith("water 1: all 16 orientations come within 0.000 A")
 
 
 class TestEnergetics:
