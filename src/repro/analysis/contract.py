@@ -59,7 +59,3 @@ class ScheduleContract:
                 f"not {sorted(unknown)}"
             )
         return [op.op for op in self.per_step if op.when is None or op.when in enabled]
-
-    def describe(self, enabled: set[str] | frozenset[str]) -> str:
-        ops = self.expected_ops(enabled)
-        return f"{self.name}: " + (" -> ".join(ops) if ops else "(no communication)")

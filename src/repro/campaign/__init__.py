@@ -71,7 +71,7 @@ from .store import (
     record_digest,
     shared_memory_store,
 )
-from .workloads import build_workload, register_workload, workload_names
+from .workloads import build_workload, workload_names
 
 __all__ = [
     "AnalysisError",
@@ -101,7 +101,6 @@ __all__ = [
     "progress_line",
     "publish_campaign",
     "record_digest",
-    "register_workload",
     "report_link",
     "ResultStore",
     "run_analysis",

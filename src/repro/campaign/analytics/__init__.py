@@ -34,7 +34,6 @@ from .mapreduce import (
     discover_shards,
     map_shard,
     map_shards,
-    map_stats,
     merge_rows,
 )
 from .render import FORMATS, render, to_json_bytes
@@ -52,7 +51,6 @@ __all__ = [
     "load_trend_source",
     "map_shard",
     "map_shards",
-    "map_stats",
     "merge_rows",
     "render",
     "rep203_verdict",

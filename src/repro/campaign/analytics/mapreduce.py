@@ -36,7 +36,6 @@ __all__ = [
     "discover_shards",
     "map_shard",
     "map_shards",
-    "map_stats",
     "merge_rows",
 ]
 
@@ -120,12 +119,3 @@ def merge_rows(partials: list[dict]) -> list[dict]:
         for row in partial["rows"]:
             by_key[row["key"]] = row
     return [by_key[key] for key in sorted(by_key)]
-
-
-def map_stats(partials: list[dict]) -> dict:
-    """Aggregate damage counts across partials (for report front matter)."""
-    return {
-        "shards": len(partials),
-        "corrupt": sum(p["corrupt"] for p in partials),
-        "stale_schema": sum(p["stale_schema"] for p in partials),
-    }

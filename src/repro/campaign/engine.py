@@ -545,17 +545,6 @@ class CampaignEngine:
         note()
         return CampaignResult(manifest=man, records=records)
 
-    def measure(self, points) -> list[ResponseRecord]:
-        """Run a whole design; one response row per point, or raise."""
-        result = self.run(points)
-        if not result.ok:
-            failed = [
-                p.label for p in result.manifest.points
-                if p.status in ("failed", "timeout")
-            ]
-            raise RuntimeError(f"campaign left unresolved points: {failed}")
-        return result.records
-
     def _runlog(self, campaign_id: str) -> RunLog:
         """The engine's structured event log (in-memory for memory stores)."""
         path = None

@@ -19,12 +19,12 @@ and every earlier line survives.  ``gc()`` rewrites the surviving
 entries into one compact shard via an atomic rename, dropping corrupt
 tails, stale schema versions and superseded duplicates.
 
-Federation: stores merge.  ``export_shard()`` snapshots a store into one
-portable shard file, ``import_shard()`` / ``merge()`` absorb another
-store's entries with content-hash deduplication — an entry whose key is
-already present with an identical record is skipped without writing a
-byte, so replaying the same shard is bit-for-bit idempotent; the same
-key arriving with a *different* record raises :class:`StoreConflictError`
+Federation: stores merge.  A store's shard files are portable as they
+are: ``import_shard()`` / ``merge()`` absorb another store's entries
+with content-hash deduplication — an entry whose key is already present
+with an identical record is skipped without writing a byte, so
+replaying the same shard is bit-for-bit idempotent; the same key
+arriving with a *different* record raises :class:`StoreConflictError`
 (content addresses are deterministic, so a collision means corruption or
 a non-reproducible producer, never a legitimate update).
 """
@@ -227,24 +227,6 @@ class ResultStore:
                 "meta": entry.meta,
             }
         )
-
-    def export_shard(self, path: str | Path) -> int:
-        """Snapshot every entry into one portable shard file.
-
-        The write is atomic (temp file + rename), so a reader — or a
-        concurrent ``import_shard`` on another host — never sees a half
-        shard.  Returns the number of entries exported.
-        """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as f:
-            for entry in self._index.values():
-                f.write(self._entry_line(entry) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-        return len(self._index)
 
     def _absorb(self, entries: Iterable[StoreEntry]) -> dict:
         """Fold foreign entries in; the core of every merge path.

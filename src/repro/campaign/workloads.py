@@ -6,10 +6,8 @@ boundary as a few hundred bytes instead of a pickled 3552-atom system.
 Builders must be deterministic — the engine hashes the built arrays into
 the cache key, and a nondeterministic builder would never hit.
 
-Tests and downstream code can :func:`register_workload` additional
-builders; runtime-registered closures are visible to worker processes
-only under the ``fork`` start method (the built-ins below always work,
-since workers import this module themselves).
+The built-ins below are the only workloads: workers import this module
+themselves, so every name resolves in any process.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from ..workloads import (
     myoglobin_workload,
 )
 
-__all__ = ["WORKLOADS", "register_workload", "build_workload", "workload_names"]
+__all__ = ["WORKLOADS", "build_workload", "workload_names"]
 
 Builder = Callable[[], tuple[MDSystem, np.ndarray]]
 
@@ -76,12 +74,6 @@ WORKLOADS: dict[str, Builder] = {
     "peptide-tiny": _peptide_tiny,
     "water-box": _water_box,
 }
-
-
-def register_workload(name: str, builder: Builder) -> None:
-    """Add (or replace) a named workload builder."""
-    WORKLOADS[name] = builder
-    build_workload.cache_clear()
 
 
 def workload_names() -> list[str]:

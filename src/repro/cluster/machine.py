@@ -67,10 +67,6 @@ class ClusterSpec:
             raise ValueError(f"rank {rank} out of range")
         return rank // self.node.cpus_per_node
 
-    def ranks_on(self, node: int) -> list[int]:
-        c = self.node.cpus_per_node
-        return [r for r in range(node * c, min((node + 1) * c, self.n_ranks))]
-
     @property
     def compute_scale(self) -> float:
         """Multiplier on compute time per rank (clock + SMP bus contention)."""

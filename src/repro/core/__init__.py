@@ -8,7 +8,6 @@ this package.
 
 from .design import PROCESSOR_LEVELS, DesignPoint, full_factorial, one_factor_at_a_time
 from .factors import FOCAL_POINT, PAPER_FACTOR_SPACE, Factor, FactorSpace, PlatformConfig
-from .metrics import ScalingMetrics, karp_flatt, recommended_processors, scaling_metrics
 from .report import breakdown_table, format_table, speed_table, text_bar, time_series_table
 from .responses import ResponseRecord
 
@@ -24,11 +23,7 @@ __all__ = [
     "PAPER_FACTOR_SPACE",
     "PlatformConfig",
     "PROCESSOR_LEVELS",
-    "recommended_processors",
     "ResponseRecord",
-    "ScalingMetrics",
-    "scaling_metrics",
-    "karp_flatt",
     "speed_table",
     "text_bar",
     "time_series_table",

@@ -39,12 +39,6 @@ class Factor:
         if len(set(self.levels)) != len(self.levels):
             raise ValueError(f"factor {self.name!r} has duplicate levels")
 
-    def index_of(self, level) -> int:
-        try:
-            return self.levels.index(level)
-        except ValueError:
-            raise ValueError(f"{level!r} is not a level of factor {self.name!r}") from None
-
 
 @dataclass(frozen=True)
 class PlatformConfig:
@@ -107,19 +101,6 @@ class FactorSpace:
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
             raise ValueError("duplicate factor names")
-
-    def factor(self, name: str) -> Factor:
-        for f in self.factors:
-            if f.name == name:
-                return f
-        raise KeyError(f"no factor named {name!r}")
-
-    @property
-    def n_points(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= len(f.levels)
-        return n
 
     def points(self) -> Iterator[PlatformConfig]:
         """Every configuration of the full factorial design."""

@@ -7,7 +7,7 @@ synchronization breakdowns, and per-node communication speeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from ..parallel.result import ParallelRunResult
 from .design import DesignPoint
@@ -96,6 +96,3 @@ class ResponseRecord:
             final_energy=result.energies[-1].total if result.energies else float("nan"),
             strategy=getattr(point, "strategy", "replicated"),
         )
-
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -63,10 +63,9 @@ def run_full_factorial(
 ) -> FactorialResult:
     """Sec. 3.1: all 12 platform cases at every processor count, with main effects.
 
-    ``executor`` is anything with ``measure(points) -> records``: a
-    :class:`~repro.campaign.runner.CharacterizationRunner` (in-process,
-    store-memoized) or a :class:`~repro.campaign.engine.CampaignEngine`
-    (hits recalled from its store, misses fanned out over its workers).
+    ``executor`` is anything with ``measure(points) -> records``, such as
+    a :class:`~repro.campaign.runner.CharacterizationRunner` (in-process,
+    store-memoized).
     """
     points: list[DesignPoint] = full_factorial(
         PAPER_FACTOR_SPACE, processor_levels=processor_levels

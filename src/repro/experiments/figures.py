@@ -71,16 +71,6 @@ class FigureResult:
     report: str
     series: dict = field(default_factory=dict)
 
-    def by_platform(self) -> dict[str, list[ResponseRecord]]:
-        """Records grouped by platform label, each sorted by rank count."""
-        groups: dict[str, list[ResponseRecord]] = {}
-        for r in self.records:
-            cpus = "uni" if r.cpus_per_node == 1 else "dual"
-            groups.setdefault(f"{r.network}/{r.middleware}/{cpus}", []).append(r)
-        for recs in groups.values():
-            recs.sort(key=lambda r: r.n_ranks)
-        return groups
-
 
 def default_runner(n_steps: int = 10, store=None) -> CharacterizationRunner:
     """A runner over the paper's 3552-atom benchmark system.

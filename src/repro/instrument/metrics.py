@@ -73,18 +73,11 @@ class Counter:
                 key = _label_key(labels)
                 self.labels[key] = self.labels.get(key, 0) + n
 
-    def reset(self) -> None:
-        self.count = 0
-        self.labels.clear()
-
     def snapshot(self) -> int:
         return self.count
 
     def delta(self, since: int) -> int:
         return self.count - since
-
-    def __repr__(self) -> str:
-        return f"Counter(name={self.name!r}, count={self.count!r})"
 
 
 class Gauge:
@@ -164,12 +157,6 @@ class MetricsRegistry:
             return self.histograms[name]
         except KeyError:
             return self.histograms.setdefault(name, Histogram(name))
-
-    def reset(self) -> None:
-        for c in self.counters.values():
-            c.reset()
-        self.gauges.clear()
-        self.histograms.clear()
 
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> dict:

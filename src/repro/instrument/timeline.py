@@ -71,13 +71,6 @@ class PhaseTotals:
             sync=self.sync + other.sync,
         )
 
-    def fractions(self) -> dict[str, float]:
-        """Category shares of the phase total (all zero for an empty phase)."""
-        t = self.total
-        if t <= 0:
-            return {c: 0.0 for c in Category.ALL}
-        return {"comp": self.comp / t, "comm": self.comm / t, "sync": self.sync / t}
-
 
 @dataclass
 class Timeline:
@@ -98,10 +91,6 @@ class Timeline:
     _sink: Callable[[str, str, float], None] | None = field(
         default=None, repr=False, compare=False
     )
-
-    @property
-    def current_phase(self) -> str:
-        return self._current
 
     @property
     def attribution(self) -> tuple[str, str | None]:

@@ -169,10 +169,6 @@ class SpanTracer:
 
     begin = span  # explicit begin/end reads better around split control flow
 
-    def instant(self, name: str, track: str = "host", **args) -> None:
-        """A zero-duration wall marker (rendered as a slice boundary)."""
-        self._emit_wall(name, track, self._wall_now(), 0.0, args)
-
     # -- export -----------------------------------------------------------
     def to_chrome(self) -> dict:
         """The Chrome trace-event document (Perfetto-loadable)."""

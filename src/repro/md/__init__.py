@@ -8,55 +8,28 @@ Public surface:
 * :class:`~repro.md.system.MDSystem` — energy/force evaluators with the
   classic/PME split the paper characterizes.
 * :class:`~repro.md.integrator.VelocityVerlet` — dynamics.
+
+The package holds what the characterization runs — the classic and PME
+energy calculation of an NVE step — and the references its tests compare
+against.  SHAKE/RATTLE, thermostats, trajectory observables and file I/O
+are not here: no figure, workload or CLI verb reaches them.
 """
 
 from .bonded import BondedTables, bonded_energy_forces
 from .box import PeriodicBox
-from .constraints import (
-    ConstrainedVerlet,
-    ConstraintSet,
-    hydrogen_bond_constraints,
-    rigid_water_constraints,
-)
 from .cutoff import CutoffScheme, shift_function, switch_function
 from .energy import EnergyBreakdown
 from .forcefield import ForceField, default_forcefield
 from .integrator import MDState, VelocityVerlet, kinetic_energy, maxwell_boltzmann_velocities
-from .io import read_pdb_coordinates, read_xyz, write_pdb, write_xyz
 from .neighborlist import NeighborList, brute_force_pairs
 from .nonbonded import NonbondedKernel, PairEnergies
-from .observables import (
-    center_of_mass,
-    dipole_moment,
-    mean_squared_displacement,
-    radius_of_gyration,
-    rmsd,
-    temperature,
-)
 from .system import ElectrostaticsModel, MDSystem
-from .thermostats import BerendsenThermostat, VelocityRescale
 from .topology import Angle, Atom, Bond, Dihedral, Improper, Topology
 
 __all__ = [
     "Angle",
     "Atom",
-    "BerendsenThermostat",
     "Bond",
-    "center_of_mass",
-    "ConstrainedVerlet",
-    "ConstraintSet",
-    "dipole_moment",
-    "hydrogen_bond_constraints",
-    "rigid_water_constraints",
-    "mean_squared_displacement",
-    "radius_of_gyration",
-    "read_pdb_coordinates",
-    "read_xyz",
-    "rmsd",
-    "temperature",
-    "VelocityRescale",
-    "write_pdb",
-    "write_xyz",
     "BondedTables",
     "bonded_energy_forces",
     "brute_force_pairs",

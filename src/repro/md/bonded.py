@@ -32,6 +32,7 @@ __all__ = [
     "dihedral_energy_forces",
     "improper_energy_forces",
     "bonded_energy_forces",
+    "scatter_rows",
 ]
 
 _SIN_FLOOR = 1e-8  # guards 1/sin(theta) at collinear geometries
@@ -96,10 +97,26 @@ class BondedTables:
         )
 
 
-#: one (column, force-rows) scatter call per entry, in the exact order the
-#: kernels issue their ``np.add.at`` calls — sequential accumulation order
+#: one (column, force-rows) scatter call per entry, in the order the kernels
+#: accumulate them (:func:`scatter_rows`) — sequential accumulation order
 #: is part of the bitwise contract the spatial replay engine depends on
 ScatterCalls = tuple[tuple[int, np.ndarray], ...]
+
+
+def scatter_rows(calls, n_bins: int) -> np.ndarray:
+    """``for bins, rows in calls: np.add.at(out, bins, rows)`` on a zero
+    ``(n_bins, 3)`` array, as one ``np.bincount`` per axis.
+
+    ``bincount`` adds its weights in array order from zero, so the calls
+    concatenated in order give every bin the same sequence of additions
+    as the ``np.add.at`` chain, and so the same bits.
+    """
+    bins = np.concatenate([b for b, _ in calls])
+    rows = np.concatenate([r for _, r in calls])
+    out = np.empty((n_bins, 3), dtype=np.float64)
+    for axis in range(3):
+        out[:, axis] = np.bincount(bins, weights=rows[:, axis], minlength=n_bins)
+    return out
 
 
 def bond_row_terms(
@@ -129,15 +146,12 @@ def bond_energy_forces(
     positions: np.ndarray, box: PeriodicBox, tables: BondedTables
 ) -> tuple[float, np.ndarray]:
     """Harmonic bond energy and forces."""
-    forces = np.zeros_like(positions)
     idx = tables.bond_idx
     if len(idx) == 0:
-        return 0.0, forces
+        return 0.0, np.zeros_like(positions)
     e_rows, scatter = bond_row_terms(positions, box, idx, tables.bond_kb, tables.bond_r0)
-    energy = float(np.sum(e_rows))
-    for col, rows in scatter:
-        np.add.at(forces, idx[:, col], rows)
-    return energy, forces
+    forces = scatter_rows([(idx[:, col], rows) for col, rows in scatter], len(positions))
+    return float(np.sum(e_rows)), forces
 
 
 def angle_row_terms(
@@ -173,15 +187,12 @@ def angle_energy_forces(
     positions: np.ndarray, box: PeriodicBox, tables: BondedTables
 ) -> tuple[float, np.ndarray]:
     """Harmonic angle energy and forces."""
-    forces = np.zeros_like(positions)
     idx = tables.angle_idx
     if len(idx) == 0:
-        return 0.0, forces
+        return 0.0, np.zeros_like(positions)
     e_rows, scatter = angle_row_terms(positions, box, idx, tables.angle_k, tables.angle_t0)
-    energy = float(np.sum(e_rows))
-    for col, rows in scatter:
-        np.add.at(forces, idx[:, col], rows)
-    return energy, forces
+    forces = scatter_rows([(idx[:, col], rows) for col, rows in scatter], len(positions))
+    return float(np.sum(e_rows)), forces
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -256,17 +267,14 @@ def dihedral_energy_forces(
     positions: np.ndarray, box: PeriodicBox, tables: BondedTables
 ) -> tuple[float, np.ndarray]:
     """Cosine proper-dihedral energy and forces."""
-    forces = np.zeros_like(positions)
     idx = tables.dihedral_idx
     if len(idx) == 0:
-        return 0.0, forces
+        return 0.0, np.zeros_like(positions)
     e_rows, scatter = dihedral_row_terms(
         positions, box, idx, tables.dihedral_k, tables.dihedral_n, tables.dihedral_delta
     )
-    energy = float(np.sum(e_rows))
-    for col, rows in scatter:
-        np.add.at(forces, idx[:, col], rows)
-    return energy, forces
+    forces = scatter_rows([(idx[:, col], rows) for col, rows in scatter], len(positions))
+    return float(np.sum(e_rows)), forces
 
 
 def improper_row_terms(
@@ -293,17 +301,14 @@ def improper_energy_forces(
     positions: np.ndarray, box: PeriodicBox, tables: BondedTables
 ) -> tuple[float, np.ndarray]:
     """Harmonic improper-torsion energy and forces."""
-    forces = np.zeros_like(positions)
     idx = tables.improper_idx
     if len(idx) == 0:
-        return 0.0, forces
+        return 0.0, np.zeros_like(positions)
     e_rows, scatter = improper_row_terms(
         positions, box, idx, tables.improper_k, tables.improper_psi0
     )
-    energy = float(np.sum(e_rows))
-    for col, rows in scatter:
-        np.add.at(forces, idx[:, col], rows)
-    return energy, forces
+    forces = scatter_rows([(idx[:, col], rows) for col, rows in scatter], len(positions))
+    return float(np.sum(e_rows)), forces
 
 
 def bonded_energy_forces(

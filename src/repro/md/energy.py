@@ -42,11 +42,6 @@ class EnergyBreakdown:
         return self.pme_reciprocal + self.pme_self + self.pme_exclusion
 
     @property
-    def electrostatic(self) -> float:
-        """Full electrostatic energy (direct + reciprocal + self + exclusion)."""
-        return self.elec_direct + self.pme_total
-
-    @property
     def total(self) -> float:
         return self.classic_total + self.pme_total
 

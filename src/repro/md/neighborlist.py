@@ -508,7 +508,3 @@ class NeighborList:
         ):
             return None
         return self.pair_ref_d, certified_bound(self.scheme.r_cut, self.last_max_disp)
-
-    @property
-    def n_pairs(self) -> int:
-        return len(self.pairs)

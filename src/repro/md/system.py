@@ -196,31 +196,3 @@ class MDSystem:
             breakdown = breakdown + pme_breakdown
             forces = forces + pme_forces
         return breakdown, forces
-
-    # ------------------------------------------------------------------
-    def minimize(
-        self,
-        positions: np.ndarray,
-        n_steps: int = 200,
-        max_step: float = 0.02,
-        tolerance: float = 1.0,
-    ) -> np.ndarray:
-        """Crude steepest-descent relaxation with displacement capping.
-
-        Used by the workload builders to remove steric clashes from
-        generated coordinates before dynamics.  Stops early once the
-        RMS force drops below ``tolerance`` (kcal/mol/A).
-        """
-        pos = np.array(positions, dtype=np.float64)
-        for _ in range(n_steps):
-            _, forces = self.energy_forces(pos)
-            rms = float(np.sqrt(np.mean(forces**2)))
-            if rms < tolerance:
-                break
-            norms = np.linalg.norm(forces, axis=1, keepdims=True)
-            step = forces * (max_step / np.maximum(norms, 1e-12))
-            # full step along small forces, capped step along large ones
-            small = norms < 1.0
-            step = np.where(small, forces * max_step, step)
-            pos = pos + step
-        return pos

@@ -168,10 +168,6 @@ class Topology:
                 )
             raise ValueError(f"{what} {terms[row]}: repeated atom index {index}")
 
-    def merge(self, other: "Topology") -> "Topology":
-        """Concatenate two topologies, re-indexing the second one."""
-        return Topology.concat([self, other])
-
     @classmethod
     def concat(cls, parts: Sequence["Topology"]) -> "Topology":
         """Concatenate many topologies in one pass (linear, not quadratic)."""

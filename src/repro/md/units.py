@@ -40,43 +40,3 @@ KINETIC_CONVERT: float = ACCEL_CONVERT
 
 #: Degrees-to-radians multiplier.
 DEG2RAD: float = math.pi / 180.0
-
-
-def kinetic_energy_to_kcal(mass_amu: float, speed_a_per_ps: float) -> float:
-    """Kinetic energy of a particle in kcal/mol.
-
-    Parameters
-    ----------
-    mass_amu:
-        Particle mass in amu.
-    speed_a_per_ps:
-        Speed in angstrom per picosecond.
-    """
-    return 0.5 * mass_amu * speed_a_per_ps**2 / KINETIC_CONVERT
-
-
-def temperature_from_kinetic(kinetic_kcal: float, n_dof: int) -> float:
-    """Instantaneous temperature (K) from total kinetic energy.
-
-    Parameters
-    ----------
-    kinetic_kcal:
-        Total kinetic energy in kcal/mol.
-    n_dof:
-        Number of kinetic degrees of freedom (3N minus constraints).
-    """
-    if n_dof <= 0:
-        raise ValueError(f"n_dof must be positive, got {n_dof}")
-    return 2.0 * kinetic_kcal / (n_dof * BOLTZMANN_KCAL)
-
-
-def thermal_speed(mass_amu: float, temperature_k: float) -> float:
-    """RMS speed (A/ps) of a particle of ``mass_amu`` at ``temperature_k``.
-
-    Used to draw Maxwell-Boltzmann initial velocities.
-    """
-    if mass_amu <= 0.0:
-        raise ValueError(f"mass must be positive, got {mass_amu}")
-    if temperature_k < 0.0:
-        raise ValueError(f"temperature must be non-negative, got {temperature_k}")
-    return math.sqrt(3.0 * BOLTZMANN_KCAL * temperature_k * KINETIC_CONVERT / mass_amu)

@@ -349,14 +349,6 @@ class RankEndpoint:
     def now(self) -> float:
         return self._sim.now
 
-    @property
-    def net(self):
-        return self._net
-
-    @property
-    def node(self) -> int:
-        return self.world.spec.node_of(self.rank)
-
     def next_collective_tag(self, op: str = "collective") -> int:
         """Fresh tag for one collective operation named ``op``.
 

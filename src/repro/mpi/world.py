@@ -75,10 +75,6 @@ class MPIWorld:
             for ep in self.endpoints:
                 span_tracer.attach_rank(ep.rank, ep.timeline)
 
-    @property
-    def size(self) -> int:
-        return self.spec.n_ranks
-
     # ------------------------------------------------------------------
     def post_message(self, send) -> None:
         """Called with a :class:`~repro.mpi.endpoint.SendRequest` once its

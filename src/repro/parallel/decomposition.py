@@ -89,9 +89,6 @@ class AtomDecomposition(Decomposition):
         b = self.bounds
         return int(b[rank]), int(b[rank + 1])
 
-    def owner_of(self, atom: int) -> int:
-        return int(np.searchsorted(self.bounds, atom, side="right") - 1)
-
     def pair_block(self, pairs: np.ndarray, rank: int) -> np.ndarray:
         """The slice of a (sorted-by-i) pair list owned by ``rank``.
 
@@ -103,10 +100,6 @@ class AtomDecomposition(Decomposition):
         start = int(np.searchsorted(pairs[:, 0], lo, side="left"))
         stop = int(np.searchsorted(pairs[:, 0], hi, side="left"))
         return pairs[start:stop]
-
-    def slice_rows(self, array: np.ndarray, rank: int) -> np.ndarray:
-        lo, hi = self.atom_range(rank)
-        return array[lo:hi]
 
     def term_slice(self, n_terms: int, rank: int) -> slice:
         """Contiguous slice of a bonded-term table for ``rank``."""

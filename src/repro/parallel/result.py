@@ -39,10 +39,6 @@ class ParallelRunResult:
     extra: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    @property
-    def n_ranks(self) -> int:
-        return self.spec.n_ranks
-
     def wall_time(self) -> float:
         return max(tl.total_seconds() for tl in self.timelines)
 
@@ -70,28 +66,3 @@ class ParallelRunResult:
     def comm_stats(self) -> CommSpeedStats:
         """Figure 7 statistics: per-node communication speeds (MB/s)."""
         return communication_speeds(self.transfers)
-
-    # ------------------------------------------------------------------
-    def summary(self) -> dict:
-        """Flat record for tables and reports."""
-        classic = self.component("classic")
-        pme = self.component("pme")
-        stats = self.comm_stats()
-        return {
-            "platform": self.spec.describe(),
-            "middleware": self.middleware,
-            "n_ranks": self.n_ranks,
-            "wall_time": self.wall_time(),
-            "classic_time": classic.total,
-            "pme_time": pme.total,
-            "classic_comp": classic.comp,
-            "classic_comm": classic.comm,
-            "classic_sync": classic.sync,
-            "pme_comp": pme.comp,
-            "pme_comm": pme.comm,
-            "pme_sync": pme.sync,
-            "comm_mean_mbs": stats.mean,
-            "comm_min_mbs": stats.minimum,
-            "comm_max_mbs": stats.maximum,
-            "final_energy": self.energies[-1].total if self.energies else float("nan"),
-        }

@@ -135,16 +135,6 @@ class SpatialDecomposition(Decomposition):
         gx, gy, gz = self.grid
         return (rank // (gy * gz), (rank // gz) % gy, rank % gz)
 
-    def rank_of(self, coords: tuple[int, int, int]) -> int:
-        gx, gy, gz = self.grid
-        return coords[0] * gy * gz + coords[1] * gz + coords[2]
-
-    def neighbor(self, rank: int, dim: int, step: int) -> int:
-        """The rank ``step`` cells away along ``dim`` (periodic)."""
-        coords = list(self.rank_coords(rank))
-        coords[dim] = (coords[dim] + step) % self.grid[dim]
-        return self.rank_of((coords[0], coords[1], coords[2]))
-
     def region(self, rank: int, dim: int) -> tuple[float, float]:
         """The ``[lo, hi)`` interval of ``rank``'s cell along ``dim``."""
         c = self.rank_coords(rank)[dim]

@@ -10,11 +10,11 @@ accumulation orders the replicated path uses:
   their own row (:meth:`repro.md.nonbonded.NonbondedKernel.pair_terms`,
   ``*_row_terms`` in :mod:`repro.md.bonded`), so any subset evaluates to
   bitwise-identical rows;
-* ``np.bincount`` and ``np.add.at`` accumulate sequentially in array
-  order, so restricting a scatter to the subsequence touching one bin
-  preserves that bin's bits — the engine buckets every contribution by
-  *(virtual replicated rank, owned atom)* and scatters in the replicated
-  call order;
+* ``np.bincount`` accumulates sequentially in array order
+  (:func:`~repro.md.bonded.scatter_rows`), so restricting a scatter to
+  the subsequence touching one bin preserves that bin's bits — the
+  engine buckets every contribution by *(virtual replicated rank, owned
+  atom)* and scatters in the replicated call order;
 * the replicated allreduce folds per-rank blocks in a fixed tree (MPI:
   binomial/recursive-doubling, both equal :func:`binomial_fold`; CMPI:
   each rank's chain over raw peer blocks), which the engine replays per
@@ -53,6 +53,7 @@ from ...md.bonded import (
     bond_row_terms,
     dihedral_row_terms,
     improper_row_terms,
+    scatter_rows,
 )
 from ...md.energy import EnergyBreakdown
 from ...md.neighborlist import (
@@ -648,7 +649,9 @@ class SpatialEngine:
 
         acc_nb = np.zeros((nbins, 3), dtype=np.float64)
         if len(i):
-            vb = np.searchsorted(self.vbounds, i, side="right") - 1
+            # ``i`` is sorted, so each virtual rank's pairs are one run
+            runs = np.diff(np.searchsorted(i, self.vbounds))
+            vb = np.repeat(np.arange(p, dtype=np.int64), runs)
             bins_i = vb * slots + local_of[i]
             bins_j = vb * slots + local_of[j]
             c = np.ascontiguousarray(fvec.T)
@@ -668,8 +671,10 @@ class SpatialEngine:
                         *[prm[touch] for prm in params],
                     )
                     base = (np.searchsorted(bounds, touch, side="right") - 1) * slots
-                    for col, frows in scatter:
-                        np.add.at(acc, base + local_of[idx[touch, col]], frows)
+                    acc = scatter_rows(
+                        [(base + local_of[idx[touch, col]], frows) for col, frows in scatter],
+                        nbins,
+                    )
                     sel0 = self.owned_mask[idx[touch, 0]]
                     self.ledger.post_bonded(
                         term, self._step, touch[sel0], e_rows[sel0]

@@ -97,10 +97,6 @@ class MyoglobinSystem:
     forcefield: ForceField
     pme_grid: tuple[int, int, int]
 
-    @property
-    def n_atoms(self) -> int:
-        return self.topology.n_atoms
-
 
 def _sidechain_plan() -> list[int]:
     """Per-residue CH2 counts: 23 long (k=3) spread over 153 residues."""

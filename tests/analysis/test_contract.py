@@ -27,10 +27,6 @@ class TestScheduleContract:
         with pytest.raises(ValueError, match="knows flags"):
             c.expected_ops({"pme"})
 
-    def test_describe(self):
-        assert "(no communication)" in CLASSIC_CONTRACT.describe(set())
-        assert "alltoallv" in PME_CONTRACT.describe(set())
-
 
 class TestStepContract:
     """The rank program's declared Figure-2 schedule."""

@@ -1,4 +1,4 @@
-"""Store federation: export/import/merge semantics and multi-host audits."""
+"""Store federation: shard import/merge semantics and multi-host audits."""
 
 from __future__ import annotations
 
@@ -28,12 +28,18 @@ def _store_bytes(root) -> dict:
     return {f.name: f.read_bytes() for f in sorted(root.glob("*.jsonl"))}
 
 
+def _snapshot(root, shard) -> int:
+    """Concatenate a store's shard files into one portable shard."""
+    shard.write_text("".join(f.read_text() for f in sorted(root.glob("*.jsonl"))))
+    return len(shard.read_text().splitlines())
+
+
 class TestExportImport:
     def test_export_then_import_reproduces_the_store(self, tmp_path):
         _run_into(tmp_path / "a", tiny_points())
         src = ResultStore(tmp_path / "a")
         shard = tmp_path / "snapshot.jsonl"
-        assert src.export_shard(shard) == 2
+        assert _snapshot(tmp_path / "a", shard) == 2
 
         dest = ResultStore(tmp_path / "b")
         stats = dest.import_shard(shard)
@@ -46,7 +52,7 @@ class TestExportImport:
     def test_importing_the_same_shard_twice_is_a_bitwise_noop(self, tmp_path):
         _run_into(tmp_path / "a", tiny_points())
         shard = tmp_path / "snapshot.jsonl"
-        ResultStore(tmp_path / "a").export_shard(shard)
+        _snapshot(tmp_path / "a", shard)
 
         dest = ResultStore(tmp_path / "b")
         dest.import_shard(shard)
@@ -64,7 +70,7 @@ class TestExportImport:
     def test_truncated_shard_imports_its_readable_prefix(self, tmp_path):
         _run_into(tmp_path / "a", tiny_points())
         shard = tmp_path / "snapshot.jsonl"
-        ResultStore(tmp_path / "a").export_shard(shard)
+        _snapshot(tmp_path / "a", shard)
         lines = shard.read_text().splitlines()
         # a crashed writer: whole first line, then a torn second line
         shard.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2])
@@ -79,7 +85,7 @@ class TestExportImport:
     def test_garbage_lines_are_skipped_not_fatal(self, tmp_path):
         _run_into(tmp_path / "a", tiny_points(ranks=(1,)))
         shard = tmp_path / "snapshot.jsonl"
-        ResultStore(tmp_path / "a").export_shard(shard)
+        _snapshot(tmp_path / "a", shard)
         shard.write_text("not json at all\n" + shard.read_text() + "{\"key\": 1}\n")
 
         dest = ResultStore(tmp_path / "b")
@@ -91,7 +97,7 @@ class TestExportImport:
     def test_key_collision_with_different_record_raises(self, tmp_path):
         _run_into(tmp_path / "a", tiny_points())
         shard = tmp_path / "snapshot.jsonl"
-        ResultStore(tmp_path / "a").export_shard(shard)
+        _snapshot(tmp_path / "a", shard)
         docs = [json.loads(line) for line in shard.read_text().splitlines()]
         docs[0]["record"]["wall_time"] = docs[0]["record"]["wall_time"] + 1.0
         shard.write_text("\n".join(json.dumps(d) for d in docs) + "\n")

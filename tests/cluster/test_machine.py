@@ -41,13 +41,6 @@ class TestClusterSpec:
             n_ranks=5, network=tcp_gigabit_ethernet(), node=NodeSpec(cpus_per_node=2)
         )
         assert spec.n_nodes == 3
-        assert spec.ranks_on(2) == [4]
-
-    def test_ranks_on_node(self):
-        spec = ClusterSpec(
-            n_ranks=8, network=tcp_gigabit_ethernet(), node=NodeSpec(cpus_per_node=2)
-        )
-        assert spec.ranks_on(1) == [2, 3]
 
     def test_rejects_too_many_nodes(self):
         with pytest.raises(ValueError):

@@ -6,14 +6,6 @@ from repro.core import FOCAL_POINT, PAPER_FACTOR_SPACE, Factor, FactorSpace, Pla
 
 
 class TestFactor:
-    def test_index_of(self):
-        f = Factor("network", ("a", "b", "c"))
-        assert f.index_of("b") == 1
-
-    def test_unknown_level(self):
-        f = Factor("network", ("a", "b"))
-        with pytest.raises(ValueError):
-            f.index_of("z")
 
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
@@ -70,18 +62,11 @@ class TestPlatformConfig:
 
 class TestFactorSpace:
     def test_paper_space_is_twelve_points(self):
-        assert PAPER_FACTOR_SPACE.n_points == 12
         assert len(list(PAPER_FACTOR_SPACE.points())) == 12
 
     def test_points_unique(self):
         pts = list(PAPER_FACTOR_SPACE.points())
         assert len(set(pts)) == 12
-
-    def test_factor_lookup(self):
-        f = PAPER_FACTOR_SPACE.factor("middleware")
-        assert f.levels == ("mpi", "cmpi")
-        with pytest.raises(KeyError):
-            PAPER_FACTOR_SPACE.factor("compiler")
 
     def test_duplicate_factor_names_rejected(self):
         with pytest.raises(ValueError):

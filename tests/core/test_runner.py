@@ -47,12 +47,6 @@ class TestResponseRecord:
         assert 0 <= rec.pme_overhead_fraction <= 1
         assert rec.total_comp == pytest.approx(rec.classic_comp + rec.pme_comp)
 
-    def test_as_dict(self, runner):
-        (rec,) = runner.sweep(FOCAL_POINT, processor_levels=(1,))
-        d = rec.as_dict()
-        assert d["n_ranks"] == 1
-        assert d["network"] == "tcp-gige"
-
     def test_serial_record_has_no_overhead(self, runner):
         (rec,) = runner.sweep(FOCAL_POINT, processor_levels=(1,))
         assert rec.classic_comm == 0.0

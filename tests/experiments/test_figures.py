@@ -73,13 +73,6 @@ class TestDriverStructure:
             "myrinet_dual",
         }
 
-    def test_by_platform_grouping(self, small_runner):
-        res = figure9(small_runner)
-        groups = res.by_platform()
-        assert len(groups) == 4
-        for recs in groups.values():
-            assert [r.n_ranks for r in recs] == [1, 2, 4, 8]
-
     def test_extrapolation_reaches_sixteen(self, small_runner):
         res = extrapolation(small_runner)
         assert res.series["p"] == [1, 2, 4, 8, 16]

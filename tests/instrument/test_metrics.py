@@ -31,13 +31,6 @@ class TestCounter:
         assert c.count == 4
         assert c.labels == {"status=hit": 2, "status=ran": 2}
 
-    def test_reset(self):
-        c = Counter("events")
-        c.increment(5, kind="x")
-        c.reset()
-        assert c.count == 0
-        assert c.labels == {}
-
 
 class TestGauge:
     def test_set_and_snapshot(self):

@@ -27,15 +27,6 @@ class TestPhaseTotals:
         c = a + b
         assert (c.comp, c.comm, c.sync) == (1.5, 2.0, 1.0)
 
-    def test_fractions_sum_to_one(self):
-        t = PhaseTotals(comp=3.0, comm=1.0, sync=1.0)
-        f = t.fractions()
-        assert sum(f.values()) == pytest.approx(1.0)
-        assert f["comp"] == pytest.approx(0.6)
-
-    def test_fractions_of_empty_phase(self):
-        assert PhaseTotals().fractions() == {"comp": 0.0, "comm": 0.0, "sync": 0.0}
-
 
 class TestTimeline:
     def test_default_phase(self):
@@ -53,7 +44,6 @@ class TestTimeline:
         assert tl.phase_totals("classic").comp == 2.0
         assert tl.phase_totals("classic").sync == 0.5
         assert tl.phase_totals("pme").comm == 1.0
-        assert tl.current_phase == "default"
 
     def test_grand_total(self):
         tl = Timeline()

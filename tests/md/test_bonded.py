@@ -22,6 +22,7 @@ from repro.md.bonded import (
     bonded_energy_forces,
     dihedral_energy_forces,
     improper_energy_forces,
+    scatter_rows,
 )
 
 BOX = PeriodicBox(50.0, 50.0, 50.0)
@@ -239,3 +240,38 @@ class TestCombined:
         assert all(v == 0.0 for v in energies.values())
         assert np.allclose(forces, 0.0)
         assert tables.n_terms == 0
+
+
+class TestScatterRows:
+    """One ``bincount`` per axis equals the ``np.add.at`` chain it replaces."""
+
+    def _calls(self, rng, n_bins):
+        calls = []
+        for size in (7, 0, 40, 13):
+            bins = rng.integers(0, n_bins, size)
+            bins[: size // 2] = bins[:1]  # a run of one repeated bin
+            rows = rng.normal(scale=1e3, size=(size, 3)) * 10.0 ** rng.integers(-9, 9, (size, 1))
+            rows[::3] = -0.0
+            rows[1::5] = 0.0
+            calls.append((bins, rows))
+        return calls
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equal_to_the_add_at_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        n_bins = 11
+        calls = self._calls(rng, n_bins)
+        expected = np.zeros((n_bins, 3))
+        for bins, rows in calls:
+            np.add.at(expected, bins, rows)
+        got = scatter_rows(calls, n_bins)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_signed_zeros_sum_to_positive_zero(self):
+        bins = np.array([2, 2, 0])
+        rows = np.full((3, 3), -0.0)
+        expected = np.zeros((4, 3))
+        np.add.at(expected, bins, rows)
+        got = scatter_rows([(bins, rows)], 4)
+        assert got.tobytes() == expected.tobytes()
+        assert not np.signbit(got).any()

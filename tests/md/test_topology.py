@@ -129,14 +129,14 @@ class TestMerge:
     def test_merge_offsets_indices(self):
         a = _chain(3)
         b = _chain(2)
-        merged = a.merge(b)
+        merged = Topology.concat([a, b])
         assert merged.n_atoms == 5
         assert (merged.bonds[-1].i, merged.bonds[-1].j) == (3, 4)
 
     def test_merge_offsets_residues(self):
         a = Topology(atoms=[_atom()])
         b = Topology(atoms=[_atom()])
-        merged = a.merge(b)
+        merged = Topology.concat([a, b])
         assert merged.atoms[0].residue_index == 0
         assert merged.atoms[1].residue_index == 1
 
@@ -165,7 +165,7 @@ class TestMerge:
         via_concat = Topology.concat(parts)
         via_merge = parts[0]
         for part in parts[1:]:
-            via_merge = via_merge.merge(part)
+            via_merge = Topology.concat([via_merge, part])
         assert via_concat.atoms == via_merge.atoms
         assert [a.residue_index for a in via_concat.atoms] == [
             0, 0, 0, 1, 2, 3, 4, 5, 3, 4, 6, 7, 6, 7

@@ -16,46 +16,6 @@ def test_accel_convert_value():
     assert units.ACCEL_CONVERT == pytest.approx(418.4)
 
 
-def test_kinetic_energy_roundtrip():
-    # a 1 amu particle at thermal speed for T has KE = 3/2 kT
-    t = 300.0
-    v = units.thermal_speed(1.0, t)
-    ke = units.kinetic_energy_to_kcal(1.0, v)
-    assert ke == pytest.approx(1.5 * units.BOLTZMANN_KCAL * t, rel=1e-12)
-
-
-def test_temperature_from_kinetic_inverts():
-    ke = 5.0
-    n_dof = 30
-    t = units.temperature_from_kinetic(ke, n_dof)
-    assert 0.5 * n_dof * units.BOLTZMANN_KCAL * t == pytest.approx(ke)
-
-
-def test_temperature_requires_positive_dof():
-    with pytest.raises(ValueError):
-        units.temperature_from_kinetic(1.0, 0)
-
-
-def test_thermal_speed_zero_temperature():
-    assert units.thermal_speed(12.0, 0.0) == 0.0
-
-
-def test_thermal_speed_rejects_bad_mass():
-    with pytest.raises(ValueError):
-        units.thermal_speed(-1.0, 300.0)
-
-
-def test_thermal_speed_rejects_negative_temperature():
-    with pytest.raises(ValueError):
-        units.thermal_speed(1.0, -5.0)
-
-
-def test_thermal_speed_scales_with_mass():
-    light = units.thermal_speed(1.0, 300.0)
-    heavy = units.thermal_speed(16.0, 300.0)
-    assert light == pytest.approx(4.0 * heavy)
-
-
 def test_boltzmann_constant_order_of_magnitude():
     # kT at 300 K is about 0.6 kcal/mol
     assert 0.59 < units.BOLTZMANN_KCAL * 300.0 < 0.60

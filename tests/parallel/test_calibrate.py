@@ -1,9 +1,15 @@
 """Cost-model calibration utility."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.campaign.workloads import build_workload
 from repro.parallel import MachineCostModel
-from repro.parallel.calibrate import WorkloadCounts, calibrate, measure_counts
+from repro.parallel.calibrate import WINDOW_STEPS, WorkloadCounts, calibrate, measure_counts
+from repro.parallel.costmodel import PIII_1GHZ
+
+TABLES = Path(__file__).resolve().parents[2] / "EXPERIMENTS.tables.txt"
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +75,19 @@ class TestCalibrate:
         assert recal.pair_cost == pytest.approx(model.pair_cost)
 
 
+class TestReproducesThePlatform:
+    def test_figure3_serial_point_yields_piii_1ghz(self):
+        """DESIGN §8: the fit at the pinned serial point of Figure 3 is
+        ``PIII_1GHZ`` — the window's one list build included."""
+        row = TABLES.read_text().splitlines()[3].split()
+        assert row[:2] == ["tcp-gige/mpi/uni", "1"]
+        classic, pme = float(row[2]), float(row[3])
+        counts = measure_counts(*build_workload("myoglobin-pme"))
+        model = calibrate(counts, classic / WINDOW_STEPS, pme / WINDOW_STEPS)
+        assert model.pair_cost == pytest.approx(PIII_1GHZ.pair_cost, rel=1e-3)
+        assert model.fft_cost == pytest.approx(PIII_1GHZ.fft_cost, rel=1e-3)
+
+
 class TestWorkloadCounts:
     def test_seconds_helpers(self):
         m = MachineCostModel()
@@ -80,9 +99,13 @@ class TestWorkloadCounts:
             spread_points=50,
             fft_unit_count=30.0,
             grid_points=40,
+            list_candidates=700,
         )
         assert c.classic_seconds(m) == pytest.approx(
-            100 * m.pair_cost + 10 * m.bonded_cost + 20 * m.integrate_cost
+            100 * m.pair_cost
+            + 10 * m.bonded_cost
+            + 20 * m.integrate_cost
+            + 700 * m.pair_candidate_cost / WINDOW_STEPS
         )
         assert c.pme_seconds(m) == pytest.approx(
             50 * m.spread_cost + 30 * m.fft_cost + 40 * m.grid_cost + 5 * m.exclusion_cost

@@ -20,11 +20,6 @@ class TestAtomDecomposition:
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 1000
 
-    def test_owner_of(self):
-        d = AtomDecomposition(10, 3)
-        owners = [d.owner_of(a) for a in range(10)]
-        assert owners == [0, 0, 0, 0, 1, 1, 1, 2, 2, 2]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AtomDecomposition(2, 3)
@@ -48,11 +43,6 @@ class TestAtomDecomposition:
             if len(block):
                 assert block[:, 0].min() >= lo
                 assert block[:, 0].max() < hi
-
-    def test_slice_rows(self):
-        d = AtomDecomposition(6, 2)
-        arr = np.arange(12).reshape(6, 2)
-        assert np.array_equal(d.slice_rows(arr, 1), arr[3:])
 
     def test_term_slices_partition(self):
         d = AtomDecomposition(10, 3)

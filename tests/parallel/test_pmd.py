@@ -10,6 +10,7 @@ from repro.cluster import (
     score_gigabit_ethernet,
     tcp_gigabit_ethernet,
 )
+from repro.core import FOCAL_POINT, DesignPoint, ResponseRecord
 from repro.md.integrator import maxwell_boltzmann_velocities
 from repro.parallel import (
     MDRunConfig,
@@ -214,12 +215,12 @@ class TestResultSummary:
             ClusterSpec(n_ranks=2, network=tcp_gigabit_ethernet()),
             RunOptions(config=MDRunConfig(n_steps=2, dt=0.0004)),
         )
-        s = res.summary()
-        assert s["n_ranks"] == 2
-        assert s["classic_time"] > 0
-        assert s["pme_time"] > 0
-        assert s["wall_time"] >= max(s["classic_time"], s["pme_time"])
-        assert np.isfinite(s["final_energy"])
+        s = ResponseRecord.from_run(DesignPoint(config=FOCAL_POINT, n_ranks=2), res)
+        assert s.n_ranks == 2
+        assert s.classic_time > 0
+        assert s.pme_time > 0
+        assert s.wall_time >= max(s.classic_time, s.pme_time)
+        assert np.isfinite(s.final_energy)
 
     def test_total_breakdown_covers_phases(self, peptide_system):
         system, pos = peptide_system

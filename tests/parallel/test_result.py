@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
+from repro.core import FOCAL_POINT, DesignPoint, ResponseRecord
 from repro.instrument import PhaseTotals, Timeline
 from repro.md import EnergyBreakdown
 from repro.parallel import MDRunConfig
@@ -66,11 +67,8 @@ class TestAggregation:
 
     def test_summary_with_no_energies(self):
         res = _make_result([_timeline()], energies=[])
-        assert np.isnan(res.summary()["final_energy"])
-
-    def test_n_ranks(self):
-        res = _make_result([_timeline(), _timeline()])
-        assert res.n_ranks == 2
+        point = DesignPoint(config=FOCAL_POINT, n_ranks=1)
+        assert np.isnan(ResponseRecord.from_run(point, res).final_energy)
 
 
 class TestPhaseTotalsHelpers:

@@ -23,7 +23,7 @@ def system():
 
 class TestComposition:
     def test_total_atom_count(self, system):
-        assert system.n_atoms == TARGET_ATOMS == 3552
+        assert system.topology.n_atoms == len(system.positions) == TARGET_ATOMS == 3552
 
     def test_neutral(self, system):
         assert system.topology.total_charge() == pytest.approx(0.0, abs=1e-9)
