@@ -9,7 +9,8 @@ Five layers, one rule namespace (REP1xx–REP5xx, see
   recorded per-rank communication trace;
 * :mod:`repro.analysis.sanitizer` — opt-in runtime invariant checks
   (message size/dtype agreement, transfer windows, timeline accounting
-  — per collective and at shutdown — clean queues);
+  — per op batch and at shutdown — clean queues), on live and replayed
+  runs alike;
 * :mod:`repro.analysis.static_schedule` — symbolic schedule extraction
   from the rank-program sources: deadlock/tag-race/type-agreement
   proofs for every rank count up to a bound, with no run executed,
@@ -34,7 +35,7 @@ from .contract import ContractOp, ScheduleContract
 from .determinism import lint_determinism_paths, lint_determinism_source
 from .lint import lint_paths, lint_source
 from .rules import RULES, Diagnostic, Rule
-from .sanitizer import SanitizedMiddleware, Sanitizer, SanitizerError
+from .sanitizer import Sanitizer, SanitizerError
 from .sarif import to_sarif, write_sarif
 from .schedule import analyze_trace
 from .static_schedule import (
@@ -62,7 +63,6 @@ __all__ = [
     "load_baseline",
     "Rule",
     "RULES",
-    "SanitizedMiddleware",
     "Sanitizer",
     "SanitizerError",
     "ScheduleContract",

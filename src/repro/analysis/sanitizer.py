@@ -5,6 +5,13 @@ RunOptions(sanitize=True))``): the sanitizer observes a run without perturbing i
 it draws no random numbers and charges no virtual time, so a sanitized
 run produces bit-identical comp/comm/sync totals to an unsanitized one.
 
+It observes the world, not the program: the matching engine, the
+transfer planner and the op executor.  A replayed run (a campaign
+session's later platform variants, :mod:`repro.parallel.shared`) goes
+through all three, and every check below reads only what a recording
+keeps — sizes, dtypes, the receiver's expectations and the timings its
+own platform implies — so replayed variants are audited like live ones.
+
 Invariants (rule ids in :mod:`repro.analysis.rules`):
 
 * **REP301/302** — every matched message agrees in size and dtype with
@@ -13,32 +20,32 @@ Invariants (rule ids in :mod:`repro.analysis.rules`):
 * **REP303** — every :meth:`~repro.cluster.state.ClusterState.plan_transfer`
   window is sane: ``ready <= start <= end``, finite, efficiency in
   ``(0, 1]``;
-* **REP304** — timeline accounting never exceeds the virtual wall clock:
-  each rank's attributed seconds land in exactly one ``(phase,
-  category)`` cell, so their sum is bounded by the simulation end time.
-  Checked at end of run *and* around every middleware collective
-  (:class:`SanitizedMiddleware`): a middleware that books overhead
-  without sleeping it — the bug class the end-of-run aggregate can hide
-  when a rank idles elsewhere — is caught at the exact operation;
+* **REP304** — timeline accounting never exceeds the virtual wall clock.
+  Every op books exactly the seconds it sleeps, so when a rank's op
+  batch completes, its attributed seconds equal its clock; the executor
+  checks that at every batch boundary (:meth:`Sanitizer.check_clock`),
+  so a booking that was never slept — by a middleware, a program or the
+  executor itself — fails at the next batch.  This assumes split-phase
+  requests are driven at once (``req = yield from ep.isend(...)``), as
+  every shipped program does.  The end of the run checks every rank
+  again, with every cell finite and non-negative;
 * **REP305** — shutdown is clean: no unmatched messages or posted
   receives remain in the matching-engine queues.
 
 In strict mode (the default) the first violation raises
 :class:`SanitizerError`, turning silent wrong-timing bugs into crashes;
 with ``strict=False`` violations accumulate on ``.violations`` for
-reporting (the ``repro analyze --sanitize-run`` CLI path).
+reporting.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from ..mpi.middleware import Middleware
+from ..mpi.message import payload_dtype, payload_nbytes
 from .rules import ERROR, Diagnostic
 
-__all__ = ["Sanitizer", "SanitizedMiddleware", "SanitizerError"]
+__all__ = ["Sanitizer", "SanitizerError"]
 
 _REL_EPS = 1e-9
 _ABS_EPS = 1e-9
@@ -46,18 +53,6 @@ _ABS_EPS = 1e-9
 
 class SanitizerError(RuntimeError):
     """A communication/accounting invariant was violated at runtime."""
-
-
-def _nbytes(payload) -> int:
-    if isinstance(payload, np.ndarray):
-        return int(payload.nbytes)
-    return len(payload)
-
-
-def _dtype(payload) -> str:
-    if isinstance(payload, np.ndarray):
-        return str(payload.dtype)
-    return "bytes"
 
 
 class Sanitizer:
@@ -81,7 +76,7 @@ class Sanitizer:
     def check_match(self, msg, post) -> None:
         """Size/dtype agreement for one matched send and receive request."""
         ranks = (msg.src, msg.dest)
-        actual = _nbytes(msg.payload)
+        actual = payload_nbytes(msg.payload)
         if actual != msg.nbytes:
             self._report(
                 "REP301",
@@ -101,7 +96,7 @@ class Sanitizer:
                 tag=msg.tag,
             )
         if post.expect_dtype is not None:
-            got = _dtype(msg.payload)
+            got = payload_dtype(msg.payload)
             if got != post.expect_dtype:
                 self._report(
                     "REP302",
@@ -129,33 +124,26 @@ class Sanitizer:
             )
 
     # ------------------------------------------------------------------
-    def check_collective_window(
-        self, op: str, rank: int, booked: float, elapsed: float
-    ) -> None:
-        """Per-collective REP304: booked seconds within the clock window.
+    def check_clock(self, ep) -> None:
+        """REP304 for one rank: its attributed seconds within its clock.
 
-        ``booked`` is the timeline delta one rank attributed across one
-        middleware operation; ``elapsed`` is how far its virtual clock
-        actually advanced.  Booking more than elapsed means some overhead
-        (the CMPI per-call constant is the historical offender) was
-        charged to the timeline without being slept on the simulator —
-        the end-of-run aggregate check can miss this when the same rank
-        under-books elsewhere.
+        Called by the op executor when one of the rank's batches
+        completes, and for every rank at the end of the run.
         """
-        if booked > elapsed * (1.0 + _REL_EPS) + _ABS_EPS:
+        attributed = ep.timeline.total_seconds()
+        now = ep.now
+        if attributed > now * (1.0 + _REL_EPS) + _ABS_EPS:
             self._report(
                 "REP304",
-                f"rank {rank} booked {booked:.9g} s of timeline during one "
-                f"{op} but its virtual clock advanced only {elapsed:.9g} s: "
-                "the middleware charged overhead it never slept",
-                ranks=(rank,),
+                f"rank {ep.rank} attributed {attributed:.9g} s of timeline by "
+                f"virtual time {now:.9g} s: some second was booked without "
+                "being slept, or into more than one (phase, category) cell",
+                ranks=(ep.rank,),
             )
 
     # ------------------------------------------------------------------
     def check_final(self, world) -> None:
         """End-of-run invariants: timeline accounting and drained queues."""
-        now = world.sim.now
-        budget = now * (1.0 + _REL_EPS) + _ABS_EPS
         for rank, ep in enumerate(world.endpoints):
             for phase, totals in ep.timeline.phases.items():
                 cells = (totals.comp, totals.comm, totals.sync)
@@ -167,73 +155,11 @@ class Sanitizer:
                         f"sync={totals.sync}",
                         ranks=(rank,),
                     )
-            attributed = ep.timeline.total_seconds()
-            if attributed > budget:
-                self._report(
-                    "REP304",
-                    f"rank {rank} attributed {attributed:.9g} s but the run "
-                    f"lasted only {now:.9g} s: some virtual second was booked "
-                    "into more than one (phase, category) cell",
-                    ranks=(rank,),
-                )
-        leftover_msgs = {k: len(v) for k, v in world._msgs.items() if v}
-        leftover_recvs = {k: len(v) for k, v in world._recvs.items() if v}
+            self.check_clock(ep)
+        leftover_msgs, leftover_recvs = world.leftovers()
         if leftover_msgs or leftover_recvs:
             self._report(
                 "REP305",
                 f"queues not drained at shutdown: messages={leftover_msgs} "
                 f"recvs={leftover_recvs}",
             )
-
-
-class SanitizedMiddleware(Middleware):
-    """Sanitizing proxy around any middleware.
-
-    Wraps every collective generator so the sanitizer sees the timeline
-    delta versus the virtual-clock delta of each individual operation
-    (:meth:`Sanitizer.check_collective_window`).  Historically only
-    point-to-point matches were hooked, so CMPI collectives — which book
-    their per-call overhead *inside* the middleware — escaped the REP304
-    accounting check until the end-of-run aggregate.  Observation is
-    passive: the proxy charges no virtual time and draws no randomness,
-    so sanitized runs stay bit-identical.
-    """
-
-    def __init__(self, inner: Middleware, sanitizer: Sanitizer) -> None:
-        self._inner = inner
-        self._sanitizer = sanitizer
-        self.name = inner.name
-
-    def __getattr__(self, attr):
-        # middleware extras (e.g. CMPI's split-phase sync) pass through
-        return getattr(self._inner, attr)
-
-    def _watch(self, ep, op: str, gen):
-        t0 = ep.now
-        before = ep.timeline.total_seconds()
-        result = yield from gen
-        self._sanitizer.check_collective_window(
-            op, ep.rank, ep.timeline.total_seconds() - before, ep.now - t0
-        )
-        return result
-
-    def barrier(self, ep):
-        yield from self._watch(ep, "barrier", self._inner.barrier(ep))
-
-    def allreduce(self, ep, array, op=np.add):
-        result = yield from self._watch(ep, "allreduce", self._inner.allreduce(ep, array, op))
-        return result
-
-    def allgatherv(self, ep, block):
-        result = yield from self._watch(ep, "allgatherv", self._inner.allgatherv(ep, block))
-        return result
-
-    def alltoallv(self, ep, send_blocks):
-        result = yield from self._watch(ep, "alltoallv", self._inner.alltoallv(ep, send_blocks))
-        return result
-
-    def exchange(self, ep, dest, payload, source, tag=0):
-        result = yield from self._watch(
-            ep, "exchange", self._inner.exchange(ep, dest, payload, source, tag=tag)
-        )
-        return result

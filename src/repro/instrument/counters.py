@@ -49,9 +49,8 @@ FRESH_ATOMS = REGISTRY.counter("spatial.fresh_atoms")
 
 #: Trajectories whose op streams a campaign session recorded, and runs it
 #: replayed from one (see :mod:`repro.parallel.shared`): 8 and 40 over the
-#: paper's 48-point factorial, under either strategy.  Both stay zero for a
-#: bare ``run_parallel_md``, ``verify`` and runs that sanitize or record a
-#: ``CommTrace``.  The bytes of the session's recordings are the gauge
-#: ``exec.opstream_bytes``.
+#: paper's 48-point factorial, under either strategy, sanitized or not.
+#: Both stay zero for a bare ``run_parallel_md`` and for ``verify``.  The
+#: bytes of the session's recordings are the gauge ``exec.opstream_bytes``.
 OPSTREAM_RECORDED = REGISTRY.counter("exec.opstream_recorded")
 OPSTREAM_REPLAYED = REGISTRY.counter("exec.opstream_replayed")

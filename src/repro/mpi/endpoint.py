@@ -271,6 +271,9 @@ class OpBatch:
                 self._req._post()
             i += 1
             self._stage = 0
+        sanitizer = self.ep._sanitizer
+        if sanitizer is not None:
+            sanitizer.check_clock(self.ep)  # REP304: booked == slept, here
         self._proc._step(self._received)
 
     def _wait(self, ref) -> bool:
@@ -325,6 +328,9 @@ class RankEndpoint:
         self._tag_seq = COLLECTIVE_TAG_BASE
         #: an :class:`OpStreamRecorder` while the run records its op stream
         self.recorder: OpStreamRecorder | None = None
+        #: the world's :class:`~repro.analysis.sanitizer.Sanitizer`, checked
+        #: when each of this rank's batches completes (``None``: no audit)
+        self._sanitizer = world.sanitizer
         # sim, network and node layout are fixed for the world's lifetime:
         # the executor reads them once, here
         spec = world.spec

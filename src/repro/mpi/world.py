@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ..cluster.machine import ClusterSpec
 from ..cluster.state import ClusterState
-from ..sim.engine import Simulator
+from ..sim.engine import SimulationError, Simulator
 
 __all__ = ["MPIWorld"]
 
@@ -32,8 +32,9 @@ class MPIWorld:
     """Matching engine + endpoints for one simulated MPI job.
 
     ``sanitize=True`` installs a :class:`repro.analysis.sanitizer.Sanitizer`
-    that asserts size/dtype agreement on every matched message and
-    validates every transfer window; ``trace`` (a
+    that asserts size/dtype agreement on every matched message, validates
+    every transfer window and, through each endpoint's op executor, the
+    timeline accounting at every batch boundary; ``trace`` (a
     :class:`~repro.instrument.commstats.CommTrace`) records every
     send/recv/collective event for the schedule analyzer; ``span_tracer``
     (a :class:`~repro.instrument.tracing.SpanTracer`) mirrors every
@@ -133,11 +134,16 @@ class MPIWorld:
             sim.schedule(delay, send._complete)
 
     # ------------------------------------------------------------------
+    def leftovers(self) -> tuple[dict, dict]:
+        """Unmatched messages and posted receives, counted per
+        ``(source, dest, tag)`` (empty once the run drained)."""
+        return (
+            {k: len(v) for k, v in self._msgs.items()},
+            {k: len(v) for k, v in self._recvs.items()},
+        )
+
     def assert_drained(self) -> None:
-        """Raise if unmatched messages or receives remain (test hook)."""
-        leftover_msgs = {k: len(v) for k, v in self._msgs.items() if v}
-        leftover_recvs = {k: len(v) for k, v in self._recvs.items() if v}
-        if leftover_msgs or leftover_recvs:
-            raise AssertionError(
-                f"unmatched traffic: messages={leftover_msgs} recvs={leftover_recvs}"
-            )
+        """Raise :class:`SimulationError` if unmatched traffic remains."""
+        msgs, recvs = self.leftovers()
+        if msgs or recvs:
+            raise SimulationError(f"unmatched traffic: messages={msgs} recvs={recvs}")

@@ -99,10 +99,11 @@ class RunOptions:
         :class:`~repro.parallel.shared.TrajectorySession` passes, a fresh
         one per run — is used as given: under either strategy, the first
         run of a trajectory records its op streams and later platform
-        variants replay them instead of running the rank programs (runs
-        with ``sanitize`` or ``trace`` always run live).  A wall-clock
-        optimization only: energies, trajectories, virtual timelines and
-        transfers are bit-identical whichever is passed.
+        variants replay them instead of running the rank programs (the
+        sanitizer and a ``trace`` watch a replay as they watch a live
+        run).  A wall-clock optimization only: energies, trajectories,
+        virtual timelines, transfers and trace events are bit-identical
+        whichever is passed.
     strategy:
         ``"replicated"`` (CHARMM's replicated-data scheme, the default)
         or ``"spatial"`` (cell-grid domain decomposition with halo
@@ -215,11 +216,9 @@ def run_parallel_md(
         else make_middleware(opts.middleware)
     )
     # a campaign session's trajectory is recorded by its first run and
-    # replayed by the rest; audits (sanitizer, CommTrace) run the program
-    session = None
+    # replayed by the rest; the sanitizer and a CommTrace watch either
     shared = opts.shared_compute
-    if isinstance(shared, SharedComputeCache) and not opts.sanitize and opts.trace is None:
-        session = shared.session
+    session = shared.session if isinstance(shared, SharedComputeCache) else None
 
     rng = np.random.default_rng(config.velocity_seed)
     velocities = maxwell_boltzmann_velocities(system.masses, config.temperature, rng)
@@ -231,14 +230,6 @@ def run_parallel_md(
     )
     recorders = None
     try:
-        if world.sanitizer is not None:
-            # hook every collective, not just the point-to-point matches:
-            # CMPI books its per-call overhead inside the middleware, where
-            # only a per-operation window check can see it (rule REP304)
-            from ..analysis.sanitizer import SanitizedMiddleware
-
-            mw = SanitizedMiddleware(mw, world.sanitizer)
-
         recorded = None
         if session is not None:
             key = (
@@ -264,9 +255,9 @@ def run_parallel_md(
             )
         procs = [sim.spawn(gen, name=f"rank{rank}") for rank, gen in enumerate(programs)]
         sim.run()
-        world.assert_drained()
         if world.sanitizer is not None:
-            world.sanitizer.check_final(world)
+            world.sanitizer.check_final(world)  # leftovers raise REP305 here
+        world.assert_drained()
     finally:
         # a finished run is acyclic, so reference counting frees its world,
         # queues and requests at once instead of the cyclic collector

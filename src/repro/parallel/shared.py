@@ -57,9 +57,11 @@ run itself, so no caller can hand a run another trajectory's recording;
 a replay is additionally checked against the recorded initial
 coordinates.
 
-Runs that sanitize or record a :class:`~repro.instrument.commstats.CommTrace`
-audit real payloads and the live program, so they neither record nor
-replay: they run the rank programs whole.
+A sanitized run, or one that records a
+:class:`~repro.instrument.commstats.CommTrace`, records and replays like
+any other: the sanitizer and the trace observe the world's matching
+engine, transfer planner and op executor, which a replay drives exactly
+as the live run did.
 """
 
 from __future__ import annotations

@@ -1,50 +1,71 @@
-"""Runtime sanitizer: each invariant, plus passivity on real workloads."""
+"""Runtime sanitizer: each invariant, live and on a replayed variant,
+plus passivity on real workloads."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import SanitizedMiddleware, Sanitizer, SanitizerError
-from repro.cluster import ClusterSpec, score_gigabit_ethernet
-from repro.cluster.state import TransferPlan
+from repro.analysis import Sanitizer, SanitizerError
+from repro.cluster import (
+    ClusterSpec,
+    NodeSpec,
+    score_gigabit_ethernet,
+    tcp_gigabit_ethernet,
+)
+from repro.cluster.state import ClusterState, TransferPlan
 from repro.instrument.timeline import Category
 from repro.mpi import MPIWorld
+from repro.mpi.endpoint import EMPTY_PAYLOAD, OpBatch, OpStreamRecorder, replay_program
+from repro.mpi.middleware import MPIMiddleware
 from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 
 def _spec(n_ranks=2, seed=1):
     return ClusterSpec(n_ranks=n_ranks, network=score_gigabit_ethernet(), seed=seed)
 
 
-def _run_sanitized(program, n_ranks=2):
+def _run_sanitized(program, n_ranks=2, spec=None):
     sim = Simulator()
-    world = MPIWorld(sim, _spec(n_ranks), sanitize=True)
-    for r in range(n_ranks):
-        sim.spawn(program(world.endpoints[r]), name=f"r{r}")
+    world = MPIWorld(sim, spec or _spec(n_ranks), sanitize=True)
+    for ep in world.endpoints:
+        sim.spawn(program(ep), name=f"r{ep.rank}")
     sim.run()
     return world
 
 
+def _size_mismatch(ep):
+    if ep.rank == 0:
+        yield from ep.send(1, np.ones(10), tag=2)
+    else:
+        yield from ep.recv(0, tag=2, expect_nbytes=4)
+
+
+def _dtype_mismatch(ep):
+    if ep.rank == 0:
+        yield from ep.send(1, np.ones(10, dtype=np.float64), tag=2)
+    else:
+        yield from ep.recv(0, tag=2, expect_dtype="int32")
+
+
+def _orphan_send(ep):
+    if ep.rank == 0:
+        yield from ep.send(1, b"x", tag=3)  # eager; never received
+
+
+def _exchange(ep):
+    peer = 1 - ep.rank
+    yield from ep.compute(1e-4)
+    yield from ep.sendrecv(peer, np.ones(10), peer, tag=5, expect_nbytes=80)
+
+
 class TestMessageInvariants:
     def test_size_mismatch_rep301(self):
-        def prog(ep):
-            if ep.rank == 0:
-                yield from ep.send(1, np.ones(10), tag=2)
-            else:
-                yield from ep.recv(0, tag=2, expect_nbytes=4)
-
         with pytest.raises(SanitizerError, match="REP301"):
-            _run_sanitized(prog)
+            _run_sanitized(_size_mismatch)
 
     def test_dtype_mismatch_rep302(self):
-        def prog(ep):
-            if ep.rank == 0:
-                yield from ep.send(1, np.ones(10, dtype=np.float64), tag=2)
-            else:
-                yield from ep.recv(0, tag=2, expect_dtype="int32")
-
         with pytest.raises(SanitizerError, match="REP302"):
-            _run_sanitized(prog)
+            _run_sanitized(_dtype_mismatch)
 
     def test_agreeing_expectations_pass(self):
         def prog(ep):
@@ -109,22 +130,49 @@ class TestFinalInvariants:
             world.sanitizer.check_final(world)
 
 
-class TestCollectiveWindow:
-    """Per-collective REP304: middlewares that book time they never sleep.
+class OrphanSendingMiddleware(MPIMiddleware):
+    """MPI, except that rank 0 sends one message nobody receives per barrier."""
 
-    Historically only point-to-point matches were sanitizer-hooked, so a
-    CMPI-style middleware charging per-call overhead inside the
-    collective escaped the accounting check until (at best) the
-    end-of-run aggregate.  The :class:`SanitizedMiddleware` proxy closes
-    that: every collective is checked in its own clock window.
+    name = "orphan"
+
+    def barrier(self, ep):
+        if ep.rank == 0:
+            yield from ep.send(1, EMPTY_PAYLOAD, tag=77)
+        yield from super().barrier(ep)
+
+
+class TestLeftoverTraffic:
+    """Unmatched traffic at the end of a run is a typed error: REP305 when
+    the run is sanitized, the substrate's :class:`SimulationError` when not."""
+
+    def _run(self, peptide_system, sanitize):
+        system, positions = peptide_system
+        options = RunOptions(
+            middleware=OrphanSendingMiddleware(), config=MDRunConfig(n_steps=1, dt=0.0004),
+            sanitize=sanitize,
+        )
+        run_parallel_md(system, positions, _spec(), options)
+
+    def test_plain_run_raises_simulation_error(self, peptide_system):
+        with pytest.raises(SimulationError, match=r"unmatched traffic.*\(0, 1, 77\)"):
+            self._run(peptide_system, sanitize=False)
+
+    def test_sanitized_run_reports_rep305(self, peptide_system):
+        with pytest.raises(SanitizerError, match=r"REP305.*\(0, 1, 77\)"):
+            self._run(peptide_system, sanitize=True)
+
+
+class TestCollectiveWindow:
+    """REP304 for middlewares that book time they never sleep.
+
+    Every op books exactly what it sleeps, so the executor's check at the
+    end of each op batch catches a collective that books more, at the
+    collective itself, with the bare middleware: no proxy around it.
     """
 
-    def _drive(self, inner_mw, n_ranks=2):
-        from repro.sim import Simulator
-
+    def _drive(self, mw, n_ranks=2):
         sim = Simulator()
         world = MPIWorld(sim, _spec(n_ranks), sanitize=True)
-        mw = SanitizedMiddleware(inner_mw, world.sanitizer)
 
         def prog(ep):
             yield from mw.barrier(ep)
@@ -137,14 +185,12 @@ class TestCollectiveWindow:
         return world
 
     def test_overbooking_collective_rep304(self):
-        from repro.mpi.middleware import MPIMiddleware
-
         class OverbookingMiddleware(MPIMiddleware):
             name = "overbooking"
 
             def barrier(self, ep):
                 # charge overhead to the timeline without sleeping it —
-                # the bug class this hook exists to catch
+                # the bug class this check exists to catch
                 ep.timeline.add(Category.COMM, 1e-3)
                 yield from super().barrier(ep)
 
@@ -158,13 +204,89 @@ class TestCollectiveWindow:
         world = self._drive(make_middleware(name))
         world.sanitizer.check_final(world)
 
-    def test_proxy_preserves_name_and_extras(self):
-        from repro.parallel.run import make_middleware
 
-        cmpi = SanitizedMiddleware(make_middleware("cmpi"), Sanitizer())
-        assert cmpi.name == "cmpi"
-        assert callable(cmpi.sync)  # CMPI extra passes through
-        assert cmpi.call_overhead == 4.0e-6
+def _record(program, spec):
+    """Run ``program`` unsanitized on ``spec``; each rank's op stream."""
+    sim = Simulator()
+    world = MPIWorld(sim, spec)
+    recorders = []
+    for ep in world.endpoints:
+        ep.recorder = OpStreamRecorder(lambda value: value)
+        recorders.append(ep.recorder)
+        sim.spawn(program(ep), name=f"r{ep.rank}")
+    sim.run()
+    assert all(recorder.replayable for recorder in recorders)
+    return [recorder.stream() for recorder in recorders]
+
+
+#: the platform a stream is recorded on, and the variant it is replayed on
+RECORDED_ON = ClusterSpec(n_ranks=2, network=tcp_gigabit_ethernet(), seed=1)
+REPLAYED_ON = ClusterSpec(
+    n_ranks=2, network=score_gigabit_ethernet(), node=NodeSpec(cpus_per_node=2), seed=7
+)
+
+
+def _replay_sanitized(streams, spec=REPLAYED_ON):
+    """Replay recorded op streams in a sanitized world on another platform."""
+    sim = Simulator()
+    world = MPIWorld(sim, spec, sanitize=True)
+    for ep, stream in zip(world.endpoints, streams):
+        sim.spawn(replay_program(ep, stream), name=f"r{ep.rank}")
+    sim.run()
+    return world
+
+
+class TestReplayedVariants:
+    """Every REP3xx rule fires on a replay: the golden bad programs run
+    unsanitized once, and their recorded op streams (payloads reduced to
+    sizes) replay on another platform under the sanitizer."""
+
+    def test_clean_replay_equals_live(self):
+        world = _replay_sanitized(_record(_exchange, RECORDED_ON))
+        world.sanitizer.check_final(world)
+        live = _run_sanitized(_exchange, spec=REPLAYED_ON)
+        assert [ep.timeline.phases for ep in world.endpoints] == [
+            ep.timeline.phases for ep in live.endpoints
+        ]
+
+    def test_size_mismatch_rep301(self):
+        streams = _record(_size_mismatch, RECORDED_ON)
+        with pytest.raises(SanitizerError, match="REP301.*expected 4 B"):
+            _replay_sanitized(streams)
+
+    def test_dtype_mismatch_rep302(self):
+        streams = _record(_dtype_mismatch, RECORDED_ON)
+        with pytest.raises(SanitizerError, match="REP302"):
+            _replay_sanitized(streams)
+
+    def test_inverted_window_rep303(self, monkeypatch):
+        streams = _record(_exchange, RECORDED_ON)
+
+        def inverted(self, node, nbytes, ready_time, path):
+            return TransferPlan(ready_time + 1.0, ready_time, nbytes, 1.0, True)
+
+        # the variant's two ranks share a node: its transfers plan intranode
+        monkeypatch.setattr(ClusterState, "_plan_intranode", inverted)
+        with pytest.raises(SanitizerError, match="REP303"):
+            _replay_sanitized(streams)
+
+    def test_unslept_booking_rep304(self, monkeypatch):
+        streams = _record(_exchange, RECORDED_ON)
+        book_wait = OpBatch._book_wait
+
+        def overbooking(self, transfer_start):
+            book_wait(self, transfer_start)
+            self.ep.timeline.add(Category.SYNC, 1.0)  # a second never slept
+
+        monkeypatch.setattr(OpBatch, "_book_wait", overbooking)
+        # raised at the batch, inside the run: not left to the final check
+        with pytest.raises(SanitizerError, match="REP304"):
+            _replay_sanitized(streams)
+
+    def test_orphan_send_rep305(self):
+        world = _replay_sanitized(_record(_orphan_send, RECORDED_ON))
+        with pytest.raises(SanitizerError, match=r"REP305.*\(0, 1, 3\)"):
+            world.sanitizer.check_final(world)
 
 
 class TestPassivity:

@@ -7,10 +7,9 @@ trajectories, each visited by six platform variants.  The inline engine,
 run records its op streams and the other five replay them.  These tests
 hold every run to the oracle (``shared_compute=False``: no cache of any
 kind) record for record, timeline for timeline and transfer for
-transfer, under both strategies; check the refusal cases (sanitized
-and traced runs run the live program whole), check that a pooled
-campaign's child runs its trajectory group through a session of its own,
-and check that audits never see a session.
+transfer, under both strategies, sanitized and traced runs included;
+check that a pooled campaign's child runs its trajectory group through
+a session of its own, and that ``verify`` re-runs never see a session.
 """
 
 from __future__ import annotations
@@ -117,12 +116,9 @@ class TestSessionEqualsOracle:
         for entry in expected.entries():
             assert store.get(entry.key) == entry.record
         counts = _counts(before)
-        if sanitize:
-            # a sanitized run is an audit of the live program: it runs whole
-            assert counts == NOTHING
-            assert _force_evaluations(REGISTRY.delta(before)) == 6 * TRAJECTORY_RANK_STEPS
-        else:
-            assert counts == OPS_1_TO_5
+        # sanitized or not: one live run per trajectory, five replays of it
+        assert counts == OPS_1_TO_5
+        assert _force_evaluations(REGISTRY.delta(before)) == TRAJECTORY_RANK_STEPS
         # ... and says so wherever a worker's metrics already go
         dumped = json.loads((store.root / "metrics-w0.json").read_text())["counters"]
         for name, total in counts.items():
@@ -134,8 +130,8 @@ class TestSessionEqualsOracle:
     @both_sanitize_settings
     def test_pooled_engine(self, sanitize):
         """Pooled dispatch runs one task per trajectory group, in a child
-        holding a session: the same 8 recordings and 40 replays as inline
-        (sanitized: none, every point live), the same store."""
+        holding a session: the same 8 recordings and 40 replays as inline,
+        sanitized or not, the same store."""
         expected = _oracle(sanitize)
         engine = tiny_engine(sanitize=sanitize, n_workers=2)
         result = engine.run(POINTS)
@@ -144,11 +140,9 @@ class TestSessionEqualsOracle:
         assert verify_stores_match(engine.store, expected) == []
         counters = result.manifest.metrics["counters"]
         counts = {name: counters.get(f"exec.{name}", {}).get("total", 0) for name in COUNTERS}
-        if sanitize:
-            assert counts == NOTHING
-            assert _force_evaluations(result.manifest.metrics) == 6 * TRAJECTORY_RANK_STEPS
-        else:
-            assert counts == OPS_1_TO_5
+        assert counts == OPS_1_TO_5
+        assert _force_evaluations(result.manifest.metrics) == TRAJECTORY_RANK_STEPS
+        if not sanitize:
             inline = tiny_engine()
             assert inline.run(POINTS).ok
             digests = {e.key: record_digest(e.record) for e in inline.store.entries()}
@@ -169,10 +163,11 @@ class TestSessionEqualsOracle:
     @both_sanitize_settings
     def test_timelines_and_comm_trace(self, sanitize, peptide_tiny):
         """Per-rank virtual timelines and the full event stream, per point:
-        runs that record a CommTrace run the live program whole."""
+        a CommTrace sees a replayed run's events as the live run's."""
         system, positions = peptide_tiny
         session = TrajectorySession()
         before = REGISTRY.snapshot()
+        seen = set()
         for point in POINTS:
             got_trace, want_trace = CommTrace(), CommTrace()
             mark = FORCE_EVALUATIONS.snapshot()
@@ -180,7 +175,12 @@ class TestSessionEqualsOracle:
                 system, positions, point, TINY_CONFIG, sanitize=sanitize, trace=got_trace,
                 shared_compute=session.cache(),
             )
-            assert FORCE_EVALUATIONS.delta(mark) == point.n_ranks * N_STEPS, point.label()
+            trajectory = (point.n_ranks, point.config.middleware)
+            recorded = trajectory not in seen
+            seen.add(trajectory)
+            assert FORCE_EVALUATIONS.delta(mark) == recorded * point.n_ranks * N_STEPS, (
+                point.label()
+            )
             want = run_point(
                 system, positions, point, TINY_CONFIG, sanitize=sanitize, trace=want_trace,
                 shared_compute=False,
@@ -188,8 +188,8 @@ class TestSessionEqualsOracle:
             assert got_trace.events == want_trace.events, point.label()
             assert len(got.timelines) == point.n_ranks
             _assert_same_run(got, want, point.label())
-        assert _counts(before) == NOTHING
-        assert session.trajectories == {}
+        assert _counts(before) == OPS_1_TO_5
+        assert len(session.trajectories) == 8
 
 
 class TestReplayEqualsOracle:
@@ -222,14 +222,41 @@ class TestReplayEqualsOracle:
         counts = self._check_factorial(system, positions, points, MDRunConfig(n_steps=2))
         assert counts == {**NOTHING, "opstream_recorded": 2, "opstream_replayed": 10}
 
+    def test_rendezvous_path(self, peptide_tiny):
+        """Below a lowered eager threshold, replayed rendezvous sends block
+        like live ones: the myoglobin legs' path at peptide-tiny cost."""
+        system, positions = peptide_tiny
+        config = MDRunConfig(n_steps=2)
+        session = TrajectorySession()
+        before = REGISTRY.snapshot()
+        rendezvous = 0
+        for point in (p for p in POINTS if p.n_ranks == 8):
+            spec = point.config.cluster_spec(point.n_ranks, seed=point_seed(2002, point))
+            # the force blocks (1,024 and 1,752 B) go rendezvous, the rest eager
+            network = dataclasses.replace(spec.network, eager_threshold=512)
+            spec = dataclasses.replace(spec, network=network)
+            options = RunOptions.for_point(point, config=config)
+            trace = CommTrace()
+            got = run_parallel_md(
+                system, positions, spec,
+                options.replace(shared_compute=session.cache(), trace=trace),
+            )
+            want = run_parallel_md(system, positions, spec, options.replace(shared_compute=False))
+            _assert_same_run(got, want, point.label())
+            rendezvous += sum(e.rendezvous for e in trace.by_kind("send"))
+        assert rendezvous > 0
+        assert _counts(before) == {**NOTHING, "opstream_recorded": 2, "opstream_replayed": 10}
+
+    @pytest.mark.nightly
     def test_myoglobin_rendezvous_path(self):
         """The myoglobin-PME force vector exceeds the eager threshold on
-        some platforms: replayed rendezvous sends block like live ones."""
+        some platforms: replayed rendezvous sends block like live ones
+        (nightly; tier-1 keeps the peptide-tiny leg)."""
         self._check_myoglobin(8)
 
     @pytest.mark.nightly
     def test_myoglobin_rendezvous_path_p2(self):
-        """The same at p = 2 (nightly; tier-1 keeps the p = 8 leg)."""
+        """The same at p = 2 (nightly)."""
         self._check_myoglobin(2)
 
     def test_span_tracer_sees_the_live_spans(self, peptide_tiny):

@@ -1,6 +1,7 @@
 """World-level protocol invariants: eager vs rendezvous, causality, drain."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, score_gigabit_ethernet, tcp_gigabit_ethernet
 from repro.mpi import MPIWorld
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 
 def _pingpong(network, nbytes, seed=1):
@@ -97,6 +98,63 @@ class TestProtocols:
         assert done["rendezvous"] > 0.5
 
 
+
+class TestClosedFormTiming:
+    """One ``sendrecv`` of n bytes each way between two uni nodes, timed
+    against a closed form of :class:`NetworkParams` with the noise,
+    congestion and interrupt terms switched off: the simulator's first
+    timing oracle that does not come from the simulator."""
+
+    NET = dataclasses.replace(
+        tcp_gigabit_ethernet(),
+        variability=0.0, congestion_variability=0.0, congestion_sensitivity=0.0,
+        uses_interrupts=False,
+    )
+    THRESHOLD = NET.eager_threshold
+
+    @staticmethod
+    def _expected(net, n):
+        """Each rank's end time and the two transfers, in closed form."""
+        send_cost = net.send_overhead + net.cpu_byte_cost * n
+        copy = net.cpu_byte_cost * n  # receive-side processing of the payload
+        issued = net.recv_overhead + send_cost  # the receive is posted first
+        occupancy = n / (net.bandwidth * net.base_efficiency)
+        packets = max(1, math.ceil(n / net.packet_size))
+        wire = net.latency + occupancy + packets * net.packet_overhead
+        # rank 0's message leaves first; rank 1's waits for both NICs
+        first = (issued, issued + wire, 0, 1, n)
+        second = (issued + occupancy, issued + occupancy + wire, 1, 0, n)
+        end0 = second[1] + copy
+        end1 = first[1] + copy
+        if n > net.eager_threshold:
+            end1 = max(end1, second[1])  # its rendezvous send blocks
+        return (end0, end1), [first, second]
+
+    @pytest.mark.parametrize(
+        "n", [1, 1000, THRESHOLD, THRESHOLD + 1, 4 * THRESHOLD + 3],
+    )
+    def test_sendrecv_matches_closed_form(self, n):
+        sim = Simulator()
+        world = MPIWorld(sim, ClusterSpec(n_ranks=2, network=self.NET, seed=1))
+        ends = {}
+
+        def exchange(ep):
+            peer = 1 - ep.rank
+            yield from ep.sendrecv(peer, np.zeros(n, dtype=np.uint8), peer)
+            ends[ep.rank] = ep.now
+
+        for ep in world.endpoints:
+            sim.spawn(exchange(ep))
+        sim.run()
+        world.assert_drained()
+        want_ends, want_transfers = self._expected(self.NET, n)
+        assert (ends[0], ends[1]) == pytest.approx(want_ends, rel=1e-12, abs=0)
+        assert len(world.state.transfers) == 2
+        for got, want in zip(world.state.transfers, want_transfers):
+            assert got[2:] == want[2:]
+            assert got[:2] == pytest.approx(want[:2], rel=1e-12, abs=0)
+
+
 class TestCausality:
     @given(
         nbytes=st.integers(1, 500_000),
@@ -139,5 +197,5 @@ class TestDrainChecks:
 
         sim.spawn(sender(world.endpoints[0]))
         sim.run()
-        with pytest.raises(AssertionError, match="unmatched"):
+        with pytest.raises(SimulationError, match="unmatched"):
             world.assert_drained()

@@ -14,11 +14,9 @@ Three guarantees, each load-bearing for the replicated-data dedup layer
    counter.
 
 Across runs, a campaign's ``TrajectorySession`` replays a trajectory's
-recorded op streams instead of running it; runs that sanitize or trace
-are audits of the live program, so a session-bound cache gives them
-nothing but the three guarantees above (``TestAuditsRunWhole``).  The
-campaign-level half, op-stream replay included, is in
-``tests/campaign/test_trajectory_session.py``.
+recorded op streams instead of running it, sanitized and traced runs
+included (``TestAuditsRideTheReplay``).  The campaign-level half, op-stream
+replay included, is in ``tests/campaign/test_trajectory_session.py``.
 """
 
 from dataclasses import asdict
@@ -124,10 +122,11 @@ class TestDeduplication:
 
 
 # ---------------------------------------------------------------------------
-class TestAuditsRunWhole:
-    """Sanitized and traced runs inside a session run the live program:
-    nothing is recorded or replayed, and every rank evaluates its forces
-    at every step."""
+class TestAuditsRideTheReplay:
+    """Sanitized and traced runs inside a session record and replay like
+    plain ones: a trajectory's first platform records it, the second
+    replays it, and both equal the ``shared_compute=False`` oracle, trace
+    event for trace event."""
 
     P = 4
 
@@ -136,25 +135,28 @@ class TestAuditsRunWhole:
         system, pos = peptide_system
         session = TrajectorySession()
         point = DesignPoint(config=FOCAL_POINT, n_ranks=self.P)
+        marks = OPSTREAM_RECORDED.snapshot(), OPSTREAM_REPLAYED.snapshot()
+        evaluations = FORCE_EVALUATIONS.snapshot()
         for network, seed in ((tcp_gigabit_ethernet, 2002), (myrinet_gm, 7)):
             spec = ClusterSpec(n_ranks=self.P, network=network(), seed=seed)
-            marks = OPSTREAM_RECORDED.snapshot(), OPSTREAM_REPLAYED.snapshot()
-            evaluations = FORCE_EVALUATIONS.snapshot()
-            runs = [
+            traces = (CommTrace(), CommTrace()) if audit == "trace" else (None, None)
+            got, want = (
                 run_parallel_md(system, pos, spec, RunOptions.for_point(
                     point, config=CFG, shared_compute=shared, sanitize=audit == "sanitize",
-                    trace=CommTrace() if audit == "trace" else None,
+                    trace=trace,
                 ))
-                for shared in (session.cache(), False)
-            ]
-            assert FORCE_EVALUATIONS.delta(evaluations) == 2 * self.P * CFG.n_steps
-            assert OPSTREAM_RECORDED.delta(marks[0]) == OPSTREAM_REPLAYED.delta(marks[1]) == 0
-            got, want = runs
+                for shared, trace in zip((session.cache(), False), traces)
+            )
             assert np.array_equal(got.final_positions, want.final_positions)
             assert [asdict(e) for e in got.energies] == [asdict(e) for e in want.energies]
             assert [t.phases for t in got.timelines] == [t.phases for t in want.timelines]
             assert got.transfers == want.transfers
-        assert session.trajectories == {} and session.opstream_bytes == 0
+            if audit == "trace":
+                assert traces[0].events and traces[0].events == traces[1].events
+        # the session evaluated the trajectory's forces once, the oracle twice
+        assert FORCE_EVALUATIONS.delta(evaluations) == 3 * self.P * CFG.n_steps
+        assert OPSTREAM_RECORDED.delta(marks[0]) == OPSTREAM_REPLAYED.delta(marks[1]) == 1
+        assert len(session.trajectories) == 1
 
 
 class TestReadOnlyHandOuts:
