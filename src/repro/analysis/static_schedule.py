@@ -1,13 +1,9 @@
 """Static communication-schedule verification (rules REP401-REP406).
 
-An abstract interpreter over rank-program ASTs.  The restricted control
-flow of :mod:`repro.parallel` rank programs — loops over ranks and FFT
-planes, rank-dependent branches, tag arithmetic — is evaluated *per
-(rank, p) instantiation* for every p up to a bound, while the data the
-program moves stays symbolic (:mod:`repro.analysis.symbolic`).  No
-simulator runs: the schedule is extracted from source, then a progress
-engine matches the per-rank send/recv/collective micro-op streams
-against each other to prove, for every verified p,
+The schedule of every rank program is extracted per (rank, p)
+instantiation for every p up to a bound, with no simulator running.  A
+progress engine then matches the per-rank send/recv/collective micro-op
+streams against each other to prove, for every verified p,
 
 * deadlock-freedom under rendezvous semantics (REP401),
 * every send is received and every receive is sent (REP402/REP403),
@@ -18,27 +14,58 @@ against each other to prove, for every verified p,
   strategy's declared :class:`~repro.analysis.contract.ScheduleContract`
   (REP406).
 
-Soundness model: the interpreter is *conservative where it is symbolic*.
+Rank programs are interpreted; everything below them is executed.  The
+rank programs (:mod:`repro.parallel.pmd`, ``ppme``, ``pfft``,
+``pclassic``, :mod:`repro.parallel.spatial.program` and the golden
+fixtures) do numpy work on data the verifier does not have, so an
+abstract interpreter walks their ASTs: control flow — ``ep.rank``,
+``ep.size``, loops over ranks and FFT planes, rank-dependent branches —
+evaluates for real, while the data the program moves stays symbolic
+(:mod:`repro.analysis.symbolic`).  When interpreted code reaches
+``mw.<op>(ep, ...)`` or ``yield from ep.<primitive>(...)``, the real
+middleware, collective and endpoint generators run against a
+:class:`_RecordingEndpoint`, which turns each op batch they yield into
+micro-ops: the ops :meth:`~repro.mpi.endpoint.OpBatch._advance` would
+execute.  Real code is handed stand-in arrays for symbolic payloads and
+the recording endpoint maps them back, so the boundary between symbolic
+and real values lives in that one class.
+
+Soundness model: the verifier is *conservative where it is symbolic*.
 All sends are treated as rendezvous (a program whose completion depends
 on eager buffering is unsafe per the MPI standard and is reported as a
 deadlock); size/dtype agreement is only checked where both sides are
 concrete; a branch whose condition cannot be decided statically is
 skippable only when neither arm communicates — otherwise extraction
-fails loudly (REP406) instead of guessing.  Findings are grouped over
-the verified p-range into a symbolic p-condition ("odd p in [3, 31]").
+fails loudly (REP406) instead of guessing, as does an exception inside
+real code.  Findings are grouped over the verified p-range into a
+symbolic p-condition ("odd p in [3, 31]").
 
 This module must not import :mod:`repro.parallel` at import time (the
-parallel package imports :mod:`repro.analysis.contract`); target modules
-are parsed from source by path instead.
+parallel package imports :mod:`repro.analysis.contract`); the rank
+programs are parsed from source by path instead.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import GeneratorType
 
-from .contract import ScheduleContract
+import numpy as np
+
+from ..cmpi import middleware as cmpi_middleware
+from ..cmpi.middleware import CMPIMiddleware
+from ..instrument.timeline import Timeline
+from ..mpi import collectives
+from ..mpi import middleware as mpi_middleware
+from ..mpi.endpoint import (
+    CHARGE, COLLECTIVE_TAG_BASE, POST, RECV, SEND, WAIT,
+    OpBatch, RankEndpoint, RecvRequest, SendRequest,
+)
+from ..mpi.middleware import Middleware, MPIMiddleware
 from .rules import RULES, Diagnostic
 from .symbolic import Block, SymSize, SymTag, summarize_p_set
 
@@ -62,8 +89,6 @@ __all__ = [
 _MAX_STEPS = 2_000_000
 _MAX_OPS_PER_RANK = 200_000
 _MAX_CALL_DEPTH = 64
-
-_FALLBACK_TAG_BASE = 1 << 20  # mirror of repro.mpi.endpoint, verified at load
 
 
 class StaticExtractionError(Exception):
@@ -166,7 +191,260 @@ class MicroOp:
 
 
 # ---------------------------------------------------------------------------
-# module registry: parse the analyzed modules from source by path
+# the recording endpoint: real middleware code runs against it
+
+#: The real code the verifier executes below the rank programs; a
+#: micro-op or error raised inside it carries its innermost line here.
+_MIDDLEWARE_FILES = frozenset(
+    module.__file__ for module in (collectives, mpi_middleware, cmpi_middleware)
+)
+
+
+def _middleware_loc(frames) -> tuple[str, int] | None:
+    """The innermost ``(code, line)`` of ``frames`` (outermost first)
+    that runs middleware code, as a location."""
+    loc = None
+    for code, line in frames:
+        if code.co_filename in _MIDDLEWARE_FILES:
+            loc = (code.co_filename, line)
+    return loc
+
+
+def _delegation_chain(gen):
+    """``(code, line)`` of a suspended generator and of each generator it
+    delegates to through ``yield from``, outermost first."""
+    while isinstance(gen, GeneratorType):
+        yield gen.gi_code, gen.gi_frame.f_lineno
+        gen = gen.gi_yieldfrom
+
+
+def _short(loc: tuple[str, int]) -> str:
+    return f"{loc[0].rsplit('/', 1)[-1]}:{loc[1]}"
+
+
+class _RecordingEndpoint:
+    """A :class:`~repro.mpi.endpoint.RankEndpoint` that records micro-ops.
+
+    ``send``/``recv``/``sendrecv``/``batch`` are the real endpoint's, and
+    ``isend``/``irecv`` return real requests; :meth:`drive` runs a real
+    generator and records each op batch it yields instead of executing
+    it.  Real code is handed *stand-ins* for symbolic payloads: an array
+    ``[i, 1]`` for the ``i``-th payload this endpoint handed out, which
+    real code can copy, size and add (a sum of k stand-ins has k in its
+    second place).  :meth:`symbolic` maps them back.
+    """
+
+    send = RankEndpoint.send
+    recv = RankEndpoint.recv
+    sendrecv = RankEndpoint.sendrecv
+    batch = RankEndpoint.batch
+
+    #: what an interpreted rank program reaches through ``ep``
+    SURFACE = frozenset({
+        "rank", "size", "timeline", "next_collective_tag", "compute",
+        "isend", "irecv", "send", "recv", "sendrecv", "batch",
+    })
+
+    def __init__(self, rank: int, size: int, interp: "Interp | None" = None) -> None:
+        self.rank = rank
+        self.size = size
+        self.interp = interp
+        self.timeline = Timeline()
+        self.ops: list[MicroOp] = []
+        self._draws = 0
+        self._sends = 0
+        self._recvs = 0
+        self._posted: dict = {}  # request -> its send or receive id
+        self._payloads: list = []  # stand-in index -> Block or UNKNOWN
+        self._at: tuple[str, int] | None = None  # middleware line of the batch
+
+    @property
+    def loc(self) -> tuple[str, int]:
+        if self._at is not None:
+            return self._at
+        return self.interp.loc if self.interp is not None else ("<middleware>", 0)
+
+    def emit(self, kind: str, loc: tuple[str, int] | None = None, **kw) -> None:
+        self.ops.append(MicroOp(kind=kind, loc=loc or self.loc, **kw))
+        if len(self.ops) > _MAX_OPS_PER_RANK:
+            raise StaticExtractionError(
+                f"rank {self.rank} schedule exceeds {_MAX_OPS_PER_RANK} events", self.loc
+            )
+
+    # -- the boundary between symbolic and real values ------------------
+    def stand_in(self, value):
+        """What real code is handed for an interpreted value."""
+        if isinstance(value, (list, tuple)):
+            return type(value)(self.stand_in(v) for v in value)
+        if value is not UNKNOWN and not isinstance(value, Block):
+            return value
+        self._payloads.append(value)
+        return np.array([len(self._payloads) - 1, 1])
+
+    def symbolic(self, value):
+        """The interpreted value of what real code hands back: a stand-in
+        (or a copy) is its payload, anything computed from one UNKNOWN."""
+        if isinstance(value, (list, tuple)):
+            return type(value)(self.symbolic(v) for v in value)
+        if not isinstance(value, np.ndarray):
+            return value
+        if value.shape == (2,) and value[1] == 1:
+            return self._payloads[value[0]]
+        return UNKNOWN
+
+    # -- the RankEndpoint surface ---------------------------------------
+    def next_collective_tag(self, op="collective"):
+        self._draws += 1
+        caller = sys._getframe(1)
+        self.emit(
+            "collective", _middleware_loc([(caller.f_code, caller.f_lineno)]),
+            op=op if isinstance(op, str) else "collective", invocation=self._draws,
+        )
+        return SymTag(base=self._draws)
+
+    def compute(self, seconds=None):
+        return None
+
+    def isend(self, dest, payload, tag=0) -> SendRequest:
+        return SendRequest(self, self._peer(dest, "destination"), tag, payload, 0, 0.0, False)
+
+    def irecv(self, source, tag=0, expect_nbytes=None, expect_dtype=None) -> RecvRequest:
+        return RecvRequest(
+            self, self._peer(source, "source"), tag, expect_nbytes, expect_dtype, 0.0
+        )
+
+    def _peer(self, peer, role: str) -> int:
+        if not isinstance(peer, int) or isinstance(peer, bool):
+            raise StaticExtractionError(
+                f"{role} rank is not statically known ({self.symbolic(peer)!r})", self.loc
+            )
+        if not 0 <= peer < self.size:
+            raise StaticExtractionError(f"bad {role} rank {peer} for p={self.size}", self.loc)
+        if peer == self.rank:
+            raise StaticExtractionError(f"self-{role} is not supported", self.loc)
+        return peer
+
+    # -- recording ------------------------------------------------------
+    def drive(self, gen):
+        """Run a real generator to its end, recording each op batch it
+        yields; returns its result as an interpreted value.  An exception
+        inside it is a :class:`StaticExtractionError` at its innermost
+        middleware line."""
+        received = None
+        try:
+            while True:
+                batch = gen.send(received)
+                self._at = _middleware_loc(_delegation_chain(gen))
+                received = self.record(batch.ops)
+        except StopIteration as stop:
+            return self.symbolic(stop.value)
+        except StaticExtractionError:
+            raise
+        except Exception as exc:
+            loc = _middleware_loc(
+                (frame.f_code, line) for frame, line in traceback.walk_tb(exc.__traceback__)
+            )
+            raise StaticExtractionError(f"{type(exc).__name__}: {exc}", loc or self.loc) from exc
+        finally:
+            self._at = None
+
+    def record(self, ops) -> list:
+        """The micro-ops of one op batch, op by op as
+        :meth:`~repro.mpi.endpoint.OpBatch._advance` runs them; returns
+        the stand-ins its receive waits deliver, in wait order."""
+        reqs: list = []
+        received = []
+        for op in ops:
+            code = op[0]
+            if code == WAIT:
+                req = reqs[op[1]] if type(op[1]) is int else op[1]
+                ref = self._posted.get(req)
+                if ref is None:
+                    raise StaticExtractionError("wait on a request that was never posted", self.loc)
+                if type(req) is SendRequest:
+                    self.emit("wait_send", ref=ref)
+                    continue
+                self.emit("wait_recv", ref=ref)
+                name = f"msg@{_short(self.loc)}"
+                received.append(self.stand_in(Block(name, SymSize(name=name), None)))
+            elif code != CHARGE:
+                if code == SEND:
+                    req = self.isend(op[1], op[3], op[2])
+                elif code == RECV:
+                    req = self.irecv(*op[1:])
+                elif code == POST:
+                    req = op[1]
+                else:
+                    raise StaticExtractionError(f"op is not statically known ({op!r})", self.loc)
+                self._post(req)
+                reqs.append(req)
+        return received
+
+    def _post(self, req) -> None:
+        if type(req) is SendRequest:
+            self._sends += 1
+            ref, kind, peer = self._sends, "post_send", req.dest
+            size, dtype = self._payload_info(req.payload)
+        else:
+            self._recvs += 1
+            ref, kind, peer = self._recvs, "post_recv", req.source
+            # what middleware declares derives from its stand-ins, save
+            # the one-byte synchronization message
+            declared = self._at is None or req.expect_dtype == "bytes"
+            nbytes, dtype = req.expect_nbytes, req.expect_dtype
+            size = SymSize(value=nbytes) if declared and isinstance(nbytes, int) else SymSize()
+            dtype = dtype if declared and isinstance(dtype, str) else None
+        self._posted[req] = ref
+        self.emit(
+            kind, peer=peer, tag=req.tag, abs_tag=self._abs_tag(req.tag),
+            size=size, dtype=dtype, ref=ref,
+        )
+
+    def _payload_info(self, payload) -> tuple[SymSize, str | None]:
+        payload = self.symbolic(payload)
+        if isinstance(payload, bytes):
+            return SymSize(value=len(payload)), "bytes"
+        if isinstance(payload, Block):
+            return payload.size, payload.dtype
+        return SymSize(name=f"?@{_short(self.loc)}"), None
+
+    def _abs_tag(self, tag) -> int:
+        if isinstance(tag, SymTag):
+            return tag.absolute(COLLECTIVE_TAG_BASE)
+        if isinstance(tag, int):
+            return tag
+        raise StaticExtractionError(
+            f"message tag is not statically known ({self.symbolic(tag)!r})", self.loc
+        )
+
+
+class _AbstractMW(Middleware):
+    """Contract-extraction middleware: records op names, expands nothing."""
+
+    def barrier(self, ep):
+        return self._op(ep, "barrier", None)
+
+    def allreduce(self, ep, array, op=np.add):
+        return self._op(ep, "allreduce", UNKNOWN)
+
+    def allgatherv(self, ep, block):
+        return self._op(ep, "allgatherv", [UNKNOWN] * ep.size)
+
+    def alltoallv(self, ep, send_blocks):
+        return self._op(ep, "alltoallv", [UNKNOWN] * ep.size)
+
+    def exchange(self, ep, dest, payload, source, tag=0):
+        return self._op(ep, "exchange", UNKNOWN)
+
+    @staticmethod
+    def _op(ep: _RecordingEndpoint, name: str, result):
+        ep.emit("mw", op=name)
+        yield from ()
+        return result
+
+
+# ---------------------------------------------------------------------------
+# module registry: parse the rank-program modules from source by path
 
 
 @dataclass
@@ -186,22 +464,14 @@ class FuncValue:
 
 
 @dataclass
-class ModuleValue:
-    ctx: "ModuleCtx"
-
-
-@dataclass
 class ModuleCtx:
-    name: str  # dotted, e.g. "repro.mpi.collectives"
+    name: str  # dotted, e.g. "repro.parallel.pmd"
     path: str
+    tree: ast.Module
     globals: dict = field(default_factory=dict)
 
 
 _ANALYZED_MODULES = (
-    "repro.mpi.endpoint",
-    "repro.mpi.collectives",
-    "repro.mpi.middleware",
-    "repro.cmpi.middleware",
     "repro.parallel.pfft",
     "repro.parallel.ppme",
     "repro.parallel.pclassic",
@@ -214,10 +484,10 @@ def _fold_const(node: ast.expr):
     """Best-effort compile-time value of a module-level expression."""
     if isinstance(node, ast.Constant):
         return node.value
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd, ast.Invert)):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         v = _fold_const(node.operand)
         if _is_concrete(v) and not isinstance(v, (str, bytes)):
-            return -v if isinstance(node.op, ast.USub) else (~v if isinstance(node.op, ast.Invert) else v)
+            return -v if isinstance(node.op, ast.USub) else v
     if isinstance(node, ast.BinOp):
         left, right = _fold_const(node.left), _fold_const(node.right)
         if _is_concrete(left) and _is_concrete(right):
@@ -245,44 +515,23 @@ def _apply_binop(op: ast.operator, a, b):
         return a // b
     if isinstance(op, ast.Mod):
         return a % b
-    if isinstance(op, ast.Pow):
-        return a**b
-    if isinstance(op, ast.LShift):
-        return a << b
-    if isinstance(op, ast.RShift):
-        return a >> b
-    if isinstance(op, ast.BitAnd):
-        return a & b
-    if isinstance(op, ast.BitOr):
-        return a | b
-    if isinstance(op, ast.BitXor):
-        return a ^ b
     raise TypeError(f"unsupported operator {op!r}")
 
 
 class Registry:
-    """The parsed analyzed modules, loaded once per process."""
+    """The parsed rank-program modules, loaded once per process."""
 
     def __init__(self) -> None:
         self.modules: dict[str, ModuleCtx] = {}
         root = Path(__file__).resolve().parents[1]  # src/repro
         for dotted in _ANALYZED_MODULES:
-            rel = Path(*dotted.split(".")[1:]).with_suffix(".py")
-            self._load(dotted, root / rel)
+            path = root / Path(*dotted.split(".")[1:]).with_suffix(".py")
+            self.modules[dotted] = self._module_ctx(path.read_text(), dotted, str(path))
         self._resolve_imports()
-        ep = self.modules["repro.mpi.endpoint"]
-        self.tag_base = ep.globals.get("COLLECTIVE_TAG_BASE", _FALLBACK_TAG_BASE)
-        if not isinstance(self.tag_base, int):
-            self.tag_base = _FALLBACK_TAG_BASE
-        #: the op codes of an op batch, as the analyzed source defines them
-        self.op_codes = {name: ep.globals[name] for name in ("CHARGE", "RECV", "SEND", "WAIT")}
 
-    def _load(self, dotted: str, path: Path) -> None:
-        source = path.read_text()
-        tree = ast.parse(source, filename=str(path))
-        ctx = ModuleCtx(name=dotted, path=str(path))
-        ctx._tree = tree  # kept for deferred import resolution
-        for node in tree.body:
+    def _module_ctx(self, source: str, name: str, path: str) -> ModuleCtx:
+        ctx = ModuleCtx(name=name, path=path, tree=ast.parse(source, filename=path))
+        for node in ctx.tree.body:
             if isinstance(node, ast.FunctionDef):
                 ctx.globals[node.name] = FuncValue(node.name, node, ctx)
             elif isinstance(node, ast.ClassDef):
@@ -293,7 +542,7 @@ class Registry:
                     value = _fold_const(node.value)
                     if value is not UNKNOWN:
                         ctx.globals[tgt.id] = value
-        self.modules[dotted] = ctx
+        return ctx
 
     @staticmethod
     def _class_value(node: ast.ClassDef, ctx: ModuleCtx) -> ClassValue:
@@ -315,28 +564,19 @@ class Registry:
 
     def _resolve_imports(self) -> None:
         for ctx in self.modules.values():
-            for node in ctx._tree.body:
+            for node in ctx.tree.body:
                 if isinstance(node, ast.Import):
                     for alias in node.names:
-                        bound = alias.asname or alias.name.split(".")[0]
                         if alias.name == "numpy":
-                            ctx.globals[bound] = _NP_SENTINEL
-                        elif alias.name in self.modules:
-                            ctx.globals[bound] = ModuleValue(self.modules[alias.name])
+                            ctx.globals[alias.asname or alias.name] = _NP_SENTINEL
                 elif isinstance(node, ast.ImportFrom):
                     target = self._absolute(ctx.name, node.module, node.level)
                     for alias in node.names:
                         bound = alias.asname or alias.name
                         if target == "numpy" or (target or "").startswith("numpy."):
                             ctx.globals[bound] = _NP_SENTINEL if alias.name == "numpy" else _ANY_FUNC
-                            continue
-                        full = f"{target}.{alias.name}" if target else alias.name
-                        if full in self.modules:
-                            ctx.globals[bound] = ModuleValue(self.modules[full])
-                        elif target in self.modules:
-                            mod = self.modules[target]
-                            if alias.name in mod.globals:
-                                ctx.globals[bound] = mod.globals[alias.name]
+                        elif target in self.modules and alias.name in self.modules[target].globals:
+                            ctx.globals[bound] = self.modules[target].globals[alias.name]
 
     @staticmethod
     def _absolute(current: str, module: str | None, level: int) -> str | None:
@@ -350,21 +590,7 @@ class Registry:
 
     def module_source_ctx(self, source: str, path: str) -> ModuleCtx:
         """A standalone module context for fixture sources (no imports)."""
-        tree = ast.parse(source, filename=path)
-        ctx = ModuleCtx(name=f"<fixture:{path}>", path=path)
-        ctx._tree = tree
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                ctx.globals[node.name] = FuncValue(node.name, node, ctx)
-            elif isinstance(node, ast.ClassDef):
-                ctx.globals[node.name] = self._class_value(node, ctx)
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                tgt = node.targets[0]
-                if isinstance(tgt, ast.Name):
-                    folded = _fold_const(node.value)
-                    if folded is not UNKNOWN:
-                        ctx.globals[tgt.id] = folded
-        return ctx
+        return self._module_ctx(source, f"<fixture:{path}>", path)
 
 
 _REGISTRY: Registry | None = None
@@ -378,25 +604,7 @@ def _registry() -> Registry:
 
 
 # ---------------------------------------------------------------------------
-# model objects: python stand-ins for runtime machinery
-
-
-class _NullCtx:
-    """Any context manager the analyzed code enters (timeline phases)."""
-
-
-class _Timeline:
-    def add(self, *a, **k):
-        return None
-
-    def as_category(self, *a, **k):
-        return _NullCtx()
-
-    def phase(self, *a, **k):
-        return _NullCtx()
-
-    def total_seconds(self):
-        return UNKNOWN
+# model objects: python stand-ins for the rank programs' numeric machinery
 
 
 class _CostModel:
@@ -449,204 +657,6 @@ class _ClassicModel:
                 }
             )
         return _ANY_FUNC
-
-
-class _SendReq:
-    def __init__(self, ep: "_Endpoint", sid: int) -> None:
-        self.ep, self.sid = ep, sid
-
-    def getattr(self, name: str):
-        if name == "wait":
-            return lambda *a, **k: self.ep.emit("wait_send", ref=self.sid)
-        return _ANY_FUNC
-
-
-class _RecvReq:
-    def __init__(self, ep: "_Endpoint", rid: int) -> None:
-        self.ep, self.rid = ep, rid
-
-    def getattr(self, name: str):
-        if name == "wait":
-            return lambda *a, **k: self.ep.wait_recv(self.rid)
-        return _ANY_FUNC
-
-
-def _payload_info(payload, loc: tuple[str, int]) -> tuple[SymSize, str | None]:
-    if isinstance(payload, bytes):
-        return SymSize(value=len(payload)), "bytes"
-    if isinstance(payload, Block):
-        return payload.size, payload.dtype
-    return SymSize(name=f"?@{loc[0].rsplit('/', 1)[-1]}:{loc[1]}"), None
-
-
-class _Endpoint:
-    """The RankEndpoint model: records micro-ops instead of simulating."""
-
-    def __init__(self, interp: "Interp", rank: int, size: int, tag_base: int) -> None:
-        self.interp = interp
-        self.rank = rank
-        self.size = size
-        self.tag_base = tag_base
-        self.ops: list[MicroOp] = []
-        self._draws = 0
-        self._sends = 0
-        self._recvs = 0
-        self.timeline = _Timeline()
-        self.now = 0.0
-        self.node = 0
-        self.net = _Opaque()
-
-    # -- bookkeeping ----------------------------------------------------
-    def emit(self, kind: str, **kw) -> MicroOp:
-        op = MicroOp(kind=kind, loc=self.interp.loc, **kw)
-        self.ops.append(op)
-        if len(self.ops) > _MAX_OPS_PER_RANK:
-            raise StaticExtractionError(
-                f"rank {self.rank} schedule exceeds {_MAX_OPS_PER_RANK} events", self.interp.loc
-            )
-        return op
-
-    def _abs_tag(self, tag) -> int:
-        if isinstance(tag, SymTag):
-            return tag.absolute(self.tag_base)
-        if isinstance(tag, int):
-            return tag
-        raise StaticExtractionError(
-            f"message tag is not statically known ({tag!r})", self.interp.loc
-        )
-
-    def _check_peer(self, peer, role: str) -> int:
-        if not isinstance(peer, int) or isinstance(peer, bool):
-            raise StaticExtractionError(
-                f"{role} rank is not statically known ({peer!r})", self.interp.loc
-            )
-        if not 0 <= peer < self.size:
-            raise StaticExtractionError(
-                f"bad {role} rank {peer} for p={self.size}", self.interp.loc
-            )
-        if peer == self.rank:
-            raise StaticExtractionError(f"self-{role} is not supported", self.interp.loc)
-        return peer
-
-    # -- the RankEndpoint surface ---------------------------------------
-    def next_collective_tag(self, op="collective"):
-        self._draws += 1
-        name = op if isinstance(op, str) else "collective"
-        self.emit("collective", op=name, invocation=self._draws)
-        return SymTag(base=self._draws)
-
-    def compute(self, seconds=None):
-        return None
-
-    def isend(self, dest, payload, tag=0):
-        dest = self._check_peer(dest, "destination")
-        size, dtype = _payload_info(payload, self.interp.loc)
-        self._sends += 1
-        self.emit(
-            "post_send", peer=dest, tag=tag, abs_tag=self._abs_tag(tag),
-            size=size, dtype=dtype, ref=self._sends,
-        )
-        return _SendReq(self, self._sends)
-
-    def irecv(self, source, tag=0, expect_nbytes=None, expect_dtype=None):
-        source = self._check_peer(source, "source")
-        size = SymSize(value=expect_nbytes) if isinstance(expect_nbytes, int) else SymSize()
-        dtype = expect_dtype if isinstance(expect_dtype, str) else None
-        self._recvs += 1
-        self.emit(
-            "post_recv", peer=source, tag=tag, abs_tag=self._abs_tag(tag),
-            size=size, dtype=dtype, ref=self._recvs,
-        )
-        return _RecvReq(self, self._recvs)
-
-    def wait_recv(self, rid: int):
-        self.emit("wait_recv", ref=rid)
-        loc = self.interp.loc
-        name = f"msg@{loc[0].rsplit('/', 1)[-1]}:{loc[1]}"
-        return Block(name, SymSize(name=name), None)
-
-    def send(self, dest, payload, tag=0):
-        req = self.isend(dest, payload, tag)
-        self.emit("wait_send", ref=req.sid)
-        return None
-
-    def recv(self, source, tag=0, expect_nbytes=None, expect_dtype=None):
-        req = self.irecv(source, tag, expect_nbytes, expect_dtype)
-        return self.wait_recv(req.rid)
-
-    def sendrecv(self, dest, payload, source, tag=0, expect_nbytes=None, expect_dtype=None):
-        rreq = self.irecv(source, tag, expect_nbytes, expect_dtype)
-        sreq = self.isend(dest, payload, tag)
-        incoming = self.wait_recv(rreq.rid)
-        self.emit("wait_send", ref=sreq.sid)
-        return incoming
-
-    def batch(self, ops):
-        """An op batch (:class:`repro.mpi.endpoint.OpBatch`), op by op;
-        returns the received blocks in wait order."""
-        codes = self.interp.registry.op_codes
-        if not isinstance(ops, (list, tuple)):
-            raise StaticExtractionError(f"op batch is not statically known ({ops!r})", self.interp.loc)
-        reqs: list = []
-        received = []
-        for op in ops:
-            code = op[0] if isinstance(op, tuple) and op else UNKNOWN
-            if code == codes["CHARGE"]:
-                continue
-            if code == codes["RECV"]:
-                rreq = self.irecv(*op[1:])
-                reqs.append(rreq)
-            elif code == codes["SEND"]:
-                sreq = self.isend(op[1], op[3], op[2])
-                reqs.append(sreq)
-            elif code == codes["WAIT"] and isinstance(op[1], int) and 0 <= op[1] < len(reqs):
-                req = reqs[op[1]]
-                if isinstance(req, _RecvReq):
-                    received.append(self.wait_recv(req.rid))
-                else:
-                    self.emit("wait_send", ref=req.sid)
-            else:
-                raise StaticExtractionError(f"op is not statically known ({op!r})", self.interp.loc)
-        return received
-
-    _METHODS = (
-        "next_collective_tag", "compute", "isend", "irecv",
-        "send", "recv", "sendrecv", "batch",
-    )
-
-    def getattr(self, name: str):
-        if name in self._METHODS:
-            return getattr(self, name)
-        if name in ("rank", "size", "timeline", "now", "node", "net"):
-            return getattr(self, name)
-        return UNKNOWN
-
-
-class _AbstractMW:
-    """Contract-extraction middleware: records op names, expands nothing."""
-
-    name = "abstract"
-
-    def __init__(self) -> None:
-        pass
-
-    @staticmethod
-    def _make(op: str):
-        def call(ep, *a, **k):
-            ep.emit("mw", op=op)
-            if op in ("allgatherv", "alltoallv"):
-                return [UNKNOWN] * ep.size
-            return None if op == "barrier" else UNKNOWN
-
-        return call
-
-    def getattr(self, attr: str):
-        if attr in ("barrier", "allreduce", "allgatherv", "alltoallv", "exchange"):
-            return self._make(attr)
-        if attr == "name":
-            return self.name
-        return UNKNOWN
-
 
 
 # ---------------------------------------------------------------------------
@@ -710,14 +720,20 @@ class _Frame:
         self.locals = locals_
 
 
-class Interp:
-    """The per-(rank, p) abstract interpreter."""
+#: the generators (and what ``yield from`` makes one of) real code hands
+#: an interpreted rank program
+_REAL_GENERATORS = (GeneratorType, OpBatch, SendRequest, RecvRequest)
 
-    def __init__(self, registry: Registry) -> None:
+
+class Interp:
+    """The abstract interpreter of one rank of one p, and its endpoint."""
+
+    def __init__(self, registry: Registry, rank: int, size: int) -> None:
         self.registry = registry
         self.steps = 0
         self.depth = 0
         self.loc: tuple[str, int] = ("<unknown>", 0)
+        self.ep = _RecordingEndpoint(rank, size, self)
 
     # -- entry ----------------------------------------------------------
     def call(self, fv, args: list, kwargs: dict, self_obj=None):
@@ -791,16 +807,10 @@ class Interp:
         elif isinstance(node, ast.AnnAssign):
             if node.value is not None:
                 self._assign(node.target, self._eval(node.value, frame), frame)
-        elif isinstance(node, ast.AugAssign):
-            cur = self._eval_target(node.target, frame)
-            value = self._binop(node.op, cur, self._eval(node.value, frame))
-            self._assign(node.target, value, frame)
         elif isinstance(node, ast.If):
             self._exec_if(node, frame)
         elif isinstance(node, ast.For):
             self._exec_for(node, frame)
-        elif isinstance(node, ast.While):
-            self._exec_while(node, frame)
         elif isinstance(node, ast.With):
             for item in node.items:
                 ctx = self._eval(item.context_expr, frame)
@@ -820,9 +830,6 @@ class Interp:
         elif isinstance(node, (ast.Assert, ast.Pass, ast.Import, ast.ImportFrom,
                                ast.Global, ast.Nonlocal, ast.FunctionDef, ast.ClassDef)):
             pass
-        elif isinstance(node, ast.Try):
-            self._exec_body(node.body, frame)
-            self._exec_body(node.finalbody, frame)
         else:
             raise StaticExtractionError(
                 f"unsupported statement {type(node).__name__}", self.loc
@@ -864,29 +871,6 @@ class Interp:
                 f"iterable: {ast.unparse(node.iter)}", self.loc,
             )
 
-    def _exec_while(self, node: ast.While, frame: _Frame) -> None:
-        iters = 0
-        while True:
-            cond = self._truth(self._eval(node.test, frame))
-            if cond is None:
-                if any(_has_comm_effects(s) for s in node.body):
-                    raise StaticExtractionError(
-                        "communication inside a while-loop whose condition is not "
-                        f"statically decidable: {ast.unparse(node.test)}", self.loc,
-                    )
-                return
-            if not cond:
-                return
-            iters += 1
-            if iters > 100_000:
-                raise StaticExtractionError("while-loop iteration budget exceeded", self.loc)
-            try:
-                self._exec_body(node.body, frame)
-            except _Break:
-                return
-            except _Continue:
-                continue
-
     # -- assignment -----------------------------------------------------
     def _assign(self, target: ast.expr, value, frame: _Frame) -> None:
         if isinstance(target, ast.Name):
@@ -912,14 +896,6 @@ class Interp:
             if isinstance(obj, (Instance, _Opaque)):
                 obj.attrs[target.attr] = value
         # stores into opaque objects are dropped (conservative)
-
-    def _eval_target(self, target: ast.expr, frame: _Frame):
-        try:
-            return self._eval(target, frame)
-        except StaticExtractionError:
-            raise
-        except Exception:
-            return UNKNOWN
 
     # -- expressions ----------------------------------------------------
     def _truth(self, v) -> bool | None:
@@ -956,8 +932,6 @@ class Interp:
                         return -v
                     if isinstance(node.op, ast.UAdd):
                         return +v
-                    if isinstance(node.op, ast.Invert):
-                        return ~v
                 except Exception:
                     return UNKNOWN
             return UNKNOWN
@@ -976,15 +950,6 @@ class Interp:
             return tuple(self._eval(e, frame) for e in node.elts)
         if isinstance(node, ast.List):
             return [self._eval(e, frame) for e in node.elts]
-        if isinstance(node, ast.Dict):
-            out = {}
-            for k, v in zip(node.keys, node.values):
-                if k is None:
-                    continue
-                key = self._eval(k, frame)
-                if _is_concrete(key):
-                    out[key] = self._eval(v, frame)
-            return out
         if isinstance(node, ast.Set):
             return UNKNOWN
         if isinstance(node, ast.Subscript):
@@ -999,25 +964,13 @@ class Interp:
             return self._comprehension(node, frame)
         if isinstance(node, (ast.SetComp, ast.DictComp)):
             return UNKNOWN
-        if isinstance(node, ast.JoinedStr):
-            parts = []
-            for v in node.values:
-                if isinstance(v, ast.Constant):
-                    parts.append(str(v.value))
-                else:
-                    inner = self._eval(v.value, frame) if isinstance(v, ast.FormattedValue) else UNKNOWN
-                    parts.append(str(inner) if _is_concrete(inner) else "?")
-            return "".join(parts)
         if isinstance(node, ast.YieldFrom):
-            return self._eval(node.value, frame)
-        if isinstance(node, ast.Yield):
-            if node.value is not None:
-                self._eval(node.value, frame)
-            return UNKNOWN
+            value = self._eval(node.value, frame)
+            if isinstance(value, _REAL_GENERATORS):
+                return self.ep.drive(iter(value))
+            return value
         if isinstance(node, ast.Starred):
             return self._eval(node.value, frame)
-        if isinstance(node, ast.Lambda):
-            return _ANY_FUNC
         raise StaticExtractionError(f"unsupported expression {type(node).__name__}", self.loc)
 
     def _load_name(self, name: str, frame: _Frame):
@@ -1030,10 +983,12 @@ class Interp:
     def _getattr(self, obj, name: str):
         if obj is UNKNOWN:
             return UNKNOWN
-        if isinstance(obj, (_Endpoint, _AbstractMW, _Opaque, _NP, _CostModel,
-                            _MeshModel, _SlabsModel, _ClassicModel, _Timeline,
-                            _SendReq, _RecvReq)):
-            return obj.getattr(name) if not isinstance(obj, _Timeline) else getattr(obj, name, UNKNOWN)
+        if isinstance(obj, _RecordingEndpoint):
+            return getattr(obj, name) if name in obj.SURFACE else UNKNOWN
+        if isinstance(obj, (Middleware, Timeline, SendRequest, RecvRequest)):
+            return getattr(obj, name, UNKNOWN)
+        if isinstance(obj, (_Opaque, _NP, _CostModel, _MeshModel, _SlabsModel, _ClassicModel)):
+            return obj.getattr(name)
         if isinstance(obj, Instance):
             if name in obj.attrs:
                 return obj.attrs[name]
@@ -1045,8 +1000,6 @@ class Interp:
                     return self.call(_BoundMethod(obj, cls.methods[name]), [], {})
                 return _BoundMethod(obj, cls.methods[name])
             return UNKNOWN
-        if isinstance(obj, ModuleValue):
-            return obj.ctx.globals.get(name, UNKNOWN)
         if isinstance(obj, Block):
             if name == "copy":
                 return obj.copy
@@ -1057,8 +1010,6 @@ class Interp:
             return getattr(obj, name, UNKNOWN)
         if isinstance(obj, dict) and name in ("items", "keys", "values", "get", "pop"):
             return getattr(obj, name, UNKNOWN)
-        if _is_concrete(obj):
-            return UNKNOWN
         return UNKNOWN
 
     def _subscript(self, node: ast.Subscript, frame: _Frame):
@@ -1091,10 +1042,6 @@ class Interp:
         return out
 
     def _binop(self, op: ast.operator, left, right):
-        if isinstance(left, SymTag) and isinstance(right, int) and isinstance(op, ast.Add):
-            return left + right
-        if isinstance(right, SymTag) and isinstance(left, int) and isinstance(op, ast.Add):
-            return right + left
         try:
             if (_is_concrete(left) or isinstance(left, (list, tuple))) and (
                 _is_concrete(right) or isinstance(right, (list, tuple))
@@ -1134,8 +1081,8 @@ class Interp:
 
     @staticmethod
     def _definitely_not_none(v) -> bool:
-        return isinstance(v, (Block, SymTag, SymSize, Instance, _Opaque, _Endpoint,
-                              _AbstractMW, int, float, str, bytes, list, tuple, dict,
+        return isinstance(v, (Block, SymTag, SymSize, Instance, _Opaque, _RecordingEndpoint,
+                              Middleware, int, float, str, bytes, list, tuple, dict,
                               _MeshModel, _SlabsModel, _ClassicModel, _CostModel))
 
     def _compare_one(self, op: ast.cmpop, left, right):
@@ -1204,14 +1151,21 @@ class Interp:
             return self.call(func, args, kwargs)
         if isinstance(func, ClassValue):
             return self._construct(func, args, kwargs)
+        # real code (the endpoint, requests, middleware) may not fail;
+        # a model or builtin that does yields UNKNOWN
+        owner = getattr(func, "__self__", None)
+        real = owner is self.ep or isinstance(owner, (Middleware, SendRequest, RecvRequest))
+        if isinstance(owner, Middleware):
+            args = self.ep.stand_in(args)
+            kwargs = {k: self.ep.stand_in(v) for k, v in kwargs.items()}
         if callable(func):
             try:
                 return func(*args, **kwargs)
-            except StaticExtractionError:
+            except (StaticExtractionError, _Return, _Break, _Continue):
                 raise
-            except (_Return, _Break, _Continue):
-                raise
-            except Exception:
+            except Exception as exc:
+                if real:
+                    raise StaticExtractionError(f"{type(exc).__name__}: {exc}", self.loc) from exc
                 return UNKNOWN
         return UNKNOWN
 
@@ -1234,52 +1188,16 @@ def _b_len(x=UNKNOWN):
     return UNKNOWN
 
 
-def _b_int(x=0):
-    if _is_concrete(x) and x is not None and not isinstance(x, (str, bytes)):
-        try:
-            return int(x)
-        except Exception:
-            return UNKNOWN
-    return UNKNOWN
-
-
-def _b_float(x=0.0):
-    if _is_concrete(x) and x is not None and not isinstance(x, (str, bytes)):
-        try:
-            return float(x)
-        except Exception:
-            return UNKNOWN
-    return UNKNOWN
-
-
-def _b_str(x=""):
-    return str(x) if _is_concrete(x) else UNKNOWN
-
-
 def _b_range(*a):
     if all(isinstance(x, int) and not isinstance(x, bool) for x in a) and 1 <= len(a) <= 3:
         return range(*a)
     raise StaticExtractionError(f"range() over non-concrete bounds {a!r}")
 
 
-def _b_enumerate(x=(), start=0):
-    if isinstance(x, (list, tuple, range)) and isinstance(start, int):
-        return list(enumerate(x, start))
-    return UNKNOWN
-
-
-def _b_getattr(obj=UNKNOWN, name=UNKNOWN, default=UNKNOWN):
-    return UNKNOWN
-
-
 _BUILTINS = {
     "len": _b_len,
-    "int": _b_int,
-    "float": _b_float,
-    "str": _b_str,
     "bool": lambda x=False: bool(x) if _is_concrete(x) else UNKNOWN,
     "range": _b_range,
-    "enumerate": _b_enumerate,
     "zip": lambda *a: list(zip(*a)) if all(isinstance(x, (list, tuple, range)) for x in a) else UNKNOWN,
     "list": lambda x=(): list(x) if isinstance(x, (list, tuple, range)) else ([] if x == () else UNKNOWN),
     "tuple": lambda x=(): tuple(x) if isinstance(x, (list, tuple, range)) else UNKNOWN,
@@ -1289,7 +1207,6 @@ _BUILTINS = {
     "abs": lambda x=0: abs(x) if _is_concrete(x) and x is not None and not isinstance(x, (str, bytes)) else UNKNOWN,
     "sum": lambda *a, **k: UNKNOWN,
     "sorted": lambda x=(), **k: sorted(x) if isinstance(x, (list, tuple, range)) else UNKNOWN,
-    "getattr": _b_getattr,
     "isinstance": lambda *a, **k: UNKNOWN,
     "print": lambda *a, **k: None,
     "divmod": lambda a=0, b=1: divmod(a, b) if _is_concrete(a) and _is_concrete(b) else UNKNOWN,
@@ -1549,31 +1466,21 @@ def _explain_stall(ops_by_rank, pc, stalled, send_by_ref, recv_by_ref):
 
 def _collective_divergence(ops_by_rank: list[list[MicroOp]]):
     """Cross-rank identity of the collective/middleware op sequence."""
-    findings = []
-    seqs = [
-        [op.op for op in ops if op.kind in ("collective", "mw")] for ops in ops_by_rank
-    ]
+    colls = [[op for op in ops if op.kind in ("collective", "mw")] for ops in ops_by_rank]
+    seqs = [[op.op for op in ops] for ops in colls]
     for r, seq in enumerate(seqs[1:], start=1):
         if seq != seqs[0]:
             n = min(len(seq), len(seqs[0]))
             at = next((i for i in range(n) if seq[i] != seqs[0][i]), n)
-            loc = None
-            count = 0
-            for op in ops_by_rank[r]:
-                if op.kind in ("collective", "mw"):
-                    if count == at:
-                        loc = op.loc
-                        break
-                    count += 1
-            loc = loc or ops_by_rank[r][-1].loc if ops_by_rank[r] else ("<program>", 0)
-            findings.append((
+            # rank r's op where it diverges, or rank 0's where rank r stopped
+            loc = (colls[r] if at < len(seq) else colls[0])[at].loc
+            return [(
                 "REP406", ("REP406", "divergence", at),
                 f"collective sequence diverges: rank 0 issues {seqs[0][at] if at < len(seqs[0]) else '<end>'} "
                 f"at position {at}, rank {r} issues {seq[at] if at < len(seq) else '<end>'}",
                 loc,
-            ))
-            break  # one divergence report per p is enough
-    return findings
+            )]  # one divergence report per p is enough
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -1619,6 +1526,16 @@ def _verify_instantiations(make_ops, bound: int) -> list[Diagnostic]:
     return out
 
 
+def _interpret_ranks(reg: Registry, p: int, entry: FuncValue, kwargs) -> list[list[MicroOp]]:
+    """Interpret ``entry(ep, **kwargs())`` once per rank of a p-rank run."""
+    ops = []
+    for rank in range(p):
+        interp = Interp(reg, rank, p)
+        interp.call(entry, [interp.ep], kwargs())
+        ops.append(interp.ep.ops)
+    return ops
+
+
 # ---------------------------------------------------------------------------
 # public verification surface
 
@@ -1655,19 +1572,12 @@ def _spatial_decomposition(lengths, r_cut: float, p: int):
     box = PeriodicBox(*lengths)
     return SpatialDecomposition.for_cluster(box, p, r_cut)
 
-_MW_CLASSES = {"mpi": ("repro.mpi.middleware", "MPIMiddleware"),
-               "cmpi": ("repro.cmpi.middleware", "CMPIMiddleware")}
 
+def _middleware(name: str) -> Middleware:
+    """The real middleware of one design level, or the abstract one."""
+    from ..parallel.run import make_middleware  # runtime-only: see module docstring
 
-def _mw_value(reg: Registry, middleware: str):
-    if middleware == "abstract":
-        return _AbstractMW()
-    mod, cls = _MW_CLASSES[middleware]
-    return Instance(reg.modules[mod].globals[cls], {})
-
-
-def _system_opaque(uses_pme: bool) -> _Opaque:
-    return _Opaque({"uses_pme": uses_pme})
+    return _AbstractMW() if name == "abstract" else make_middleware(name)
 
 
 def _run_spatial_rank_program(
@@ -1683,23 +1593,12 @@ def _run_spatial_rank_program(
     """
     decomp = _spatial_decomposition(lengths, r_cut, p)
     entry = reg.modules["repro.parallel.spatial.program"].globals["spatial_rank_program"]
-    ops = []
-    for rank in range(p):
-        interp = Interp(reg)
-        ep = _Endpoint(interp, rank, p, reg.tag_base)
-        kwargs = {
-            "mw": _mw_value(reg, middleware),
-            "decomp": _Opaque(
-                {"grid": tuple(decomp.grid), "pulses": tuple(decomp.pulses)}
-            ),
-            "engine": UNKNOWN,
-            "config": _Opaque(
-                {"n_steps": n_steps, "barrier_per_step": True, "dt": 0.0005}
-            ),
-        }
-        interp.call(entry, [ep], kwargs)
-        ops.append(ep.ops)
-    return ops
+    return _interpret_ranks(reg, p, entry, lambda: {
+        "mw": _middleware(middleware),
+        "decomp": _Opaque({"grid": tuple(decomp.grid), "pulses": tuple(decomp.pulses)}),
+        "engine": UNKNOWN,
+        "config": _Opaque({"n_steps": n_steps, "barrier_per_step": True, "dt": 0.0005}),
+    })
 
 
 def _run_rank_program(reg: Registry, strategy: str, middleware: str, p: int, n_steps: int):
@@ -1707,25 +1606,16 @@ def _run_rank_program(reg: Registry, strategy: str, middleware: str, p: int, n_s
     if strategy not in ("pclassic", "ppme"):
         raise ValueError(f"unknown strategy {strategy!r}")
     entry = reg.modules["repro.parallel.pmd"].globals["rank_program"]
-    ops = []
-    for rank in range(p):
-        interp = Interp(reg)
-        ep = _Endpoint(interp, rank, p, reg.tag_base)
-        kwargs = {
-            "mw": _mw_value(reg, middleware),
-            "system": _system_opaque(uses_pme=(strategy == "ppme")),
-            "decomp": UNKNOWN,
-            "cost": _CostModel(),
-            "config": _Opaque(
-                {"n_steps": n_steps, "barrier_per_step": True, "dt": 0.0005}
-            ),
-            "positions0": Block("positions0", SymSize(name="coords"), "float64"),
-            "velocities0": UNKNOWN,
-            "shared": None,
-        }
-        interp.call(entry, [ep], kwargs)
-        ops.append(ep.ops)
-    return ops
+    return _interpret_ranks(reg, p, entry, lambda: {
+        "mw": _middleware(middleware),
+        "system": _Opaque({"uses_pme": strategy == "ppme"}),
+        "decomp": UNKNOWN,
+        "cost": _CostModel(),
+        "config": _Opaque({"n_steps": n_steps, "barrier_per_step": True, "dt": 0.0005}),
+        "positions0": Block("positions0", SymSize(name="coords"), "float64"),
+        "velocities0": UNKNOWN,
+        "shared": None,
+    })
 
 
 def verify_strategy(
@@ -1769,36 +1659,24 @@ _COLLECTIVE_ARGS = {
 
 
 def verify_middleware_collectives(middleware: str = "mpi", bound: int = 32) -> list[Diagnostic]:
-    """Verify every collective algorithm of one middleware in isolation."""
-    reg = _registry()
-    diagnostics: list[Diagnostic] = []
+    """Verify every collective algorithm of one middleware in isolation:
+    the real generators, each rank's driven against a recording endpoint."""
     if middleware == "mpi":
-        mod = reg.modules["repro.mpi.collectives"]
-        targets = [
-            (name, mod.globals[name])
-            for name in ("barrier", "allreduce", "allgatherv", "alltoallv", "bcast", "reduce")
-        ]
+        names = ("barrier", "allreduce", "allgatherv", "alltoallv", "bcast", "reduce")
+        owner = collectives
     elif middleware == "cmpi":
-        cls = reg.modules["repro.cmpi.middleware"].globals["CMPIMiddleware"]
-        targets = [
-            (name, name) for name in ("sync", "barrier", "allreduce", "allgatherv", "alltoallv")
-        ]
+        names = ("sync", "barrier", "allreduce", "allgatherv", "alltoallv")
+        owner = CMPIMiddleware()
     else:
         raise ValueError(f"unknown middleware {middleware!r}")
 
-    for name, target in targets:
-        def make_ops(p, _name=name, _target=target):
+    diagnostics: list[Diagnostic] = []
+    for name in names:
+        def make_ops(p, _op=getattr(owner, name), _args=_COLLECTIVE_ARGS[name]):
             ops = []
             for rank in range(p):
-                interp = Interp(reg)
-                ep = _Endpoint(interp, rank, p, reg.tag_base)
-                args = [ep] + _COLLECTIVE_ARGS[_name](p)
-                if middleware == "cmpi":
-                    cls_value = reg.modules["repro.cmpi.middleware"].globals["CMPIMiddleware"]
-                    fv = _BoundMethod(Instance(cls_value, {}), cls_value.methods[_target])
-                else:
-                    fv = _target
-                interp.call(fv, args, {})
+                ep = _RecordingEndpoint(rank, p)
+                ep.drive(_op(ep, *ep.stand_in(_args(p))))
                 ops.append(ep.ops)
             return ops
 
@@ -1823,70 +1701,43 @@ def extract_strategy_collective_ops(
     return [[op.op for op in rank_ops if op.kind == "mw"] for rank_ops in ops]
 
 
-def _verify_spatial_contract_conformance(
-    ps: tuple[int, ...], n_steps: int
-) -> list[Diagnostic]:
-    """Spatial leg of the REP406 conformance check.
-
-    The expected sequence comes from the *declared*
-    :meth:`~repro.parallel.spatial.decomposition.SpatialDecomposition.schedule_contract`
-    of the real geometry — per (profile, p) since halo depths depend on
-    both — and must match the abstractly extracted middleware ops of
-    every rank.
-    """
-    reg = _registry()
-    path = _rel(reg.modules["repro.parallel.spatial.program"].path)
-    diagnostics = []
-    for name, lengths, r_cut in SPATIAL_PROFILES:
-        for p in ps:
-            contract = _spatial_decomposition(lengths, r_cut, p).schedule_contract()
-            expected = contract.expected_ops({"barrier"}) * n_steps
-            seqs = extract_strategy_collective_ops("spatial", p, n_steps, profile=name)
-            for rank, seq in enumerate(seqs):
-                if seq != expected:
-                    diagnostics.append(
-                        Diagnostic(
-                            rule="REP406",
-                            message=(
-                                f"strategy 'spatial' ({name}, p={p}, rank {rank}) "
-                                f"issues {seq} per run but contract "
-                                f"{contract.name!r} promises {expected}"
-                            ),
-                            path=path,
-                            severity=RULES["REP406"].severity,
-                            p_condition=f"p in {{{p}}}",
-                        )
-                    )
-                    break  # SPMD: one rank's divergence describes the run
-    return diagnostics
-
-
 def verify_contract_conformance(
     strategy: str, ps: tuple[int, ...] = (1, 2, 3, 4, 5, 8), n_steps: int = 1
 ) -> list[Diagnostic]:
-    """Check the extracted schedule against the declared contract (REP406)."""
+    """Check the extracted schedule against the declared contract (REP406).
+
+    The spatial contract is the *declared*
+    :meth:`~repro.parallel.spatial.decomposition.SpatialDecomposition.schedule_contract`
+    of the real geometry, per (profile, p) since halo depths depend on
+    both; every rank's abstractly extracted middleware ops must match it.
+    """
     if strategy == "spatial":
-        return _verify_spatial_contract_conformance(ps, n_steps)
+        module = "repro.parallel.spatial.program"
+        cases = [
+            (f"'spatial' ({name}, p={p}", p, name,
+             _spatial_decomposition(lengths, r_cut, p).schedule_contract(), {"barrier"})
+            for name, lengths, r_cut in SPATIAL_PROFILES for p in ps
+        ]
+    else:
+        from ..parallel.pmd import STEP_SCHEDULE_CONTRACT  # runtime-only import
 
-    from ..parallel.pmd import STEP_SCHEDULE_CONTRACT  # runtime-only import
-
-    flags = {"barrier"} | ({"pme"} if strategy == "ppme" else set())
-    expected = STEP_SCHEDULE_CONTRACT.expected_ops(flags) * n_steps
-    pmd_path = _rel(_registry().modules["repro.parallel.pmd"].path)
+        module = "repro.parallel.pmd"
+        flags = {"barrier"} | ({"pme"} if strategy == "ppme" else set())
+        cases = [(f"{strategy!r} (p={p}", p, None, STEP_SCHEDULE_CONTRACT, flags) for p in ps]
+    path = _rel(_registry().modules[module].path)
     diagnostics = []
-    for p in ps:
-        seqs = extract_strategy_collective_ops(strategy, p, n_steps)
-        for rank, seq in enumerate(seqs):
+    for label, p, profile, contract, flags in cases:
+        expected = contract.expected_ops(flags) * n_steps
+        for rank, seq in enumerate(extract_strategy_collective_ops(strategy, p, n_steps, profile)):
             if seq != expected:
                 diagnostics.append(
                     Diagnostic(
                         rule="REP406",
                         message=(
-                            f"strategy {strategy!r} (p={p}, rank {rank}) issues "
-                            f"{seq} per run but contract "
-                            f"{STEP_SCHEDULE_CONTRACT.name!r} promises {expected}"
+                            f"strategy {label}, rank {rank}) issues {seq} per run but "
+                            f"contract {contract.name!r} promises {expected}"
                         ),
-                        path=pmd_path,
+                        path=path,
                         severity=RULES["REP406"].severity,
                         p_condition=f"p in {{{p}}}",
                     )
@@ -1917,7 +1768,8 @@ def verify_rank_program_source(
     program is ``entry`` when given, else a function named
     ``rank_program``, else the first top-level function whose first
     parameter is ``ep``.  The program communicates through the
-    :class:`RankEndpoint` surface of its ``ep`` argument.
+    :class:`RankEndpoint` surface of its ``ep`` argument and, if it has
+    an ``mw`` parameter, through the real MPI middleware.
     """
     reg = _registry()
     ctx = reg.module_source_ctx(source, path)
@@ -1934,17 +1786,13 @@ def verify_rank_program_source(
                     break
     if not isinstance(fv, FuncValue):
         raise ValueError(f"no rank program found in {path}")
-
-    def make_ops(p):
-        ops = []
-        for rank in range(p):
-            interp = Interp(reg)
-            ep = _Endpoint(interp, rank, p, reg.tag_base)
-            interp.call(fv, [ep], {})
-            ops.append(ep.ops)
-        return ops
-
-    return _verify_instantiations(make_ops, bound)
+    takes_mw = any(arg.arg == "mw" for arg in fv.node.args.args)
+    return _verify_instantiations(
+        lambda p: _interpret_ranks(
+            reg, p, fv, lambda: {"mw": MPIMiddleware()} if takes_mw else {}
+        ),
+        bound,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1974,7 +1822,7 @@ def static_step_events(
         events = []
         for op in rank_ops:
             if op.kind == "collective":
-                events.append(("collective", -1, reg.tag_base + 16 * op.invocation, op.op, None, None))
+                events.append(("collective", -1, COLLECTIVE_TAG_BASE + 16 * op.invocation, op.op, None, None))
             elif op.kind == "post_send":
                 nbytes = op.size.value if op.size is not None and op.size.concrete else None
                 events.append(("send", op.peer, op.abs_tag, "", nbytes, op.dtype))

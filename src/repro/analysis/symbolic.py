@@ -5,9 +5,12 @@ rank programs over an abstract domain: control flow is instantiated per
 ``(rank, p)`` up to a bound, while the *data* the program moves stays
 symbolic — payload sizes and dtypes are opaque atoms, and message tags
 are ``(collective invocation, offset)`` pairs rather than the runtime's
-absolute integers.  This module holds those symbolic values plus the
-machinery that turns a set of failing processor counts back into a
-human-readable *p-condition* ("odd p in [3, 31]") for diagnostics.
+absolute integers.  The middleware and collectives below the rank
+programs run for real against a recording endpoint, which hands them
+stand-in arrays for these values and maps the arrays back.  This
+module holds those symbolic values plus the machinery that turns a
+set of failing processor counts back into a human-readable
+*p-condition* ("odd p in [3, 31]") for diagnostics.
 
 Three value kinds:
 
@@ -83,10 +86,12 @@ class SymSize:
 class Block:
     """An abstract message payload.
 
-    ``origin`` names the program point that produced the block; the
-    interpreter derives it from source location and loop iteration, so
-    the same point yields the same name on every rank and symbolic
-    equality across SPMD ranks is structural equality.
+    ``origin`` names the program point that produced the block — a model
+    of the rank program's numeric machinery, or the middleware line whose
+    receive delivered it — so the same point yields the same name on
+    every rank and symbolic equality across SPMD ranks is structural
+    equality.  Real middleware code never holds a block: it is handed a
+    stand-in array, which the recording endpoint maps back.
     """
 
     origin: str

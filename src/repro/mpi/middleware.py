@@ -56,10 +56,8 @@ class Middleware(abc.ABC):
         same ``tag`` — the halo-exchange primitive of a spatial
         decomposition.  Deadlock-free under rendezvous semantics because
         the receive is posted before the send
-        (:meth:`repro.mpi.endpoint.RankEndpoint.sendrecv`).  Concrete
-        subclasses restate this method so per-middleware costs apply (and
-        so the static verifier, which resolves methods per class, sees
-        each middleware's exchange schedule).
+        (:meth:`repro.mpi.endpoint.RankEndpoint.sendrecv`).  A subclass
+        whose exchange costs more (CMPI's marshalling) overrides it.
         """
         result = yield from ep.sendrecv(dest, payload, source, tag=tag)
         return result
@@ -83,8 +81,4 @@ class MPIMiddleware(Middleware):
 
     def alltoallv(self, ep: RankEndpoint, send_blocks: list):
         result = yield from collectives.alltoallv(ep, send_blocks)
-        return result
-
-    def exchange(self, ep: RankEndpoint, dest: int, payload, source: int, tag: int = 0):
-        result = yield from ep.sendrecv(dest, payload, source, tag=tag)
         return result

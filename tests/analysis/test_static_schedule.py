@@ -7,8 +7,10 @@ and symbolic p-condition, and (c) agree event-for-event with what an
 executed run actually records.
 """
 
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.static_schedule import (
@@ -21,6 +23,8 @@ from repro.analysis.static_schedule import (
     verify_static,
     verify_strategy,
 )
+from repro.analysis.symbolic import Block, SymSize
+from repro.mpi import collectives
 
 FIXTURES = Path(__file__).parent / "static"
 
@@ -120,6 +124,77 @@ class TestInlinePrograms:
         )
         assert verify_rank_program_source(src, "inline.py", bound=4) == []
 
+    def test_fixture_collectives_run_the_real_middleware(self):
+        """``mw`` is the real MPI middleware: a barrier only rank 0 enters
+        waits for messages no rank sends and diverges from rank 1's
+        (empty) collective sequence at rank 0's tag draw."""
+        src = (
+            "def rank_program(ep, mw):\n"
+            "    if ep.rank == 0:\n"
+            "        yield from mw.barrier(ep)\n"
+        )
+        diags = verify_rank_program_source(src, "inline.py", bound=4)
+        assert [d.rule for d in diags] == ["REP403", "REP406"]
+        assert {d.p_condition for d in diags} == {"all p in [2, 4]"}
+        divergence = diags[1]
+        assert "rank 0 issues barrier at position 0, rank 1 issues <end>" in divergence.message
+        draw = inspect.getsource(collectives.barrier).splitlines().index(
+            '    tag = ep.next_collective_tag("barrier")'
+        )
+        assert divergence.path.endswith("repro/mpi/collectives.py")
+        assert divergence.line == inspect.getsourcelines(collectives.barrier)[1] + draw
+
+    def test_exception_inside_the_middleware_is_rep406(self):
+        src = (
+            "def rank_program(ep, mw):\n"
+            "    yield from mw.alltoallv(ep, [b'x'])\n"
+        )
+        diags = verify_rank_program_source(src, "inline.py", bound=4)
+        assert [d.rule for d in diags] == ["REP406"]
+        assert diags[0].p_condition == "all p in [2, 4]"
+        assert "need 2 send blocks" in diags[0].message
+        assert diags[0].path.endswith("repro/mpi/collectives.py")
+
+    def test_divergence_without_a_collective_keeps_its_location(self):
+        """Rank 1 issues no collective: the finding points at rank 0's."""
+        src = (
+            "def rank_program(ep, mw):\n"
+            "    if ep.rank == 0:\n"
+            "        ep.next_collective_tag('halo')\n"
+        )
+        diags = verify_rank_program_source(src, "inline.py", bound=4)
+        assert [d.rule for d in diags] == ["REP406"]
+        assert diags[0].p_condition == "all p in [2, 4]"
+        assert (diags[0].path, diags[0].line) == ("inline.py", 3)
+
+
+class TestRecordingEndpoint:
+    """The one boundary between symbolic and real payloads."""
+
+    def test_stand_ins_map_back_to_their_payloads(self):
+        from repro.analysis.static_schedule import UNKNOWN, _RecordingEndpoint
+
+        ep = _RecordingEndpoint(0, 2)
+        block = Block("x", SymSize(name="X"), "float64")
+        a, b = ep.stand_in([block, UNKNOWN])
+        assert ep.symbolic([np.asarray(a).copy(), b]) == [block, UNKNOWN]
+        assert ep.symbolic(np.add(a, a)) is UNKNOWN  # a reduction is no block
+
+    def test_middleware_sends_carry_their_blocks(self):
+        """The ring allgatherv sends the caller's block, then forwards
+        what it received, and declares nothing derived from a stand-in."""
+        from repro.analysis.static_schedule import _RecordingEndpoint
+
+        ep = _RecordingEndpoint(0, 3)
+        block = Block("own", SymSize(name="B"), "float64")
+        result = ep.drive(collectives.allgatherv(ep, ep.stand_in(block)))
+        sends = [op for op in ep.ops if op.kind == "post_send"]
+        recvs = [op for op in ep.ops if op.kind == "post_recv"]
+        assert [(op.size, op.dtype) for op in sends[:1]] == [(SymSize(name="B"), "float64")]
+        assert sends[1].size.name.startswith("msg@collectives.py:")
+        assert all(not op.size.concrete and op.dtype is None for op in recvs)
+        assert result[0] == block and all(isinstance(b, Block) for b in result)
+
 
 class TestShippedStrategiesProveClean:
     """The acceptance bar: both strategies, both middlewares, symbolically."""
@@ -189,10 +264,14 @@ class TestStaticStepEvents:
 
 
 class TestCrosscheckAgainstExecution:
-    """Static extraction vs a really-executed trace, event for event."""
+    """Static extraction vs a really-executed trace, event for event.
+
+    The odd and non-power-of-two p take MPI allreduce's reduce + bcast
+    path and alltoallv's ring path, which p = 8 never executes."""
 
     @pytest.mark.parametrize("middleware", ["mpi", "cmpi"])
-    def test_p8_pme_step(self, peptide_system, middleware):
+    @pytest.mark.parametrize("p", [3, 5, 8])
+    def test_pme_step(self, peptide_system, p, middleware):
         from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
         from repro.instrument.commstats import CommTrace
         from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
@@ -201,7 +280,7 @@ class TestCrosscheckAgainstExecution:
         trace = CommTrace()
         run_parallel_md(
             system, pos,
-            ClusterSpec(n_ranks=8, network=tcp_gigabit_ethernet(), seed=7),
+            ClusterSpec(n_ranks=p, network=tcp_gigabit_ethernet(), seed=7),
             RunOptions(
                 middleware=middleware,
                 config=MDRunConfig(n_steps=1, dt=0.0004),
@@ -209,12 +288,13 @@ class TestCrosscheckAgainstExecution:
             ),
         )
         problems = crosscheck_against_trace(
-            trace, strategy="ppme", middleware=middleware, p=8, n_steps=1
+            trace, strategy="ppme", middleware=middleware, p=p, n_steps=1
         )
         assert problems == [], "\n".join(problems)
 
     @pytest.mark.parametrize("middleware", ["mpi", "cmpi"])
-    def test_p8_spatial_step(self, middleware):
+    @pytest.mark.parametrize("p", [3, 6, 8])
+    def test_spatial_step(self, p, middleware):
         from repro.campaign.workloads import build_workload
         from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
         from repro.instrument.commstats import CommTrace
@@ -224,7 +304,7 @@ class TestCrosscheckAgainstExecution:
         trace = CommTrace()
         run_parallel_md(
             system, pos,
-            ClusterSpec(n_ranks=8, network=tcp_gigabit_ethernet(), seed=7),
+            ClusterSpec(n_ranks=p, network=tcp_gigabit_ethernet(), seed=7),
             RunOptions(
                 middleware=middleware,
                 config=MDRunConfig(n_steps=1, dt=0.0004),
@@ -233,7 +313,7 @@ class TestCrosscheckAgainstExecution:
             ),
         )
         problems = crosscheck_against_trace(
-            trace, strategy="spatial", middleware=middleware, p=8,
+            trace, strategy="spatial", middleware=middleware, p=p,
             n_steps=1, profile="water-box",
         )
         assert problems == [], "\n".join(problems)
