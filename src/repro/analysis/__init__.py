@@ -1,10 +1,13 @@
 """Communication-correctness analyzer for the coroutine-collective protocol.
 
-Five layers, one rule namespace (REP1xx–REP5xx, see
+Four layers, one rule namespace (REP1xx–REP5xx, see
 :mod:`repro.analysis.rules`):
 
-* :mod:`repro.analysis.lint` — static AST lint for dropped generators,
-  discarded collective results, unseeded randomness and wall-clock use;
+* :mod:`repro.analysis.lint` — one AST pass per file for dropped
+  generators, discarded collective results, unseeded randomness and
+  wall-clock use (REP1xx), and for the hazards to the bit-identical-results
+  invariant: hash-order iteration, unordered float accumulation and host
+  identity (REP503–REP505);
 * :mod:`repro.analysis.schedule` — deadlock/race diagnosis over a
   recorded per-rank communication trace;
 * :mod:`repro.analysis.sanitizer` — opt-in runtime invariant checks
@@ -15,10 +18,7 @@ Five layers, one rule namespace (REP1xx–REP5xx, see
   from the rank-program sources: deadlock/tag-race/type-agreement
   proofs for every rank count up to a bound, with no run executed,
   plus conformance against declared
-  :class:`~repro.analysis.contract.ScheduleContract` values;
-* :mod:`repro.analysis.determinism` — lint protecting the
-  bit-identical-results invariant (unseeded RNG, wall-clock reads,
-  hash-order iteration, unordered float accumulation, host identity).
+  :class:`~repro.analysis.contract.ScheduleContract` values.
 
 Findings are suppressed inline (``# repro: noqa[REP503]``) or
 grandfathered by fingerprint in ``.repro-analysis-baseline.json``
@@ -32,7 +32,6 @@ re-exported here as a library.
 
 from .baseline import apply_baseline, load_baseline, write_baseline
 from .contract import ContractOp, ScheduleContract
-from .determinism import lint_determinism_paths, lint_determinism_source
 from .lint import lint_paths, lint_source
 from .rules import RULES, Diagnostic, Rule
 from .sanitizer import Sanitizer, SanitizerError
@@ -56,8 +55,6 @@ __all__ = [
     "ContractOp",
     "crosscheck_against_trace",
     "Diagnostic",
-    "lint_determinism_paths",
-    "lint_determinism_source",
     "lint_paths",
     "lint_source",
     "load_baseline",

@@ -1,4 +1,4 @@
-"""AST lint for the coroutine-collective protocol.
+"""AST lint for the coroutine-collective protocol and its determinism.
 
 The whole communication layer is built from generator coroutines driven
 with ``yield from`` (see :mod:`repro.sim.engine`): an endpoint or
@@ -28,31 +28,53 @@ Rules (see :mod:`repro.analysis.rules` for the registry):
 * **REP104** — wall-clock calls (``time.time()``/``perf_counter``/
   ``datetime.now``) inside virtual-time code.
 
+The same walk guards the bit-identical-results invariant against the
+ways Python leaks host state into a simulation (the determinism rules):
+
+* **REP503** — bare iteration over an unordered set expression
+  (``for x in set(..) | set(..)``): set order is hash-order, which
+  varies with ``PYTHONHASHSEED`` for strings and with pointer values for
+  objects.  Wrapping the set in ``sorted(...)`` fixes the order;
+* **REP504** — float accumulation (``sum``/``math.fsum``/``np.sum``/
+  ``functools.reduce``) whose iteration order is an unordered set:
+  float addition is not associative, so hash order leaks into energies;
+* **REP505** — process- or host-dependent values (``os.getpid``,
+  ``uuid.uuid4``, ``socket.gethostname``, ``id()``, ``hash()``) inside
+  the packages that run under virtual time
+  (:data:`VIRTUAL_TIME_PACKAGES`); the tooling layers may know their host.
+
 Protocol calls are recognised by the repo's naming conventions
 (receivers named ``ep``/``endpoint``, ``mw``/``middleware``, the
 ``collectives`` module, ``*req`` request handles, and ``self`` inside
 ``*Middleware``/``*Endpoint`` classes).  Intentional exceptions are
-suppressed with a trailing ``# noqa: REP1xx`` comment; whole files
-(golden bad-program fixtures) opt out with a ``# repro-analyze:
-skip-file`` marker in their first lines.
+suppressed with a trailing ``# repro: noqa[REPxxx]`` (or ``# noqa:
+REPxxx``) comment, see :func:`repro.analysis.baseline.inline_suppressions`;
+whole files (golden bad-program fixtures) opt out with a
+``# repro-analyze: skip-file`` marker in their first lines.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
 from pathlib import Path
 
+from .baseline import inline_suppressions
 from .rules import ERROR, Diagnostic
 
-__all__ = ["lint_source", "lint_paths", "SKIP_MARKER"]
+__all__ = [
+    "lint_source", "lint_paths", "SKIP_MARKER", "VIRTUAL_TIME_PACKAGES", "is_virtual_time_path",
+]
 
 #: Files whose first lines contain this marker are skipped by
 #: :func:`lint_paths` (used for the golden bad-program test fixtures).
 SKIP_MARKER = "repro-analyze: skip-file"
 
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
+#: Sub-packages of ``repro`` whose code runs under the simulated clock.
+#: Host-identity reads there (REP505) poison virtual timings.
+VIRTUAL_TIME_PACKAGES = frozenset(
+    {"sim", "mpi", "cmpi", "parallel", "md", "pme", "cluster"}
+)
 
 # ---------------------------------------------------------------------------
 # protocol tables (the repo's coroutine-collective conventions)
@@ -91,6 +113,31 @@ _WALLCLOCK_TIME = {
 }
 _WALLCLOCK_DATETIME = {"now", "utcnow", "today"}
 
+#: dotted call -> what it leaks (REP505, virtual-time packages only)
+_HOST_DEPENDENT = {
+    "os.getpid": "the process id",
+    "os.getppid": "the parent process id",
+    "os.urandom": "kernel entropy",
+    "uuid.uuid1": "host MAC address and wall clock",
+    "uuid.uuid4": "kernel entropy",
+    "platform.node": "the hostname",
+    "socket.gethostname": "the hostname",
+    "socket.gethostbyname": "host DNS state",
+}
+
+#: REP504's order-sensitive float accumulators
+_ACCUMULATORS = {"sum", "fsum", "math.fsum", "np.sum", "numpy.sum"}
+_REDUCERS = {"reduce", "functools.reduce"}
+
+
+def is_virtual_time_path(path: str | Path) -> bool:
+    """Does this file live in a package that runs under the virtual clock?"""
+    parts = Path(path).parts
+    for i, part in enumerate(parts[:-1]):
+        if part == "repro" and parts[i + 1] in VIRTUAL_TIME_PACKAGES:
+            return True
+    return False
+
 
 def _dotted(node: ast.expr) -> str | None:
     """``a.b.c`` as a string, or None for non-trivial receivers."""
@@ -113,12 +160,46 @@ def _call_name(func: ast.expr) -> str | None:
     return None
 
 
+def _is_set_expr(node: ast.expr) -> bool:
+    """Is this expression an unordered set by construction?
+
+    Recognized: set literals, set comprehensions, ``set(..)`` /
+    ``frozenset(..)`` calls, and binary combinations (``| & - ^``) of
+    recognized set expressions.  ``dict.keys()`` is *not* flagged
+    (insertion order is guaranteed).
+    """
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        return _dotted(node.func) in ("set", "frozenset")
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
+    ):
+        return _is_set_expr(node.left) or _is_set_expr(node.right)
+    return False
+
+
+def _ordered_wrapper(node: ast.expr) -> bool:
+    """``sorted(...)`` / ``list(sorted(...))`` impose a canonical order."""
+    if isinstance(node, ast.Call):
+        name = _dotted(node.func)
+        if name in ("sorted", "min", "max", "len"):
+            return True
+        if name == "list" and node.args and _ordered_wrapper(node.args[0]):
+            return True
+    return False
+
+
 class _Visitor(ast.NodeVisitor):
     """Parent- and class-aware walker collecting diagnostics."""
 
     def __init__(self, path: str) -> None:
         self.path = path
+        self.virtual_time = is_virtual_time_path(path)
         self.diags: list[Diagnostic] = []
+        # iter expressions already judged by the accumulation rule
+        # (REP504), so the set-iteration rule does not double-report
+        self._claimed: set[int] = set()
         self._parents: list[ast.AST] = []
         self._classes: list[str] = []
         # dataflow scopes: pending protocol generators stored in locals,
@@ -181,6 +262,30 @@ class _Visitor(ast.NodeVisitor):
 
     def _in_class(self, fragment: str) -> bool:
         return any(fragment in label for label in self._classes)
+
+    # -- REP503: bare iteration over an unordered set -------------------
+    def _check_iter(self, iter_node: ast.expr, where: ast.AST) -> None:
+        if id(iter_node) not in self._claimed and _is_set_expr(iter_node):
+            self._emit(
+                "REP503",
+                where,
+                "iteration over an unordered set: Python set order is "
+                "hash-order (varies with PYTHONHASHSEED); wrap the set in "
+                "sorted(...) for a canonical order",
+            )
+
+    def visit_For(self, node: ast.For) -> None:
+        self._check_iter(node.iter, node)
+        self.generic_visit(node)
+
+    # a set comprehension over a set still builds a set: order never
+    # escapes, so SetComp keeps the default traversal
+    def _visit_ordered_comprehension(self, node: ast.expr) -> None:
+        for gen in node.generators:
+            self._check_iter(gen.iter, gen.iter)
+        self.generic_visit(node)
+
+    visit_ListComp = visit_GeneratorExp = visit_DictComp = _visit_ordered_comprehension
 
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
         self.diags.append(
@@ -283,14 +388,16 @@ class _Visitor(ast.NodeVisitor):
                     "call it with 'yield from' (or hand it to sim.spawn)",
                 )
 
-        self._check_randomness(node)
-        self._check_wallclock(node)
+        name = _dotted(node.func)
+        if name is not None:
+            self._check_randomness(node, name)
+            self._check_wallclock(node, name)
+            if self.virtual_time:
+                self._check_host_dependent(node, name)
+            self._check_accumulation(node, name)
         self.generic_visit(node)
 
-    def _check_randomness(self, node: ast.Call) -> None:
-        name = _dotted(node.func)
-        if name is None:
-            return
+    def _check_randomness(self, node: ast.Call, name: str) -> None:
         parts = name.split(".")
         # np.random.* / numpy.random.*
         if len(parts) == 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
@@ -322,10 +429,7 @@ class _Visitor(ast.NodeVisitor):
                 "use np.random.default_rng(seed)",
             )
 
-    def _check_wallclock(self, node: ast.Call) -> None:
-        name = _dotted(node.func)
-        if name is None:
-            return
+    def _check_wallclock(self, node: ast.Call, name: str) -> None:
         parts = name.split(".")
         if len(parts) == 2 and parts[0] == "time" and parts[1] in _WALLCLOCK_TIME:
             self._emit(
@@ -346,19 +450,52 @@ class _Visitor(ast.NodeVisitor):
                 "use the simulator clock (ep.now / sim.now)",
             )
 
+    def _check_host_dependent(self, node: ast.Call, name: str) -> None:
+        if name in _HOST_DEPENDENT:
+            self._emit(
+                "REP505",
+                node,
+                f"{name}() leaks {_HOST_DEPENDENT[name]} into virtual-time "
+                "code; derive identity from (rank, seed) instead",
+            )
+        elif name in ("id", "hash"):
+            self._emit(
+                "REP505",
+                node,
+                f"builtin {name}() depends on the process memory "
+                "layout / PYTHONHASHSEED; key on an explicit stable field "
+                "instead",
+            )
+
+    def _check_accumulation(self, node: ast.Call, name: str) -> None:
+        if name in _REDUCERS:
+            arg_index = 1  # reduce(f, iterable)
+        elif name in _ACCUMULATORS:
+            arg_index = 0
+        else:
+            return
+        if len(node.args) <= arg_index:
+            return
+        arg = node.args[arg_index]
+        # sum(x for x in some_set) — look through the generator
+        if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+            iters = [gen.iter for gen in arg.generators]
+        else:
+            iters = [arg]
+        for it in iters:
+            self._claimed.add(id(it))
+            if not _ordered_wrapper(it) and _is_set_expr(it):
+                self._emit(
+                    "REP504",
+                    node,
+                    f"{name.rsplit('.', 1)[-1]}() accumulates floats in set "
+                    "hash-order; float addition is not associative — iterate "
+                    "sorted(...)",
+                )
+                return
+
 
 # ---------------------------------------------------------------------------
-def _noqa_codes(line: str) -> set[str] | None:
-    """Codes suppressed on this line; empty set means 'suppress all'."""
-    m = _NOQA_RE.search(line)
-    if m is None:
-        return None
-    codes = m.group("codes")
-    if not codes:
-        return set()
-    return {c.strip().upper() for c in codes.split(",") if c.strip()}
-
-
 def lint_source(
     source: str, path: str = "<string>", *, respect_skip: bool = True
 ) -> list[Diagnostic]:
@@ -386,7 +523,7 @@ def lint_source(
     out = []
     for diag in visitor.diags:
         if diag.line is not None and 1 <= diag.line <= len(lines):
-            codes = _noqa_codes(lines[diag.line - 1])
+            codes = inline_suppressions(lines[diag.line - 1])
             if codes is not None and (not codes or diag.rule in codes):
                 continue
         out.append(diag)

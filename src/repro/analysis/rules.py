@@ -1,8 +1,9 @@
 """Rule registry and diagnostic record for the correctness analyzer.
 
 Every diagnostic the analyzer can emit is declared here with a stable
-identifier, so CI output, suppression comments (``# noqa: REP101``) and
-the documentation all speak the same names.  The identifiers are grouped
+identifier, so CI output, suppression comments
+(``# repro: noqa[REP101]``) and the documentation all speak the same
+names.  The identifiers are grouped
 by layer:
 
 * **REP1xx** — static AST lint over the coroutine-collective protocol
@@ -14,8 +15,11 @@ by layer:
 * **REP4xx** — static communication-schedule verification: schedules
   extracted from rank-program ASTs without executing a run
   (:mod:`repro.analysis.static_schedule`);
-* **REP5xx** — determinism lint protecting the bit-identical-results
-  invariant (:mod:`repro.analysis.determinism`).
+* **REP5xx** — determinism rules protecting the bit-identical-results
+  invariant, emitted by the same AST pass as REP1xx
+  (:mod:`repro.analysis.lint`).  REP501 (unseeded randomness) and REP502
+  (wall-clock reads) were retired into REP103 and REP104, which flag the
+  same calls.
 """
 
 from __future__ import annotations
@@ -133,19 +137,7 @@ _RULE_LIST = [
         "schedule-contract violation: collective sequence diverges across ranks "
         "or from the strategy's declared contract",
     ),
-    # ---- determinism lint ---------------------------------------------
-    Rule(
-        "REP501",
-        "determinism",
-        ERROR,
-        "unseeded random source (run-to-run results become irreproducible)",
-    ),
-    Rule(
-        "REP502",
-        "determinism",
-        ERROR,
-        "wall-clock read inside virtual-time code",
-    ),
+    # ---- determinism rules (same AST pass) ----------------------------
     Rule(
         "REP503",
         "determinism",

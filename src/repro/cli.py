@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
             "also run the static schedule verifier (REP4xx: symbolic "
             "deadlock/tag-race/type-agreement proof over every strategy and "
             "middleware for all p up to --bound, plus schedule-contract "
-            "conformance) and the determinism lint (REP5xx) over the paths"
+            "conformance) and report the lint's determinism findings (REP5xx)"
         ),
     )
     analyze.add_argument(
@@ -557,8 +557,13 @@ def _github_annotation(diag) -> str:
     return f"::{level} file={diag.path},line={diag.line},title={diag.rule}::{message}"
 
 
-def _analyze_lint(paths: list[str], github: bool = False) -> int:
-    """Static layer of ``repro analyze``; returns the error count."""
+def _analyze_lint(paths: list[str], github: bool = False) -> tuple[int, list]:
+    """Static layer of ``repro analyze``: one lint pass over the paths.
+
+    Prints the REP1xx findings and returns their error count together
+    with the determinism findings (REP5xx) of the same pass, which the
+    ``--static`` layer reports against the baseline.
+    """
     from pathlib import Path
 
     from .analysis import lint_paths
@@ -567,12 +572,14 @@ def _analyze_lint(paths: list[str], github: bool = False) -> int:
         paths = [p for p in ("src", "tests") if Path(p).is_dir()]
         if not paths:
             print("error: no paths given and no ./src or ./tests here", file=sys.stderr)
-            return 1
+            return 1, []
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
         print(f"error: no such path: {', '.join(map(str, missing))}", file=sys.stderr)
-        return 1
-    diags = lint_paths(paths)
+        return 1, []
+    diags, determinism = [], []
+    for diag in lint_paths(paths):
+        (determinism if diag.rule.startswith("REP5") else diags).append(diag)
     for diag in diags:
         print(diag.format())
         if github:
@@ -585,7 +592,7 @@ def _analyze_lint(paths: list[str], github: bool = False) -> int:
         f"analyze: linted {n_files} files under {', '.join(map(str, paths))}: "
         f"{errors} error(s), {len(diags) - errors} warning(s)"
     )
-    return errors
+    return errors, determinism
 
 
 def _analyze_sanitize_run(n_steps: int) -> int:
@@ -596,28 +603,17 @@ def _analyze_sanitize_run(n_steps: int) -> int:
     clean schedule diagnosis, and bit-identical comp/comm/sync totals.
     Returns the number of failures.
     """
-    from . import (
-        MDRunConfig,
-        RunOptions,
-        analyze_trace,
-        build_peptide_in_water,
-        run_parallel_md,
-    )
+    from . import MDRunConfig, RunOptions, analyze_trace, run_parallel_md
     from .analysis import SanitizerError
     from .analysis.rules import ERROR
+    from .campaign.workloads import build_workload
     from .cluster import ClusterSpec, NodeSpec, score_gigabit_ethernet, tcp_gigabit_ethernet
     from .instrument.commstats import CommTrace
     from .instrument.metrics import REGISTRY
-    from .md import CutoffScheme, MDSystem, default_forcefield
 
     fifo_counter = REGISTRY.counter("rep203.fifo_disambiguations")
 
-    ff = default_forcefield()
-    topo, pos, box = build_peptide_in_water(n_residues=2, n_waters=12, forcefield=ff)
-    system = MDSystem(
-        topo, ff, box, CutoffScheme(r_cut=8.0, skin=1.5),
-        electrostatics="pme", pme_grid=(16, 16, 16),
-    )
+    system, pos = build_workload("peptide-tiny")
     config = MDRunConfig(n_steps=n_steps, dt=0.0004)
 
     failures = 0
@@ -686,24 +682,18 @@ def _analyze_sanitize_run(n_steps: int) -> int:
     return failures
 
 
-def _analyze_static(args: argparse.Namespace) -> int:
+def _analyze_static(args: argparse.Namespace, determinism: list) -> int:
     """The ``repro analyze --static`` layer; returns the failure count.
 
     Static schedule verification (REP4xx) over every strategy and
-    middleware up to ``--bound`` ranks, the determinism lint (REP5xx)
-    over the lint paths, baseline suppression, optional SARIF output
-    and the optional static-vs-executed cross-check.
+    middleware up to ``--bound`` ranks, plus the lint pass's determinism
+    findings (REP5xx), baseline suppression, optional SARIF output and
+    the optional static-vs-executed cross-check.
     """
-    from pathlib import Path
-
     from .analysis.baseline import apply_baseline, load_baseline, write_baseline
-    from .analysis.determinism import lint_determinism_paths
     from .analysis.static_schedule import verify_static
 
-    paths = list(args.paths) or [p for p in ("src",) if Path(p).is_dir()]
-
-    diags = verify_static(bound=args.bound)
-    diags += lint_determinism_paths(paths)
+    diags = verify_static(bound=args.bound) + determinism
 
     if args.update_baseline:
         n = write_baseline(args.baseline, diags, load_baseline(args.baseline))
@@ -742,19 +732,13 @@ def _analyze_crosscheck(n_steps: int) -> int:
     attached and requires the statically extracted per-rank schedule to
     match the recorded events one for one.
     """
-    from . import MDRunConfig, RunOptions, build_peptide_in_water, run_parallel_md
+    from . import MDRunConfig, RunOptions, run_parallel_md
     from .analysis.static_schedule import crosscheck_against_trace
     from .campaign.workloads import build_workload
     from .cluster import ClusterSpec, tcp_gigabit_ethernet
     from .instrument.commstats import CommTrace
-    from .md import CutoffScheme, MDSystem, default_forcefield
 
-    ff = default_forcefield()
-    topo, pos, box = build_peptide_in_water(n_residues=2, n_waters=12, forcefield=ff)
-    system = MDSystem(
-        topo, ff, box, CutoffScheme(r_cut=8.0, skin=1.5),
-        electrostatics="pme", pme_grid=(16, 16, 16),
-    )
+    system, pos = build_workload("peptide-tiny")
     config = MDRunConfig(n_steps=n_steps, dt=0.0004)
     water_system, water_pos = build_workload("water-box")
 
@@ -790,9 +774,9 @@ def _analyze_crosscheck(n_steps: int) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    failures = _analyze_lint(list(args.paths), github=args.github)
+    failures, determinism = _analyze_lint(list(args.paths), github=args.github)
     if args.static:
-        failures += _analyze_static(args)
+        failures += _analyze_static(args, determinism)
     if args.sanitize_run:
         failures += _analyze_sanitize_run(args.steps)
     return 1 if failures else 0

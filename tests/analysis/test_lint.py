@@ -2,9 +2,14 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import lint_paths, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+VIRTUAL = "src/repro/mpi/fake.py"
+TOOLING = "src/repro/report/fake.py"
 
 
 def _rules(diags):
@@ -96,11 +101,35 @@ class TestUnseededRandomness:
         diags = lint_source("import numpy as np\nrng = np.random.default_rng(2002)\n")
         assert diags == []
 
+    @pytest.mark.parametrize(
+        "source, path, expected",
+        [
+            ("rng = np.random.default_rng()\n", VIRTUAL, ["REP103"]),
+            ("rng = np.random.default_rng(2002)\n", VIRTUAL, []),
+            ("x = np.random.normal(0, 1)\n", VIRTUAL, ["REP103"]),
+        ],
+        ids=[
+            "unseeded_default_rng",
+            "seeded_default_rng",
+            "legacy_global_generator",
+        ],
+    )
+    def test_each_source(self, source, path, expected):
+        assert _rules(lint_source(source, path)) == expected
+
 
 class TestWallClock:
     def test_wallclock_reads_flagged(self):
         diags = _lint_fixture("bad_wallclock.py")
         assert _rules(diags) == ["REP104"] * 3
+
+    @pytest.mark.parametrize(
+        "source, path",
+        [("t = datetime.now()\n", VIRTUAL), ("t = time.perf_counter()\n", TOOLING)],
+        ids=["datetime_now", "tooling_path_too"],
+    )
+    def test_each_source(self, source, path):
+        assert _rules(lint_source(source, path)) == ["REP104"]
 
 
 class TestParseError:
@@ -113,6 +142,10 @@ class TestParseError:
 class TestSuppression:
     def test_noqa_with_matching_code(self):
         src = "def f(ep):\n    ep.compute(1.0)  # noqa: REP101\n"
+        assert lint_source(src) == []
+
+    def test_repro_noqa_spelling(self):
+        src = "import time\nt = time.time()  # repro: noqa[REP104]\n"
         assert lint_source(src) == []
 
     def test_noqa_bare_suppresses_all(self):

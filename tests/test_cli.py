@@ -55,6 +55,18 @@ class TestCommands:
         assert main(["run", "--network", "infiniband"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_analyze_static_reports_each_finding_once(self, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        hazard = tmp_path / "repro" / "mpi" / "hazard.py"
+        hazard.parent.mkdir(parents=True)
+        hazard.write_text("x = np.random.rand()\nt = time.time()\n")
+        assert main(["analyze", "--static", "--bound", "2", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        rules = [line.split()[1] for line in out.splitlines() if ": REP" in line]
+        assert sorted(rules) == ["REP100", "REP103", "REP104"]
+        assert "linted 2 files" in out and ": 3 error(s)" in out
+        assert "determinism lint: 0 error(s)" in out
+
     def test_run_small_point(self, capsys):
         assert main(["run", "--ranks", "2", "--steps", "1", "--network", "myrinet"]) == 0
         out = capsys.readouterr().out
