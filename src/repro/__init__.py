@@ -70,7 +70,6 @@ _PUBLIC_API = {
     "run_analysis": "repro.campaign.analytics",
     "AnalysisError": "repro.campaign.analytics",
     # analyzers
-    "analyze_trace": "repro.analysis",
     "lint_paths": "repro.analysis",
     # workload builders
     "build_workload": "repro.campaign.workloads",

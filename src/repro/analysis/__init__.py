@@ -1,6 +1,6 @@
 """Communication-correctness analyzer for the coroutine-collective protocol.
 
-Four layers, one rule namespace (REP1xx–REP5xx, see
+Three layers, one rule namespace (REP1xx, REP3xx–REP5xx, see
 :mod:`repro.analysis.rules`):
 
 * :mod:`repro.analysis.lint` — one AST pass per file for dropped
@@ -8,12 +8,10 @@ Four layers, one rule namespace (REP1xx–REP5xx, see
   wall-clock use (REP1xx), and for the hazards to the bit-identical-results
   invariant: hash-order iteration, unordered float accumulation and host
   identity (REP503–REP505);
-* :mod:`repro.analysis.schedule` — deadlock/race diagnosis over a
-  recorded per-rank communication trace;
 * :mod:`repro.analysis.sanitizer` — opt-in runtime invariant checks
   (message size/dtype agreement, transfer windows, timeline accounting
-  — per op batch and at shutdown — clean queues), on live and replayed
-  runs alike;
+  — per op batch and at shutdown — clean queues, cross-rank collective
+  order), on live and replayed runs alike;
 * :mod:`repro.analysis.static_schedule` — symbolic schedule extraction
   from the rank-program sources: deadlock/tag-race/type-agreement
   proofs for every rank count up to a bound, with no run executed,
@@ -36,7 +34,6 @@ from .lint import lint_paths, lint_source
 from .rules import RULES, Diagnostic, Rule
 from .sanitizer import Sanitizer, SanitizerError
 from .sarif import to_sarif, write_sarif
-from .schedule import analyze_trace
 from .static_schedule import (
     crosscheck_against_trace,
     static_step_events,
@@ -49,7 +46,6 @@ from .static_schedule import (
 from .symbolic import Block, SymSize, SymTag, summarize_p_set
 
 __all__ = [
-    "analyze_trace",
     "apply_baseline",
     "Block",
     "ContractOp",

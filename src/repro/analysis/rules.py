@@ -8,10 +8,8 @@ by layer:
 
 * **REP1xx** — static AST lint over the coroutine-collective protocol
   (:mod:`repro.analysis.lint`);
-* **REP2xx** — message-schedule analysis of a recorded communication
-  trace (:mod:`repro.analysis.schedule`);
 * **REP3xx** — runtime sanitizer invariants checked during a simulated
-  run (:mod:`repro.analysis.sanitizer`);
+  run, live or replayed (:mod:`repro.analysis.sanitizer`);
 * **REP4xx** — static communication-schedule verification: schedules
   extracted from rank-program ASTs without executing a run
   (:mod:`repro.analysis.static_schedule`);
@@ -20,6 +18,11 @@ by layer:
   (:mod:`repro.analysis.lint`).  REP501 (unseeded randomness) and REP502
   (wall-clock reads) were retired into REP103 and REP104, which flag the
   same calls.
+
+The REP2xx trace-analysis rules are retired: an unmatched send or
+receive fails the run's drain check (REP305 when sanitized), a wait-for
+cycle fails it as a deadlock naming the blocked traffic, collective
+order is REP306, and the static REP404 is the tag-collision rule.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class Rule:
     """One analyzer rule: stable id, layer and a one-line summary."""
 
     id: str
-    layer: str  # "lint" | "schedule" | "sanitizer"
+    layer: str  # "lint" | "sanitizer" | "static-schedule" | "determinism"
     severity: str
     summary: str
 
@@ -75,29 +78,13 @@ _RULE_LIST = [
         ERROR,
         "protocol generator stored in a local that is never driven or consumed",
     ),
-    # ---- message-schedule analysis ------------------------------------
-    Rule("REP201", "schedule", ERROR, "unmatched send at finalize"),
-    Rule("REP202", "schedule", ERROR, "unmatched receive at finalize"),
-    Rule(
-        "REP203",
-        "schedule",
-        WARNING,
-        "tag collision: concurrent in-flight messages share (src, dst, tag)",
-    ),
-    Rule("REP204", "schedule", ERROR, "collective order diverges across ranks"),
-    Rule("REP205", "schedule", ERROR, "rendezvous wait-for cycle (deadlock)"),
-    Rule(
-        "REP206",
-        "schedule",
-        ERROR,
-        "dual-processor interrupt-driven run missing the SMP per-message overhead",
-    ),
     # ---- runtime sanitizer --------------------------------------------
     Rule("REP301", "sanitizer", ERROR, "matched message size disagreement"),
     Rule("REP302", "sanitizer", ERROR, "matched message dtype disagreement"),
     Rule("REP303", "sanitizer", ERROR, "invalid transfer window from plan_transfer"),
     Rule("REP304", "sanitizer", ERROR, "timeline accounting exceeds the virtual wall clock"),
     Rule("REP305", "sanitizer", ERROR, "unclean shutdown: message queues not drained"),
+    Rule("REP306", "sanitizer", ERROR, "collective order diverges across ranks"),
     # ---- static schedule verification ---------------------------------
     Rule(
         "REP401",

@@ -30,7 +30,12 @@ Invariants (rule ids in :mod:`repro.analysis.rules`):
   every shipped program does.  The end of the run checks every rank
   again, with every cell finite and non-negative;
 * **REP305** — shutdown is clean: no unmatched messages or posted
-  receives remain in the matching-engine queues.
+  receives remain in the matching-engine queues;
+* **REP306** — collective order agrees across ranks: every rank draws
+  its collective tags from the same SPMD sequence, so one tag names one
+  operation on every rank (:meth:`Sanitizer.check_collective`, called
+  at each draw).  Two collectives of the same size that share a tag
+  would otherwise cross-match silently and time the wrong operation.
 
 In strict mode (the default) the first violation raises
 :class:`SanitizerError`, turning silent wrong-timing bugs into crashes;
@@ -61,6 +66,8 @@ class Sanitizer:
     def __init__(self, strict: bool = True) -> None:
         self.strict = strict
         self.violations: list[Diagnostic] = []
+        #: the first ``(op, rank)`` to draw each collective tag
+        self._collectives: dict[int, tuple[str, int]] = {}
 
     def _report(
         self, rule: str, message: str, ranks: tuple[int, ...] = (), tag: int | None = None
@@ -121,6 +128,21 @@ class Sanitizer:
                 f"plan_transfer produced an invalid window: start={plan.start} "
                 f"end={plan.end} ready={ready_time} "
                 f"efficiency={plan.efficiency}",
+            )
+
+    # ------------------------------------------------------------------
+    def check_collective(self, rank: int, tag: int, op: str) -> None:
+        """REP306: the collective ``rank`` names ``op`` under ``tag``
+        agrees with the first rank that drew the tag."""
+        first_op, first_rank = self._collectives.setdefault(tag, (op, rank))
+        if first_op != op:
+            self._report(
+                "REP306",
+                f"collective order diverges at tag {tag}: rank {first_rank} "
+                f"runs {first_op!r} but rank {rank} runs {op!r}; SPMD requires "
+                "every rank to invoke the same collectives in the same order",
+                ranks=(first_rank, rank),
+                tag=tag,
             )
 
     # ------------------------------------------------------------------

@@ -19,7 +19,6 @@ mechanics.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from ...instrument.counters import FORCE_EVALUATIONS
 from ...instrument.metrics import REGISTRY
 from ...instrument.runlog import RunLog
 from .breakdown import AXES, breakdown_report
-from .coverage import coverage_report, rep203_verdict
+from .coverage import coverage_report
 from .drift import drift_report
 from .mapreduce import (
     AnalysisError,
@@ -53,27 +52,12 @@ __all__ = [
     "map_shards",
     "merge_rows",
     "render",
-    "rep203_verdict",
     "run_analysis",
     "to_json_bytes",
     "trend_report",
 ]
 
 ANALYZERS = ("report", "drift", "trend", "coverage")
-
-
-def _load_manifests(store_root: Path) -> list[dict]:
-    """Merged campaign manifests living beside the store, sorted by name."""
-    manifest_dir = store_root / "manifests"
-    if not manifest_dir.is_dir():
-        return []
-    docs = []
-    for path in sorted(manifest_dir.glob("*.json")):
-        try:
-            docs.append(json.loads(path.read_text()))
-        except ValueError:
-            continue  # a torn manifest is a coverage finding, not a crash
-    return docs
 
 
 def _analysis_id(kind: str, shard_names: list[str]) -> str:
@@ -138,15 +122,14 @@ def run_analysis(
     else:
         partials = map_shards(store_root, workers)
         rows = merge_rows(partials)
-        manifests = _load_manifests(store_root)
         shard_names = [p["shard"] for p in partials]
         n_records = len(rows)
         if kind == "report":
-            builder = lambda: breakdown_report(rows, series, manifests)  # noqa: E731
+            builder = lambda: breakdown_report(rows, series)  # noqa: E731
         elif kind == "drift":
             builder = lambda: drift_report(rows, rtol)  # noqa: E731
         else:
-            builder = lambda: coverage_report(partials, rows, manifests)  # noqa: E731
+            builder = lambda: coverage_report(partials, rows)  # noqa: E731
 
     analysis_id = _analysis_id(kind, shard_names)
     runlog = RunLog(store_root / "logs" / f"analyze-{kind}.jsonl").bind(

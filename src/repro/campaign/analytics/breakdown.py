@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from .mapreduce import AnalysisError
 
-__all__ = ["AXES", "REPORT_SCHEMA", "aggregate_rep203", "breakdown_report"]
+__all__ = ["AXES", "REPORT_SCHEMA", "breakdown_report"]
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 #: The campaign axes a report can group or series along.  ``p`` is the
 #: processor count (``n_ranks`` on the record).
@@ -83,7 +83,7 @@ def _crossover(points: list[dict], phase: str):
     return None
 
 
-def breakdown_report(rows: list[dict], series: str = "p", manifests=None) -> dict:
+def breakdown_report(rows: list[dict], series: str = "p") -> dict:
     """Reduce rows into the comm-breakdown report document.
 
     ``rows`` must already be merged and key-sorted
@@ -140,28 +140,5 @@ def breakdown_report(rows: list[dict], series: str = "p", manifests=None) -> dic
         "n_records": len(rows),
         "n_groups": len(group_docs),
         "groups": group_docs,
-        "rep203": aggregate_rep203(manifests or []),
     }
 
-
-def aggregate_rep203(manifest_docs: list[dict]) -> dict:
-    """Fold ``rep203.fifo_disambiguations`` across campaign manifests.
-
-    The REP203 tag-collision rule counts FIFO-disambiguated tag reuse at
-    runtime; merged (federated) manifests carry the counter in their
-    metrics snapshot.  This aggregate is what the coverage analyzer's
-    promotion verdict reads.
-    """
-    total = with_counter = 0
-    for doc in manifest_docs:
-        counter = doc.get("metrics", {}).get("counters", {}).get(
-            "rep203.fifo_disambiguations"
-        )
-        if counter is not None:
-            with_counter += 1
-            total += int(counter.get("total", 0))
-    return {
-        "fifo_disambiguations": total,
-        "manifests": len(manifest_docs),
-        "manifests_with_counter": with_counter,
-    }

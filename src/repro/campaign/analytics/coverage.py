@@ -1,6 +1,6 @@
 """Completeness and coverage audit over a campaign store.
 
-Answers three questions no single manifest can:
+Answers two questions no single manifest can:
 
 * **factorial completeness** — per (workload, strategy), which cells of
   the observed factorial grid (network x middleware x cpus_per_node x
@@ -9,9 +9,6 @@ Answers three questions no single manifest can:
 * **shard health** — how many corrupt lines and stale-schema entries
   does each shard carry, and which shards are fully *orphaned* (every
   entry superseded by a later shard — safe to garbage-collect)?
-* **REP203 promotion** — does the accumulated nightly evidence support
-  promoting the tag-collision FIFO-disambiguation warning to a hard
-  error?  The verdict folds the rep203 aggregate from merged manifests.
 
 ``ok`` reflects *damage* only (corrupt lines, stale schema, orphans);
 missing factorial cells are reported but do not fail the audit — a
@@ -20,64 +17,15 @@ deliberately sparse campaign is not an error.
 
 from __future__ import annotations
 
-from .breakdown import aggregate_rep203
+__all__ = ["COVERAGE_SCHEMA", "coverage_report"]
 
-__all__ = ["COVERAGE_SCHEMA", "coverage_report", "rep203_verdict"]
-
-COVERAGE_SCHEMA = 1
+COVERAGE_SCHEMA = 2
 
 #: Cap on the missing-cell listing so a near-empty grid cannot bloat
 #: the report; the total is always reported exactly.
 _MISSING_CAP = 50
 
 _GRID_AXES = ("network", "middleware", "cpus_per_node", "n_ranks", "replicate")
-
-
-def rep203_verdict(agg: dict) -> dict:
-    """Decide whether nightly data supports promoting REP203 to an error.
-
-    Promotion is justified only when a meaningful sample of manifests
-    carries the counter *and* it never fired — then tag reuse is shown
-    to be absent in practice and an error costs nothing.  Any non-zero
-    count proves legitimate FIFO-disambiguated reuse exists, so the
-    warning must stay a warning.
-    """
-    manifests = agg["manifests_with_counter"]
-    total = agg["fifo_disambiguations"]
-    if total > 0:
-        return {
-            "promote": False,
-            "reason": (
-                f"keep REP203 a warning: {total} FIFO disambiguation(s) observed "
-                f"across {manifests} manifest(s) — tag reuse is legitimate in "
-                "practice and an error would reject real schedules"
-            ),
-        }
-    if manifests == 0:
-        return {
-            "promote": False,
-            "reason": (
-                "keep REP203 a warning: no merged manifest carries the "
-                "rep203.fifo_disambiguations counter yet (no data)"
-            ),
-        }
-    if manifests < 5:
-        return {
-            "promote": False,
-            "reason": (
-                f"keep REP203 a warning: zero disambiguations so far, but only "
-                f"{manifests} manifest(s) carry the counter — insufficient "
-                "nightly evidence (need >= 5)"
-            ),
-        }
-    return {
-        "promote": True,
-        "reason": (
-            f"promote REP203 to an error: {manifests} manifests carry the "
-            "counter and none recorded a FIFO disambiguation — tag reuse "
-            "does not occur in practice"
-        ),
-    }
 
 
 def _shard_docs(partials: list[dict], rows: list[dict]) -> list[dict]:
@@ -161,16 +109,13 @@ def _grid_docs(rows: list[dict]) -> list[dict]:
     return docs
 
 
-def coverage_report(
-    partials: list[dict], rows: list[dict], manifests=None
-) -> dict:
+def coverage_report(partials: list[dict], rows: list[dict]) -> dict:
     """Reduce map partials + merged rows into the coverage audit."""
     shard_docs = _shard_docs(partials, rows)
     orphaned = [doc["shard"] for doc in shard_docs if doc["live"] == 0]
     corrupt = sum(doc["corrupt"] for doc in shard_docs)
     stale = sum(doc["stale_schema"] for doc in shard_docs)
     grids = _grid_docs(rows)
-    rep203 = aggregate_rep203(manifests or [])
     return {
         "analyzer": "coverage",
         "schema": COVERAGE_SCHEMA,
@@ -181,6 +126,5 @@ def coverage_report(
         "stale_schema_entries": stale,
         "grids": grids,
         "missing_cells": sum(g["missing_cells"] for g in grids),
-        "rep203": {**rep203, "verdict": rep203_verdict(rep203)},
         "ok": not (corrupt or stale or orphaned),
     }

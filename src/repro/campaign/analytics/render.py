@@ -79,19 +79,6 @@ def _report_sections(doc: dict) -> list[dict]:
             {"title": axes or "all records", "lines": lines,
              "table": (headers, table_rows)}
         )
-    rep203 = doc.get("rep203", {})
-    if rep203.get("manifests"):
-        sections.append(
-            {
-                "title": "REP203 aggregate",
-                "lines": [
-                    f"fifo_disambiguations: {rep203['fifo_disambiguations']} "
-                    f"across {rep203['manifests_with_counter']}/"
-                    f"{rep203['manifests']} manifests with the counter"
-                ],
-                "table": None,
-            }
-        )
     return sections
 
 
@@ -204,17 +191,6 @@ def _coverage_sections(doc: dict) -> list[dict]:
                 ["workload", "strategy", "expected", "observed", "missing"],
                 rows,
             ),
-        }
-    )
-    verdict = doc["rep203"]["verdict"]
-    sections.append(
-        {
-            "title": "REP203 verdict",
-            "lines": [
-                ("PROMOTE" if verdict["promote"] else "KEEP WARNING")
-                + " — " + verdict["reason"]
-            ],
-            "table": None,
         }
     )
     return sections

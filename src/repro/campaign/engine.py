@@ -557,7 +557,9 @@ class CampaignEngine:
         """Re-run a sample of cached points; diff responses bit-for-bit.
 
         Only entries addressable by *this* engine (same workload, config,
-        cost model and base seed) are eligible.  Returns one dict per
+        cost model and base seed) are eligible; an unknown workload, or a
+        store holding no eligible entry, raises :class:`ValueError` rather
+        than passing with nothing re-run.  Returns one dict per
         mismatching field; an empty list means every sampled record
         reproduced exactly.
 
@@ -570,11 +572,18 @@ class CampaignEngine:
         """
         import numpy as np
 
+        self.fingerprint  # an unknown workload raises here, store empty or not
         eligible = []
         for entry in self.store.entries():
             point = self._point_from_record(entry.record)
             if self.key_for(point) == entry.key:
                 eligible.append((entry, point))
+        if not eligible:
+            raise ValueError(
+                f"no stored entry is addressable by workload {self.workload!r} "
+                f"with {self.config.n_steps} step(s) and seed {self.base_seed}: "
+                "nothing to re-run"
+            )
         eligible.sort(key=lambda pair: pair[0].key)
         rng = np.random.default_rng(seed)
         if len(eligible) > sample:

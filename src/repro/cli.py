@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="communication-correctness analyzer (lint + schedule + sanitizer)",
+        help="communication-correctness analyzer (lint + sanitizer + static verifier)",
     )
     analyze.add_argument(
         "paths",
@@ -107,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize-run",
         action="store_true",
         help=(
-            "also run a small sanitized workload (2 and 4 ranks, MPI and CMPI), "
-            "check every runtime invariant, diagnose the recorded message "
-            "schedule, and verify timings are identical to an unsanitized run"
+            "also run a small sanitized workload (2 and 4 ranks, MPI and CMPI, "
+            "plus MPI on dual-processor TCP nodes), check every runtime "
+            "invariant, and verify timings are identical to an unsanitized run"
         ),
     )
     analyze.add_argument(
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
             "report: comp/comm/sync breakdown tables (the paper's tables); "
             "drift: energy consensus + phase bookkeeping; trend: diff against "
             "a baseline store/manifest; coverage: factorial "
-            "completeness + shard health + REP203 verdict"
+            "completeness + shard health"
         ),
     )
     canalyze.add_argument("--store", default=".repro-cache", help="store to analyze")
@@ -598,86 +598,50 @@ def _analyze_lint(paths: list[str], github: bool = False) -> tuple[int, list]:
 def _analyze_sanitize_run(n_steps: int) -> int:
     """Dynamic layer of ``repro analyze --sanitize-run``.
 
-    For 2 and 4 ranks under both middlewares: run the small workload
-    plain and sanitized+traced, require zero invariant violations, a
-    clean schedule diagnosis, and bit-identical comp/comm/sync totals.
-    Returns the number of failures.
+    Five legs — MPI and CMPI at 2 and 4 ranks on SCore-GigE, and MPI at
+    4 ranks on dual-processor TCP-GigE nodes: run the small workload
+    plain and sanitized, require zero invariant violations and
+    bit-identical comp/comm/sync totals.  Returns the number of failures.
     """
-    from . import MDRunConfig, RunOptions, analyze_trace, run_parallel_md
+    from . import MDRunConfig, RunOptions, run_parallel_md
     from .analysis import SanitizerError
-    from .analysis.rules import ERROR
     from .campaign.workloads import build_workload
     from .cluster import ClusterSpec, NodeSpec, score_gigabit_ethernet, tcp_gigabit_ethernet
-    from .instrument.commstats import CommTrace
-    from .instrument.metrics import REGISTRY
-
-    fifo_counter = REGISTRY.counter("rep203.fifo_disambiguations")
 
     system, pos = build_workload("peptide-tiny")
     config = MDRunConfig(n_steps=n_steps, dt=0.0004)
+    score = score_gigabit_ethernet()
+    legs = [
+        (f"{mw} p={ranks}", mw, ClusterSpec(n_ranks=ranks, network=score, seed=7))
+        for mw in ("mpi", "cmpi")
+        for ranks in (2, 4)
+    ]
+    dual_tcp = ClusterSpec(
+        n_ranks=4, network=tcp_gigabit_ethernet(), node=NodeSpec(cpus_per_node=2), seed=7
+    )
+    legs.append(("mpi p=4 dual tcp-gige", "mpi", dual_tcp))
 
     failures = 0
-    for mw in ("mpi", "cmpi"):
-        for ranks in (2, 4):
-            spec = ClusterSpec(n_ranks=ranks, network=score_gigabit_ethernet(), seed=7)
-            options = RunOptions(middleware=mw, config=config)
-            plain = run_parallel_md(system, pos, spec, options)
-            trace = CommTrace()
-            try:
-                sanitized = run_parallel_md(
-                    system, pos, spec, options.replace(sanitize=True, trace=trace)
-                )
-            except SanitizerError as exc:
-                print(f"  {mw} p={ranks}: sanitizer violation: {exc}")
-                failures += 1
-                continue
-
-            drift = []
-            phases = {p for r in (plain, sanitized) for tl in r.timelines for p in tl.phases}
-            for phase in sorted(phases):
-                a, b = plain.component(phase), sanitized.component(phase)
-                if (a.comp, a.comm, a.sync) != (b.comp, b.comm, b.sync):
-                    drift.append(phase)
-            fifo_before = fifo_counter.snapshot()
-            diags = analyze_trace(trace, ranks)
-            fifo_matches = fifo_counter.delta(fifo_before)
-            errors = [d for d in diags if d.severity == ERROR]
-            for d in diags:
-                print("  " + d.format())
-            status = "ok"
-            if drift:
-                status = f"TIMING DRIFT in phases {drift}"
-                failures += 1
-            if errors:
-                status = f"{len(errors)} schedule error(s)"
-                failures += 1
-            print(
-                f"  {mw} p={ranks}: {len(trace)} events, "
-                f"{fifo_matches} FIFO-disambiguated tag reuse(s), "
-                f"0 sanitizer violations, {status}"
-            )
-
-    # dual-processor interrupt-driven case: the trace must show the SMP
-    # per-message cost multiplier on every send/recv (REP206)
-    net = tcp_gigabit_ethernet()
-    spec = ClusterSpec(
-        n_ranks=4, network=net, node=NodeSpec(cpus_per_node=2), seed=7
-    )
-    trace = CommTrace()
-    run_parallel_md(
-        system, pos, spec,
-        RunOptions(middleware="mpi", config=config, sanitize=True, trace=trace),
-    )
-    diags = analyze_trace(trace, 4, network=net, cpus_per_node=2)
-    errors = [d for d in diags if d.severity == ERROR]
-    for d in diags:
-        print("  " + d.format())
-    if errors:
-        failures += 1
-    print(
-        f"  mpi p=4 dual tcp-gige: {len(trace)} events, SMP overhead "
-        f"{'asserted' if not errors else 'VIOLATED'}"
-    )
+    for label, mw, spec in legs:
+        options = RunOptions(middleware=mw, config=config)
+        plain = run_parallel_md(system, pos, spec, options)
+        try:
+            sanitized = run_parallel_md(system, pos, spec, options.replace(sanitize=True))
+        except SanitizerError as exc:
+            print(f"  {label}: sanitizer violation: {exc}")
+            failures += 1
+            continue
+        phases = {p for r in (plain, sanitized) for tl in r.timelines for p in tl.phases}
+        drift = []
+        for phase in sorted(phases):
+            a, b = plain.component(phase), sanitized.component(phase)
+            if (a.comp, a.comm, a.sync) != (b.comp, b.comm, b.sync):
+                drift.append(phase)
+        status = "ok"
+        if drift:
+            status = f"TIMING DRIFT in phases {drift}"
+            failures += 1
+        print(f"  {label}: 0 sanitizer violations, {status}")
     print(f"analyze: sanitized runs {'passed' if failures == 0 else 'FAILED'}")
     return failures
 
@@ -842,6 +806,16 @@ def _format_metrics(metrics: dict, indent: str = "    ") -> list[str]:
     return lines
 
 
+def _missing_store(store: str) -> bool:
+    """Report a store directory that does not exist; opening one creates it."""
+    from pathlib import Path
+
+    if Path(store).is_dir():
+        return False
+    print(f"error: store directory {store} does not exist", file=sys.stderr)
+    return True
+
+
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     import time as time_mod
     from pathlib import Path
@@ -851,6 +825,8 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from .campaign.dashboard import dashboard
     from .campaign.leases import LeaseBoardError
 
+    if _missing_store(args.store):
+        return 2
     store = ResultStore(args.store)
 
     if args.watch:
@@ -958,6 +934,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 0 if report.get("ok", True) else 1
 
     if args.campaign_command == "verify":
+        if _missing_store(args.store):
+            return 2
         try:
             engine = _campaign_engine(args)
             mismatches = engine.verify(sample=args.sample, n_workers=args.workers)

@@ -6,12 +6,13 @@ variability of the communication speed per node* in MByte/s: how fast the
 data actually moved when a node was transferring, with min/max whiskers
 exposing the TCP flow-control instability.
 
-:class:`CommTrace` is the raw material for the message-schedule analyzer
-(:mod:`repro.analysis.schedule`): an opt-in, passive log of every send,
-receive post and collective invocation with ``(src, dst, tag, nbytes,
-dtype)``, in a global deterministic order.  Recording draws no random
-numbers and charges no virtual time, so a traced run is bit-identical to
-an untraced one.
+:class:`CommTrace` is an opt-in, passive log of every send, receive post
+and collective invocation with ``(src, dst, tag, nbytes, dtype)``, in a
+global deterministic order, which the static verifier's cross-check
+compares against the extracted schedule
+(:func:`~repro.analysis.static_schedule.crosscheck_against_trace`).
+Recording draws no random numbers and charges no virtual time, so a
+traced run is bit-identical to an untraced one.
 """
 
 from __future__ import annotations
@@ -87,9 +88,8 @@ class CommEvent:
     payload for receives (``-1`` / ``""`` when the receiver declares no
     expectation).  ``overhead`` is the per-message host overhead the
     calling rank charged for this operation (seconds of virtual time) —
-    on dual-processor nodes with interrupt-driven networks it must carry
-    the SMP stack-contention multiplier, which the schedule analyzer
-    asserts (REP206).
+    on dual-processor nodes with interrupt-driven networks it carries the
+    SMP stack-contention multiplier (paper Sec. 4.4).
     """
 
     kind: str
@@ -162,14 +162,6 @@ class CommTrace:
     # ------------------------------------------------------------------
     def by_kind(self, kind: str) -> list[CommEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def collective_ops(self, rank: int) -> list[tuple[str, int]]:
-        """The ordered ``(op, tag)`` collective sequence of one rank."""
-        return [
-            (e.op, e.tag)
-            for e in self.events
-            if e.kind == "collective" and e.rank == rank
-        ]
 
     def __len__(self) -> int:
         return len(self.events)

@@ -329,7 +329,8 @@ class RankEndpoint:
         #: an :class:`OpStreamRecorder` while the run records its op stream
         self.recorder: OpStreamRecorder | None = None
         #: the world's :class:`~repro.analysis.sanitizer.Sanitizer`, checked
-        #: when each of this rank's batches completes (``None``: no audit)
+        #: at each collective tag draw and when each of this rank's batches
+        #: completes (``None``: no audit)
         self._sanitizer = world.sanitizer
         # sim, network and node layout are fixed for the world's lifetime:
         # the executor reads them once, here
@@ -359,14 +360,15 @@ class RankEndpoint:
         """Fresh tag for one collective operation named ``op``.
 
         Rank programs are SPMD, so every rank draws the same sequence and
-        tags agree across the job.  When the world records a
-        :class:`~repro.instrument.commstats.CommTrace`, the ``(op, tag)``
-        pair is logged so the schedule analyzer can detect cross-rank
-        collective-order divergence.
+        tags agree across the job.  A sanitized world checks that each tag
+        names the same ``op`` on every rank (REP306); a world recording a
+        :class:`~repro.instrument.commstats.CommTrace` logs the draw.
         """
         self._tag_seq += 16
         if self.recorder is not None:
             self.recorder.draw(self.timeline.attribution, op)
+        if self._sanitizer is not None:
+            self._sanitizer.check_collective(self.rank, self._tag_seq, op)
         if self.world.trace is not None:
             self.world.trace.record_collective(self.rank, op, self._tag_seq, self.now)
         return self._tag_seq

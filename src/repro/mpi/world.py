@@ -33,10 +33,11 @@ class MPIWorld:
 
     ``sanitize=True`` installs a :class:`repro.analysis.sanitizer.Sanitizer`
     that asserts size/dtype agreement on every matched message, validates
-    every transfer window and, through each endpoint's op executor, the
-    timeline accounting at every batch boundary; ``trace`` (a
+    every transfer window and, through each endpoint, the cross-rank
+    collective order at every tag draw and the timeline accounting at
+    every batch boundary; ``trace`` (a
     :class:`~repro.instrument.commstats.CommTrace`) records every
-    send/recv/collective event for the schedule analyzer; ``span_tracer``
+    send/recv/collective event; ``span_tracer``
     (a :class:`~repro.instrument.tracing.SpanTracer`) mirrors every
     timeline attribution of every rank as a virtual-clock span.  All
     three are passive: they never charge virtual time or draw random

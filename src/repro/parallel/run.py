@@ -25,7 +25,7 @@ from ..md.system import MDSystem
 from ..mpi.endpoint import replay_program
 from ..mpi.middleware import Middleware, MPIMiddleware
 from ..mpi.world import MPIWorld
-from ..sim.engine import Simulator
+from ..sim.engine import SimulationError, Simulator
 from .costmodel import PIII_1GHZ, MachineCostModel
 from .decomposition import AtomDecomposition
 from .pmd import MDRunConfig, RankOutcome, rank_program
@@ -80,8 +80,8 @@ class RunOptions:
         raises.  Passive — timings are bit-identical to a plain run.
     trace:
         Optional :class:`~repro.instrument.commstats.CommTrace`; when
-        given, every send/recv/collective event is recorded for the
-        schedule analyzer and the trace is attached to
+        given, every send/recv/collective event is recorded (the static
+        verifier's cross-check reads it) and the trace is attached to
         ``result.extra["comm_trace"]``.
     span_tracer:
         Optional :class:`~repro.instrument.tracing.SpanTracer`; when
@@ -254,7 +254,14 @@ def run_parallel_md(
                 system, positions, velocities, cluster, opts, config, mw, world
             )
         procs = [sim.spawn(gen, name=f"rank{rank}") for rank, gen in enumerate(programs)]
-        sim.run()
+        try:
+            sim.run()
+        except SimulationError as exc:
+            # a deadlock names its processes; say who waits on whom
+            msgs, recvs = world.leftovers()
+            raise SimulationError(
+                f"{exc}; blocked traffic: messages={msgs} recvs={recvs}"
+            ) from exc
         if world.sanitizer is not None:
             world.sanitizer.check_final(world)  # leftovers raise REP305 here
         world.assert_drained()

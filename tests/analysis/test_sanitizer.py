@@ -13,7 +13,7 @@ from repro.cluster import (
 )
 from repro.cluster.state import ClusterState, TransferPlan
 from repro.instrument.timeline import Category
-from repro.mpi import MPIWorld
+from repro.mpi import MPIWorld, collectives
 from repro.mpi.endpoint import EMPTY_PAYLOAD, OpBatch, OpStreamRecorder, replay_program
 from repro.mpi.middleware import MPIMiddleware
 from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
@@ -50,6 +50,15 @@ def _dtype_mismatch(ep):
 def _orphan_send(ep):
     if ep.rank == 0:
         yield from ep.send(1, b"x", tag=3)  # eager; never received
+
+
+def _divergent_collectives(ep):
+    # same tag, same 64 B: a plain run cross-matches the two silently
+    if ep.rank == 0:
+        combined = yield from collectives.allreduce(ep, np.ones(8))
+    else:
+        combined = yield from collectives.allgatherv(ep, np.ones(8))
+    return combined
 
 
 def _exchange(ep):
@@ -287,6 +296,11 @@ class TestReplayedVariants:
         world = _replay_sanitized(_record(_orphan_send, RECORDED_ON))
         with pytest.raises(SanitizerError, match=r"REP305.*\(0, 1, 3\)"):
             world.sanitizer.check_final(world)
+
+    def test_divergent_collectives_rep306(self):
+        streams = _record(_divergent_collectives, RECORDED_ON)
+        with pytest.raises(SanitizerError, match="REP306.*'allreduce'.*'allgatherv'"):
+            _replay_sanitized(streams)
 
 
 class TestPassivity:

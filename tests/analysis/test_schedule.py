@@ -1,19 +1,25 @@
-"""Schedule analyzer: synthetic traces and end-to-end buggy runs."""
+"""Schedule failures surface where they happen: collective-order
+divergence in the sanitizer (REP306), unmatched traffic in the drain
+check, wait-for cycles in the deadlock error, and the SMP per-message
+cost on the events of real runs."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_trace
+from repro.analysis import Sanitizer, SanitizerError
 from repro.cluster import ClusterSpec, NodeSpec, score_gigabit_ethernet, tcp_gigabit_ethernet
 from repro.instrument.commstats import CommTrace
 from repro.mpi import MPIWorld, collectives
+from repro.mpi.middleware import MPIMiddleware
+from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
 from repro.sim import SimulationError, Simulator
 
+from .test_sanitizer import _divergent_collectives
 
-def _run_traced(n_ranks, program, seed=1, expect_deadlock=False, network=None, cpus=1):
-    """Drive one program per rank with a trace attached; return the trace."""
+
+def _run(n_ranks, program, seed=1, network=None, cpus=1, sanitize=False, trace=None):
+    """Drive one program per rank to completion; return the world."""
     sim = Simulator()
-    trace = CommTrace()
     world = MPIWorld(
         sim,
         ClusterSpec(
@@ -22,127 +28,91 @@ def _run_traced(n_ranks, program, seed=1, expect_deadlock=False, network=None, c
             node=NodeSpec(cpus_per_node=cpus),
             seed=seed,
         ),
+        sanitize=sanitize,
         trace=trace,
     )
     for r in range(n_ranks):
         sim.spawn(program(world.endpoints[r]), name=f"r{r}")
-    if expect_deadlock:
-        with pytest.raises(SimulationError):
-            sim.run()
-    else:
-        sim.run()
-    return trace
+    sim.run()
+    return world
 
 
-def _rules(diags):
-    return [d.rule for d in diags]
+def _run_md_with_barrier(peptide_system, barrier):
+    """One MD step at p=2 with the MPI middleware's barrier replaced."""
+
+    class Middleware(MPIMiddleware):
+        name = "buggy-barrier"
+
+        def barrier(self, ep):
+            yield from barrier(ep)
+
+    system, positions = peptide_system
+    options = RunOptions(
+        middleware=Middleware(), config=MDRunConfig(n_steps=1, dt=0.0004)
+    )
+    spec = ClusterSpec(n_ranks=2, network=score_gigabit_ethernet(), seed=1)
+    run_parallel_md(system, positions, spec, options)
+
+
+def _message_events(world):
+    return [e for e in world.trace.events if e.kind in ("send", "recv")]
+
+
+def _allreduce_then_barrier(ep):
+    data = yield from collectives.allreduce(ep, np.ones(64))
+    yield from collectives.barrier(ep)
+    return data
 
 
 class TestSyntheticTraces:
-    def test_clean_matched_traffic(self):
-        trace = CommTrace()
-        trace.record_send(0, 1, 5, nbytes=8, dtype="float64", time=0.0)
-        trace.record_recv(1, 0, 5, time=0.0)
-        assert analyze_trace(trace, 2) == []
-
-    def test_unmatched_send_rep201(self):
-        trace = CommTrace()
-        trace.record_send(0, 1, 5, nbytes=8, dtype="float64", time=0.0)
-        diags = analyze_trace(trace, 2)
-        assert _rules(diags) == ["REP201"]
-        assert diags[0].ranks == (0, 1)
-        assert diags[0].tag == 5
-
-    def test_unmatched_rendezvous_send_reports_blocked_sender(self):
-        trace = CommTrace()
-        trace.record_send(
-            0, 1, 5, nbytes=1 << 20, dtype="float64", time=0.0, rendezvous=True
-        )
-        (diag,) = analyze_trace(trace, 2)
-        assert diag.rule == "REP201"
-        assert "blocked" in diag.message
-
-    def test_unmatched_recv_rep202(self):
-        trace = CommTrace()
-        trace.record_recv(1, 0, 7, time=0.0)
-        diags = analyze_trace(trace, 2)
-        assert "REP202" in _rules(diags)
-
-    def test_fifo_matching_leaves_last_sends_unmatched(self):
-        trace = CommTrace()
-        trace.record_send(0, 1, 5, nbytes=8, dtype="float64", time=0.0)
-        trace.record_send(0, 1, 5, nbytes=8, dtype="float64", time=1.0)
-        trace.record_recv(1, 0, 5, time=0.5)
-        diags = [d for d in analyze_trace(trace, 2) if d.rule == "REP201"]
-        assert len(diags) == 1
-        assert "1 unmatched" in diags[0].message
-
-    def test_tag_collision_rep203_is_a_warning(self):
-        trace = CommTrace()
-        trace.record_send(0, 1, 5, nbytes=8, dtype="float64", time=0.0)
-        trace.record_send(0, 1, 5, nbytes=8, dtype="float64", time=0.1)
-        trace.record_recv(1, 0, 5, time=0.2)
-        trace.record_recv(1, 0, 5, time=0.3)
-        diags = analyze_trace(trace, 2)
-        assert _rules(diags) == ["REP203"]
-        assert diags[0].severity == "warning"
-
-    def test_collective_range_tags_never_collide(self):
-        from repro.mpi.endpoint import COLLECTIVE_TAG_BASE
-
-        tag = COLLECTIVE_TAG_BASE + 16
-        trace = CommTrace()
-        trace.record_send(0, 1, tag, nbytes=8, dtype="float64", time=0.0)
-        trace.record_send(0, 1, tag, nbytes=8, dtype="float64", time=0.1)
-        trace.record_recv(1, 0, tag, time=0.2)
-        trace.record_recv(1, 0, tag, time=0.3)
-        assert analyze_trace(trace, 2) == []
+    """:meth:`Sanitizer.check_collective`, and the drain and deadlock
+    errors for the unmatched traffic the trace rules used to report."""
 
     def test_collective_order_divergence_rep204(self):
-        trace = CommTrace()
-        trace.record_collective(0, "allreduce", 100, time=0.0)
-        trace.record_collective(1, "barrier", 100, time=0.0)
-        diags = analyze_trace(trace, 2)
-        assert _rules(diags) == ["REP204"]
-        assert "position 0" in diags[0].message
+        san = Sanitizer()
+        san.check_collective(0, 100, "allreduce")
+        divergence = "REP306.*tag 100: rank 0 runs 'allreduce' but rank 1 runs 'barrier'"
+        with pytest.raises(SanitizerError, match=divergence):
+            san.check_collective(1, 100, "barrier")
 
     def test_identical_collective_sequences_are_clean(self):
-        trace = CommTrace()
+        san = Sanitizer()
         for rank in (0, 1):
-            trace.record_collective(rank, "allreduce", 100, time=0.0)
-            trace.record_collective(rank, "allgatherv", 116, time=1.0)
-        assert analyze_trace(trace, 2) == []
+            san.check_collective(rank, 100, "allreduce")
+            san.check_collective(rank, 116, "allgatherv")
+        assert san.violations == []
 
-    def test_wait_for_cycle_rep205(self):
-        trace = CommTrace()
-        trace.record_recv(0, 1, 3, time=0.0)  # rank 0 waits for rank 1
-        trace.record_recv(1, 0, 3, time=0.0)  # rank 1 waits for rank 0
-        diags = analyze_trace(trace, 2)
-        rules = _rules(diags)
-        assert "REP205" in rules
-        cycle = next(d for d in diags if d.rule == "REP205")
-        assert cycle.ranks == (0, 1)
-        assert "deadlock" in cycle.message
+    def test_unmatched_recv_rep202(self):
+        def prog(ep):
+            if ep.rank == 1:
+                yield from ep.irecv(0, tag=7)  # posted, never matched
+            yield from ep.compute(1e-3)
 
-    def test_errors_rank_before_warnings(self):
-        trace = CommTrace()
-        trace.record_send(0, 1, 5, nbytes=8, dtype="float64", time=0.0)
-        trace.record_send(0, 1, 5, nbytes=8, dtype="float64", time=0.1)
-        diags = analyze_trace(trace, 2)
-        severities = [d.severity for d in diags]
-        assert severities == sorted(severities, key=lambda s: s != "error")
+        world = _run(2, prog)
+        with pytest.raises(SimulationError, match=r"recvs=\{\(0, 1, 7\): 1\}"):
+            world.assert_drained()
+
+    def test_unmatched_rendezvous_send_reports_blocked_sender(self, peptide_system):
+        big = np.zeros(100_000)  # 800 KB — rendezvous on this network
+
+        def barrier(ep):
+            if ep.rank == 0:
+                yield from ep.send(1, big, tag=45)  # blocks: nobody receives 45
+            else:
+                yield from ep.recv(0, tag=46)  # blocks: nobody sends 46
+
+        with pytest.raises(
+            SimulationError,
+            match=r"deadlock.*messages=\{\(0, 1, 45\): 1\} recvs=\{\(0, 1, 46\): 1\}",
+        ):
+            _run_md_with_barrier(peptide_system, barrier)
 
 
 class TestEndToEnd:
     def test_clean_collective_run_is_clean(self):
-        def prog(ep):
-            data = yield from collectives.allreduce(ep, np.ones(4))
-            yield from collectives.barrier(ep)
-            return data
-
-        trace = _run_traced(4, prog)
-        assert len(trace) > 0
-        assert analyze_trace(trace, 4) == []
+        world = _run(4, _allreduce_then_barrier, sanitize=True)
+        world.sanitizer.check_final(world)
+        world.assert_drained()
 
     def test_forgotten_receive_diagnosed(self):
         big = np.zeros(100_000)  # 800 KB — rendezvous on this network
@@ -153,39 +123,31 @@ class TestEndToEnd:
             else:
                 yield from ep.compute(1.0)  # never posts the receive
 
-        trace = _run_traced(2, prog)
-        diags = analyze_trace(trace, 2)
-        assert _rules(diags) == ["REP201"]
-        assert diags[0].tag == 9
+        world = _run(2, prog)
+        with pytest.raises(SimulationError, match=r"messages=\{\(0, 1, 9\): 1\}"):
+            world.assert_drained()
 
-    def test_mutual_recv_deadlock_diagnosed(self):
-        def prog(ep):
-            other = 1 - ep.rank
-            payload = yield from ep.recv(other, tag=4)  # nobody ever sends
-            return payload
+    def test_mutual_recv_deadlock_diagnosed(self, peptide_system):
+        def barrier(ep):
+            yield from ep.recv(1 - ep.rank, tag=44)  # nobody ever sends
 
-        trace = _run_traced(2, prog, expect_deadlock=True)
-        diags = analyze_trace(trace, 2)
-        assert "REP205" in _rules(diags)
+        with pytest.raises(SimulationError) as info:
+            _run_md_with_barrier(peptide_system, barrier)
+        message = str(info.value)
+        assert message.startswith("deadlock: processes never finished: ['rank0', 'rank1']")
+        assert "(1, 0, 44): 1" in message and "(0, 1, 44): 1" in message
 
     def test_dual_processor_events_carry_smp_multiplier(self):
         """The paper's dual-CPU TCP case: every per-message overhead in
-        the trace must be the uni-processor cost times the SMP
+        the trace is the uni-processor cost times the SMP
         stack-contention multiplier, asserted from trace events."""
-
-        def prog(ep):
-            data = yield from collectives.allreduce(ep, np.ones(64))
-            yield from collectives.barrier(ep)
-            return data
-
         net = tcp_gigabit_ethernet()
-        dual = _run_traced(4, prog, network=net, cpus=2)
-        uni = _run_traced(4, prog, network=net, cpus=1)
-        assert analyze_trace(dual, 4, network=net, cpus_per_node=2) == []
+        dual = _run(4, _allreduce_then_barrier, network=net, cpus=2, trace=CommTrace())
+        uni = _run(4, _allreduce_then_barrier, network=net, cpus=1, trace=CommTrace())
 
         mult = net.smp_overhead_multiplier
-        dual_msgs = [e for e in dual.events if e.kind in ("send", "recv")]
-        uni_msgs = [e for e in uni.events if e.kind in ("send", "recv")]
+        dual_msgs = _message_events(dual)
+        uni_msgs = _message_events(uni)
         assert dual_msgs and len(dual_msgs) == len(uni_msgs)
         dual_by_key = sorted(dual_msgs, key=lambda e: (e.kind, e.key, e.seq))
         uni_by_key = sorted(uni_msgs, key=lambda e: (e.kind, e.key, e.seq))
@@ -194,42 +156,31 @@ class TestEndToEnd:
             assert d.overhead == pytest.approx(u.overhead * mult)
             assert d.overhead > u.overhead
 
-    def test_uni_cost_dual_trace_flagged_rep206(self):
-        net = tcp_gigabit_ethernet()
-        trace = CommTrace()
-        trace.record_send(
-            0, 1, 5, nbytes=1024, dtype="float64", time=0.0,
-            overhead=net.send_overhead + net.host_cost(1024),  # no multiplier
-        )
-        trace.record_recv(1, 0, 5, time=0.0, overhead=net.recv_overhead)
-        diags = analyze_trace(trace, 2, network=net, cpus_per_node=2)
-        assert _rules(diags) == ["REP206", "REP206"]
-        assert all("SMP" in d.message for d in diags)
-
     def test_smp_assertion_only_applies_where_the_cost_exists(self):
-        trace = CommTrace()
-        trace.record_send(0, 1, 5, nbytes=8, dtype="float64", time=0.0)
-        trace.record_recv(1, 0, 5, time=0.0)
-        # uni-processor nodes: no SMP cost to assert
-        assert analyze_trace(trace, 2, network=tcp_gigabit_ethernet(), cpus_per_node=1) == []
-        # OS-bypass network (no interrupts): exempt even on dual nodes
-        assert analyze_trace(trace, 2, network=score_gigabit_ethernet(), cpus_per_node=2) == []
-        # platform not described: the check never runs
-        assert analyze_trace(trace, 2) == []
+        """Uni-processor nodes, and dual nodes on an OS-bypass network,
+        charge the uni-processor cost model on every message."""
+        for network, cpus in ((tcp_gigabit_ethernet(), 1), (score_gigabit_ethernet(), 2)):
+            world = _run(
+                4, _allreduce_then_barrier, network=network, cpus=cpus, trace=CommTrace()
+            )
+            events = _message_events(world)
+            assert events
+            for ev in events:
+                if ev.kind == "send":
+                    expected = network.send_overhead + network.host_cost(ev.nbytes)
+                else:
+                    expected = network.recv_overhead
+                assert ev.overhead == pytest.approx(expected, rel=1e-12), (network.name, cpus)
 
     def test_divergent_collective_order_detected_from_trace(self):
         """The silent SPMD killer: ranks disagree on which collective runs.
 
-        At p=2 both operations draw the same tag from the SPMD sequence,
-        so the simulator may cross-match them and produce wrong timings
-        with no crash — only the trace reveals the divergence.
+        At p=2 both operations draw the same tag and move the same bytes,
+        so a plain run cross-matches them, drains cleanly and times the
+        wrong operation; the sanitizer stops it at the second draw.
         """
-        trace = CommTrace()
-        trace.record_collective(0, "allreduce", 1048592, time=0.0)
-        trace.record_collective(1, "barrier", 1048592, time=0.0)
-        trace.record_collective(0, "allgatherv", 1048608, time=1.0)
-        trace.record_collective(1, "allgatherv", 1048608, time=1.0)
-        diags = analyze_trace(trace, 2)
-        assert _rules(diags) == ["REP204"]
-        assert "rank 0: allreduce" in diags[0].message
-        assert "rank 1: barrier" in diags[0].message
+        _run(2, _divergent_collectives).assert_drained()
+        with pytest.raises(
+            SanitizerError, match="REP306.*rank 0 runs 'allreduce' but rank 1 runs 'allgatherv'"
+        ):
+            _run(2, _divergent_collectives, sanitize=True)

@@ -25,7 +25,6 @@ from repro.campaign.analytics import (
     to_json_bytes,
 )
 from repro.campaign.analytics import mapreduce
-from repro.campaign.analytics.coverage import rep203_verdict
 from repro.campaign.analytics.trend import load_trend_source, trend_report
 from repro.core.design import DesignPoint
 from repro.core.factors import FOCAL_POINT
@@ -63,11 +62,6 @@ def _split_store(src, dst, n_shards=3):
         (dst / f"shard-{chr(ord('a') + i)}.jsonl").write_text(
             "".join(line + "\n" for line in chunk)
         )
-    manifests = src / "manifests"
-    if manifests.is_dir():  # manifests ride along: rep203 aggregates read them
-        (dst / "manifests").mkdir()
-        for path in manifests.glob("*.json"):
-            (dst / "manifests" / path.name).write_bytes(path.read_bytes())
 
 
 # -- determinism ------------------------------------------------------
@@ -359,36 +353,6 @@ def test_coverage_counts_damage_and_orphans(warm_store, tmp_path):
     assert not doc["ok"]
     assert doc["corrupt_lines"] == 1
     assert doc["orphaned_shards"] == [shard.name]
-
-
-def test_rep203_verdict_policy():
-    keep_no_data = rep203_verdict(
-        {"fifo_disambiguations": 0, "manifests": 0, "manifests_with_counter": 0}
-    )
-    assert not keep_no_data["promote"] and "no data" in keep_no_data["reason"]
-    keep_fired = rep203_verdict(
-        {"fifo_disambiguations": 3, "manifests": 8, "manifests_with_counter": 8}
-    )
-    assert not keep_fired["promote"] and "legitimate" in keep_fired["reason"]
-    keep_thin = rep203_verdict(
-        {"fifo_disambiguations": 0, "manifests": 2, "manifests_with_counter": 2}
-    )
-    assert not keep_thin["promote"] and "insufficient" in keep_thin["reason"]
-    promote = rep203_verdict(
-        {"fifo_disambiguations": 0, "manifests": 6, "manifests_with_counter": 6}
-    )
-    assert promote["promote"]
-
-
-def test_report_aggregates_rep203_from_manifests(warm_store):
-    doc = run_analysis("report", warm_store, save=False)
-    rep = doc["rep203"]
-    # the module store ran real campaigns, so manifests exist; whether
-    # the counter fired depends on the schedule — the aggregate just
-    # has to be coherent
-    assert rep["manifests"] >= 1
-    assert 0 <= rep["manifests_with_counter"] <= rep["manifests"]
-    assert rep["fifo_disambiguations"] >= 0
 
 
 # -- rendering --------------------------------------------------------

@@ -71,13 +71,3 @@ class TestEmptyCommTrace:
         assert trace.by_kind("send") == []
         assert trace.by_kind("recv") == []
         assert trace.by_kind("collective") == []
-
-    def test_empty_trace_collective_sequence_is_empty_for_any_rank(self):
-        trace = CommTrace()
-        assert trace.collective_ops(0) == []
-        assert trace.collective_ops(17) == []
-
-    def test_empty_trace_analyzes_clean(self):
-        from repro.analysis import analyze_trace
-
-        assert analyze_trace(CommTrace(), 4) == []

@@ -116,6 +116,29 @@ class TestCampaignCommand:
         assert main(args) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["verify", "status"])
+    def test_missing_store_errors_without_creating_it(self, tmp_path, capsys, verb):
+        missing = tmp_path / "none"
+        assert main(["campaign", verb, "--store", str(missing)]) == 2
+        assert f"store directory {missing} does not exist" in capsys.readouterr().err
+        assert not missing.exists()
+
+    def test_verify_unknown_workload_errors(self, tmp_path, capsys):
+        (tmp_path / "cache").mkdir()
+        args = ["campaign", "verify", "--store", str(tmp_path / "cache"), "--workload", "nope"]
+        assert main(args) == 2
+        assert "unknown workload" in capsys.readouterr().err
+
+    def test_verify_with_nothing_addressable_errors(self, tmp_path, capsys):
+        assert main(["campaign", "run", *self._args(tmp_path, "--ranks", "1")]) == 0
+        capsys.readouterr()
+        verify = [
+            "campaign", "verify", "--store", str(tmp_path / "cache"),
+            "--workload", "peptide-tiny", "--steps", "3",  # the store holds 2-step runs
+        ]
+        assert main(verify) == 2
+        assert "no stored entry is addressable" in capsys.readouterr().err
+
     def test_failed_point_returns_nonzero(self, tmp_path, capsys):
         # 32 uni-CPU ranks exceed the 16-node cluster: the point fails
         args = ["campaign", "run", *self._args(tmp_path, "--ranks", "1,32", "--retries", "0")]

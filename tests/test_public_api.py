@@ -30,7 +30,7 @@ def test_star_import_exposes_the_documented_surface():
     exec("from repro import *", namespace)
     for name in ("run_parallel_md", "RunOptions", "CampaignEngine", "ResultStore",
                  "merge_into_store", "work_campaign", "publish_campaign",
-                 "analyze_trace", "build_workload",
+                 "lint_paths", "build_workload",
                  "Board", "board_from_url", "HttpBoardClient", "CoordinatorServer",
                  "run_analysis", "AnalysisError"):
         assert name in namespace, name
