@@ -48,6 +48,7 @@ from .coordinator import CoordinatorServer, CoordinatorThread, HttpBoardClient
 from .dashboard import dashboard, dashboard_data, report_link
 from .engine import CampaignEngine, CampaignResult, execute_point, point_trace_path
 from .federation import (
+    LeaseKeyMismatchError,
     merge_into_store,
     publish_campaign,
     verify_stores_match,
@@ -95,6 +96,7 @@ __all__ = [
     "Lease",
     "LeaseBoard",
     "LeaseBoardError",
+    "LeaseKeyMismatchError",
     "merge_into_store",
     "point_seed",
     "PointStatus",

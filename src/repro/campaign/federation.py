@@ -41,11 +41,22 @@ from .leases import Lease
 from .store import ResultStore, record_digest
 
 __all__ = [
+    "LeaseKeyMismatchError",
     "publish_campaign",
     "work_campaign",
     "merge_into_store",
     "verify_stores_match",
 ]
+
+
+class LeaseKeyMismatchError(ValueError):
+    """A lease's key is not the key this build derives for its point.
+
+    Board and worker disagree about what the point *is* (a different
+    build, workload or schema), so the worker releases its group and
+    stops rather than store a record under an address other hosts cannot
+    reproduce.  A ``ValueError``, so callers catching that still hold.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +189,8 @@ def work_campaign(
     Defence in depth: every lease key must equal the key this worker
     derives for its point.  A mismatch means the board and the build
     disagree about what a point *is*, and executing would store a record
-    under an address other hosts cannot reproduce.
+    under an address other hosts cannot reproduce: the worker releases
+    the group and raises :class:`LeaseKeyMismatchError`.
     """
     board = board_from_url(board, now=now)
     clock = now if now is not None else time.monotonic  # noqa: REP104 — lease renewal
@@ -211,7 +223,7 @@ def work_campaign(
                 for held in group:
                     board.release(held.key, worker)
                 plog.log("lease_release", reason="key mismatch")
-                raise ValueError(
+                raise LeaseKeyMismatchError(
                     f"lease {lease.key[:12]}… does not match this build's key "
                     f"{derived[:12]}… for {lease.label!r} — board and worker "
                     "disagree about the campaign"

@@ -21,6 +21,7 @@ __all__ = [
     "FORCE_EVALUATIONS",
     "NEIGHBOR_BUILDS",
     "PAIRLIST_BUILDS",
+    "OWNERSHIP_EPOCHS",
     "FRESH_ATOMS",
     "OPSTREAM_RECORDED",
     "OPSTREAM_REPLAYED",
@@ -41,6 +42,13 @@ NEIGHBOR_BUILDS = REGISTRY.counter("md.neighbor_builds")
 #: one per rank per rebuild, not one per rank per step — tests assert the
 #: exact count, so a return to per-step searching fails without a stopwatch.
 PAIRLIST_BUILDS = REGISTRY.counter("spatial.pairlist_builds")
+
+#: Incremented once per ownership epoch of a spatial rank (see
+#: :meth:`repro.parallel.spatial.engine.SpatialEngine._ownership`): one per
+#: rank at its first step, then one per step whose owned set a migration
+#: changed — tests assert the exact count, so a return to per-step
+#: rebuilding of the slot map and bonded rows fails without a stopwatch.
+OWNERSHIP_EPOCHS = REGISTRY.counter("spatial.ownership_epochs")
 
 #: Atoms the spatial engine's fresh-atom rule paired by a dense test, summed
 #: over ranks and steps: atoms that entered a rank's halo, or migrated in,

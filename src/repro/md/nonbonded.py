@@ -171,6 +171,20 @@ def pair_physics_numpy(
     return e_lj_pair, e_el_pair, fvec
 
 
+def _statics_releaser(kernel: "NonbondedKernel") -> Callable:
+    """Weakref callback that drops ``kernel``'s cached statics when their
+    base array dies.  It holds the kernel by weakref too, so a cached
+    base never keeps its kernel alive, and no reference cycle forms."""
+    owner = weakref.ref(kernel)
+
+    def release(ref: weakref.ref) -> None:
+        k = owner()
+        if k is not None and k._statics_base is ref:
+            k._statics = None
+
+    return release
+
+
 class NonbondedKernel:
     """Evaluates LJ + electrostatics over an explicit pair list.
 
@@ -221,13 +235,13 @@ class NonbondedKernel:
         if len(self.charges) != len(self.eps):
             raise ValueError("charges and type_names disagree on atom count")
         # per-pair statics (eps_ij, rmin_ij, qq) cached for the lifetime
-        # of one pair-list base array; see _statics_rows.  shared_statics,
-        # when given, deduplicates that computation across rank kernels
-        # (every replicated rank sees the same base array and identical
-        # parameter tables, so one evaluation serves all); a caller that
-        # derives each step's rows from a longer-lived list seeds the
-        # cache itself (adopt_statics)
+        # of one pair-list base array from its second evaluation on; see
+        # _statics_rows.  shared_statics, when given, deduplicates that
+        # computation across rank kernels (every replicated rank sees the
+        # same base array and identical parameter tables, so one
+        # evaluation serves all)
         self._shared_statics = shared_statics
+        self._seen_base: weakref.ref | None = None
         self._statics_base: weakref.ref | None = None
         self._statics: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # optional certified candidate pre-drop; see attach_prefilter
@@ -286,21 +300,29 @@ class NonbondedKernel:
         on the pair *indices*.  So compute them once per base array and
         serve row-slices from the cache.  Identity of the base array is
         the cache key (held by weakref): any rebuild allocates a new
-        array and naturally invalidates.  Views that are not plain
-        row-slices (``sliced``, from :meth:`_row_slice`, is ``None``) fall
-        back to ``None`` and the caller computes the accepted rows'
-        parameters directly, so this is bitwise invisible either way.
+        array and naturally invalidates, and the statics are dropped the
+        moment their base array is freed.  A base is cached from its
+        second evaluation on: an array evaluated once (a spatial rank's
+        step array) is never expanded into whole-array statics.  Until
+        then, and for views that are not plain row-slices (``sliced``,
+        from :meth:`_row_slice`, is ``None``), this returns ``None`` and
+        each tile gathers its accepted rows' parameters directly, so the
+        cache is bitwise invisible either way.
         """
         if sliced is None:
             return None
         base, off = sliced
         cached = self._statics_base() if self._statics_base is not None else None
         if cached is not base:
+            seen = self._seen_base() if self._seen_base is not None else None
+            if seen is not base:
+                self._seen_base = weakref.ref(base)
+                return None
             if self._shared_statics is not None:
-                statics = self._shared_statics(base, self.pair_statics)
+                self._statics = self._shared_statics(base, self.pair_statics)
             else:
-                statics = self.pair_statics(base)
-            self.adopt_statics(base, statics)
+                self._statics = self.pair_statics(base)
+            self._statics_base = weakref.ref(base, _statics_releaser(self))
         eps_ij, rmin_ij, qq = self._statics
         stop = off + len(pairs)
         return eps_ij[off:stop], rmin_ij[off:stop], qq[off:stop]
@@ -316,20 +338,6 @@ class NonbondedKernel:
             self.rmin_half.take(bi) + self.rmin_half.take(bj),
             COULOMB_CONSTANT * self.charges.take(bi) * self.charges.take(bj),
         )
-
-    def adopt_statics(
-        self, base: np.ndarray, statics: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ) -> None:
-        """Seed the base-identity cache: ``statics`` are :meth:`pair_statics`
-        of ``base``, row for row, obtained without recomputing them.
-
-        The spatial engine selects each step's rows from a list it built
-        steps ago; the parameters are elementwise per row, so gathering the
-        list's statics by the selected rows yields the bits
-        ``pair_statics(base)`` would.
-        """
-        self._statics = statics
-        self._statics_base = weakref.ref(base)
 
     # ------------------------------------------------------------------
     def pair_terms(
@@ -419,9 +427,9 @@ class NonbondedKernel:
             rows = sel if pre is None else pre.take(sel)
             eps_ij, rmin_ij, qq = (s[tile].take(rows) for s in statics)
         else:
-            eps_ij = np.sqrt(self.eps[i] * self.eps[j])
-            rmin_ij = self.rmin_half[i] + self.rmin_half[j]
-            qq = COULOMB_CONSTANT * self.charges[i] * self.charges[j]
+            eps_ij = np.sqrt(self.eps.take(i) * self.eps.take(j))
+            rmin_ij = self.rmin_half.take(i) + self.rmin_half.take(j)
+            qq = COULOMB_CONSTANT * self.charges.take(i) * self.charges.take(j)
 
         e_lj_pair, e_el_pair, fvec = pair_physics_numpy(
             r2, dr, eps_ij, rmin_ij, qq, self.scheme, self.elec_mode, self.ewald_alpha

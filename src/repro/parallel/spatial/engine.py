@@ -44,10 +44,16 @@ bit-identity tests against the replicated path check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ...instrument.counters import FORCE_EVALUATIONS, FRESH_ATOMS, PAIRLIST_BUILDS
+from ...instrument.counters import (
+    FORCE_EVALUATIONS,
+    FRESH_ATOMS,
+    OWNERSHIP_EPOCHS,
+    PAIRLIST_BUILDS,
+)
 from ...md.bonded import (
     angle_row_terms,
     bond_row_terms,
@@ -59,6 +65,7 @@ from ...md.energy import EnergyBreakdown
 from ...md.neighborlist import (
     absent_from,
     certified_bound,
+    drop_excluded,
     max_displacement2,
     tree_candidates,
     within_cutoff,
@@ -290,21 +297,66 @@ class SpatialLedger:
         return vector_to_energy(folded)
 
 
+#: Bytes of each ``(rows, known, 3)`` float64 temporary of the fresh-atom
+#: rule's dense test (:meth:`SpatialEngine._fresh_codes`): a rank that
+#: knows 1,500 atoms tests 116 fresh atoms per block.  The difference and
+#: its minimum image are alive together, so a block peaks near 8 MiB.
+FRESH_BLOCK_BYTES = 4 * 2**20
+
+
 @dataclass
 class _PairList:
-    """One rank's buffered pair list; see :meth:`SpatialEngine._step_pairs`."""
+    """One rank's buffered pair list; see :meth:`SpatialEngine._step_pairs`.
+
+    Pairs only: their kernel parameters are elementwise functions of
+    per-atom tables, so the kernel derives them from each step's rows
+    and drops them with that step's array.
+    """
 
     #: ``(m, 2)`` rows ``i < j`` within ``r_cut + skin`` at the build that
     #: touched an atom owned then; exclusions removed, sorted by ``codes``
     pairs: np.ndarray
     codes: np.ndarray
-    #: build-time pair distances and per-pair kernel statics, row for row
+    #: build-time pair distances, row for row
     ref_d: np.ndarray
-    statics: tuple[np.ndarray, np.ndarray, np.ndarray]
     #: coordinates and masks as they were at the build
     ref_positions: np.ndarray
     known: np.ndarray
     owned: np.ndarray
+
+
+@dataclass
+class _TermRows:
+    """One bonded term's rows that touch an owned atom, gathered once per
+    ownership epoch."""
+
+    term: str
+    row_terms: Callable
+    #: the touched rows' atoms and parameters
+    idx: np.ndarray
+    params: list[np.ndarray]
+    #: scatter bin of every touched row, per atom column
+    bins: list[np.ndarray]
+    #: which touched rows this rank posts (owner of column 0), and their
+    #: global row numbers
+    posted: np.ndarray
+    posted_rows: np.ndarray
+
+
+@dataclass
+class _Ownership:
+    """Everything that depends only on the owned set: rebuilt when a
+    migration changed it (:meth:`SpatialEngine._ownership`)."""
+
+    #: the owned mask it was derived from (never written), and its atoms
+    mask: np.ndarray
+    owned: np.ndarray
+    #: contribution bins: ``p`` virtual ranks x (owned slots + one trash
+    #: slot that absorbs scatter onto ghosts)
+    slots: int
+    nbins: int
+    local_of: np.ndarray
+    terms: list[_TermRows]
 
 
 class SpatialEngine:
@@ -347,6 +399,9 @@ class SpatialEngine:
         self.velocities = np.asarray(velocities0, dtype=np.float64).copy()
         self.owned_mask = decomp.owners(self.positions) == rank
         self.known_mask = self.owned_mask.copy()
+        #: cell coordinates of the owned atoms, valid once ``_classified``
+        self._cells = np.zeros((self.n_atoms, 3), dtype=np.int64)
+        self._classified = False
 
         # a private kernel so per-rank pair counters do not interleave
         self.kernel = NonbondedKernel(
@@ -377,6 +432,7 @@ class SpatialEngine:
 
         self._step = -1
         self._pulse_store: dict[tuple[int, int], np.ndarray] = {}
+        self._epoch: _Ownership | None = None
         self._forces_owned: np.ndarray | None = None
         self._owned_idx: np.ndarray | None = None
 
@@ -390,11 +446,23 @@ class SpatialEngine:
 
     def end_step(self) -> None:
         """Every owned atom must sit in this rank's cell after migration."""
-        owned = np.nonzero(self.owned_mask)[0]
-        owners = self.decomp.owners(self.positions[owned])
-        wrong = owners != self.rank
+        owned = np.flatnonzero(self.owned_mask)
+        wrong = np.any(self._owned_cells(owned) != self._coords, axis=1)
         if np.any(wrong):
             raise SpatialMigrationError(self.rank, self._step, owned[wrong])
+
+    def _owned_cells(self, owned: np.ndarray) -> np.ndarray:
+        """Cell coordinates of the ``owned`` atoms this step.
+
+        The owned atoms are classified once, at the first migration call
+        after :meth:`integrate` moved them, and an arrival on receipt
+        (:meth:`migrate_receive`).  The cell test is elementwise per atom,
+        so these are the bits a fresh ``cell_coords`` would give.
+        """
+        if not self._classified:
+            self._cells[owned] = self.decomp.cell_coords(self.positions[owned])
+            self._classified = True
+        return self._cells[owned]
 
     def outcome(self) -> SpatialOutcome:
         owned = np.nonzero(self.owned_mask)[0]
@@ -452,9 +520,8 @@ class SpatialEngine:
         the contract declares.
         """
         g = self.decomp.grid[dim]
-        owned = np.nonzero(self.owned_mask)[0]
-        cells = self.decomp.cell_coords(self.positions[owned])
-        delta = (cells[:, dim] - self._coords[dim]) % g
+        owned = np.flatnonzero(self.owned_mask)
+        delta = (self._owned_cells(owned)[:, dim] - self._coords[dim]) % g
         if direction == 0:
             bad = (delta != 0) & (delta != 1) & (delta != g - 1)
             if np.any(bad):
@@ -479,9 +546,55 @@ class SpatialEngine:
             self.known_mask[idxs] = True
             self.positions[idxs] = data[:, 1:4]
             self.velocities[idxs] = data[:, 4:7]
+            self._cells[idxs] = self.decomp.cell_coords(data[:, 1:4])
 
     # -- force replay ----------------------------------------------------
-    def _build_list(self, known: np.ndarray) -> _PairList:
+    def _ownership(self) -> _Ownership:
+        """The current ownership epoch, rebuilt only when the owned set
+        changed since the last one (a migration moved an atom in or out).
+
+        The slot map and every bonded term's touched rows, parameters,
+        scatter bins and posted rows depend on nothing else, so steps
+        between migrations reuse them.
+        """
+        epoch = self._epoch
+        if epoch is not None and np.array_equal(epoch.mask, self.owned_mask):
+            return epoch
+        OWNERSHIP_EPOCHS.increment()
+        mask = self.owned_mask.copy()
+        owned = np.flatnonzero(mask)
+        k_own = len(owned)
+        slots = k_own + 1
+        local_of = np.full(self.n_atoms, k_own, dtype=np.int64)
+        local_of[owned] = np.arange(k_own, dtype=np.int64)
+        terms = []
+        for term, idx, bounds, row_terms, params in self._terms:
+            touch = np.flatnonzero(np.any(mask[idx], axis=1))
+            rows = idx[touch]
+            base = (np.searchsorted(bounds, touch, side="right") - 1) * slots
+            posted = mask[rows[:, 0]]
+            terms.append(
+                _TermRows(
+                    term=term,
+                    row_terms=row_terms,
+                    idx=rows,
+                    params=[prm[touch] for prm in params],
+                    bins=[base + local_of[rows[:, col]] for col in range(idx.shape[1])],
+                    posted=posted,
+                    posted_rows=touch[posted],
+                )
+            )
+        self._epoch = _Ownership(
+            mask=mask,
+            owned=owned,
+            slots=slots,
+            nbins=self.vdecomp.n_ranks * slots,
+            local_of=local_of,
+            terms=terms,
+        )
+        return self._epoch
+
+    def _build_list(self, known: np.ndarray, owned_mask: np.ndarray) -> _PairList:
         """Search this rank's known atoms once, out to ``r_cut + skin``.
 
         The periodic k-d tree merely *proposes* (its radius is padded, so
@@ -500,34 +613,34 @@ class SpatialEngine:
         if proposed is None:  # box too small for a toroidal query
             proposed = np.triu_indices(len(known), k=1)
         gi, gj = known[proposed[0]], known[proposed[1]]
-        touch = self.owned_mask[gi] | self.owned_mask[gj]
+        touch = owned_mask[gi] | owned_mask[gj]
         gi, gj = gi[touch], gj[touch]
         rows, d2 = within_cutoff(self.positions, self.box, gi, gj, cutoff)
         gi, gj = gi.take(rows), gj.take(rows)
         codes = gi * np.int64(self.n_atoms) + gj
-        keep = np.flatnonzero(absent_from(self._excl_codes, codes))
-        keep = keep[np.argsort(codes.take(keep))]
-        pairs = np.stack([gi.take(keep), gj.take(keep)], axis=1)
+        keep = drop_excluded(codes, self._excl_codes)
         return _PairList(
-            pairs=pairs,
+            pairs=np.stack([gi.take(keep), gj.take(keep)], axis=1),
             codes=codes.take(keep),
             ref_d=np.sqrt(d2.take(keep)),
-            statics=self.kernel.pair_statics(pairs),
             ref_positions=self.positions.copy(),
             known=self.known_mask.copy(),
-            owned=self.owned_mask.copy(),
+            owned=owned_mask,  # an epoch's mask, never written
         )
 
-    def _fresh_codes(self, lst: _PairList, known: np.ndarray) -> np.ndarray:
+    def _fresh_codes(
+        self, lst: _PairList, known: np.ndarray, owned_mask: np.ndarray
+    ) -> np.ndarray:
         """Sorted codes of the fresh atoms' candidate pairs ``lst`` lacks.
 
         Fresh atoms are known now but were not at the build, or owned now
         but were not at the build.  A dense minimum-image test of those
-        few atoms against every known atom, at the tree's padded radius:
+        few atoms against every known atom, at the tree's padded radius,
+        in blocks of fresh atoms sized by :data:`FRESH_BLOCK_BYTES`:
         pairs touching an owned atom, exclusions removed, each once.
         """
         fresh = np.flatnonzero(
-            (self.known_mask & ~lst.known) | (self.owned_mask & ~lst.owned)
+            (self.known_mask & ~lst.known) | (owned_mask & ~lst.owned)
         )
         if not len(fresh):
             return np.empty(0, dtype=np.int64)
@@ -535,7 +648,8 @@ class SpatialEngine:
         cut2 = (self.r_cut * (1.0 + 1e-9)) ** 2
         pos_known = self.positions[known]
         found: list[np.ndarray] = []
-        block = max(1, 2_000_000 // len(known))  # bounds the dense matrix
+        # one fresh atom's row of a (rows, known, 3) temporary is pos_known
+        block = max(1, FRESH_BLOCK_BYTES // pos_known.nbytes)
         for start in range(0, len(fresh), block):
             part = fresh[start : start + block]
             dr = self.box.min_image(
@@ -544,7 +658,7 @@ class SpatialEngine:
             a, b = np.nonzero(np.einsum("ijk,ijk->ij", dr, dr) <= cut2)
             lo = np.minimum(part[a], known[b])
             hi = np.maximum(part[a], known[b])
-            keep = (lo != hi) & (self.owned_mask[lo] | self.owned_mask[hi])
+            keep = (lo != hi) & (owned_mask[lo] | owned_mask[hi])
             found.append(lo[keep] * np.int64(self.n_atoms) + hi[keep])
         codes = np.unique(np.concatenate(found))
         codes = codes[absent_from(self._excl_codes, codes)]
@@ -581,7 +695,10 @@ class SpatialEngine:
         ``skin == 0`` certifies nothing and rebuilds every step through
         the same code.  Displacements are measured on the atoms known at
         the build *and* now — exactly the atoms of the rows selected.
+        The returned array lives for one step, and so do the kernel
+        parameters :meth:`NonbondedKernel.pair_terms` derives from it.
         """
+        owned_mask = self._ownership().mask
         lst = self._list
         max_disp = None  # no certificate: a build is due
         if lst is not None and self.scheme.skin > 0.0:
@@ -592,37 +709,28 @@ class SpatialEngine:
             if disp2 <= (0.5 * self.scheme.skin) ** 2:
                 max_disp = float(np.sqrt(disp2))
         if max_disp is None:
-            lst = self._list = self._build_list(known)
+            lst = self._list = self._build_list(known, owned_mask)
             max_disp = 0.0
 
         ok = lst.ref_d <= certified_bound(self.r_cut, max_disp)
         i, j = lst.pairs[:, 0], lst.pairs[:, 1]
         if np.any(lst.known & ~self.known_mask):  # an atom left the halo
             ok &= self.known_mask[i] & self.known_mask[j]
-        if np.any(lst.owned & ~self.owned_mask):  # an atom migrated out
-            ok &= self.owned_mask[i] | self.owned_mask[j]
+        if np.any(lst.owned & ~owned_mask):  # an atom migrated out
+            ok &= owned_mask[i] | owned_mask[j]
         rows = np.flatnonzero(ok)
 
-        codes = self._fresh_codes(lst, known)
-        if len(codes) and len(rows):
-            # open one slot per new row at its sorted position — the count
-            # of selected rows before it — by gathering list row 0 there:
-            # one insert on the index instead of one per array
-            where = np.searchsorted(rows, np.searchsorted(lst.codes, codes))
-            slots = where + np.arange(len(where))
-            rows = np.insert(rows, where, 0)
-        pairs = lst.pairs.take(rows, axis=0)
-        statics = tuple(s.take(rows) for s in lst.statics)
-        if len(codes):
-            extra = np.stack([codes // self.n_atoms, codes % self.n_atoms], axis=1)
-            extra_statics = self.kernel.pair_statics(extra)
-            if len(pairs):
-                pairs[slots] = extra
-                for s, e in zip(statics, extra_statics):
-                    s[slots] = e
-            else:  # nothing selected: the new rows are the step's pairs
-                pairs, statics = extra, extra_statics
-        self.kernel.adopt_statics(pairs, statics)
+        codes = self._fresh_codes(lst, known, owned_mask)
+        if not len(codes):
+            return lst.pairs.take(rows, axis=0)
+        extra = np.stack([codes // self.n_atoms, codes % self.n_atoms], axis=1)
+        if not len(rows):  # nothing selected: the new rows are the step's pairs
+            return extra
+        # open one slot per new row at its sorted position — the count of
+        # selected rows before it — by gathering list row 0 there
+        where = np.searchsorted(rows, np.searchsorted(lst.codes, codes))
+        pairs = lst.pairs.take(np.insert(rows, where, 0), axis=0)
+        pairs[where + np.arange(len(where))] = extra
         return pairs
 
     def compute_forces(self) -> float:
@@ -634,15 +742,11 @@ class SpatialEngine:
         across virtual ranks with the middleware's exact fold.
         """
         FORCE_EVALUATIONS.increment()
-        n = self.n_atoms
         p = self.vdecomp.n_ranks
-        owned = np.nonzero(self.owned_mask)[0]
-        known = np.nonzero(self.known_mask)[0]
+        own = self._ownership()
+        owned, slots, nbins, local_of = own.owned, own.slots, own.nbins, own.local_of
         k_own = len(owned)
-        slots = k_own + 1
-        nbins = p * slots
-        local_of = np.full(n, k_own, dtype=np.int64)
-        local_of[owned] = np.arange(k_own, dtype=np.int64)
+        known = np.flatnonzero(self.known_mask)
 
         pairs = self._step_pairs(known)
         i, j, e_lj, e_el, fvec = self.kernel.pair_terms(self.positions, pairs)
@@ -661,28 +765,18 @@ class SpatialEngine:
 
         total_rows = 0
         acc_terms: list[np.ndarray] = []
-        for term, idx, bounds, row_terms, params in self._terms:
-            acc = np.zeros((nbins, 3), dtype=np.float64)
-            if len(idx):
-                touch = np.nonzero(np.any(self.owned_mask[idx], axis=1))[0]
-                if len(touch):
-                    e_rows, scatter = row_terms(
-                        self.positions, self.box, idx[touch],
-                        *[prm[touch] for prm in params],
-                    )
-                    base = (np.searchsorted(bounds, touch, side="right") - 1) * slots
-                    acc = scatter_rows(
-                        [(base + local_of[idx[touch, col]], frows) for col, frows in scatter],
-                        nbins,
-                    )
-                    sel0 = self.owned_mask[idx[touch, 0]]
-                    self.ledger.post_bonded(
-                        term, self._step, touch[sel0], e_rows[sel0]
-                    )
-                    total_rows += len(touch)
-            acc_terms.append(acc)
+        for t in own.terms:
+            if len(t.idx):
+                e_rows, scatter = t.row_terms(self.positions, self.box, t.idx, *t.params)
+                acc_terms.append(
+                    scatter_rows([(t.bins[col], frows) for col, frows in scatter], nbins)
+                )
+                self.ledger.post_bonded(t.term, self._step, t.posted_rows, e_rows[t.posted])
+                total_rows += len(t.idx)
+            else:
+                acc_terms.append(np.zeros((nbins, 3), dtype=np.float64))
         # last: the ledger folds a step when its last rank's pairs arrive
-        sel_own = self.owned_mask[i]
+        sel_own = own.mask[i]
         self.ledger.post_pairs(
             self._step, i[sel_own], j[sel_own], e_lj[sel_own], e_el[sel_own]
         )
@@ -730,4 +824,5 @@ class SpatialEngine:
         accel = self._forces_owned / self.masses[owned][:, None] * ACCEL_CONVERT
         self.velocities[owned] = self.velocities[owned] + accel * dt
         self.positions[owned] = self.positions[owned] + self.velocities[owned] * dt
+        self._classified = False
         return self.cost.integrate(len(owned))

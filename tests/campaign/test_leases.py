@@ -7,11 +7,14 @@ completion racing a reclaim — runs deterministically with zero sleeps.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.campaign import (
     LeaseBoard,
     LeaseBoardError,
+    LeaseKeyMismatchError,
     ResultStore,
     merge_into_store,
     publish_campaign,
@@ -229,6 +232,16 @@ class TestWorkCampaign:
             work_campaign(
                 leases, ResultStore(None), "w1", cost=slower, now=clock
             )
+
+    def test_key_mismatch_is_typed_and_releases(self, tmp_path, clock):
+        _, _, leases, _ = _publish(tmp_path, clock, ranks=(1,))
+        doc = json.loads(leases.read_text())
+        doc["leases"][0]["key"] = "0" * 64
+        leases.write_text(json.dumps(doc))
+        with pytest.raises(LeaseKeyMismatchError, match="does not match") as err:
+            work_campaign(leases, ResultStore(None), "w1", now=clock)
+        assert isinstance(err.value, ValueError)
+        assert LeaseBoard(leases, now=clock).counts()["pending"] == 1
 
     def test_failed_point_is_released_not_done(self, tmp_path, clock, monkeypatch):
         _, _, leases, _ = _publish(tmp_path, clock, ranks=(1,))

@@ -144,6 +144,21 @@ class TestCellList:
         assert (0, 1) not in pairs
         assert (1, 2) in pairs and (0, 2) in pairs
 
+    @pytest.mark.parametrize("n_codes,n_excl", [(0, 5), (40, 0), (0, 0), (300, 60)])
+    def test_drop_excluded_sorts_and_drops(self, n_codes, n_excl):
+        """The same rows in the same order as searching every code in the
+        exclusion table and then sorting the survivors."""
+        rng = np.random.default_rng(n_codes + n_excl)
+        codes = rng.permutation(rng.choice(10 * n_codes + 10, n_codes, replace=False))
+        excl = np.sort(np.concatenate([
+            rng.choice(codes, min(n_excl, n_codes), replace=False),
+            rng.integers(10 * n_codes + 10, 20 * n_codes + 30, n_excl),  # none hit
+        ]).astype(codes.dtype))
+        keep = np.flatnonzero(neighborlist.absent_from(excl, codes))
+        want = keep[np.argsort(codes[keep])]
+        got = neighborlist.drop_excluded(codes, excl)
+        assert got.tolist() == want.tolist()
+
     def test_bad_exclusion_order_rejected(self):
         box = PeriodicBox(12, 12, 12)
         with pytest.raises(ValueError):

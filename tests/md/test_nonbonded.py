@@ -1,5 +1,8 @@
 """Non-bonded kernel: LJ + electrostatics values, gradients, cutoffs."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -287,3 +290,73 @@ class TestRowTiles:
         assert self._assert_tiling_invisible(monkeypatch, kern, pos, nothing) == 0
         energies, forces = kern.compute(pos, nothing)
         assert energies.total == 0.0 and not forces.any()
+
+
+class TestStaticsLifetime:
+    """The per-pair statics cache lives exactly as long as its pair array."""
+
+    @pytest.fixture()
+    def scene(self):
+        """A Verlet list, its coordinates and a kernel factory."""
+        rng = np.random.default_rng(5)
+        box = PeriodicBox(15.0, 15.0, 15.0)
+        scheme = CutoffScheme(r_cut=4.0, skin=1.0)
+        n = 90
+        pos = rng.uniform(0.0, 15.0, (n, 3))
+        nl = NeighborList(box, scheme)
+        nl.build(pos)
+        types = [("OT", "HT")[k % 2] for k in range(n)]
+        charges = rng.uniform(-0.8, 0.8, n)
+        return nl, pos, lambda: NonbondedKernel(
+            default_forcefield(), types, charges, box, scheme
+        )
+
+    def test_an_array_evaluated_once_has_no_statics(self, scene, monkeypatch):
+        """A spatial rank's step array: each tile gathers its accepted
+        rows' parameters, and no whole-array copy is made or kept."""
+        nl, pos, make_kernel = scene
+        kern = make_kernel()
+        monkeypatch.setattr(kern, "pair_statics", lambda base: pytest.fail("expanded"))
+        for _ in range(3):
+            step_pairs = nl.pairs.take(np.arange(0, len(nl.pairs), 3), axis=0)
+            kern.pair_terms(pos, step_pairs)
+            assert kern._statics is None
+
+    def test_statics_go_with_their_pair_array(self, scene):
+        """Statics cached for a reused array are freed with it, and the
+        cache keeps neither the array nor the kernel alive."""
+        nl, pos, make_kernel = scene
+        kern = make_kernel()
+        reused = nl.pairs.copy()
+        kern.pair_terms(pos, reused)
+        kern.pair_terms(pos, reused)
+        statics = weakref.ref(kern._statics[0])
+        gc.disable()  # freed by reference counting, not by the collector
+        try:
+            del reused
+            assert statics() is None and kern._statics is None
+            kernel = weakref.ref(kern)
+            del kern
+            assert kernel() is None
+        finally:
+            gc.enable()
+
+    def test_long_lived_base_once_per_build(self, scene, monkeypatch):
+        """The replicated list: one statics evaluation per build, at its
+        second evaluation, serves every later step and every rank block
+        sliced from it."""
+        nl, pos, make_kernel = scene
+        kern = make_kernel()
+        calls = []
+        pair_statics = kern.pair_statics
+        monkeypatch.setattr(
+            kern, "pair_statics", lambda base: calls.append(len(base)) or pair_statics(base)
+        )
+        for _ in range(3):
+            kern.pair_terms(pos, nl.pairs)
+            kern.pair_terms(pos, nl.pairs[7:61])
+        assert calls == [len(nl.pairs)]
+        nl.build(pos + 0.01)
+        kern.pair_terms(pos, nl.pairs)
+        kern.pair_terms(pos, nl.pairs[3:40])
+        assert calls == [len(nl.pairs)] * 2

@@ -15,7 +15,7 @@ import pytest
 from repro.campaign.workloads import build_workload
 from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
 from repro.instrument.commstats import CommTrace
-from repro.instrument.counters import FRESH_ATOMS, PAIRLIST_BUILDS
+from repro.instrument.counters import FRESH_ATOMS, OWNERSHIP_EPOCHS, PAIRLIST_BUILDS
 from repro.md import CutoffScheme, MDSystem
 from repro.md.box import PeriodicBox
 from repro.md.integrator import maxwell_boltzmann_velocities
@@ -30,6 +30,7 @@ from repro.parallel.spatial import (
     grid_for,
     halo_pulses,
 )
+from repro.parallel.spatial import engine as spatial_engine
 
 CFG = MDRunConfig(n_steps=3, dt=0.0004)
 #: long enough, at this timestep, for atoms to outrun half the skin: every
@@ -191,6 +192,31 @@ class TestBufferedPairList:
         system, pos = myoglobin
         _, builds, _ = _spatial_counting(system, pos, 8, MDRunConfig(n_steps=10))
         assert builds == 8
+
+    def test_ownership_epoch_per_migration(self, myoglobin, monkeypatch):
+        """The slot map and the bonded rows are rebuilt once per rank, then
+        only at a step whose owned set a migration changed — counted here
+        from the owned masks each rank's force evaluation sees."""
+        system, pos = myoglobin
+        masks: dict[int, list[np.ndarray]] = {}
+        compute_forces = SpatialEngine.compute_forces
+
+        def watched(engine):
+            masks.setdefault(engine.rank, []).append(engine.owned_mask.copy())
+            return compute_forces(engine)
+
+        monkeypatch.setattr(SpatialEngine, "compute_forces", watched)
+        epochs = OWNERSHIP_EPOCHS.snapshot()
+        _run(system, pos, 8, "spatial", config=MDRunConfig(n_steps=10))
+        changed = sum(
+            not np.array_equal(before, after)
+            for seen in masks.values()
+            for before, after in zip(seen, seen[1:])
+        )
+        assert sorted(masks) == list(range(8))
+        assert all(len(seen) == 10 for seen in masks.values())
+        assert 0 < changed < 8 * 9
+        assert OWNERSHIP_EPOCHS.delta(epochs) == 8 + changed
 
     def test_zero_skin_searches_every_step(self, myoglobin):
         """No skin certifies nothing: every rank searches every step."""
@@ -367,6 +393,49 @@ class TestFreshAtomRule:
         self._assert_rows_equal(
             got, self._replicated_rows(system, world, engine.owned_mask)
         )
+
+
+@pytest.fixture()
+def tiny_fresh_blocks(monkeypatch):
+    """One fresh atom per dense block of the fresh-atom rule."""
+    monkeypatch.setattr(spatial_engine, "FRESH_BLOCK_BYTES", 1)
+
+
+class TestBitIdenticalAcrossFreshBlockSeams:
+    """The fresh-atom rule's dense test, cut into blocks of one atom: the
+    same codes, and the same bits out of a run, as in one block."""
+
+    @pytest.mark.usefixtures("tiny_fresh_blocks")
+    @pytest.mark.parametrize("p,middleware", [(8, "mpi"), (2, "cmpi")])
+    def test_myoglobin_shift_across_a_rebuild(self, myoglobin, p, middleware):
+        system, pos = myoglobin
+        res, _, fresh = _spatial_counting(system, pos, p, LONG, middleware=middleware)
+        assert fresh > 1  # several atoms, so several blocks
+        _assert_bit_identical(
+            res, _run(system, pos, p, "replicated", config=LONG, middleware=middleware)
+        )
+
+    def test_same_codes(self, water, monkeypatch):
+        """Rank 0 after a ghost moved in and atoms migrated both ways."""
+        system, pos = water
+        engine = _slab_engine(system, pos)
+        TestFreshAtomRule._refill(engine, pos)
+        TestFreshAtomRule._rows(engine)
+        x = system.box.wrap(pos)[:, 0]
+        owned = np.nonzero(engine.owned_mask)[0]
+        ghosts = np.nonzero(engine.known_mask & ~engine.owned_mask & (x < 7.0))[0]
+        world = pos.copy()
+        world[ghosts[:3], 0] = 6.19
+        engine.owned_mask[ghosts[:3]] = True
+        engine.owned_mask[owned[np.argsort(x[owned])[-2:]]] = False
+        TestFreshAtomRule._refill(engine, world)
+        known = np.nonzero(engine.known_mask)[0]
+        mask = engine._ownership().mask
+        whole = engine._fresh_codes(engine._list, known, mask)
+        monkeypatch.setattr(spatial_engine, "FRESH_BLOCK_BYTES", 1)
+        blocked = engine._fresh_codes(engine._list, known, mask)
+        assert len(whole) > 0
+        assert blocked.tobytes() == whole.tobytes()
 
 
 class TestBoundaryAtom:

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -177,6 +179,32 @@ class TestBoardCommands:
         ])
         assert code == 0
         assert "claimed 1 (1 executed" in capsys.readouterr().out
+
+    def test_work_on_a_lease_this_build_disagrees_with(self, tmp_path, capsys):
+        """A lease whose key is not this build's key for its point: one
+        error line, exit 2, and the lease goes back to the board."""
+        path = tmp_path / "leases.json"
+        code = main([
+            "campaign", "serve", "--store", str(tmp_path / "serve"),
+            "--workload", "peptide-tiny", "--steps", "2", "--ranks", "1",
+            "--board", f"file:{path}",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        doc["leases"][0]["key"] = "f" * 64
+        path.write_text(json.dumps(doc))
+
+        code = main([
+            "campaign", "work", "--store", str(tmp_path / "worker"),
+            "--board", f"file:{path}", "--worker", "cli-w",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: lease ffffffffffff… does not match this build's key ")
+        assert err.count("\n") == 1
+        assert json.loads(path.read_text())["leases"][0]["state"] == "pending"
 
     def test_status_with_board_prints_board_view_without_watch(
         self, tmp_path, capsys
