@@ -34,9 +34,9 @@ owns the execution of such sweeps end to end:
   hosts, ending in one store bit-identical to a single-host run;
 * :mod:`repro.campaign.analytics` — post-hoc map-reduce over a warm
   store: comm-breakdown reports (the paper's tables regenerated from
-  records alone), drift/conservation checks, cross-campaign trend
-  diffs, and coverage audits — byte-identical output regardless of
-  worker count, zero force evaluations.
+  records alone), drift/conservation checks and coverage audits —
+  byte-identical output regardless of shard layout, zero force
+  evaluations.
 
 CLI: ``python -m repro campaign
 run|status|gc|analyze|verify|serve|work|merge|coordinator``.

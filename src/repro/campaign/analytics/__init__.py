@@ -1,18 +1,17 @@
-"""Post-hoc campaign analytics: parallel map-reduce over the result store.
+"""Post-hoc campaign analytics: map-reduce over the result store.
 
 The campaign layer *produces* records; this package *consumes* them.  A
 warm store answers the paper's questions — where does the time go, does
-the physics hold, did anything regress, did the factorial complete —
-without a single new force evaluation.  :func:`run_analysis` is the one
-entry point: it fans the map stage over store shards using the engine's
-worker pool, reduces into one of four report documents, asserts the
-zero-force-evaluation contract, and atomically publishes the canonical
-JSON next to the store it describes (which is what the coordinator's
-``GET /v1/report`` endpoint serves).
+the physics hold, did the factorial complete — without a single new
+force evaluation.  :func:`run_analysis` is the one entry point: it maps
+every store shard inline, reduces into one of three report documents,
+asserts the zero-force-evaluation contract, and atomically publishes the
+canonical JSON next to the store it describes (which is what the
+coordinator's ``GET /v1/report`` endpoint serves).
 
 Determinism contract (tested byte-for-byte): the report produced over a
-given store is identical regardless of worker count and of shard
-arrival order.  See :mod:`~repro.campaign.analytics.mapreduce` for the
+given set of entries is identical however they are laid out across
+shard files.  See :mod:`~repro.campaign.analytics.mapreduce` for the
 mechanics.
 """
 
@@ -36,7 +35,6 @@ from .mapreduce import (
     merge_rows,
 )
 from .render import FORMATS, render, to_json_bytes
-from .trend import load_trend_source, trend_report
 
 __all__ = [
     "ANALYZERS",
@@ -47,17 +45,15 @@ __all__ = [
     "coverage_report",
     "discover_shards",
     "drift_report",
-    "load_trend_source",
     "map_shard",
     "map_shards",
     "merge_rows",
     "render",
     "run_analysis",
     "to_json_bytes",
-    "trend_report",
 ]
 
-ANALYZERS = ("report", "drift", "trend", "coverage")
+ANALYZERS = ("report", "drift", "coverage")
 
 
 def _analysis_id(kind: str, shard_names: list[str]) -> str:
@@ -85,21 +81,14 @@ def run_analysis(
     kind: str,
     store: str | Path,
     *,
-    workers: int = 0,
     series: str = "p",
-    against: str | Path | None = None,
-    candidate: str | Path | None = None,
-    factor: float = 1.25,
-    rtol: float = 1e-9,
     save: bool = True,
 ) -> dict:
     """Run one analyzer over a warm store and return its report document.
 
-    ``workers`` fans the map stage out over the engine's process pool
-    (``0`` maps inline; the report bytes are identical either way).  For
-    ``trend``, ``against`` names the baseline source and ``candidate``
-    defaults to ``store``.  With ``save`` the canonical JSON also lands
-    at ``<store>/reports/<kind>-latest.json`` for the coordinator's
+    ``series`` is the axis the ``report`` tables vary along.  With
+    ``save`` the canonical JSON also lands at
+    ``<store>/reports/<kind>-latest.json`` for the coordinator's
     ``/v1/report`` endpoint.
 
     Raises :class:`AnalysisError` on unusable inputs and
@@ -111,33 +100,20 @@ def run_analysis(
     store_root = Path(store)
     force_mark = FORCE_EVALUATIONS.snapshot()
 
-    if kind == "trend":
-        if against is None:
-            raise AnalysisError("trend needs --against <baseline store|manifest>")
-        baseline = load_trend_source(against, workers)
-        cand = load_trend_source(candidate if candidate is not None else store_root, workers)
-        shard_names = [baseline["name"], cand["name"]]
-        n_records = len(cand["series"])
-        builder = lambda: trend_report(baseline, cand, factor)  # noqa: E731
-    else:
-        partials = map_shards(store_root, workers)
-        rows = merge_rows(partials)
-        shard_names = [p["shard"] for p in partials]
-        n_records = len(rows)
-        if kind == "report":
-            builder = lambda: breakdown_report(rows, series)  # noqa: E731
-        elif kind == "drift":
-            builder = lambda: drift_report(rows, rtol)  # noqa: E731
-        else:
-            builder = lambda: coverage_report(partials, rows)  # noqa: E731
-
+    partials = map_shards(store_root)
+    rows = merge_rows(partials)
+    shard_names = [p["shard"] for p in partials]
     analysis_id = _analysis_id(kind, shard_names)
     runlog = RunLog(store_root / "logs" / f"analyze-{kind}.jsonl").bind(
         analysis_id=analysis_id, analyzer=kind
     )
-    runlog.log("analysis_start", store=str(store_root), inputs=shard_names,
-               workers=workers)
-    doc = builder()
+    runlog.log("analysis_start", store=str(store_root), inputs=shard_names)
+    if kind == "report":
+        doc = breakdown_report(rows, series)
+    elif kind == "drift":
+        doc = drift_report(rows)
+    else:
+        doc = coverage_report(partials, rows)
     doc["analysis_id"] = analysis_id
 
     force_delta = FORCE_EVALUATIONS.delta(force_mark)
@@ -147,11 +123,11 @@ def run_analysis(
             "reports over a warm store must be read-only"
         )
     REGISTRY.counter("analytics.runs").increment(kind=kind)
-    REGISTRY.counter("analytics.records").increment(n_records)
+    REGISTRY.counter("analytics.records").increment(len(rows))
 
     saved = None
     if save:
         saved = _save_report(store_root, kind, doc)
-    runlog.log("analysis_end", ok=doc.get("ok", True), n_records=n_records,
+    runlog.log("analysis_end", ok=doc.get("ok", True), n_records=len(rows),
                saved=str(saved) if saved else None)
     return doc

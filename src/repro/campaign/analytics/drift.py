@@ -21,19 +21,20 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["DRIFT_SCHEMA", "drift_report"]
+__all__ = ["DRIFT_SCHEMA", "RTOL", "drift_report"]
 
 DRIFT_SCHEMA = 1
+RTOL = 1e-9  # relative tolerance of the energy-consensus check
 
 _PHASES = ("classic", "pme")
 _ABS_TOL = 1e-12
 
 
-def _close(a: float, b: float, rtol: float) -> bool:
-    return abs(a - b) <= max(rtol * max(abs(a), abs(b)), _ABS_TOL)
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= max(RTOL * max(abs(a), abs(b)), _ABS_TOL)
 
 
-def _consensus_findings(rows: list[dict], rtol: float, findings: list[dict]) -> list[dict]:
+def _consensus_findings(rows: list[dict], findings: list[dict]) -> list[dict]:
     """Cluster per-(workload, strategy) energies; flag non-consensus rows."""
     by_group: dict[tuple, list[dict]] = {}
     for row in rows:
@@ -60,7 +61,7 @@ def _consensus_findings(rows: list[dict], rtol: float, findings: list[dict]) -> 
         clusters: list[list[dict]] = []
         for row in finite:  # rows arrive key-sorted: deterministic clustering
             for cluster in clusters:
-                if _close(row["final_energy"], cluster[0]["final_energy"], rtol):
+                if _close(row["final_energy"], cluster[0]["final_energy"]):
                     cluster.append(row)
                     break
             else:
@@ -77,7 +78,7 @@ def _consensus_findings(rows: list[dict], rtol: float, findings: list[dict]) -> 
                         "label": row["label"],
                         "detail": (
                             f"final_energy {row['final_energy']!r} disagrees with "
-                            f"the consensus {consensus!r} (rtol {rtol})"
+                            f"the consensus {consensus!r} (rtol {RTOL})"
                         ),
                     }
                 )
@@ -127,16 +128,16 @@ def _conservation_findings(rows: list[dict], findings: list[dict]) -> None:
                 )
 
 
-def drift_report(rows: list[dict], rtol: float = 1e-9) -> dict:
+def drift_report(rows: list[dict]) -> dict:
     """Reduce key-sorted rows into the drift/conservation report."""
     findings: list[dict] = []
-    group_docs = _consensus_findings(rows, rtol, findings)
+    group_docs = _consensus_findings(rows, findings)
     _conservation_findings(rows, findings)
     findings.sort(key=lambda f: (f["check"], f["key"]))
     return {
         "analyzer": "drift",
         "schema": DRIFT_SCHEMA,
-        "rtol": rtol,
+        "rtol": RTOL,
         "n_records": len(rows),
         "workloads": group_docs,
         "findings": findings,

@@ -1,26 +1,26 @@
 """Deterministic map-reduce over content-addressed store shards.
 
-The map unit is one shard file: a worker parses it with the store's own
-corruption-tolerant reader and projects every surviving entry into a
-flat *row* (the record fields plus the axes and provenance the reducers
-group on).  The reduce side then merges partials under exactly the
-semantics ``ResultStore._load`` uses — shards in sorted-filename order,
-the later shard winning on a key collision — and hands every analyzer
-one list of rows **sorted by cache key**.
+The map unit is one shard file: :func:`map_shard` parses it with the
+store's own corruption-tolerant reader and projects every surviving
+entry into a flat *row* (the record fields plus the axes and provenance
+the reducers group on).  The reduce side then merges partials under
+exactly the semantics ``ResultStore._load`` uses — shards in
+sorted-filename order, the later shard winning on a key collision — and
+hands every analyzer one list of rows **sorted by cache key**.
 
-That pipeline is what makes every report byte-identical regardless of
-worker count or shard arrival order:
+That pipeline is what makes every report independent of how the same
+entries are laid out across shard files:
 
-* partials are re-ordered by shard filename before merging, so pool
-  scheduling cannot influence which duplicate wins;
+* shards are mapped and merged in sorted-filename order, so the same
+  duplicate always wins;
 * rows reach the reducers sorted by key, so iteration order (and
   therefore floating-point summation order) is fixed;
-* reducers never read the wall clock, worker count, or host identity
-  into the report document.
+* reducers never read the wall clock or host identity into the report
+  document.
 
-The fan-out itself is the campaign engine's one dispatch loop
-(:func:`repro.campaign.engine.dispatch`), the same plumbing ``campaign
-run`` and ``verify --workers`` execute points with.
+The map runs inline, in this process: parsing a shard costs less than
+handing it to a worker process, so a pool made every report slower at
+the store sizes campaigns produce (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 import warnings
 from pathlib import Path
 
-from ..engine import dispatch
 from ..store import ResultStore, record_to_dict
 
 __all__ = [
@@ -67,7 +66,7 @@ def _row_from_entry(entry) -> dict:
 
 
 def map_shard(path: str | Path) -> dict:
-    """Map one shard file to its partial document (pure, process-safe).
+    """Map one shard file to its partial document (pure).
 
     Within a shard the last occurrence of a key wins, mirroring the
     append-then-supersede write model.  Damage is counted, not raised:
@@ -90,20 +89,20 @@ def map_shard(path: str | Path) -> dict:
     }
 
 
-def map_shards(store_root: str | Path, n_workers: int = 0) -> list[dict]:
-    """Map every shard of a store; partials return in sorted-shard order.
+def map_shards(store_root: str | Path) -> list[dict]:
+    """Map every shard of a store, in sorted-shard order.
 
-    ``n_workers`` fans the map stage out over worker processes; ``0``
-    maps inline.  The returned list is identical either way.
+    A mapper that raises an ``Exception`` fails the map stage as an
+    :class:`AnalysisError` naming the shard; an interrupt propagates.
     """
-    shards = discover_shards(store_root)
-    mapped = dispatch(map_shard, {str(p): str(p) for p in shards}, n_workers)
     partials = []
-    for p in shards:
-        attempt = mapped[str(p)]
-        if attempt.status != "ok":
-            raise AnalysisError(f"map stage failed on {p.name}: {attempt.error}")
-        partials.append(attempt.doc)
+    for path in discover_shards(store_root):
+        try:
+            partials.append(map_shard(path))
+        except Exception as exc:
+            raise AnalysisError(
+                f"map stage failed on {path.name}: {type(exc).__name__}: {exc}"
+            ) from exc
     return partials
 
 

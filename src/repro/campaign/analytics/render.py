@@ -118,49 +118,6 @@ def _drift_sections(doc: dict) -> list[dict]:
     return sections
 
 
-def _trend_sections(doc: dict) -> list[dict]:
-    lines = [
-        f"baseline: {doc['baseline']['name']} ({doc['baseline']['kind']})",
-        f"candidate: {doc['candidate']['name']} ({doc['candidate']['kind']})",
-        f"{doc['compared']} metrics compared over {doc['common_series']} "
-        f"shared series at factor {doc['factor']:g}",
-    ]
-    for side in ("only_in_baseline", "only_in_candidate"):
-        if doc[side]:
-            lines.append(f"{side.replace('_', ' ')}: {len(doc[side])} series")
-    sections = [{"title": "comparison", "lines": lines, "table": None}]
-    for label, entries in (
-        ("regressions", doc["regressions"]),
-        ("improvements", doc["improvements"]),
-    ):
-        if not entries:
-            continue
-        rows = []
-        for entry in entries:
-            phase = entry.get("attribution", {}).get("dominant_phase", "")
-            rows.append(
-                [entry["name"], entry["metric"], _fmt(entry["baseline"]),
-                 _fmt(entry["candidate"]), _fmt(entry["ratio"]), phase]
-            )
-        sections.append(
-            {
-                "title": f"{label} ({len(entries)})",
-                "lines": [],
-                "table": (
-                    ["series", "metric", "baseline", "candidate", "ratio",
-                     "attribution"],
-                    rows,
-                ),
-            }
-        )
-    if not doc["regressions"]:
-        sections.append(
-            {"title": "verdict", "lines": ["no regressions beyond the gate"],
-             "table": None}
-        )
-    return sections
-
-
 def _coverage_sections(doc: dict) -> list[dict]:
     sections = [
         {
@@ -199,7 +156,6 @@ def _coverage_sections(doc: dict) -> list[dict]:
 _SECTIONS = {
     "report": _report_sections,
     "drift": _drift_sections,
-    "trend": _trend_sections,
     "coverage": _coverage_sections,
 }
 

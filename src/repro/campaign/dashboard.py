@@ -1,7 +1,8 @@
 """Live campaign dashboard: a read-only rendering of board + store.
 
-``repro campaign status --watch`` repaints :func:`dashboard` every few
-seconds.  The function is pure observation — it reads the lease board
+``repro campaign status`` prints :func:`dashboard` whenever it has a
+board (``--board``, or ``<store>/leases.json`` if present); ``watch -n 2``
+repaints it.  The function is pure observation — it reads the lease board
 and the result store exactly as any worker would and mutates neither,
 so watching a campaign can never disturb it.  All inputs are injectable
 (``now`` in particular) so the rendering is deterministic under test.
@@ -22,7 +23,7 @@ What it shows, per the operator's questions in order:
   tolerant of torn tails (a log holding only a half-written line shows
   ``n/a``, it never raises);
 * **report** — where the latest post-hoc analysis report is served
-  (the coordinator's ``/v1/report`` when watching over HTTP, the
+  (the coordinator's ``/v1/report`` for an HTTP board, the
   on-disk ``reports/report-latest.json`` otherwise).
 """
 

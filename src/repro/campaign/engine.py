@@ -18,8 +18,8 @@ Two functions carry the execution policy for the whole package:
   this process or one process per task (a group of payloads run in
   order), with a per-attempt timeout (the worker is killed, not
   abandoned) and bounded retries with exponential backoff.
-  :meth:`CampaignEngine.run` (one task per trajectory group),
-  :meth:`CampaignEngine.verify` and the analytics map stage consume it.
+  :meth:`CampaignEngine.run` (one task per trajectory group) and
+  :meth:`CampaignEngine.verify` consume it.
 
 Wall-clock reads in this module time the *harness itself* (scheduling,
 per-point elapsed time for the manifest), never the simulation — hence

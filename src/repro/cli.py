@@ -11,14 +11,13 @@ Usage::
     python -m repro analyze src tests            # communication-correctness lint
     python -m repro analyze --sanitize-run       # sanitized end-to-end runs
     python -m repro campaign run --design full --workers 4   # cached sweep
-    python -m repro campaign status              # store + manifest overview
+    python -m repro campaign status              # store, manifests, board view if leased
     python -m repro campaign status --metrics    # + merged metrics snapshots
-    python -m repro campaign status --watch      # live dashboard (leases, ETA)
+    watch -n 2 python -m repro campaign status   # repaint the board view (leases, ETA)
     python -m repro campaign verify --sample 4 --workers 4   # re-run cached points, diff
     python -m repro campaign gc                  # compact the result store
     python -m repro campaign analyze report --format md      # comp/comm/sync breakdown
     python -m repro campaign analyze drift                   # energy/conservation audit
-    python -m repro campaign analyze trend --against last-week/   # virtual-time diff of two stores
     python -m repro campaign analyze coverage                # factorial holes, shard health
     python -m repro campaign serve --design full --board file:leases.json  # publish leases
     python -m repro campaign work --store host-a --board file:leases.json  # pull + execute
@@ -222,27 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     cstatus.add_argument(
         "--board", default=None,
         help=(
-            "board for the live view — file:PATH or http://HOST:PORT (a running "
-            "coordinator); default: file:<store>/leases.json if present"
-        ),
-    )
-    cstatus.add_argument(
-        "--watch", action="store_true",
-        help=(
-            "repaint a live dashboard (in-flight points, throughput, lease "
-            "health, ETA, latest analysis report link)"
+            "board for the board view (in-flight points, throughput, lease "
+            "health, ETA, latest report link) — file:PATH or http://HOST:PORT "
+            "(a running coordinator); default: file:<store>/leases.json if present"
         ),
     )
     cstatus.add_argument(
         "--runlog", default=None,
-        help="runlog file to show recent activity from (torn tails tolerated)",
-    )
-    cstatus.add_argument(
-        "--interval", type=float, default=2.0, help="--watch repaint period (s)"
-    )
-    cstatus.add_argument(
-        "--iterations", type=int, default=None,
-        help="stop --watch after N repaints (default: until interrupted)",
+        help="board view: runlog file to show recent activity from (torn tails tolerated)",
     )
 
     cgc = csub.add_parser("gc", help="compact shards, drop corrupt/stale entries")
@@ -251,44 +237,22 @@ def build_parser() -> argparse.ArgumentParser:
     canalyze = csub.add_parser(
         "analyze",
         help=(
-            "post-hoc map-reduce analytics over a warm store: comm-breakdown "
-            "report, drift/conservation checks, cross-campaign trends, "
-            "coverage audit — zero force evaluations"
+            "post-hoc analytics over a warm store: comm-breakdown report, "
+            "drift/conservation checks, coverage audit — zero force evaluations"
         ),
     )
     canalyze.add_argument(
-        "kind", choices=("report", "drift", "trend", "coverage"),
+        "kind", choices=("report", "drift", "coverage"),
         help=(
             "report: comp/comm/sync breakdown tables (the paper's tables); "
-            "drift: energy consensus + phase bookkeeping; trend: diff against "
-            "a baseline store/manifest; coverage: factorial "
+            "drift: energy consensus + phase bookkeeping; coverage: factorial "
             "completeness + shard health"
         ),
     )
     canalyze.add_argument("--store", default=".repro-cache", help="store to analyze")
     canalyze.add_argument(
-        "--workers", type=int, default=0,
-        help="fan the map stage over N processes (0 = inline; output identical)",
-    )
-    canalyze.add_argument(
         "--series", default="p",
         help="report: the axis tables vary along (p, network, middleware, ...)",
-    )
-    canalyze.add_argument(
-        "--against", default=None,
-        help="trend: baseline source — a store directory or a campaign manifest",
-    )
-    canalyze.add_argument(
-        "--candidate", default=None,
-        help="trend: candidate source (default: --store)",
-    )
-    canalyze.add_argument(
-        "--factor", type=float, default=1.25,
-        help="trend: regression gate, candidate/baseline ratio",
-    )
-    canalyze.add_argument(
-        "--rtol", type=float, default=1e-9,
-        help="drift: relative tolerance for the energy-consensus check",
     )
     canalyze.add_argument(
         "--format", dest="fmt", default="json", choices=("json", "md", "html"),
@@ -817,7 +781,6 @@ def _missing_store(store: str) -> bool:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    import time as time_mod
     from pathlib import Path
 
     from . import CampaignManifest, ResultStore
@@ -828,36 +791,15 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     if _missing_store(args.store):
         return 2
     store = ResultStore(args.store)
-
-    if args.watch:
-        default = Path(args.store) / "leases.json"
-        board = None
-        if args.board or default.exists():
-            board = board_from_url(args.board or str(default))
-        i = 0
-        try:
-            while args.iterations is None or i < args.iterations:
-                if i:
-                    time_mod.sleep(args.interval)  # noqa: REP104 — dashboard cadence
-                    store = ResultStore(args.store)  # reload: see new results
-                try:
-                    print(dashboard(store, board, runlog=args.runlog))
-                except LeaseBoardError as exc:
-                    print(f"board unavailable: {exc}")
-                print()
-                i += 1
-        except KeyboardInterrupt:
-            pass
-        return 0
-
     stats = store.describe()
     print(
         f"store {stats['root']}: {stats['entries']} entries in "
         f"{stats['shards']} shard(s), {stats['bytes']} bytes, "
         f"schema v{stats['schema']}"
     )
-    if args.board:
-        board = board_from_url(args.board)
+    default = Path(args.store) / "leases.json"
+    if args.board or default.exists():
+        board = board_from_url(args.board or default)
         try:
             print(dashboard(store, board, runlog=args.runlog))
         except LeaseBoardError as exc:
@@ -903,6 +845,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.campaign_command == "gc":
         from . import ResultStore
 
+        if _missing_store(args.store):
+            return 2
         kept, dropped = ResultStore(args.store).gc()
         print(f"gc: kept {kept} entr{'y' if kept == 1 else 'ies'}, dropped {dropped}")
         return 0
@@ -912,22 +856,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
         try:
             report = run_analysis(
-                args.kind,
-                args.store,
-                workers=args.workers,
-                series=args.series,
-                against=args.against,
-                candidate=args.candidate,
-                factor=args.factor,
-                rtol=args.rtol,
-                save=not args.no_save,
+                args.kind, args.store, series=args.series, save=not args.no_save
             )
         except AnalysisError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         text = render(report, args.fmt)
         if args.output:
-            Path(args.output).write_text(text)
+            try:
+                Path(args.output).write_text(text)
+            except OSError as exc:
+                print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+                return 2
             print(f"analyze {args.kind}: wrote {args.fmt} to {args.output}")
         else:
             sys.stdout.write(text)
@@ -1005,6 +945,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         from . import ResultStore, merge_into_store
         from .campaign import StoreConflictError, verify_stores_match
 
+        missing = [src for src in args.sources if not Path(src).exists()]
+        if missing:
+            print(f"error: merge source {', '.join(missing)} does not exist",
+                  file=sys.stderr)
+            return 2
         try:
             stats = merge_into_store(ResultStore(args.store), args.sources)
         except (StoreConflictError, OSError) as exc:

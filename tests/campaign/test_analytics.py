@@ -1,13 +1,12 @@
 """Post-hoc analytics: determinism, zero-force-eval, golden reports.
 
 The contract under test (DESIGN.md §14): a report over a warm store is
-byte-identical regardless of worker count and of how the same entries
-are distributed across shard files, and producing it performs zero
-force evaluations.  On top of that, each analyzer gets a golden test —
-the breakdown report must reproduce the paper's comp/comm/sync tables
-from stored records alone, the drift analyzer must flag a deliberately
-corrupted record, the trend analyzer must attribute a regression to a
-phase, and the coverage analyzer must name missing factorial cells.
+byte-identical regardless of how the same entries are distributed
+across shard files, and producing it performs zero force evaluations.
+On top of that, each analyzer gets a golden test — the breakdown report
+must reproduce the paper's comp/comm/sync tables from stored records
+alone, the drift analyzer must flag a deliberately corrupted record, and
+the coverage analyzer must name missing factorial cells.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.campaign.analytics import (
     to_json_bytes,
 )
 from repro.campaign.analytics import mapreduce
-from repro.campaign.analytics.trend import load_trend_source, trend_report
 from repro.core.design import DesignPoint
 from repro.core.factors import FOCAL_POINT
 from repro.instrument.counters import FORCE_EVALUATIONS
@@ -65,13 +63,6 @@ def _split_store(src, dst, n_shards=3):
 
 
 # -- determinism ------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["report", "drift", "coverage"])
-def test_reports_are_byte_identical_across_worker_counts(warm_store, kind):
-    inline = run_analysis(kind, warm_store, workers=0, save=False)
-    pooled = run_analysis(kind, warm_store, workers=4, save=False)
-    assert to_json_bytes(inline) == to_json_bytes(pooled)
 
 
 def test_report_is_invariant_to_shard_layout(warm_store, tmp_path):
@@ -121,18 +112,17 @@ def _mapper_raising(exc):
     return mapper
 
 
-@pytest.mark.parametrize("workers", [0, 2])
-def test_failing_mapper_is_an_analysis_error(warm_store, monkeypatch, workers):
+def test_failing_mapper_is_an_analysis_error(warm_store, monkeypatch):
     monkeypatch.setattr(mapreduce, "map_shard", _mapper_raising(OSError("disk gone")))
     with pytest.raises(AnalysisError, match="map stage failed on .*OSError: disk gone"):
-        map_shards(warm_store, workers)
+        map_shards(warm_store)
 
 
 def test_interrupt_during_an_inline_map_propagates(warm_store, monkeypatch):
     """Ctrl-C is not a failed map stage."""
     monkeypatch.setattr(mapreduce, "map_shard", _mapper_raising(KeyboardInterrupt()))
     with pytest.raises(KeyboardInterrupt):
-        map_shards(warm_store, 0)
+        map_shards(warm_store)
 
 
 # -- breakdown report (the paper's tables) ----------------------------
@@ -221,6 +211,7 @@ def _copy_with_mutation(src, dst, mutate):
 def test_drift_is_clean_on_a_known_good_store(warm_store):
     doc = run_analysis("drift", warm_store, save=False)
     assert doc["ok"] and doc["findings"] == []
+    assert doc["rtol"] == 1e-9
     for group in doc["workloads"]:
         # deterministic simulator: one energy cluster per (workload, strategy)
         assert len(group["clusters"]) == 1
@@ -251,69 +242,6 @@ def test_drift_flags_non_finite_energy_and_broken_bookkeeping(warm_store, tmp_pa
     doc = run_analysis("drift", bad, save=False)
     checks = {f["check"] for f in doc["findings"]}
     assert {"finite-energy", "phase-bookkeeping"} <= checks
-
-
-# -- trend ------------------------------------------------------------
-
-
-def _slower_pme(record):
-    """Double one record's PME computation, bookkeeping kept consistent."""
-    grown = record["pme_comp"]
-    for field in ("pme_comp", "pme_time", "wall_time"):
-        record[field] += grown
-
-
-def test_trend_gates_a_store_regression(warm_store, tmp_path):
-    slow = tmp_path / "slow"
-    # the mutant sorts after every real key, so it is the record its
-    # design identity's series carries; the other three are untouched
-    _copy_with_mutation(warm_store, slow, _slower_pme)
-    doc = run_analysis("trend", slow, against=warm_store, save=False)
-    assert not doc["ok"] and doc["compared"] == 3 * 4
-    # its wall and PME series breach the 1.25x gate, its classic series does not
-    assert len({r["name"] for r in doc["regressions"]}) == 1
-    assert sorted(r["metric"] for r in doc["regressions"]) == ["pme_time", "wall_time"]
-    assert all(r["ratio"] > 1.25 for r in doc["regressions"])
-    # read the other way round the same edit is an improvement, and passes
-    back = run_analysis("trend", warm_store, against=slow, save=False)
-    assert back["ok"] and len(back["improvements"]) == 2
-
-
-def test_trend_attributes_a_regression_to_the_phase_that_grew(warm_store, tmp_path):
-    slow = tmp_path / "slow"
-    _copy_with_mutation(warm_store, slow, _slower_pme)
-    doc = trend_report(load_trend_source(warm_store), load_trend_source(slow))
-    assert doc["regressions"]
-    for reg in doc["regressions"]:
-        attribution = reg["attribution"]
-        assert attribution["dominant_phase"] == "pme"
-        assert attribution["deltas"]["classic"] == attribution["deltas"]["comm"] == 0.0
-    assert "| pme |" in render(doc, "md")
-
-
-@pytest.mark.parametrize("text", ["3", "[]", '"x"'])
-def test_trend_rejects_a_json_source_that_is_not_an_object(tmp_path, capsys, text):
-    from repro.cli import main
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(text)
-    with pytest.raises(AnalysisError, match=r"bad\.json is not a campaign manifest"):
-        load_trend_source(bad)
-    assert main(["campaign", "analyze", "trend", "--against", str(bad)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-
-
-def test_trend_store_against_itself_is_clean(warm_store):
-    doc = run_analysis("trend", warm_store, against=warm_store, save=False)
-    assert doc["ok"]
-    assert doc["compared"] == 3 * 4  # wall/classic/pme per record
-    assert doc["regressions"] == [] and doc["improvements"] == []
-
-
-def test_trend_requires_a_baseline(warm_store):
-    with pytest.raises(AnalysisError, match="--against"):
-        run_analysis("trend", warm_store, save=False)
 
 
 # -- coverage ---------------------------------------------------------

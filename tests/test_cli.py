@@ -118,12 +118,34 @@ class TestCampaignCommand:
         assert main(args) == 2
         assert "unknown workload" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("verb", ["verify", "status"])
+    @pytest.mark.parametrize("verb", ["verify", "status", "gc"])
     def test_missing_store_errors_without_creating_it(self, tmp_path, capsys, verb):
         missing = tmp_path / "none"
         assert main(["campaign", verb, "--store", str(missing)]) == 2
-        assert f"store directory {missing} does not exist" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: store directory {missing} does not exist\n"
         assert not missing.exists()
+
+    def test_analyze_into_a_missing_directory_errors(self, tmp_path, capsys):
+        assert main(["campaign", "run", *self._args(tmp_path, "--ranks", "1")]) == 0
+        capsys.readouterr()
+        target = tmp_path / "nonexistent" / "dir" / "x.md"
+        code = main([
+            "campaign", "analyze", "report", "--store", str(tmp_path / "cache"),
+            "--format", "md", "-o", str(target),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+    def test_merge_checks_its_sources_before_opening_the_store(self, tmp_path, capsys):
+        dest = tmp_path / "D"
+        missing = tmp_path / "no-such-worker"
+        assert main(["campaign", "merge", "--store", str(dest), str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: merge source {missing} does not exist\n"
+        assert not dest.exists()
 
     def test_verify_unknown_workload_errors(self, tmp_path, capsys):
         (tmp_path / "cache").mkdir()
@@ -225,6 +247,24 @@ class TestBoardCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "0/2 done" in out and "2 pending" in out
+
+    def test_status_shows_the_board_of_a_store_holding_leases(self, tmp_path, capsys):
+        store = tmp_path / "serve"
+        code = main([
+            "campaign", "serve", "--store", str(store),
+            "--workload", "peptide-tiny", "--steps", "2", "--ranks", "1,2",
+        ])
+        assert code == 0 and (store / "leases.json").exists()
+        capsys.readouterr()
+
+        assert main(["campaign", "status", "--store", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"store {store}: 0 entries")
+        assert "0/2 done" in out and "2 pending" in out
+
+        (store / "leases.json").unlink()
+        assert main(["campaign", "status", "--store", str(store)]) == 0
+        assert "pending" not in capsys.readouterr().out
 
     def test_work_against_an_unreachable_coordinator_errors_cleanly(
         self, tmp_path, capsys

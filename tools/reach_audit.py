@@ -184,21 +184,12 @@ def drive(work: Path):
         "--steps", steps, "--strategy", "spatial", "--ranks", "2", "--sanitize-run")
     cli("campaign", "run", "--store", a, "--ranks", "x")
     cli("campaign", "status", "--store", a, "--metrics")
-    cli("campaign", "status", "--store", a, "--watch", "--iterations", "2", "--interval", "0")
     cli("campaign", "gc", "--store", b)
     for kind in ("report", "drift", "coverage"):
         for fmt in ("json", "md", "html"):
             cli("campaign", "analyze", kind, "--store", a, "--format", fmt,
                 "-o", str(work / f"{kind}.{fmt}"))
-    cli("campaign", "analyze", "report", "--store", a, "--workers", "2", "--no-save")
-    cli("campaign", "analyze", "report", "--store", a, "--series", "network")
-    cli("campaign", "analyze", "trend", "--store", a, "--against", b)
-    for fmt in ("md", "html"):
-        cli("campaign", "analyze", "trend", "--store", a, "--against", b, "--format", fmt)
-    man = sorted((Path(b) / "manifests").glob("*.json"))
-    if man:
-        cli("campaign", "analyze", "trend", "--store", a, "--against", str(man[0]))
-    cli("campaign", "analyze", "trend", "--store", a, "--against", "/nonexistent")
+    cli("campaign", "analyze", "report", "--store", a, "--series", "network", "--no-save")
     cli("campaign", "verify", "--store", a, *wl, "--sample", "2")
     cli("campaign", "verify", "--store", a, *wl, "--sample", "2", "--workers", "2")
     board = f"file:{work / 'leases.json'}"
@@ -208,7 +199,9 @@ def drive(work: Path):
         "--max-points", "6")
     cli("campaign", "work", "--store", str(work / "w2"), "--board", board, "--worker", "w2")
     cli("campaign", "work", "--store", str(work / "w2"))
-    cli("campaign", "status", "--store", c, "--board", board, "--watch", "--iterations", "1")
+    g = str(work / "G")  # serve's default board: <store>/leases.json
+    cli("campaign", "serve", "--store", g, *wl, "--ranks", "1,2")
+    cli("campaign", "status", "--store", g)
     cli("campaign", "merge", str(work / "w1"), str(work / "w2"), "--store", c, "--expect", a)
     cli("campaign", "merge", str(work / "w1"), "--store", str(work / "D"), "--expect", a)
     shard = sorted((work / "w1").glob("*.jsonl"))[0]
@@ -239,7 +232,7 @@ def drive(work: Path):
     cli("campaign", "work", "--store", str(work / "h1"), "--board", url, "--worker", "h1",
         "--max-points", "12", "--ttl", "60")
     cli("campaign", "work", "--store", str(work / "h2"), "--board", url, "--worker", "h2")
-    cli("campaign", "status", "--store", e, "--board", url, "--watch", "--iterations", "1")
+    cli("campaign", "status", "--store", e, "--board", url)
     cli("campaign", "merge", str(work / "h1"), str(work / "h2"), "--store", e, "--expect", a)
     from repro.campaign.coordinator import HttpBoardClient
 
