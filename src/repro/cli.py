@@ -790,6 +790,14 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
     if _missing_store(args.store):
         return 2
+    default = Path(args.store) / "leases.json"
+    board = None
+    if args.board or default.exists():
+        try:
+            board = board_from_url(args.board or default)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     store = ResultStore(args.store)
     stats = store.describe()
     print(
@@ -797,9 +805,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         f"{stats['shards']} shard(s), {stats['bytes']} bytes, "
         f"schema v{stats['schema']}"
     )
-    default = Path(args.store) / "leases.json"
-    if args.board or default.exists():
-        board = board_from_url(args.board or default)
+    if board is not None:
         try:
             print(dashboard(store, board, runlog=args.runlog))
         except LeaseBoardError as exc:

@@ -20,7 +20,6 @@ reproduces bit for bit.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,21 +93,6 @@ class PairEnergies:
         return self.lj + self.elec
 
 
-def _scatter_forces(
-    forces: np.ndarray, i: np.ndarray, j: np.ndarray, contrib: np.ndarray
-) -> None:
-    """Accumulate pair forces (+contrib on ``i``, -contrib on ``j``) in place.
-
-    ``bincount`` wants contiguous 1-D weights; one transposed copy of the
-    contribution matrix up front beats six strided column extractions.
-    """
-    n = len(forces)
-    c = np.ascontiguousarray(contrib.T)
-    for dim in range(3):
-        forces[:, dim] += np.bincount(i, weights=c[dim], minlength=n)
-        forces[:, dim] -= np.bincount(j, weights=c[dim], minlength=n)
-
-
 def pair_physics_numpy(
     r2: np.ndarray,
     dr: np.ndarray,
@@ -171,20 +155,6 @@ def pair_physics_numpy(
     return e_lj_pair, e_el_pair, fvec
 
 
-def _statics_releaser(kernel: "NonbondedKernel") -> Callable:
-    """Weakref callback that drops ``kernel``'s cached statics when their
-    base array dies.  It holds the kernel by weakref too, so a cached
-    base never keeps its kernel alive, and no reference cycle forms."""
-    owner = weakref.ref(kernel)
-
-    def release(ref: weakref.ref) -> None:
-        k = owner()
-        if k is not None and k._statics_base is ref:
-            k._statics = None
-
-    return release
-
-
 class NonbondedKernel:
     """Evaluates LJ + electrostatics over an explicit pair list.
 
@@ -218,7 +188,6 @@ class NonbondedKernel:
         elec_mode: str = "shift",
         ewald_alpha: float | None = None,
         lj_tables: tuple[np.ndarray, np.ndarray] | None = None,
-        shared_statics: Callable | None = None,
     ) -> None:
         if elec_mode not in ("shift", "ewald"):
             raise ValueError(f"unknown elec_mode {elec_mode!r}")
@@ -234,16 +203,6 @@ class NonbondedKernel:
         self.eps, self.rmin_half = lj_tables
         if len(self.charges) != len(self.eps):
             raise ValueError("charges and type_names disagree on atom count")
-        # per-pair statics (eps_ij, rmin_ij, qq) cached for the lifetime
-        # of one pair-list base array from its second evaluation on; see
-        # _statics_rows.  shared_statics, when given, deduplicates that
-        # computation across rank kernels (every replicated rank sees the
-        # same base array and identical parameter tables, so one
-        # evaluation serves all)
-        self._shared_statics = shared_statics
-        self._seen_base: weakref.ref | None = None
-        self._statics_base: weakref.ref | None = None
-        self._statics: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # optional certified candidate pre-drop; see attach_prefilter
         self._prefilter: Callable | None = None
         #: number of pair interactions evaluated in the last call (cost model)
@@ -267,7 +226,7 @@ class NonbondedKernel:
         """``(base, offset)`` when ``pairs`` is a plain row-slice view.
 
         Returns ``None`` for views that are not contiguous row slices of
-        their base (callers fall back to per-call computation, bitwise
+        their base (the prefilter then stays off for the call, bitwise
         identical either way).
         """
         base = pairs.base if isinstance(pairs.base, np.ndarray) else pairs
@@ -289,60 +248,13 @@ class NonbondedKernel:
             return None
         return base, int(off)
 
-    def _statics_rows(
-        self, pairs: np.ndarray, sliced: tuple[np.ndarray, int] | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """Combined LJ/charge parameters for every row of ``pairs``.
-
-        A pair list is reused across many steps (a neighbour list keeps
-        one array alive between rebuilds, and each rank's block is a
-        row-slice view of it), while the gathered parameters depend only
-        on the pair *indices*.  So compute them once per base array and
-        serve row-slices from the cache.  Identity of the base array is
-        the cache key (held by weakref): any rebuild allocates a new
-        array and naturally invalidates, and the statics are dropped the
-        moment their base array is freed.  A base is cached from its
-        second evaluation on: an array evaluated once (a spatial rank's
-        step array) is never expanded into whole-array statics.  Until
-        then, and for views that are not plain row-slices (``sliced``,
-        from :meth:`_row_slice`, is ``None``), this returns ``None`` and
-        each tile gathers its accepted rows' parameters directly, so the
-        cache is bitwise invisible either way.
-        """
-        if sliced is None:
-            return None
-        base, off = sliced
-        cached = self._statics_base() if self._statics_base is not None else None
-        if cached is not base:
-            seen = self._seen_base() if self._seen_base is not None else None
-            if seen is not base:
-                self._seen_base = weakref.ref(base)
-                return None
-            if self._shared_statics is not None:
-                self._statics = self._shared_statics(base, self.pair_statics)
-            else:
-                self._statics = self.pair_statics(base)
-            self._statics_base = weakref.ref(base, _statics_releaser(self))
-        eps_ij, rmin_ij, qq = self._statics
-        stop = off + len(pairs)
-        return eps_ij[off:stop], rmin_ij[off:stop], qq[off:stop]
-
-    def pair_statics(
-        self, base: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-pair (eps_ij, rmin_ij, qq) for every row of ``base``."""
-        bi = base[:, 0]
-        bj = base[:, 1]
-        return (
-            np.sqrt(self.eps.take(bi) * self.eps.take(bj)),
-            self.rmin_half.take(bi) + self.rmin_half.take(bj),
-            COULOMB_CONSTANT * self.charges.take(bi) * self.charges.take(bj),
-        )
-
     # ------------------------------------------------------------------
     def pair_terms(
-        self, positions: np.ndarray, pairs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        self,
+        positions: np.ndarray,
+        pairs: np.ndarray,
+        consume: "_Assembly | _Reduction | None" = None,
+    ):
         """Per-pair energies and forces for the pairs within the true cutoff.
 
         Returns ``(i, j, e_lj_pair, e_el_pair, fvec)`` where every array is
@@ -353,8 +265,11 @@ class NonbondedKernel:
         property the spatial-decomposition engine relies on to reproduce
         the replicated-data forces exactly, and the one that lets the rows
         be evaluated :data:`PAIR_TILE_ROWS` at a time: the whole chain runs
-        per tile, the accepted rows are assembled in list order, and every
-        reduction downstream sees the arrays an untiled evaluation returns.
+        per tile, and each tile's accepted rows go, in list order, to
+        ``consume(start, part)`` (``start`` rows were accepted before the
+        tile, ``part`` is the tile's five arrays).  The call returns
+        ``consume.result(n_accepted)``.  The default consumer assembles
+        the arrays above; :meth:`compute` reduces the tiles instead.
         """
         sliced = self._row_slice(pairs)
         hit = None
@@ -364,32 +279,21 @@ class NonbondedKernel:
             if hit is not None:
                 ref_d, bound = hit
                 hit = ref_d[off : off + len(pairs)], bound
-        statics = self._statics_rows(pairs, sliced)
 
         tiles = row_tiles(len(pairs))
-        if len(tiles) == 1:
-            out = self._tile_terms(positions, pairs, tiles[0], hit, statics)
-            self.last_pair_count = len(out[0])
-            return out
-        # accepted rows land in outputs allocated once; the trimmed prefix
-        # is returned
-        n = len(pairs)
-        outs = (
-            np.empty(n, dtype=pairs.dtype),
-            np.empty(n, dtype=pairs.dtype),
-            np.empty(n, dtype=np.float64),
-            np.empty(n, dtype=np.float64),
-            np.empty((n, 3), dtype=np.float64),
-        )
+        if consume is None:
+            if len(tiles) == 1:
+                out = self._tile_terms(positions, pairs, tiles[0], hit)
+                self.last_pair_count = len(out[0])
+                return out
+            consume = _Assembly(len(pairs), pairs.dtype)
         filled = 0
         for tile in tiles:
-            part = self._tile_terms(positions, pairs, tile, hit, statics)
-            stop = filled + len(part[0])
-            for out, rows in zip(outs, part):
-                out[filled:stop] = rows
-            filled = stop
+            part = self._tile_terms(positions, pairs, tile, hit)
+            consume(filled, part)
+            filled += len(part[0])
         self.last_pair_count = filled
-        return tuple(out[:filled] for out in outs)
+        return consume.result(filled)
 
     def _tile_terms(
         self,
@@ -397,25 +301,23 @@ class NonbondedKernel:
         pairs: np.ndarray,
         tile: slice,
         hit: tuple[np.ndarray, float] | None,
-        statics: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`pair_terms` of the rows ``pairs[tile]``.
 
-        ``hit`` (the prefilter's ``(ref_d, bound)``) and ``statics`` are
-        aligned with ``pairs`` and sliced by the same tile.
+        ``hit`` (the prefilter's ``(ref_d, bound)``) is aligned with
+        ``pairs`` and sliced by the same tile.  The combined LJ/charge
+        parameters are gathered from the per-atom tables for the accepted
+        rows only, and die with the tile.
         """
         i = pairs[tile, 0]
         j = pairs[tile, 1]
-        pre = None
         if hit is not None:
             # rows beyond the certified bound cannot pass the exact test
             # below; dropping them up front skips their share of the
             # minimum-image chain
             ref_d, bound = hit
             pre = np.flatnonzero(ref_d[tile] <= bound)
-            if len(pre) == len(i):
-                pre = None
-            else:
+            if len(pre) < len(i):
                 i, j = i.take(pre), j.take(pre)
         sel, dr, r2 = accept_within(positions, self.box, i, j, self.scheme.r_cut**2)
         i, j, dr, r2 = i.take(sel), j.take(sel), dr.take(sel, axis=0), r2.take(sel)
@@ -423,14 +325,17 @@ class NonbondedKernel:
             empty = np.empty(0, dtype=np.float64)
             return i, j, empty, empty, np.empty((0, 3), dtype=np.float64)
 
-        if statics is not None:
-            rows = sel if pre is None else pre.take(sel)
-            eps_ij, rmin_ij, qq = (s[tile].take(rows) for s in statics)
-        else:
-            eps_ij = np.sqrt(self.eps.take(i) * self.eps.take(j))
-            rmin_ij = self.rmin_half.take(i) + self.rmin_half.take(j)
-            qq = COULOMB_CONSTANT * self.charges.take(i) * self.charges.take(j)
-
+        # sqrt(eps_i * eps_j), rmin_i + rmin_j and C * q_i * q_j, taken in
+        # place on the gathers (a product commutes to the bit, so q_i * C
+        # is C * q_i)
+        eps_ij = self.eps.take(i)
+        eps_ij *= self.eps.take(j)
+        np.sqrt(eps_ij, out=eps_ij)
+        rmin_ij = self.rmin_half.take(i)
+        rmin_ij += self.rmin_half.take(j)
+        qq = self.charges.take(i)
+        qq *= COULOMB_CONSTANT
+        qq *= self.charges.take(j)
         e_lj_pair, e_el_pair, fvec = pair_physics_numpy(
             r2, dr, eps_ij, rmin_ij, qq, self.scheme, self.elec_mode, self.ewald_alpha
         )
@@ -443,16 +348,71 @@ class NonbondedKernel:
         """Energy and forces for the pairs within the true cutoff.
 
         ``pairs`` may include the neighbour-list skin; pairs beyond
-        ``scheme.r_cut`` are filtered in :meth:`pair_terms`.
+        ``scheme.r_cut`` are filtered in :meth:`pair_terms`, whose tiles
+        are reduced as they come (:class:`_Reduction`): nothing of list
+        length but two energy rows is held.
         """
         FORCE_EVALUATIONS.increment()
-        n = len(positions)
-        forces = np.zeros((n, 3), dtype=np.float64)
         if len(pairs) == 0:
             self.last_pair_count = 0
-            return PairEnergies(0.0, 0.0), forces
-        i, j, e_lj_pair, e_el_pair, fvec = self.pair_terms(positions, pairs)
-        if len(i) == 0:
-            return PairEnergies(0.0, 0.0), forces
-        _scatter_forces(forces, i, j, fvec)
-        return PairEnergies(float(np.sum(e_lj_pair)), float(np.sum(e_el_pair))), forces
+            return PairEnergies(0.0, 0.0), np.zeros((len(positions), 3))
+        return self.pair_terms(positions, pairs, _Reduction(len(positions), len(pairs)))
+
+
+class _Assembly:
+    """:meth:`NonbondedKernel.pair_terms`' default consumer: every tile's
+    accepted rows written into outputs allocated once per call, of which
+    the filled prefix is the result."""
+
+    def __init__(self, n_rows: int, index_dtype: np.dtype) -> None:
+        self.outs = (
+            np.empty(n_rows, dtype=index_dtype),
+            np.empty(n_rows, dtype=index_dtype),
+            np.empty(n_rows, dtype=np.float64),
+            np.empty(n_rows, dtype=np.float64),
+            np.empty((n_rows, 3), dtype=np.float64),
+        )
+
+    def __call__(self, start: int, part: tuple) -> None:
+        stop = start + len(part[0])
+        for out, rows in zip(self.outs, part):
+            out[start:stop] = rows
+
+    def result(self, filled: int) -> tuple:
+        return tuple(out[:filled] for out in self.outs)
+
+
+class _Reduction:
+    """:meth:`NonbondedKernel.compute`'s consumer: the energies and forces
+    of the tiles, bit for bit those of the assembled arrays.
+
+    Forces: ``np.add.at`` adds each tile's rows into zeroed per-dimension
+    accumulators for ``i`` and for ``j``, in list order from 0.0 — the
+    additions one ``bincount`` over the whole list makes.  Energies: each
+    tile's rows are written into a candidate-length row, and ``np.sum``
+    runs over the filled prefix, so the pairwise sum sees the array an
+    assembled evaluation returns.
+    """
+
+    def __init__(self, n_atoms: int, n_rows: int) -> None:
+        self.acc_i = np.zeros((3, n_atoms))
+        self.acc_j = np.zeros((3, n_atoms))
+        self.e_lj = np.empty(n_rows)
+        self.e_el = np.empty(n_rows)
+
+    def __call__(self, start: int, part: tuple) -> None:
+        i, j, e_lj, e_el, fvec = part
+        stop = start + len(i)
+        self.e_lj[start:stop] = e_lj
+        self.e_el[start:stop] = e_el
+        # add.at wants contiguous 1-D weights: one transposed copy per tile
+        c = np.ascontiguousarray(fvec.T)
+        for dim in range(3):
+            np.add.at(self.acc_i[dim], i, c[dim])
+            np.add.at(self.acc_j[dim], j, c[dim])
+
+    def result(self, filled: int) -> tuple[PairEnergies, np.ndarray]:
+        energies = PairEnergies(
+            float(np.sum(self.e_lj[:filled])), float(np.sum(self.e_el[:filled]))
+        )
+        return energies, np.ascontiguousarray(np.subtract(self.acc_i, self.acc_j).T)

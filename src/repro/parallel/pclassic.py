@@ -75,7 +75,6 @@ class ParallelClassic:
             elec_mode=system.nonbonded.elec_mode,
             ewald_alpha=system.nonbonded.ewald_alpha,
             lj_tables=lj_tables,
-            shared_statics=shared.pair_statics if shared is not None else None,
         )
         # this rank's pair blocks are row slices of its neighbour list's
         # base array, so the list can certify a candidate pre-drop

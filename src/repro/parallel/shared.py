@@ -67,7 +67,6 @@ as the live run did.
 from __future__ import annotations
 
 import sys
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -179,8 +178,6 @@ class SharedComputeCache:
     _stencil_key: tuple | None = field(default=None, repr=False)
     _stencil: tuple | None = field(default=None, repr=False)
     _once: dict[Any, Any] = field(default_factory=dict, repr=False)
-    _statics_ref: weakref.ref | None = field(default=None, repr=False)
-    _statics: tuple | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     def neighbor_pairs(
@@ -243,25 +240,6 @@ class SharedComputeCache:
         self._stencil_key = key
         self.n_stencils += 1
         return self._stencil
-
-    # ------------------------------------------------------------------
-    def pair_statics(
-        self, base: np.ndarray, factory: Callable[[np.ndarray], tuple]
-    ) -> tuple:
-        """Per-pair static coefficients for one pair-list base array.
-
-        Every replicated rank holds the same base array (via
-        :meth:`neighbor_pairs`) and identical parameter tables, so
-        ``factory(base)`` is computed once per rebuild and replayed to
-        every rank kernel — bit-identical to a private evaluation.
-        Identity of ``base`` is the key (held by weakref): a rebuild
-        allocates a new array and naturally invalidates.
-        """
-        cached = self._statics_ref() if self._statics_ref is not None else None
-        if cached is not base:
-            self._statics = tuple(_read_only(a) for a in factory(base))
-            self._statics_ref = weakref.ref(base)
-        return self._statics
 
     # ------------------------------------------------------------------
     def once(self, key: Any, factory: Callable[[], Any]) -> Any:

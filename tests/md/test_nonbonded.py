@@ -1,6 +1,7 @@
 """Non-bonded kernel: LJ + electrostatics values, gradients, cutoffs."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.md import (
     CutoffScheme,
     NeighborList,
     NonbondedKernel,
+    PairEnergies,
     PeriodicBox,
     default_forcefield,
 )
@@ -186,6 +188,49 @@ class TestBookkeeping:
         assert np.allclose(forces.sum(axis=0), 0.0, atol=1e-10)
 
 
+@pytest.fixture(scope="module")
+def scene():
+    """120 charged atoms, their Verlet list (1078 rows, about half
+    of them skin) and coordinates the list has checked since its build."""
+    rng = np.random.default_rng(11)
+    box = PeriodicBox(15.0, 15.0, 15.0)
+    scheme = CutoffScheme(r_cut=4.0, skin=1.0)
+    n = 120
+    built_at = rng.uniform(0.0, 15.0, (n, 3))
+    nl = NeighborList(box, scheme)
+    nl.build(built_at)
+    pos = built_at + rng.normal(scale=0.05, size=built_at.shape)
+    assert not nl.needs_rebuild(pos)
+    ref_d, bound = nl.step_prefilter(pos, nl.pairs)
+    assert 0 < np.count_nonzero(ref_d > bound) < len(ref_d)  # it drops rows
+    types = [("OT", "HT", "CT2")[k % 3] for k in range(n)]
+    charges = rng.uniform(-0.8, 0.8, n)
+    return box, scheme, nl, pos, types, charges
+
+
+def _scene_kernel(scene, elec_mode, prefilter=False):
+    box, scheme, nl, _, types, charges = scene
+    kern = NonbondedKernel(
+        default_forcefield(), types, charges, box, scheme,
+        elec_mode=elec_mode, ewald_alpha=0.35 if elec_mode == "ewald" else None,
+    )
+    if prefilter:
+        kern.attach_prefilter(nl.step_prefilter)
+    return kern
+
+
+def _assembled_reduction(terms, n_atoms):
+    """What ``compute`` returns, from the assembled ``pair_terms`` arrays:
+    ``np.sum`` of the energy rows and one ``bincount`` force scatter."""
+    i, j, e_lj, e_el, fvec = terms
+    forces = np.zeros((n_atoms, 3))
+    c = np.ascontiguousarray(fvec.T)
+    for dim in range(3):
+        forces[:, dim] += np.bincount(i, weights=c[dim], minlength=n_atoms)
+        forces[:, dim] -= np.bincount(j, weights=c[dim], minlength=n_atoms)
+    return PairEnergies(float(np.sum(e_lj)), float(np.sum(e_el))), forces
+
+
 class TestRowTiles:
     """A list walked in row tiles returns the arrays of the one-tile
     evaluation — equal, not close — wherever the seams fall."""
@@ -193,41 +238,16 @@ class TestRowTiles:
     T = 97
     LENGTHS = [0, T - 1, T, T + 1, 2 * T, 2 * T + 1]
 
-    @pytest.fixture(scope="class")
-    def scene(self):
-        """120 charged atoms, their Verlet list (1078 rows, about half
-        of them skin) and coordinates the list has checked since its build."""
-        rng = np.random.default_rng(11)
-        box = PeriodicBox(15.0, 15.0, 15.0)
-        scheme = CutoffScheme(r_cut=4.0, skin=1.0)
-        n = 120
-        built_at = rng.uniform(0.0, 15.0, (n, 3))
-        nl = NeighborList(box, scheme)
-        nl.build(built_at)
-        pos = built_at + rng.normal(scale=0.05, size=built_at.shape)
-        assert not nl.needs_rebuild(pos)
-        ref_d, bound = nl.step_prefilter(pos, nl.pairs)
-        assert 0 < np.count_nonzero(ref_d > bound) < len(ref_d)  # it drops rows
-        types = [("OT", "HT", "CT2")[k % 3] for k in range(n)]
-        charges = rng.uniform(-0.8, 0.8, n)
-        return box, scheme, nl, pos, types, charges
-
-    @staticmethod
-    def _kernel(scene, elec_mode, prefilter=False):
-        box, scheme, nl, _, types, charges = scene
-        kern = NonbondedKernel(
-            default_forcefield(), types, charges, box, scheme,
-            elec_mode=elec_mode, ewald_alpha=0.35 if elec_mode == "ewald" else None,
-        )
-        if prefilter:
-            kern.attach_prefilter(nl.step_prefilter)
-        return kern
-
     @staticmethod
     def _evaluate(kern, pos, pairs):
+        """``pair_terms`` and ``compute``, whose streamed reduction of the
+        tiles must equal that of the assembled arrays."""
         terms = kern.pair_terms(pos, pairs)
         count = kern.last_pair_count
         energies, forces = kern.compute(pos, pairs)
+        want_energies, want_forces = _assembled_reduction(terms, len(pos))
+        assert energies == want_energies and forces.flags.c_contiguous
+        assert np.array_equal(forces, want_forces)
         return terms, count, energies, forces
 
     def _assert_tiling_invisible(self, monkeypatch, kern, pos, pairs):
@@ -252,26 +272,25 @@ class TestRowTiles:
     ):
         nl, pos = scene[2], scene[3]
         assert len(nl.pairs) > 2 * self.T + 1
-        kern = self._kernel(scene, elec_mode, prefilter)
+        kern = _scene_kernel(scene, elec_mode, prefilter)
         count = self._assert_tiling_invisible(monkeypatch, kern, pos, nl.pairs[:n_rows])
         assert 0 < count < n_rows or n_rows == 0  # the skin rows were cut
 
     @pytest.mark.parametrize("prefilter", [False, True], ids=["plain", "prefilter"])
     def test_row_slice_at_an_offset(self, scene, monkeypatch, prefilter):
-        """A rank's block: statics and prefilter distances are served from
-        the base list's arrays at ``offset + tile``."""
+        """A rank's block: prefilter distances are served from the base
+        list's array at ``offset + tile``."""
         nl, pos = scene[2], scene[3]
         block = nl.pairs[53 : 53 + 3 * self.T + 5]
-        kern = self._kernel(scene, "ewald", prefilter)
+        kern = _scene_kernel(scene, "ewald", prefilter)
         assert kern._row_slice(block) == (nl.pairs, 53)
         self._assert_tiling_invisible(monkeypatch, kern, pos, block)
 
     def test_view_that_is_no_row_slice(self, scene, monkeypatch):
-        """Every other row: no cached statics, parameters are gathered
-        from the accepted rows of each tile."""
+        """Every other row: no prefilter, each tile runs the whole chain."""
         nl, pos = scene[2], scene[3]
         strided = nl.pairs[::2]
-        kern = self._kernel(scene, "shift", prefilter=True)
+        kern = _scene_kernel(scene, "shift", prefilter=True)
         assert kern._row_slice(strided) is None
         assert len(strided) > 3 * self.T
         self._assert_tiling_invisible(monkeypatch, kern, pos, strided)
@@ -283,7 +302,7 @@ class TestRowTiles:
         d = np.sqrt(np.einsum("ij,ij->i", dr, dr))
         every = np.stack([lo, hi], axis=1)
         near, far = every[d < scheme.r_cut - 0.1], every[d > scheme.r_cut + 0.1]
-        kern = self._kernel(scene, "ewald")
+        kern = _scene_kernel(scene, "ewald")
         hollow = np.concatenate([near[: self.T], far[: self.T], near[self.T : 150]])
         assert self._assert_tiling_invisible(monkeypatch, kern, pos, hollow) == 150
         nothing = far[: 2 * self.T + 9]
@@ -292,71 +311,86 @@ class TestRowTiles:
         assert energies.total == 0.0 and not forces.any()
 
 
+class TestStreamedCompute:
+    """``compute`` reduces each tile as it comes (its bits are pinned
+    against the assembled arrays at every seam by :class:`TestRowTiles`);
+    that nothing of list length outlives it is :class:`TestStaticsLifetime`'s."""
+
+    def test_peak_is_one_tile_plus_the_energy_rows(self, scene, monkeypatch):
+        """tracemalloc's peak over a four-tile ``compute`` stays within a
+        one-tile call's peak plus 16 B per list row — the two energy rows
+        — and a 4 KiB slack for numpy's small-block bookkeeping.  An
+        evaluation that assembled its list-length arrays (56 B per row)
+        would overshoot it by ~280 KB here."""
+        T = 2048
+        pos = scene[3]
+        lo, hi = np.triu_indices(len(pos), k=1)
+        pairs = np.resize(np.stack([lo, hi], axis=1), (4 * T, 2))
+        kern = _scene_kernel(scene, "ewald")
+        monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", T)
+
+        def peak(rows):
+            kern.compute(pos, rows)  # warm: numpy's small-block caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                kern.compute(pos, rows)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one_tile = max(peak(pairs[k * T : (k + 1) * T].copy()) for k in range(4))
+        assert peak(pairs) <= one_tile + 16 * len(pairs) + 4096
+
+
+def _held_arrays(kern):
+    """Every numpy array a kernel's attributes reach through tuples and lists."""
+    held, arrays = list(vars(kern).values()), []
+    while held:
+        value = held.pop()
+        if isinstance(value, (tuple, list)):
+            held.extend(value)
+        elif isinstance(value, np.ndarray):
+            arrays.append(value)
+    return arrays
+
+
 class TestStaticsLifetime:
-    """The per-pair statics cache lives exactly as long as its pair array."""
+    """No per-pair state outlives an evaluation: what a kernel holds
+    between steps is sized by its atoms, never by a pair list."""
 
-    @pytest.fixture()
-    def scene(self):
-        """A Verlet list, its coordinates and a kernel factory."""
-        rng = np.random.default_rng(5)
-        box = PeriodicBox(15.0, 15.0, 15.0)
-        scheme = CutoffScheme(r_cut=4.0, skin=1.0)
-        n = 90
-        pos = rng.uniform(0.0, 15.0, (n, 3))
-        nl = NeighborList(box, scheme)
-        nl.build(pos)
-        types = [("OT", "HT")[k % 2] for k in range(n)]
-        charges = rng.uniform(-0.8, 0.8, n)
-        return nl, pos, lambda: NonbondedKernel(
-            default_forcefield(), types, charges, box, scheme
-        )
-
-    def test_an_array_evaluated_once_has_no_statics(self, scene, monkeypatch):
-        """A spatial rank's step array: each tile gathers its accepted
-        rows' parameters, and no whole-array copy is made or kept."""
-        nl, pos, make_kernel = scene
-        kern = make_kernel()
-        monkeypatch.setattr(kern, "pair_statics", lambda base: pytest.fail("expanded"))
+    def test_an_array_evaluated_once_has_no_statics(self, scene):
+        """A spatial rank's step array, fresh each step, through both
+        ``pair_terms`` and ``compute``: no kernel attribute holds an array
+        of its length afterwards."""
+        nl, pos = scene[2], scene[3]
+        kern = _scene_kernel(scene, "shift")
         for _ in range(3):
             step_pairs = nl.pairs.take(np.arange(0, len(nl.pairs), 3), axis=0)
             kern.pair_terms(pos, step_pairs)
-            assert kern._statics is None
+            kern.compute(pos, step_pairs)
+            for value in _held_arrays(kern):
+                assert value.ndim == 0 or len(value) != len(step_pairs)
 
     def test_statics_go_with_their_pair_array(self, scene):
-        """Statics cached for a reused array are freed with it, and the
-        cache keeps neither the array nor the kernel alive."""
-        nl, pos, make_kernel = scene
-        kern = make_kernel()
+        """A reused array, evaluated step after step, dies with its last
+        reference, and the kernel with its own — by reference counting,
+        not by the cyclic collector."""
+        nl, pos = scene[2], scene[3]
+        kern = _scene_kernel(scene, "shift")
         reused = nl.pairs.copy()
-        kern.pair_terms(pos, reused)
-        kern.pair_terms(pos, reused)
-        statics = weakref.ref(kern._statics[0])
-        gc.disable()  # freed by reference counting, not by the collector
+        gc.disable()
         try:
+            for _ in range(3):
+                kern.pair_terms(pos, reused)
+                kern.compute(pos, reused)
+            for value in _held_arrays(kern):
+                assert value.ndim == 0 or len(value) != len(reused)
+            alive = weakref.ref(reused)
             del reused
-            assert statics() is None and kern._statics is None
+            assert alive() is None
             kernel = weakref.ref(kern)
             del kern
             assert kernel() is None
         finally:
             gc.enable()
-
-    def test_long_lived_base_once_per_build(self, scene, monkeypatch):
-        """The replicated list: one statics evaluation per build, at its
-        second evaluation, serves every later step and every rank block
-        sliced from it."""
-        nl, pos, make_kernel = scene
-        kern = make_kernel()
-        calls = []
-        pair_statics = kern.pair_statics
-        monkeypatch.setattr(
-            kern, "pair_statics", lambda base: calls.append(len(base)) or pair_statics(base)
-        )
-        for _ in range(3):
-            kern.pair_terms(pos, nl.pairs)
-            kern.pair_terms(pos, nl.pairs[7:61])
-        assert calls == [len(nl.pairs)]
-        nl.build(pos + 0.01)
-        kern.pair_terms(pos, nl.pairs)
-        kern.pair_terms(pos, nl.pairs[3:40])
-        assert calls == [len(nl.pairs)] * 2

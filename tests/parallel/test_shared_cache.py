@@ -162,7 +162,7 @@ class TestAuditsRideTheReplay:
 class TestReadOnlyHandOuts:
     """What one rank adopts from another must not be writable in place."""
 
-    def test_pairs_stencil_and_statics(self, peptide_system):
+    def test_pairs_and_stencil(self, peptide_system):
         system, pos = peptide_system
         seen = []
 
@@ -175,10 +175,6 @@ class TestReadOnlyHandOuts:
                 stencil = super().pme_stencil(mesh, positions, generation)
                 seen.extend(a for per_axis in stencil for a in per_axis)
                 return stencil
-
-            def pair_statics(self, base, factory):
-                seen.extend(super().pair_statics(base, factory))
-                return super().pair_statics(base, factory)
 
         _run(system, pos, 2, Spy())
         assert len(seen) > 3 * CFG.n_steps

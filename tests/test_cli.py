@@ -266,6 +266,17 @@ class TestBoardCommands:
         assert main(["campaign", "status", "--store", str(store)]) == 0
         assert "pending" not in capsys.readouterr().out
 
+    def test_status_on_a_bad_board_url_errors_cleanly(self, tmp_path, capsys):
+        """A malformed ``--board``: one error line, nothing on stdout, exit 2,
+        as ``serve`` and ``work`` answer the same input."""
+        store = tmp_path / "s"
+        store.mkdir()
+        code = main(["campaign", "status", "--store", str(store), "--board", "file:"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: empty path in 'file:' board URL\n"
+
     def test_work_against_an_unreachable_coordinator_errors_cleanly(
         self, tmp_path, capsys
     ):
