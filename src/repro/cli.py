@@ -407,6 +407,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cpus_per_node=args.cpus_per_node,
         )
         spec = config.cluster_spec(args.ranks, seed=args.seed)
+        run_config = MDRunConfig(n_steps=args.steps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -422,7 +423,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         myoglobin_system(electrostatics),
         mg.positions,
         spec,
-        RunOptions.for_point(point, config=MDRunConfig(n_steps=args.steps)),
+        RunOptions.for_point(point, config=run_config),
     )
     record = ResponseRecord.from_run(point, result)
     print(time_series_table([record]))
@@ -460,6 +461,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             cpus_per_node=args.cpus_per_node,
         )
         spec = config.cluster_spec(args.ranks, seed=args.seed)
+        run_config = MDRunConfig(n_steps=args.steps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -472,9 +474,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         myoglobin_system("pme"),
         mg.positions,
         spec,
-        RunOptions.for_point(
-            point, config=MDRunConfig(n_steps=args.steps), span_tracer=tracer
-        ),
+        RunOptions.for_point(point, config=run_config, span_tracer=tracer),
     )
     path = tracer.write(args.output)
     problems = validate_chrome_trace(tracer.to_chrome())
@@ -719,6 +719,8 @@ def _design_points(args: argparse.Namespace):
         levels = tuple(int(p) for p in args.ranks.split(","))
     except ValueError:
         raise ValueError(f"bad --ranks {args.ranks!r}") from None
+    if args.replicates < 1:
+        raise ValueError("replicates must be >= 1")
     if args.design == "full":
         points = full_factorial(
             PAPER_FACTOR_SPACE, processor_levels=levels, replicates=args.replicates
@@ -741,7 +743,9 @@ def _design_points(args: argparse.Namespace):
 
 def _campaign_engine(args: argparse.Namespace, n_workers: int = 0, **kw):
     from . import CampaignEngine, MDRunConfig, ResultStore
+    from .campaign.workloads import build_workload
 
+    build_workload(args.workload)  # an unknown name raises before the store exists
     return CampaignEngine(
         workload=args.workload,
         config=MDRunConfig(n_steps=args.steps),

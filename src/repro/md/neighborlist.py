@@ -2,19 +2,18 @@
 
 Builds the pair list that both the classic cutoff kernel and the PME
 direct-space kernel iterate over.  Candidate pairs come from a periodic
-``cKDTree`` query (with the cell-enumeration path kept as the fallback
-for boxes too small for a toroidal tree query); the *final* pair set is
-decided by the same exact minimum-image distance filter in both cases,
-so the candidate source is unobservable in the results:
+``cKDTree`` query (every pair, when the box is too small for a toroidal
+tree query); the *final* pair set is decided by one exact
+minimum-image distance filter, so the candidate source is unobservable
+in the results:
 
 * the tree query radius is padded by a relative ``1e-9`` so pairs the
   tree metric and ``min_image`` disagree about at the ulp level are
   still proposed (and then settled by the exact filter);
 * ``last_candidates`` — the cost-model's neighbour-search workload — is
-  still *defined* as the cell-enumeration candidate count, computed
-  arithmetically from the cell populations (identical to the length of
-  the enumerated candidate list, without materializing it), so virtual
-  timings are bit-identical to the enumerating build.
+  *defined* as the cell-enumeration candidate count, computed
+  arithmetically from the cell populations, so virtual timings do not
+  depend on what proposed the candidates.
 
 The list carries a ``skin`` margin so it stays valid while no atom has moved
 more than ``skin / 2`` since the build (:meth:`NeighborList.needs_rebuild`).
@@ -124,57 +123,6 @@ def _neighbour_cell_pairs_cached(nx: int, ny: int, nz: int) -> np.ndarray:
     return out
 
 
-def _gather_candidates(
-    order: np.ndarray, starts: np.ndarray, cell_pairs: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Candidate atom pairs for every neighbouring cell pair, vectorized.
-
-    The ragged cartesian products (one per cross-cell pair, sizes
-    ``len_a * len_b``) are flattened with ``repeat``/``cumsum`` index
-    arithmetic instead of a Python loop over cell pairs; within-cell
-    candidates are batched per cell size so one ``triu_indices`` template
-    serves every cell of that population.  Produces exactly the candidate
-    multiset of the per-cell-pair loop it replaces — the candidate count
-    feeds the cost model, so it must not change.
-    """
-    sizes = starts[1:] - starts[:-1]
-    ca, cb = cell_pairs[:, 0], cell_pairs[:, 1]
-    cand_i: list[np.ndarray] = []
-    cand_j: list[np.ndarray] = []
-
-    # within-cell pairs: cells of equal population share one triu template
-    self_cells = ca[(ca == cb) & (sizes[ca] >= 2)]
-    for m in np.unique(sizes[self_cells]):
-        cells = self_cells[sizes[self_cells] == m]
-        block = order[starts[cells][:, None] + np.arange(m)]  # (n_cells, m)
-        iu, ju = np.triu_indices(int(m), k=1)
-        cand_i.append(block[:, iu].ravel())
-        cand_j.append(block[:, ju].ravel())
-
-    # cross-cell pairs: ragged cartesian products, batched per B-cell
-    # size.  Within one batch the B side is rectangular, so the product
-    # reduces to two plain repeats: each A atom repeated ``lb`` times,
-    # and each B row repeated ``la`` times.  Only the A-side gather is
-    # ragged (repeat/cumsum index arithmetic), and it touches one slot
-    # per A atom — not one per candidate — so every per-candidate pass
-    # is a contiguous repeat, with no division in sight.
-    cross = (ca != cb) & (sizes[ca] > 0) & (sizes[cb] > 0)
-    xa, xb = ca[cross], cb[cross]
-    las, lbs = sizes[xa], sizes[xb]
-    for lb in np.unique(lbs):
-        sel = lbs == lb
-        xa_g, xb_g = xa[sel], xb[sel]
-        la_g = las[sel]
-        n_slots = int(la_g.sum())
-        rep = np.repeat(np.arange(len(xa_g)), la_g)
-        offsets = np.concatenate(([0], np.cumsum(la_g)[:-1]))
-        atoms_a = order[starts[xa_g][rep] + (np.arange(n_slots) - offsets[rep])]
-        cand_i.append(np.repeat(atoms_a, int(lb)))
-        block_b = order[starts[xb_g][:, None] + np.arange(int(lb))]  # (g, lb)
-        cand_j.append(np.repeat(block_b, la_g, axis=0).ravel())
-    return cand_i, cand_j
-
-
 def _encode(pairs: np.ndarray, n_atoms: int) -> np.ndarray:
     """Encode (i, j) pairs as i * n_atoms + j for fast membership tests."""
     return pairs[:, 0] * np.int64(n_atoms) + pairs[:, 1]
@@ -196,17 +144,17 @@ def exclusion_codes(exclusions: np.ndarray, n_atoms: int) -> np.ndarray:
 
 def tree_candidates(
     wrapped: np.ndarray, box: PeriodicBox, cutoff: float
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Row pairs ``lo < hi`` of ``wrapped`` proposed by a periodic k-d tree.
 
     The query radius is padded by a relative ``1e-9``, so the proposal is
-    a superset of what :func:`within_cutoff` accepts.  ``None`` when the
-    box is too small for a toroidal query at this radius (the caller
-    enumerates instead).
+    a superset of what :func:`within_cutoff` accepts.  When the box is
+    too small for a toroidal query at this radius, every pair is
+    proposed; the exact test decides either way.
     """
     padded = cutoff * (1.0 + 1e-9)
     if not len(wrapped) or padded >= 0.5 * float(np.min(box.lengths)):
-        return None
+        return np.triu_indices(len(wrapped), k=1)
     # ``wrap`` guarantees coordinates in [0, L)
     cand = cKDTree(wrapped, boxsize=box.lengths).query_pairs(
         padded, output_type="ndarray"
@@ -360,7 +308,6 @@ class NeighborList:
     #: largest atom displacement since the build, as measured by the most
     #: recent rebuild check (inf until a check validates the list)
     last_max_disp: float = field(init=False, default=float("inf"))
-    _checked_positions: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.box.check_cutoff(self.scheme.r_cut)
@@ -374,7 +321,6 @@ class NeighborList:
         Returns the new ``pairs`` array of shape (n_pairs, 2), ``i < j``.
         """
         NEIGHBOR_BUILDS.increment()
-        checked = positions  # the caller's object, for prefilter identity
         positions = np.asarray(positions, dtype=np.float64)
         n = len(positions)
         if self._excl_codes is None:
@@ -394,9 +340,8 @@ class NeighborList:
         # The cost model's neighbour-search workload is the cell
         # enumeration's candidate count.  It only depends on the cell
         # populations — self cells contribute m*(m-1)/2, cross cells
-        # la*lb — so it is computed arithmetically (identically to the
-        # length of the enumerated list) even when the tree proposes the
-        # actual candidates.
+        # la*lb — so it is computed arithmetically, whatever proposes
+        # the actual candidates.
         cell_pairs = _neighbour_cell_pairs(n_cells)
         sizes = np.bincount(cell_of_atom, minlength=total_cells).astype(np.int64)
         ca, cb = cell_pairs[:, 0], cell_pairs[:, 1]
@@ -407,25 +352,8 @@ class NeighborList:
             + (sa[~self_pair] * sb[~self_pair]).sum()
         )
 
-        proposed = tree_candidates(wrapped, self.box, cutoff)
-        if proposed is not None:
-            lo, hi = proposed
-        else:
-            order = np.argsort(cell_of_atom, kind="stable")
-            sorted_cells = cell_of_atom[order]
-            # start offset of each cell in the sorted atom order
-            starts = np.searchsorted(sorted_cells, np.arange(total_cells + 1))
-            cand_i, cand_j = _gather_candidates(order, starts, cell_pairs)
-            if cand_i:
-                ii = np.concatenate(cand_i)
-                jj = np.concatenate(cand_j)
-                lo = np.minimum(ii, jj)
-                hi = np.maximum(ii, jj)
-            else:
-                lo = np.empty(0, dtype=np.int64)
-                hi = np.empty(0, dtype=np.int64)
-
         # the tree proposes a padded superset; the exact filter decides
+        lo, hi = tree_candidates(wrapped, self.box, cutoff)
         sel, d2 = within_cutoff(positions, self.box, lo, hi, cutoff)
         lo, hi = lo.take(sel), hi.take(sel)
         # sorting the (unique) packed codes gives exactly the
@@ -436,7 +364,6 @@ class NeighborList:
 
         self._ref_positions = positions.copy()
         self.last_max_disp = 0.0
-        self._checked_positions = checked
         self.n_builds += 1
         return self.pairs
 
@@ -445,15 +372,12 @@ class NeighborList:
         """True if any atom moved more than ``skin / 2`` since the build."""
         if self._ref_positions is None or self.scheme.skin == 0.0:
             self.last_max_disp = float("inf")
-            self._checked_positions = None
             return True
         max_disp2 = max_displacement2(self.box, np.asarray(positions), self._ref_positions)
         if max_disp2 > (0.5 * self.scheme.skin) ** 2:
             self.last_max_disp = float("inf")
-            self._checked_positions = None
             return True
         self.last_max_disp = float(np.sqrt(max_disp2))
-        self._checked_positions = positions
         return False
 
     def ensure(self, positions: np.ndarray) -> np.ndarray:
@@ -463,63 +387,25 @@ class NeighborList:
             self.build(positions)
         return self.pairs
 
-    def adopt(
-        self,
-        pairs: np.ndarray,
-        ref_positions: np.ndarray | None,
-        last_candidates: int,
-        rebuilt: bool,
-        ref_d: np.ndarray | None = None,
-        max_disp: float = float("inf"),
-        checked_positions: np.ndarray | None = None,
-    ) -> None:
-        """Take over the outcome of an identical build performed elsewhere.
+    def step_prefilter(self) -> tuple[np.ndarray, float] | None:
+        """The certificate of the last rebuild decision, or ``None``.
 
-        Used by the shared-compute layer (:mod:`repro.parallel.shared`):
-        with replicated coordinates every rank's build is bit-identical, so
-        mirror ranks adopt the building rank's pair list and reference
-        positions instead of recomputing them.  ``n_builds`` counts *real*
-        builds only and is deliberately not touched.
+        ``(ref_d, bound)``: the build-time pair distances aligned with
+        :attr:`pairs` rows, and the largest build-time distance a pair
+        can have while still reaching ``r_cut`` at the coordinates that
+        decision was taken for (:func:`certified_bound`).  Rows beyond
+        the bound cannot pass the exact ``r2 <= r_cut**2`` test, so a
+        kernel handed the certificate as ``reach``
+        (:meth:`~repro.md.nonbonded.NonbondedKernel.pair_terms`) drops
+        them before the minimum-image chain and accepts — bit for bit —
+        the pairs it would have accepted without it.
 
-        ``ref_d``/``max_disp`` replay the builder's prefilter state —
-        valid for this rank because its coordinates are bit-identical to
-        the builder's — and ``checked_positions`` is *this rank's own*
-        positions object, re-binding the identity certificate of
-        :meth:`step_prefilter` to the array this rank will evaluate.
+        The certificate holds for those coordinates only (or for
+        bit-identical copies of them, as every rank of a replicated run
+        holds): a caller evaluating other coordinates must take a new
+        decision (:meth:`ensure`) first.  ``None`` until a decision has
+        certified the list.
         """
-        self.pairs = pairs
-        self._ref_positions = ref_positions
-        self.last_candidates = last_candidates
-        self.last_ensure_rebuilt = rebuilt
-        self.pair_ref_d = ref_d
-        self.last_max_disp = max_disp
-        self._checked_positions = checked_positions
-
-    def step_prefilter(
-        self, positions: np.ndarray, base: np.ndarray
-    ) -> tuple[np.ndarray, float] | None:
-        """Certified candidate pre-drop for this step's exact cutoff test.
-
-        Returns ``(ref_d, bound)`` — the build-time pair distances aligned
-        with ``base`` rows, and the largest build-time distance a pair can
-        have while still reaching ``r_cut`` at the checked coordinates
-        (:func:`certified_bound`) — or ``None`` when no bound can be
-        certified.  Rows beyond the bound cannot pass the exact
-        ``r2 <= r_cut**2`` test, so dropping them before the
-        minimum-image chain leaves every surviving row — and therefore
-        the accepted pair set, bit for bit — unchanged.
-
-        Certification is by object identity: ``positions`` must be the
-        exact array the last rebuild decision was taken for.  (Mutating
-        coordinates in place after that check already voids the Verlet
-        list's own skin guarantee, so this adds no new contract.)
-        """
-        if (
-            base is not self.pairs
-            or self.pair_ref_d is None
-            or len(self.pair_ref_d) != len(base)
-            or positions is not self._checked_positions
-            or not np.isfinite(self.last_max_disp)
-        ):
+        if self.pair_ref_d is None or not np.isfinite(self.last_max_disp):
             return None
         return self.pair_ref_d, certified_bound(self.scheme.r_cut, self.last_max_disp)

@@ -21,7 +21,6 @@ reproduces bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import erfc
@@ -203,56 +202,15 @@ class NonbondedKernel:
         self.eps, self.rmin_half = lj_tables
         if len(self.charges) != len(self.eps):
             raise ValueError("charges and type_names disagree on atom count")
-        # optional certified candidate pre-drop; see attach_prefilter
-        self._prefilter: Callable | None = None
         #: number of pair interactions evaluated in the last call (cost model)
         self.last_pair_count: int = 0
-
-    # ------------------------------------------------------------------
-    def attach_prefilter(self, fn: Callable | None) -> None:
-        """Install a certified candidate pre-drop hook.
-
-        ``fn(positions, base)`` returns ``(ref_d, bound)`` or ``None``;
-        see :meth:`repro.md.neighborlist.NeighborList.step_prefilter`.
-        Rows of ``base`` whose ``ref_d`` exceeds ``bound`` are dropped
-        *before* the minimum-image chain in :meth:`pair_terms` — by the
-        hook's contract they cannot pass the exact cutoff test, so the
-        accepted pair rows (and every downstream bit) are unchanged.
-        """
-        self._prefilter = fn
-
-    @staticmethod
-    def _row_slice(pairs: np.ndarray) -> tuple[np.ndarray, int] | None:
-        """``(base, offset)`` when ``pairs`` is a plain row-slice view.
-
-        Returns ``None`` for views that are not contiguous row slices of
-        their base (the prefilter then stays off for the call, bitwise
-        identical either way).
-        """
-        base = pairs.base if isinstance(pairs.base, np.ndarray) else pairs
-        if (
-            pairs.ndim != 2
-            or base.ndim != 2
-            or base.shape[1:] != pairs.shape[1:]
-            or base.strides != pairs.strides
-        ):
-            return None
-        span = base.strides[0]
-        if span <= 0:
-            return None
-        delta = pairs.__array_interface__["data"][0] - base.__array_interface__["data"][0]
-        if delta < 0 or delta % span:
-            return None
-        off = delta // span
-        if off + len(pairs) > len(base):
-            return None
-        return base, int(off)
 
     # ------------------------------------------------------------------
     def pair_terms(
         self,
         positions: np.ndarray,
         pairs: np.ndarray,
+        reach: tuple[np.ndarray, float] | None = None,
         consume: "_Assembly | _Reduction | None" = None,
     ):
         """Per-pair energies and forces for the pairs within the true cutoff.
@@ -270,26 +228,25 @@ class NonbondedKernel:
         tile, ``part`` is the tile's five arrays).  The call returns
         ``consume.result(n_accepted)``.  The default consumer assembles
         the arrays above; :meth:`compute` reduces the tiles instead.
-        """
-        sliced = self._row_slice(pairs)
-        hit = None
-        if self._prefilter is not None and sliced is not None:
-            base, off = sliced
-            hit = self._prefilter(positions, base)
-            if hit is not None:
-                ref_d, bound = hit
-                hit = ref_d[off : off + len(pairs)], bound
 
+        ``reach`` is an optional certificate ``(ref_d, bound)`` with
+        ``ref_d`` aligned with ``pairs`` rows
+        (:meth:`repro.md.neighborlist.NeighborList.step_prefilter`, cut
+        as ``pairs`` was): rows whose ``ref_d`` exceeds ``bound`` cannot
+        pass the exact cutoff test, so they are dropped *before* the
+        minimum-image chain and the accepted rows — every downstream bit
+        — are those of the call without it.
+        """
         tiles = row_tiles(len(pairs))
         if consume is None:
             if len(tiles) == 1:
-                out = self._tile_terms(positions, pairs, tiles[0], hit)
+                out = self._tile_terms(positions, pairs, tiles[0], reach)
                 self.last_pair_count = len(out[0])
                 return out
             consume = _Assembly(len(pairs), pairs.dtype)
         filled = 0
         for tile in tiles:
-            part = self._tile_terms(positions, pairs, tile, hit)
+            part = self._tile_terms(positions, pairs, tile, reach)
             consume(filled, part)
             filled += len(part[0])
         self.last_pair_count = filled
@@ -300,22 +257,22 @@ class NonbondedKernel:
         positions: np.ndarray,
         pairs: np.ndarray,
         tile: slice,
-        hit: tuple[np.ndarray, float] | None,
+        reach: tuple[np.ndarray, float] | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`pair_terms` of the rows ``pairs[tile]``.
 
-        ``hit`` (the prefilter's ``(ref_d, bound)``) is aligned with
-        ``pairs`` and sliced by the same tile.  The combined LJ/charge
-        parameters are gathered from the per-atom tables for the accepted
-        rows only, and die with the tile.
+        ``reach``'s ``ref_d`` is aligned with ``pairs`` and sliced by the
+        same tile.  The combined LJ/charge parameters are gathered from
+        the per-atom tables for the accepted rows only, and die with the
+        tile.
         """
         i = pairs[tile, 0]
         j = pairs[tile, 1]
-        if hit is not None:
+        if reach is not None:
             # rows beyond the certified bound cannot pass the exact test
             # below; dropping them up front skips their share of the
             # minimum-image chain
-            ref_d, bound = hit
+            ref_d, bound = reach
             pre = np.flatnonzero(ref_d[tile] <= bound)
             if len(pre) < len(i):
                 i, j = i.take(pre), j.take(pre)
@@ -343,20 +300,26 @@ class NonbondedKernel:
 
     # ------------------------------------------------------------------
     def compute(
-        self, positions: np.ndarray, pairs: np.ndarray
+        self,
+        positions: np.ndarray,
+        pairs: np.ndarray,
+        reach: tuple[np.ndarray, float] | None = None,
     ) -> tuple[PairEnergies, np.ndarray]:
         """Energy and forces for the pairs within the true cutoff.
 
         ``pairs`` may include the neighbour-list skin; pairs beyond
-        ``scheme.r_cut`` are filtered in :meth:`pair_terms`, whose tiles
-        are reduced as they come (:class:`_Reduction`): nothing of list
+        ``scheme.r_cut`` are filtered in :meth:`pair_terms` (which also
+        takes the optional certificate ``reach``), whose tiles are
+        reduced as they come (:class:`_Reduction`): nothing of list
         length but two energy rows is held.
         """
         FORCE_EVALUATIONS.increment()
         if len(pairs) == 0:
             self.last_pair_count = 0
             return PairEnergies(0.0, 0.0), np.zeros((len(positions), 3))
-        return self.pair_terms(positions, pairs, _Reduction(len(positions), len(pairs)))
+        return self.pair_terms(
+            positions, pairs, reach, _Reduction(len(positions), len(pairs))
+        )
 
 
 class _Assembly:

@@ -120,9 +120,6 @@ class MDSystem:
             elec_mode=elec_mode,
             ewald_alpha=ewald_alpha,
         )
-        # let the kernel drop neighbour-list rows the list itself can
-        # certify as out of reach this step (bitwise invisible)
-        self.nonbonded.attach_prefilter(self.neighbor_list.step_prefilter)
 
     # ------------------------------------------------------------------
     @property
@@ -147,17 +144,19 @@ class MDSystem:
 
     # ------------------------------------------------------------------
     def classic_energy_forces(
-        self, positions: np.ndarray, pairs: np.ndarray | None = None
+        self, positions: np.ndarray
     ) -> tuple[EnergyBreakdown, np.ndarray]:
         """The time-domain component: bonded + cutoff non-bonded.
 
-        ``pairs`` overrides the neighbour list (used by the parallel code
-        to evaluate a rank's block of the pair list).
+        The neighbour list is brought up to date for ``positions``, and
+        its certificate lets the kernel drop the rows it proves out of
+        reach (bitwise invisible).
         """
-        if pairs is None:
-            pairs = self.neighbor_list.ensure(positions)
+        pairs = self.neighbor_list.ensure(positions)
         bonded_e, forces = bonded_energy_forces(positions, self.box, self.bonded_tables)
-        nb_e, nb_f = self.nonbonded.compute(positions, pairs)
+        nb_e, nb_f = self.nonbonded.compute(
+            positions, pairs, self.neighbor_list.step_prefilter()
+        )
         forces += nb_f
         return (
             EnergyBreakdown(

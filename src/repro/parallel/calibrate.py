@@ -60,9 +60,7 @@ def measure_counts(system: MDSystem, positions: np.ndarray) -> WorkloadCounts:
 
     The list build it triggers (or last made) supplies ``list_candidates``.
     """
-    nl = system.neighbor_list
-    pairs = nl.ensure(positions)
-    system.classic_energy_forces(positions, pairs)
+    system.classic_energy_forces(positions)
     n_pairs = system.nonbonded.last_pair_count
 
     if system.uses_pme:
@@ -84,7 +82,7 @@ def measure_counts(system: MDSystem, positions: np.ndarray) -> WorkloadCounts:
         spread_points=spread_points,
         fft_unit_count=units,
         grid_points=grid_points,
-        list_candidates=nl.last_candidates,
+        list_candidates=system.neighbor_list.last_candidates,
     )
 
 

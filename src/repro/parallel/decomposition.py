@@ -89,17 +89,19 @@ class AtomDecomposition(Decomposition):
         b = self.bounds
         return int(b[rank]), int(b[rank + 1])
 
-    def pair_block(self, pairs: np.ndarray, rank: int) -> np.ndarray:
-        """The slice of a (sorted-by-i) pair list owned by ``rank``.
+    def pair_block(self, pairs: np.ndarray, rank: int) -> slice:
+        """The rows of a (sorted-by-i) pair list owned by ``rank``.
 
         Ownership: the rank whose atom block contains ``i`` (the smaller
         index).  Pair lists from :class:`repro.md.neighborlist.NeighborList`
-        are lexicographically sorted, so the block is contiguous.
+        are lexicographically sorted, so the block is one contiguous
+        slice, which cuts anything aligned with the list's rows (its
+        certificate's distances) the same way.
         """
         lo, hi = self.atom_range(rank)
         start = int(np.searchsorted(pairs[:, 0], lo, side="left"))
         stop = int(np.searchsorted(pairs[:, 0], hi, side="left"))
-        return pairs[start:stop]
+        return slice(start, stop)
 
     def term_slice(self, n_terms: int, rank: int) -> slice:
         """Contiguous slice of a bonded-term table for ``rank``."""

@@ -76,15 +76,24 @@ class ParallelClassic:
             ewald_alpha=system.nonbonded.ewald_alpha,
             lj_tables=lj_tables,
         )
-        # this rank's pair blocks are row slices of its neighbour list's
-        # base array, so the list can certify a candidate pre-drop
-        self.kernel.attach_prefilter(system.neighbor_list.step_prefilter)
 
-    def compute(self, positions: np.ndarray, pairs: np.ndarray) -> ClassicResult:
-        """Evaluate this rank's block; pure computation, no yields."""
-        my_pairs = self.decomp.pair_block(pairs, self.rank)
+    def compute(
+        self,
+        positions: np.ndarray,
+        pairs: np.ndarray,
+        reach: tuple[np.ndarray, float] | None = None,
+    ) -> ClassicResult:
+        """Evaluate this rank's block; pure computation, no yields.
+
+        ``reach`` is the list's certificate
+        (:meth:`~repro.md.neighborlist.NeighborList.step_prefilter`),
+        aligned with ``pairs`` and cut with it to the rank's block.
+        """
+        block = self.decomp.pair_block(pairs, self.rank)
+        if reach is not None:
+            reach = reach[0][block], reach[1]
         bonded_e, forces = bonded_energy_forces(positions, self.system.box, self.tables)
-        nb_e, nb_f = self.kernel.compute(positions, my_pairs)
+        nb_e, nb_f = self.kernel.compute(positions, pairs[block], reach)
         forces += nb_f
         return ClassicResult(
             energies=EnergyBreakdown(

@@ -112,8 +112,9 @@ def rank_program(
 ):
     """Generator driven by the simulator; returns a :class:`RankOutcome`.
 
-    ``system`` must be this rank's private clone (it owns mutable
-    neighbour-list state); ``positions0``/``velocities0`` are the shared
+    ``system`` is a clone of the run's system (it owns mutable
+    neighbour-list state): this rank's private one, or, with ``shared``,
+    the one every rank holds; ``positions0``/``velocities0`` are the shared
     initial conditions — velocities follow the leapfrog convention
     (v at t - dt/2).  ``shared``, when given, is the run-wide
     :class:`SharedComputeCache` deduplicating replicated-data work across
@@ -157,7 +158,7 @@ def rank_program(
                 pairs = nl.ensure(positions)
             if nl.last_ensure_rebuilt:
                 yield from ep.compute(cost.neighbor_build(nl.last_candidates))
-            res = classic.compute(positions, pairs)
+            res = classic.compute(positions, pairs, nl.step_prefilter())
             yield from ep.compute(classic.compute_seconds(res))
             forces = res.forces
             energies = res.energies
@@ -209,8 +210,7 @@ def serial_reference_run(
     masses = system.masses[:, None]
     energies_log: list[EnergyBreakdown] = []
     for _step in range(config.n_steps):
-        pairs = system.neighbor_list.ensure(positions)
-        energies, forces = system.classic_energy_forces(positions, pairs)
+        energies, forces = system.classic_energy_forces(positions)
         if system.uses_pme:
             pme_e, pme_f = system.pme_energy_forces(positions)
             energies = energies + pme_e

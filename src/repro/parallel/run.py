@@ -50,10 +50,11 @@ def make_middleware(name: str) -> Middleware:
 
 
 def rank_system_clone(base: MDSystem) -> MDSystem:
-    """A per-rank view of the system.
+    """A view of the system with its own neighbour-list state.
 
-    Replicated-data CHARMM gives every rank its own neighbour-list state;
-    everything immutable (topology, parameter tables, PME influence
+    Replicated-data CHARMM gives every rank its own neighbour list; a run
+    under a :class:`SharedComputeCache` gives all its ranks one clone.
+    Everything immutable (topology, parameter tables, PME influence
     function) is shared.
     """
     clone = copy.copy(base)
@@ -311,11 +312,14 @@ def _replicated_programs(
         raise ValueError("a SharedComputeCache instance serves one run")
 
     decomp = AtomDecomposition(system.n_atoms, cluster.n_ranks)
+    # the ranks' coordinates are bit-identical: under the cache they hold
+    # one clone, so one neighbour list; without it each its own (the oracle)
+    shared_clone = rank_system_clone(system) if shared is not None else None
     programs = [
         rank_program(
             ep=world.endpoints[rank],
             mw=mw,
-            system=rank_system_clone(system),
+            system=shared_clone if shared is not None else rank_system_clone(system),
             decomp=decomp,
             cost=opts.cost,
             config=config,

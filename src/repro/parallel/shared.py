@@ -10,11 +10,11 @@ results from bit-identical inputs.
 :class:`SharedComputeCache` deduplicates that work per *run* while
 leaving virtual time untouched:
 
-* one real :meth:`~repro.md.neighborlist.NeighborList.build` per rebuild
-  event — mirror ranks adopt the builder's pair list, reference positions
-  and candidate count, so every rank still charges its own
-  ``cost.neighbor_build`` virtual seconds and keeps its own
-  rebuild-decision state;
+* one :class:`~repro.md.neighborlist.NeighborList` per run, and one
+  rebuild decision (and, when due, one real build) per generation —
+  every rank holds that list and reads its decision, candidate count
+  and certificate, so every rank still charges its own
+  ``cost.neighbor_build`` virtual seconds;
 * one B-spline stencil evaluation per step, reused across the spread and
   interpolate directions and across every rank;
 * per-run once-only setup (LJ parameter tables, Ewald self energy)
@@ -29,7 +29,7 @@ single-generation cache is sufficient and race-free.
 **Why this cannot perturb the measured virtual timelines:** cost-model
 seconds are charged from *counters* (candidate pairs, scattered stencil
 points, term counts), never from wall-clock.  The cache changes who
-performs a numpy computation, not what any rank observes: adopted
+performs a numpy computation, not what any rank observes: shared
 results are bit-identical to locally computed ones, so every charged
 counter — and therefore every virtual timeline — is bit-identical with
 the cache on or off.
@@ -135,20 +135,6 @@ class _RecordedRun:
 
 
 @dataclass
-class _NeighborOutcome:
-    """The shared outcome of one generation's neighbour-list maintenance."""
-
-    generation: int
-    rebuilt: bool
-    pairs: np.ndarray
-    ref_positions: np.ndarray | None
-    candidates: int
-    #: prefilter replay state (see NeighborList.step_prefilter)
-    ref_d: np.ndarray | None
-    max_disp: float
-
-
-@dataclass
 class SharedComputeCache:
     """Deduplication of replicated-data computations.
 
@@ -174,7 +160,7 @@ class SharedComputeCache:
     #: replays; None outside a session
     session: "TrajectorySession | None" = field(default=None, repr=False)
 
-    _neighbors: _NeighborOutcome | None = field(default=None, repr=False)
+    _neighbor_generation: int | None = field(default=None, repr=False)
     _stencil_key: tuple | None = field(default=None, repr=False)
     _stencil: tuple | None = field(default=None, repr=False)
     _once: dict[Any, Any] = field(default_factory=dict, repr=False)
@@ -185,44 +171,27 @@ class SharedComputeCache:
     ) -> np.ndarray:
         """Neighbour-list maintenance for one rank at one generation.
 
-        The first rank to reach ``generation`` takes the rebuild decision
-        and (when due) performs the one real build; every later rank
-        adopts the identical outcome.  ``nl.last_ensure_rebuilt`` and
-        ``nl.last_candidates`` are left exactly as a private
-        :meth:`~repro.md.neighborlist.NeighborList.ensure` call would,
-        so the step driver's cost charging is unchanged.
+        Every rank of the run holds the one list ``nl``.  The first rank
+        to reach ``generation`` takes the rebuild decision
+        (:meth:`~repro.md.neighborlist.NeighborList.ensure`, with the one
+        real build when due); every later rank finds it taken.  All of
+        them then read the same ``nl.last_ensure_rebuilt``,
+        ``nl.last_candidates`` and
+        :meth:`~repro.md.neighborlist.NeighborList.step_prefilter`
+        certificate — what a private list would show them, since their
+        coordinates are bit-identical — so the step driver's cost
+        charging is unchanged.
         """
-        cached = self._neighbors
-        if cached is not None and cached.generation == generation:
+        if generation == self._neighbor_generation:
             self.n_mirrored += 1
-            # checked_positions is this rank's own array: its coordinates
-            # are bit-identical to the builder's, so the builder's
-            # ref_d/max_disp bound holds for it verbatim
-            nl.adopt(
-                cached.pairs,
-                cached.ref_positions,
-                cached.candidates,
-                cached.rebuilt,
-                ref_d=cached.ref_d,
-                max_disp=cached.max_disp,
-                checked_positions=positions,
-            )
-            return cached.pairs
-
-        rebuilt = nl.needs_rebuild(positions)
-        if rebuilt:
-            nl.build(positions)
-            self.n_real_builds += 1
-        nl.last_ensure_rebuilt = rebuilt
-        self._neighbors = _NeighborOutcome(
-            generation=generation,
-            rebuilt=rebuilt,
-            pairs=_read_only(nl.pairs),
-            ref_positions=nl._ref_positions,
-            candidates=nl.last_candidates,
-            ref_d=nl.pair_ref_d,
-            max_disp=nl.last_max_disp,
-        )
+        else:
+            self._neighbor_generation = generation
+            nl.ensure(positions)
+            if nl.last_ensure_rebuilt:
+                # every rank reads these arrays: none may write them
+                self.n_real_builds += 1
+                _read_only(nl.pairs)
+                _read_only(nl.pair_ref_d)
         return nl.pairs
 
     # ------------------------------------------------------------------

@@ -610,8 +610,6 @@ class SpatialEngine:
         proposed = tree_candidates(
             self.box.wrap(self.positions[known]), self.box, cutoff
         )
-        if proposed is None:  # box too small for a toroidal query
-            proposed = np.triu_indices(len(known), k=1)
         gi, gj = known[proposed[0]], known[proposed[1]]
         touch = owned_mask[gi] | owned_mask[gj]
         gi, gj = gi[touch], gj[touch]

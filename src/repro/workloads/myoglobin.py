@@ -274,10 +274,7 @@ def _assert_no_clashes(
     ``(i, j)`` is named.
     """
     n = len(positions)
-    proposed = tree_candidates(box.wrap(positions), box, min_dist)
-    if proposed is None:  # box too small for a toroidal query
-        proposed = np.triu_indices(n, k=1)
-    lo, hi = proposed
+    lo, hi = tree_candidates(box.wrap(positions), box, min_dist)
     rows, _ = within_cutoff(positions, box, lo, hi, min_dist)
     codes = np.sort(lo.take(rows) * np.int64(n) + hi.take(rows))
     clashes = codes[absent_from(exclusion_codes(topo.exclusion_pairs(), n), codes)]

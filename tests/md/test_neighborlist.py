@@ -124,16 +124,28 @@ class TestNearestDistance:
 
 
 class TestCellList:
-    @pytest.mark.parametrize("n,edge", [(40, 12.0), (120, 18.0), (250, 25.0)])
-    def test_matches_brute_force(self, n, edge):
+    @pytest.mark.parametrize("n,edge", [(30, 9.0), (40, 12.0), (120, 18.0), (250, 25.0)])
+    def test_matches_brute_force(self, n, edge, monkeypatch):
+        """Tree proposals, and every pair where the smallest box edge
+        (8.1 A at ``edge`` 9) is under twice the 5 A list cutoff."""
         rng = np.random.default_rng(n)
         box = PeriodicBox(edge, edge * 1.1, edge * 0.9)
         pos = _random_positions(rng, n, box)
         scheme = CutoffScheme(r_cut=4.0, skin=1.0)
         nl = NeighborList(box, scheme)
+        trees, real_tree = [], neighborlist.cKDTree
+
+        def spy(*args, **kwargs):
+            trees.append(args)
+            return real_tree(*args, **kwargs)
+
+        monkeypatch.setattr(neighborlist, "cKDTree", spy)
         pairs = nl.build(pos)
+        assert bool(trees) == (0.9 * edge > 2 * scheme.list_cutoff)
         ref = brute_force_pairs(pos, box, scheme.list_cutoff)
         assert pairs.tolist() == ref.tolist()
+        # the cost model's candidate count is the cell enumeration's
+        assert nl.last_candidates >= len(pairs)
 
     def test_exclusions_removed(self):
         box = PeriodicBox(12, 12, 12)
@@ -218,25 +230,6 @@ class TestRebuild:
         nl.build(pos)
         assert nl.needs_rebuild(pos)
 
-    def test_adopt_mirrors_builder_state(self):
-        """A mirroring list behaves exactly like one that built locally."""
-        box = PeriodicBox(12, 12, 12)
-        pos = np.array([[1.0, 1, 1], [3.0, 1, 1], [5.0, 5, 5]])
-        scheme = CutoffScheme(r_cut=4.0, skin=2.0)
-        builder = NeighborList(box, scheme)
-        pairs = builder.ensure(pos)
-
-        mirror = NeighborList(box, scheme)
-        mirror.adopt(pairs, builder._ref_positions, builder.last_candidates, True)
-        assert mirror.pairs is pairs
-        assert mirror.last_ensure_rebuilt and mirror.last_candidates == builder.last_candidates
-        assert mirror.n_builds == 0  # adopt is not a real build
-        # rebuild decisions now track the builder's reference positions
-        assert not mirror.needs_rebuild(pos + 0.4)
-        moved = pos.copy()
-        moved[0, 0] += 1.2
-        assert mirror.needs_rebuild(moved)
-
 
 class TestCellPairMemo:
     def test_same_grid_returns_cached_object(self):
@@ -287,7 +280,7 @@ class TestStepPrefilter:
 
     def test_hit_right_after_build(self):
         _, nl, pos = self._setup()
-        hit = nl.step_prefilter(pos, nl.pairs)
+        hit = nl.step_prefilter()
         assert hit is not None
         ref_d, bound = hit
         assert len(ref_d) == len(nl.pairs)
@@ -298,19 +291,25 @@ class TestStepPrefilter:
         rng, nl, pos = self._setup()
         moved = pos + rng.normal(scale=0.05, size=pos.shape)
         assert not nl.needs_rebuild(moved)
-        hit = nl.step_prefilter(moved, nl.pairs)
+        hit = nl.step_prefilter()
         assert hit is not None
         _, bound = hit
         assert bound > nl.scheme.r_cut  # displacement widened the bound
 
-    def test_unseen_positions_object_voids_the_certificate(self):
-        _, nl, pos = self._setup()
-        assert nl.step_prefilter(pos.copy(), nl.pairs) is None
-
-    def test_foreign_pair_array_voids_the_certificate(self):
-        _, nl, pos = self._setup()
-        assert nl.step_prefilter(pos, nl.pairs.copy()) is None
-        assert nl.step_prefilter(pos, nl.pairs[:-1]) is None
+    def test_no_certificate_without_a_decision(self):
+        """None before any build, and after a check that voided the list
+        until the rebuild it calls for."""
+        rng = np.random.default_rng(3)
+        box = PeriodicBox(15, 15, 15)
+        pos = _random_positions(rng, 80, box)
+        nl = NeighborList(box, CutoffScheme(r_cut=4.0, skin=1.0))
+        assert nl.step_prefilter() is None
+        assert nl.needs_rebuild(pos) and nl.step_prefilter() is None
+        nl.ensure(pos)
+        assert nl.step_prefilter() is not None
+        assert nl.needs_rebuild(pos + 0.6) and nl.step_prefilter() is None  # > skin/2
+        nl.ensure(pos + 0.6)
+        assert nl.last_ensure_rebuilt and nl.step_prefilter() is not None
 
     def test_prefilter_keeps_every_true_pair(self):
         """Dropped rows provably fail the exact r <= r_cut test."""
@@ -319,7 +318,7 @@ class TestStepPrefilter:
             moved = pos + rng.normal(scale=0.08, size=pos.shape)
             if nl.needs_rebuild(moved):
                 nl.build(moved)
-            hit = nl.step_prefilter(moved, nl.pairs)
+            hit = nl.step_prefilter()
             assert hit is not None
             ref_d, bound = hit
             pairs = nl.pairs

@@ -201,22 +201,19 @@ def scene():
     nl.build(built_at)
     pos = built_at + rng.normal(scale=0.05, size=built_at.shape)
     assert not nl.needs_rebuild(pos)
-    ref_d, bound = nl.step_prefilter(pos, nl.pairs)
+    ref_d, bound = nl.step_prefilter()
     assert 0 < np.count_nonzero(ref_d > bound) < len(ref_d)  # it drops rows
     types = [("OT", "HT", "CT2")[k % 3] for k in range(n)]
     charges = rng.uniform(-0.8, 0.8, n)
     return box, scheme, nl, pos, types, charges
 
 
-def _scene_kernel(scene, elec_mode, prefilter=False):
-    box, scheme, nl, _, types, charges = scene
-    kern = NonbondedKernel(
+def _scene_kernel(scene, elec_mode):
+    box, scheme, _, _, types, charges = scene
+    return NonbondedKernel(
         default_forcefield(), types, charges, box, scheme,
         elec_mode=elec_mode, ewald_alpha=0.35 if elec_mode == "ewald" else None,
     )
-    if prefilter:
-        kern.attach_prefilter(nl.step_prefilter)
-    return kern
 
 
 def _assembled_reduction(terms, n_atoms):
@@ -233,36 +230,48 @@ def _assembled_reduction(terms, n_atoms):
 
 class TestRowTiles:
     """A list walked in row tiles returns the arrays of the one-tile
-    evaluation — equal, not close — wherever the seams fall."""
+    evaluation — equal, not close — wherever the seams fall, and so does
+    an evaluation handed the list's certificate as ``reach``."""
 
     T = 97
     LENGTHS = [0, T - 1, T, T + 1, 2 * T, 2 * T + 1]
 
     @staticmethod
-    def _evaluate(kern, pos, pairs):
+    def _evaluate(kern, pos, pairs, reach):
         """``pair_terms`` and ``compute``, whose streamed reduction of the
         tiles must equal that of the assembled arrays."""
-        terms = kern.pair_terms(pos, pairs)
+        terms = kern.pair_terms(pos, pairs, reach)
         count = kern.last_pair_count
-        energies, forces = kern.compute(pos, pairs)
+        energies, forces = kern.compute(pos, pairs, reach)
         want_energies, want_forces = _assembled_reduction(terms, len(pos))
         assert energies == want_energies and forces.flags.c_contiguous
         assert np.array_equal(forces, want_forces)
         return terms, count, energies, forces
 
-    def _assert_tiling_invisible(self, monkeypatch, kern, pos, pairs):
-        """Evaluate in one tile, then in tiles of ``T`` rows; compare."""
-        terms, count, energies, forces = self._evaluate(kern, pos, pairs)
-        monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", self.T)
-        t_terms, t_count, t_energies, t_forces = self._evaluate(kern, pos, pairs)
+    def _assert_tiling_invisible(self, monkeypatch, kern, pos, pairs, reach=None):
+        """Evaluate in one tile without ``reach``, then with it, in one
+        tile and in tiles of ``T`` rows; compare each with the first."""
+        terms, count, energies, forces = self._evaluate(kern, pos, pairs, None)
+        for tile_rows in (None, self.T):
+            if tile_rows:
+                monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", tile_rows)
+            t_terms, t_count, t_energies, t_forces = self._evaluate(kern, pos, pairs, reach)
+            for tiled, whole in zip(t_terms, terms):
+                assert tiled.dtype == whole.dtype and tiled.shape == whole.shape
+                assert np.array_equal(tiled, whole)
+            assert t_count == count == len(terms[0])
+            assert t_energies == energies
+            assert np.array_equal(t_forces, forces)
         monkeypatch.undo()
-        for tiled, whole in zip(t_terms, terms):
-            assert tiled.dtype == whole.dtype and tiled.shape == whole.shape
-            assert np.array_equal(tiled, whole)
-        assert t_count == count == len(terms[0])
-        assert t_energies == energies
-        assert np.array_equal(t_forces, forces)
         return count
+
+    @staticmethod
+    def _reach(nl, rows, prefilter):
+        """The list's certificate cut as ``nl.pairs[rows]``, or None."""
+        if not prefilter:
+            return None
+        ref_d, bound = nl.step_prefilter()
+        return ref_d[rows], bound
 
     @pytest.mark.parametrize("n_rows", LENGTHS)
     @pytest.mark.parametrize("prefilter", [False, True], ids=["plain", "prefilter"])
@@ -272,28 +281,23 @@ class TestRowTiles:
     ):
         nl, pos = scene[2], scene[3]
         assert len(nl.pairs) > 2 * self.T + 1
-        kern = _scene_kernel(scene, elec_mode, prefilter)
-        count = self._assert_tiling_invisible(monkeypatch, kern, pos, nl.pairs[:n_rows])
+        kern = _scene_kernel(scene, elec_mode)
+        rows = slice(0, n_rows)
+        count = self._assert_tiling_invisible(
+            monkeypatch, kern, pos, nl.pairs[rows], self._reach(nl, rows, prefilter)
+        )
         assert 0 < count < n_rows or n_rows == 0  # the skin rows were cut
 
     @pytest.mark.parametrize("prefilter", [False, True], ids=["plain", "prefilter"])
     def test_row_slice_at_an_offset(self, scene, monkeypatch, prefilter):
-        """A rank's block: prefilter distances are served from the base
-        list's array at ``offset + tile``."""
+        """A rank's block, a row slice of the list at an offset, with the
+        certificate cut by the same slice (as ``ParallelClassic`` cuts it)."""
         nl, pos = scene[2], scene[3]
-        block = nl.pairs[53 : 53 + 3 * self.T + 5]
-        kern = _scene_kernel(scene, "ewald", prefilter)
-        assert kern._row_slice(block) == (nl.pairs, 53)
-        self._assert_tiling_invisible(monkeypatch, kern, pos, block)
-
-    def test_view_that_is_no_row_slice(self, scene, monkeypatch):
-        """Every other row: no prefilter, each tile runs the whole chain."""
-        nl, pos = scene[2], scene[3]
-        strided = nl.pairs[::2]
-        kern = _scene_kernel(scene, "shift", prefilter=True)
-        assert kern._row_slice(strided) is None
-        assert len(strided) > 3 * self.T
-        self._assert_tiling_invisible(monkeypatch, kern, pos, strided)
+        rows = slice(53, 53 + 3 * self.T + 5)
+        kern = _scene_kernel(scene, "ewald")
+        self._assert_tiling_invisible(
+            monkeypatch, kern, pos, nl.pairs[rows], self._reach(nl, rows, prefilter)
+        )
 
     def test_tiles_that_accept_nothing(self, scene, monkeypatch):
         box, scheme, nl, pos = scene[:4]

@@ -4,7 +4,7 @@ Three guarantees, each load-bearing for the replicated-data dedup layer
 (:mod:`repro.parallel.shared`):
 
 1. energies and trajectories are *bit-identical* with the cache on or
-   off (not merely close — adopted results are the builder's arrays);
+   off (not merely close — every rank reads the one list's arrays);
 2. every rank's virtual timeline is bit-identical on or off — the cache
    must change who performs a numpy computation, never what any rank
    charges;
@@ -102,10 +102,21 @@ class TestDeduplication:
         assert NEIGHBOR_BUILDS.delta(before) == CFG.n_steps * p
 
     def test_cache_counters(self, peptide_system):
+        """... and every rank holds the one list, whose builds are the run's."""
         system, pos = peptide_system
-        shared = SharedComputeCache()
+        lists = []
+
+        class Spy(SharedComputeCache):
+            def neighbor_pairs(self, nl, positions, generation):
+                lists.append(nl)
+                return super().neighbor_pairs(nl, positions, generation)
+
+        shared = Spy()
+        before = NEIGHBOR_BUILDS.snapshot()
         _run(system, pos, 4, shared)
         assert shared.n_real_builds >= 1
+        assert len(lists) == 4 * CFG.n_steps and all(nl is lists[0] for nl in lists)
+        assert lists[0].n_builds == shared.n_real_builds == NEIGHBOR_BUILDS.delta(before)
         # one rank maintains the list per step; the other 3 mirror it
         assert shared.n_mirrored == 3 * CFG.n_steps
         # one stencil evaluation per step, hit by the other 3 ranks
@@ -160,7 +171,7 @@ class TestAuditsRideTheReplay:
 
 
 class TestReadOnlyHandOuts:
-    """What one rank adopts from another must not be writable in place."""
+    """What one rank shares with another must not be writable in place."""
 
     def test_pairs_and_stencil(self, peptide_system):
         system, pos = peptide_system

@@ -69,6 +69,15 @@ class TestCommands:
         assert "linted 2 files" in out and ": 3 error(s)" in out
         assert "determinism lint: 0 error(s)" in out
 
+    @pytest.mark.parametrize("verb", ["run", "trace"])
+    def test_steps_below_one_errors_before_any_work(self, tmp_path, capsys, verb):
+        output = tmp_path / "trace.json"
+        args = [verb, "--steps", "0"] + (["-o", str(output)] if verb == "trace" else [])
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: n_steps must be >= 1\n"
+        assert not output.exists()
+
     def test_run_small_point(self, capsys):
         assert main(["run", "--ranks", "2", "--steps", "1", "--network", "myrinet"]) == 0
         out = capsys.readouterr().out
@@ -116,7 +125,17 @@ class TestCampaignCommand:
             "--workload", "nope", "--ranks", "1",
         ]
         assert main(args) == 2
-        assert "unknown workload" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: unknown workload 'nope'")
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("design", ["sweep", "full", "paper"])
+    def test_run_zero_replicates_errors_before_the_store(self, tmp_path, capsys, design):
+        args = ["campaign", "run", *self._args(tmp_path, "--design", design, "--replicates", "0")]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: replicates must be >= 1\n"
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("verb", ["verify", "status", "gc"])
     def test_missing_store_errors_without_creating_it(self, tmp_path, capsys, verb):
