@@ -383,6 +383,14 @@ class CampaignEngine:
 
     _fingerprint: str | None = field(default=None, init=False, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.timeout is not None and not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0 seconds, got {self.timeout}")
+
     # ------------------------------------------------------------------
     @property
     def fingerprint(self) -> str:

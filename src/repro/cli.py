@@ -379,7 +379,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         print(f"unknown figures: {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    runner = default_runner(n_steps=args.steps)
+    try:
+        runner = default_runner(n_steps=args.steps)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for name in names:
         result = ALL_FIGURES[name](runner)
         print(result.report)
@@ -745,15 +749,17 @@ def _campaign_engine(args: argparse.Namespace, n_workers: int = 0, **kw):
     from . import CampaignEngine, MDRunConfig, ResultStore
     from .campaign.workloads import build_workload
 
-    build_workload(args.workload)  # an unknown name raises before the store exists
-    return CampaignEngine(
+    # an unknown workload or a bad setting raises before the store exists
+    build_workload(args.workload)
+    engine = CampaignEngine(
         workload=args.workload,
         config=MDRunConfig(n_steps=args.steps),
         base_seed=args.seed,
-        store=ResultStore(args.store),
         n_workers=n_workers,
         **kw,
     )
+    engine.store = ResultStore(args.store)
+    return engine
 
 
 def _format_metrics(metrics: dict, indent: str = "    ") -> list[str]:

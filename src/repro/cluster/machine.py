@@ -50,6 +50,8 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_nodes > self.max_nodes:
             raise ValueError(
                 f"{self.n_ranks} ranks on {self.node.cpus_per_node}-CPU nodes "

@@ -210,24 +210,26 @@ class NonbondedKernel:
         self,
         positions: np.ndarray,
         pairs: np.ndarray,
-        reach: tuple[np.ndarray, float] | None = None,
-        consume: "_Assembly | _Reduction | None" = None,
+        reach: tuple[np.ndarray, float] | None,
+        consume,
     ):
-        """Per-pair energies and forces for the pairs within the true cutoff.
+        """Per-pair energies and forces for the pairs within the true cutoff,
+        handed to ``consume`` one row tile at a time.
 
-        Returns ``(i, j, e_lj_pair, e_el_pair, fvec)`` where every array is
-        restricted to the pairs inside ``scheme.r_cut`` and ``fvec`` is the
-        force on atom ``i`` (atom ``j`` receives ``-fvec``).  Every value is
-        a pure elementwise function of its own pair, so callers holding any
-        sub- or superset of a pair list obtain bitwise-identical rows — the
-        property the spatial-decomposition engine relies on to reproduce
-        the replicated-data forces exactly, and the one that lets the rows
-        be evaluated :data:`PAIR_TILE_ROWS` at a time: the whole chain runs
-        per tile, and each tile's accepted rows go, in list order, to
-        ``consume(start, part)`` (``start`` rows were accepted before the
-        tile, ``part`` is the tile's five arrays).  The call returns
-        ``consume.result(n_accepted)``.  The default consumer assembles
-        the arrays above; :meth:`compute` reduces the tiles instead.
+        Each tile's part is ``(i, j, e_lj_pair, e_el_pair, fvec)``: every
+        array is restricted to the tile's pairs inside ``scheme.r_cut``,
+        and ``fvec`` is the force on atom ``i`` (atom ``j`` receives
+        ``-fvec``).  Every value is a pure elementwise function of its own
+        pair, so callers holding any sub- or superset of a pair list obtain
+        bitwise-identical rows — the property the spatial-decomposition
+        engine relies on to reproduce the replicated-data forces exactly,
+        and the one that lets the rows be evaluated :data:`PAIR_TILE_ROWS`
+        at a time: the whole chain runs per tile, and each tile's accepted
+        rows go, in list order, to ``consume(start, part)`` (``start`` rows
+        were accepted before the tile).  The call returns
+        ``consume.result(n_accepted)``.  :meth:`compute` reduces the tiles
+        (:class:`_Reduction`), the spatial engine buckets them per virtual
+        rank; nothing assembles the list-length arrays.
 
         ``reach`` is an optional certificate ``(ref_d, bound)`` with
         ``ref_d`` aligned with ``pairs`` rows
@@ -237,15 +239,8 @@ class NonbondedKernel:
         minimum-image chain and the accepted rows — every downstream bit
         — are those of the call without it.
         """
-        tiles = row_tiles(len(pairs))
-        if consume is None:
-            if len(tiles) == 1:
-                out = self._tile_terms(positions, pairs, tiles[0], reach)
-                self.last_pair_count = len(out[0])
-                return out
-            consume = _Assembly(len(pairs), pairs.dtype)
         filled = 0
-        for tile in tiles:
+        for tile in row_tiles(len(pairs)):
             part = self._tile_terms(positions, pairs, tile, reach)
             consume(filled, part)
             filled += len(part[0])
@@ -320,29 +315,6 @@ class NonbondedKernel:
         return self.pair_terms(
             positions, pairs, reach, _Reduction(len(positions), len(pairs))
         )
-
-
-class _Assembly:
-    """:meth:`NonbondedKernel.pair_terms`' default consumer: every tile's
-    accepted rows written into outputs allocated once per call, of which
-    the filled prefix is the result."""
-
-    def __init__(self, n_rows: int, index_dtype: np.dtype) -> None:
-        self.outs = (
-            np.empty(n_rows, dtype=index_dtype),
-            np.empty(n_rows, dtype=index_dtype),
-            np.empty(n_rows, dtype=np.float64),
-            np.empty(n_rows, dtype=np.float64),
-            np.empty((n_rows, 3), dtype=np.float64),
-        )
-
-    def __call__(self, start: int, part: tuple) -> None:
-        stop = start + len(part[0])
-        for out, rows in zip(self.outs, part):
-            out[start:stop] = rows
-
-    def result(self, filled: int) -> tuple:
-        return tuple(out[:filled] for out in self.outs)
 
 
 class _Reduction:

@@ -10,11 +10,12 @@ accumulation orders the replicated path uses:
   their own row (:meth:`repro.md.nonbonded.NonbondedKernel.pair_terms`,
   ``*_row_terms`` in :mod:`repro.md.bonded`), so any subset evaluates to
   bitwise-identical rows;
-* ``np.bincount`` accumulates sequentially in array order
-  (:func:`~repro.md.bonded.scatter_rows`), so restricting a scatter to
-  the subsequence touching one bin preserves that bin's bits — the
-  engine buckets every contribution by *(virtual replicated rank, owned
-  atom)* and scatters in the replicated call order;
+* ``np.bincount`` and ``np.add.at`` accumulate sequentially in array
+  order from zero (:func:`~repro.md.bonded.scatter_rows`,
+  :class:`_PairBuckets`), so restricting a scatter to the subsequence
+  touching one bin preserves that bin's bits — the engine buckets every
+  contribution by *(virtual replicated rank, owned atom)* and scatters
+  in the replicated call order;
 * the replicated allreduce folds per-rank blocks in a fixed tree (MPI:
   binomial/recursive-doubling, both equal :func:`binomial_fold`; CMPI:
   each rank's chain over raw peer blocks), which the engine replays per
@@ -200,23 +201,20 @@ class SpatialLedger:
         self._posts(step)[0].append((term, rows, e_rows))
 
     def post_pairs(
-        self,
-        step: int,
-        i: np.ndarray,
-        j: np.ndarray,
-        e_lj: np.ndarray,
-        e_el: np.ndarray,
+        self, step: int, codes: np.ndarray, e_lj: np.ndarray, e_el: np.ndarray
     ) -> None:
-        """One rank's per-pair energies for the pairs it owns (by ``i``),
-        in ascending ``i`` order.
+        """One rank's per-pair energies for the pairs ``i < j`` it owns
+        (by ``i``), as strictly ascending ``codes = i * n_atoms + j``.
 
         This is the rank's last post of the step; the ``n_ranks``-th one
         folds the step.
         """
-        if np.any(i[1:] < i[:-1]):
-            raise ValueError(f"step {step}: pairs must be posted in ascending i order")
+        if np.any(codes[1:] <= codes[:-1]):
+            raise ValueError(
+                f"step {step}: pair codes must be strictly ascending within a post"
+            )
         bonded, pairs = self._posts(step)
-        pairs.append((i, j, e_lj, e_el))
+        pairs.append((codes, e_lj, e_el))
         if len(pairs) == self.n_ranks:
             del self._open[step]
             self._folded[step] = self._fold(step, bonded, pairs)
@@ -258,19 +256,19 @@ class SpatialLedger:
                 float(np.sum(full[b[v] : b[v + 1]])) for v in range(p)
             ]
 
-        # a virtual rank's pairs are one contiguous slice of every post
-        # (posts are in ``i`` order), so each is merged, ordered and summed
-        # on its own: the same contiguous array the replicated rank summed
+        # a virtual rank's pairs, ``i`` in [b0, b1), are the codes in
+        # [b0 * n, b1 * n): one contiguous slice of every post, so each is
+        # merged, ordered and summed on its own — the same contiguous
+        # array the replicated rank summed
         n = np.int64(self.n_atoms)
         evecs = []
         for v in range(p):
-            bounds = (self.vbounds[v], self.vbounds[v + 1])
+            bounds = (self.vbounds[v] * n, self.vbounds[v + 1] * n)
             block = []
             for post in posts:
                 start, stop = np.searchsorted(post[0], bounds)
                 block.append([x[start:stop] for x in post])
-            i, j, e_lj, e_el = (np.concatenate(col) for col in zip(*block))
-            codes = i * n + j
+            codes, e_lj, e_el = (np.concatenate(col) for col in zip(*block))
             order = np.argsort(codes, kind="stable")
             codes = codes.take(order)
             if len(codes) and np.any(codes[1:] == codes[:-1]):
@@ -308,15 +306,18 @@ FRESH_BLOCK_BYTES = 4 * 2**20
 class _PairList:
     """One rank's buffered pair list; see :meth:`SpatialEngine._step_pairs`.
 
-    Pairs only: their kernel parameters are elementwise functions of
-    per-atom tables, so the kernel derives them from each step's rows
-    and drops them with that step's array.
+    The rows ``i < j`` within ``r_cut + skin`` at the build that touched
+    an atom owned then, exclusions removed, in ascending ``(i, j)``
+    order, held in CHARMM's own non-bonded list layout: atom ``a``'s
+    partners are ``j[starts[a]:starts[a + 1]]`` (INBLO and JNB).  Pairs
+    only: their kernel parameters are elementwise functions of per-atom
+    tables, so the kernel derives them from each step's rows and drops
+    them with that step's array.
     """
 
-    #: ``(m, 2)`` rows ``i < j`` within ``r_cut + skin`` at the build that
-    #: touched an atom owned then; exclusions removed, sorted by ``codes``
-    pairs: np.ndarray
-    codes: np.ndarray
+    #: row starts per atom, ``n_atoms + 1`` of them, and the partner column
+    starts: np.ndarray
+    j: np.ndarray
     #: build-time pair distances, row for row
     ref_d: np.ndarray
     #: coordinates and masks as they were at the build
@@ -357,6 +358,66 @@ class _Ownership:
     nbins: int
     local_of: np.ndarray
     terms: list[_TermRows]
+
+
+class _PairBuckets:
+    """:meth:`SpatialEngine.compute_forces`' consumer of the pair tiles
+    (:meth:`NonbondedKernel.pair_terms`): the pair forces bucketed by
+    (virtual rank, owned slot), and the owned rows posted to the ledger,
+    bit for bit those of the assembled arrays.
+
+    Forces: ``np.add.at`` adds each tile's rows into zeroed ``(3, nbins)``
+    accumulators for ``i`` and for ``j``, in list order from 0.0 — the
+    additions one ``bincount`` per bin over the whole step makes.  Rows
+    owned by their ``i`` are kept as ``(code, e_lj, e_el)`` in rows sized
+    by the step's owned candidates, of which the filled prefix is posted.
+    """
+
+    def __init__(
+        self, own: _Ownership, vbounds: np.ndarray, n_atoms: int, n_owned_rows: int
+    ) -> None:
+        self.own = own
+        self.vbounds = vbounds
+        self.n_atoms = np.int64(n_atoms)
+        self.acc_i = np.zeros((3, own.nbins))
+        self.acc_j = np.zeros((3, own.nbins))
+        self.codes = np.empty(n_owned_rows, dtype=np.int64)
+        self.e_lj = np.empty(n_owned_rows)
+        self.e_el = np.empty(n_owned_rows)
+        self.kept = 0
+
+    def __call__(self, start: int, part: tuple) -> None:
+        i, j, e_lj, e_el, fvec = part
+        if not len(i):
+            return
+        own = self.own
+        # ``i`` is sorted, so each virtual rank's rows are one run
+        runs = np.diff(np.searchsorted(i, self.vbounds))
+        bins_i = np.repeat(np.arange(0, own.nbins, own.slots, dtype=np.int64), runs)
+        bins_j = bins_i + own.local_of.take(j)
+        bins_i += own.local_of.take(i)
+        # add.at wants contiguous 1-D weights: one transposed copy per tile
+        c = np.ascontiguousarray(fvec.T)
+        for dim in range(3):
+            np.add.at(self.acc_i[dim], bins_i, c[dim])
+            np.add.at(self.acc_j[dim], bins_j, c[dim])
+        mine = np.flatnonzero(own.mask.take(i))
+        kept = slice(self.kept, self.kept + len(mine))
+        self.codes[kept] = i.take(mine) * self.n_atoms + j.take(mine)
+        self.e_lj[kept] = e_lj.take(mine)
+        self.e_el[kept] = e_el.take(mine)
+        self.kept = kept.stop
+
+    def result(self, filled: int) -> tuple:
+        """``(acc_nb, codes, e_lj, e_el)``: the ``(nbins, 3)`` pair
+        forces and the kept rows."""
+        kept = self.kept
+        return (
+            np.subtract(self.acc_i, self.acc_j).T,
+            self.codes[:kept],
+            self.e_lj[:kept],
+            self.e_el[:kept],
+        )
 
 
 class SpatialEngine:
@@ -615,11 +676,12 @@ class SpatialEngine:
         gi, gj = gi[touch], gj[touch]
         rows, d2 = within_cutoff(self.positions, self.box, gi, gj, cutoff)
         gi, gj = gi.take(rows), gj.take(rows)
-        codes = gi * np.int64(self.n_atoms) + gj
-        keep = drop_excluded(codes, self._excl_codes)
+        keep = drop_excluded(gi * np.int64(self.n_atoms) + gj, self._excl_codes)
         return _PairList(
-            pairs=np.stack([gi.take(keep), gj.take(keep)], axis=1),
-            codes=codes.take(keep),
+            starts=np.searchsorted(
+                gi.take(keep), np.arange(self.n_atoms + 1, dtype=np.int64)
+            ),
+            j=gj.take(keep),
             ref_d=np.sqrt(d2.take(keep)),
             ref_positions=self.positions.copy(),
             known=self.known_mask.copy(),
@@ -627,21 +689,25 @@ class SpatialEngine:
         )
 
     def _fresh_codes(
-        self, lst: _PairList, known: np.ndarray, owned_mask: np.ndarray
-    ) -> np.ndarray:
-        """Sorted codes of the fresh atoms' candidate pairs ``lst`` lacks.
+        self, lst: _PairList, i: np.ndarray, known: np.ndarray, owned_mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted codes of the fresh atoms' candidate pairs ``lst`` lacks,
+        and the list row each would go before.
 
         Fresh atoms are known now but were not at the build, or owned now
         but were not at the build.  A dense minimum-image test of those
         few atoms against every known atom, at the tree's padded radius,
         in blocks of fresh atoms sized by :data:`FRESH_BLOCK_BYTES`:
         pairs touching an owned atom, exclusions removed, each once.
+        ``i`` is the list's row atom column; the list's codes are derived
+        from it only on a step that has fresh atoms.
         """
         fresh = np.flatnonzero(
             (self.known_mask & ~lst.known) | (owned_mask & ~lst.owned)
         )
         if not len(fresh):
-            return np.empty(0, dtype=np.int64)
+            none = np.empty(0, dtype=np.int64)
+            return none, none
         FRESH_ATOMS.increment(len(fresh))
         cut2 = (self.r_cut * (1.0 + 1e-9)) ** 2
         pos_known = self.positions[known]
@@ -660,7 +726,9 @@ class SpatialEngine:
             found.append(lo[keep] * np.int64(self.n_atoms) + hi[keep])
         codes = np.unique(np.concatenate(found))
         codes = codes[absent_from(self._excl_codes, codes)]
-        return codes[absent_from(lst.codes, codes)]
+        listed = i * np.int64(self.n_atoms) + lst.j
+        codes = codes[absent_from(listed, codes)]
+        return codes, np.searchsorted(listed, codes)
 
     def _step_pairs(self, known: np.ndarray) -> np.ndarray:
         """A sorted superset of this step's ``i < j`` pairs within ``r_cut``
@@ -693,8 +761,10 @@ class SpatialEngine:
         ``skin == 0`` certifies nothing and rebuilds every step through
         the same code.  Displacements are measured on the atoms known at
         the build *and* now — exactly the atoms of the rows selected.
-        The returned array lives for one step, and so do the kernel
-        parameters :meth:`NonbondedKernel.pair_terms` derives from it.
+        The returned ``(k, 2)`` array lives for one step, and so do the
+        kernel parameters :meth:`NonbondedKernel.pair_terms` derives from
+        it; the list's row atom column ``i`` is expanded from its row
+        starts for the step and dropped with it.
         """
         owned_mask = self._ownership().mask
         lst = self._list
@@ -710,25 +780,31 @@ class SpatialEngine:
             lst = self._list = self._build_list(known, owned_mask)
             max_disp = 0.0
 
+        i = np.repeat(np.arange(self.n_atoms, dtype=np.int64), np.diff(lst.starts))
+        j = lst.j
         ok = lst.ref_d <= certified_bound(self.r_cut, max_disp)
-        i, j = lst.pairs[:, 0], lst.pairs[:, 1]
         if np.any(lst.known & ~self.known_mask):  # an atom left the halo
-            ok &= self.known_mask[i] & self.known_mask[j]
+            ok &= self.known_mask.take(i) & self.known_mask.take(j)
         if np.any(lst.owned & ~owned_mask):  # an atom migrated out
-            ok &= owned_mask[i] | owned_mask[j]
+            ok &= owned_mask.take(i) | owned_mask.take(j)
         rows = np.flatnonzero(ok)
+        del ok
 
-        codes = self._fresh_codes(lst, known, owned_mask)
-        if not len(codes):
-            return lst.pairs.take(rows, axis=0)
-        extra = np.stack([codes // self.n_atoms, codes % self.n_atoms], axis=1)
-        if not len(rows):  # nothing selected: the new rows are the step's pairs
-            return extra
-        # open one slot per new row at its sorted position — the count of
-        # selected rows before it — by gathering list row 0 there
-        where = np.searchsorted(rows, np.searchsorted(lst.codes, codes))
-        pairs = lst.pairs.take(np.insert(rows, where, 0), axis=0)
-        pairs[where + np.arange(len(where))] = extra
+        codes, at = self._fresh_codes(lst, i, known, owned_mask)
+        if len(codes):
+            # open one slot per new row at its sorted position — the count
+            # of selected rows before it — by gathering list row 0 there
+            where = np.searchsorted(rows, at)
+            rows = np.insert(rows, where, 0)
+        # column-major: each column the kernel gathers by is contiguous
+        pairs = np.empty((2, len(rows)), dtype=np.int64)
+        if len(j):  # an empty list has no row 0: every row is new
+            pairs[0] = i.take(rows)
+            pairs[1] = j.take(rows)
+        pairs = pairs.T
+        if len(codes):
+            new = where + np.arange(len(where))
+            pairs[new, 0], pairs[new, 1] = np.divmod(codes, self.n_atoms)
         return pairs
 
     def compute_forces(self) -> float:
@@ -737,29 +813,26 @@ class SpatialEngine:
         Every contribution is bucketed by (virtual replicated rank,
         owned-atom slot) — one extra trash slot absorbs scatter onto
         ghosts — accumulated in the replicated call order, then folded
-        across virtual ranks with the middleware's exact fold.
+        across virtual ranks with the middleware's exact fold.  The pair
+        tiles are bucketed as they come (:class:`_PairBuckets`): besides
+        the step's pair array, nothing of list length is held but the
+        owned rows posted to the ledger.
         """
         FORCE_EVALUATIONS.increment()
         p = self.vdecomp.n_ranks
         own = self._ownership()
-        owned, slots, nbins, local_of = own.owned, own.slots, own.nbins, own.local_of
+        owned, slots, nbins = own.owned, own.slots, own.nbins
         k_own = len(owned)
         known = np.flatnonzero(self.known_mask)
 
         pairs = self._step_pairs(known)
-        i, j, e_lj, e_el, fvec = self.kernel.pair_terms(self.positions, pairs)
-
-        acc_nb = np.zeros((nbins, 3), dtype=np.float64)
-        if len(i):
-            # ``i`` is sorted, so each virtual rank's pairs are one run
-            runs = np.diff(np.searchsorted(i, self.vbounds))
-            vb = np.repeat(np.arange(p, dtype=np.int64), runs)
-            bins_i = vb * slots + local_of[i]
-            bins_j = vb * slots + local_of[j]
-            c = np.ascontiguousarray(fvec.T)
-            for dim in range(3):
-                acc_nb[:, dim] += np.bincount(bins_i, weights=c[dim], minlength=nbins)
-                acc_nb[:, dim] -= np.bincount(bins_j, weights=c[dim], minlength=nbins)
+        buckets = _PairBuckets(
+            own, self.vbounds, self.n_atoms, np.count_nonzero(own.mask.take(pairs[:, 0]))
+        )
+        acc_nb, codes, e_lj, e_el = self.kernel.pair_terms(
+            self.positions, pairs, None, buckets
+        )
+        del pairs, buckets
 
         total_rows = 0
         acc_terms: list[np.ndarray] = []
@@ -774,10 +847,7 @@ class SpatialEngine:
             else:
                 acc_terms.append(np.zeros((nbins, 3), dtype=np.float64))
         # last: the ledger folds a step when its last rank's pairs arrive
-        sel_own = own.mask[i]
-        self.ledger.post_pairs(
-            self._step, i[sel_own], j[sel_own], e_lj[sel_own], e_el[sel_own]
-        )
+        self.ledger.post_pairs(self._step, codes, e_lj, e_el)
 
         # replicated combine order: (((bond + angle) + dih) + imp) + nonbonded
         contrib = acc_terms[0]

@@ -164,6 +164,20 @@ class TestFailureHandling:
             engine.run(tiny_points())
 
 
+    @pytest.mark.parametrize(
+        "setting,match",
+        [
+            ({"base_seed": -1}, "seed must be >= 0"),
+            ({"retries": -1}, "retries must be >= 0"),
+            ({"timeout": 0.0}, "timeout must be > 0"),
+            ({"timeout": -5.0}, "timeout must be > 0"),
+        ],
+    )
+    def test_bad_settings_raise_at_construction(self, setting, match):
+        with pytest.raises(ValueError, match=match):
+            engine_mod.CampaignEngine(workload="peptide-tiny", **setting)
+
+
 class TestDispatch:
     def test_child_dying_without_posting_is_crashed_and_retried(self):
         launched, settled = [], []

@@ -54,6 +54,11 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             ClusterSpec(n_ranks=0, network=tcp_gigabit_ethernet())
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ClusterSpec(n_ranks=1, network=tcp_gigabit_ethernet(), seed=-1)
+        ClusterSpec(n_ranks=1, network=tcp_gigabit_ethernet(), seed=0)
+
     def test_node_of_out_of_range(self):
         spec = ClusterSpec(n_ranks=2, network=tcp_gigabit_ethernet())
         with pytest.raises(ValueError):

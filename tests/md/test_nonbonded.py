@@ -216,6 +216,21 @@ def _scene_kernel(scene, elec_mode):
     )
 
 
+class _Assembly(list):
+    """A test's ``pair_terms`` consumer: every tile's accepted rows,
+    concatenated in list order into ``(i, j, e_lj, e_el, fvec)``."""
+
+    def __call__(self, start, part):
+        self.append(part)
+
+    def result(self, filled):
+        return tuple(np.concatenate(col) for col in zip(*self))
+
+
+def _assembled(kern, pos, pairs, reach=None):
+    return kern.pair_terms(pos, pairs, reach, _Assembly())
+
+
 def _assembled_reduction(terms, n_atoms):
     """What ``compute`` returns, from the assembled ``pair_terms`` arrays:
     ``np.sum`` of the energy rows and one ``bincount`` force scatter."""
@@ -240,7 +255,7 @@ class TestRowTiles:
     def _evaluate(kern, pos, pairs, reach):
         """``pair_terms`` and ``compute``, whose streamed reduction of the
         tiles must equal that of the assembled arrays."""
-        terms = kern.pair_terms(pos, pairs, reach)
+        terms = _assembled(kern, pos, pairs, reach)
         count = kern.last_pair_count
         energies, forces = kern.compute(pos, pairs, reach)
         want_energies, want_forces = _assembled_reduction(terms, len(pos))
@@ -371,7 +386,7 @@ class TestStaticsLifetime:
         kern = _scene_kernel(scene, "shift")
         for _ in range(3):
             step_pairs = nl.pairs.take(np.arange(0, len(nl.pairs), 3), axis=0)
-            kern.pair_terms(pos, step_pairs)
+            _assembled(kern, pos, step_pairs)
             kern.compute(pos, step_pairs)
             for value in _held_arrays(kern):
                 assert value.ndim == 0 or len(value) != len(step_pairs)
@@ -386,7 +401,7 @@ class TestStaticsLifetime:
         gc.disable()
         try:
             for _ in range(3):
-                kern.pair_terms(pos, reused)
+                _assembled(kern, pos, reused)
                 kern.compute(pos, reused)
             for value in _held_arrays(kern):
                 assert value.ndim == 0 or len(value) != len(reused)

@@ -8,6 +8,7 @@ schedule cannot represent.
 """
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,21 @@ class TestBufferedPairList:
         _assert_bit_identical(res, _run(system, shifted, 8, "replicated"))
 
 
+class _Assembly(list):
+    """A test's ``pair_terms`` consumer: every tile's accepted rows,
+    concatenated in list order into ``(i, j, e_lj, e_el, fvec)``."""
+
+    def __call__(self, start, part):
+        self.append(part)
+
+    def result(self, filled):
+        return tuple(np.concatenate(col) for col in zip(*self))
+
+
+def _assembled(kern, positions, pairs):
+    return kern.pair_terms(positions, pairs, None, _Assembly())
+
+
 class TestFreshAtomRule:
     """White box, one rank: after the build, a hand-placed ghost and a
     hand-made migration must leave exactly the rows the replicated kernel
@@ -305,12 +321,12 @@ class TestFreshAtomRule:
     @staticmethod
     def _rows(engine):
         pairs = engine._step_pairs(np.nonzero(engine.known_mask)[0])
-        return engine.kernel.pair_terms(engine.positions, pairs)
+        return _assembled(engine.kernel, engine.positions, pairs)
 
     @staticmethod
     def _replicated_rows(system, world, owned_mask):
         pairs = NeighborList(system.box, system.scheme, system.exclusions).build(world)
-        i, j, e_lj, e_el, fvec = system.nonbonded.pair_terms(world, pairs)
+        i, j, e_lj, e_el, fvec = _assembled(system.nonbonded, world, pairs)
         mine = owned_mask[i] | owned_mask[j]
         return i[mine], j[mine], e_lj[mine], e_el[mine], fvec[mine]
 
@@ -431,11 +447,85 @@ class TestBitIdenticalAcrossFreshBlockSeams:
         TestFreshAtomRule._refill(engine, world)
         known = np.nonzero(engine.known_mask)[0]
         mask = engine._ownership().mask
-        whole = engine._fresh_codes(engine._list, known, mask)
+        lst = engine._list
+        i = np.repeat(np.arange(system.n_atoms), np.diff(lst.starts))
+        whole = engine._fresh_codes(lst, i, known, mask)
         monkeypatch.setattr(spatial_engine, "FRESH_BLOCK_BYTES", 1)
-        blocked = engine._fresh_codes(engine._list, known, mask)
-        assert len(whole) > 0
-        assert blocked.tobytes() == whole.tobytes()
+        blocked = engine._fresh_codes(lst, i, known, mask)
+        assert len(whole[0]) > 0
+        for got, want in zip(blocked, whole):
+            assert got.tobytes() == want.tobytes()
+        # sorted, absent from the list, and each placed before the first
+        # list row whose code exceeds it
+        codes, at = whole
+        listed = i * system.n_atoms + lst.j
+        assert np.all(codes[1:] > codes[:-1])
+        assert not np.isin(codes, listed).any()
+        assert np.array_equal(at, np.searchsorted(listed, codes))
+
+
+class TestStreamedStep:
+    """A rank's step buckets the pair tiles as they come, and its list
+    keeps one index form: the step's bits are pinned by the bit-identity
+    suites (tile seams included); these pin what it holds."""
+
+    @pytest.fixture()
+    def built(self, water):
+        """Rank 0 of four slabs, its list built and its epoch gathered."""
+        system, pos = water
+        engine = _slab_engine(system, pos)
+        TestFreshAtomRule._refill(engine, pos)
+        engine.compute_forces()
+        return system, engine
+
+    def test_the_list_keeps_row_starts_and_partners(self, built):
+        """CHARMM's layout (INBLO, JNB): no ``(m, 2)`` pair array and no
+        codes beside it."""
+        _, built = built
+        lst = built._list
+        m = len(lst.ref_d)
+        assert m > 0 and len(lst.j) == m
+        assert len(lst.starts) == built.n_atoms + 1 and lst.starts[-1] == m
+        assert not hasattr(lst, "pairs") and not hasattr(lst, "codes")
+        for value in vars(lst).values():
+            assert not (isinstance(value, np.ndarray) and value.ndim == 2 and len(value) == m)
+        i = np.repeat(np.arange(built.n_atoms), np.diff(lst.starts))
+        codes = i * built.n_atoms + lst.j
+        assert np.all(i < lst.j) and np.all(codes[1:] > codes[:-1])
+
+    def test_peak_is_one_tile_plus_the_owned_rows(self, built, monkeypatch):
+        """tracemalloc's peak over a step of at least four tiles stays
+        within the peak of a step of one of its tiles, plus 32 B per owned
+        candidate row — the 24 B ``(code, e_lj, e_el)`` the ledger is
+        posted — and a 4 KiB slack.  A step that assembled the kernel's
+        five list-length arrays and bucketed them (104 B per accepted row)
+        overshoots it."""
+        T = 2048
+        system, engine = built
+        pairs = engine._step_pairs(np.flatnonzero(engine.known_mask))
+        n_tiles = len(pairs) // T
+        assert n_tiles >= 4
+        monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", T)
+
+        def peak(rows):
+            monkeypatch.setattr(engine, "_step_pairs", lambda known: rows)
+            for _ in range(2):  # warm once: numpy's small-block caches
+                # a fresh ledger each time, so the one step never folds
+                engine.ledger = SpatialLedger(system, engine.vdecomp, engine.middleware)
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    engine.compute_forces()
+                    top = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+            return top
+
+        one_tile = max(
+            peak(pairs[k * T : (k + 1) * T].copy()) for k in range(n_tiles)
+        )
+        n_owned = int(np.count_nonzero(engine.owned_mask[pairs[:, 0]]))
+        assert peak(pairs) <= one_tile + 32 * n_owned + 4096
 
 
 class TestBoundaryAtom:
@@ -634,26 +724,27 @@ class TestLedger:
             ledger.post_bonded(term, step, rows, np.zeros(len(rows)))
 
     @staticmethod
-    def _pair(i, j, e_lj):
-        return np.array([i]), np.array([j]), np.array([e_lj]), np.zeros(1)
+    def _pair(system, i, j, e_lj):
+        """One pair's post: its code ``i * n_atoms + j`` and energies."""
+        return np.array([i * system.n_atoms + j]), np.array([e_lj]), np.zeros(1)
 
     def test_duplicate_pair_is_rejected(self, water):
         """Two ranks claiming one pair: caught when the step folds."""
         system, _ = water
         ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 2), "mpi")
         self._post_full_bonded(ledger, system)
-        ledger.post_pairs(0, *self._pair(0, 1, 1.0))
+        ledger.post_pairs(0, *self._pair(system, 0, 1, 1.0))
         with pytest.raises(RuntimeError, match="posted twice"):
-            ledger.post_pairs(0, *self._pair(0, 1, 1.0))
+            ledger.post_pairs(0, *self._pair(system, 0, 1, 1.0))
 
     def test_post_after_the_fold_is_rejected(self, water):
         """A rank posting a step twice lands on a step already folded."""
         system, _ = water
         ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 1), "mpi")
         self._post_full_bonded(ledger, system)
-        ledger.post_pairs(0, *self._pair(0, 1, 1.0))
+        ledger.post_pairs(0, *self._pair(system, 0, 1, 1.0))
         with pytest.raises(RuntimeError, match="posted twice"):
-            ledger.post_pairs(0, *self._pair(2, 3, 1.0))
+            ledger.post_pairs(0, *self._pair(system, 2, 3, 1.0))
         with pytest.raises(RuntimeError, match="posted twice"):
             ledger.post_bonded("bond", 0, np.arange(1), np.zeros(1))
 
@@ -664,14 +755,14 @@ class TestLedger:
         ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 1), "mpi")
         self._post_full_bonded(ledger, system, skip_last_bond=True)
         with pytest.raises(RuntimeError, match="never posted"):
-            ledger.post_pairs(0, *self._pair(0, 1, 1.0))
+            ledger.post_pairs(0, *self._pair(system, 0, 1, 1.0))
 
     def test_missing_rank_is_rejected(self, water):
         """A step one rank never closed cannot be assembled."""
         system, _ = water
         ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 2), "mpi")
         self._post_full_bonded(ledger, system)
-        ledger.post_pairs(0, *self._pair(0, 1, 1.0))
+        ledger.post_pairs(0, *self._pair(system, 0, 1, 1.0))
         with pytest.raises(RuntimeError, match="1 of 2 ranks were never posted"):
             ledger.assemble()
 
@@ -682,11 +773,11 @@ class TestLedger:
         ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 2), "cmpi")
         for step in (0, 1):  # the fast rank runs ahead
             self._post_full_bonded(ledger, system, step)
-            ledger.post_pairs(step, *self._pair(0, 1, 10.0 + step))
+            ledger.post_pairs(step, *self._pair(system, 0, 1, 10.0 + step))
         assert sorted(ledger._open) == [0, 1]
-        ledger.post_pairs(1, *self._pair(2, 3, 0.5))  # the slow rank, out of order
+        ledger.post_pairs(1, *self._pair(system, 2, 3, 0.5))  # the slow rank, out of order
         assert sorted(ledger._open) == [0]
-        ledger.post_pairs(0, *self._pair(2, 3, 0.25))
+        ledger.post_pairs(0, *self._pair(system, 2, 3, 0.25))
         assert not ledger._open
         assert [e.lj for e in ledger.assemble()] == [10.25, 11.5]
 
@@ -701,21 +792,33 @@ class TestLedger:
         self._post_full_bonded(ledger, system)
         e = [1e16, 1.0, -1e16]  # order-sensitive under np.sum
         ledger.post_pairs(
-            0, np.array([0, 1, split]), np.array([5, 2, split + 1]),
+            0, np.array([0 * n + 5, 1 * n + 2, split * n + split + 1]),
             np.array([e[0], e[2], 7.0]), np.zeros(3),
         )
         ledger.post_pairs(
-            0, np.array([0, split + 2]), np.array([9, split + 3]),
+            0, np.array([0 * n + 9, (split + 2) * n + split + 3]),
             np.array([e[1], 0.5]), np.zeros(2),
         )
         # block 0 in code order: (0, 5), (0, 9), (1, 2)
         assert ledger.assemble()[0].lj == float(np.sum(e)) + 7.5
 
+    @staticmethod
+    def _assert_refused(system, codes):
+        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 2), "mpi")
+        with pytest.raises(ValueError, match="strictly ascending"):
+            ledger.post_pairs(0, np.array(codes), np.zeros(2), np.zeros(2))
+        assert not ledger._open  # nothing of the refused post was kept
+
     def test_pairs_out_of_order_are_rejected(self, water):
         system, _ = water
-        ledger = SpatialLedger(system, AtomDecomposition(system.n_atoms, 2), "mpi")
-        with pytest.raises(ValueError, match="ascending i order"):
-            ledger.post_pairs(0, np.array([3, 1]), np.array([4, 2]), np.zeros(2), np.zeros(2))
+        n = system.n_atoms
+        self._assert_refused(system, [3 * n + 4, 1 * n + 2])
+
+    def test_a_pair_twice_in_one_post_is_rejected(self, water):
+        """Caught at the post; across posts, at the fold (above)."""
+        system, _ = water
+        n = system.n_atoms
+        self._assert_refused(system, [1 * n + 2, 1 * n + 2])
 
     def test_unknown_middleware_is_rejected(self, water):
         system, _ = water

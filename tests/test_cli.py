@@ -78,6 +78,20 @@ class TestCommands:
         assert out == "" and err == "error: n_steps must be >= 1\n"
         assert not output.exists()
 
+    def test_figures_steps_below_one_errors_before_any_work(self, capsys):
+        assert main(["figures", "figure3", "--steps", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: n_steps must be >= 1\n"
+
+    @pytest.mark.parametrize("verb", ["run", "trace"])
+    def test_negative_seed_errors_before_any_work(self, tmp_path, capsys, verb):
+        output = tmp_path / "trace.json"
+        args = [verb, "--seed", "-1"] + (["-o", str(output)] if verb == "trace" else [])
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must be >= 0, got -1\n"
+        assert not output.exists()
+
     def test_run_small_point(self, capsys):
         assert main(["run", "--ranks", "2", "--steps", "1", "--network", "myrinet"]) == 0
         out = capsys.readouterr().out
@@ -135,6 +149,24 @@ class TestCampaignCommand:
         assert main(args) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: replicates must be >= 1\n"
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+            ("--retries", "-1", "retries must be >= 0, got -1"),
+            ("--timeout", "-5", "timeout must be > 0 seconds, got -5.0"),
+            ("--timeout", "0", "timeout must be > 0 seconds, got 0.0"),
+        ],
+    )
+    def test_run_bad_setting_errors_before_the_store(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        args = ["campaign", "run", *self._args(tmp_path, "--ranks", "1", flag, value)]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
         assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("verb", ["verify", "status", "gc"])
