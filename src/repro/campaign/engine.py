@@ -388,6 +388,8 @@ class CampaignEngine:
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.n_workers < 0:
+            raise ValueError(f"n_workers must be >= 0, got {self.n_workers}")
         if self.timeout is not None and not self.timeout > 0:
             raise ValueError(f"timeout must be > 0 seconds, got {self.timeout}")
 
@@ -565,11 +567,11 @@ class CampaignEngine:
         """Re-run a sample of cached points; diff responses bit-for-bit.
 
         Only entries addressable by *this* engine (same workload, config,
-        cost model and base seed) are eligible; an unknown workload, or a
-        store holding no eligible entry, raises :class:`ValueError` rather
-        than passing with nothing re-run.  Returns one dict per
-        mismatching field; an empty list means every sampled record
-        reproduced exactly.
+        cost model and base seed) are eligible; a ``sample`` below 1, an
+        unknown workload, or a store holding no eligible entry, raises
+        :class:`ValueError` rather than passing with nothing re-run.
+        Returns one dict per mismatching field; an empty list means every
+        sampled record reproduced exactly.
 
         ``n_workers`` fans the re-runs out through :func:`dispatch` like
         :meth:`run` does for misses; ``0`` re-runs inline.  No timeout or
@@ -580,6 +582,8 @@ class CampaignEngine:
         """
         import numpy as np
 
+        if sample < 1:
+            raise ValueError(f"sample must be >= 1, got {sample}")
         self.fingerprint  # an unknown workload raises here, store empty or not
         eligible = []
         for entry in self.store.entries():

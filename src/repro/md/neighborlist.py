@@ -1,11 +1,15 @@
-"""Cell-list based Verlet neighbour list.
+"""Verlet neighbour list in CHARMM's INBLO/JNB layout.
 
 Builds the pair list that both the classic cutoff kernel and the PME
-direct-space kernel iterate over.  Candidate pairs come from a periodic
-``cKDTree`` query (every pair, when the box is too small for a toroidal
-tree query); the *final* pair set is decided by one exact
-minimum-image distance filter, so the candidate source is unobservable
-in the results:
+direct-space kernel iterate over, and the spatial engine's per-rank
+lists (:func:`build_rows`, the one builder).  A list is compressed
+rows: per-atom row starts (INBLO) and an ``int32`` partner column (JNB),
+rows ``i < j`` in ascending ``(i, j)`` order, with each row's build-time
+distance beside it.  It is built one block of row atoms at a time:
+periodic k-d trees (``cKDTree``) propose the block's candidates, one exact
+minimum-image distance filter decides, and the block's exclusions go
+before the next block starts.  The candidate source is unobservable in
+the results, and no list-long transient exists:
 
 * the tree query radius is padded by a relative ``1e-9`` so pairs the
   tree metric and ``min_image`` disagree about at the ulp level are
@@ -123,43 +127,123 @@ def _neighbour_cell_pairs_cached(nx: int, ny: int, nz: int) -> np.ndarray:
     return out
 
 
-def _encode(pairs: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Encode (i, j) pairs as i * n_atoms + j for fast membership tests."""
-    return pairs[:, 0] * np.int64(n_atoms) + pairs[:, 1]
-
-
 # ----------------------------------------------------------------------
-# Pair-list building blocks.  :meth:`NeighborList.build` composes them over
-# all atoms; the spatial engine (:mod:`repro.parallel.spatial.engine`)
-# composes the same functions over one rank's known atoms, so both lists
-# are decided by one exact test and certified by one bound.
+# Pair-list building blocks.  :func:`build_rows` composes them, for
+# :meth:`NeighborList.build` over all atoms and for the spatial engine
+# (:mod:`repro.parallel.spatial.engine`) over one rank's known atoms, so
+# both lists are built by one builder, decided by one exact test and
+# certified by one bound.
 
 
 def exclusion_codes(exclusions: np.ndarray, n_atoms: int) -> np.ndarray:
-    """Sorted pair codes of the ``i < j`` exclusion rows."""
+    """Sorted pair codes ``i * n_atoms + j`` of the ``i < j`` exclusion rows."""
     if exclusions.size:
-        return np.sort(_encode(exclusions, n_atoms))
+        return np.sort(exclusions[:, 0] * np.int64(n_atoms) + exclusions[:, 1])
     return np.empty(0, dtype=np.int64)
 
 
-def tree_candidates(
-    wrapped: np.ndarray, box: PeriodicBox, cutoff: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs ``lo < hi`` of ``wrapped`` proposed by a periodic k-d tree.
+#: Row atoms per block of the streamed list build (:func:`build_rows`).
+#: A block's proposals, their exact test and its exclusion sort are the
+#: build's only transients besides the block trees.  A myoglobin atom has
+#: ~127 partners within the 12 A list cutoff, so a block proposes ~33 k
+#: rows, and the build's tracemalloc peak above the list it keeps is
+#: 3.7 MB (22.5 MB for the whole-list build): a third of one pair tile's.
+BUILD_BLOCK_ATOMS = 256
 
-    The query radius is padded by a relative ``1e-9``, so the proposal is
-    a superset of what :func:`within_cutoff` accepts.  When the box is
-    too small for a toroidal query at this radius, every pair is
-    proposed; the exact test decides either way.
-    """
-    padded = cutoff * (1.0 + 1e-9)
-    if not len(wrapped) or padded >= 0.5 * float(np.min(box.lengths)):
-        return np.triu_indices(len(wrapped), k=1)
-    # ``wrap`` guarantees coordinates in [0, L)
-    cand = cKDTree(wrapped, boxsize=box.lengths).query_pairs(
-        padded, output_type="ndarray"
+
+def _block_proposals(
+    trees: list[cKDTree] | None, n_rows: int, k: int, padded: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs ``lo < hi`` of ``n_rows`` points with ``lo`` in block
+    ``k``: those the periodic k-d trees of block ``k`` and of every later
+    block find within ``padded`` of each other, or every one when there
+    are no trees (a box too small for a toroidal query at this radius).
+    A superset of what :func:`within_cutoff` accepts."""
+    b0 = k * BUILD_BLOCK_ATOMS
+    b1 = min(b0 + BUILD_BLOCK_ATOMS, n_rows)
+    if trees is None:
+        lo, hi = np.nonzero(np.arange(b0, b1)[:, None] < np.arange(n_rows))
+        return lo + b0, hi
+    # one direction per pair of blocks, both within the block itself
+    found = [
+        trees[k].sparse_distance_matrix(later, padded, output_type="ndarray")
+        for later in trees[k:]
+    ]
+    lo = np.concatenate([part["i"] for part in found]) + b0
+    hi = np.concatenate(
+        [part["j"] + (k + q) * BUILD_BLOCK_ATOMS for q, part in enumerate(found)]
     )
-    return cand[:, 0].astype(np.int64, copy=False), cand[:, 1].astype(np.int64, copy=False)
+    del found
+    up = np.flatnonzero(hi > lo)
+    return lo.take(up), hi.take(up)
+
+
+def build_rows(
+    positions: np.ndarray,
+    box: PeriodicBox,
+    cutoff: float,
+    excl_codes: np.ndarray,
+    atoms: np.ndarray | None = None,
+    touch: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs ``i < j`` within ``cutoff`` in CHARMM's non-bonded list
+    layout, built :data:`BUILD_BLOCK_ATOMS` row atoms at a time.
+
+    Returns ``(j, starts, d)``: atom ``a``'s partners are
+    ``j[starts[a]:starts[a + 1]]`` (JNB and INBLO; ``j`` is ``int32``,
+    ``starts`` has ``len(positions) + 1`` entries), in ascending order,
+    and ``d`` holds each row's distance.  Pairs whose code is in the
+    sorted ``excl_codes`` (:func:`exclusion_codes`) are left out.
+    ``atoms`` (ascending; all by default) restricts both ends of a pair,
+    and ``touch``, a per-atom mask, keeps only the pairs with an end in it.
+
+    Periodic k-d trees, one per block, propose each block's candidates
+    against its own and every later block's atoms, at a radius padded by
+    a relative ``1e-9``, so an ulp-level disagreement between their
+    metric and ours never drops a pair; :func:`within_cutoff` decides,
+    and :func:`drop_excluded` orders the block's rows.  Blocks are
+    ascending runs of row atoms, so their rows simply concatenate:
+    nothing as long as the candidate or the pair list is built on the
+    way, and the output grows in place.
+    """
+    n = len(positions)
+    ids = np.arange(n) if atoms is None else atoms
+    blocks = range(0, len(ids), BUILD_BLOCK_ATOMS)
+    padded = cutoff * (1.0 + 1e-9)
+    trees = None
+    if padded < 0.5 * float(np.min(box.lengths)):
+        # ``wrap`` guarantees coordinates in [0, L)
+        wrapped = box.wrap(positions[ids])
+        trees = [
+            cKDTree(wrapped[b0 : b0 + BUILD_BLOCK_ATOMS], boxsize=box.lengths)
+            for b0 in blocks
+        ]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    j = np.empty(0, dtype=np.int32)
+    d = np.empty(0, dtype=np.float64)
+    for k, b0 in enumerate(blocks):
+        gi, gj = _block_proposals(trees, len(ids), k, padded)
+        if atoms is not None:
+            gi, gj = atoms.take(gi), atoms.take(gj)
+        if touch is not None:
+            near = np.flatnonzero(touch.take(gi) | touch.take(gj))
+            gi, gj = gi.take(near), gj.take(near)
+        rows, d2 = within_cutoff(positions, box, gi, gj, cutoff)
+        gi, gj = gi.take(rows), gj.take(rows)
+        # the exclusions of this block's row atoms: a slice of the sorted codes
+        first = int(ids[b0])
+        last = int(ids[min(b0 + BUILD_BLOCK_ATOMS, len(ids)) - 1]) + 1
+        cut = np.searchsorted(excl_codes, (first * np.int64(n), last * np.int64(n)))
+        keep = drop_excluded(gi * np.int64(n) + gj, excl_codes[cut[0] : cut[1]])
+        counts[first + 1 : last + 1] = np.bincount(gi.take(keep) - first, minlength=last - first)
+        # grown by realloc, in place where it can: the rows so far are
+        # never copied beside themselves
+        filled, stop = len(j), len(j) + len(keep)
+        j.resize(stop, refcheck=False)
+        d.resize(stop, refcheck=False)
+        j[filled:stop] = gj.take(keep)
+        d[filled:stop] = np.sqrt(d2.take(keep))
+    return j, np.cumsum(counts), d
 
 
 #: Nearest targets the tree proposes per point in :func:`nearest_distance`.
@@ -276,7 +360,12 @@ def certified_bound(r_cut: float, max_disp: float) -> float:
 
 @dataclass
 class NeighborList:
-    """A rebuildable Verlet pair list with exclusions applied at build time.
+    """A rebuildable Verlet pair list with exclusions applied at build time,
+    held in CHARMM's non-bonded list layout.
+
+    Atom ``a``'s partners are ``j[starts[a]:starts[a + 1]]`` (INBLO and
+    JNB): rows ``i < j`` in ascending ``(i, j)`` order, so a block of row
+    atoms ``[lo, hi)`` is the row slice ``starts[lo]:starts[hi]``.
 
     Parameters
     ----------
@@ -294,7 +383,10 @@ class NeighborList:
     scheme: CutoffScheme
     exclusions: np.ndarray = field(default_factory=lambda: np.empty((0, 2), dtype=np.int64))
 
-    pairs: np.ndarray = field(init=False, default_factory=lambda: np.empty((0, 2), dtype=np.int64))
+    #: row starts per atom, ``n_atoms + 1`` of them (INBLO)
+    starts: np.ndarray = field(init=False, default_factory=lambda: np.zeros(1, dtype=np.int64))
+    #: the partner column, ``int32`` (JNB)
+    j: np.ndarray = field(init=False, default_factory=lambda: np.empty(0, dtype=np.int32))
     _ref_positions: np.ndarray | None = field(init=False, default=None)
     _excl_codes: np.ndarray | None = field(init=False, default=None)
     n_builds: int = field(init=False, default=0)
@@ -302,7 +394,7 @@ class NeighborList:
     last_candidates: int = field(init=False, default=0)
     #: True when the most recent ``ensure`` call rebuilt the list
     last_ensure_rebuilt: bool = field(init=False, default=False)
-    #: build-time pair distances aligned with ``pairs`` rows; together
+    #: build-time pair distances aligned with ``j`` rows; together
     #: with :attr:`last_max_disp` they certify :meth:`step_prefilter`
     pair_ref_d: np.ndarray | None = field(init=False, default=None, repr=False)
     #: largest atom displacement since the build, as measured by the most
@@ -315,11 +407,9 @@ class NeighborList:
             raise ValueError("exclusion rows must satisfy i < j")
 
     # ------------------------------------------------------------------
-    def build(self, positions: np.ndarray) -> np.ndarray:
-        """(Re)build the pair list for the given positions.
-
-        Returns the new ``pairs`` array of shape (n_pairs, 2), ``i < j``.
-        """
+    def build(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Re)build the pair list for the given positions
+        (:func:`build_rows`); returns ``(j, starts)``."""
         NEIGHBOR_BUILDS.increment()
         positions = np.asarray(positions, dtype=np.float64)
         n = len(positions)
@@ -327,12 +417,11 @@ class NeighborList:
             self._excl_codes = exclusion_codes(self.exclusions, n)
 
         cutoff = self.scheme.list_cutoff
-        wrapped = self.box.wrap(positions)
         n_cells, cell_len = _cell_grid(self.box, cutoff)
         ny, nz = int(n_cells[1]), int(n_cells[2])
 
         cell_xyz = np.minimum(
-            (wrapped / cell_len).astype(np.int64), n_cells - 1
+            (self.box.wrap(positions) / cell_len).astype(np.int64), n_cells - 1
         )
         cell_of_atom = cell_xyz[:, 0] * ny * nz + cell_xyz[:, 1] * nz + cell_xyz[:, 2]
         total_cells = int(np.prod(n_cells))
@@ -352,20 +441,15 @@ class NeighborList:
             + (sa[~self_pair] * sb[~self_pair]).sum()
         )
 
-        # the tree proposes a padded superset; the exact filter decides
-        lo, hi = tree_candidates(wrapped, self.box, cutoff)
-        sel, d2 = within_cutoff(positions, self.box, lo, hi, cutoff)
-        lo, hi = lo.take(sel), hi.take(sel)
-        # sorting the (unique) packed codes gives exactly the
-        # lexsort((hi, lo)) permutation, in about half the time
-        keep = drop_excluded(lo * np.int64(n) + hi, self._excl_codes)
-        self.pairs = np.stack([lo.take(keep), hi.take(keep)], axis=1)
-        self.pair_ref_d = np.sqrt(d2.take(keep))
-
+        # the previous list goes first: the new one is never held beside it
+        self._ref_positions = self.starts = self.j = self.pair_ref_d = None
+        self.j, self.starts, self.pair_ref_d = build_rows(
+            positions, self.box, cutoff, self._excl_codes
+        )
         self._ref_positions = positions.copy()
         self.last_max_disp = 0.0
         self.n_builds += 1
-        return self.pairs
+        return self.j, self.starts
 
     # ------------------------------------------------------------------
     def needs_rebuild(self, positions: np.ndarray) -> bool:
@@ -380,18 +464,18 @@ class NeighborList:
         self.last_max_disp = float(np.sqrt(max_disp2))
         return False
 
-    def ensure(self, positions: np.ndarray) -> np.ndarray:
-        """Rebuild if required; return the current pair list."""
+    def ensure(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rebuild if required; return the current list's ``(j, starts)``."""
         self.last_ensure_rebuilt = self.needs_rebuild(positions)
         if self.last_ensure_rebuilt:
             self.build(positions)
-        return self.pairs
+        return self.j, self.starts
 
     def step_prefilter(self) -> tuple[np.ndarray, float] | None:
         """The certificate of the last rebuild decision, or ``None``.
 
         ``(ref_d, bound)``: the build-time pair distances aligned with
-        :attr:`pairs` rows, and the largest build-time distance a pair
+        :attr:`j` rows, and the largest build-time distance a pair
         can have while still reaching ``r_cut`` at the coordinates that
         decision was taken for (:func:`certified_bound`).  Rows beyond
         the bound cannot pass the exact ``r2 <= r_cut**2`` test, so a

@@ -39,12 +39,17 @@ _TWO_OVER_SQRT_PI = 2.0 / np.sqrt(np.pi)
 #: elementwise numpy passes, each allocating its result; on a list too
 #: long for those temporaries to stay in L2 every pass streams through
 #: memory, so lists are walked in row tiles, whole chain per tile.
-#: Measured on the 451,078-row myoglobin list (ms per ``compute``, median
-#: of 25 interleaved rounds): one tile 57.5; tiles of 131,072 rows 42.5;
-#: 65,536 39.9; 32,768 43.1; 16,384 41.5; 8,192 41.8; 4,096 44.2;
-#: 1,024 62.5 — flat from 8 k to 64 k rows, per-call numpy overhead below
-#: that.  The top of the plateau keeps the tile count smallest.
-PAIR_TILE_ROWS = 65_536
+#: Measured on the 451,078-row myoglobin list in its CSR form, with its
+#: certificate (ms per ``compute``, median of 25 interleaved rounds /
+#: tracemalloc peak of one call): one tile 76.0 / 77.9 MB; tiles of
+#: 131,072 rows 58.4 / 29.3 MB; 65,536 49.5 / 20.0 MB; 32,768 47.7 /
+#: 13.8 MB; 16,384 46.7 / 10.7 MB; 8,192 47.9 / 9.1 MB; 4,096 57.3 /
+#: 8.3 MB.  Time is flat from 8 k to 64 k rows, per-call numpy overhead
+#: below that; the peak falls with the tile until the two energy rows of
+#: the reduction dominate.  16 k rows sit on the time plateau at about
+#: half of 64 k's peak: ``myo_pme_p1`` read 114.6 MB ``peak_rss_mb``
+#: against 120.9 MB at 65,536 (medians, 3 interleaved ledger pairs).
+PAIR_TILE_ROWS = 16_384
 
 
 def row_tiles(n_rows: int) -> list[slice]:
@@ -60,6 +65,16 @@ def row_tiles(n_rows: int) -> list[slice]:
     n_tiles = max(1, -(-n_rows // PAIR_TILE_ROWS))
     cuts = [(k * n_rows) // n_tiles for k in range(n_tiles)] + [max(n_rows, 1)]
     return [slice(start, stop) for start, stop in zip(cuts, cuts[1:])]
+
+
+def row_atoms(starts: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """The row atom column ``i`` of rows ``[r0, r1)`` of a list with row
+    starts ``starts``: one ``np.repeat`` over the atoms those rows belong
+    to, each as often as it has rows among them."""
+    a0 = int(np.searchsorted(starts, r0, side="right")) - 1
+    a1 = max(a0, int(np.searchsorted(starts, r1, side="left")))
+    counts = np.diff(np.clip(starts[a0 : a1 + 1], r0, r1))
+    return np.repeat(np.arange(a0, a1, dtype=np.int64), counts)
 
 
 def accept_within(
@@ -209,12 +224,23 @@ class NonbondedKernel:
     def pair_terms(
         self,
         positions: np.ndarray,
-        pairs: np.ndarray,
+        j: np.ndarray,
+        starts: np.ndarray,
         reach: tuple[np.ndarray, float] | None,
         consume,
     ):
         """Per-pair energies and forces for the pairs within the true cutoff,
         handed to ``consume`` one row tile at a time.
+
+        The pairs are rows of a list in CHARMM's non-bonded layout: ``j``
+        is the partner column (JNB) of the rows to evaluate, and
+        ``starts`` the row starts (INBLO) of a list whose last ``len(j)``
+        rows they are — atom ``a``'s rows are ``starts[a]`` to
+        ``starts[a + 1]``.  A whole list passes its ``(j, starts)``; a
+        block of row atoms ``[lo, hi)`` passes ``j[starts[lo]:starts[hi]]``
+        and ``starts[:hi + 1]``, both views.  Each tile's row atoms ``i``
+        are one ``np.repeat`` over the atoms whose rows it covers
+        (:func:`row_atoms`).
 
         Each tile's part is ``(i, j, e_lj_pair, e_el_pair, fvec)``: every
         array is restricted to the tile's pairs inside ``scheme.r_cut``,
@@ -232,16 +258,17 @@ class NonbondedKernel:
         rank; nothing assembles the list-length arrays.
 
         ``reach`` is an optional certificate ``(ref_d, bound)`` with
-        ``ref_d`` aligned with ``pairs`` rows
+        ``ref_d`` aligned with ``j``
         (:meth:`repro.md.neighborlist.NeighborList.step_prefilter`, cut
-        as ``pairs`` was): rows whose ``ref_d`` exceeds ``bound`` cannot
+        as ``j`` was): rows whose ``ref_d`` exceeds ``bound`` cannot
         pass the exact cutoff test, so they are dropped *before* the
         minimum-image chain and the accepted rows — every downstream bit
         — are those of the call without it.
         """
         filled = 0
-        for tile in row_tiles(len(pairs)):
-            part = self._tile_terms(positions, pairs, tile, reach)
+        base = int(starts[-1]) - len(j)
+        for tile in row_tiles(len(j)):
+            part = self._tile_terms(positions, j, starts, base, tile, reach)
             consume(filled, part)
             filled += len(part[0])
         self.last_pair_count = filled
@@ -250,19 +277,22 @@ class NonbondedKernel:
     def _tile_terms(
         self,
         positions: np.ndarray,
-        pairs: np.ndarray,
+        j: np.ndarray,
+        starts: np.ndarray,
+        base: int,
         tile: slice,
         reach: tuple[np.ndarray, float] | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`pair_terms` of the rows ``pairs[tile]``.
+        """:meth:`pair_terms` of the rows ``j[tile]``, which are the list's
+        rows ``base + tile.start`` onwards.
 
-        ``reach``'s ``ref_d`` is aligned with ``pairs`` and sliced by the
+        ``reach``'s ``ref_d`` is aligned with ``j`` and sliced by the
         same tile.  The combined LJ/charge parameters are gathered from
         the per-atom tables for the accepted rows only, and die with the
         tile.
         """
-        i = pairs[tile, 0]
-        j = pairs[tile, 1]
+        j = j[tile]
+        i = row_atoms(starts, base + tile.start, base + tile.start + len(j))
         if reach is not None:
             # rows beyond the certified bound cannot pass the exact test
             # below; dropping them up front skips their share of the
@@ -297,23 +327,25 @@ class NonbondedKernel:
     def compute(
         self,
         positions: np.ndarray,
-        pairs: np.ndarray,
+        j: np.ndarray,
+        starts: np.ndarray,
         reach: tuple[np.ndarray, float] | None = None,
     ) -> tuple[PairEnergies, np.ndarray]:
         """Energy and forces for the pairs within the true cutoff.
 
-        ``pairs`` may include the neighbour-list skin; pairs beyond
-        ``scheme.r_cut`` are filtered in :meth:`pair_terms` (which also
-        takes the optional certificate ``reach``), whose tiles are
-        reduced as they come (:class:`_Reduction`): nothing of list
-        length but two energy rows is held.
+        The rows ``(j, starts)`` are those of :meth:`pair_terms` and may
+        include the neighbour-list skin; pairs beyond ``scheme.r_cut`` are
+        filtered there (which also takes the optional certificate
+        ``reach``), and the tiles are reduced as they come
+        (:class:`_Reduction`): nothing of list length but two energy rows
+        is held.
         """
         FORCE_EVALUATIONS.increment()
-        if len(pairs) == 0:
+        if len(j) == 0:
             self.last_pair_count = 0
             return PairEnergies(0.0, 0.0), np.zeros((len(positions), 3))
         return self.pair_terms(
-            positions, pairs, reach, _Reduction(len(positions), len(pairs))
+            positions, j, starts, reach, _Reduction(len(positions), len(j))
         )
 
 

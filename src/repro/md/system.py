@@ -152,10 +152,10 @@ class MDSystem:
         its certificate lets the kernel drop the rows it proves out of
         reach (bitwise invisible).
         """
-        pairs = self.neighbor_list.ensure(positions)
+        j, starts = self.neighbor_list.ensure(positions)
         bonded_e, forces = bonded_energy_forces(positions, self.box, self.bonded_tables)
         nb_e, nb_f = self.nonbonded.compute(
-            positions, pairs, self.neighbor_list.step_prefilter()
+            positions, j, starts, self.neighbor_list.step_prefilter()
         )
         forces += nb_f
         return (

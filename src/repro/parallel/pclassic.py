@@ -80,20 +80,23 @@ class ParallelClassic:
     def compute(
         self,
         positions: np.ndarray,
-        pairs: np.ndarray,
+        j: np.ndarray,
+        starts: np.ndarray,
         reach: tuple[np.ndarray, float] | None = None,
     ) -> ClassicResult:
-        """Evaluate this rank's block; pure computation, no yields.
+        """Evaluate this rank's block of the list ``(j, starts)``; pure
+        computation, no yields.
 
         ``reach`` is the list's certificate
         (:meth:`~repro.md.neighborlist.NeighborList.step_prefilter`),
-        aligned with ``pairs`` and cut with it to the rank's block.
+        aligned with ``j`` and cut with it to the rank's block.
         """
-        block = self.decomp.pair_block(pairs, self.rank)
+        block = self.decomp.pair_block(starts, self.rank)
         if reach is not None:
             reach = reach[0][block], reach[1]
         bonded_e, forces = bonded_energy_forces(positions, self.system.box, self.tables)
-        nb_e, nb_f = self.kernel.compute(positions, pairs[block], reach)
+        hi = self.decomp.atom_range(self.rank)[1]
+        nb_e, nb_f = self.kernel.compute(positions, j[block], starts[: hi + 1], reach)
         forces += nb_f
         return ClassicResult(
             energies=EnergyBreakdown(

@@ -153,12 +153,12 @@ def rank_program(
             if shared is not None:
                 # positions generation counter == step index: coordinates
                 # only change at the step-end allgather
-                pairs = shared.neighbor_pairs(nl, positions, _step)
+                j, starts = shared.neighbor_pairs(nl, positions, _step)
             else:
-                pairs = nl.ensure(positions)
+                j, starts = nl.ensure(positions)
             if nl.last_ensure_rebuilt:
                 yield from ep.compute(cost.neighbor_build(nl.last_candidates))
-            res = classic.compute(positions, pairs, nl.step_prefilter())
+            res = classic.compute(positions, j, starts, nl.step_prefilter())
             yield from ep.compute(classic.compute_seconds(res))
             forces = res.forces
             energies = res.energies

@@ -168,7 +168,7 @@ class SharedComputeCache:
     # ------------------------------------------------------------------
     def neighbor_pairs(
         self, nl: NeighborList, positions: np.ndarray, generation: int
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Neighbour-list maintenance for one rank at one generation.
 
         Every rank of the run holds the one list ``nl``.  The first rank
@@ -190,9 +190,10 @@ class SharedComputeCache:
             if nl.last_ensure_rebuilt:
                 # every rank reads these arrays: none may write them
                 self.n_real_builds += 1
-                _read_only(nl.pairs)
+                _read_only(nl.starts)
+                _read_only(nl.j)
                 _read_only(nl.pair_ref_d)
-        return nl.pairs
+        return nl.j, nl.starts
 
     # ------------------------------------------------------------------
     def pme_stencil(self, mesh, positions: np.ndarray, generation: int):

@@ -65,11 +65,9 @@ from ...md.bonded import (
 from ...md.energy import EnergyBreakdown
 from ...md.neighborlist import (
     absent_from,
+    build_rows,
     certified_bound,
-    drop_excluded,
     max_displacement2,
-    tree_candidates,
-    within_cutoff,
 )
 from ...md.nonbonded import NonbondedKernel
 from ...md.system import MDSystem
@@ -308,14 +306,15 @@ class _PairList:
 
     The rows ``i < j`` within ``r_cut + skin`` at the build that touched
     an atom owned then, exclusions removed, in ascending ``(i, j)``
-    order, held in CHARMM's own non-bonded list layout: atom ``a``'s
-    partners are ``j[starts[a]:starts[a + 1]]`` (INBLO and JNB).  Pairs
-    only: their kernel parameters are elementwise functions of per-atom
-    tables, so the kernel derives them from each step's rows and drops
-    them with that step's array.
+    order, as the replicated list's builder gives them
+    (:func:`~repro.md.neighborlist.build_rows`): atom ``a``'s partners
+    are ``j[starts[a]:starts[a + 1]]`` (INBLO and JNB), and beside that
+    triple only the build's reference state.  Pairs only: their kernel
+    parameters are elementwise functions of per-atom tables, so the
+    kernel derives them from each step's rows and drops them with them.
     """
 
-    #: row starts per atom, ``n_atoms + 1`` of them, and the partner column
+    #: row starts per atom, ``n_atoms + 1`` of them, and the ``int32`` partner column
     starts: np.ndarray
     j: np.ndarray
     #: build-time pair distances, row for row
@@ -656,33 +655,20 @@ class SpatialEngine:
         return self._epoch
 
     def _build_list(self, known: np.ndarray, owned_mask: np.ndarray) -> _PairList:
-        """Search this rank's known atoms once, out to ``r_cut + skin``.
-
-        The periodic k-d tree merely *proposes* (its radius is padded, so
-        an ulp-level disagreement between its metric and ours never drops
-        a pair); :func:`~repro.md.neighborlist.within_cutoff` decides, with
-        the arithmetic the replicated list build uses.  Ghost-ghost
-        proposals are discarded; ``known`` is ascending and the tree
-        enumerates each unordered pair once as ``lo < hi``, so the rows
-        are ``i < j`` and unique.
-        """
+        """Search this rank's known atoms once, out to ``r_cut + skin``,
+        with the replicated list's builder
+        (:func:`~repro.md.neighborlist.build_rows`) restricted to the known
+        atoms and to the pairs that touch an owned one: ghost-ghost pairs
+        are not this rank's."""
         PAIRLIST_BUILDS.increment()
-        cutoff = self.scheme.list_cutoff
-        proposed = tree_candidates(
-            self.box.wrap(self.positions[known]), self.box, cutoff
+        j, starts, ref_d = build_rows(
+            self.positions, self.box, self.scheme.list_cutoff, self._excl_codes,
+            atoms=known, touch=owned_mask,
         )
-        gi, gj = known[proposed[0]], known[proposed[1]]
-        touch = owned_mask[gi] | owned_mask[gj]
-        gi, gj = gi[touch], gj[touch]
-        rows, d2 = within_cutoff(self.positions, self.box, gi, gj, cutoff)
-        gi, gj = gi.take(rows), gj.take(rows)
-        keep = drop_excluded(gi * np.int64(self.n_atoms) + gj, self._excl_codes)
         return _PairList(
-            starts=np.searchsorted(
-                gi.take(keep), np.arange(self.n_atoms + 1, dtype=np.int64)
-            ),
-            j=gj.take(keep),
-            ref_d=np.sqrt(d2.take(keep)),
+            starts=starts,
+            j=j,
+            ref_d=ref_d,
             ref_positions=self.positions.copy(),
             known=self.known_mask.copy(),
             owned=owned_mask,  # an epoch's mask, never written
@@ -730,7 +716,7 @@ class SpatialEngine:
         codes = codes[absent_from(listed, codes)]
         return codes, np.searchsorted(listed, codes)
 
-    def _step_pairs(self, known: np.ndarray) -> np.ndarray:
+    def _step_pairs(self, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A sorted superset of this step's ``i < j`` pairs within ``r_cut``
         that touch an owned atom — which :meth:`NonbondedKernel.pair_terms`
         then cuts, by its exact ``r2 <= r_cut**2`` test, to bitwise the
@@ -761,10 +747,11 @@ class SpatialEngine:
         ``skin == 0`` certifies nothing and rebuilds every step through
         the same code.  Displacements are measured on the atoms known at
         the build *and* now — exactly the atoms of the rows selected.
-        The returned ``(k, 2)`` array lives for one step, and so do the
-        kernel parameters :meth:`NonbondedKernel.pair_terms` derives from
-        it; the list's row atom column ``i`` is expanded from its row
-        starts for the step and dropped with it.
+        The returned rows ``(j, starts)``, in the list's own layout, live
+        for one step, and so do the kernel parameters
+        :meth:`NonbondedKernel.pair_terms` derives from them; the list's
+        row atom column ``i`` is expanded from its row starts for the step
+        and dropped with it.
         """
         owned_mask = self._ownership().mask
         lst = self._list
@@ -791,21 +778,17 @@ class SpatialEngine:
         del ok
 
         codes, at = self._fresh_codes(lst, i, known, owned_mask)
+        del i
+        # an atom's selected rows start after those of the atoms before it
+        starts = np.searchsorted(rows, lst.starts)
+        j = j.take(rows)
         if len(codes):
-            # open one slot per new row at its sorted position — the count
-            # of selected rows before it — by gathering list row 0 there
-            where = np.searchsorted(rows, at)
-            rows = np.insert(rows, where, 0)
-        # column-major: each column the kernel gathers by is contiguous
-        pairs = np.empty((2, len(rows)), dtype=np.int64)
-        if len(j):  # an empty list has no row 0: every row is new
-            pairs[0] = i.take(rows)
-            pairs[1] = j.take(rows)
-        pairs = pairs.T
-        if len(codes):
-            new = where + np.arange(len(where))
-            pairs[new, 0], pairs[new, 1] = np.divmod(codes, self.n_atoms)
-        return pairs
+            # each new row goes to its sorted position: after the selected
+            # rows before it, and after the new rows of the atoms before its own
+            new_i, new_j = np.divmod(codes, self.n_atoms)
+            j = np.insert(j, np.searchsorted(rows, at), new_j)
+            starts += np.searchsorted(new_i, np.arange(self.n_atoms + 1))
+        return j, starts
 
     def compute_forces(self) -> float:
         """Replay the replicated force path for the owned atoms; return cost.
@@ -815,7 +798,7 @@ class SpatialEngine:
         ghosts — accumulated in the replicated call order, then folded
         across virtual ranks with the middleware's exact fold.  The pair
         tiles are bucketed as they come (:class:`_PairBuckets`): besides
-        the step's pair array, nothing of list length is held but the
+        the step's rows, nothing of list length is held but the
         owned rows posted to the ledger.
         """
         FORCE_EVALUATIONS.increment()
@@ -825,14 +808,14 @@ class SpatialEngine:
         k_own = len(owned)
         known = np.flatnonzero(self.known_mask)
 
-        pairs = self._step_pairs(known)
+        j, starts = self._step_pairs(known)
         buckets = _PairBuckets(
-            own, self.vbounds, self.n_atoms, np.count_nonzero(own.mask.take(pairs[:, 0]))
+            own, self.vbounds, self.n_atoms, int(np.diff(starts)[own.mask].sum())
         )
         acc_nb, codes, e_lj, e_el = self.kernel.pair_terms(
-            self.positions, pairs, None, buckets
+            self.positions, j, starts, None, buckets
         )
-        del pairs, buckets
+        del j, starts, buckets
 
         total_rows = 0
         acc_terms: list[np.ndarray] = []

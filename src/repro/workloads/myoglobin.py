@@ -23,12 +23,10 @@ import numpy as np
 from ..md.box import PeriodicBox
 from ..md.forcefield import ForceField, default_forcefield
 from ..md.neighborlist import (
-    absent_from,
     brute_force_nearest,
+    build_rows,
     exclusion_codes,
     nearest_distance,
-    tree_candidates,
-    within_cutoff,
 )
 from ..md.topology import Topology
 from .protein import SegmentSpec, build_helical_segment, residue_size
@@ -270,16 +268,16 @@ def _assert_no_clashes(
 ) -> None:
     """Fail loudly if any non-bonded pair sits closer than ``min_dist``.
 
-    The tree proposes, the exact test decides; the lowest offending
-    ``(i, j)`` is named.
+    The pair list's builder finds them, exclusions removed; its rows are
+    ascending, so the first names the lowest offending ``(i, j)``.
     """
     n = len(positions)
-    lo, hi = tree_candidates(box.wrap(positions), box, min_dist)
-    rows, _ = within_cutoff(positions, box, lo, hi, min_dist)
-    codes = np.sort(lo.take(rows) * np.int64(n) + hi.take(rows))
-    clashes = codes[absent_from(exclusion_codes(topo.exclusion_pairs(), n), codes)]
-    if len(clashes):
-        i, j = divmod(int(clashes[0]), n)
+    partners, starts, _ = build_rows(
+        positions, box, min_dist, exclusion_codes(topo.exclusion_pairs(), n)
+    )
+    if len(partners):
+        i = int(np.searchsorted(starts, 0, side="right")) - 1
+        j = int(partners[0])
         d = float(np.linalg.norm(box.min_image(positions[i] - positions[j])))
         raise AssertionError(
             f"steric clash: atoms {i} and {j} at {d:.2f} A (< {min_dist} A)"

@@ -171,6 +171,7 @@ class TestFailureHandling:
             ({"retries": -1}, "retries must be >= 0"),
             ({"timeout": 0.0}, "timeout must be > 0"),
             ({"timeout": -5.0}, "timeout must be > 0"),
+            ({"n_workers": -1}, "n_workers must be >= 0"),
         ],
     )
     def test_bad_settings_raise_at_construction(self, setting, match):

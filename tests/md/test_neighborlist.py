@@ -1,19 +1,34 @@
 """Cell-list neighbour search vs brute force; skin/rebuild behaviour."""
 
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from repro.md import CutoffScheme, NeighborList, PeriodicBox, brute_force_pairs
 from repro.md import neighborlist
-from repro.md.neighborlist import brute_force_nearest, nearest_distance, within_cutoff
+from repro.md.neighborlist import (
+    brute_force_nearest,
+    drop_excluded,
+    exclusion_codes,
+    nearest_distance,
+    within_cutoff,
+)
 
 
 def _random_positions(rng, n, box):
     return rng.uniform(0, 1, (n, 3)) * box.lengths
+
+
+def _rows(nl):
+    """The list's ``(m, 2)`` rows ``(i, j)``, expanded from its row
+    starts and partner column."""
+    i = np.repeat(np.arange(len(nl.starts) - 1), np.diff(nl.starts))
+    return np.stack([i, nl.j], axis=1)
 
 
 class TestBruteForce:
@@ -140,7 +155,8 @@ class TestCellList:
             return real_tree(*args, **kwargs)
 
         monkeypatch.setattr(neighborlist, "cKDTree", spy)
-        pairs = nl.build(pos)
+        nl.build(pos)
+        pairs = _rows(nl)
         assert bool(trees) == (0.9 * edge > 2 * scheme.list_cutoff)
         ref = brute_force_pairs(pos, box, scheme.list_cutoff)
         assert pairs.tolist() == ref.tolist()
@@ -152,7 +168,8 @@ class TestCellList:
         pos = np.array([[1.0, 1, 1], [2.0, 1, 1], [3.0, 1, 1]])
         excl = np.array([[0, 1]], dtype=np.int64)
         nl = NeighborList(box, CutoffScheme(r_cut=4.0, skin=0.5), exclusions=excl)
-        pairs = set(map(tuple, nl.build(pos)))
+        nl.build(pos)
+        pairs = set(map(tuple, _rows(nl).tolist()))
         assert (0, 1) not in pairs
         assert (1, 2) in pairs and (0, 2) in pairs
 
@@ -190,7 +207,8 @@ class TestCellList:
         pos = np.array([[1.0, 1, 1], [2.0, 1, 1]])
         shifted = pos + np.array([36.0, -24.0, 12.0])
         nl = NeighborList(box, CutoffScheme(r_cut=4.0, skin=0.5))
-        assert nl.build(shifted).tolist() == [[0, 1]]
+        nl.build(shifted)
+        assert _rows(nl).tolist() == [[0, 1]]
 
 
 class TestRebuild:
@@ -252,8 +270,8 @@ class TestCellPairMemo:
         box = PeriodicBox(15, 15, 15)
         pos = _random_positions(rng, 60, box)
         nl = NeighborList(box, CutoffScheme(r_cut=4.0, skin=1.0))
-        pairs = nl.build(pos)
-        assert nl.last_candidates >= len(pairs)
+        nl.build(pos)
+        assert nl.last_candidates >= len(nl.j)
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(10, 80))
@@ -264,7 +282,8 @@ def test_cell_list_equals_brute_force_property(seed, n):
     pos = rng.uniform(-20, 40, (n, 3))  # deliberately unwrapped
     scheme = CutoffScheme(r_cut=5.0, skin=1.0)
     nl = NeighborList(box, scheme)
-    assert nl.build(pos).tolist() == brute_force_pairs(pos, box, scheme.list_cutoff).tolist()
+    nl.build(pos)
+    assert _rows(nl).tolist() == brute_force_pairs(pos, box, scheme.list_cutoff).tolist()
 
 
 class TestStepPrefilter:
@@ -283,7 +302,7 @@ class TestStepPrefilter:
         hit = nl.step_prefilter()
         assert hit is not None
         ref_d, bound = hit
-        assert len(ref_d) == len(nl.pairs)
+        assert len(ref_d) == len(nl.j)
         # zero displacement since build: the bound is r_cut + epsilon
         assert bound == pytest.approx(nl.scheme.r_cut, abs=1e-5)
 
@@ -321,7 +340,7 @@ class TestStepPrefilter:
             hit = nl.step_prefilter()
             assert hit is not None
             ref_d, bound = hit
-            pairs = nl.pairs
+            pairs = _rows(nl)
             lo, hi = pairs[:, 0], pairs[:, 1]
             dr = nl.box.min_image(moved[lo] - moved[hi])
             d2 = np.einsum("ij,ij->i", dr, dr)
@@ -372,7 +391,128 @@ class TestRowTiles:
         monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", self.T)
         tiled = NeighborList(box, scheme)
         tiled.build(pos)
-        assert len(whole.pairs) > self.T
-        assert np.array_equal(tiled.pairs, whole.pairs)
+        assert len(whole.j) > self.T
+        assert np.array_equal(tiled.starts, whole.starts)
+        assert np.array_equal(tiled.j, whole.j)
         assert np.array_equal(tiled.pair_ref_d, whole.pair_ref_d)
         assert tiled.last_candidates == whole.last_candidates
+
+
+def _whole_list(pos, box, cutoff, excl_codes):
+    """The whole-list build the streamed one replaced, as ``(m, 2)`` rows
+    and distances: every candidate at once, one exact test, one sort of
+    every accepted code, the exclusions dropped."""
+    n = len(pos)
+    padded = cutoff * (1.0 + 1e-9)
+    if padded >= 0.5 * float(np.min(box.lengths)):
+        lo, hi = np.triu_indices(n, k=1)
+    else:
+        cand = cKDTree(box.wrap(pos), boxsize=box.lengths).query_pairs(
+            padded, output_type="ndarray"
+        )
+        lo, hi = cand[:, 0], cand[:, 1]
+    rows, d2 = within_cutoff(pos, box, lo, hi, cutoff)
+    lo, hi = lo[rows], hi[rows]
+    keep = drop_excluded(lo * np.int64(n) + hi, excl_codes)
+    return np.stack([lo[keep], hi[keep]], axis=1), np.sqrt(d2[keep])
+
+
+class TestStreamedBuild:
+    """The list in CHARMM's layout, built one block of row atoms at a
+    time: the rows and distances of the whole-list build, bit for bit,
+    wherever the block edges fall — and nothing list-long on the way."""
+
+    SCHEME = CutoffScheme(r_cut=4.0, skin=1.0)
+
+    @staticmethod
+    def _scene(dense):
+        """60 atoms crowded into one corner of a cubic box, and atoms with
+        no partner at all at rows 12, 20, ...: row 12 starts a block of 4
+        atoms, row 20 one of 4 and one of 5.  The dense box is under twice
+        the list cutoff, so its build proposes every pair."""
+        rng = np.random.default_rng(2)
+        if dense:
+            edge, scheme = 12.0, CutoffScheme(r_cut=5.5, skin=1.0)
+            loners = np.array([[7.5, 7.5, 7.5]])
+        else:
+            edge, scheme = 40.0, TestStreamedBuild.SCHEME
+            loners = np.array([[x, y, y] for y in (20.0, 30.0) for x in (16.0, 22.0, 28.0, 34.0)])
+        at = np.array([12, 20, 27, 33, 40, 46, 53, 59])[: len(loners)]
+        pos = np.empty((60 + len(loners), 3))
+        pos[np.setdiff1d(np.arange(len(pos)), at)] = rng.uniform(0.0, edge / 4, (60, 3))
+        pos[at] = loners
+        return PeriodicBox(edge, edge, edge), scheme, pos, at
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "tree"])
+    @pytest.mark.parametrize("block", [1, 4, 5, 7, 64, 10_000])
+    def test_equals_the_whole_list_build(self, monkeypatch, dense, block):
+        box, scheme, pos, loners = self._scene(dense)
+        n = len(pos)
+        assert (scheme.list_cutoff >= 0.5 * box.lengths.min()) == dense
+        every = brute_force_pairs(pos, box, scheme.list_cutoff)
+        # exclusions straddling block edges, and one inside a block
+        straddle = every[(every[:, 0] // block != every[:, 1] // block)][::3]
+        excl = np.vstack([straddle, every[len(every) // 2 : len(every) // 2 + 1]])
+        monkeypatch.setattr(neighborlist, "BUILD_BLOCK_ATOMS", block)
+        nl = NeighborList(box, scheme, exclusions=excl)
+        nl.build(pos)
+        want, want_d = _whole_list(pos, box, scheme.list_cutoff, exclusion_codes(excl, n))
+        got = _rows(nl)
+        assert np.array_equal(got, want)
+        assert nl.pair_ref_d.tobytes() == want_d.tobytes()
+        kept = {tuple(row) for row in every.tolist()} - {tuple(row) for row in excl.tolist()}
+        assert sorted(kept) == [tuple(row) for row in got.tolist()]
+        assert len(straddle) > 0 or block >= n
+        # the isolated atoms have empty rows, and no row names them
+        assert np.all(np.diff(nl.starts)[loners] == 0)
+        assert not np.isin(nl.j, loners).any()
+
+    def test_layout(self):
+        """``int32`` partners and ``n_atoms + 1`` row starts; no ``(m, 2)``
+        array is held."""
+        box, scheme, pos, _ = self._scene(dense=False)
+        nl = NeighborList(box, scheme)
+        nl.build(pos)
+        m = len(nl.j)
+        assert m > 0 and nl.j.dtype == np.int32
+        assert len(nl.starts) == len(pos) + 1 and nl.starts[0] == 0 and nl.starts[-1] == m
+        assert len(nl.pair_ref_d) == m
+        assert not hasattr(nl, "pairs")
+        for value in vars(nl).values():
+            assert not (isinstance(value, np.ndarray) and value.ndim == 2 and len(value) == m)
+
+    def test_ensure_hands_out_the_list(self):
+        box, scheme, pos, _ = self._scene(dense=False)
+        nl = NeighborList(box, scheme)
+        j, starts = nl.ensure(pos)
+        assert j is nl.j and starts is nl.starts
+        assert nl.ensure(pos) == (j, starts) and not nl.last_ensure_rebuilt
+
+    def test_peak_is_one_block_above_the_list(self, monkeypatch):
+        """tracemalloc's peak over a build, above the arrays it keeps, stays
+        within one block's allowance: 128 B per row of the longest block
+        (its proposals, their exact test and their sort) and 128 B per
+        atom (the block trees and the wrapped coordinates): 0.85 MB here,
+        where the streamed build needs 0.36 MB and the whole-list build
+        needed 4.4 MB, ~50 B per list row beyond its list."""
+        block = 64
+        monkeypatch.setattr(neighborlist, "BUILD_BLOCK_ATOMS", block)
+        rng = np.random.default_rng(1)
+        box = PeriodicBox(30.0, 30.0, 30.0)
+        n = 3000
+        pos = rng.uniform(0.0, 30.0, (n, 3))
+        NeighborList(box, self.SCHEME).build(pos)  # warm: numpy's small-block caches
+        nl = NeighborList(box, self.SCHEME)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nl.build(pos)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = nl.j.nbytes + nl.starts.nbytes + nl.pair_ref_d.nbytes
+        longest = max(
+            nl.starts[min(b + block, n)] - nl.starts[b] for b in range(0, n, block)
+        )
+        assert len(nl.j) > 20 * longest  # many blocks
+        assert peak - held <= 128 * longest + 128 * n

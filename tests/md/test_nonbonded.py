@@ -16,6 +16,7 @@ from repro.md import (
     PeriodicBox,
     default_forcefield,
 )
+from repro.md.nonbonded import row_atoms
 from repro.md.units import COULOMB_CONSTANT
 
 BOX = PeriodicBox(40.0, 40.0, 40.0)
@@ -29,10 +30,18 @@ def _kernel(types, charges, elec_mode="shift", alpha=None, scheme=SCHEME):
     )
 
 
+def _csr(pairs, n_atoms):
+    """A test's ``(m, 2)`` rows in the kernel's layout: the partner column
+    and the row starts ``(j, starts)``, rows in ascending ``(i, j)`` order."""
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    starts = np.searchsorted(pairs[:, 0], np.arange(n_atoms + 1))
+    return pairs[:, 1].astype(np.int32), starts
+
+
 def _pair(r):
+    """Two atoms ``r`` apart and their one row: ``(pos, j, starts)``."""
     pos = np.array([[5.0, 5.0, 5.0], [5.0 + r, 5.0, 5.0]])
-    pairs = np.array([[0, 1]], dtype=np.int64)
-    return pos, pairs
+    return (pos, *_csr(np.array([[0, 1]]), 2))
 
 
 class TestConstruction:
@@ -55,23 +64,20 @@ class TestLennardJones:
         ff = default_forcefield()
         p = ff.lj_params("OT")
         kern = _kernel(["OT", "OT"], [0.0, 0.0])
-        pos, pairs = _pair(2 * p.rmin_half)
-        energies, forces = kern.compute(pos, pairs)
+        energies, forces = kern.compute(*_pair(2 * p.rmin_half))
         assert energies.lj == pytest.approx(-p.epsilon, rel=1e-12)
         assert np.allclose(forces, 0.0, atol=1e-9)
 
     def test_repulsive_inside_minimum(self):
         kern = _kernel(["OT", "OT"], [0.0, 0.0])
-        pos, pairs = _pair(2.2)
-        energies, forces = kern.compute(pos, pairs)
+        energies, forces = kern.compute(*_pair(2.2))
         assert energies.lj > 0
         assert forces[0, 0] < 0  # pushed apart
         assert forces[1, 0] > 0
 
     def test_zero_beyond_cutoff(self):
         kern = _kernel(["OT", "OT"], [0.0, 0.0])
-        pos, pairs = _pair(10.5)
-        energies, forces = kern.compute(pos, pairs)
+        energies, forces = kern.compute(*_pair(10.5))
         assert energies.lj == 0.0
         assert np.allclose(forces, 0.0)
         assert kern.last_pair_count == 0
@@ -123,15 +129,15 @@ class TestEwaldDirect:
         rng = np.random.default_rng(4)
         pos = np.array([[5.0, 5, 5], [7.0, 5.5, 5], [6.0, 7.5, 6]])
         pos += rng.normal(scale=0.1, size=pos.shape)
-        pairs = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-        _, forces = kern.compute(pos, pairs)
+        pairs = _csr(np.array([[0, 1], [0, 2], [1, 2]]), 3)
+        _, forces = kern.compute(pos, *pairs)
         h = 1e-6
         for i in range(3):
             for d in range(3):
                 pp = pos.copy(); pp[i, d] += h
                 pm = pos.copy(); pm[i, d] -= h
-                ep, _ = kern.compute(pp, pairs)
-                em, _ = kern.compute(pm, pairs)
+                ep, _ = kern.compute(pp, *pairs)
+                em, _ = kern.compute(pm, *pairs)
                 fd = -(ep.total - em.total) / (2 * h)
                 assert forces[i, d] == pytest.approx(fd, abs=1e-5)
 
@@ -145,15 +151,15 @@ class TestShiftGradients:
     def test_forces_match_gradient(self):
         kern = _kernel(["OT", "HT", "CT2"], [0.6, -0.2, -0.4])
         pos = np.array([[5.0, 5, 5], [7.5, 5.5, 5], [6.0, 8.5, 6]])
-        pairs = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-        _, forces = kern.compute(pos, pairs)
+        pairs = _csr(np.array([[0, 1], [0, 2], [1, 2]]), 3)
+        _, forces = kern.compute(pos, *pairs)
         h = 1e-6
         for i in range(3):
             for d in range(3):
                 pp = pos.copy(); pp[i, d] += h
                 pm = pos.copy(); pm[i, d] -= h
-                ep, _ = kern.compute(pp, pairs)
-                em, _ = kern.compute(pm, pairs)
+                ep, _ = kern.compute(pp, *pairs)
+                em, _ = kern.compute(pm, *pairs)
                 fd = -(ep.total - em.total) / (2 * h)
                 assert forces[i, d] == pytest.approx(fd, abs=1e-5)
 
@@ -167,7 +173,7 @@ class TestBookkeeping:
     def test_empty_pairs(self):
         kern = _kernel(["OT", "OT"], [0.0, 0.0])
         energies, forces = kern.compute(
-            np.zeros((2, 3)), np.empty((0, 2), dtype=np.int64)
+            np.zeros((2, 3)), *_csr(np.empty((0, 2), dtype=np.int64), 2)
         )
         assert energies.total == 0.0
         assert np.allclose(forces, 0.0)
@@ -176,15 +182,14 @@ class TestBookkeeping:
     def test_pair_count_filters_skin(self):
         kern = _kernel(["OT", "OT", "OT"], [0.0, 0.0, 0.0])
         pos = np.array([[5.0, 5, 5], [9.0, 5, 5], [16.0, 5, 5]])
-        pairs = np.array([[0, 1], [0, 2]], dtype=np.int64)  # 0-2 at 11 A: in skin
-        kern.compute(pos, pairs)
+        pairs = _csr(np.array([[0, 1], [0, 2]]), 3)  # 0-2 at 11 A: in skin
+        kern.compute(pos, *pairs)
         assert kern.last_pair_count == 1
 
     def test_newton_third_law(self):
         kern = _kernel(["OT", "HT", "CT2"], [0.6, -0.2, -0.4])
         pos = np.array([[5.0, 5, 5], [7.5, 5.5, 5], [6.0, 8.5, 6]])
-        pairs = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-        _, forces = kern.compute(pos, pairs)
+        _, forces = kern.compute(pos, *_csr(np.array([[0, 1], [0, 2], [1, 2]]), 3))
         assert np.allclose(forces.sum(axis=0), 0.0, atol=1e-10)
 
 
@@ -227,8 +232,14 @@ class _Assembly(list):
         return tuple(np.concatenate(col) for col in zip(*self))
 
 
-def _assembled(kern, pos, pairs, reach=None):
-    return kern.pair_terms(pos, pairs, reach, _Assembly())
+def _assembled(kern, pos, rows, reach=None):
+    return kern.pair_terms(pos, *rows, reach, _Assembly())
+
+
+def _row_slice(j, starts, rows):
+    """Rows ``rows`` (a slice) of a list, as a list of their own: the
+    partner column's slice, and the row starts clipped to it."""
+    return j[rows], np.clip(starts, rows.start, rows.stop)
 
 
 def _assembled_reduction(terms, n_atoms):
@@ -252,25 +263,25 @@ class TestRowTiles:
     LENGTHS = [0, T - 1, T, T + 1, 2 * T, 2 * T + 1]
 
     @staticmethod
-    def _evaluate(kern, pos, pairs, reach):
+    def _evaluate(kern, pos, rows, reach):
         """``pair_terms`` and ``compute``, whose streamed reduction of the
         tiles must equal that of the assembled arrays."""
-        terms = _assembled(kern, pos, pairs, reach)
+        terms = _assembled(kern, pos, rows, reach)
         count = kern.last_pair_count
-        energies, forces = kern.compute(pos, pairs, reach)
+        energies, forces = kern.compute(pos, *rows, reach)
         want_energies, want_forces = _assembled_reduction(terms, len(pos))
         assert energies == want_energies and forces.flags.c_contiguous
         assert np.array_equal(forces, want_forces)
         return terms, count, energies, forces
 
-    def _assert_tiling_invisible(self, monkeypatch, kern, pos, pairs, reach=None):
+    def _assert_tiling_invisible(self, monkeypatch, kern, pos, rows, reach=None):
         """Evaluate in one tile without ``reach``, then with it, in one
         tile and in tiles of ``T`` rows; compare each with the first."""
-        terms, count, energies, forces = self._evaluate(kern, pos, pairs, None)
+        terms, count, energies, forces = self._evaluate(kern, pos, rows, None)
         for tile_rows in (None, self.T):
             if tile_rows:
                 monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", tile_rows)
-            t_terms, t_count, t_energies, t_forces = self._evaluate(kern, pos, pairs, reach)
+            t_terms, t_count, t_energies, t_forces = self._evaluate(kern, pos, rows, reach)
             for tiled, whole in zip(t_terms, terms):
                 assert tiled.dtype == whole.dtype and tiled.shape == whole.shape
                 assert np.array_equal(tiled, whole)
@@ -282,7 +293,7 @@ class TestRowTiles:
 
     @staticmethod
     def _reach(nl, rows, prefilter):
-        """The list's certificate cut as ``nl.pairs[rows]``, or None."""
+        """The list's certificate cut as its rows ``rows``, or None."""
         if not prefilter:
             return None
         ref_d, bound = nl.step_prefilter()
@@ -295,24 +306,43 @@ class TestRowTiles:
         self, scene, monkeypatch, elec_mode, prefilter, n_rows
     ):
         nl, pos = scene[2], scene[3]
-        assert len(nl.pairs) > 2 * self.T + 1
+        assert len(nl.j) > 2 * self.T + 1
         kern = _scene_kernel(scene, elec_mode)
         rows = slice(0, n_rows)
         count = self._assert_tiling_invisible(
-            monkeypatch, kern, pos, nl.pairs[rows], self._reach(nl, rows, prefilter)
+            monkeypatch, kern, pos, _row_slice(nl.j, nl.starts, rows),
+            self._reach(nl, rows, prefilter),
         )
         assert 0 < count < n_rows or n_rows == 0  # the skin rows were cut
 
     @pytest.mark.parametrize("prefilter", [False, True], ids=["plain", "prefilter"])
     def test_row_slice_at_an_offset(self, scene, monkeypatch, prefilter):
-        """A rank's block, a row slice of the list at an offset, with the
-        certificate cut by the same slice (as ``ParallelClassic`` cuts it)."""
+        """A row slice of the list at an offset, cut inside atoms' rows at
+        both ends, with the certificate cut by the same slice."""
         nl, pos = scene[2], scene[3]
         rows = slice(53, 53 + 3 * self.T + 5)
+        assert not np.isin([rows.start, rows.stop], nl.starts).any()
         kern = _scene_kernel(scene, "ewald")
         self._assert_tiling_invisible(
-            monkeypatch, kern, pos, nl.pairs[rows], self._reach(nl, rows, prefilter)
+            monkeypatch, kern, pos, _row_slice(nl.j, nl.starts, rows),
+            self._reach(nl, rows, prefilter),
         )
+
+    @pytest.mark.parametrize("prefilter", [False, True], ids=["plain", "prefilter"])
+    def test_block_of_row_atoms(self, scene, monkeypatch, prefilter):
+        """A rank's block, as ``ParallelClassic`` hands it over: the rows
+        of atoms ``[lo, hi)`` and the row starts up to ``hi``, both views."""
+        nl, pos = scene[2], scene[3]
+        lo, hi = 17, 83
+        rows = slice(int(nl.starts[lo]), int(nl.starts[hi]))
+        assert rows.stop - rows.start > 2 * self.T + 1
+        kern = _scene_kernel(scene, "ewald")
+        self._assert_tiling_invisible(
+            monkeypatch, kern, pos, (nl.j[rows], nl.starts[: hi + 1]),
+            self._reach(nl, rows, prefilter),
+        )
+        i = _assembled(kern, pos, (nl.j[rows], nl.starts[: hi + 1]))[0]
+        assert i.min() >= lo and i.max() < hi
 
     def test_tiles_that_accept_nothing(self, scene, monkeypatch):
         box, scheme, nl, pos = scene[:4]
@@ -322,12 +352,28 @@ class TestRowTiles:
         every = np.stack([lo, hi], axis=1)
         near, far = every[d < scheme.r_cut - 0.1], every[d > scheme.r_cut + 0.1]
         kern = _scene_kernel(scene, "ewald")
-        hollow = np.concatenate([near[: self.T], far[: self.T], near[self.T : 150]])
+        # in list order: near rows, far rows, then near rows again
+        head = near[: self.T]
+        gap = far[far[:, 0] > head[-1, 0]][: self.T]
+        tail = near[near[:, 0] > gap[-1, 0]][: 150 - self.T]
+        hollow = _csr(np.concatenate([head, gap, tail]), len(pos))
         assert self._assert_tiling_invisible(monkeypatch, kern, pos, hollow) == 150
-        nothing = far[: 2 * self.T + 9]
+        nothing = _csr(far[: 2 * self.T + 9], len(pos))
         assert self._assert_tiling_invisible(monkeypatch, kern, pos, nothing) == 0
-        energies, forces = kern.compute(pos, nothing)
+        energies, forces = kern.compute(pos, *nothing)
         assert energies.total == 0.0 and not forces.any()
+
+
+class TestRowAtoms:
+    def test_every_row_range(self):
+        """A tile's ``i`` column is the expanded column's slice, for every
+        range — empty ones, and ones starting or ending in empty rows."""
+        starts = np.array([0, 0, 3, 3, 3, 4, 9, 9, 10, 10])
+        whole = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+        for r0 in range(11):
+            for r1 in range(r0, 11):
+                got = row_atoms(starts, r0, r1)
+                assert got.dtype == np.int64 and got.tolist() == whole[r0:r1].tolist()
 
 
 class TestStreamedCompute:
@@ -344,22 +390,24 @@ class TestStreamedCompute:
         T = 2048
         pos = scene[3]
         lo, hi = np.triu_indices(len(pos), k=1)
-        pairs = np.resize(np.stack([lo, hi], axis=1), (4 * T, 2))
+        j, starts = _csr(np.resize(np.stack([lo, hi], axis=1), (4 * T, 2)), len(pos))
         kern = _scene_kernel(scene, "ewald")
         monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", T)
 
         def peak(rows):
-            kern.compute(pos, rows)  # warm: numpy's small-block caches
+            kern.compute(pos, *rows)  # warm: numpy's small-block caches
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                kern.compute(pos, rows)
+                kern.compute(pos, *rows)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
 
-        one_tile = max(peak(pairs[k * T : (k + 1) * T].copy()) for k in range(4))
-        assert peak(pairs) <= one_tile + 16 * len(pairs) + 4096
+        one_tile = max(
+            peak(_row_slice(j.copy(), starts, slice(k * T, (k + 1) * T))) for k in range(4)
+        )
+        assert peak((j, starts)) <= one_tile + 16 * len(j) + 4096
 
 
 def _held_arrays(kern):
@@ -385,11 +433,13 @@ class TestStaticsLifetime:
         nl, pos = scene[2], scene[3]
         kern = _scene_kernel(scene, "shift")
         for _ in range(3):
-            step_pairs = nl.pairs.take(np.arange(0, len(nl.pairs), 3), axis=0)
-            _assembled(kern, pos, step_pairs)
-            kern.compute(pos, step_pairs)
+            # every third row of the list, with the row starts that count them
+            step_j = nl.j[::3].copy()
+            step_starts = np.searchsorted(np.arange(0, len(nl.j), 3), nl.starts)
+            _assembled(kern, pos, (step_j, step_starts))
+            kern.compute(pos, step_j, step_starts)
             for value in _held_arrays(kern):
-                assert value.ndim == 0 or len(value) != len(step_pairs)
+                assert value.ndim == 0 or len(value) != len(step_j)
 
     def test_statics_go_with_their_pair_array(self, scene):
         """A reused array, evaluated step after step, dies with its last
@@ -397,12 +447,12 @@ class TestStaticsLifetime:
         not by the cyclic collector."""
         nl, pos = scene[2], scene[3]
         kern = _scene_kernel(scene, "shift")
-        reused = nl.pairs.copy()
+        reused = nl.j.copy()
         gc.disable()
         try:
             for _ in range(3):
-                _assembled(kern, pos, reused)
-                kern.compute(pos, reused)
+                _assembled(kern, pos, (reused, nl.starts))
+                kern.compute(pos, reused, nl.starts)
             for value in _held_arrays(kern):
                 assert value.ndim == 0 or len(value) != len(reused)
             alive = weakref.ref(reused)

@@ -30,21 +30,26 @@ class TestAtomDecomposition:
         rng = np.random.default_rng(0)
         n = 50
         d = AtomDecomposition(n, 4)
-        # build a sorted pair list
+        # build a sorted pair list, and its row starts
         raw = rng.integers(0, n, size=(300, 2))
         raw = raw[raw[:, 0] < raw[:, 1]]
         order = np.lexsort((raw[:, 1], raw[:, 0]))
         pairs = raw[order]
-        cuts = [d.pair_block(pairs, r) for r in range(4)]
+        starts = np.searchsorted(pairs[:, 0], np.arange(n + 1))
+        cuts = [d.pair_block(starts, r) for r in range(4)]
+        # each block is its atoms' row starts slice
+        for r, cut in enumerate(cuts):
+            lo, hi = d.atom_range(r)
+            assert cut == slice(int(starts[lo]), int(starts[hi]))
         # consecutive slices: they cut anything aligned with the rows too
         assert cuts[0].start == 0 and cuts[-1].stop == len(pairs)
         assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))
         blocks = [pairs[cut] for cut in cuts]
         for r, block in enumerate(blocks):
             lo, hi = d.atom_range(r)
-            if len(block):
-                assert block[:, 0].min() >= lo
-                assert block[:, 0].max() < hi
+            assert len(block) > 0
+            assert block[:, 0].min() >= lo
+            assert block[:, 0].max() < hi
 
     def test_term_slices_partition(self):
         d = AtomDecomposition(10, 3)

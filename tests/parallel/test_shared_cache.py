@@ -174,13 +174,17 @@ class TestReadOnlyHandOuts:
     """What one rank shares with another must not be writable in place."""
 
     def test_pairs_and_stencil(self, peptide_system):
+        """The list's partners, row starts and certificate distances, and
+        the stencil."""
         system, pos = peptide_system
         seen = []
 
         class Spy(SharedComputeCache):
             def neighbor_pairs(self, nl, positions, generation):
-                seen.append(super().neighbor_pairs(nl, positions, generation))
-                return seen[-1]
+                j, starts = super().neighbor_pairs(nl, positions, generation)
+                assert j is nl.j and starts is nl.starts
+                seen.extend((j, starts, nl.pair_ref_d))
+                return j, starts
 
             def pme_stencil(self, mesh, positions, generation):
                 stencil = super().pme_stencil(mesh, positions, generation)

@@ -291,8 +291,14 @@ class _Assembly(list):
         return tuple(np.concatenate(col) for col in zip(*self))
 
 
-def _assembled(kern, positions, pairs):
-    return kern.pair_terms(positions, pairs, None, _Assembly())
+def _assembled(kern, positions, rows):
+    return kern.pair_terms(positions, *rows, None, _Assembly())
+
+
+def _row_slice(j, starts, rows):
+    """Rows ``rows`` (a slice) of a list, as a list of their own: the
+    partner column's slice, and the row starts clipped to it."""
+    return j[rows], np.clip(starts, rows.start, rows.stop)
 
 
 class TestFreshAtomRule:
@@ -320,13 +326,13 @@ class TestFreshAtomRule:
 
     @staticmethod
     def _rows(engine):
-        pairs = engine._step_pairs(np.nonzero(engine.known_mask)[0])
-        return _assembled(engine.kernel, engine.positions, pairs)
+        rows = engine._step_pairs(np.nonzero(engine.known_mask)[0])
+        return _assembled(engine.kernel, engine.positions, rows)
 
     @staticmethod
     def _replicated_rows(system, world, owned_mask):
-        pairs = NeighborList(system.box, system.scheme, system.exclusions).build(world)
-        i, j, e_lj, e_el, fvec = _assembled(system.nonbonded, world, pairs)
+        rows = NeighborList(system.box, system.scheme, system.exclusions).build(world)
+        i, j, e_lj, e_el, fvec = _assembled(system.nonbonded, world, rows)
         mine = owned_mask[i] | owned_mask[j]
         return i[mine], j[mine], e_lj[mine], e_el[mine], fvec[mine]
 
@@ -502,8 +508,8 @@ class TestStreamedStep:
         overshoots it."""
         T = 2048
         system, engine = built
-        pairs = engine._step_pairs(np.flatnonzero(engine.known_mask))
-        n_tiles = len(pairs) // T
+        j, starts = engine._step_pairs(np.flatnonzero(engine.known_mask))
+        n_tiles = len(j) // T
         assert n_tiles >= 4
         monkeypatch.setattr("repro.md.nonbonded.PAIR_TILE_ROWS", T)
 
@@ -522,10 +528,11 @@ class TestStreamedStep:
             return top
 
         one_tile = max(
-            peak(pairs[k * T : (k + 1) * T].copy()) for k in range(n_tiles)
+            peak(_row_slice(j.copy(), starts, slice(k * T, (k + 1) * T)))
+            for k in range(n_tiles)
         )
-        n_owned = int(np.count_nonzero(engine.owned_mask[pairs[:, 0]]))
-        assert peak(pairs) <= one_tile + 32 * n_owned + 4096
+        n_owned = int(np.diff(starts)[engine.owned_mask].sum())
+        assert peak((j, starts)) <= one_tile + 32 * n_owned + 4096
 
 
 class TestBoundaryAtom:

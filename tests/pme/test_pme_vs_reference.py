@@ -68,8 +68,9 @@ class TestTotalElectrostatics:
             elec_mode="ewald",
             ewald_alpha=alpha,
         )
-        pairs = brute_force_pairs(pos, box, r_cut)
-        direct, f_direct = kern.compute(pos, pairs)
+        pairs = brute_force_pairs(pos, box, r_cut)  # sorted: rows of each atom together
+        starts = np.searchsorted(pairs[:, 0], np.arange(len(pos) + 1))
+        direct, f_direct = kern.compute(pos, pairs[:, 1], starts)
         pme = PME(box, grid, alpha, order=6)
         rec = pme.reciprocal(pos, q)
         e = direct.elec + rec.energy + self_energy(q, alpha)

@@ -158,6 +158,7 @@ class TestCampaignCommand:
             ("--retries", "-1", "retries must be >= 0, got -1"),
             ("--timeout", "-5", "timeout must be > 0 seconds, got -5.0"),
             ("--timeout", "0", "timeout must be > 0 seconds, got 0.0"),
+            ("--workers", "-1", "n_workers must be >= 0, got -1"),
         ],
     )
     def test_run_bad_setting_errors_before_the_store(
@@ -213,6 +214,16 @@ class TestCampaignCommand:
         ]
         assert main(verify) == 2
         assert "no stored entry is addressable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sample", ["0", "-1"])
+    def test_verify_sample_below_one_errors(self, tmp_path, capsys, sample):
+        """Rather than passing with nothing re-run (0), or failing inside
+        numpy (-1)."""
+        assert main(["campaign", "run", *self._args(tmp_path, "--ranks", "1")]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "verify", *self._args(tmp_path, "--sample", sample)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: sample must be >= 1, got {sample}\n"
 
     def test_failed_point_returns_nonzero(self, tmp_path, capsys):
         # 32 uni-CPU ranks exceed the 16-node cluster: the point fails
