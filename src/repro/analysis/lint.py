@@ -46,10 +46,11 @@ ways Python leaks host state into a simulation (the determinism rules):
 Protocol calls are recognised by the repo's naming conventions
 (receivers named ``ep``/``endpoint``, ``mw``/``middleware``, the
 ``collectives`` module, ``*req`` request handles, and ``self`` inside
-``*Middleware``/``*Endpoint`` classes).  Intentional exceptions are
-suppressed with a trailing ``# repro: noqa[REPxxx]`` (or ``# noqa:
-REPxxx``) comment, see :func:`repro.analysis.baseline.inline_suppressions`;
-whole files (golden bad-program fixtures) opt out with a
+``*Middleware``/``*Endpoint`` classes).  The analyzer has one
+suppression mechanism, this module's: an intentional exception carries
+a trailing ``# repro: noqa[REPxxx]`` (or ``# noqa: REPxxx``) comment
+with its reason on that line (:func:`inline_suppressions`), and whole
+files (golden bad-program fixtures) opt out with a
 ``# repro-analyze: skip-file`` marker in their first lines.
 """
 
@@ -57,18 +58,44 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 from pathlib import Path
 
-from .baseline import inline_suppressions
 from .rules import ERROR, Diagnostic
 
 __all__ = [
-    "lint_source", "lint_paths", "SKIP_MARKER", "VIRTUAL_TIME_PACKAGES", "is_virtual_time_path",
+    "lint_source", "lint_paths", "inline_suppressions", "SKIP_MARKER",
+    "VIRTUAL_TIME_PACKAGES", "is_virtual_time_path",
 ]
 
 #: Files whose first lines contain this marker are skipped by
 #: :func:`lint_paths` (used for the golden bad-program test fixtures).
 SKIP_MARKER = "repro-analyze: skip-file"
+
+#: ``# repro: noqa[REP503]`` / ``# repro: noqa[REP503, REP504]`` /
+#: ``# repro: noqa`` (bare = suppress everything on the line)
+_REPRO_NOQA_RE = re.compile(
+    r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Z0-9, ]+)\])?", re.IGNORECASE
+)
+#: the widespread flake8 spelling, honoured for compatibility
+_LEGACY_NOQA_RE = re.compile(
+    r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE
+)
+
+
+def inline_suppressions(line: str) -> set[str] | None:
+    """Rule codes suppressed on this line, or None when no noqa comment.
+
+    An empty set means "suppress every rule on this line".
+    """
+    m = _REPRO_NOQA_RE.search(line) or _LEGACY_NOQA_RE.search(line)
+    if m is None:
+        return None
+    codes = m.group("codes")
+    if not codes:
+        return set()
+    return {c.strip().upper() for c in codes.split(",") if c.strip()}
+
 
 #: Sub-packages of ``repro`` whose code runs under the simulated clock.
 #: Host-identity reads there (REP505) poison virtual timings.

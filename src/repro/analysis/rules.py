@@ -10,9 +10,11 @@ by layer:
   (:mod:`repro.analysis.lint`);
 * **REP3xx** — runtime sanitizer invariants checked during a simulated
   run, live or replayed (:mod:`repro.analysis.sanitizer`);
-* **REP4xx** — static communication-schedule verification: schedules
-  extracted from rank-program ASTs without executing a run
-  (:mod:`repro.analysis.static_schedule`);
+* **REP4xx** — static communication-schedule verification: op streams
+  extracted from rank-program ASTs without running them, proved by the
+  op executor (:mod:`repro.analysis.static_schedule`).  REP404, two
+  sends in flight on one channel, is the sanitizer's channel check, so
+  a sanitized run reports it too;
 * **REP5xx** — determinism rules protecting the bit-identical-results
   invariant, emitted by the same AST pass as REP1xx
   (:mod:`repro.analysis.lint`).  REP501 (unseeded randomness) and REP502
@@ -22,7 +24,7 @@ by layer:
 The REP2xx trace-analysis rules are retired: an unmatched send or
 receive fails the run's drain check (REP305 when sanitized), a wait-for
 cycle fails it as a deadlock naming the blocked traffic, collective
-order is REP306, and the static REP404 is the tag-collision rule.
+order is REP306, and REP404 is the tag-collision rule.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ _RULE_LIST = [
         "REP404",
         "static-schedule",
         WARNING,
-        "static tag race: two messages in flight at once share (src, dst, tag)",
+        "tag race: two sends in flight at once share (src, dst, tag)",
     ),
     Rule(
         "REP405",
@@ -178,14 +180,13 @@ class Diagnostic:
         return f"{where}{self.rule} [{self.severity}]{cond} {self.message}"
 
     def fingerprint(self) -> str:
-        """Stable identity for baseline suppression.
+        """Stable identity for SARIF alert tracking.
 
         Deliberately excludes the line number (so unrelated edits above a
-        grandfathered finding do not un-suppress it) but keeps the rule,
-        the file and the message text.  Absolute paths are relativized
-        against the working directory so a baseline written by the CLI
-        (repo-relative paths) matches findings produced from absolute
-        paths in the same checkout.
+        finding do not make it a new alert) but keeps the rule, the file
+        and the message text.  Absolute paths are relativized against the
+        working directory so findings produced from absolute paths match
+        the CLI's repo-relative ones in the same checkout.
         """
         import hashlib
         from pathlib import Path, PurePosixPath

@@ -35,12 +35,18 @@ Invariants (rule ids in :mod:`repro.analysis.rules`):
   its collective tags from the same SPMD sequence, so one tag names one
   operation on every rank (:meth:`Sanitizer.check_collective`, called
   at each draw).  Two collectives of the same size that share a tag
-  would otherwise cross-match silently and time the wrong operation.
+  would otherwise cross-match silently and time the wrong operation;
+* **REP404** (warning) — a send is posted while an earlier send on its
+  ``(src, dst, tag)`` channel is still unmatched
+  (:meth:`Sanitizer.check_channel`, called only when the matching
+  engine queues a send behind another): FIFO matching pairs them as
+  posted, but a reordering would cross-match them.  The static
+  verifier's proof runs this check on the schedule that exposes it.
 
-In strict mode (the default) the first violation raises
+In strict mode (the default) the first error raises
 :class:`SanitizerError`, turning silent wrong-timing bugs into crashes;
-with ``strict=False`` violations accumulate on ``.violations`` for
-reporting.
+with ``strict=False`` errors accumulate on ``.violations`` for
+reporting.  Warnings accumulate there in both modes.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from __future__ import annotations
 import math
 
 from ..mpi.message import payload_dtype, payload_nbytes
-from .rules import ERROR, Diagnostic
+from .rules import ERROR, WARNING, Diagnostic
 
 __all__ = ["Sanitizer", "SanitizerError"]
 
@@ -70,12 +76,13 @@ class Sanitizer:
         self._collectives: dict[int, tuple[str, int]] = {}
 
     def _report(
-        self, rule: str, message: str, ranks: tuple[int, ...] = (), tag: int | None = None
+        self, rule: str, message: str, ranks: tuple[int, ...] = (), tag: int | None = None,
+        severity: str = ERROR,
     ) -> None:
         diag = Diagnostic(
-            rule=rule, message=message, severity=ERROR, ranks=ranks, tag=tag
+            rule=rule, message=message, severity=severity, ranks=ranks, tag=tag
         )
-        if self.strict:
+        if self.strict and severity == ERROR:
             raise SanitizerError(diag.format())
         self.violations.append(diag)
 
@@ -112,6 +119,20 @@ class Sanitizer:
                     ranks=ranks,
                     tag=msg.tag,
                 )
+
+    # ------------------------------------------------------------------
+    def check_channel(self, msg) -> None:
+        """REP404: ``msg`` is posted while an earlier send on its channel
+        is unmatched (the matching engine calls this only then)."""
+        self._report(
+            "REP404",
+            f"rank {msg.src} posts a second in-flight send to rank {msg.dest} "
+            f"with tag {msg.tag} before the first is received (FIFO match "
+            "order is ambiguous)",
+            ranks=(msg.src, msg.dest),
+            tag=msg.tag,
+            severity=WARNING,
+        )
 
     # ------------------------------------------------------------------
     def check_plan(self, plan, ready_time: float) -> None:

@@ -1,44 +1,37 @@
 """Static communication-schedule verification (rules REP401-REP406).
 
-The schedule of every rank program is extracted per (rank, p)
-instantiation for every p up to a bound, with no simulator running.  A
-progress engine then matches the per-rank send/recv/collective micro-op
-streams against each other to prove, for every verified p,
+Every rank program is instantiated per (rank, p) for every p up to a
+bound without running it, and each rank's schedule is extracted as the
+op stream (:class:`~repro.mpi.endpoint.OpStream`) a live run records.
+The real op executor then runs the streams
+(:func:`~repro.mpi.endpoint.replay_program`) with every send
+rendezvous, and what that run leaves proves, per p: no deadlock
+(REP401), no unmatched send or receive (REP402/REP403), no two sends in
+flight on one ``(src, dst, tag)`` channel and no size/dtype
+disagreement where both ends are concrete (REP404/REP405, the
+sanitizer's checks).  The streams' tag draws must agree across ranks
+and conform to the strategy's declared
+:class:`~repro.analysis.contract.ScheduleContract` (REP406).
 
-* deadlock-freedom under rendezvous semantics (REP401),
-* every send is received and every receive is sent (REP402/REP403),
-* no two in-flight messages share ``(src, dst, tag)`` (REP404),
-* declared payload sizes/dtypes agree where both ends are concrete
-  (REP405),
-* the collective sequence is identical across ranks and conforms to the
-  strategy's declared :class:`~repro.analysis.contract.ScheduleContract`
-  (REP406).
-
-Rank programs are interpreted; everything below them is executed.  The
-rank programs (:mod:`repro.parallel.pmd`, ``ppme``, ``pfft``,
-``pclassic``, :mod:`repro.parallel.spatial.program` and the golden
-fixtures) do numpy work on data the verifier does not have, so an
-abstract interpreter walks their ASTs: control flow — ``ep.rank``,
-``ep.size``, loops over ranks and FFT planes, rank-dependent branches —
-evaluates for real, while the data the program moves stays symbolic
+Rank programs are interpreted; everything below them is executed.  An
+abstract interpreter walks the rank programs' ASTs: control flow —
+``ep.rank``, ``ep.size``, loops over ranks and FFT planes — evaluates
+for real, while the data they move stays symbolic
 (:mod:`repro.analysis.symbolic`).  When interpreted code reaches
 ``mw.<op>(ep, ...)`` or ``yield from ep.<primitive>(...)``, the real
 middleware, collective and endpoint generators run against a
-:class:`_RecordingEndpoint`, which turns each op batch they yield into
-micro-ops: the ops :meth:`~repro.mpi.endpoint.OpBatch._advance` would
-execute.  Real code is handed stand-in arrays for symbolic payloads and
-the recording endpoint maps them back, so the boundary between symbolic
-and real values lives in that one class.
+:class:`_RecordingEndpoint`, which records the op batches they yield
+and is the one boundary between symbolic and real values.
 
-Soundness model: the verifier is *conservative where it is symbolic*.
-All sends are treated as rendezvous (a program whose completion depends
-on eager buffering is unsafe per the MPI standard and is reported as a
-deadlock); size/dtype agreement is only checked where both sides are
-concrete; a branch whose condition cannot be decided statically is
-skippable only when neither arm communicates — otherwise extraction
-fails loudly (REP406) instead of guessing, as does an exception inside
-real code.  Findings are grouped over the verified p-range into a
-symbolic p-condition ("odd p in [3, 31]").
+The verifier is *conservative where it is symbolic*: completion that
+depends on eager buffering is a deadlock; a size or dtype it cannot
+know is a marker equal to every value; a branch it cannot decide may
+be skipped only when neither arm communicates, otherwise extraction
+fails (REP406) instead of guessing, as does an exception inside real
+code.  Findings are grouped over the verified p-range into a symbolic
+p-condition ("odd p in [3, 31]").  :func:`extract_streams` equals the
+streams a live run of the same trajectory records, less their compute
+charges and attributions: the cross-check against reality.
 
 This module must not import :mod:`repro.parallel` at import time (the
 parallel package imports :mod:`repro.analysis.contract`); the rank
@@ -48,37 +41,46 @@ programs are parsed from source by path instead.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import math
+import operator
 import sys
 import traceback
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import GeneratorType
 
 import numpy as np
 
+from ..cluster.machine import ClusterSpec
+from ..cluster.network import score_gigabit_ethernet
 from ..cmpi import middleware as cmpi_middleware
 from ..cmpi.middleware import CMPIMiddleware
 from ..instrument.timeline import Timeline
 from ..mpi import collectives
 from ..mpi import middleware as mpi_middleware
 from ..mpi.endpoint import (
-    CHARGE, COLLECTIVE_TAG_BASE, POST, RECV, SEND, WAIT,
-    OpBatch, RankEndpoint, RecvRequest, SendRequest,
+    BATCH_ENTRY, CHARGE, COLLECTIVE_TAG_BASE, DRAW_ENTRY, POST, POST_ENTRY, RECV, SEND, WAIT,
+    WAIT_ENTRY, OpBatch, OpStream, RankEndpoint, RecvRequest, SendRequest, replay_program,
 )
+from ..mpi.message import PayloadSize
 from ..mpi.middleware import Middleware, MPIMiddleware
+from ..mpi.world import MPIWorld
+from ..sim.engine import SimulationError, Simulator
 from .rules import RULES, Diagnostic
-from .symbolic import Block, SymSize, SymTag, summarize_p_set
+from .sanitizer import Sanitizer
+from .symbolic import SYMBOLIC_DTYPE, SYMBOLIC_NBYTES, Block, SymSize, SymTag, summarize_p_set
 
 __all__ = [
     "StaticExtractionError",
     "verify_rank_program_source",
     "verify_middleware_collectives",
+    "extract_streams",
     "extract_strategy_collective_ops",
     "verify_contract_conformance",
     "verify_strategy",
     "verify_static",
-    "static_step_events",
-    "crosscheck_against_trace",
     "STRATEGIES",
     "MIDDLEWARES",
     "SPATIAL_PROFILES",
@@ -87,7 +89,7 @@ __all__ = [
 #: Interpreter work budget per (rank, p) instantiation — a runaway loop
 #: in an analyzed program fails extraction instead of hanging the tool.
 _MAX_STEPS = 2_000_000
-_MAX_OPS_PER_RANK = 200_000
+_MAX_ENTRIES_PER_RANK = 200_000
 _MAX_CALL_DEPTH = 64
 
 
@@ -105,13 +107,6 @@ class StaticExtractionError(Exception):
 
 class _Unknown:
     """The opaque top value: absorbs arithmetic, attributes and calls."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "<unknown>"
@@ -132,9 +127,6 @@ class _Opaque:
 
     def getattr(self, name: str):
         return self.attrs.get(name, UNKNOWN)
-
-    def setattr(self, name: str, value) -> None:
-        self.attrs[name] = value
 
 
 class _AnyFunc:
@@ -171,33 +163,23 @@ _NP_SENTINEL = _NP()
 
 
 # ---------------------------------------------------------------------------
-# micro-ops: the extracted schedule
-
-
-@dataclass
-class MicroOp:
-    """One schedule event of one rank, in program order."""
-
-    kind: str  # post_send | wait_send | post_recv | wait_recv | collective | mw
-    loc: tuple[str, int]
-    peer: int | None = None
-    tag: object = None  # SymTag | int (display form)
-    abs_tag: int | None = None  # runtime matching key
-    size: SymSize | None = None
-    dtype: str | None = None
-    op: str | None = None  # collective / middleware op name
-    invocation: int | None = None  # 1-based next_collective_tag draw index
-    ref: int | None = None  # send/recv id a wait refers to
-
-
-# ---------------------------------------------------------------------------
 # the recording endpoint: real middleware code runs against it
 
-#: The real code the verifier executes below the rank programs; a
-#: micro-op or error raised inside it carries its innermost line here.
+#: The real code the verifier executes below the rank programs; an
+#: entry or error raised inside it carries its innermost line here.
 _MIDDLEWARE_FILES = frozenset(
     module.__file__ for module in (collectives, mpi_middleware, cmpi_middleware)
 )
+
+#: The attribution of every static entry: the proof books no time, so
+#: it records no phase.
+_ATTRIBUTION = Timeline().attribution
+
+#: What a send of a payload the verifier cannot size carries.
+_SYMBOLIC_PAYLOAD = PayloadSize(SYMBOLIC_NBYTES, SYMBOLIC_DTYPE)
+
+#: The block a receive wait at a source line delivers, per line.
+_RECEIVED: dict[tuple[str, int], Block] = {}
 
 
 def _middleware_loc(frames) -> tuple[str, int] | None:
@@ -223,12 +205,15 @@ def _short(loc: tuple[str, int]) -> str:
 
 
 class _RecordingEndpoint:
-    """A :class:`~repro.mpi.endpoint.RankEndpoint` that records micro-ops.
+    """A :class:`~repro.mpi.endpoint.RankEndpoint` that records an op stream.
 
     ``send``/``recv``/``sendrecv``/``batch`` are the real endpoint's, and
     ``isend``/``irecv`` return real requests; :meth:`drive` runs a real
-    generator and records each op batch it yields instead of executing
-    it.  Real code is handed *stand-ins* for symbolic payloads: an array
+    generator and records each op batch it yields as
+    :class:`~repro.mpi.endpoint.OpStreamRecorder` would, save compute
+    charges, keeping each entry's, post's and split-phase wait's line.
+
+    Real code is handed *stand-ins* for symbolic payloads: an array
     ``[i, 1]`` for the ``i``-th payload this endpoint handed out, which
     real code can copy, size and add (a sum of k stand-ins has k in its
     second place).  :meth:`symbolic` maps them back.
@@ -250,11 +235,14 @@ class _RecordingEndpoint:
         self.size = size
         self.interp = interp
         self.timeline = Timeline()
-        self.ops: list[MicroOp] = []
+        self.entries: list[tuple] = []
+        self.locs: list[tuple[str, int]] = []  # per entry
+        self.post_locs: list[tuple[str, int]] = []  # per posted request
+        self.wait_locs: dict[int, tuple[str, int]] = {}  # post index -> split-phase wait
+        #: the middleware ops the rank program calls, in call order
+        self.mw_ops: list[str] = []
         self._draws = 0
-        self._sends = 0
-        self._recvs = 0
-        self._posted: dict = {}  # request -> its send or receive id
+        self._split: dict = {}  # split-phase request -> (its index, its post index)
         self._payloads: list = []  # stand-in index -> Block or UNKNOWN
         self._at: tuple[str, int] | None = None  # middleware line of the batch
 
@@ -264,11 +252,15 @@ class _RecordingEndpoint:
             return self._at
         return self.interp.loc if self.interp is not None else ("<middleware>", 0)
 
-    def emit(self, kind: str, loc: tuple[str, int] | None = None, **kw) -> None:
-        self.ops.append(MicroOp(kind=kind, loc=loc or self.loc, **kw))
-        if len(self.ops) > _MAX_OPS_PER_RANK:
+    def stream(self) -> OpStream:
+        return OpStream(tuple(self.entries), array("d"))
+
+    def _add(self, kind: int, body, loc: tuple[str, int]) -> None:
+        self.entries.append((kind, _ATTRIBUTION, body))
+        self.locs.append(loc)
+        if len(self.entries) > _MAX_ENTRIES_PER_RANK:
             raise StaticExtractionError(
-                f"rank {self.rank} schedule exceeds {_MAX_OPS_PER_RANK} events", self.loc
+                f"rank {self.rank} schedule exceeds {_MAX_ENTRIES_PER_RANK} entries", loc
             )
 
     # -- the boundary between symbolic and real values ------------------
@@ -296,10 +288,8 @@ class _RecordingEndpoint:
     def next_collective_tag(self, op="collective"):
         self._draws += 1
         caller = sys._getframe(1)
-        self.emit(
-            "collective", _middleware_loc([(caller.f_code, caller.f_lineno)]),
-            op=op if isinstance(op, str) else "collective", invocation=self._draws,
-        )
+        loc = _middleware_loc([(caller.f_code, caller.f_lineno)]) or self.loc
+        self._add(DRAW_ENTRY, op if isinstance(op, str) else "collective", loc)
         return SymTag(base=self._draws)
 
     def compute(self, seconds=None):
@@ -349,98 +339,90 @@ class _RecordingEndpoint:
             self._at = None
 
     def record(self, ops) -> list:
-        """The micro-ops of one op batch, op by op as
-        :meth:`~repro.mpi.endpoint.OpBatch._advance` runs them; returns
+        """Record one op batch as
+        :meth:`~repro.mpi.endpoint.OpBatch._advance` would run it; returns
         the stand-ins its receive waits deliver, in wait order."""
-        reqs: list = []
-        received = []
+        if len(ops) == 1 and ops[0][0] in (POST, WAIT) and type(ops[0][1]) is not int:
+            return self._record_split(*ops[0])
+        loc = self.loc
+        posts, body, received = [], [], []  # posts: the code of each request op
         for op in ops:
             code = op[0]
-            if code == WAIT:
-                req = reqs[op[1]] if type(op[1]) is int else op[1]
-                ref = self._posted.get(req)
-                if ref is None:
-                    raise StaticExtractionError("wait on a request that was never posted", self.loc)
-                if type(req) is SendRequest:
-                    self.emit("wait_send", ref=ref)
-                    continue
-                self.emit("wait_recv", ref=ref)
-                name = f"msg@{_short(self.loc)}"
-                received.append(self.stand_in(Block(name, SymSize(name=name), None)))
+            if code == SEND:
+                op = self._send_op(self._peer(op[1], "destination"), op[2], op[3])
+            elif code == RECV:
+                op = self._recv_op(self._peer(op[1], "source"), *op[2:])
+            elif code == WAIT and type(op[1]) is int:
+                if posts[op[1]] == RECV:
+                    received.append(self._received())
             elif code != CHARGE:
-                if code == SEND:
-                    req = self.isend(op[1], op[3], op[2])
-                elif code == RECV:
-                    req = self.irecv(*op[1:])
-                elif code == POST:
-                    req = op[1]
-                else:
-                    raise StaticExtractionError(f"op is not statically known ({op!r})", self.loc)
-                self._post(req)
-                reqs.append(req)
+                raise StaticExtractionError(f"op is not statically known ({op!r})", loc)
+            if code == SEND or code == RECV:
+                posts.append(code)
+            body.append(op)
+        self.post_locs += [loc] * len(posts)
+        self._add(BATCH_ENTRY, tuple(body), loc)
         return received
 
-    def _post(self, req) -> None:
-        if type(req) is SendRequest:
-            self._sends += 1
-            ref, kind, peer = self._sends, "post_send", req.dest
-            size, dtype = self._payload_info(req.payload)
-        else:
-            self._recvs += 1
-            ref, kind, peer = self._recvs, "post_recv", req.source
-            # what middleware declares derives from its stand-ins, save
-            # the one-byte synchronization message
-            declared = self._at is None or req.expect_dtype == "bytes"
-            nbytes, dtype = req.expect_nbytes, req.expect_dtype
-            size = SymSize(value=nbytes) if declared and isinstance(nbytes, int) else SymSize()
-            dtype = dtype if declared and isinstance(dtype, str) else None
-        self._posted[req] = ref
-        self.emit(
-            kind, peer=peer, tag=req.tag, abs_tag=self._abs_tag(req.tag),
-            size=size, dtype=dtype, ref=ref,
-        )
+    def _record_split(self, code: int, req) -> list:
+        """A split-phase request the program holds: its post, or a wait on it."""
+        loc = self.loc
+        if code == POST:
+            self._split[req] = (len(self._split), len(self.post_locs))
+            self.post_locs.append(loc)
+            if type(req) is SendRequest:
+                op = self._send_op(req.dest, req.tag, req.payload)
+            else:
+                op = self._recv_op(req.source, req.tag, req.expect_nbytes, req.expect_dtype)
+            self._add(POST_ENTRY, op, loc)
+            return []
+        if req not in self._split:
+            raise StaticExtractionError("wait on a request that was never posted", loc)
+        split, post = self._split[req]
+        self.wait_locs.setdefault(post, loc)
+        self._add(WAIT_ENTRY, split, loc)
+        return [] if type(req) is SendRequest else [self._received()]
 
-    def _payload_info(self, payload) -> tuple[SymSize, str | None]:
+    def _send_op(self, dest: int, tag, payload) -> tuple:
         payload = self.symbolic(payload)
         if isinstance(payload, bytes):
-            return SymSize(value=len(payload)), "bytes"
-        if isinstance(payload, Block):
-            return payload.size, payload.dtype
-        return SymSize(name=f"?@{_short(self.loc)}"), None
+            size = PayloadSize(len(payload), "bytes")
+        elif isinstance(payload, Block):
+            nbytes = payload.size.value if payload.size.concrete else SYMBOLIC_NBYTES
+            size = PayloadSize(nbytes, payload.dtype or SYMBOLIC_DTYPE)
+        else:
+            size = _SYMBOLIC_PAYLOAD
+        return (SEND, dest, self._offset(tag), size)
 
-    def _abs_tag(self, tag) -> int:
-        if isinstance(tag, SymTag):
-            return tag.absolute(COLLECTIVE_TAG_BASE)
+    def _recv_op(self, source: int, tag, nbytes, dtype) -> tuple:
+        # what middleware declares derives from its stand-ins, save the
+        # one-byte synchronization message
+        declared = self._at is None or dtype == "bytes"
+        return (
+            RECV, source, self._offset(tag),
+            nbytes if declared and isinstance(nbytes, int) else SYMBOLIC_NBYTES,
+            dtype if declared and isinstance(dtype, str) else SYMBOLIC_DTYPE,
+        )
+
+    def _received(self):
+        """The stand-in a receive wait delivers: a block named by its line."""
+        loc = self.loc
+        block = _RECEIVED.get(loc)
+        if block is None:
+            name = f"msg@{_short(loc)}"
+            block = _RECEIVED[loc] = Block(name, SymSize(name=name), None)
+        return self.stand_in(block)
+
+    def _offset(self, tag) -> int:
+        """A message tag as an offset from the rank's last draw's."""
+        base = COLLECTIVE_TAG_BASE + 16 * self._draws
+        if type(tag) is SymTag:
+            return tag.absolute(COLLECTIVE_TAG_BASE) - base
         if isinstance(tag, int):
-            return tag
+            return tag - base
         raise StaticExtractionError(
             f"message tag is not statically known ({self.symbolic(tag)!r})", self.loc
         )
-
-
-class _AbstractMW(Middleware):
-    """Contract-extraction middleware: records op names, expands nothing."""
-
-    def barrier(self, ep):
-        return self._op(ep, "barrier", None)
-
-    def allreduce(self, ep, array, op=np.add):
-        return self._op(ep, "allreduce", UNKNOWN)
-
-    def allgatherv(self, ep, block):
-        return self._op(ep, "allgatherv", [UNKNOWN] * ep.size)
-
-    def alltoallv(self, ep, send_blocks):
-        return self._op(ep, "alltoallv", [UNKNOWN] * ep.size)
-
-    def exchange(self, ep, dest, payload, source, tag=0):
-        return self._op(ep, "exchange", UNKNOWN)
-
-    @staticmethod
-    def _op(ep: _RecordingEndpoint, name: str, result):
-        ep.emit("mw", op=name)
-        yield from ()
-        return result
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +466,16 @@ def _fold_const(node: ast.expr):
     """Best-effort compile-time value of a module-level expression."""
     if isinstance(node, ast.Constant):
         return node.value
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
         v = _fold_const(node.operand)
         if _is_concrete(v) and not isinstance(v, (str, bytes)):
-            return -v if isinstance(node.op, ast.USub) else v
+            return _UNARY[type(node.op)](v)
     if isinstance(node, ast.BinOp):
         left, right = _fold_const(node.left), _fold_const(node.right)
         if _is_concrete(left) and _is_concrete(right):
             try:
-                return _apply_binop(node.op, left, right)
-            except Exception:
+                return _BINOPS[type(node.op)](left, right)
+            except Exception:  # an unsupported operator too
                 return UNKNOWN
     if isinstance(node, (ast.Tuple, ast.List)):
         items = [_fold_const(e) for e in node.elts]
@@ -502,20 +484,16 @@ def _fold_const(node: ast.expr):
     return UNKNOWN
 
 
-def _apply_binop(op: ast.operator, a, b):
-    if isinstance(op, ast.Add):
-        return a + b
-    if isinstance(op, ast.Sub):
-        return a - b
-    if isinstance(op, ast.Mult):
-        return a * b
-    if isinstance(op, ast.Div):
-        return a / b
-    if isinstance(op, ast.FloorDiv):
-        return a // b
-    if isinstance(op, ast.Mod):
-        return a % b
-    raise TypeError(f"unsupported operator {op!r}")
+#: the operators the interpreter applies to concrete values
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+_BINOPS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+}
+_COMPARISONS = {
+    ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+    ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
+}
 
 
 class Registry:
@@ -693,25 +671,18 @@ class _Return(Exception):
 #: attribute/function names whose calls constitute communication; a branch
 #: containing none of these (nor a tag draw) is schedule-irrelevant and may
 #: be skipped when its condition is not statically decidable.
-_COMM_NAMES = frozenset(
-    {
-        "isend", "irecv", "send", "recv", "sendrecv", "batch", "next_collective_tag",
-        "barrier", "allreduce", "allgatherv", "alltoallv", "bcast", "reduce",
-        "sync", "wait", "reciprocal", "forward", "inverse", "exchange",
-    }
-)
+_COMM_NAMES = frozenset({
+    "isend", "irecv", "send", "recv", "sendrecv", "batch", "next_collective_tag",
+    "barrier", "allreduce", "allgatherv", "alltoallv", "bcast", "reduce",
+    "sync", "wait", "reciprocal", "forward", "inverse", "exchange",
+})
 
 
 def _has_comm_effects(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            fn = sub.func
-            name = fn.attr if isinstance(fn, ast.Attribute) else (
-                fn.id if isinstance(fn, ast.Name) else None
-            )
-            if name in _COMM_NAMES:
-                return True
-    return False
+    return any(
+        getattr(sub.func, "attr", getattr(sub.func, "id", None)) in _COMM_NAMES
+        for sub in ast.walk(node) if isinstance(sub, ast.Call)
+    )
 
 
 class _Frame:
@@ -759,26 +730,14 @@ class Interp:
     def _bind(self, func: ast.FunctionDef, args, kwargs, self_obj, module) -> dict:
         a = func.args
         names = [arg.arg for arg in a.args]
-        local: dict = {}
-        pos = list(args)
-        if self_obj is not None:
-            pos = [self_obj] + pos
-        for i, name in enumerate(names):
-            if i < len(pos):
-                local[name] = pos[i]
+        local = dict(zip(names, ([] if self_obj is None else [self_obj]) + list(args)))
         # defaults for trailing positional params
-        defaults = a.defaults
-        for i, dflt in enumerate(defaults):
-            name = names[len(names) - len(defaults) + i]
+        for name, dflt in zip(names[len(names) - len(a.defaults):], a.defaults):
             if name not in local:
                 local[name] = self._eval(dflt, _Frame(module, {}))
         for arg, dflt in zip(a.kwonlyargs, a.kw_defaults):
-            if dflt is not None:
-                local[arg.arg] = self._eval(dflt, _Frame(module, {}))
-            else:
-                local[arg.arg] = UNKNOWN
-        for k, v in kwargs.items():
-            local[k] = v
+            local[arg.arg] = UNKNOWN if dflt is None else self._eval(dflt, _Frame(module, {}))
+        local.update(kwargs)
         for name in names:
             local.setdefault(name, UNKNOWN)
         return local
@@ -926,12 +885,9 @@ class Interp:
             if isinstance(node.op, ast.Not):
                 t = self._truth(v)
                 return UNKNOWN if t is None else (not t)
-            if _is_concrete(v) and not isinstance(v, (str, bytes)):
+            if _is_concrete(v) and not isinstance(v, (str, bytes)) and type(node.op) in _UNARY:
                 try:
-                    if isinstance(node.op, ast.USub):
-                        return -v
-                    if isinstance(node.op, ast.UAdd):
-                        return +v
+                    return _UNARY[type(node.op)](v)
                 except Exception:
                     return UNKNOWN
             return UNKNOWN
@@ -1046,7 +1002,7 @@ class Interp:
             if (_is_concrete(left) or isinstance(left, (list, tuple))) and (
                 _is_concrete(right) or isinstance(right, (list, tuple))
             ):
-                return _apply_binop(op, left, right)
+                return _BINOPS[type(op)](left, right)
         except Exception:
             return UNKNOWN
         return UNKNOWN
@@ -1068,7 +1024,6 @@ class Interp:
 
     def _compare(self, node: ast.Compare, frame: _Frame):
         left = self._eval(node.left, frame)
-        result = True
         for op, comp in zip(node.ops, node.comparators):
             right = self._eval(comp, frame)
             one = self._compare_one(op, left, right)
@@ -1077,7 +1032,7 @@ class Interp:
             if not one:
                 return False
             left = right
-        return result
+        return True
 
     @staticmethod
     def _definitely_not_none(v) -> bool:
@@ -1096,20 +1051,9 @@ class Interp:
                     return UNKNOWN
                 return (eq if isinstance(op, ast.Is) else not eq)
             return UNKNOWN
-        if _is_concrete(left) and _is_concrete(right):
+        if _is_concrete(left) and _is_concrete(right) and type(op) in _COMPARISONS:
             try:
-                if isinstance(op, ast.Eq):
-                    return left == right
-                if isinstance(op, ast.NotEq):
-                    return left != right
-                if isinstance(op, ast.Lt):
-                    return left < right
-                if isinstance(op, ast.LtE):
-                    return left <= right
-                if isinstance(op, ast.Gt):
-                    return left > right
-                if isinstance(op, ast.GtE):
-                    return left >= right
+                return _COMPARISONS[type(op)](left, right)
             except Exception:
                 return UNKNOWN
         if isinstance(op, (ast.Eq, ast.NotEq)) and isinstance(left, (SymTag, Block, SymSize)):
@@ -1156,6 +1100,7 @@ class Interp:
         owner = getattr(func, "__self__", None)
         real = owner is self.ep or isinstance(owner, (Middleware, SendRequest, RecvRequest))
         if isinstance(owner, Middleware):
+            self.ep.mw_ops.append(func.__name__)
             args = self.ep.stand_in(args)
             kwargs = {k: self.ep.stand_in(v) for k, v in kwargs.items()}
         if callable(func):
@@ -1205,15 +1150,9 @@ _BUILTINS = {
     "min": lambda *a, **k: min(*a) if a and all(_is_concrete(x) and x is not None for x in a) else UNKNOWN,
     "max": lambda *a, **k: max(*a) if a and all(_is_concrete(x) and x is not None for x in a) else UNKNOWN,
     "abs": lambda x=0: abs(x) if _is_concrete(x) and x is not None and not isinstance(x, (str, bytes)) else UNKNOWN,
-    "sum": lambda *a, **k: UNKNOWN,
     "sorted": lambda x=(), **k: sorted(x) if isinstance(x, (list, tuple, range)) else UNKNOWN,
-    "isinstance": lambda *a, **k: UNKNOWN,
     "print": lambda *a, **k: None,
     "divmod": lambda a=0, b=1: divmod(a, b) if _is_concrete(a) and _is_concrete(b) else UNKNOWN,
-    "ValueError": _ANY_FUNC,
-    "TypeError": _ANY_FUNC,
-    "RuntimeError": _ANY_FUNC,
-    "AssertionError": _ANY_FUNC,
 }
 
 
@@ -1270,210 +1209,186 @@ _CLASS_MODELS = {
 
 
 # ---------------------------------------------------------------------------
-# progress engine: match the per-rank micro-op streams
+# the proof: the real executor runs the extracted streams
+
+#: The proof's network.  Every send, a zero-byte one included, is
+#: rendezvous (``nbytes > -1``).  Nothing takes time but posting a
+#: receive, so sends wait in the queues as long as the program lets
+#: them — the schedule that shows two in flight on one channel (REP404).
+#: Matching is FIFO per channel, so which posts match, and where a rank
+#: stalls, does not depend on the timing.
+_PROOF_NETWORK = dataclasses.replace(
+    score_gigabit_ethernet(),
+    latency=0.0, bandwidth=math.inf, send_overhead=0.0, recv_overhead=1.0,
+    cpu_byte_cost=0.0, packet_overhead=0.0, eager_threshold=-1,
+    variability=0.0, congestion_variability=0.0,
+)
+
+#: What a finding says of a request left unmatched, by (rule, blocked):
+#: every rank finished, or the request's rank is blocked on a finished peer.
+_UNMATCHED = {
+    ("REP402", False): "rank {rank} sends to rank {peer} with tag {tag} but no rank ever "
+                       "posts the matching receive",
+    ("REP403", False): "rank {rank} expects a message from rank {peer} with tag {tag} but "
+                       "no rank ever sends it",
+    ("REP402", True): "rank {rank} waits for rank {peer} to receive its send with tag "
+                      "{tag}, but the matching receive is never posted",
+    ("REP403", True): "rank {rank} waits for a message from rank {peer} with tag {tag} "
+                      "that is never sent",
+}
 
 
-def _rel(path: str) -> str:
+class _Audit(Sanitizer):
+    """The proof's sanitizer: non-strict, each finding kept as
+    ``(rule, send, receive)``."""
+
+    def __init__(self) -> None:
+        super().__init__(strict=False)
+        self.found: list[tuple] = []
+
+    def check_match(self, msg, post) -> None:
+        if post.expect_nbytes is SYMBOLIC_NBYTES and post.expect_dtype is SYMBOLIC_DTYPE:
+            return  # the receiver declares nothing to disagree with
+        seen = len(self.violations)
+        super().check_match(msg, post)
+        self.found += [(d.rule, msg, post) for d in self.violations[seen:]]
+
+    def check_channel(self, msg) -> None:
+        super().check_channel(msg)
+        self.found.append(("REP404", msg, None))
+
+
+class _ProofWorld(MPIWorld):
+    """An :class:`~repro.mpi.world.MPIWorld` of p single-CPU nodes on the
+    proof network that keeps each rank's requests in post order — the
+    order of the posts in its stream."""
+
+    def __init__(self, p: int) -> None:
+        super().__init__(
+            Simulator(), ClusterSpec(n_ranks=p, network=_PROOF_NETWORK, max_nodes=p)
+        )
+        # installed after the endpoints, so only the world's own checks
+        # run: size and dtype at each match, the channel at each queued send
+        self.sanitizer = _Audit()
+        self.posted: list[list] = [[] for _ in range(p)]
+
+    def post_message(self, send) -> None:
+        self.posted[send.src].append(send)
+        super().post_message(send)
+
+    def post_recv(self, recv) -> None:
+        self.posted[recv.endpoint.rank].append(recv)
+        super().post_recv(recv)
+
+
+def _tag_name(tag: int) -> str:
+    """A runtime tag as findings name it: ``T<k>`` (and its offset) for
+    one derived from the k-th collective tag draw, else the literal."""
+    if tag < COLLECTIVE_TAG_BASE + 16:
+        return str(tag)
+    return str(SymTag(*divmod(tag - COLLECTIVE_TAG_BASE, 16)))
+
+
+def _peer(req) -> int:
+    return req.dest if type(req) is SendRequest else req.source
+
+
+def _prove(ranks: list[_RecordingEndpoint]):
+    """Run the ranks' streams on the proof network; returns the
+    ``(rule, group_key, message, loc)`` findings of REP401-REP405."""
+    world = _ProofWorld(len(ranks))
+    procs = [
+        world.sim.spawn(replay_program(wep, ep.stream()))
+        for wep, ep in zip(world.endpoints, ranks)
+    ]
     try:
-        return str(Path(path).resolve().relative_to(Path.cwd()))
-    except Exception:
-        return path
+        world.sim.run()
+    except SimulationError:
+        pass  # a deadlock: the ranks still running say where
+    stalled = [rank for rank, proc in enumerate(procs) if not proc.done]
+    if not (stalled or world.sanitizer.found or any(world.leftovers())):
+        return []
 
+    def loc(req, wait: bool = False) -> tuple[str, int]:
+        """Where ``req`` is posted, or first waited on."""
+        ep = ranks[req.endpoint.rank]
+        k = world.posted[ep.rank].index(req)
+        return ep.wait_locs.get(k, ep.post_locs[k]) if wait else ep.post_locs[k]
 
-def _simulate(ops_by_rank: list[list[MicroOp]]):
-    """Match sends to receives under conservative rendezvous semantics.
+    def unmatched(rule: str, req, blocked: bool = False):
+        text = _UNMATCHED[rule, blocked].format(
+            rank=req.endpoint.rank, peer=_peer(req), tag=_tag_name(req.tag)
+        )
+        return (rule, (rule, loc(req)), text, loc(req))
 
-    Returns ``(rule, group_key, message, loc)`` findings.  All sends are
-    rendezvous: a wait_send only completes once the matching receive is
-    posted, so any program whose completion depends on eager buffering
-    is reported as deadlocked (MPI calls such programs unsafe).
-    """
-    p = len(ops_by_rank)
-    findings: list[tuple[str, tuple, str, tuple[str, int]]] = []
-    sends: dict[tuple, list[dict]] = {}
-    recvs: dict[tuple, list[dict]] = {}
-    send_by_ref: list[dict[int, dict]] = [{} for _ in range(p)]
-    recv_by_ref: list[dict[int, dict]] = [{} for _ in range(p)]
-    pc = [0] * p
-
-    def check_agreement(send: dict, recv: dict) -> None:
-        sop, rop = send["op"], recv["op"]
-        ssz, rsz = sop.size, rop.size
-        if ssz is not None and rsz is not None and ssz.concrete and rsz.concrete:
-            if ssz.value != rsz.value:
-                findings.append((
-                    "REP405", ("REP405", rop.loc, "size"),
-                    f"rank {send['rank']} sends {ssz} to rank {recv['rank']} "
-                    f"(tag {sop.tag}) but the receiver declares {rsz}",
-                    rop.loc,
-                ))
-        if sop.dtype is not None and rop.dtype is not None and sop.dtype != rop.dtype:
-            findings.append((
-                "REP405", ("REP405", rop.loc, "dtype"),
-                f"rank {send['rank']} sends dtype {sop.dtype} to rank {recv['rank']} "
-                f"(tag {sop.tag}) but the receiver declares {rop.dtype}",
-                rop.loc,
-            ))
-
-    def match(send: dict, recv: dict) -> None:
-        send["matched"] = True
-        recv["matched"] = True
-        check_agreement(send, recv)
-
-    progressed = True
-    while progressed:
-        progressed = False
-        for r in range(p):
-            ops = ops_by_rank[r]
-            while pc[r] < len(ops):
-                op = ops[pc[r]]
-                if op.kind in ("collective", "mw"):
-                    pc[r] += 1
-                elif op.kind == "post_send":
-                    key = (r, op.peer, op.abs_tag)
-                    entry = {"rank": r, "op": op, "matched": False}
-                    queue = sends.setdefault(key, [])
-                    if any(not e["matched"] for e in queue):
-                        findings.append((
-                            "REP404", ("REP404", op.loc),
-                            f"rank {r} posts a second in-flight send to rank "
-                            f"{op.peer} with tag {op.tag} before the first is "
-                            "received (FIFO match order is ambiguous)",
-                            op.loc,
-                        ))
-                    pending = next(
-                        (e for e in recvs.get(key, []) if not e["matched"]), None
-                    )
-                    queue.append(entry)
-                    send_by_ref[r][op.ref] = entry
-                    if pending is not None:
-                        match(entry, pending)
-                    pc[r] += 1
-                elif op.kind == "post_recv":
-                    key = (op.peer, r, op.abs_tag)
-                    entry = {"rank": r, "op": op, "matched": False}
-                    pending = next(
-                        (e for e in sends.get(key, []) if not e["matched"]), None
-                    )
-                    recvs.setdefault(key, []).append(entry)
-                    recv_by_ref[r][op.ref] = entry
-                    if pending is not None:
-                        match(pending, entry)
-                    pc[r] += 1
-                elif op.kind == "wait_send":
-                    if not send_by_ref[r][op.ref]["matched"]:
-                        break
-                    pc[r] += 1
-                elif op.kind == "wait_recv":
-                    if not recv_by_ref[r][op.ref]["matched"]:
-                        break
-                    pc[r] += 1
-                else:  # pragma: no cover - emitter and engine share the kinds
-                    raise AssertionError(f"unknown micro-op kind {op.kind}")
-                progressed = True
-
-    stalled = [r for r in range(p) if pc[r] < len(ops_by_rank[r])]
-    if stalled:
-        findings.extend(_explain_stall(ops_by_rank, pc, stalled, send_by_ref, recv_by_ref))
+    findings = []
+    for rule, send, recv in world.sanitizer.found:
+        tag = _tag_name(send.tag)
+        if rule == "REP404":
+            findings.append((rule, (rule, loc(send)), (
+                f"rank {send.src} posts a second in-flight send to rank {send.dest} with "
+                f"tag {tag} before the first is received (FIFO match order is ambiguous)"
+            ), loc(send)))
+            continue
+        what, sent, declared = (
+            ("size", f"{send.nbytes}B", f"{recv.expect_nbytes}B") if rule == "REP301"
+            else ("dtype", f"dtype {send.payload.dtype}", recv.expect_dtype)
+        )
+        findings.append(("REP405", ("REP405", loc(recv), what), (
+            f"rank {send.src} sends {sent} to rank {send.dest} (tag {tag}) but the "
+            f"receiver declares {declared}"
+        ), loc(recv)))
+    if not stalled:  # every rank finished: posts no rank matched
+        left = [req for posted in world.posted for req in posted if not req.done]
+        for req in sorted(left, key=lambda req: type(req) is not SendRequest):
+            findings.append(unmatched("REP402" if type(req) is SendRequest else "REP403", req))
         return findings
 
-    # clean finish: fire-and-forget posts that never matched
-    for queue in sends.values():
-        for e in queue:
-            if not e["matched"]:
-                op = e["op"]
-                findings.append((
-                    "REP402", ("REP402", op.loc),
-                    f"rank {e['rank']} sends to rank {op.peer} with tag {op.tag} "
-                    "but no rank ever posts the matching receive",
-                    op.loc,
-                ))
-    for queue in recvs.values():
-        for e in queue:
-            if not e["matched"]:
-                op = e["op"]
-                findings.append((
-                    "REP403", ("REP403", op.loc),
-                    f"rank {e['rank']} expects a message from rank {op.peer} with "
-                    f"tag {op.tag} but no rank ever sends it",
-                    op.loc,
-                ))
-    return findings
-
-
-def _explain_stall(ops_by_rank, pc, stalled, send_by_ref, recv_by_ref):
-    """Wait-for analysis of a stalled schedule: cycles and dead peers."""
-    p = len(ops_by_rank)
-    findings = []
-    waits_on: dict[int, tuple[int, MicroOp]] = {}
-    for r in stalled:
-        op = ops_by_rank[r][pc[r]]
-        entry = (send_by_ref if op.kind == "wait_send" else recv_by_ref)[r][op.ref]
-        waits_on[r] = (entry["op"].peer, op)
-
-    reported_cycles: set[frozenset] = set()
+    # wait-for analysis of the requests the stalled ranks block on
+    waits_on = {
+        rank: next(req for req in world.posted[rank] if req._waiter is not None)
+        for rank in stalled
+    }
+    cycles: set[frozenset] = set()
     for start in stalled:
-        # directly blocked on a rank that already finished: the message
-        # can never arrive — an unmatched send/recv, not a deadlock
-        peer, op = waits_on[start]
-        blocked_entry = ops_by_rank[start][pc[start]]
-        post = (send_by_ref if blocked_entry.kind == "wait_send" else recv_by_ref)[start][
-            blocked_entry.ref
-        ]["op"]
-        if peer not in waits_on:
-            if blocked_entry.kind == "wait_recv":
-                findings.append((
-                    "REP403", ("REP403", post.loc),
-                    f"rank {start} waits for a message from rank {post.peer} with "
-                    f"tag {post.tag} that is never sent",
-                    post.loc,
-                ))
-            else:
-                findings.append((
-                    "REP402", ("REP402", post.loc),
-                    f"rank {start} waits for rank {post.peer} to receive its send "
-                    f"with tag {post.tag}, but the matching receive is never posted",
-                    post.loc,
-                ))
+        req = waits_on[start]
+        if _peer(req) not in waits_on:
+            # blocked on a rank that finished: the message can never
+            # arrive — an unmatched send/recv, not a deadlock
+            rule = "REP402" if type(req) is SendRequest else "REP403"
+            findings.append(unmatched(rule, req, blocked=True))
             continue
-        # follow the (functional) wait-for chain looking for a cycle
-        chain = []
-        seen_at: dict[int, int] = {}
-        node = start
-        while node in waits_on and node not in seen_at:
-            seen_at[node] = len(chain)
+        chain, node = [], start
+        while node in waits_on and node not in chain:
             chain.append(node)
-            node = waits_on[node][0]
-        if node in seen_at:
-            cycle = chain[seen_at[node]:]
-            locs = frozenset(waits_on[r][1].loc for r in cycle)
-            if locs not in reported_cycles:
-                reported_cycles.add(locs)
+            node = _peer(waits_on[node])
+        if node in chain:
+            cycle = chain[chain.index(node):]
+            locs = frozenset(loc(waits_on[r], wait=True) for r in cycle)
+            if locs not in cycles:
+                cycles.add(locs)
                 desc = " -> ".join(
-                    f"rank {r} (tag "
-                    f"{(send_by_ref if waits_on[r][1].kind == 'wait_send' else recv_by_ref)[r][waits_on[r][1].ref]['op'].tag})"
-                    for r in cycle
+                    f"rank {r} (tag {_tag_name(waits_on[r].tag)})" for r in cycle
                 )
-                loc = waits_on[cycle[0]][1].loc
-                findings.append((
-                    "REP401", ("REP401", locs),
-                    f"rendezvous wait-for cycle across ranks "
-                    f"{sorted(cycle)}: {desc}",
-                    loc,
-                ))
+                findings.append(("REP401", ("REP401", locs), (
+                    f"rendezvous wait-for cycle across ranks {sorted(cycle)}: {desc}"
+                ), loc(waits_on[cycle[0]], wait=True)))
     return findings
 
 
-def _collective_divergence(ops_by_rank: list[list[MicroOp]]):
-    """Cross-rank identity of the collective/middleware op sequence."""
-    colls = [[op for op in ops if op.kind in ("collective", "mw")] for ops in ops_by_rank]
-    seqs = [[op.op for op in ops] for ops in colls]
+def _collective_divergence(ranks: list[_RecordingEndpoint]):
+    """Cross-rank identity of the streams' collective tag draws."""
+    draws = [
+        [(body, loc) for (kind, _, body), loc in zip(ep.entries, ep.locs) if kind == DRAW_ENTRY]
+        for ep in ranks
+    ]
+    seqs = [[op for op, _ in rank_draws] for rank_draws in draws]
     for r, seq in enumerate(seqs[1:], start=1):
         if seq != seqs[0]:
             n = min(len(seq), len(seqs[0]))
             at = next((i for i in range(n) if seq[i] != seqs[0][i]), n)
-            # rank r's op where it diverges, or rank 0's where rank r stopped
-            loc = (colls[r] if at < len(seq) else colls[0])[at].loc
+            # rank r's draw where it diverges, or rank 0's where rank r stopped
+            loc = (draws[r] if at < len(seq) else draws[0])[at][1]
             return [(
                 "REP406", ("REP406", "divergence", at),
                 f"collective sequence diverges: rank 0 issues {seqs[0][at] if at < len(seqs[0]) else '<end>'} "
@@ -1487,8 +1402,16 @@ def _collective_divergence(ops_by_rank: list[list[MicroOp]]):
 # instantiation drivers and p-condition grouping
 
 
-def _verify_instantiations(make_ops, bound: int) -> list[Diagnostic]:
-    """Run ``make_ops(p)`` for p = 1..bound; group findings symbolically."""
+def _rel(path: str) -> str:
+    try:
+        return str(Path(path).resolve().relative_to(Path.cwd()))
+    except Exception:
+        return path
+
+
+def _verify_instantiations(extract, bound: int) -> list[Diagnostic]:
+    """Prove ``extract(p)``'s ranks for p = 1..bound; group findings
+    symbolically."""
     groups: dict[tuple, dict] = {}
 
     def add(finding, p: int) -> None:
@@ -1498,42 +1421,36 @@ def _verify_instantiations(make_ops, bound: int) -> list[Diagnostic]:
 
     for p in range(1, bound + 1):
         try:
-            ops = make_ops(p)
+            ranks = extract(p)
         except StaticExtractionError as exc:
             loc = exc.loc or ("<program>", 0)
             add(("REP406", ("REP406", "extract", loc), f"cannot statically extract the schedule: {exc}", loc), p)
             continue
-        for f in _simulate(ops):
+        for f in _prove(ranks):
             add(f, p)
-        for f in _collective_divergence(ops):
+        for f in _collective_divergence(ranks):
             add(f, p)
 
     out = []
     for g in groups.values():
         rule = g["rule"]
         path, line = g["loc"]
-        out.append(
-            Diagnostic(
-                rule=rule,
-                message=g["message"],
-                path=_rel(path),
-                line=line or None,
-                severity=RULES[rule].severity,
-                p_condition=summarize_p_set(g["ps"], bound),
-            )
-        )
+        out.append(Diagnostic(
+            rule, g["message"], path=_rel(path), line=line or None,
+            severity=RULES[rule].severity, p_condition=summarize_p_set(g["ps"], bound),
+        ))
     out.sort(key=lambda d: (d.rule, d.path or "", d.line or 0))
     return out
 
 
-def _interpret_ranks(reg: Registry, p: int, entry: FuncValue, kwargs) -> list[list[MicroOp]]:
+def _interpret_ranks(reg: Registry, p: int, entry: FuncValue, kwargs) -> list[_RecordingEndpoint]:
     """Interpret ``entry(ep, **kwargs())`` once per rank of a p-rank run."""
-    ops = []
+    ranks = []
     for rank in range(p):
         interp = Interp(reg, rank, p)
         interp.call(entry, [interp.ep], kwargs())
-        ops.append(interp.ep.ops)
-    return ops
+        ranks.append(interp.ep)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -1573,45 +1490,40 @@ def _spatial_decomposition(lengths, r_cut: float, p: int):
     return SpatialDecomposition.for_cluster(box, p, r_cut)
 
 
-def _middleware(name: str) -> Middleware:
-    """The real middleware of one design level, or the abstract one."""
+def _strategy_ranks(
+    strategy: str, middleware: str, p: int, n_steps: int = 1, profile: str | None = None
+) -> list[_RecordingEndpoint]:
+    """The recorded ranks of one strategy instantiation.
+
+    For the spatial strategy ``profile`` names the box profile (default:
+    the first of :data:`SPATIAL_PROFILES`).  Its rank program's control
+    flow depends only on the decomposition's ``grid`` and ``pulses``,
+    so those concrete values of the *real* geometry are all the
+    interpreter needs; the engine stays opaque.
+    """
     from ..parallel.run import make_middleware  # runtime-only: see module docstring
 
-    return _AbstractMW() if name == "abstract" else make_middleware(name)
-
-
-def _run_spatial_rank_program(
-    reg: Registry, middleware: str, p: int, n_steps: int, lengths, r_cut: float
-):
-    """Extract the per-rank micro-op streams of one spatial instantiation.
-
-    The rank program's control flow depends only on the decomposition's
-    ``grid`` and ``pulses`` tuples, so those two concrete values (from
-    the *real* :class:`~repro.parallel.spatial.decomposition.SpatialDecomposition`
-    geometry) are all the interpreter needs — the engine stays fully
-    opaque and every physics call evaluates to UNKNOWN.
-    """
-    decomp = _spatial_decomposition(lengths, r_cut, p)
-    entry = reg.modules["repro.parallel.spatial.program"].globals["spatial_rank_program"]
-    return _interpret_ranks(reg, p, entry, lambda: {
-        "mw": _middleware(middleware),
-        "decomp": _Opaque({"grid": tuple(decomp.grid), "pulses": tuple(decomp.pulses)}),
-        "engine": UNKNOWN,
-        "config": _Opaque({"n_steps": n_steps, "barrier_per_step": True, "dt": 0.0005}),
-    })
-
-
-def _run_rank_program(reg: Registry, strategy: str, middleware: str, p: int, n_steps: int):
-    """Extract the per-rank micro-op streams of one pmd instantiation."""
+    reg = _registry()
+    config = {"n_steps": n_steps, "barrier_per_step": True, "dt": 0.0005}
+    if strategy == "spatial":
+        _name, lengths, r_cut = _spatial_profile(profile or SPATIAL_PROFILES[0][0])
+        decomp = _spatial_decomposition(lengths, r_cut, p)
+        entry = reg.modules["repro.parallel.spatial.program"].globals["spatial_rank_program"]
+        return _interpret_ranks(reg, p, entry, lambda: {
+            "mw": make_middleware(middleware),
+            "decomp": _Opaque({"grid": tuple(decomp.grid), "pulses": tuple(decomp.pulses)}),
+            "engine": UNKNOWN,
+            "config": _Opaque(config),
+        })
     if strategy not in ("pclassic", "ppme"):
         raise ValueError(f"unknown strategy {strategy!r}")
     entry = reg.modules["repro.parallel.pmd"].globals["rank_program"]
     return _interpret_ranks(reg, p, entry, lambda: {
-        "mw": _middleware(middleware),
+        "mw": make_middleware(middleware),
         "system": _Opaque({"uses_pme": strategy == "ppme"}),
         "decomp": UNKNOWN,
         "cost": _CostModel(),
-        "config": _Opaque({"n_steps": n_steps, "barrier_per_step": True, "dt": 0.0005}),
+        "config": _Opaque(config),
         "positions0": Block("positions0", SymSize(name="coords"), "float64"),
         "velocities0": UNKNOWN,
         "shared": None,
@@ -1627,22 +1539,13 @@ def verify_strategy(
     (:data:`SPATIAL_PROFILES`) since its schedule depends on the box
     geometry, not just on p.
     """
-    reg = _registry()
-    if strategy == "spatial":
-        diagnostics: list[Diagnostic] = []
-        for _name, lengths, r_cut in SPATIAL_PROFILES:
-            diagnostics.extend(
-                _verify_instantiations(
-                    lambda p, _l=lengths, _r=r_cut: _run_spatial_rank_program(
-                        reg, middleware, p, n_steps, _l, _r
-                    ),
-                    bound,
-                )
-            )
-        return diagnostics
-    return _verify_instantiations(
-        lambda p: _run_rank_program(reg, strategy, middleware, p, n_steps), bound
-    )
+    profiles = [name for name, *_ in SPATIAL_PROFILES] if strategy == "spatial" else [None]
+    return [
+        diag for profile in profiles for diag in _verify_instantiations(
+            lambda p, profile=profile: _strategy_ranks(strategy, middleware, p, n_steps, profile),
+            bound,
+        )
+    ]
 
 
 _COLLECTIVE_ARGS = {
@@ -1672,33 +1575,37 @@ def verify_middleware_collectives(middleware: str = "mpi", bound: int = 32) -> l
 
     diagnostics: list[Diagnostic] = []
     for name in names:
-        def make_ops(p, _op=getattr(owner, name), _args=_COLLECTIVE_ARGS[name]):
-            ops = []
-            for rank in range(p):
-                ep = _RecordingEndpoint(rank, p)
+        def extract(p, _op=getattr(owner, name), _args=_COLLECTIVE_ARGS[name]):
+            ranks = [_RecordingEndpoint(rank, p) for rank in range(p)]
+            for ep in ranks:
                 ep.drive(_op(ep, *ep.stand_in(_args(p))))
-                ops.append(ep.ops)
-            return ops
+            return ranks
 
-        diagnostics.extend(_verify_instantiations(make_ops, bound))
+        diagnostics.extend(_verify_instantiations(extract, bound))
     return diagnostics
+
+
+def extract_streams(
+    strategy: str = "ppme", middleware: str = "mpi", p: int = 8, n_steps: int = 1,
+    profile: str | None = None,
+) -> list[OpStream]:
+    """Each rank's statically extracted op stream of one instantiation.
+
+    It equals the stream :class:`~repro.mpi.endpoint.OpStreamRecorder`
+    records from a live run of the same trajectory, less that stream's
+    compute charges and timeline attributions: a size or dtype the
+    verifier does not know is a marker equal to every value.
+    ``profile`` selects the spatial box profile.
+    """
+    return [ep.stream() for ep in _strategy_ranks(strategy, middleware, p, n_steps, profile)]
 
 
 def extract_strategy_collective_ops(
     strategy: str, p: int, n_steps: int = 1, profile: str | None = None
 ) -> list[list[str]]:
-    """The per-rank middleware-op sequences under the abstract middleware.
-
-    For the spatial strategy ``profile`` names the box profile (default:
-    the first entry of :data:`SPATIAL_PROFILES`).
-    """
-    reg = _registry()
-    if strategy == "spatial":
-        _name, lengths, r_cut = _spatial_profile(profile or SPATIAL_PROFILES[0][0])
-        ops = _run_spatial_rank_program(reg, "abstract", p, n_steps, lengths, r_cut)
-    else:
-        ops = _run_rank_program(reg, strategy, "abstract", p, n_steps)
-    return [[op.op for op in rank_ops if op.kind == "mw"] for rank_ops in ops]
+    """The per-rank sequences of middleware ops the rank program calls
+    (``profile`` as for :func:`extract_streams`)."""
+    return [ep.mw_ops for ep in _strategy_ranks(strategy, "mpi", p, n_steps, profile)]
 
 
 def verify_contract_conformance(
@@ -1709,7 +1616,7 @@ def verify_contract_conformance(
     The spatial contract is the *declared*
     :meth:`~repro.parallel.spatial.decomposition.SpatialDecomposition.schedule_contract`
     of the real geometry, per (profile, p) since halo depths depend on
-    both; every rank's abstractly extracted middleware ops must match it.
+    both; every rank's extracted middleware ops must match it.
     """
     if strategy == "spatial":
         module = "repro.parallel.spatial.program"
@@ -1730,18 +1637,12 @@ def verify_contract_conformance(
         expected = contract.expected_ops(flags) * n_steps
         for rank, seq in enumerate(extract_strategy_collective_ops(strategy, p, n_steps, profile)):
             if seq != expected:
-                diagnostics.append(
-                    Diagnostic(
-                        rule="REP406",
-                        message=(
-                            f"strategy {label}, rank {rank}) issues {seq} per run but "
-                            f"contract {contract.name!r} promises {expected}"
-                        ),
-                        path=path,
-                        severity=RULES["REP406"].severity,
-                        p_condition=f"p in {{{p}}}",
-                    )
-                )
+                diagnostics.append(Diagnostic(
+                    "REP406",
+                    f"strategy {label}, rank {rank}) issues {seq} per run but "
+                    f"contract {contract.name!r} promises {expected}",
+                    path=path, severity=RULES["REP406"].severity, p_condition=f"p in {{{p}}}",
+                ))
                 break  # SPMD: one rank's divergence describes the run
     return diagnostics
 
@@ -1773,17 +1674,11 @@ def verify_rank_program_source(
     """
     reg = _registry()
     ctx = reg.module_source_ctx(source, path)
-    fv = None
-    if entry is not None:
-        fv = ctx.globals.get(entry)
-    elif "rank_program" in ctx.globals:
-        fv = ctx.globals["rank_program"]
-    else:
-        for value in ctx.globals.values():
-            if isinstance(value, FuncValue) and value.node.args.args:
-                if value.node.args.args[0].arg == "ep":
-                    fv = value
-                    break
+    first = next((
+        v for v in ctx.globals.values()
+        if isinstance(v, FuncValue) and v.node.args.args and v.node.args.args[0].arg == "ep"
+    ), None)
+    fv = ctx.globals.get(entry) if entry is not None else ctx.globals.get("rank_program", first)
     if not isinstance(fv, FuncValue):
         raise ValueError(f"no rank program found in {path}")
     takes_mw = any(arg.arg == "mw" for arg in fv.node.args.args)
@@ -1793,80 +1688,3 @@ def verify_rank_program_source(
         ),
         bound,
     )
-
-
-# ---------------------------------------------------------------------------
-# static-vs-executed cross-check
-
-
-def static_step_events(
-    strategy: str = "ppme", middleware: str = "mpi", p: int = 8, n_steps: int = 1,
-    profile: str | None = None,
-) -> list[list[tuple]]:
-    """Per-rank trace-comparable events: (kind, peer, tag, op, nbytes, dtype).
-
-    ``nbytes``/``dtype`` are ``None`` where the static schedule is
-    symbolic; the cross-check skips those fields.  Collectives use
-    peer -1 and carry the op name, mirroring
-    :class:`~repro.instrument.commstats.CommEvent`.  ``profile`` selects
-    the box profile for the spatial strategy.
-    """
-    reg = _registry()
-    if strategy == "spatial":
-        _name, lengths, r_cut = _spatial_profile(profile or SPATIAL_PROFILES[0][0])
-        ops = _run_spatial_rank_program(reg, middleware, p, n_steps, lengths, r_cut)
-    else:
-        ops = _run_rank_program(reg, strategy, middleware, p, n_steps)
-    out: list[list[tuple]] = []
-    for rank_ops in ops:
-        events = []
-        for op in rank_ops:
-            if op.kind == "collective":
-                events.append(("collective", -1, COLLECTIVE_TAG_BASE + 16 * op.invocation, op.op, None, None))
-            elif op.kind == "post_send":
-                nbytes = op.size.value if op.size is not None and op.size.concrete else None
-                events.append(("send", op.peer, op.abs_tag, "", nbytes, op.dtype))
-            elif op.kind == "post_recv":
-                nbytes = op.size.value if op.size is not None and op.size.concrete else None
-                events.append(("recv", op.peer, op.abs_tag, "", nbytes, op.dtype))
-        out.append(events)
-    return out
-
-
-def crosscheck_against_trace(
-    trace, strategy: str = "ppme", middleware: str = "mpi", p: int = 8, n_steps: int = 1,
-    profile: str | None = None,
-) -> list[str]:
-    """Compare an executed CommTrace against the static schedule.
-
-    Returns human-readable problem strings (empty = event-for-event
-    match).  Kind, peer, tag and collective-op name are compared
-    strictly; payload bytes and dtype only where the static side is
-    concrete.  ``profile`` selects the spatial box profile.
-    """
-    static = static_step_events(strategy, middleware, p, n_steps, profile=profile)
-    problems: list[str] = []
-    for rank in range(p):
-        executed = [e for e in trace.events if e.rank == rank]
-        expected = static[rank]
-        if len(executed) != len(expected):
-            problems.append(
-                f"rank {rank}: static schedule has {len(expected)} events, "
-                f"executed trace has {len(executed)}"
-            )
-        for i, (ev, ex) in enumerate(zip(executed, expected)):
-            kind, peer, tag, op, nbytes, dtype = ex
-            got = (ev.kind, ev.peer, ev.tag, ev.op if kind == "collective" else "")
-            want = (kind, peer, tag, op)
-            if got != want:
-                problems.append(f"rank {rank} event {i}: static {want} != executed {got}")
-                break
-            if nbytes is not None and ev.nbytes not in (-1, nbytes):
-                problems.append(
-                    f"rank {rank} event {i}: static {nbytes} bytes != executed {ev.nbytes}"
-                )
-            if dtype is not None and ev.dtype not in ("", dtype):
-                problems.append(
-                    f"rank {rank} event {i}: static dtype {dtype} != executed {ev.dtype}"
-                )
-    return problems

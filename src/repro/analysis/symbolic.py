@@ -10,9 +10,10 @@ programs run for real against a recording endpoint, which hands them
 stand-in arrays for these values and maps the arrays back.  This
 module holds those symbolic values plus the machinery that turns a
 set of failing processor counts back into a human-readable
-*p-condition* ("odd p in [3, 31]") for diagnostics.
+*p-condition* ("odd p in [3, 31]", :func:`summarize_p_set`) for
+diagnostics.
 
-Three value kinds:
+Two value kinds:
 
 * :class:`SymTag` — a message tag: the index of the
   ``next_collective_tag`` draw it derives from plus a concrete integer
@@ -23,14 +24,23 @@ Three value kinds:
   dtype and a *location name* that is identical across ranks for the
   same program point, so SPMD-symmetric payloads stay symbolically
   comparable.
-* :class:`PCondition` — the summary of which ``p`` a finding holds for.
+
+The extracted schedule is an op stream (:class:`~repro.mpi.endpoint.OpStream`),
+so a payload size or dtype the verifier cannot know is spelled there by
+a marker, :data:`SYMBOLIC_NBYTES` or :data:`SYMBOLIC_DTYPE`: an ``int``
+or ``str`` equal to every value.  The sanitizer's size and dtype checks
+therefore pass wherever one end is symbolic, and a static stream equals
+a live recording of the same run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["SymTag", "SymSize", "Block", "PCondition", "summarize_p_set"]
+__all__ = [
+    "SymTag", "SymSize", "Block", "summarize_p_set",
+    "SYMBOLIC_NBYTES", "SYMBOLIC_DTYPE",
+]
 
 
 @dataclass(frozen=True)
@@ -40,7 +50,7 @@ class SymTag:
     ``base`` is the 1-based index of the ``next_collective_tag`` draw the
     tag derives from (``None`` for literal user-range tags), ``offset``
     the concrete integer added to it.  ``absolute(tag_base, stride)``
-    reconstructs the runtime integer for the executed-trace cross-check.
+    reconstructs the runtime integer.
     """
 
     base: int | None
@@ -76,11 +86,6 @@ class SymSize:
     def concrete(self) -> bool:
         return self.value is not None
 
-    def __str__(self) -> str:
-        if self.concrete:
-            return f"{self.value}B"
-        return self.name or "?"
-
 
 @dataclass(frozen=True)
 class Block:
@@ -101,23 +106,41 @@ class Block:
     def copy(self) -> "Block":
         return self
 
-    def __str__(self) -> str:
-        return f"block({self.origin}, {self.size})"
+
+class _Symbolic:
+    """Equal to every value (see :data:`SYMBOLIC_NBYTES`)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return True
+
+    def __ne__(self, other) -> bool:
+        return False
+
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return "?"
+
+
+class _SymbolicNbytes(_Symbolic, int):
+    pass
+
+
+class _SymbolicDtype(_Symbolic, str):
+    pass
+
+
+#: A payload size the verifier cannot know: zero bytes on the proof's
+#: wire, equal to any size in a comparison.
+SYMBOLIC_NBYTES = _SymbolicNbytes(0)
+#: A payload dtype the verifier cannot know, equal to any dtype.
+SYMBOLIC_DTYPE = _SymbolicDtype("?")
 
 
 # ---------------------------------------------------------------------------
 # p-condition summarization
-
-
-@dataclass(frozen=True)
-class PCondition:
-    """The processor counts a static finding holds for, over a bound."""
-
-    ps: tuple[int, ...]
-    bound: int
-
-    def __str__(self) -> str:
-        return summarize_p_set(set(self.ps), self.bound)
 
 
 def _is_pow2(p: int) -> bool:

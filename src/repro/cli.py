@@ -30,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -134,24 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--sarif", metavar="PATH",
-        help="write surviving findings as SARIF 2.1.0 (GitHub code scanning)",
-    )
-    analyze.add_argument(
-        "--baseline", metavar="PATH", default=".repro-analysis-baseline.json",
-        help="baseline file of grandfathered fingerprints (default: %(default)s)",
-    )
-    analyze.add_argument(
-        "--update-baseline", action="store_true",
-        help="regenerate the baseline from the current findings and exit clean",
-    )
-    analyze.add_argument(
-        "--crosscheck", action="store_true",
-        help=(
-            "execute the p=8 PME step (replicated strategy) and the p=8 "
-            "water-box step (spatial strategy) under both middlewares and "
-            "require the statically extracted schedules to match the recorded "
-            "communication traces event for event"
-        ),
+        help="write the --static findings as SARIF 2.1.0 (GitHub code scanning)",
     )
 
     campaign = sub.add_parser(
@@ -530,7 +514,7 @@ def _analyze_lint(paths: list[str], github: bool = False) -> tuple[int, list]:
 
     Prints the REP1xx findings and returns their error count together
     with the determinism findings (REP5xx) of the same pass, which the
-    ``--static`` layer reports against the baseline.
+    ``--static`` layer reports.
     """
     from pathlib import Path
 
@@ -609,6 +593,8 @@ def _analyze_sanitize_run(n_steps: int) -> int:
         if drift:
             status = f"TIMING DRIFT in phases {drift}"
             failures += 1
+        for warning in sanitized.extra["sanitizer_warnings"]:
+            print(f"  {label}: {warning.format()}")
         print(f"  {label}: 0 sanitizer violations, {status}")
     print(f"analyze: sanitized runs {'passed' if failures == 0 else 'FAILED'}")
     return failures
@@ -619,93 +605,36 @@ def _analyze_static(args: argparse.Namespace, determinism: list) -> int:
 
     Static schedule verification (REP4xx) over every strategy and
     middleware up to ``--bound`` ranks, plus the lint pass's determinism
-    findings (REP5xx), baseline suppression, optional SARIF output and
-    the optional static-vs-executed cross-check.
+    findings (REP5xx), and optional SARIF output.
     """
-    from .analysis.baseline import apply_baseline, load_baseline, write_baseline
     from .analysis.static_schedule import verify_static
 
     diags = verify_static(bound=args.bound) + determinism
-
-    if args.update_baseline:
-        n = write_baseline(args.baseline, diags, load_baseline(args.baseline))
-        print(f"analyze: wrote {n} baseline entr{'y' if n == 1 else 'ies'} to {args.baseline}")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    surviving, suppressed = apply_baseline(diags, baseline)
-    for diag in surviving:
+    for diag in diags:
         print(diag.format())
         if args.github:
             print(_github_annotation(diag))
     if args.sarif:
         from .analysis.sarif import write_sarif
 
-        write_sarif(args.sarif, surviving)
+        write_sarif(args.sarif, diags)
         print(f"analyze: SARIF written to {args.sarif}")
 
-    failures = sum(1 for d in surviving if d.severity == "error")
+    failures = sum(1 for d in diags if d.severity == "error")
     print(
         f"analyze: static verification (bound {args.bound}) + determinism lint: "
-        f"{failures} error(s), {len(surviving) - failures} warning(s), "
-        f"{len(suppressed)} baselined"
+        f"{failures} error(s), {len(diags) - failures} warning(s)"
     )
-
-    if args.crosscheck:
-        failures += _analyze_crosscheck(args.steps)
-    return failures
-
-
-def _analyze_crosscheck(n_steps: int) -> int:
-    """Static-vs-executed schedule cross-check at p=8; returns failures.
-
-    Runs the small PME workload (replicated strategy) and the water box
-    (spatial strategy) under both middlewares with a communication trace
-    attached and requires the statically extracted per-rank schedule to
-    match the recorded events one for one.
-    """
-    from . import MDRunConfig, RunOptions, run_parallel_md
-    from .analysis.static_schedule import crosscheck_against_trace
-    from .campaign.workloads import build_workload
-    from .cluster import ClusterSpec, tcp_gigabit_ethernet
-    from .instrument.commstats import CommTrace
-
-    system, pos = build_workload("peptide-tiny")
-    config = MDRunConfig(n_steps=n_steps, dt=0.0004)
-    water_system, water_pos = build_workload("water-box")
-
-    legs = [
-        ("ppme", None, system, pos),
-        ("spatial", "water-box", water_system, water_pos),
-    ]
-    failures = 0
-    for strategy, profile, leg_system, leg_pos in legs:
-        for mw in ("mpi", "cmpi"):
-            trace = CommTrace()
-            run_parallel_md(
-                leg_system, leg_pos,
-                ClusterSpec(n_ranks=8, network=tcp_gigabit_ethernet(), seed=7),
-                RunOptions(
-                    middleware=mw, config=config, trace=trace,
-                    strategy="spatial" if strategy == "spatial" else "replicated",
-                ),
-            )
-            problems = crosscheck_against_trace(
-                trace, strategy=strategy, middleware=mw, p=8, n_steps=n_steps,
-                profile=profile,
-            )
-            for problem in problems:
-                print(f"  {strategy} {mw} p=8: {problem}")
-            if problems:
-                failures += 1
-            print(
-                f"  crosscheck {strategy} {mw} p=8: {len(trace)} executed events "
-                f"{'MATCH' if not problems else 'DIVERGE from'} the static schedule"
-            )
     return failures
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.bound < 1:
+        print("error: bound must be >= 1", file=sys.stderr)
+        return 2
+    if args.sarif and not os.access(os.path.dirname(os.path.abspath(args.sarif)), os.W_OK):
+        print(f"error: cannot write SARIF to {args.sarif}", file=sys.stderr)
+        return 2
     failures, determinism = _analyze_lint(list(args.paths), github=args.github)
     if args.static:
         failures += _analyze_static(args, determinism)

@@ -8,11 +8,9 @@ exposing the TCP flow-control instability.
 
 :class:`CommTrace` is an opt-in, passive log of every send, receive post
 and collective invocation with ``(src, dst, tag, nbytes, dtype)``, in a
-global deterministic order, which the static verifier's cross-check
-compares against the extracted schedule
-(:func:`~repro.analysis.static_schedule.crosscheck_against_trace`).
-Recording draws no random numbers and charges no virtual time, so a
-traced run is bit-identical to an untraced one.
+global deterministic order.  Recording draws no random numbers and
+charges no virtual time, so a traced run is bit-identical to an
+untraced one.
 """
 
 from __future__ import annotations

@@ -251,7 +251,7 @@ class Topology:
                     nxt |= adj[u] - visited
                 visited |= nxt
                 frontier = nxt
-            for other in visited - {start}:
+            for other in visited - {start}:  # repro: noqa[REP503] — pairs is sorted below
                 pairs.add((min(start, other), max(start, other)))
         if not pairs:
             return np.empty((0, 2), dtype=np.int64)

@@ -46,7 +46,8 @@ from .message import PayloadSize, copy_payload, payload_dtype, payload_nbytes
 __all__ = [
     "RankEndpoint", "SendRequest", "RecvRequest", "OpBatch", "OpStream",
     "OpStreamRecorder", "replay_program", "EMPTY_PAYLOAD",
-    "CHARGE", "RECV", "SEND", "WAIT",
+    "CHARGE", "RECV", "SEND", "WAIT", "POST",
+    "COMPUTE_ENTRY", "DRAW_ENTRY", "BATCH_ENTRY", "POST_ENTRY", "WAIT_ENTRY",
 ]
 
 #: The one-byte 'empty message' the paper's CMPI middleware exchanges.
@@ -77,10 +78,12 @@ POST = 4
 _WAIT_FIRST = (WAIT, 0)
 _WAIT_SECOND = (WAIT, 1)
 
-#: Op-stream entry kinds (see :class:`OpStreamRecorder`).
-_COMPUTE = 0
-_DRAW = 1
-_BATCH = 2
+#: Op-stream entry kinds (see :class:`OpStream`).
+COMPUTE_ENTRY = 0
+DRAW_ENTRY = 1
+BATCH_ENTRY = 2
+POST_ENTRY = 3
+WAIT_ENTRY = 4
 
 
 class _Request:
@@ -478,7 +481,11 @@ class OpStream(NamedTuple):
     tag draw (body: the op name) or a batch (body: its ops, payloads
     reduced to :class:`~repro.mpi.message.PayloadSize` and tags to
     offsets from the rank's last draw) — each with the timeline's
-    ``(phase, forced category)`` when it was issued.
+    ``(phase, forced category)`` when it was issued.  The static
+    verifier's streams (:mod:`repro.analysis.static_schedule`) also
+    spell a split-phase request: a post (body: its one SEND or RECV op)
+    and, in a later entry, a wait on it (body: the post's index among
+    the rank's split-phase posts).
     """
 
     entries: tuple
@@ -503,11 +510,11 @@ class OpStreamRecorder:
         self.replayable = True
 
     def compute(self, attribution: tuple, seconds: float) -> None:
-        self._entries.append(self._intern((_COMPUTE, attribution, None)))
+        self._entries.append(self._intern((COMPUTE_ENTRY, attribution, None)))
         self._seconds.append(seconds)
 
     def draw(self, attribution: tuple, op: str) -> None:
-        self._entries.append(self._intern((_DRAW, attribution, op)))
+        self._entries.append(self._intern((DRAW_ENTRY, attribution, op)))
 
     def batch(self, attribution: tuple, ops, tag_base: int) -> None:
         intern = self._intern
@@ -524,7 +531,7 @@ class OpStreamRecorder:
                 self.replayable = False
                 return
             recorded.append(intern(op))
-        self._entries.append(intern((_BATCH, attribution, intern(tuple(recorded)))))
+        self._entries.append(intern((BATCH_ENTRY, attribution, intern(tuple(recorded)))))
 
     def stream(self) -> OpStream:
         return OpStream(tuple(self._entries), self._seconds)
@@ -542,12 +549,19 @@ def replay_program(ep: RankEndpoint, stream: OpStream):
     tl = ep.timeline
     outside = tl.attribution
     seconds = iter(stream.seconds)
+    posted = []  # the split-phase requests, in post order
     for kind, attribution, body in stream.entries:
         tl.attribute_to(attribution)
-        if kind == _BATCH:
+        if kind == BATCH_ENTRY:
             yield OpBatch(ep, body, ep._tag_seq)
-        elif kind == _COMPUTE:
+        elif kind == COMPUTE_ENTRY:
             yield from ep.compute(next(seconds))
-        else:
+        elif kind == DRAW_ENTRY:
             ep.next_collective_tag(body)
+        elif kind == POST_ENTRY:
+            batch = OpBatch(ep, (body,), ep._tag_seq)
+            yield batch
+            posted.append(batch._reqs[0])
+        else:
+            yield OpBatch(ep, ((WAIT, posted[body]),))
     tl.attribute_to(outside)

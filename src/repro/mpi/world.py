@@ -32,7 +32,8 @@ class MPIWorld:
     """Matching engine + endpoints for one simulated MPI job.
 
     ``sanitize=True`` installs a :class:`repro.analysis.sanitizer.Sanitizer`
-    that asserts size/dtype agreement on every matched message, validates
+    that asserts size/dtype agreement on every matched message, warns of
+    a send queued behind an unmatched one on its channel, validates
     every transfer window and, through each endpoint, the cross-rank
     collective order at every tag draw and the timeline accounting at
     every batch boundary; ``trace`` (a
@@ -88,6 +89,8 @@ class MPIWorld:
             if msgs is None:
                 self._msgs[key] = [send]
             else:
+                if self.sanitizer is not None:
+                    self.sanitizer.check_channel(send)  # REP404
                 msgs.append(send)
             return
         recv = recvs.pop(0)

@@ -78,12 +78,13 @@ class RunOptions:
         Run under the communication sanitizer
         (:mod:`repro.analysis.sanitizer`): every matched message, transfer
         window and timeline is invariant-checked; the first violation
-        raises.  Passive — timings are bit-identical to a plain run.
+        raises, and warnings (REP404) are kept in
+        ``result.extra["sanitizer_warnings"]``.  Passive — timings are
+        bit-identical to a plain run.
     trace:
         Optional :class:`~repro.instrument.commstats.CommTrace`; when
-        given, every send/recv/collective event is recorded (the static
-        verifier's cross-check reads it) and the trace is attached to
-        ``result.extra["comm_trace"]``.
+        given, every send/recv/collective event is recorded and the
+        trace is attached to ``result.extra["comm_trace"]``.
     span_tracer:
         Optional :class:`~repro.instrument.tracing.SpanTracer`; when
         given, every timeline attribution of every rank is mirrored as a
@@ -286,6 +287,8 @@ def run_parallel_md(
     )
     if opts.trace is not None:
         result.extra["comm_trace"] = opts.trace
+    if world.sanitizer is not None:
+        result.extra["sanitizer_warnings"] = world.sanitizer.violations
     return result
 
 

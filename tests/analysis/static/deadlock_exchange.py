@@ -14,3 +14,12 @@ def rank_program(ep, mw):
     if ep.size > 1:
         yield from ep.send(peer, b"ping", tag=7)
         yield from ep.recv((ep.rank - 1) % ep.size, tag=7)
+
+
+def zero_byte_rank_program(ep, mw):
+    """The same exchange of empty messages.  Buffering one costs nothing,
+    but MPI still does not promise it, so this deadlocks all the same."""
+    peer = (ep.rank + 1) % ep.size
+    if ep.size > 1:
+        yield from ep.send(peer, b"", tag=7)
+        yield from ep.recv((ep.rank - 1) % ep.size, tag=7)

@@ -1,15 +1,8 @@
-"""Baseline suppression: fingerprints, the JSON file, inline noqa."""
+"""Finding identity and suppression: SARIF fingerprints and inline noqa,
+the analyzer's one suppression mechanism (the module's name predates
+the retired baseline file)."""
 
-import json
-
-import pytest
-
-from repro.analysis.baseline import (
-    apply_baseline,
-    inline_suppressions,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis.lint import inline_suppressions
 from repro.analysis.rules import Diagnostic
 
 D1 = Diagnostic(rule="REP503", message="set order leaks", path="src/a.py", line=10)
@@ -44,43 +37,3 @@ class TestInlineSuppressions:
 
     def test_no_comment(self):
         assert inline_suppressions("x = 1") is None
-
-
-class TestBaselineFile:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        n = write_baseline(path, [D1, D2])
-        assert n == 2
-        baseline = load_baseline(path)
-        assert set(baseline) == {D1.fingerprint(), D2.fingerprint()}
-        surviving, suppressed = apply_baseline([D1, D2], baseline)
-        assert surviving == [] and len(suppressed) == 2
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
-
-    def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "suppressions": []}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(path)
-
-    def test_new_findings_survive(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [D1])
-        surviving, suppressed = apply_baseline([D1, D2], load_baseline(path))
-        assert surviving == [D2] and suppressed == [D1]
-
-    def test_rewrite_preserves_reasons_and_drops_fixed(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [D1, D2])
-        data = json.loads(path.read_text())
-        for entry in data["suppressions"]:
-            entry["reason"] = f"because {entry['rule']}"
-        path.write_text(json.dumps(data))
-        previous = load_baseline(path)
-        # D2's finding is fixed: regenerating from [D1] drops its entry
-        write_baseline(path, [D1], previous)
-        rewritten = load_baseline(path)
-        assert set(rewritten) == {D1.fingerprint()}
-        assert rewritten[D1.fingerprint()]["reason"] == "because REP503"

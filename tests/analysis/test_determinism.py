@@ -3,7 +3,6 @@ self-clean gate over them."""
 
 from pathlib import Path
 
-from repro.analysis.baseline import BASELINE_FILENAME, apply_baseline, load_baseline
 from repro.analysis.lint import is_virtual_time_path, lint_paths, lint_source
 from repro.analysis.rules import RULES
 
@@ -124,13 +123,13 @@ class TestSuppression:
 
 
 class TestSelfCleanGate:
-    """src/repro raises no determinism finding beyond the baseline."""
+    """src/repro raises no determinism finding its inline noqa does not
+    justify."""
 
     def test_src_is_determinism_clean(self):
         determinism = {"REP103", "REP104"} | {r for r in RULES if r.startswith("REP5")}
         diags = [
             d for d in lint_paths([REPO / "src" / "repro"]) if d.rule in determinism
         ]
-        surviving, _ = apply_baseline(diags, load_baseline(REPO / BASELINE_FILENAME))
-        formatted = "\n".join(d.format() for d in surviving)
-        assert surviving == [], f"determinism findings in src/repro:\n{formatted}"
+        formatted = "\n".join(d.format() for d in diags)
+        assert diags == [], f"determinism findings in src/repro:\n{formatted}"

@@ -1,6 +1,10 @@
 """Runtime sanitizer: each invariant, live and on a replayed variant,
 plus passivity on real workloads."""
 
+import dataclasses
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,9 @@ from repro.cluster import (
 from repro.cluster.state import ClusterState, TransferPlan
 from repro.instrument.timeline import Category
 from repro.mpi import MPIWorld, collectives
-from repro.mpi.endpoint import EMPTY_PAYLOAD, OpBatch, OpStreamRecorder, replay_program
+from repro.mpi.endpoint import (
+    EMPTY_PAYLOAD, SEND, OpBatch, OpStreamRecorder, replay_program,
+)
 from repro.mpi.middleware import MPIMiddleware
 from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
 from repro.sim import SimulationError, Simulator
@@ -88,6 +94,24 @@ class TestMessageInvariants:
 
         world = _run_sanitized(prog)
         world.sanitizer.check_final(world)  # also clean at shutdown
+
+    def test_channel_collision_rep404(self):
+        """The golden tag race, run live: rank 0 posts its second send
+        before the slow receiver matched the first.  A warning: the run
+        completes and drains."""
+        path = Path(__file__).parent / "static" / "tag_race.py"
+        spec = importlib.util.spec_from_file_location("tag_race", path)
+        tag_race = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tag_race)
+        slow_receiver = dataclasses.replace(score_gigabit_ethernet(), recv_overhead=1e-3)
+        world = _run_sanitized(
+            lambda ep: tag_race.rank_program(ep, MPIMiddleware()),
+            spec=ClusterSpec(n_ranks=2, network=slow_receiver, seed=1),
+        )
+        world.sanitizer.check_final(world)
+        [warning] = world.sanitizer.violations
+        assert (warning.rule, warning.severity, warning.ranks) == ("REP404", "warning", (0, 1))
+        assert "second in-flight send to rank 1 with tag 3" in warning.message
 
 
 class TestPlanInvariants:
@@ -169,6 +193,35 @@ class TestLeftoverTraffic:
     def test_sanitized_run_reports_rep305(self, peptide_system):
         with pytest.raises(SanitizerError, match=r"REP305.*\(0, 1, 77\)"):
             self._run(peptide_system, sanitize=True)
+
+
+class DoubleSendingMiddleware(MPIMiddleware):
+    """MPI, except that each barrier first has rank 0 post two sends on one
+    channel while rank 1 is still computing."""
+
+    name = "double"
+
+    def barrier(self, ep):
+        if ep.rank == 0:
+            yield from ep.batch(((SEND, 1, 78, EMPTY_PAYLOAD), (SEND, 1, 78, EMPTY_PAYLOAD)))
+        elif ep.rank == 1:
+            yield from ep.compute(1e-3)
+            yield from ep.recv(0, tag=78)
+            yield from ep.recv(0, tag=78)
+        yield from super().barrier(ep)
+
+
+def test_sanitized_run_keeps_channel_warnings(peptide_system):
+    """REP404 warns without failing the run, and the run keeps it."""
+    system, positions = peptide_system
+    options = RunOptions(
+        middleware=DoubleSendingMiddleware(), config=MDRunConfig(n_steps=1, dt=0.0004)
+    )
+    plain = run_parallel_md(system, positions, _spec(), options)
+    sanitized = run_parallel_md(system, positions, _spec(), options.replace(sanitize=True))
+    assert "sanitizer_warnings" not in plain.extra
+    warnings = sanitized.extra["sanitizer_warnings"]
+    assert warnings and {(w.rule, w.tag) for w in warnings} == {("REP404", 78)}
 
 
 class TestCollectiveWindow:

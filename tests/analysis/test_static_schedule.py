@@ -1,10 +1,10 @@
 """The static communication-schedule verifier (REP4xx).
 
 The verifier must (a) prove the shipped strategies and middleware
-collectives deadlock-free symbolically, with no run executed, (b) catch
-each archetypal schedule bug in the golden fixtures with the exact rule
-and symbolic p-condition, and (c) agree event-for-event with what an
-executed run actually records.
+collectives deadlock-free symbolically, with no rank program run, (b)
+catch each archetypal schedule bug in the golden fixtures with the exact
+rule and symbolic p-condition, and (c) extract the very op streams an
+executed run records.
 """
 
 import inspect
@@ -14,17 +14,19 @@ import numpy as np
 import pytest
 
 from repro.analysis.static_schedule import (
-    crosscheck_against_trace,
+    extract_streams,
     extract_strategy_collective_ops,
-    static_step_events,
     verify_contract_conformance,
     verify_middleware_collectives,
     verify_rank_program_source,
     verify_static,
     verify_strategy,
 )
-from repro.analysis.symbolic import Block, SymSize
+from repro.analysis.symbolic import SYMBOLIC_DTYPE, SYMBOLIC_NBYTES, Block, SymSize
 from repro.mpi import collectives
+from repro.mpi.endpoint import (
+    BATCH_ENTRY, CHARGE, COMPUTE_ENTRY, DRAW_ENTRY, RECV, SEND, WAIT,
+)
 
 FIXTURES = Path(__file__).parent / "static"
 
@@ -42,6 +44,22 @@ class TestGoldenFixtures:
         assert [d.rule for d in diags] == ["REP401"]
         assert diags[0].p_condition == "all p in [2, 8]"
         assert "wait-for cycle" in diags[0].message
+
+    def test_zero_byte_exchange_deadlocks_too(self):
+        """Every send is rendezvous, an empty one included."""
+        path = FIXTURES / "deadlock_exchange.py"
+        diags = verify_rank_program_source(
+            path.read_text(), str(path), bound=8, entry="zero_byte_rank_program"
+        )
+        assert [d.rule for d in diags] == ["REP401"]
+        assert diags[0].p_condition == "all p in [2, 8]"
+        assert "wait-for cycle across ranks [0, 1]" in diags[0].message
+
+    def test_odd_p_mismatch_beyond_sixteen_ranks(self):
+        """The proof's cluster has a node per rank, past the default 16."""
+        diags = _verify_fixture("odd_p_mismatch", bound=20)
+        assert [d.rule for d in diags] == ["REP402"]
+        assert diags[0].p_condition == "odd p in [3, 19]"
 
     def test_tag_race(self):
         diags = _verify_fixture("tag_race", bound=4)
@@ -188,12 +206,16 @@ class TestRecordingEndpoint:
         ep = _RecordingEndpoint(0, 3)
         block = Block("own", SymSize(name="B"), "float64")
         result = ep.drive(collectives.allgatherv(ep, ep.stand_in(block)))
-        sends = [op for op in ep.ops if op.kind == "post_send"]
-        recvs = [op for op in ep.ops if op.kind == "post_recv"]
-        assert [(op.size, op.dtype) for op in sends[:1]] == [(SymSize(name="B"), "float64")]
-        assert sends[1].size.name.startswith("msg@collectives.py:")
-        assert all(not op.size.concrete and op.dtype is None for op in recvs)
+        ops = [op for kind, _, body in ep.entries if kind == BATCH_ENTRY for op in body]
+        sends = [op[3] for op in ops if op[0] == SEND]
+        recvs = [op for op in ops if op[0] == RECV]
+        # the markers equal every value: compare them by identity
+        assert sends[0].nbytes is SYMBOLIC_NBYTES and sends[0].dtype is not SYMBOLIC_DTYPE
+        assert sends[0].dtype == "float64"
+        assert sends[1].nbytes is SYMBOLIC_NBYTES and sends[1].dtype is SYMBOLIC_DTYPE
+        assert all(op[3] is SYMBOLIC_NBYTES and op[4] is SYMBOLIC_DTYPE for op in recvs)
         assert result[0] == block and all(isinstance(b, Block) for b in result)
+        assert all(b.origin.startswith("msg@collectives.py:") for b in result[1:])
 
 
 class TestShippedStrategiesProveClean:
@@ -244,27 +266,60 @@ class TestContractConformance:
         assert diags == [], f"contract violations:\n{formatted}"
 
 
+def _schedule(stream):
+    """A stream's entries less its compute charges and attributions."""
+    return [(kind, body) for kind, _, body in stream.entries if kind != COMPUTE_ENTRY]
+
+
 class TestStaticStepEvents:
     def test_event_shape(self):
-        events = static_step_events("ppme", "mpi", p=2, n_steps=1)
-        assert len(events) == 2
-        for rank_events in events:
-            assert rank_events, "every rank communicates"
-            for kind, peer, tag, op, nbytes, dtype in rank_events:
-                assert kind in ("send", "recv", "collective")
-                assert isinstance(tag, int)
+        streams = extract_streams("ppme", "mpi", p=2, n_steps=1)
+        assert len(streams) == 2
+        for stream in streams:
+            assert stream.entries, "every rank communicates"
+            assert len(stream.seconds) == 0, "no compute charges"
+            for kind, body in _schedule(stream):
+                assert kind in (DRAW_ENTRY, BATCH_ENTRY)
+                if kind == BATCH_ENTRY:
+                    assert all(op[0] in (SEND, RECV, WAIT, CHARGE) for op in body)
+                    assert all(isinstance(op[2], int) for op in body if op[0] in (SEND, RECV))
 
     def test_collective_tags_use_the_runtime_scheme(self):
-        """Static tags are absolute integers in the collective range."""
-        from repro.mpi.endpoint import COLLECTIVE_TAG_BASE
+        """Every message tag is in the collective range: an offset below
+        the stride from the last draw's, as a live rank's stream has it."""
+        for stream in extract_streams("ppme", "mpi", p=2, n_steps=1):
+            draws = 0
+            for kind, body in _schedule(stream):
+                draws += kind == DRAW_ENTRY
+                for op in body if kind == BATCH_ENTRY else ():
+                    if op[0] in (SEND, RECV):
+                        assert draws > 0 and 0 <= op[2] < 16
 
-        events = static_step_events("ppme", "mpi", p=2, n_steps=1)
-        tags = {t for rank in events for (_, _, t, _, _, _) in rank}
-        assert all(t >= COLLECTIVE_TAG_BASE for t in tags)
+
+def _live_streams(system, positions, p, middleware, strategy="replicated"):
+    """Each rank's op stream as a live one-step run records it."""
+    from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
+    from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
+    from repro.parallel.shared import TrajectorySession
+
+    session = TrajectorySession()
+    run_parallel_md(
+        system, positions,
+        ClusterSpec(n_ranks=p, network=tcp_gigabit_ethernet(), seed=7),
+        RunOptions(
+            middleware=middleware,
+            config=MDRunConfig(n_steps=1, dt=0.0004),
+            shared_compute=session.cache(),
+            strategy=strategy,
+        ),
+    )
+    [recorded] = session.trajectories.values()
+    return recorded.streams
 
 
 class TestCrosscheckAgainstExecution:
-    """Static extraction vs a really-executed trace, event for event.
+    """Static extraction vs a really-executed run: the statically
+    extracted op streams equal the ones the run records, entry for entry.
 
     The odd and non-power-of-two p take MPI allreduce's reduce + bcast
     path and alltoallv's ring path, which p = 8 never executes."""
@@ -272,48 +327,32 @@ class TestCrosscheckAgainstExecution:
     @pytest.mark.parametrize("middleware", ["mpi", "cmpi"])
     @pytest.mark.parametrize("p", [3, 5, 8])
     def test_pme_step(self, peptide_system, p, middleware):
-        from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
-        from repro.instrument.commstats import CommTrace
-        from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
-
         system, pos = peptide_system
-        trace = CommTrace()
-        run_parallel_md(
-            system, pos,
-            ClusterSpec(n_ranks=p, network=tcp_gigabit_ethernet(), seed=7),
-            RunOptions(
-                middleware=middleware,
-                config=MDRunConfig(n_steps=1, dt=0.0004),
-                trace=trace,
-            ),
-        )
-        problems = crosscheck_against_trace(
-            trace, strategy="ppme", middleware=middleware, p=p, n_steps=1
-        )
-        assert problems == [], "\n".join(problems)
+        live = _live_streams(system, pos, p, middleware)
+        static = extract_streams("ppme", middleware, p=p, n_steps=1)
+        assert [_schedule(s) for s in static] == [_schedule(s) for s in live]
 
     @pytest.mark.parametrize("middleware", ["mpi", "cmpi"])
     @pytest.mark.parametrize("p", [3, 6, 8])
     def test_spatial_step(self, p, middleware):
         from repro.campaign.workloads import build_workload
-        from repro.cluster import ClusterSpec, tcp_gigabit_ethernet
-        from repro.instrument.commstats import CommTrace
-        from repro.parallel import MDRunConfig, RunOptions, run_parallel_md
 
         system, pos = build_workload("water-box")
-        trace = CommTrace()
-        run_parallel_md(
-            system, pos,
-            ClusterSpec(n_ranks=p, network=tcp_gigabit_ethernet(), seed=7),
-            RunOptions(
-                middleware=middleware,
-                config=MDRunConfig(n_steps=1, dt=0.0004),
-                trace=trace,
-                strategy="spatial",
-            ),
+        live = _live_streams(system, pos, p, middleware, strategy="spatial")
+        static = extract_streams("spatial", middleware, p=p, n_steps=1, profile="water-box")
+        assert [_schedule(s) for s in static] == [_schedule(s) for s in live]
+
+    @pytest.mark.parametrize("field", [1, 2], ids=["peer", "tag"])
+    def test_one_changed_peer_or_tag_fails_it(self, peptide_system, field):
+        system, pos = peptide_system
+        live = [_schedule(s) for s in _live_streams(system, pos, 3, "mpi")]
+        static = [_schedule(s) for s in extract_streams("ppme", "mpi", p=3, n_steps=1)]
+        assert static == live
+        i, (kind, body) = next(
+            (i, entry) for i, entry in enumerate(static[1]) if entry[0] == BATCH_ENTRY
         )
-        problems = crosscheck_against_trace(
-            trace, strategy="spatial", middleware=middleware, p=p,
-            n_steps=1, profile="water-box",
-        )
-        assert problems == [], "\n".join(problems)
+        j = next(j for j, op in enumerate(body) if op[0] in (SEND, RECV))
+        changed = list(body[j])
+        changed[field] += 1
+        static[1][i] = (kind, body[:j] + (tuple(changed),) + body[j + 1:])
+        assert static != live

@@ -69,6 +69,19 @@ class TestCommands:
         assert "linted 2 files" in out and ": 3 error(s)" in out
         assert "determinism lint: 0 error(s)" in out
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_analyze_bound_below_one_errors_before_any_work(self, tmp_path, capsys, bound):
+        assert main(["analyze", "--static", "--bound", bound, str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: bound must be >= 1\n"
+
+    def test_analyze_sarif_to_an_unwritable_path_errors_before_any_work(self, tmp_path, capsys):
+        sarif = tmp_path / "missing" / "findings.sarif"
+        assert main(["analyze", "--static", "--sarif", str(sarif), str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write SARIF to {sarif}\n"
+        assert not sarif.parent.exists()
+
     @pytest.mark.parametrize("verb", ["run", "trace"])
     def test_steps_below_one_errors_before_any_work(self, tmp_path, capsys, verb):
         output = tmp_path / "trace.json"

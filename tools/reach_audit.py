@@ -163,11 +163,15 @@ def drive(work: Path):
     cli("analyze", str(SRC), str(REPO / "tests"), "--github")
     cli("analyze", "/nonexistent")
     cli("analyze", "--sanitize-run", str(SRC / "repro" / "sim"))
-    cli("analyze", "--static", "--bound", "32", "--crosscheck", "--github",
-        "--sarif", str(work / "out.sarif"), "--baseline", str(work / "b.json"), str(SRC))
-    cli("analyze", "--static", "--bound", "4", "--update-baseline",
-        "--baseline", str(work / "b.json"), str(SRC))
-    cli("analyze", "--static", "--bound", "4", "--baseline", str(work / "b.json"), str(SRC))
+    cli("analyze", "--static", "--bound", "32", "--github",
+        "--sarif", str(work / "out.sarif"), str(SRC))
+    cli("analyze", "--static", "--bound", "0", str(SRC))
+    cli("analyze", "--static", "--sarif", str(work / "missing" / "out.sarif"), str(SRC))
+    hazard = work / "hazard" / "repro" / "mpi" / "hazard.py"  # findings to report
+    hazard.parent.mkdir(parents=True)
+    hazard.write_text("t = time.time()\nfor k in set(a) | set(b):\n    f(k)\n")
+    cli("analyze", "--static", "--bound", "2", "--github",
+        "--sarif", str(work / "hazard.sarif"), str(work / "hazard"))
 
     # -- campaign on the file board --------------------------------------------
     wl = ["--workload", "peptide-tiny", "--steps", steps]
