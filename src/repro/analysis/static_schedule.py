@@ -17,7 +17,12 @@ Rank programs are interpreted; everything below them is executed.  An
 abstract interpreter walks the rank programs' ASTs: control flow —
 ``ep.rank``, ``ep.size``, loops over ranks and FFT planes — evaluates
 for real, while the data they move stays symbolic
-(:mod:`repro.analysis.symbolic`).  When interpreted code reaches
+(:mod:`repro.analysis.symbolic`).  The classes the rank programs build
+— the PME engine, the distributed FFT, its slab decompositions, the
+classic phase — are interpreted from source too, constructors
+included; no class is modelled, and whatever the analyzed modules
+import from elsewhere (numpy, the cost model, the charge mesh) is an
+unknown value.  When interpreted code reaches
 ``mw.<op>(ep, ...)`` or ``yield from ep.<primitive>(...)``, the real
 middleware, collective and endpoint generators run against a
 :class:`_RecordingEndpoint`, which records the op batches they yield
@@ -436,6 +441,7 @@ class ClassValue:
     consts: dict
     properties: frozenset
     module: "ModuleCtx"
+    fields: tuple | None  # a dataclass's annotated fields in order, else None
 
 
 @dataclass
@@ -454,6 +460,7 @@ class ModuleCtx:
 
 
 _ANALYZED_MODULES = (
+    "repro.parallel.decomposition",
     "repro.parallel.pfft",
     "repro.parallel.ppme",
     "repro.parallel.pclassic",
@@ -489,7 +496,11 @@ _UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 _BINOPS = {
     ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
     ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
+    ast.BitXor: operator.xor, ast.BitAnd: operator.and_, ast.BitOr: operator.or_,
+    ast.LShift: operator.lshift, ast.RShift: operator.rshift,
 }
+#: the operators of ``t op= v``, in place (a list ``+=`` extends it)
+_INPLACE = {op: getattr(operator, "i" + fn.__name__.rstrip("_")) for op, fn in _BINOPS.items()}
 _COMPARISONS = {
     ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
     ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
@@ -524,7 +535,7 @@ class Registry:
 
     @staticmethod
     def _class_value(node: ast.ClassDef, ctx: ModuleCtx) -> ClassValue:
-        methods, consts, props = {}, {}, set()
+        methods, consts, props, fields = {}, {}, set(), []
         for item in node.body:
             if isinstance(item, ast.FunctionDef):
                 methods[item.name] = item
@@ -534,11 +545,20 @@ class Registry:
             elif isinstance(item, (ast.Assign, ast.AnnAssign)):
                 tgt = item.targets[0] if isinstance(item, ast.Assign) else item.target
                 value = item.value
+                if isinstance(item, ast.AnnAssign) and isinstance(tgt, ast.Name):
+                    fields.append(tgt.id)
                 if isinstance(tgt, ast.Name) and value is not None:
                     folded = _fold_const(value)
                     if folded is not UNKNOWN:
                         consts[tgt.id] = folded
-        return ClassValue(node.name, methods, consts, frozenset(props), ctx)
+        is_dataclass = any(
+            "dataclass" in (getattr(dec, "id", None), getattr(dec, "attr", None))
+            for dec in (getattr(d, "func", d) for d in node.decorator_list)
+        )
+        return ClassValue(
+            node.name, methods, consts, frozenset(props), ctx,
+            tuple(fields) if is_dataclass else None,
+        )
 
     def _resolve_imports(self) -> None:
         for ctx in self.modules.values():
@@ -582,71 +602,15 @@ def _registry() -> Registry:
 
 
 # ---------------------------------------------------------------------------
-# model objects: python stand-ins for the rank programs' numeric machinery
-
-
-class _CostModel:
-    """Every cost-model query yields an unknown (but effect-free) number."""
-
-    def getattr(self, name: str):
-        return _ANY_FUNC
-
-
-class _MeshModel:
-    """ChargeMesh: spread produces the rank's slab payload symbolically."""
-
-    def getattr(self, name: str):
-        if name == "spread":
-            return lambda *a, **k: Block("pme.q_slab", SymSize(name="pme_slab"), "float64")
-        if name == "last_workload":
-            return _Opaque({"scattered_points": UNKNOWN})
-        return _ANY_FUNC
-
-
-class _SlabsModel:
-    """SlabDecomposition: split() yields p per-destination blocks."""
-
-    def __init__(self, p: int, label: str) -> None:
-        self.p = p
-        self.label = label
-
-    def getattr(self, name: str):
-        if name == "split":
-            return lambda *a, **k: [
-                Block(f"{self.label}.split[{i}]", SymSize(name=f"{self.label}[{i}]"), None)
-                for i in range(self.p)
-            ]
-        if name == "plane_range":
-            return lambda *a, **k: (UNKNOWN, UNKNOWN)
-        return _ANY_FUNC
-
-
-class _ClassicModel:
-    """ParallelClassic: pure compute, no communication (its contract)."""
-
-    def getattr(self, name: str):
-        if name == "compute":
-            return lambda *a, **k: _Opaque(
-                {
-                    "forces": Block("classic.forces", SymSize(name="forces"), "float64"),
-                    "energies": UNKNOWN,
-                    "n_pairs": UNKNOWN,
-                    "n_terms": UNKNOWN,
-                }
-            )
-        return _ANY_FUNC
-
-
-# ---------------------------------------------------------------------------
 # interpreted instances (objects of analyzed classes)
 
 
 class Instance:
     """An object of an analyzed (AST) class: attrs + interpreted methods."""
 
-    def __init__(self, cls: ClassValue, attrs: dict | None = None) -> None:
+    def __init__(self, cls: ClassValue) -> None:
         self.cls = cls
-        self.attrs = dict(attrs or {})
+        self.attrs: dict = {}
 
 
 class _BoundMethod:
@@ -766,6 +730,11 @@ class Interp:
         elif isinstance(node, ast.AnnAssign):
             if node.value is not None:
                 self._assign(node.target, self._eval(node.value, frame), frame)
+        elif isinstance(node, ast.AugAssign):
+            # the target's container is evaluated twice: to load and to store
+            current = self._eval(node.target, frame)
+            value = self._binop(node.op, current, self._eval(node.value, frame), _INPLACE)
+            self._assign(node.target, value, frame)
         elif isinstance(node, ast.If):
             self._exec_if(node, frame)
         elif isinstance(node, ast.For):
@@ -943,7 +912,7 @@ class Interp:
             return getattr(obj, name) if name in obj.SURFACE else UNKNOWN
         if isinstance(obj, (Middleware, Timeline, SendRequest, RecvRequest)):
             return getattr(obj, name, UNKNOWN)
-        if isinstance(obj, (_Opaque, _NP, _CostModel, _MeshModel, _SlabsModel, _ClassicModel)):
+        if isinstance(obj, (_Opaque, _NP)):
             return obj.getattr(name)
         if isinstance(obj, Instance):
             if name in obj.attrs:
@@ -997,12 +966,12 @@ class Interp:
                 out.append(self._eval(node.elt, frame))
         return out
 
-    def _binop(self, op: ast.operator, left, right):
+    def _binop(self, op: ast.operator, left, right, table=_BINOPS):
         try:
             if (_is_concrete(left) or isinstance(left, (list, tuple))) and (
                 _is_concrete(right) or isinstance(right, (list, tuple))
             ):
-                return _BINOPS[type(op)](left, right)
+                return table[type(op)](left, right)
         except Exception:
             return UNKNOWN
         return UNKNOWN
@@ -1037,8 +1006,7 @@ class Interp:
     @staticmethod
     def _definitely_not_none(v) -> bool:
         return isinstance(v, (Block, SymTag, SymSize, Instance, _Opaque, _RecordingEndpoint,
-                              Middleware, int, float, str, bytes, list, tuple, dict,
-                              _MeshModel, _SlabsModel, _ClassicModel, _CostModel))
+                              Middleware, int, float, str, bytes, list, tuple, dict))
 
     def _compare_one(self, op: ast.cmpop, left, right):
         if isinstance(op, (ast.Is, ast.IsNot)):
@@ -1096,7 +1064,7 @@ class Interp:
         if isinstance(func, ClassValue):
             return self._construct(func, args, kwargs)
         # real code (the endpoint, requests, middleware) may not fail;
-        # a model or builtin that does yields UNKNOWN
+        # a builtin or any other callable that does yields UNKNOWN
         owner = getattr(func, "__self__", None)
         real = owner is self.ep or isinstance(owner, (Middleware, SendRequest, RecvRequest))
         if isinstance(owner, Middleware):
@@ -1114,17 +1082,22 @@ class Interp:
                 return UNKNOWN
         return UNKNOWN
 
-    def _construct(self, cls: ClassValue, args, kwargs):
-        factory = _CLASS_MODELS.get(cls.name)
-        if factory is not None:
-            return factory(self, args, kwargs)
-        # generic: attributes from keyword arguments; __init__ is NOT
-        # interpreted (the analyzed constructors are numeric setup)
-        return Instance(cls, dict(kwargs))
+    def _construct(self, cls: ClassValue, args, kwargs) -> Instance:
+        """An object of an analyzed class, its constructor interpreted: the
+        class's ``__init__``, else a dataclass's field binding (positional
+        arguments in field order, then keywords) and ``__post_init__``."""
+        obj = Instance(cls)
+        if "__init__" in cls.methods:
+            self.call(_BoundMethod(obj, cls.methods["__init__"]), args, kwargs)
+        elif cls.fields is not None:
+            obj.attrs.update(zip(cls.fields, args), **kwargs)
+            if "__post_init__" in cls.methods:
+                self.call(_BoundMethod(obj, cls.methods["__post_init__"]), [], {})
+        return obj
 
 
 # ---------------------------------------------------------------------------
-# builtins and class models
+# builtins
 
 
 def _b_len(x=UNKNOWN):
@@ -1153,58 +1126,6 @@ _BUILTINS = {
     "sorted": lambda x=(), **k: sorted(x) if isinstance(x, (list, tuple, range)) else UNKNOWN,
     "print": lambda *a, **k: None,
     "divmod": lambda a=0, b=1: divmod(a, b) if _is_concrete(a) and _is_concrete(b) else UNKNOWN,
-}
-
-
-def _make_parallel_pme(interp: Interp, args, kwargs) -> Instance:
-    """ParallelPME with numeric members replaced by symbolic models.
-
-    The *methods* (``reciprocal``, ``_stencil_for``) are interpreted from
-    the real AST — only the constructor's numpy setup is modelled.
-    """
-    reg = interp.registry
-    ppme_cls = reg.modules["repro.parallel.ppme"].globals["ParallelPME"]
-    fft_cls = reg.modules["repro.parallel.pfft"].globals["DistributedFFT"]
-    rank = kwargs.get("rank", 0)
-    p = kwargs.get("n_ranks", 1)
-    if not isinstance(rank, int):
-        rank = 0
-    if not isinstance(p, int):
-        p = 1
-    fft = Instance(
-        fft_cls,
-        {
-            "grid_shape": UNKNOWN,
-            "n_ranks": p,
-            "rank": rank,
-            "cost": _CostModel(),
-            "x_slabs": _SlabsModel(p, "fft.x"),
-            "y_slabs": _SlabsModel(p, "fft.y"),
-        },
-    )
-    return Instance(
-        ppme_cls,
-        {
-            "pme": _Opaque({"grid_shape": UNKNOWN, "total_points": UNKNOWN, "alpha": UNKNOWN}),
-            "box": UNKNOWN,
-            "rank": rank,
-            "n_ranks": p,
-            "cost": _CostModel(),
-            "charges": UNKNOWN,
-            "shared": None,
-            "fft": fft,
-            "mesh": _MeshModel(),
-            "my_exclusions": UNKNOWN,
-            "self_energy_share": UNKNOWN,
-            "psi_slab": UNKNOWN,
-        },
-    )
-
-
-_CLASS_MODELS = {
-    "ParallelClassic": lambda interp, args, kwargs: _ClassicModel(),
-    "ParallelPME": _make_parallel_pme,
-    "NeighborList": lambda interp, args, kwargs: UNKNOWN,
 }
 
 
@@ -1522,7 +1443,7 @@ def _strategy_ranks(
         "mw": make_middleware(middleware),
         "system": _Opaque({"uses_pme": strategy == "ppme"}),
         "decomp": UNKNOWN,
-        "cost": _CostModel(),
+        "cost": UNKNOWN,
         "config": _Opaque(config),
         "positions0": Block("positions0", SymSize(name="coords"), "float64"),
         "velocities0": UNKNOWN,

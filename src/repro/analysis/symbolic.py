@@ -91,12 +91,13 @@ class SymSize:
 class Block:
     """An abstract message payload.
 
-    ``origin`` names the program point that produced the block — a model
-    of the rank program's numeric machinery, or the middleware line whose
-    receive delivered it — so the same point yields the same name on
-    every rank and symbolic equality across SPMD ranks is structural
-    equality.  Real middleware code never holds a block: it is handed a
-    stand-in array, which the recording endpoint maps back.
+    ``origin`` names the program point that produced the block — an
+    argument the verifier hands a rank program or a collective, or the
+    middleware line whose receive delivered it — so the same point
+    yields the same name on every rank and symbolic equality across SPMD
+    ranks is structural equality.  Real middleware code never holds a
+    block: it is handed a stand-in array, which the recording endpoint
+    maps back.
     """
 
     origin: str
@@ -150,13 +151,15 @@ def _is_pow2(p: int) -> bool:
 def summarize_p_set(failing: set[int], bound: int) -> str:
     """A compact description of ``failing`` within ``1..bound``.
 
-    Recognizes the shapes that matter for communication schedules —
-    everything, every p past a threshold, parity classes, (non-)powers
-    of two — and falls back to an explicit list.
+    Recognizes the shapes that matter for communication schedules — a
+    single p, everything, every p past a threshold, parity classes,
+    (non-)powers of two — and falls back to an explicit list.
     """
     if not failing:
         return "no p"
     lo, hi = min(failing), max(failing)
+    if lo == hi:
+        return f"p in {{{lo}}}"
     full = set(range(1, bound + 1))
     if failing == full:
         return f"all p in [1, {bound}]"

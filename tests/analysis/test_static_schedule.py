@@ -31,9 +31,9 @@ from repro.mpi.endpoint import (
 FIXTURES = Path(__file__).parent / "static"
 
 
-def _verify_fixture(name: str, bound: int):
+def _verify_fixture(name: str, bound: int, entry: str | None = None):
     path = FIXTURES / f"{name}.py"
-    return verify_rank_program_source(path.read_text(), str(path), bound=bound)
+    return verify_rank_program_source(path.read_text(), str(path), bound=bound, entry=entry)
 
 
 class TestGoldenFixtures:
@@ -47,10 +47,7 @@ class TestGoldenFixtures:
 
     def test_zero_byte_exchange_deadlocks_too(self):
         """Every send is rendezvous, an empty one included."""
-        path = FIXTURES / "deadlock_exchange.py"
-        diags = verify_rank_program_source(
-            path.read_text(), str(path), bound=8, entry="zero_byte_rank_program"
-        )
+        diags = _verify_fixture("deadlock_exchange", bound=8, entry="zero_byte_rank_program")
         assert [d.rule for d in diags] == ["REP401"]
         assert diags[0].p_condition == "all p in [2, 8]"
         assert "wait-for cycle across ranks [0, 1]" in diags[0].message
@@ -81,13 +78,22 @@ class TestGoldenFixtures:
 
     def test_halo_exchange_seeded_bad_variant(self):
         """Send-before-recv in the same ring deadlocks at every p >= 2."""
-        path = FIXTURES / "halo_exchange.py"
-        diags = verify_rank_program_source(
-            path.read_text(), str(path), bound=8, entry="bad_rank_program"
-        )
+        diags = _verify_fixture("halo_exchange", bound=8, entry="bad_rank_program")
         assert [d.rule for d in diags] == ["REP401"]
         assert diags[0].p_condition == "all p in [2, 8]"
         assert "wait-for cycle" in diags[0].message
+
+    @pytest.mark.parametrize("entry", ["dataclass_ring", "plain_ring", "accumulated_peer"])
+    def test_peers_from_constructors_prove_clean(self, entry):
+        """A dataclass's ``__post_init__``, a plain ``__init__`` and ``+=``
+        are interpreted, so the peers they derive are known."""
+        assert _verify_fixture("constructed_peers", bound=8, entry=entry) == []
+
+    def test_odd_p_bug_in_a_post_init(self):
+        diags = _verify_fixture("constructed_peers", bound=9, entry="halves_exchange")
+        assert [d.rule for d in diags] == ["REP402"]
+        assert diags[0].p_condition == "odd p in [3, 9]"
+        assert "rank 2 waits for rank 1 to receive its send" in diags[0].message
 
 
 class TestInlinePrograms:
@@ -119,6 +125,19 @@ class TestInlinePrograms:
             "    yield from req.wait()\n"
         )
         assert verify_rank_program_source(src, "inline.py", bound=8) == []
+
+    def test_xor_partners(self):
+        """``rank ^ 1`` pairs ranks exactly; at odd p the top rank's
+        partner does not exist."""
+        src = (
+            "def rank_program(ep, mw):\n"
+            "    peer = ep.rank ^ 1\n"
+            "    yield from ep.sendrecv(peer, b'xor', peer, tag=3)\n"
+        )
+        diags = verify_rank_program_source(src, "inline.py", bound=6)
+        assert [d.rule for d in diags] == ["REP406"]
+        assert diags[0].p_condition == "odd p in [1, 5]"
+        assert "bad source rank" in diags[0].message
 
     def test_undecidable_comm_branch_is_rep406(self):
         """Communication behind an unextractable condition is refused,
@@ -340,6 +359,19 @@ class TestCrosscheckAgainstExecution:
         system, pos = build_workload("water-box")
         live = _live_streams(system, pos, p, middleware, strategy="spatial")
         static = extract_streams("spatial", middleware, p=p, n_steps=1, profile="water-box")
+        assert [_schedule(s) for s in static] == [_schedule(s) for s in live]
+
+    @pytest.mark.parametrize("middleware", ["mpi", "cmpi"])
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_classic_step(self, p, middleware):
+        """The classic-only step: water-box has shift electrostatics and
+        no PME, so the replicated run is barrier, allreduce, allgatherv."""
+        from repro.campaign.workloads import build_workload
+
+        system, pos = build_workload("water-box")
+        assert not system.uses_pme
+        live = _live_streams(system, pos, p, middleware)
+        static = extract_streams("pclassic", middleware, p=p, n_steps=1)
         assert [_schedule(s) for s in static] == [_schedule(s) for s in live]
 
     @pytest.mark.parametrize("field", [1, 2], ids=["peer", "tag"])

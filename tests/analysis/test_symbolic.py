@@ -59,5 +59,10 @@ class TestSummarizePSet:
         s = summarize_p_set({3, 7}, 16)
         assert "3" in s and "7" in s
 
+    def test_single_p(self):
+        """One failing p is named, not worded as a range."""
+        assert summarize_p_set({5}, 6) == "p in {5}"
+        assert summarize_p_set({6}, 6) == "p in {6}"
+
     def test_empty(self):
         assert summarize_p_set(set(), 8) == "no p"
