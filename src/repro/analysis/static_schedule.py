@@ -437,11 +437,12 @@ class _RecordingEndpoint:
 @dataclass
 class ClassValue:
     name: str
-    methods: dict  # name -> ast.FunctionDef
+    methods: dict  # name -> FuncValue, inherited ones included
     consts: dict
     properties: frozenset
     module: "ModuleCtx"
     fields: tuple | None  # a dataclass's annotated fields in order, else None
+    bases: tuple = ()  # the bases' AST nodes
 
 
 @dataclass
@@ -517,6 +518,7 @@ class Registry:
             path = root / Path(*dotted.split(".")[1:]).with_suffix(".py")
             self.modules[dotted] = self._module_ctx(path.read_text(), dotted, str(path))
         self._resolve_imports()
+        self._inherit([c for ctx in self.modules.values() for c in ctx.globals.values()])
 
     def _module_ctx(self, source: str, name: str, path: str) -> ModuleCtx:
         ctx = ModuleCtx(name=name, path=path, tree=ast.parse(source, filename=path))
@@ -538,7 +540,7 @@ class Registry:
         methods, consts, props, fields = {}, {}, set(), []
         for item in node.body:
             if isinstance(item, ast.FunctionDef):
-                methods[item.name] = item
+                methods[item.name] = FuncValue(item.name, item, ctx)
                 for dec in item.decorator_list:
                     if isinstance(dec, ast.Name) and dec.id == "property":
                         props.add(item.name)
@@ -557,8 +559,40 @@ class Registry:
         )
         return ClassValue(
             node.name, methods, consts, frozenset(props), ctx,
-            tuple(fields) if is_dataclass else None,
+            tuple(fields) if is_dataclass else None, tuple(node.bases),
         )
+
+    @staticmethod
+    def _inherit(values) -> None:
+        """Merge the analyzed bases of each class among ``values`` into
+        it, in Python's method resolution order (computed on empty
+        stand-in classes), the subclass winning; a dataclass binds its
+        bases' fields first and replaces their ``__init__``."""
+        classes = list({id(c): c for c in values if isinstance(c, ClassValue)}.values())
+        stand_ins: dict[int, type] = {}
+
+        def stand_in(c: ClassValue) -> type:
+            if id(c) not in stand_ins:
+                bases = [c.module.globals.get(getattr(b, "id", None)) for b in c.bases]
+                bases = tuple(stand_in(b) for b in bases if isinstance(b, ClassValue))
+                stand_ins[id(c)] = type(c.name, bases, {"cls": c})
+            return stand_ins[id(c)]
+
+        mros = [[k.cls for k in reversed(stand_in(c).__mro__[:-1])] for c in classes]
+        own = {id(c): (c.methods, c.consts, c.properties, c.fields) for c in classes}
+        for c, mro in zip(classes, mros):
+            members, props, fields = {}, set(), None
+            for methods, consts, properties, own_fields in (own[id(k)] for k in mro):
+                if own_fields is not None:  # a dataclass: its generated __init__ wins
+                    known = fields or ()
+                    fields = known + tuple(f for f in own_fields if f not in known)
+                    members.pop("__init__", None)
+                members.update(methods)
+                members.update(consts)
+                props = (props - methods.keys() - consts.keys()) | properties
+            c.methods = {n: v for n, v in members.items() if isinstance(v, FuncValue)}
+            c.consts = {n: v for n, v in members.items() if not isinstance(v, FuncValue)}
+            c.properties, c.fields = frozenset(props), fields
 
     def _resolve_imports(self) -> None:
         for ctx in self.modules.values():
@@ -588,7 +622,9 @@ class Registry:
 
     def module_source_ctx(self, source: str, path: str) -> ModuleCtx:
         """A standalone module context for fixture sources (no imports)."""
-        return self._module_ctx(source, f"<fixture:{path}>", path)
+        ctx = self._module_ctx(source, f"<fixture:{path}>", path)
+        self._inherit(ctx.globals.values())
+        return ctx
 
 
 _REGISTRY: Registry | None = None
@@ -614,7 +650,7 @@ class Instance:
 
 
 class _BoundMethod:
-    def __init__(self, instance: Instance, func: ast.FunctionDef) -> None:
+    def __init__(self, instance: Instance, func: FuncValue) -> None:
         self.instance = instance
         self.func = func
 
@@ -673,7 +709,7 @@ class Interp:
     # -- entry ----------------------------------------------------------
     def call(self, fv, args: list, kwargs: dict, self_obj=None):
         if isinstance(fv, _BoundMethod):
-            func, module, self_obj = fv.func, fv.instance.cls.module, fv.instance
+            func, module, self_obj = fv.func.node, fv.func.module, fv.instance
         elif isinstance(fv, FuncValue):
             func, module = fv.node, fv.module
         else:

@@ -126,6 +126,60 @@ class TestInlinePrograms:
         )
         assert verify_rank_program_source(src, "inline.py", bound=8) == []
 
+    def test_inherited_members_are_interpreted(self):
+        """``Ring`` inherits its constructor and ``right()``/``left()``
+        from ``Base``: the destinations are statically known."""
+        src = (
+            "class Base:\n"
+            "    def __init__(self, rank, size):\n"
+            "        self.rank = rank\n"
+            "        self.size = size\n"
+            "    def right(self):\n"
+            "        return (self.rank + 1) % self.size\n"
+            "    def left(self):\n"
+            "        return (self.rank - 1) % self.size\n"
+            "\n"
+            "class Ring(Base):\n"
+            "    TAG = 9\n"
+            "\n"
+            "def rank_program(ep, mw):\n"
+            "    if ep.size < 2:\n"
+            "        return\n"
+            "    ring = Ring(ep.rank, ep.size)\n"
+            "    req = yield from ep.irecv(ring.left(), tag=ring.TAG)\n"
+            "    yield from ep.send(ring.right(), b'data', tag=ring.TAG)\n"
+            "    yield from req.wait()\n"
+        )
+        assert verify_rank_program_source(src, "inline.py", bound=4) == []
+
+    def test_inheritance_follows_the_mro(self):
+        """The subclass's ``step`` wins over its base's, and a dataclass
+        binds its base's fields first: ``Shifted(size, shift)``."""
+        src = (
+            "@dataclass\n"
+            "class Grid:\n"
+            "    size: int\n"
+            "    def step(self):\n"
+            "        return self.unknown\n"
+            "\n"
+            "@dataclass\n"
+            "class Shifted(Grid):\n"
+            "    shift: int = 0\n"
+            "    def step(self):\n"
+            "        return self.shift\n"
+            "\n"
+            "def rank_program(ep, mw):\n"
+            "    if ep.size < 2:\n"
+            "        return\n"
+            "    g = Shifted(ep.size, 1)\n"
+            "    right = (ep.rank + g.step()) % g.size\n"
+            "    left = (ep.rank - g.step()) % g.size\n"
+            "    req = yield from ep.irecv(left, tag=9)\n"
+            "    yield from ep.send(right, b'data', tag=9)\n"
+            "    yield from req.wait()\n"
+        )
+        assert verify_rank_program_source(src, "inline.py", bound=4) == []
+
     def test_xor_partners(self):
         """``rank ^ 1`` pairs ranks exactly; at odd p the top rank's
         partner does not exist."""
