@@ -144,21 +144,10 @@ class _AnyFunc:
 _ANY_FUNC = _AnyFunc()
 
 
-class _Identity:
-    """np.asarray / np.ascontiguousarray: structure-preserving pass-through."""
-
-    def __call__(self, *a, **k):
-        return a[0] if a else UNKNOWN
-
-
 class _NP:
     """The numpy module as the interpreter sees it."""
 
-    _PASSTHROUGH = {"asarray", "ascontiguousarray"}
-
     def getattr(self, name: str):
-        if name in self._PASSTHROUGH:
-            return _Identity()
         if name == "fft":
             return self
         return _ANY_FUNC
@@ -1093,8 +1082,6 @@ class Interp:
 
         if func is UNKNOWN or isinstance(func, (_AnyFunc, _NP)):
             return UNKNOWN
-        if isinstance(func, _Identity):
-            return func(*args)
         if isinstance(func, (FuncValue, _BoundMethod)):
             return self.call(func, args, kwargs)
         if isinstance(func, ClassValue):

@@ -679,7 +679,11 @@ def _campaign_engine(args: argparse.Namespace, n_workers: int = 0, **kw):
     from .campaign.workloads import build_workload
 
     # an unknown workload or a bad setting raises before the store exists
-    build_workload(args.workload)
+    system, _ = build_workload(args.workload)
+    if getattr(args, "strategy", "replicated") == "spatial" and system.uses_pme:
+        raise ValueError(
+            f"--strategy spatial needs a cutoff-only workload; {args.workload} uses PME"
+        )
     engine = CampaignEngine(
         workload=args.workload,
         config=MDRunConfig(n_steps=args.steps),

@@ -161,9 +161,7 @@ class SlabDecomposition(Decomposition):
         return int(b[rank]), int(b[rank + 1] - b[rank])
 
     def split(self, array: np.ndarray, axis: int = 0) -> list[np.ndarray]:
-        """Split an array along ``axis`` into the per-rank slabs."""
+        """Split an array along ``axis`` into the per-rank slabs (views)."""
         b = self.bounds
-        return [
-            np.take(array, np.arange(b[r], b[r + 1]), axis=axis)
-            for r in range(self.n_ranks)
-        ]
+        lead = (slice(None),) * axis
+        return [array[lead + (slice(b[r], b[r + 1]),)] for r in range(self.n_ranks)]

@@ -11,8 +11,9 @@ Forward transform of a mesh distributed as x-slabs:
 3. each rank 1-D-FFTs its ``(Kx, cy, Kz)`` slab along x          [local]
 
 leaving the spectrum distributed as y-slabs.  The inverse reverses the
-pipeline.  Local transforms use numpy; compute time is charged through
-the cost model with exact butterfly unit counts.
+pipeline.  Local transforms use numpy and run in place (``out=`` gives
+the bits of the allocating calls); compute time is charged through the
+cost model with exact butterfly unit counts.
 """
 
 from __future__ import annotations
@@ -65,7 +66,11 @@ class DistributedFFT:
 
     # ------------------------------------------------------------------
     def forward(self, ep: RankEndpoint, mw: Middleware, x_slab: np.ndarray):
-        """x-slab (real or complex) -> y-slab of the full 3-D spectrum."""
+        """Complex x-slab -> y-slab of the full 3-D spectrum.
+
+        The x-slab is transformed in place, so its contents are consumed;
+        at one rank the spectrum is the x-slab itself.
+        """
         kx, ky, kz = self.grid_shape
         _, cx = self.my_x_range
         if x_slab.shape != (cx, ky, kz):
@@ -75,43 +80,50 @@ class DistributedFFT:
         yield from ep.compute(
             self.cost.fft(fft_units((cx * kz, ky), (cx * ky, kz)))
         )
-        s = np.fft.fftn(x_slab, axes=(1, 2))
+        np.fft.fftn(x_slab, axes=(1, 2), out=x_slab)
 
         # stage 2: transpose to y-slabs
-        s = yield from self._transpose_x_to_y(ep, mw, s)
+        s = yield from self._transpose_x_to_y(ep, mw, x_slab)
 
         # stage 3: local 1-D FFT along x
         _, cy = self.my_y_range
         yield from ep.compute(self.cost.fft(fft_units((cy * kz, kx))))
-        return np.fft.fft(s, axis=0)
+        return np.fft.fft(s, axis=0, out=s)
 
     def inverse(self, ep: RankEndpoint, mw: Middleware, y_slab: np.ndarray):
-        """y-slab spectrum -> x-slab of the inverse-transformed mesh."""
+        """y-slab spectrum -> x-slab of the inverse-transformed mesh, in
+        place as :meth:`forward` is."""
         kx, ky, kz = self.grid_shape
         _, cy = self.my_y_range
         if y_slab.shape != (kx, cy, kz):
             raise ValueError(f"y-slab shape {y_slab.shape} != {(kx, cy, kz)}")
 
         yield from ep.compute(self.cost.fft(fft_units((cy * kz, kx))))
-        s = np.fft.ifft(y_slab, axis=0)
+        np.fft.ifft(y_slab, axis=0, out=y_slab)
 
-        s = yield from self._transpose_y_to_x(ep, mw, s)
+        s = yield from self._transpose_y_to_x(ep, mw, y_slab)
 
         _, cx = self.my_x_range
         yield from ep.compute(
             self.cost.fft(fft_units((cx * kz, ky), (cx * ky, kz)))
         )
-        return np.fft.ifftn(s, axes=(1, 2))
+        return np.fft.ifftn(s, axes=(1, 2), out=s)
 
     # ------------------------------------------------------------------
+    # The send blocks are views of the slab: a send snapshots its payload
+    # (MPI buffer semantics), and at one rank the lone block is the slab,
+    # so the transpose there copies nothing.
     def _transpose_x_to_y(self, ep: RankEndpoint, mw: Middleware, s: np.ndarray):
         """(cx, Ky, Kz) per rank -> (Kx, cy, Kz) per rank."""
-        send = [np.ascontiguousarray(block) for block in self.y_slabs.split(s, axis=1)]
-        recv = yield from mw.alltoallv(ep, send)
-        return np.concatenate(recv, axis=0)
+        recv = yield from mw.alltoallv(ep, self.y_slabs.split(s, axis=1))
+        return _joined(recv, axis=0)
 
     def _transpose_y_to_x(self, ep: RankEndpoint, mw: Middleware, s: np.ndarray):
         """(Kx, cy, Kz) per rank -> (cx, Ky, Kz) per rank."""
-        send = [np.ascontiguousarray(block) for block in self.x_slabs.split(s, axis=0)]
-        recv = yield from mw.alltoallv(ep, send)
-        return np.concatenate(recv, axis=1)
+        recv = yield from mw.alltoallv(ep, self.x_slabs.split(s, axis=0))
+        return _joined(recv, axis=1)
+
+
+def _joined(blocks: list, axis: int) -> np.ndarray:
+    """The received blocks as one slab; a lone block is the slab already."""
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=axis)

@@ -29,8 +29,7 @@ from ..mpi.endpoint import RankEndpoint
 from ..mpi.middleware import Middleware
 from ..pme.ewald import exclusion_correction, self_energy
 from ..pme.grid import ChargeMesh
-from ..pme.plans import PlanCache
-from ..pme.pme import PME
+from ..pme.pme import PME, spectrum_energy
 from .costmodel import MachineCostModel
 from .decomposition import AtomDecomposition
 from .pfft import DistributedFFT
@@ -104,8 +103,6 @@ class ParallelPME:
         self.cost = cost
         self.charges = charges
         self.shared = shared
-        # private work-array cache (never shared across ranks/threads)
-        self.plans = PlanCache()
         self.fft = DistributedFFT(pme.grid_shape, n_ranks, rank, cost)
         # private mesh so per-rank workload counters do not interleave
         self.mesh = ChargeMesh(box, pme.grid_shape, pme.order)
@@ -142,36 +139,31 @@ class ParallelPME:
         it keys the shared stencil, which is computed once per step and
         reused across the spread and interpolate directions of all ranks.
         """
-        kx, ky, kz = self.pme.grid_shape
         x_range = self.fft.my_x_range
         stencil = self._stencil_for(positions, generation)
 
-        # 1. spread all charges onto owned planes
-        q_slab = self.mesh.spread(
+        # 1. spread all charges onto owned planes, cast at once into the
+        # step's one complex mesh (the real slab is dropped)
+        mesh = self.mesh.spread(
             positions, self.charges, x_range=x_range, stencil=stencil
-        )
+        ).astype(np.complex128)
         assert self.mesh.last_workload is not None
         yield from ep.compute(self.cost.spread(self.mesh.last_workload.scattered_points))
 
-        # 2. forward distributed FFT; the complex cast reuses a plan-cache
-        # buffer (whole-array assignment == astype, bit for bit)
-        cplx = self.plans.complex_buffer("fft-in", q_slab.shape)
-        cplx[...] = q_slab
-        spectrum = yield from self.fft.forward(ep, mw, cplx)
+        # 2. forward distributed FFT, in place: the mesh becomes the
+        # owned y-slab of the spectrum
+        mesh = yield from self.fft.forward(ep, mw, mesh)
 
-        # 3. influence multiply and partial energy on the owned y-slab
-        n_slab_points = spectrum.size
-        yield from ep.compute(self.cost.grid_pass(2 * n_slab_points))
-        energy = 0.5 * float(np.sum(self.psi_slab * np.abs(spectrum) ** 2))
-        conv = np.multiply(
-            self.psi_slab,
-            spectrum,
-            out=self.plans.complex_buffer("conv", spectrum.shape),
-        )
+        # 3. partial energy on the owned y-slab, then the influence
+        # multiply into the spectrum itself
+        yield from ep.compute(self.cost.grid_pass(2 * mesh.size))
+        energy = spectrum_energy(self.psi_slab, mesh)
+        np.multiply(self.psi_slab, mesh, out=mesh)
 
-        # 4. inverse distributed FFT
-        phi_slab = yield from self.fft.inverse(ep, mw, conv)
-        phi = self.pme.total_points * phi_slab.real
+        # 4. inverse distributed FFT, in place; phi replaces the complex mesh
+        mesh = yield from self.fft.inverse(ep, mw, mesh)
+        phi = self.pme.total_points * mesh.real
+        mesh = None  # phi is the only mesh live from here on
 
         # 5. partial force interpolation from owned planes, plus the
         # exclusion corrections of this rank's slice

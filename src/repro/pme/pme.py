@@ -28,9 +28,8 @@ from ..md.box import PeriodicBox
 from ..md.units import COULOMB_CONSTANT
 from .bspline import bspline_moduli
 from .grid import ChargeMesh
-from .plans import PlanCache
 
-__all__ = ["PME", "ReciprocalResult", "influence_function"]
+__all__ = ["PME", "ReciprocalResult", "influence_function", "spectrum_energy"]
 
 
 def influence_function(
@@ -80,6 +79,19 @@ def _influence_function_cached(
     return psi
 
 
+def spectrum_energy(psi: np.ndarray, s: np.ndarray) -> float:
+    """``E_rec = 1/2 sum psi |S|^2`` over a spectrum ``s`` (or a slab of it).
+
+    The same operations in the same order as
+    ``0.5 * np.sum(psi * np.abs(s) ** 2)``, so the same bits, with one
+    real temporary instead of three.
+    """
+    t = np.abs(s)
+    np.square(t, out=t)
+    np.multiply(psi, t, out=t)
+    return 0.5 * float(np.sum(t))
+
+
 @dataclass(frozen=True)
 class ReciprocalResult:
     """Energy (kcal/mol) and forces from one reciprocal-space evaluation."""
@@ -118,21 +130,22 @@ class PME:
         self.mesh = ChargeMesh(box, self.grid_shape, order)
         self.psi = influence_function(box, self.grid_shape, order, alpha)
         self.total_points = int(np.prod(self.grid_shape))
-        # private work-array cache (never shared across ranks/threads)
-        self.plans = PlanCache()
 
     # ------------------------------------------------------------------
     def reciprocal(self, positions: np.ndarray, charges: np.ndarray) -> ReciprocalResult:
-        """Reciprocal-space energy and forces for the given configuration."""
+        """Reciprocal-space energy and forces for the given configuration.
+
+        One complex mesh serves the step: the spread mesh is cast into it,
+        transformed and convolved in place, and replaced by ``phi``.
+        """
         # one B-spline stencil serves both the spread and the interpolation
         stencil = self.mesh.stencil(positions)
-        q_grid = self.mesh.spread(positions, charges, stencil=stencil)
-        s = np.fft.fftn(q_grid)
-        energy = 0.5 * float(np.sum(self.psi * np.abs(s) ** 2))
-        conv = np.multiply(
-            self.psi, s, out=self.plans.complex_buffer("conv", self.grid_shape)
-        )
-        phi = self.total_points * np.fft.ifftn(conv).real
+        mesh = self.mesh.spread(positions, charges, stencil=stencil).astype(np.complex128)
+        np.fft.fftn(mesh, out=mesh)
+        energy = spectrum_energy(self.psi, mesh)
+        np.multiply(self.psi, mesh, out=mesh)
+        phi = self.total_points * np.fft.ifftn(mesh, out=mesh).real
+        mesh = None  # phi is the only mesh live from here on
         forces = self.mesh.interpolate_forces(positions, charges, phi, stencil=stencil)
         return ReciprocalResult(energy=energy, forces=forces)
 
@@ -145,4 +158,4 @@ class PME:
         """
         if s.shape != self.grid_shape:
             raise ValueError(f"spectrum shape {s.shape} != mesh {self.grid_shape}")
-        return 0.5 * float(np.sum(self.psi * np.abs(s) ** 2))
+        return spectrum_energy(self.psi, s)

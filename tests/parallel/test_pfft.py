@@ -19,7 +19,8 @@ def _run_fft(shape, p, data, inverse_too=True, seed=1):
         x0, cx = f.my_x_range
         fwd = yield from f.forward(world.endpoints[r], mw, data[x0 : x0 + cx].astype(complex))
         if inverse_too:
-            back = yield from f.inverse(world.endpoints[r], mw, fwd)
+            # the transforms run in place: the inverse consumes its input
+            back = yield from f.inverse(world.endpoints[r], mw, fwd.copy())
         else:
             back = None
         return f, fwd, back

@@ -1,12 +1,15 @@
 """Parallel PME == serial PME: energies and (summed) partial forces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, score_gigabit_ethernet
+from repro.md import PeriodicBox
 from repro.mpi import MPIMiddleware, MPIWorld
 from repro.parallel import AtomDecomposition, ParallelPME, PIII_1GHZ
-from repro.pme import PME, self_energy
+from repro.pme import PME, grid, self_energy
 from repro.sim import Simulator
 
 
@@ -113,3 +116,42 @@ def test_pme_phase_charges_compute_and_comm(peptide_system):
         totals = ep.timeline.grand_total()
         assert totals.comp > 0
         assert totals.comm > 0
+
+
+def test_one_step_holds_one_complex_and_one_real_mesh(monkeypatch):
+    """tracemalloc's peak over one PME step at p = 1, above its entry,
+    stays within one complex mesh, one real mesh and one block's
+    allowance: 2 KB per atom of a block (its four (o, o, o) cubes) and
+    512 B per atom (the stencil, the plane indices, the forces).  The
+    step spreads into a complex mesh that the FFTs transform in place
+    and ``phi`` replaces; work buffers kept across steps, allocating FFTs
+    or copies in the p = 1 transposes would each add a mesh."""
+    block, n = 64, 300
+    monkeypatch.setattr(grid, "MESH_BLOCK_ATOMS", block)
+    box = PeriodicBox(40.0, 40.0, 40.0)
+    shape = (48, 48, 48)  # a 1.8 MB complex mesh against a 0.2 MB block
+    rng = np.random.default_rng(3)
+    pos = rng.uniform(0.0, 40.0, (n, 3))
+    charges = rng.normal(size=n)
+    ppme = ParallelPME(
+        PME(box, shape, alpha=0.3), box, AtomDecomposition(n, 1),
+        np.zeros((0, 2), dtype=np.int64), charges, n_ranks=1, rank=0, cost=PIII_1GHZ,
+    )
+    sim = Simulator()
+    world = MPIWorld(sim, ClusterSpec(n_ranks=1, network=score_gigabit_ethernet()))
+    peaks = []
+
+    def prog(ep, mw):
+        yield from ppme.reciprocal(ep, mw, pos)  # warm: numpy's small-block caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            yield from ppme.reciprocal(ep, mw, pos)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+
+    sim.spawn(prog(world.endpoints[0], MPIMiddleware()))
+    sim.run()
+    complex_mesh = int(np.prod(shape)) * 16
+    assert peaks[0] <= complex_mesh + complex_mesh // 2 + 2048 * block + 512 * n

@@ -156,6 +156,18 @@ class TestCampaignCommand:
         assert out == "" and err.startswith("error: unknown workload 'nope'")
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "serve"])
+    def test_spatial_on_a_pme_workload_errors_before_the_store(self, tmp_path, capsys, verb):
+        args = [
+            "campaign", verb, *self._args(tmp_path, "--strategy", "spatial", "--ranks", "2")
+        ]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: --strategy spatial needs a cutoff-only workload; peptide-tiny uses PME\n"
+        )
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize("design", ["sweep", "full", "paper"])
     def test_run_zero_replicates_errors_before_the_store(self, tmp_path, capsys, design):
         args = ["campaign", "run", *self._args(tmp_path, "--design", design, "--replicates", "0")]
