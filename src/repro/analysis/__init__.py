@@ -12,11 +12,12 @@ Three layers, one rule namespace (REP1xx, REP3xx–REP5xx, see
   (message size/dtype agreement, in-flight channel collisions, transfer
   windows, timeline accounting — per op batch and at shutdown — clean
   queues, cross-rank collective order), on live and replayed runs alike;
-* :mod:`repro.analysis.static_schedule` — symbolic extraction of each
-  rank's op stream from the rank-program sources, proved by the real op
-  executor on an all-rendezvous network: deadlock/tag-race/type-agreement
-  proofs for every rank count up to a bound, with no rank program run,
-  plus conformance against declared
+* :mod:`repro.analysis.static_schedule` — each rank's op stream,
+  recorded from the real rank programs (live replicated steps, the
+  spatial program and standalone sources driven with stand-in
+  payloads), proved by the real op executor on an all-rendezvous
+  network: deadlock/tag-race/type-agreement proofs for every rank count
+  up to a bound, plus conformance against declared
   :class:`~repro.analysis.contract.ScheduleContract` values.
 
 Findings are suppressed inline, one line at a time with the reason

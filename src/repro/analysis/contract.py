@@ -8,9 +8,9 @@ inside PME, and — once a spatial decomposition lands — halo exchanges).
 
 Strategies declare their contract next to their implementation
 (:data:`repro.parallel.pclassic.SCHEDULE_CONTRACT` etc.); the static
-verifier (:mod:`repro.analysis.static_schedule`) extracts the actual
-collective sequence from the rank-program AST and checks conformance
-(rule REP406).  Because the check is against a *declaration*, a new
+verifier (:mod:`repro.analysis.static_schedule`) records the middleware
+ops a rank program actually calls and checks conformance (rule
+REP406).  Because the check is against a *declaration*, a new
 :class:`~repro.parallel.decomposition.Decomposition` implementation can
 be verified against its promised schedule before any campaign executes.
 

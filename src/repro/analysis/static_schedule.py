@@ -1,9 +1,9 @@
 """Static communication-schedule verification (rules REP401-REP406).
 
 Every rank program is instantiated per (rank, p) for every p up to a
-bound without running it, and each rank's schedule is extracted as the
-op stream (:class:`~repro.mpi.endpoint.OpStream`) a live run records.
-The real op executor then runs the streams
+bound, and each rank's schedule is recorded as the op stream
+(:class:`~repro.mpi.endpoint.OpStream`) it issues.  The real op
+executor then runs the streams
 (:func:`~repro.mpi.endpoint.replay_program`) with every send
 rendezvous, and what that run leaves proves, per p: no deadlock
 (REP401), no unmatched send or receive (REP402/REP403), no two sends in
@@ -13,46 +13,44 @@ sanitizer's checks).  The streams' tag draws must agree across ranks
 and conform to the strategy's declared
 :class:`~repro.analysis.contract.ScheduleContract` (REP406).
 
-Rank programs are interpreted; everything below them is executed.  An
-abstract interpreter walks the rank programs' ASTs: control flow —
-``ep.rank``, ``ep.size``, loops over ranks and FFT planes — evaluates
-for real, while the data they move stays symbolic
-(:mod:`repro.analysis.symbolic`).  The classes the rank programs build
-— the PME engine, the distributed FFT, its slab decompositions, the
-classic phase — are interpreted from source too, constructors
-included; no class is modelled, and whatever the analyzed modules
-import from elsewhere (numpy, the cost model, the charge mesh) is an
-unknown value.  When interpreted code reaches
-``mw.<op>(ep, ...)`` or ``yield from ep.<primitive>(...)``, the real
-middleware, collective and endpoint generators run against a
-:class:`_RecordingEndpoint`, which records the op batches they yield
-and is the one boundary between symbolic and real values.
+Each schedule is a recording of the real code, made one of two ways:
+
+* The replicated strategies (``pclassic``, ``ppme``) run one live step
+  of the verifier's own peptide under a
+  :class:`~repro.parallel.shared.TrajectorySession`, which records every
+  rank's stream; their findings carry no source line.
+* The spatial program and standalone sources (golden fixtures) are
+  driven rank by rank against a :class:`_RecordingEndpoint`, which
+  records each op batch their generators yield and hands them
+  *stand-ins* for the payloads they would move: the spatial engine is
+  a stub, and a fixture parameter other than ``ep`` and ``mw`` is an
+  unknown that raises when the program branches on it.  Each entry
+  and error carries the innermost middleware line of the driven frames,
+  else the innermost line of the program.
 
 The verifier is *conservative where it is symbolic*: completion that
 depends on eager buffering is a deadlock; a size or dtype it cannot
-know is a marker equal to every value; a branch it cannot decide may
-be skipped only when neither arm communicates, otherwise extraction
-fails (REP406) instead of guessing, as does an exception inside real
-code.  Findings are grouped over the verified p-range into a symbolic
-p-condition ("odd p in [3, 31]").  :func:`extract_streams` equals the
-streams a live run of the same trajectory records, less their compute
-charges and attributions: the cross-check against reality.
+know is a marker equal to every value; a branch on an unknown, and an
+exception inside the recorded code, fail extraction (REP406) instead
+of guessing.  Findings are grouped over the verified p-range into a
+symbolic p-condition ("odd p in [3, 31]").
 
-This module must not import :mod:`repro.parallel` at import time (the
-parallel package imports :mod:`repro.analysis.contract`); the rank
-programs are parsed from source by path instead.
+This module must not import :mod:`repro.parallel` or
+:mod:`repro.workloads` at import time (the parallel package imports
+:mod:`repro.analysis.contract`); the functions that record them import
+them when they run.
 """
 
 from __future__ import annotations
 
-import ast
 import dataclasses
+import inspect
 import math
-import operator
 import sys
 import traceback
+import types
 from array import array
-from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from types import GeneratorType
 
@@ -66,8 +64,9 @@ from ..instrument.timeline import Timeline
 from ..mpi import collectives
 from ..mpi import middleware as mpi_middleware
 from ..mpi.endpoint import (
-    BATCH_ENTRY, CHARGE, COLLECTIVE_TAG_BASE, DRAW_ENTRY, POST, POST_ENTRY, RECV, SEND, WAIT,
-    WAIT_ENTRY, OpBatch, OpStream, RankEndpoint, RecvRequest, SendRequest, replay_program,
+    BATCH_ENTRY, CHARGE, COLLECTIVE_TAG_BASE, COMPUTE_ENTRY, DRAW_ENTRY, POST, POST_ENTRY,
+    RECV, SEND, WAIT, WAIT_ENTRY, OpStream, RankEndpoint, RecvRequest, SendRequest,
+    replay_program,
 )
 from ..mpi.message import PayloadSize
 from ..mpi.middleware import Middleware, MPIMiddleware
@@ -91,11 +90,9 @@ __all__ = [
     "SPATIAL_PROFILES",
 ]
 
-#: Interpreter work budget per (rank, p) instantiation — a runaway loop
-#: in an analyzed program fails extraction instead of hanging the tool.
-_MAX_STEPS = 2_000_000
+#: Most entries one rank's recording may hold: a loop that keeps
+#: communicating fails extraction instead of hanging the tool.
 _MAX_ENTRIES_PER_RANK = 200_000
-_MAX_CALL_DEPTH = 64
 
 
 class StaticExtractionError(Exception):
@@ -106,68 +103,30 @@ class StaticExtractionError(Exception):
         self.loc = loc
 
 
-# ---------------------------------------------------------------------------
-# the abstract value domain
-
-
 class _Unknown:
-    """The opaque top value: absorbs arithmetic, attributes and calls."""
+    """A value the verifier does not know: what a payload holds, or a
+    fixture's parameter.  Real code may pass one on, not branch on it."""
 
-    def __repr__(self) -> str:
-        return "<unknown>"
+    def __init__(self, what: str) -> None:
+        self.what = what
 
-
-UNKNOWN = _Unknown()
-
-
-def _is_concrete(v) -> bool:
-    return isinstance(v, (int, float, bool, str, bytes)) or v is None
-
-
-class _Opaque:
-    """A structured opaque value: known attributes, unknown everything else."""
-
-    def __init__(self, attrs: dict | None = None) -> None:
-        self.attrs = dict(attrs or {})
-
-    def getattr(self, name: str):
-        return self.attrs.get(name, UNKNOWN)
+    def __bool__(self) -> bool:
+        raise StaticExtractionError(
+            f"the program branches on {self.what}, which is not statically known"
+        )
 
 
-class _AnyFunc:
-    """A callable about which nothing is known; returns UNKNOWN."""
-
-    def __call__(self, *a, **k):
-        return UNKNOWN
-
-
-_ANY_FUNC = _AnyFunc()
-
-
-class _NP:
-    """The numpy module as the interpreter sees it."""
-
-    def getattr(self, name: str):
-        if name == "fft":
-            return self
-        return _ANY_FUNC
-
-
-_NP_SENTINEL = _NP()
+UNKNOWN = _Unknown("a payload")
 
 
 # ---------------------------------------------------------------------------
-# the recording endpoint: real middleware code runs against it
+# the recording endpoint: real rank programs and middleware run against it
 
-#: The real code the verifier executes below the rank programs; an
-#: entry or error raised inside it carries its innermost line here.
+#: The real code below the rank programs; an entry or error inside it
+#: carries its innermost line here.
 _MIDDLEWARE_FILES = frozenset(
     module.__file__ for module in (collectives, mpi_middleware, cmpi_middleware)
 )
-
-#: The attribution of every static entry: the proof books no time, so
-#: it records no phase.
-_ATTRIBUTION = Timeline().attribution
 
 #: What a send of a payload the verifier cannot size carries.
 _SYMBOLIC_PAYLOAD = PayloadSize(SYMBOLIC_NBYTES, SYMBOLIC_DTYPE)
@@ -176,12 +135,12 @@ _SYMBOLIC_PAYLOAD = PayloadSize(SYMBOLIC_NBYTES, SYMBOLIC_DTYPE)
 _RECEIVED: dict[tuple[str, int], Block] = {}
 
 
-def _middleware_loc(frames) -> tuple[str, int] | None:
+def _innermost(frames, files) -> tuple[str, int] | None:
     """The innermost ``(code, line)`` of ``frames`` (outermost first)
-    that runs middleware code, as a location."""
+    that runs code of ``files``, as a location."""
     loc = None
     for code, line in frames:
-        if code.co_filename in _MIDDLEWARE_FILES:
+        if code.co_filename in files:
             loc = (code.co_filename, line)
     return loc
 
@@ -205,7 +164,9 @@ class _RecordingEndpoint:
     ``isend``/``irecv`` return real requests; :meth:`drive` runs a real
     generator and records each op batch it yields as
     :class:`~repro.mpi.endpoint.OpStreamRecorder` would, save compute
-    charges, keeping each entry's, post's and split-phase wait's line.
+    charges, keeping each entry's, post's and split-phase wait's line:
+    the innermost middleware line of the driven frames, else the
+    innermost line of ``program`` (a source path).
 
     Real code is handed *stand-ins* for symbolic payloads: an array
     ``[i, 1]`` for the ``i``-th payload this endpoint handed out, which
@@ -218,16 +179,10 @@ class _RecordingEndpoint:
     sendrecv = RankEndpoint.sendrecv
     batch = RankEndpoint.batch
 
-    #: what an interpreted rank program reaches through ``ep``
-    SURFACE = frozenset({
-        "rank", "size", "timeline", "next_collective_tag", "compute",
-        "isend", "irecv", "send", "recv", "sendrecv", "batch",
-    })
-
-    def __init__(self, rank: int, size: int, interp: "Interp | None" = None) -> None:
+    def __init__(self, rank: int, size: int, program: str | None = None) -> None:
         self.rank = rank
         self.size = size
-        self.interp = interp
+        self.program = program
         self.timeline = Timeline()
         self.entries: list[tuple] = []
         self.locs: list[tuple[str, int]] = []  # per entry
@@ -238,28 +193,31 @@ class _RecordingEndpoint:
         self._draws = 0
         self._split: dict = {}  # split-phase request -> (its index, its post index)
         self._payloads: list = []  # stand-in index -> Block or UNKNOWN
-        self._at: tuple[str, int] | None = None  # middleware line of the batch
+        self._at: tuple[str, int] | None = None  # where the batch being recorded is
+        self._in_middleware = False  # whether middleware yielded it
 
     @property
     def loc(self) -> tuple[str, int]:
-        if self._at is not None:
-            return self._at
-        return self.interp.loc if self.interp is not None else ("<middleware>", 0)
+        return self._at or ("<program>", 0)
+
+    def _locate(self, frames) -> tuple[str, int] | None:
+        frames = list(frames)
+        return _innermost(frames, _MIDDLEWARE_FILES) or _innermost(frames, (self.program,))
 
     def stream(self) -> OpStream:
         return OpStream(tuple(self.entries), array("d"))
 
     def _add(self, kind: int, body, loc: tuple[str, int]) -> None:
-        self.entries.append((kind, _ATTRIBUTION, body))
+        self.entries.append((kind, self.timeline.attribution, body))
         self.locs.append(loc)
         if len(self.entries) > _MAX_ENTRIES_PER_RANK:
             raise StaticExtractionError(
-                f"rank {self.rank} schedule exceeds {_MAX_ENTRIES_PER_RANK} entries", loc
+                f"rank {self.rank} schedule exceeds {_MAX_ENTRIES_PER_RANK} entries"
             )
 
     # -- the boundary between symbolic and real values ------------------
     def stand_in(self, value):
-        """What real code is handed for an interpreted value."""
+        """What real code is handed for a symbolic value."""
         if isinstance(value, (list, tuple)):
             return type(value)(self.stand_in(v) for v in value)
         if value is not UNKNOWN and not isinstance(value, Block):
@@ -268,7 +226,7 @@ class _RecordingEndpoint:
         return np.array([len(self._payloads) - 1, 1])
 
     def symbolic(self, value):
-        """The interpreted value of what real code hands back: a stand-in
+        """The symbolic value of what real code hands back: a stand-in
         (or a copy) is its payload, anything computed from one UNKNOWN."""
         if isinstance(value, (list, tuple)):
             return type(value)(self.symbolic(v) for v in value)
@@ -281,13 +239,12 @@ class _RecordingEndpoint:
     # -- the RankEndpoint surface ---------------------------------------
     def next_collective_tag(self, op="collective"):
         self._draws += 1
-        caller = sys._getframe(1)
-        loc = _middleware_loc([(caller.f_code, caller.f_lineno)]) or self.loc
-        self._add(DRAW_ENTRY, op if isinstance(op, str) else "collective", loc)
+        stack = [(frame.f_code, line) for frame, line in traceback.walk_stack(sys._getframe(1))]
+        self._add(DRAW_ENTRY, op, self._locate(reversed(stack)) or self.loc)
         return SymTag(base=self._draws)
 
-    def compute(self, seconds=None):
-        return None
+    def compute(self, seconds):
+        yield from ()
 
     def isend(self, dest, payload, tag=0) -> SendRequest:
         return SendRequest(self, self._peer(dest, "destination"), tag, payload, 0, 0.0, False)
@@ -299,38 +256,34 @@ class _RecordingEndpoint:
 
     def _peer(self, peer, role: str) -> int:
         if not isinstance(peer, int) or isinstance(peer, bool):
-            raise StaticExtractionError(
-                f"{role} rank is not statically known ({self.symbolic(peer)!r})", self.loc
-            )
+            raise StaticExtractionError(f"{role} rank is not statically known")
         if not 0 <= peer < self.size:
-            raise StaticExtractionError(f"bad {role} rank {peer} for p={self.size}", self.loc)
+            raise StaticExtractionError(f"bad {role} rank {peer} for p={self.size}")
         if peer == self.rank:
-            raise StaticExtractionError(f"self-{role} is not supported", self.loc)
+            raise StaticExtractionError(f"self-{role} is not supported")
         return peer
 
     # -- recording ------------------------------------------------------
     def drive(self, gen):
         """Run a real generator to its end, recording each op batch it
-        yields; returns its result as an interpreted value.  An exception
-        inside it is a :class:`StaticExtractionError` at its innermost
-        middleware line."""
+        yields; returns its result as a symbolic value.  An exception
+        inside it is a :class:`StaticExtractionError` where it was raised."""
         received = None
         try:
             while True:
                 batch = gen.send(received)
-                self._at = _middleware_loc(_delegation_chain(gen))
+                frames = list(_delegation_chain(gen))
+                self._in_middleware = _innermost(frames, _MIDDLEWARE_FILES) is not None
+                self._at = self._locate(frames)
                 received = self.record(batch.ops)
         except StopIteration as stop:
             return self.symbolic(stop.value)
-        except StaticExtractionError:
-            raise
         except Exception as exc:
-            loc = _middleware_loc(
-                (frame.f_code, line) for frame, line in traceback.walk_tb(exc.__traceback__)
+            frames = [(frame.f_code, line) for frame, line in traceback.walk_tb(exc.__traceback__)]
+            message = str(exc) if isinstance(exc, StaticExtractionError) else (
+                f"{type(exc).__name__}: {exc}"
             )
-            raise StaticExtractionError(f"{type(exc).__name__}: {exc}", loc or self.loc) from exc
-        finally:
-            self._at = None
+            raise StaticExtractionError(message, self._locate(frames) or self.loc) from exc
 
     def record(self, ops) -> list:
         """Record one op batch as
@@ -350,7 +303,7 @@ class _RecordingEndpoint:
                 if posts[op[1]] == RECV:
                     received.append(self._received())
             elif code != CHARGE:
-                raise StaticExtractionError(f"op is not statically known ({op!r})", loc)
+                raise StaticExtractionError(f"op is not statically known ({op!r})")
             if code == SEND or code == RECV:
                 posts.append(code)
             body.append(op)
@@ -371,7 +324,7 @@ class _RecordingEndpoint:
             self._add(POST_ENTRY, op, loc)
             return []
         if req not in self._split:
-            raise StaticExtractionError("wait on a request that was never posted", loc)
+            raise StaticExtractionError("wait on a request that was never posted")
         split, post = self._split[req]
         self.wait_locs.setdefault(post, loc)
         self._add(WAIT_ENTRY, split, loc)
@@ -391,7 +344,7 @@ class _RecordingEndpoint:
     def _recv_op(self, source: int, tag, nbytes, dtype) -> tuple:
         # what middleware declares derives from its stand-ins, save the
         # one-byte synchronization message
-        declared = self._at is None or dtype == "bytes"
+        declared = not self._in_middleware or dtype == "bytes"
         return (
             RECV, source, self._offset(tag),
             nbytes if declared and isinstance(nbytes, int) else SYMBOLIC_NBYTES,
@@ -414,742 +367,7 @@ class _RecordingEndpoint:
             return tag.absolute(COLLECTIVE_TAG_BASE) - base
         if isinstance(tag, int):
             return tag - base
-        raise StaticExtractionError(
-            f"message tag is not statically known ({self.symbolic(tag)!r})", self.loc
-        )
-
-
-# ---------------------------------------------------------------------------
-# module registry: parse the rank-program modules from source by path
-
-
-@dataclass
-class ClassValue:
-    name: str
-    methods: dict  # name -> FuncValue, inherited ones included
-    consts: dict
-    properties: frozenset
-    module: "ModuleCtx"
-    fields: tuple | None  # a dataclass's annotated fields in order, else None
-    bases: tuple = ()  # the bases' AST nodes
-
-
-@dataclass
-class FuncValue:
-    name: str
-    node: ast.FunctionDef
-    module: "ModuleCtx"
-
-
-@dataclass
-class ModuleCtx:
-    name: str  # dotted, e.g. "repro.parallel.pmd"
-    path: str
-    tree: ast.Module
-    globals: dict = field(default_factory=dict)
-
-
-_ANALYZED_MODULES = (
-    "repro.parallel.decomposition",
-    "repro.parallel.pfft",
-    "repro.parallel.ppme",
-    "repro.parallel.pclassic",
-    "repro.parallel.pmd",
-    "repro.parallel.spatial.program",
-)
-
-
-def _fold_const(node: ast.expr):
-    """Best-effort compile-time value of a module-level expression."""
-    if isinstance(node, ast.Constant):
-        return node.value
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        v = _fold_const(node.operand)
-        if _is_concrete(v) and not isinstance(v, (str, bytes)):
-            return _UNARY[type(node.op)](v)
-    if isinstance(node, ast.BinOp):
-        left, right = _fold_const(node.left), _fold_const(node.right)
-        if _is_concrete(left) and _is_concrete(right):
-            try:
-                return _BINOPS[type(node.op)](left, right)
-            except Exception:  # an unsupported operator too
-                return UNKNOWN
-    if isinstance(node, (ast.Tuple, ast.List)):
-        items = [_fold_const(e) for e in node.elts]
-        if all(i is not UNKNOWN for i in items):
-            return tuple(items) if isinstance(node, ast.Tuple) else items
-    return UNKNOWN
-
-
-#: the operators the interpreter applies to concrete values
-_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
-_BINOPS = {
-    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv, ast.Mod: operator.mod,
-    ast.BitXor: operator.xor, ast.BitAnd: operator.and_, ast.BitOr: operator.or_,
-    ast.LShift: operator.lshift, ast.RShift: operator.rshift,
-}
-#: the operators of ``t op= v``, in place (a list ``+=`` extends it)
-_INPLACE = {op: getattr(operator, "i" + fn.__name__.rstrip("_")) for op, fn in _BINOPS.items()}
-_COMPARISONS = {
-    ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
-    ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
-}
-
-
-class Registry:
-    """The parsed rank-program modules, loaded once per process."""
-
-    def __init__(self) -> None:
-        self.modules: dict[str, ModuleCtx] = {}
-        root = Path(__file__).resolve().parents[1]  # src/repro
-        for dotted in _ANALYZED_MODULES:
-            path = root / Path(*dotted.split(".")[1:]).with_suffix(".py")
-            self.modules[dotted] = self._module_ctx(path.read_text(), dotted, str(path))
-        self._resolve_imports()
-        self._inherit([c for ctx in self.modules.values() for c in ctx.globals.values()])
-
-    def _module_ctx(self, source: str, name: str, path: str) -> ModuleCtx:
-        ctx = ModuleCtx(name=name, path=path, tree=ast.parse(source, filename=path))
-        for node in ctx.tree.body:
-            if isinstance(node, ast.FunctionDef):
-                ctx.globals[node.name] = FuncValue(node.name, node, ctx)
-            elif isinstance(node, ast.ClassDef):
-                ctx.globals[node.name] = self._class_value(node, ctx)
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                tgt = node.targets[0]
-                if isinstance(tgt, ast.Name):
-                    value = _fold_const(node.value)
-                    if value is not UNKNOWN:
-                        ctx.globals[tgt.id] = value
-        return ctx
-
-    @staticmethod
-    def _class_value(node: ast.ClassDef, ctx: ModuleCtx) -> ClassValue:
-        methods, consts, props, fields = {}, {}, set(), []
-        for item in node.body:
-            if isinstance(item, ast.FunctionDef):
-                methods[item.name] = FuncValue(item.name, item, ctx)
-                for dec in item.decorator_list:
-                    if isinstance(dec, ast.Name) and dec.id == "property":
-                        props.add(item.name)
-            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
-                tgt = item.targets[0] if isinstance(item, ast.Assign) else item.target
-                value = item.value
-                if isinstance(item, ast.AnnAssign) and isinstance(tgt, ast.Name):
-                    fields.append(tgt.id)
-                if isinstance(tgt, ast.Name) and value is not None:
-                    folded = _fold_const(value)
-                    if folded is not UNKNOWN:
-                        consts[tgt.id] = folded
-        is_dataclass = any(
-            "dataclass" in (getattr(dec, "id", None), getattr(dec, "attr", None))
-            for dec in (getattr(d, "func", d) for d in node.decorator_list)
-        )
-        return ClassValue(
-            node.name, methods, consts, frozenset(props), ctx,
-            tuple(fields) if is_dataclass else None, tuple(node.bases),
-        )
-
-    @staticmethod
-    def _inherit(values) -> None:
-        """Merge the analyzed bases of each class among ``values`` into
-        it, in Python's method resolution order (computed on empty
-        stand-in classes), the subclass winning; a dataclass binds its
-        bases' fields first and replaces their ``__init__``."""
-        classes = list({id(c): c for c in values if isinstance(c, ClassValue)}.values())
-        stand_ins: dict[int, type] = {}
-
-        def stand_in(c: ClassValue) -> type:
-            if id(c) not in stand_ins:
-                bases = [c.module.globals.get(getattr(b, "id", None)) for b in c.bases]
-                bases = tuple(stand_in(b) for b in bases if isinstance(b, ClassValue))
-                stand_ins[id(c)] = type(c.name, bases, {"cls": c})
-            return stand_ins[id(c)]
-
-        mros = [[k.cls for k in reversed(stand_in(c).__mro__[:-1])] for c in classes]
-        own = {id(c): (c.methods, c.consts, c.properties, c.fields) for c in classes}
-        for c, mro in zip(classes, mros):
-            members, props, fields = {}, set(), None
-            for methods, consts, properties, own_fields in (own[id(k)] for k in mro):
-                if own_fields is not None:  # a dataclass: its generated __init__ wins
-                    known = fields or ()
-                    fields = known + tuple(f for f in own_fields if f not in known)
-                    members.pop("__init__", None)
-                members.update(methods)
-                members.update(consts)
-                props = (props - methods.keys() - consts.keys()) | properties
-            c.methods = {n: v for n, v in members.items() if isinstance(v, FuncValue)}
-            c.consts = {n: v for n, v in members.items() if not isinstance(v, FuncValue)}
-            c.properties, c.fields = frozenset(props), fields
-
-    def _resolve_imports(self) -> None:
-        for ctx in self.modules.values():
-            for node in ctx.tree.body:
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        if alias.name == "numpy":
-                            ctx.globals[alias.asname or alias.name] = _NP_SENTINEL
-                elif isinstance(node, ast.ImportFrom):
-                    target = self._absolute(ctx.name, node.module, node.level)
-                    for alias in node.names:
-                        bound = alias.asname or alias.name
-                        if target == "numpy" or (target or "").startswith("numpy."):
-                            ctx.globals[bound] = _NP_SENTINEL if alias.name == "numpy" else _ANY_FUNC
-                        elif target in self.modules and alias.name in self.modules[target].globals:
-                            ctx.globals[bound] = self.modules[target].globals[alias.name]
-
-    @staticmethod
-    def _absolute(current: str, module: str | None, level: int) -> str | None:
-        if level == 0:
-            return module
-        parts = current.split(".")
-        base = parts[: len(parts) - level]
-        if module:
-            base = base + module.split(".")
-        return ".".join(base) if base else None
-
-    def module_source_ctx(self, source: str, path: str) -> ModuleCtx:
-        """A standalone module context for fixture sources (no imports)."""
-        ctx = self._module_ctx(source, f"<fixture:{path}>", path)
-        self._inherit(ctx.globals.values())
-        return ctx
-
-
-_REGISTRY: Registry | None = None
-
-
-def _registry() -> Registry:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = Registry()
-    return _REGISTRY
-
-
-# ---------------------------------------------------------------------------
-# interpreted instances (objects of analyzed classes)
-
-
-class Instance:
-    """An object of an analyzed (AST) class: attrs + interpreted methods."""
-
-    def __init__(self, cls: ClassValue) -> None:
-        self.cls = cls
-        self.attrs: dict = {}
-
-
-class _BoundMethod:
-    def __init__(self, instance: Instance, func: FuncValue) -> None:
-        self.instance = instance
-        self.func = func
-
-
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-class _Return(Exception):
-    def __init__(self, value) -> None:
-        self.value = value
-
-
-#: attribute/function names whose calls constitute communication; a branch
-#: containing none of these (nor a tag draw) is schedule-irrelevant and may
-#: be skipped when its condition is not statically decidable.
-_COMM_NAMES = frozenset({
-    "isend", "irecv", "send", "recv", "sendrecv", "batch", "next_collective_tag",
-    "barrier", "allreduce", "allgatherv", "alltoallv", "bcast", "reduce",
-    "sync", "wait", "reciprocal", "forward", "inverse", "exchange",
-})
-
-
-def _has_comm_effects(node: ast.AST) -> bool:
-    return any(
-        getattr(sub.func, "attr", getattr(sub.func, "id", None)) in _COMM_NAMES
-        for sub in ast.walk(node) if isinstance(sub, ast.Call)
-    )
-
-
-class _Frame:
-    def __init__(self, module: ModuleCtx, locals_: dict) -> None:
-        self.module = module
-        self.locals = locals_
-
-
-#: the generators (and what ``yield from`` makes one of) real code hands
-#: an interpreted rank program
-_REAL_GENERATORS = (GeneratorType, OpBatch, SendRequest, RecvRequest)
-
-
-class Interp:
-    """The abstract interpreter of one rank of one p, and its endpoint."""
-
-    def __init__(self, registry: Registry, rank: int, size: int) -> None:
-        self.registry = registry
-        self.steps = 0
-        self.depth = 0
-        self.loc: tuple[str, int] = ("<unknown>", 0)
-        self.ep = _RecordingEndpoint(rank, size, self)
-
-    # -- entry ----------------------------------------------------------
-    def call(self, fv, args: list, kwargs: dict, self_obj=None):
-        if isinstance(fv, _BoundMethod):
-            func, module, self_obj = fv.func.node, fv.func.module, fv.instance
-        elif isinstance(fv, FuncValue):
-            func, module = fv.node, fv.module
-        else:
-            raise StaticExtractionError(f"cannot interpret call target {fv!r}", self.loc)
-        self.depth += 1
-        if self.depth > _MAX_CALL_DEPTH:
-            raise StaticExtractionError("call depth exceeded", self.loc)
-        try:
-            frame = _Frame(module, self._bind(func, args, kwargs, self_obj, module))
-            try:
-                self._exec_body(func.body, frame)
-            except _Return as r:
-                return r.value
-            return None
-        finally:
-            self.depth -= 1
-
-    def _bind(self, func: ast.FunctionDef, args, kwargs, self_obj, module) -> dict:
-        a = func.args
-        names = [arg.arg for arg in a.args]
-        local = dict(zip(names, ([] if self_obj is None else [self_obj]) + list(args)))
-        # defaults for trailing positional params
-        for name, dflt in zip(names[len(names) - len(a.defaults):], a.defaults):
-            if name not in local:
-                local[name] = self._eval(dflt, _Frame(module, {}))
-        for arg, dflt in zip(a.kwonlyargs, a.kw_defaults):
-            local[arg.arg] = UNKNOWN if dflt is None else self._eval(dflt, _Frame(module, {}))
-        local.update(kwargs)
-        for name in names:
-            local.setdefault(name, UNKNOWN)
-        return local
-
-    # -- statements -----------------------------------------------------
-    def _tick(self, node: ast.AST, frame: _Frame) -> None:
-        self.steps += 1
-        if self.steps > _MAX_STEPS:
-            raise StaticExtractionError("interpreter work budget exceeded", self.loc)
-        line = getattr(node, "lineno", None)
-        if line:
-            self.loc = (frame.module.path, line)
-
-    def _exec_body(self, stmts, frame: _Frame) -> None:
-        for stmt in stmts:
-            self._exec(stmt, frame)
-
-    def _exec(self, node: ast.stmt, frame: _Frame) -> None:
-        self._tick(node, frame)
-        if isinstance(node, ast.Expr):
-            self._eval(node.value, frame)
-        elif isinstance(node, ast.Assign):
-            value = self._eval(node.value, frame)
-            for tgt in node.targets:
-                self._assign(tgt, value, frame)
-        elif isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                self._assign(node.target, self._eval(node.value, frame), frame)
-        elif isinstance(node, ast.AugAssign):
-            # the target's container is evaluated twice: to load and to store
-            current = self._eval(node.target, frame)
-            value = self._binop(node.op, current, self._eval(node.value, frame), _INPLACE)
-            self._assign(node.target, value, frame)
-        elif isinstance(node, ast.If):
-            self._exec_if(node, frame)
-        elif isinstance(node, ast.For):
-            self._exec_for(node, frame)
-        elif isinstance(node, ast.With):
-            for item in node.items:
-                ctx = self._eval(item.context_expr, frame)
-                if item.optional_vars is not None:
-                    self._assign(item.optional_vars, ctx, frame)
-            self._exec_body(node.body, frame)
-        elif isinstance(node, ast.Return):
-            raise _Return(self._eval(node.value, frame) if node.value else None)
-        elif isinstance(node, ast.Break):
-            raise _Break()
-        elif isinstance(node, ast.Continue):
-            raise _Continue()
-        elif isinstance(node, ast.Raise):
-            raise StaticExtractionError(
-                f"program raises on a statically-reached path: {ast.unparse(node)}", self.loc
-            )
-        elif isinstance(node, (ast.Assert, ast.Pass, ast.Import, ast.ImportFrom,
-                               ast.Global, ast.Nonlocal, ast.FunctionDef, ast.ClassDef)):
-            pass
-        else:
-            raise StaticExtractionError(
-                f"unsupported statement {type(node).__name__}", self.loc
-            )
-
-    def _exec_if(self, node: ast.If, frame: _Frame) -> None:
-        cond = self._truth(self._eval(node.test, frame))
-        if cond is True:
-            self._exec_body(node.body, frame)
-        elif cond is False:
-            self._exec_body(node.orelse, frame)
-        else:
-            # undecidable condition: only schedule-irrelevant arms may be
-            # skipped — guessing a communicating branch would be unsound
-            if any(_has_comm_effects(s) for s in node.body):
-                raise StaticExtractionError(
-                    "communication guarded by a condition that is not statically "
-                    f"decidable: {ast.unparse(node.test)}", self.loc,
-                )
-            self._exec_body(node.orelse, frame)
-
-    def _exec_for(self, node: ast.For, frame: _Frame) -> None:
-        it = self._eval(node.iter, frame)
-        if isinstance(it, (list, tuple, range)):
-            for item in it:
-                self._assign(node.target, item, frame)
-                try:
-                    self._exec_body(node.body, frame)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-            else:
-                self._exec_body(node.orelse, frame)
-            return
-        if any(_has_comm_effects(s) for s in node.body):
-            raise StaticExtractionError(
-                f"communication inside a loop over a value that is not statically "
-                f"iterable: {ast.unparse(node.iter)}", self.loc,
-            )
-
-    # -- assignment -----------------------------------------------------
-    def _assign(self, target: ast.expr, value, frame: _Frame) -> None:
-        if isinstance(target, ast.Name):
-            frame.locals[target.id] = value
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            elts = target.elts
-            if isinstance(value, (tuple, list)) and len(value) == len(elts):
-                for t, v in zip(elts, value):
-                    self._assign(t, v, frame)
-            else:
-                for t in elts:
-                    self._assign(t, UNKNOWN, frame)
-        elif isinstance(target, ast.Subscript):
-            obj = self._eval(target.value, frame)
-            idx = self._eval(target.slice, frame)
-            if isinstance(obj, list) and isinstance(idx, int) and not isinstance(idx, bool):
-                if -len(obj) <= idx < len(obj):
-                    obj[idx] = value
-            elif isinstance(obj, dict) and _is_concrete(idx):
-                obj[idx] = value
-        elif isinstance(target, ast.Attribute):
-            obj = self._eval(target.value, frame)
-            if isinstance(obj, (Instance, _Opaque)):
-                obj.attrs[target.attr] = value
-        # stores into opaque objects are dropped (conservative)
-
-    # -- expressions ----------------------------------------------------
-    def _truth(self, v) -> bool | None:
-        """Concrete truthiness, or None when not statically decidable."""
-        if v is UNKNOWN:
-            return None
-        if isinstance(v, (Block, SymTag, SymSize, Instance, _Opaque)):
-            return True
-        try:
-            return bool(v)
-        except Exception:
-            return None
-
-    def _eval(self, node: ast.expr, frame: _Frame):
-        self._tick(node, frame)
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            return self._load_name(node.id, frame)
-        if isinstance(node, ast.Attribute):
-            return self._getattr(self._eval(node.value, frame), node.attr)
-        if isinstance(node, ast.Call):
-            return self._call(node, frame)
-        if isinstance(node, ast.BinOp):
-            return self._binop(node.op, self._eval(node.left, frame), self._eval(node.right, frame))
-        if isinstance(node, ast.UnaryOp):
-            v = self._eval(node.operand, frame)
-            if isinstance(node.op, ast.Not):
-                t = self._truth(v)
-                return UNKNOWN if t is None else (not t)
-            if _is_concrete(v) and not isinstance(v, (str, bytes)) and type(node.op) in _UNARY:
-                try:
-                    return _UNARY[type(node.op)](v)
-                except Exception:
-                    return UNKNOWN
-            return UNKNOWN
-        if isinstance(node, ast.BoolOp):
-            return self._boolop(node, frame)
-        if isinstance(node, ast.Compare):
-            return self._compare(node, frame)
-        if isinstance(node, ast.IfExp):
-            t = self._truth(self._eval(node.test, frame))
-            if t is True:
-                return self._eval(node.body, frame)
-            if t is False:
-                return self._eval(node.orelse, frame)
-            return UNKNOWN
-        if isinstance(node, ast.Tuple):
-            return tuple(self._eval(e, frame) for e in node.elts)
-        if isinstance(node, ast.List):
-            return [self._eval(e, frame) for e in node.elts]
-        if isinstance(node, ast.Set):
-            return UNKNOWN
-        if isinstance(node, ast.Subscript):
-            return self._subscript(node, frame)
-        if isinstance(node, ast.Slice):
-            return slice(
-                self._eval(node.lower, frame) if node.lower else None,
-                self._eval(node.upper, frame) if node.upper else None,
-                self._eval(node.step, frame) if node.step else None,
-            )
-        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-            return self._comprehension(node, frame)
-        if isinstance(node, (ast.SetComp, ast.DictComp)):
-            return UNKNOWN
-        if isinstance(node, ast.YieldFrom):
-            value = self._eval(node.value, frame)
-            if isinstance(value, _REAL_GENERATORS):
-                return self.ep.drive(iter(value))
-            return value
-        if isinstance(node, ast.Starred):
-            return self._eval(node.value, frame)
-        raise StaticExtractionError(f"unsupported expression {type(node).__name__}", self.loc)
-
-    def _load_name(self, name: str, frame: _Frame):
-        if name in frame.locals:
-            return frame.locals[name]
-        if name in frame.module.globals:
-            return frame.module.globals[name]
-        return _BUILTINS.get(name, UNKNOWN)
-
-    def _getattr(self, obj, name: str):
-        if obj is UNKNOWN:
-            return UNKNOWN
-        if isinstance(obj, _RecordingEndpoint):
-            return getattr(obj, name) if name in obj.SURFACE else UNKNOWN
-        if isinstance(obj, (Middleware, Timeline, SendRequest, RecvRequest)):
-            return getattr(obj, name, UNKNOWN)
-        if isinstance(obj, (_Opaque, _NP)):
-            return obj.getattr(name)
-        if isinstance(obj, Instance):
-            if name in obj.attrs:
-                return obj.attrs[name]
-            cls = obj.cls
-            if name in cls.consts:
-                return cls.consts[name]
-            if name in cls.methods:
-                if name in cls.properties:
-                    return self.call(_BoundMethod(obj, cls.methods[name]), [], {})
-                return _BoundMethod(obj, cls.methods[name])
-            return UNKNOWN
-        if isinstance(obj, Block):
-            if name == "copy":
-                return obj.copy
-            return UNKNOWN
-        if isinstance(obj, ClassValue):
-            return obj.consts.get(name, UNKNOWN)
-        if isinstance(obj, (list, tuple)) and name in ("append", "extend", "pop", "index", "count"):
-            return getattr(obj, name, UNKNOWN)
-        if isinstance(obj, dict) and name in ("items", "keys", "values", "get", "pop"):
-            return getattr(obj, name, UNKNOWN)
-        return UNKNOWN
-
-    def _subscript(self, node: ast.Subscript, frame: _Frame):
-        obj = self._eval(node.value, frame)
-        idx = self._eval(node.slice, frame)
-        if isinstance(obj, (list, tuple, str, bytes, dict)):
-            try:
-                return obj[idx]
-            except Exception:
-                return UNKNOWN
-        return UNKNOWN
-
-    def _comprehension(self, node, frame: _Frame):
-        if len(node.generators) != 1:
-            return UNKNOWN
-        gen = node.generators[0]
-        it = self._eval(gen.iter, frame)
-        if not isinstance(it, (list, tuple, range)):
-            return UNKNOWN
-        out = []
-        for item in it:
-            self._assign(gen.target, item, frame)
-            keep = True
-            for cond in gen.ifs:
-                if self._truth(self._eval(cond, frame)) is not True:
-                    keep = False
-                    break
-            if keep:
-                out.append(self._eval(node.elt, frame))
-        return out
-
-    def _binop(self, op: ast.operator, left, right, table=_BINOPS):
-        try:
-            if (_is_concrete(left) or isinstance(left, (list, tuple))) and (
-                _is_concrete(right) or isinstance(right, (list, tuple))
-            ):
-                return table[type(op)](left, right)
-        except Exception:
-            return UNKNOWN
-        return UNKNOWN
-
-    def _boolop(self, node: ast.BoolOp, frame: _Frame):
-        is_and = isinstance(node.op, ast.And)
-        result = None
-        for sub in node.values:
-            v = self._eval(sub, frame)
-            t = self._truth(v)
-            if t is None:
-                return UNKNOWN
-            if is_and and not t:
-                return v
-            if not is_and and t:
-                return v
-            result = v
-        return result
-
-    def _compare(self, node: ast.Compare, frame: _Frame):
-        left = self._eval(node.left, frame)
-        for op, comp in zip(node.ops, node.comparators):
-            right = self._eval(comp, frame)
-            one = self._compare_one(op, left, right)
-            if one is UNKNOWN:
-                return UNKNOWN
-            if not one:
-                return False
-            left = right
-        return True
-
-    @staticmethod
-    def _definitely_not_none(v) -> bool:
-        return isinstance(v, (Block, SymTag, SymSize, Instance, _Opaque, _RecordingEndpoint,
-                              Middleware, int, float, str, bytes, list, tuple, dict))
-
-    def _compare_one(self, op: ast.cmpop, left, right):
-        if isinstance(op, (ast.Is, ast.IsNot)):
-            if right is None:
-                if left is None:
-                    eq = True
-                elif self._definitely_not_none(left):
-                    eq = False
-                else:
-                    return UNKNOWN
-                return (eq if isinstance(op, ast.Is) else not eq)
-            return UNKNOWN
-        if _is_concrete(left) and _is_concrete(right) and type(op) in _COMPARISONS:
-            try:
-                return _COMPARISONS[type(op)](left, right)
-            except Exception:
-                return UNKNOWN
-        if isinstance(op, (ast.Eq, ast.NotEq)) and isinstance(left, (SymTag, Block, SymSize)):
-            eq = left == right
-            return eq if isinstance(op, ast.Eq) else not eq
-        if isinstance(op, (ast.In, ast.NotIn)) and isinstance(right, (list, tuple, dict)):
-            try:
-                found = left in right
-                return found if isinstance(op, ast.In) else not found
-            except Exception:
-                return UNKNOWN
-        return UNKNOWN
-
-    # -- calls ----------------------------------------------------------
-    def _call(self, node: ast.Call, frame: _Frame):
-        func = self._eval(node.func, frame)
-        args = []
-        for a in node.args:
-            if isinstance(a, ast.Starred):
-                star = self._eval(a.value, frame)
-                if isinstance(star, (list, tuple)):
-                    args.extend(star)
-                else:
-                    args.append(UNKNOWN)
-            else:
-                args.append(self._eval(a, frame))
-        kwargs = {}
-        for kw in node.keywords:
-            if kw.arg is None:  # **kwargs of unknown content
-                self._eval(kw.value, frame)
-                continue
-            kwargs[kw.arg] = self._eval(kw.value, frame)
-
-        if func is UNKNOWN or isinstance(func, (_AnyFunc, _NP)):
-            return UNKNOWN
-        if isinstance(func, (FuncValue, _BoundMethod)):
-            return self.call(func, args, kwargs)
-        if isinstance(func, ClassValue):
-            return self._construct(func, args, kwargs)
-        # real code (the endpoint, requests, middleware) may not fail;
-        # a builtin or any other callable that does yields UNKNOWN
-        owner = getattr(func, "__self__", None)
-        real = owner is self.ep or isinstance(owner, (Middleware, SendRequest, RecvRequest))
-        if isinstance(owner, Middleware):
-            self.ep.mw_ops.append(func.__name__)
-            args = self.ep.stand_in(args)
-            kwargs = {k: self.ep.stand_in(v) for k, v in kwargs.items()}
-        if callable(func):
-            try:
-                return func(*args, **kwargs)
-            except (StaticExtractionError, _Return, _Break, _Continue):
-                raise
-            except Exception as exc:
-                if real:
-                    raise StaticExtractionError(f"{type(exc).__name__}: {exc}", self.loc) from exc
-                return UNKNOWN
-        return UNKNOWN
-
-    def _construct(self, cls: ClassValue, args, kwargs) -> Instance:
-        """An object of an analyzed class, its constructor interpreted: the
-        class's ``__init__``, else a dataclass's field binding (positional
-        arguments in field order, then keywords) and ``__post_init__``."""
-        obj = Instance(cls)
-        if "__init__" in cls.methods:
-            self.call(_BoundMethod(obj, cls.methods["__init__"]), args, kwargs)
-        elif cls.fields is not None:
-            obj.attrs.update(zip(cls.fields, args), **kwargs)
-            if "__post_init__" in cls.methods:
-                self.call(_BoundMethod(obj, cls.methods["__post_init__"]), [], {})
-        return obj
-
-
-# ---------------------------------------------------------------------------
-# builtins
-
-
-def _b_len(x=UNKNOWN):
-    if isinstance(x, (list, tuple, dict, str, bytes)):
-        return len(x)
-    return UNKNOWN
-
-
-def _b_range(*a):
-    if all(isinstance(x, int) and not isinstance(x, bool) for x in a) and 1 <= len(a) <= 3:
-        return range(*a)
-    raise StaticExtractionError(f"range() over non-concrete bounds {a!r}")
-
-
-_BUILTINS = {
-    "len": _b_len,
-    "bool": lambda x=False: bool(x) if _is_concrete(x) else UNKNOWN,
-    "range": _b_range,
-    "zip": lambda *a: list(zip(*a)) if all(isinstance(x, (list, tuple, range)) for x in a) else UNKNOWN,
-    "list": lambda x=(): list(x) if isinstance(x, (list, tuple, range)) else ([] if x == () else UNKNOWN),
-    "tuple": lambda x=(): tuple(x) if isinstance(x, (list, tuple, range)) else UNKNOWN,
-    "dict": lambda *a, **k: dict(k) if not a else UNKNOWN,
-    "min": lambda *a, **k: min(*a) if a and all(_is_concrete(x) and x is not None for x in a) else UNKNOWN,
-    "max": lambda *a, **k: max(*a) if a and all(_is_concrete(x) and x is not None for x in a) else UNKNOWN,
-    "abs": lambda x=0: abs(x) if _is_concrete(x) and x is not None and not isinstance(x, (str, bytes)) else UNKNOWN,
-    "sorted": lambda x=(), **k: sorted(x) if isinstance(x, (list, tuple, range)) else UNKNOWN,
-    "print": lambda *a, **k: None,
-    "divmod": lambda a=0, b=1: divmod(a, b) if _is_concrete(a) and _is_concrete(b) else UNKNOWN,
-}
+        raise StaticExtractionError("message tag is not statically known")
 
 
 # ---------------------------------------------------------------------------
@@ -1387,13 +605,125 @@ def _verify_instantiations(extract, bound: int) -> list[Diagnostic]:
     return out
 
 
-def _interpret_ranks(reg: Registry, p: int, entry: FuncValue, kwargs) -> list[_RecordingEndpoint]:
-    """Interpret ``entry(ep, **kwargs())`` once per rank of a p-rank run."""
-    ranks = []
-    for rank in range(p):
-        interp = Interp(reg, rank, p)
-        interp.call(entry, [interp.ep], kwargs())
-        ranks.append(interp.ep)
+# ---------------------------------------------------------------------------
+# the recordings: live replicated steps, driven spatial and source programs
+
+
+class _LoggedMiddleware(Middleware):
+    """``inner``, appending the name of each op rank r calls to ``log[r]``."""
+
+    def __init__(self, inner: Middleware, log: list[list[str]]) -> None:
+        self.name = inner.name
+        self._inner = inner
+        self._log = log
+
+    def _logged(self, op: str, ep, *args):
+        self._log[ep.rank].append(op)
+        return getattr(self._inner, op)(ep, *args)
+
+    def barrier(self, ep):
+        return self._logged("barrier", ep)
+
+    def allreduce(self, ep, array, op=np.add):
+        return self._logged("allreduce", ep, array, op)
+
+    def allgatherv(self, ep, block):
+        return self._logged("allgatherv", ep, block)
+
+    def alltoallv(self, ep, send_blocks):
+        return self._logged("alltoallv", ep, send_blocks)
+
+    def exchange(self, ep, dest, payload, source, tag=0):
+        return self._logged("exchange", ep, dest, payload, source, tag)
+
+
+def _logged_middleware(middleware: str, log: list[list[str]]) -> _LoggedMiddleware:
+    from ..parallel.run import make_middleware  # runtime-only: see module docstring
+
+    return _LoggedMiddleware(make_middleware(middleware), log)
+
+
+@lru_cache(maxsize=4)
+def _peptide(pme_planes: int | None):
+    """The replicated strategies' system: a 2-residue peptide in 12
+    waters, with PME on a ``pme_planes`` x ``pme_planes`` x 16 mesh (the
+    slab FFT splits x and y over the ranks), or shift electrostatics."""
+    from ..md import CutoffScheme, MDSystem, default_forcefield
+    from ..workloads.small import build_peptide_in_water  # runtime-only
+
+    ff = default_forcefield()
+    topology, positions, box = build_peptide_in_water(n_residues=2, n_waters=12, forcefield=ff)
+    pme = {"electrostatics": "pme", "pme_grid": (pme_planes, pme_planes, 16)} if pme_planes else {}
+    return MDSystem(topology, ff, box, CutoffScheme(r_cut=8.0, skin=1.5), **pme), positions
+
+
+def _replicated_ranks(
+    middleware: str, p: int, n_steps: int, pme_planes: int | None
+) -> list[_RecordingEndpoint]:
+    """One live run of the verifier's peptide, each rank's recorded
+    stream less its compute charges; entries carry the rank program's
+    file and no line."""
+    from ..parallel import pmd  # runtime-only: see module docstring
+    from ..parallel.run import RunOptions, run_parallel_md
+    from ..parallel.shared import TrajectorySession
+
+    system, positions = _peptide(pme_planes)
+    ranks = [_RecordingEndpoint(rank, p) for rank in range(p)]
+    mw = _logged_middleware(middleware, [ep.mw_ops for ep in ranks])
+    session = TrajectorySession()
+    loc = (pmd.__file__, 0)
+    try:
+        run_parallel_md(
+            system, positions,
+            ClusterSpec(n_ranks=p, network=score_gigabit_ethernet(), max_nodes=p),
+            RunOptions(
+                middleware=mw, config=pmd.MDRunConfig(n_steps=n_steps),
+                shared_compute=session.cache(),
+            ),
+        )
+    except Exception as exc:
+        raise StaticExtractionError(f"{type(exc).__name__}: {exc}", loc) from exc
+    [recorded] = session.trajectories.values()
+    for ep, stream in zip(ranks, recorded.streams):
+        ep.entries = [entry for entry in stream.entries if entry[0] != COMPUTE_ENTRY]
+        ep.locs = [loc] * len(ep.entries)
+        ep.post_locs = [loc] * sum(
+            op[0] in (SEND, RECV) for kind, _, body in ep.entries if kind == BATCH_ENTRY
+            for op in body
+        )
+    return ranks
+
+
+class _SpatialStub:
+    """The engine of a driven spatial rank program: stand-in payloads,
+    no received data kept, no compute time."""
+
+    def __init__(self, ep: _RecordingEndpoint) -> None:
+        self.ep = ep
+
+    def halo_payload(self, *where):
+        return self.ep.stand_in(UNKNOWN)
+
+    migrate_payload = halo_payload
+
+    def __getattr__(self, name):
+        return lambda *args: 0
+
+
+def _spatial_ranks(middleware: str, p: int, n_steps: int, profile: str) -> list[_RecordingEndpoint]:
+    """The real spatial rank program, driven per rank against the real
+    decomposition of ``profile`` and a stub engine."""
+    from ..parallel.pmd import MDRunConfig  # runtime-only: see module docstring
+    from ..parallel.spatial.program import spatial_rank_program
+
+    _name, lengths, r_cut = _spatial_profile(profile)
+    decomp = _spatial_decomposition(lengths, r_cut, p)
+    config = MDRunConfig(n_steps=n_steps)
+    path = spatial_rank_program.__code__.co_filename
+    ranks = [_RecordingEndpoint(rank, p, path) for rank in range(p)]
+    mw = _logged_middleware(middleware, [ep.mw_ops for ep in ranks])
+    for ep in ranks:
+        ep.drive(spatial_rank_program(ep, mw, decomp, _SpatialStub(ep), config))
     return ranks
 
 
@@ -1435,43 +765,22 @@ def _spatial_decomposition(lengths, r_cut: float, p: int):
 
 
 def _strategy_ranks(
-    strategy: str, middleware: str, p: int, n_steps: int = 1, profile: str | None = None
+    strategy: str, middleware: str, p: int, n_steps: int = 1, profile: str | None = None,
+    bound: int | None = None,
 ) -> list[_RecordingEndpoint]:
     """The recorded ranks of one strategy instantiation.
 
     For the spatial strategy ``profile`` names the box profile (default:
-    the first of :data:`SPATIAL_PROFILES`).  Its rank program's control
-    flow depends only on the decomposition's ``grid`` and ``pulses``,
-    so those concrete values of the *real* geometry are all the
-    interpreter needs; the engine stays opaque.
+    the first of :data:`SPATIAL_PROFILES`).  The PME mesh has
+    ``max(16, bound)`` planes in x and y (``bound`` defaults to ``p``),
+    so every p up to the bound splits it.
     """
-    from ..parallel.run import make_middleware  # runtime-only: see module docstring
-
-    reg = _registry()
-    config = {"n_steps": n_steps, "barrier_per_step": True, "dt": 0.0005}
     if strategy == "spatial":
-        _name, lengths, r_cut = _spatial_profile(profile or SPATIAL_PROFILES[0][0])
-        decomp = _spatial_decomposition(lengths, r_cut, p)
-        entry = reg.modules["repro.parallel.spatial.program"].globals["spatial_rank_program"]
-        return _interpret_ranks(reg, p, entry, lambda: {
-            "mw": make_middleware(middleware),
-            "decomp": _Opaque({"grid": tuple(decomp.grid), "pulses": tuple(decomp.pulses)}),
-            "engine": UNKNOWN,
-            "config": _Opaque(config),
-        })
+        return _spatial_ranks(middleware, p, n_steps, profile or SPATIAL_PROFILES[0][0])
     if strategy not in ("pclassic", "ppme"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    entry = reg.modules["repro.parallel.pmd"].globals["rank_program"]
-    return _interpret_ranks(reg, p, entry, lambda: {
-        "mw": make_middleware(middleware),
-        "system": _Opaque({"uses_pme": strategy == "ppme"}),
-        "decomp": UNKNOWN,
-        "cost": UNKNOWN,
-        "config": _Opaque(config),
-        "positions0": Block("positions0", SymSize(name="coords"), "float64"),
-        "velocities0": UNKNOWN,
-        "shared": None,
-    })
+    planes = max(16, bound or p) if strategy == "ppme" else None
+    return _replicated_ranks(middleware, p, n_steps, planes)
 
 
 def verify_strategy(
@@ -1486,7 +795,9 @@ def verify_strategy(
     profiles = [name for name, *_ in SPATIAL_PROFILES] if strategy == "spatial" else [None]
     return [
         diag for profile in profiles for diag in _verify_instantiations(
-            lambda p, profile=profile: _strategy_ranks(strategy, middleware, p, n_steps, profile),
+            lambda p, profile=profile: _strategy_ranks(
+                strategy, middleware, p, n_steps, profile, bound
+            ),
             bound,
         )
     ]
@@ -1533,13 +844,13 @@ def extract_streams(
     strategy: str = "ppme", middleware: str = "mpi", p: int = 8, n_steps: int = 1,
     profile: str | None = None,
 ) -> list[OpStream]:
-    """Each rank's statically extracted op stream of one instantiation.
+    """Each rank's recorded op stream of one instantiation, less compute
+    charges.
 
-    It equals the stream :class:`~repro.mpi.endpoint.OpStreamRecorder`
-    records from a live run of the same trajectory, less that stream's
-    compute charges and timeline attributions: a size or dtype the
-    verifier does not know is a marker equal to every value.
-    ``profile`` selects the spatial box profile.
+    The replicated strategies' streams are a live run's; the spatial
+    ones equal a live run's of the same profile, save that a payload
+    size or dtype is a marker equal to every value.  ``profile``
+    selects the spatial box profile.
     """
     return [ep.stream() for ep in _strategy_ranks(strategy, middleware, p, n_steps, profile)]
 
@@ -1555,27 +866,29 @@ def extract_strategy_collective_ops(
 def verify_contract_conformance(
     strategy: str, ps: tuple[int, ...] = (1, 2, 3, 4, 5, 8), n_steps: int = 1
 ) -> list[Diagnostic]:
-    """Check the extracted schedule against the declared contract (REP406).
+    """Check the recorded schedule against the declared contract (REP406).
 
     The spatial contract is the *declared*
     :meth:`~repro.parallel.spatial.decomposition.SpatialDecomposition.schedule_contract`
     of the real geometry, per (profile, p) since halo depths depend on
-    both; every rank's extracted middleware ops must match it.
+    both; every rank's middleware ops must match it.
     """
     if strategy == "spatial":
-        module = "repro.parallel.spatial.program"
+        from ..parallel.spatial import program as module  # runtime-only imports
+
         cases = [
             (f"'spatial' ({name}, p={p}", p, name,
              _spatial_decomposition(lengths, r_cut, p).schedule_contract(), {"barrier"})
             for name, lengths, r_cut in SPATIAL_PROFILES for p in ps
         ]
     else:
-        from ..parallel.pmd import STEP_SCHEDULE_CONTRACT  # runtime-only import
+        from ..parallel import pmd as module
 
-        module = "repro.parallel.pmd"
         flags = {"barrier"} | ({"pme"} if strategy == "ppme" else set())
-        cases = [(f"{strategy!r} (p={p}", p, None, STEP_SCHEDULE_CONTRACT, flags) for p in ps]
-    path = _rel(_registry().modules[module].path)
+        cases = [
+            (f"{strategy!r} (p={p}", p, None, module.STEP_SCHEDULE_CONTRACT, flags) for p in ps
+        ]
+    path = _rel(module.__file__)
     diagnostics = []
     for label, p, profile, contract, flags in cases:
         expected = contract.expected_ops(flags) * n_steps
@@ -1609,26 +922,45 @@ def verify_rank_program_source(
 ) -> list[Diagnostic]:
     """Verify a standalone rank-program source (golden fixtures, REPLs).
 
-    The module may define helper functions and constants; the verified
+    The source runs as a module compiled under ``path``.  The verified
     program is ``entry`` when given, else a function named
     ``rank_program``, else the first top-level function whose first
-    parameter is ``ep``.  The program communicates through the
-    :class:`RankEndpoint` surface of its ``ep`` argument and, if it has
-    an ``mw`` parameter, through the real MPI middleware.
+    parameter is ``ep``.  It communicates through the :class:`RankEndpoint` surface of its ``ep``
+    argument and, through a ``mw`` parameter, the real MPI middleware;
+    any other parameter without a default is an unknown it may pass on
+    but not branch on.
     """
-    reg = _registry()
-    ctx = reg.module_source_ctx(source, path)
-    first = next((
-        v for v in ctx.globals.values()
-        if isinstance(v, FuncValue) and v.node.args.args and v.node.args.args[0].arg == "ep"
-    ), None)
-    fv = ctx.globals.get(entry) if entry is not None else ctx.globals.get("rank_program", first)
-    if not isinstance(fv, FuncValue):
-        raise ValueError(f"no rank program found in {path}")
-    takes_mw = any(arg.arg == "mw" for arg in fv.node.args.args)
-    return _verify_instantiations(
-        lambda p: _interpret_ranks(
-            reg, p, fv, lambda: {"mw": MPIMiddleware()} if takes_mw else {}
-        ),
-        bound,
+    module = types.ModuleType(f"<fixture:{path}>")
+    sys.modules[module.__name__] = module  # where dataclasses resolve string annotations
+    try:
+        exec(compile(source, path, "exec", dont_inherit=True), vars(module))
+    finally:
+        del sys.modules[module.__name__]
+    functions = [
+        v for v in vars(module).values()
+        if inspect.isfunction(v) and v.__module__ == module.__name__
+    ]
+    first = next((f for f in functions if f.__code__.co_varnames[:1] == ("ep",)), None)
+    program = (
+        getattr(module, entry, None) if entry is not None
+        else getattr(module, "rank_program", first)
     )
+    if not inspect.isfunction(program):
+        raise ValueError(f"no rank program found in {path}")
+    params = list(inspect.signature(program).parameters.values())[1:]
+
+    def run(ep):
+        """The program as a generator; a plain function runs inside it."""
+        yield from program(ep, **{
+            param.name: MPIMiddleware() if param.name == "mw"
+            else _Unknown(f"parameter {param.name!r}")
+            for param in params if param.default is param.empty
+        }) or ()
+
+    def extract(p: int) -> list[_RecordingEndpoint]:
+        ranks = [_RecordingEndpoint(rank, p, path) for rank in range(p)]
+        for ep in ranks:
+            ep.drive(run(ep))
+        return ranks
+
+    return _verify_instantiations(extract, bound)

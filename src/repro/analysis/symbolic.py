@@ -1,15 +1,15 @@
 """Symbolic values for the static schedule verifier.
 
-The static verifier (:mod:`repro.analysis.static_schedule`) evaluates
-rank programs over an abstract domain: control flow is instantiated per
-``(rank, p)`` up to a bound, while the *data* the program moves stays
-symbolic — payload sizes and dtypes are opaque atoms, and message tags
-are ``(collective invocation, offset)`` pairs rather than the runtime's
-absolute integers.  The middleware and collectives below the rank
-programs run for real against a recording endpoint, which hands them
-stand-in arrays for these values and maps the arrays back.  This
-module holds those symbolic values plus the machinery that turns a
-set of failing processor counts back into a human-readable
+The static verifier (:mod:`repro.analysis.static_schedule`) records
+rank programs per ``(rank, p)`` up to a bound.  Where it drives a
+program against a recording endpoint rather than running it live (the
+spatial step, standalone sources, the collectives in isolation), the
+*data* the program moves stays symbolic — payload sizes and dtypes are
+opaque atoms, and message tags are ``(collective invocation, offset)``
+pairs rather than the runtime's absolute integers.  The endpoint hands
+real code stand-in arrays for these values and maps the arrays back.
+This module holds those symbolic values plus the machinery that turns
+a set of failing processor counts back into a human-readable
 *p-condition* ("odd p in [3, 31]", :func:`summarize_p_set`) for
 diagnostics.
 
@@ -103,9 +103,6 @@ class Block:
     origin: str
     size: SymSize = field(default_factory=SymSize)
     dtype: str | None = None
-
-    def copy(self) -> "Block":
-        return self
 
 
 class _Symbolic:

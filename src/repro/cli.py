@@ -652,6 +652,8 @@ def _design_points(args: argparse.Namespace):
         levels = tuple(int(p) for p in args.ranks.split(","))
     except ValueError:
         raise ValueError(f"bad --ranks {args.ranks!r}") from None
+    if min(levels) < 1:
+        raise ValueError(f"ranks must be >= 1, got {min(levels)}")
     if args.replicates < 1:
         raise ValueError("replicates must be >= 1")
     if args.design == "full":

@@ -47,9 +47,9 @@ __all__ = [
 ]
 
 #: The communication schedule one MD step promises (paper Figure 2).
-#: The static verifier extracts the actual sequence from
-#: :func:`rank_program` and checks conformance (rule REP406); flags gate
-#: the optional per-step barrier and the PME phase.
+#: The static verifier records the middleware ops a live step of
+#: :func:`rank_program` calls and checks conformance (rule REP406);
+#: flags gate the optional per-step barrier and the PME phase.
 STEP_SCHEDULE_CONTRACT = ScheduleContract(
     name="replicated-data-step",
     per_step=(

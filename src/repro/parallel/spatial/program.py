@@ -17,10 +17,11 @@ Structure of one step:
 This module is deliberately *only* the communication skeleton: control
 flow depends on nothing but the decomposition's grid and pulse counts,
 so the static verifier (:mod:`repro.analysis.static_schedule`) can
-interpret it per (rank, p) — running the real ``mw.exchange`` against a
-recording endpoint — and prove the schedule deadlock-free without
-executing any physics.  All numerics live behind the opaque ``engine``
-object (:class:`repro.parallel.spatial.engine.SpatialEngine`).
+drive it per (rank, p) against a recording endpoint and a stub engine
+— the real ``mw.exchange`` included — and prove the schedule
+deadlock-free without executing any physics.  All numerics live
+behind the ``engine`` object
+(:class:`repro.parallel.spatial.engine.SpatialEngine`).
 
 Every exchange draws a fresh collective tag and posts its receive
 before its send (:meth:`~repro.mpi.endpoint.RankEndpoint.sendrecv`), so

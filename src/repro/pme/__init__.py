@@ -5,6 +5,11 @@ Serial building blocks used both by :class:`repro.md.system.MDSystem`
 evaluation over simulated MPI).
 """
 
+# ``repro.md.system`` builds on this package, whose modules build on
+# ``repro.md.box`` and ``repro.md.units``: import ``repro.md`` first, so
+# whichever of the two a process imports first, ``md.system`` never
+# meets a half-initialized ``pme.ewald``.
+from .. import md as _md  # noqa: F401
 from .bspline import bspline_moduli, bspline_weights, mn_values
 from .ewald import choose_alpha, exclusion_correction, self_energy
 from .grid import ChargeMesh, SpreadWorkload

@@ -4,10 +4,10 @@
 Each rank builds a small object from ``ep.rank`` and ``ep.size`` and
 exchanges with the peers it holds, as the PME engine's distributed FFT
 derives its slab decompositions from the job geometry in
-``__post_init__``.  The verifier interprets the constructors — a
+``__post_init__``.  The verifier runs the program, constructors — a
 dataclass's field binding and ``__post_init__``, a plain ``__init__`` —
-and augmented assignments, so the three ring programs prove clean at
-every p.  ``halves_exchange`` pairs each upper-half rank with
+and augmented assignments included, so the three ring programs prove
+clean at every p.  ``halves_exchange`` pairs each upper-half rank with
 ``rank - p//2``: at odd p the top rank's partner sits in the upper half
 too, never posts the receive, and the send is left unmatched (REP402).
 """

@@ -1,10 +1,10 @@
 """The static communication-schedule verifier (REP4xx).
 
 The verifier must (a) prove the shipped strategies and middleware
-collectives deadlock-free symbolically, with no rank program run, (b)
-catch each archetypal schedule bug in the golden fixtures with the exact
-rule and symbolic p-condition, and (c) extract the very op streams an
-executed run records.
+collectives deadlock-free for every p up to a bound, (b) catch each
+archetypal schedule bug in the golden fixtures with the exact rule and
+symbolic p-condition, and (c) extract the very op streams an executed
+run records.
 """
 
 import inspect
@@ -86,7 +86,7 @@ class TestGoldenFixtures:
     @pytest.mark.parametrize("entry", ["dataclass_ring", "plain_ring", "accumulated_peer"])
     def test_peers_from_constructors_prove_clean(self, entry):
         """A dataclass's ``__post_init__``, a plain ``__init__`` and ``+=``
-        are interpreted, so the peers they derive are known."""
+        run for real, so the peers they derive are known."""
         assert _verify_fixture("constructed_peers", bound=8, entry=entry) == []
 
     def test_odd_p_bug_in_a_post_init(self):
@@ -154,8 +154,13 @@ class TestInlinePrograms:
 
     def test_inheritance_follows_the_mro(self):
         """The subclass's ``step`` wins over its base's, and a dataclass
-        binds its base's fields first: ``Shifted(size, shift)``."""
+        binds its base's fields first: ``Shifted(size, shift)``.  The
+        annotations are strings, which dataclasses resolve through the
+        source's module."""
         src = (
+            "from __future__ import annotations\n"
+            "from dataclasses import dataclass\n"
+            "\n"
             "@dataclass\n"
             "class Grid:\n"
             "    size: int\n"
@@ -195,7 +200,8 @@ class TestInlinePrograms:
 
     def test_undecidable_comm_branch_is_rep406(self):
         """Communication behind an unextractable condition is refused,
-        not silently skipped — soundness over convenience."""
+        not silently skipped — soundness over convenience.  The finding
+        points at the branch."""
         src = (
             "def rank_program(ep, mw, flag):\n"
             "    if flag:\n"
@@ -204,8 +210,11 @@ class TestInlinePrograms:
         diags = verify_rank_program_source(src, "inline.py", bound=4)
         assert [d.rule for d in diags] == ["REP406"]
         assert "statically" in diags[0].message
+        assert (diags[0].path, diags[0].line) == ("inline.py", 2)
 
-    def test_undecidable_comm_free_branch_is_fine(self):
+    def test_comm_free_branch_on_unknown_is_rep406(self):
+        """The recorded program runs one arm or the other, so it may not
+        branch on an unknown even where neither arm communicates."""
         src = (
             "def rank_program(ep, mw, flag):\n"
             "    x = 0\n"
@@ -213,7 +222,10 @@ class TestInlinePrograms:
             "        x = 1\n"
             "    yield from mw.barrier(ep)\n"
         )
-        assert verify_rank_program_source(src, "inline.py", bound=4) == []
+        diags = verify_rank_program_source(src, "inline.py", bound=4)
+        assert [d.rule for d in diags] == ["REP406"]
+        assert "parameter 'flag'" in diags[0].message
+        assert (diags[0].path, diags[0].line) == ("inline.py", 3)
 
     def test_fixture_collectives_run_the_real_middleware(self):
         """``mw`` is the real MPI middleware: a barrier only rank 0 enters
@@ -368,6 +380,22 @@ class TestStaticStepEvents:
                     if op[0] in (SEND, RECV):
                         assert draws > 0 and 0 <= op[2] < 16
 
+    def test_pme_mesh_is_sized_to_the_bound(self):
+        """At p = 32 each rank's two transposes address all 31 peers:
+        the mesh has a plane in x and in y for every rank."""
+        streams = extract_streams("ppme", "mpi", p=32)
+        assert len(streams) == 32
+        for rank, stream in enumerate(streams):
+            transposes, peers = [], None  # peers: of the open transpose
+            for kind, body in _schedule(stream):
+                if kind == DRAW_ENTRY:
+                    peers = set() if body == "alltoallv" else None
+                    if peers is not None:
+                        transposes.append(peers)
+                elif peers is not None:
+                    peers.update(op[1] for op in body if op[0] in (SEND, RECV))
+            assert transposes == [set(range(32)) - {rank}] * 2
+
 
 def _live_streams(system, positions, p, middleware, strategy="replicated"):
     """Each rank's op stream as a live one-step run records it."""
@@ -390,17 +418,32 @@ def _live_streams(system, positions, p, middleware, strategy="replicated"):
     return recorded.streams
 
 
+def _verifier_peptide(uses_pme: bool):
+    """The replicated strategies' system, built apart from the verifier:
+    the peptide-tiny workload, or its shift-electrostatics twin."""
+    from repro.campaign.workloads import build_workload
+    from repro.md import MDSystem
+
+    system, pos = build_workload("peptide-tiny")
+    if uses_pme:
+        return system, pos
+    return MDSystem(system.topology, system.forcefield, system.box, system.scheme), pos
+
+
 class TestCrosscheckAgainstExecution:
-    """Static extraction vs a really-executed run: the statically
-    extracted op streams equal the ones the run records, entry for entry.
+    """Extraction vs an independent executed run: the extracted op
+    streams equal the ones the run records, entry for entry.  The
+    replicated steps run the verifier's peptide, built apart and on
+    another network and seed; the spatial step runs the water box,
+    whose payload sizes the verifier's stub engine leaves symbolic.
 
     The odd and non-power-of-two p take MPI allreduce's reduce + bcast
     path and alltoallv's ring path, which p = 8 never executes."""
 
     @pytest.mark.parametrize("middleware", ["mpi", "cmpi"])
     @pytest.mark.parametrize("p", [3, 5, 8])
-    def test_pme_step(self, peptide_system, p, middleware):
-        system, pos = peptide_system
+    def test_pme_step(self, p, middleware):
+        system, pos = _verifier_peptide(uses_pme=True)
         live = _live_streams(system, pos, p, middleware)
         static = extract_streams("ppme", middleware, p=p, n_steps=1)
         assert [_schedule(s) for s in static] == [_schedule(s) for s in live]
@@ -418,19 +461,17 @@ class TestCrosscheckAgainstExecution:
     @pytest.mark.parametrize("middleware", ["mpi", "cmpi"])
     @pytest.mark.parametrize("p", [3, 8])
     def test_classic_step(self, p, middleware):
-        """The classic-only step: water-box has shift electrostatics and
-        no PME, so the replicated run is barrier, allreduce, allgatherv."""
-        from repro.campaign.workloads import build_workload
-
-        system, pos = build_workload("water-box")
+        """The classic-only step: shift electrostatics and no PME, so the
+        replicated run is barrier, allreduce, allgatherv."""
+        system, pos = _verifier_peptide(uses_pme=False)
         assert not system.uses_pme
         live = _live_streams(system, pos, p, middleware)
         static = extract_streams("pclassic", middleware, p=p, n_steps=1)
         assert [_schedule(s) for s in static] == [_schedule(s) for s in live]
 
     @pytest.mark.parametrize("field", [1, 2], ids=["peer", "tag"])
-    def test_one_changed_peer_or_tag_fails_it(self, peptide_system, field):
-        system, pos = peptide_system
+    def test_one_changed_peer_or_tag_fails_it(self, field):
+        system, pos = _verifier_peptide(uses_pme=True)
         live = [_schedule(s) for s in _live_streams(system, pos, 3, "mpi")]
         static = [_schedule(s) for s in extract_streams("ppme", "mpi", p=3, n_steps=1)]
         assert static == live

@@ -1,6 +1,6 @@
 """The symbolic value domain of the static schedule verifier."""
 
-from repro.analysis.symbolic import Block, SymSize, SymTag, summarize_p_set
+from repro.analysis.symbolic import SymSize, SymTag, summarize_p_set
 
 
 class TestSymTag:
@@ -27,12 +27,6 @@ class TestSymSize:
     def test_concrete(self):
         assert SymSize(name="n", value=24).concrete
         assert not SymSize(name="n").concrete
-
-
-class TestBlock:
-    def test_copy_is_identity(self):
-        b = Block("origin", SymSize(name="s"), "float64")
-        assert b.copy() is b
 
 
 class TestSummarizePSet:

@@ -168,6 +168,14 @@ class TestCampaignCommand:
         )
         assert not (tmp_path / "cache").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "serve"])
+    def test_zero_ranks_errors_before_the_store(self, tmp_path, capsys, verb):
+        args = ["campaign", verb, *self._args(tmp_path, "--ranks", "2,0")]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: ranks must be >= 1, got 0\n"
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize("design", ["sweep", "full", "paper"])
     def test_run_zero_replicates_errors_before_the_store(self, tmp_path, capsys, design):
         args = ["campaign", "run", *self._args(tmp_path, "--design", design, "--replicates", "0")]
